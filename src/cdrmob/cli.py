@@ -17,12 +17,13 @@ import os
 import shutil
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from . import __version__
 from .density import DensityError
 from .home import UnimodalProfileError
-from .ingest import ingest_file, write_spool
+from .ingest import SPOOL_EVENTS, SPOOL_META, SPOOL_STATS, ingest_file, write_spool
 from .metrics import GRANULARITIES, WindowSpec
 from .patterns import PatternError
 from .pipeline import (
@@ -31,6 +32,8 @@ from .pipeline import (
     Pipeline,
     PipelineError,
     _sha256,
+    input_digests,
+    save_manifest,
     window_label,
     write_manifest,
     write_outputs,
@@ -140,7 +143,8 @@ def _add_analysis_flags(p: _Parser, *, demographics=True):
     p.add_argument("--window", default="year", help="metrics windows: granularity or ISO range START/END")
     p.add_argument("--area-bounds", default="30,100,1000,10000", help="rank boundaries r1,r2,r3,r4")
     p.add_argument("--night-window", default=None, help="override detection, HH:MM-HH:MM")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="recorded in the manifest; analysis stages run single-threaded")
     p.add_argument("--year", type=int, default=2008, help="analysis year")
     p.add_argument("--divisor", choices=("events", "pairs"), default="events",
                    help="mobility normalization")
@@ -148,16 +152,47 @@ def _add_analysis_flags(p: _Parser, *, demographics=True):
                    help="filter rule; none keeps everyone")
 
 
-def _cleanup(out_dir, names):
-    for n in names:
-        p = os.path.join(out_dir, n)
-        try:
-            if os.path.isdir(p):
-                shutil.rmtree(p)
-            elif os.path.exists(p):
-                os.unlink(p)
-        except OSError:
-            pass
+@contextmanager
+def _removed_on_failure(out_dir, names):
+    """Run the body; if it raises, remove the listed outputs from out_dir
+    (files or directories, whichever got written) and re-raise."""
+    try:
+        yield
+    except BaseException:
+        for n in names:
+            p = os.path.join(out_dir, n)
+            try:
+                if os.path.isdir(p):
+                    shutil.rmtree(p)
+                elif os.path.exists(p):
+                    os.unlink(p)
+            except OSError:
+                pass
+        raise
+
+
+def _write_report(pipe: Pipeline, out_dir, stages, plot_data: bool, command: str) -> dict:
+    names = [STAGE_OUTPUTS[s] for s in stages] + ["manifest.json"]
+    if plot_data:
+        names.append("plotdata")
+    with _removed_on_failure(out_dir, names):
+        outputs = write_outputs(pipe, out_dir, stages, plot_data=plot_data)
+        write_manifest(pipe, out_dir, outputs, command=command)
+    return outputs
+
+
+def _write_files(out_dir, names, command: str, t0: float, write, **fields) -> None:
+    """write() the named files into out_dir, then a manifest of their
+    digests timed from t0; list them all on stdout."""
+    with _removed_on_failure(out_dir, names + ["manifest.json"]):
+        write()
+        outputs = {n: _sha256(os.path.join(out_dir, n)) for n in names}
+        save_manifest(
+            out_dir, command, outputs,
+            timings_s={command: round(time.perf_counter() - t0, 3)}, **fields,
+        )
+    for n in names + ["manifest.json"]:
+        print(os.path.join(out_dir, n))
 
 
 # -------------------------------------------------------------- handlers
@@ -170,15 +205,7 @@ def _run_stages(args, stages: set[str], plot_data: bool = False) -> int:
     if "strata" in stages and demographics is None:
         stages.discard("strata")
     pipe = Pipeline(args.cdr, args.towers, demographics, cfg, threads=max(1, args.threads))
-    names = [STAGE_OUTPUTS[s] for s in stages] + ["manifest.json"]
-    if plot_data:
-        names.append("plotdata")
-    try:
-        outputs = write_outputs(pipe, args.out, stages, plot_data=plot_data)
-        write_manifest(pipe, args.out, outputs, command=args.command)
-    except BaseException:
-        _cleanup(args.out, names)
-        raise
+    outputs = _write_report(pipe, args.out, stages, plot_data, args.command)
     for rel in sorted(outputs):
         print(os.path.join(args.out, rel))
     return 0
@@ -225,30 +252,12 @@ def _cmd_ingest(args) -> int:
     )
     if not result.timelines:
         raise PipelineError("no surviving individuals after filtering")
-    names = ["events.csv", "stats.json", "meta.json", "manifest.json"]
-    try:
-        write_spool(result, registry, args.out)
-        outputs = {n: _sha256(os.path.join(args.out, n)) for n in names[:3]}
-        doc = {
-            "command": "ingest",
-            "package_version": __version__,
-            "inputs": {
-                "cdr": {"path": str(args.cdr),
-                        "sha256": _sha256(args.cdr) if os.path.isfile(args.cdr) else None},
-                "towers": {"path": str(args.towers), "sha256": _sha256(args.towers)},
-            },
-            "outputs": outputs,
-            "ingest_stats": asdict(result.stats),
-            "timings_s": {"ingest": round(time.perf_counter() - t0, 3)},
-        }
-        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except BaseException:
-        _cleanup(args.out, names)
-        raise
-    for n in names:
-        print(os.path.join(args.out, n))
+    _write_files(
+        args.out, [SPOOL_EVENTS, SPOOL_STATS, SPOOL_META], "ingest", t0,
+        lambda: write_spool(result, registry, args.out),
+        inputs=input_digests(cdr=args.cdr, towers=args.towers),
+        ingest_stats=asdict(result.stats),
+    )
     return 0
 
 
@@ -277,26 +286,12 @@ def _gen_config(args) -> GenConfig:
 def _cmd_generate(args) -> int:
     cfg = _gen_config(args)
     os.makedirs(args.out, exist_ok=True)
-    names = [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE, TRUTH_FILE, CONFIG_FILE, "manifest.json"]
-    t0 = time.perf_counter()
-    try:
-        generate(cfg, args.out, threads=max(1, args.threads))
-        outputs = {n: _sha256(os.path.join(args.out, n)) for n in names[:5]}
-        doc = {
-            "command": "generate",
-            "package_version": __version__,
-            "config": asdict(cfg),
-            "outputs": outputs,
-            "timings_s": {"generate": round(time.perf_counter() - t0, 3)},
-        }
-        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except BaseException:
-        _cleanup(args.out, names)
-        raise
-    for n in names:
-        print(os.path.join(args.out, n))
+    _write_files(
+        args.out, [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE, TRUTH_FILE, CONFIG_FILE],
+        "generate", time.perf_counter(),
+        lambda: generate(cfg, args.out, threads=max(1, args.threads)),
+        config=asdict(cfg),
+    )
     return 0
 
 
@@ -335,12 +330,7 @@ def _cmd_demo(args) -> int:
         acfg,
         threads=max(1, args.threads),
     )
-    try:
-        outputs = write_outputs(pipe, report_dir, set(STAGE_OUTPUTS), plot_data=True)
-        write_manifest(pipe, report_dir, outputs, command="demo")
-    except BaseException:
-        _cleanup(report_dir, list(STAGE_OUTPUTS.values()) + ["manifest.json", "plotdata"])
-        raise
+    outputs = _write_report(pipe, report_dir, set(STAGE_OUTPUTS), True, "demo")
     w = pipe.night_window
     corr = pipe.correlations
     print(f"inactivity window: {window_label(w)}")

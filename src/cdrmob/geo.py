@@ -1,9 +1,9 @@
-"""Geodesic distance, grid binning, and coordinate averaging.
+"""Geodesic distance, grid binning, and nearest-tower lookup.
 
-All spatial computations in the package go through this module. Distances
-are great-circle (haversine) in kilometers; grids are plain lat/lon lattices
-with half-open cells. Longitudes are averaged arithmetically, which is fine
-for a country-scale bounding box away from the antimeridian.
+Distances are great-circle (haversine) in kilometers; grids are plain
+lat/lon lattices with half-open cells. Homes average longitudes
+arithmetically, which is fine for a country-scale bounding box away from
+the antimeridian.
 """
 
 from __future__ import annotations
@@ -77,26 +77,6 @@ class GridSpec:
         top = math.radians(self.lat0 + (i + 1) * self.lat_step)
         dlon = math.radians(self.lon_step)
         return EARTH_RADIUS_KM ** 2 * dlon * abs(math.sin(top) - math.sin(bottom))
-
-
-def mean_position(points) -> tuple[float, float]:
-    """Coordinate-wise arithmetic mean of a non-empty sequence of (lat, lon).
-
-    Plain longitude mean, no circular wrap handling: acceptable for data
-    confined to a narrow longitude band (documented limitation).
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise ValueError("mean_position of empty sequence")
-    return float(pts[:, 0].mean()), float(pts[:, 1].mean())
-
-
-def grid_origin_for(lats, lons) -> tuple[float, float]:
-    """Default grid anchor: floor of the bounding box to whole degrees.
-
-    Keeps cell indices small, and stable under small corpus changes.
-    """
-    return float(math.floor(np.min(lats))), float(math.floor(np.min(lons)))
 
 
 class NearestTowerIndex:

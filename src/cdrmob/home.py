@@ -12,7 +12,6 @@ homes are flagged (nearest tower beyond a cutoff), never silently dropped.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -21,10 +20,8 @@ from scipy.optimize import curve_fit
 
 from .geo import NearestTowerIndex
 from .ingest import Timeline
-from .metrics import EgoMetrics
+from .metrics import EgoMetrics, rms
 from .records import TowerRegistry
-
-PROFILE_METRICS = ("activity", "mobility", "rg")
 
 
 class UnimodalProfileError(Exception):
@@ -37,10 +34,9 @@ class DailyProfile:
 
     activity is the mean event count per individual per bin; mobility is
     the root mean square displacement over all pooled displacement pairs
-    in the bin; rg the root mean square home distance of pooled events.
+    in the bin.
     """
 
-    metric: str
     bin_minutes: int
     values: np.ndarray
     n_individuals: int
@@ -57,43 +53,26 @@ class DailyProfile:
 def daily_profile(
     timelines: dict[str, Timeline],
     registry: TowerRegistry,
-    metric: str = "activity",
     bin_minutes: int = 60,
-    homes: dict[str, tuple[float, float] | None] | None = None,
-) -> DailyProfile:
-    """Pool every individual's events into time-of-day bins."""
-    if metric not in PROFILE_METRICS:
-        raise ValueError(f"unknown profile metric {metric!r}")
+) -> tuple[DailyProfile, DailyProfile]:
+    """Pool every individual's events into time-of-day bins, in one pass;
+    returns the (activity, mobility) profiles."""
     if 1440 % bin_minutes:
         raise ValueError("bin width must divide the day evenly")
-    if metric == "rg" and homes is None:
-        raise ValueError("rg profile needs home locations")
     nbins = 1440 // bin_minutes
     acc_a = np.zeros(nbins)
     acc_d2 = np.zeros(nbins)
     acc_pairs = np.zeros(nbins)
-    acc_h2 = np.zeros(nbins)
     for ego in sorted(timelines):
-        home = homes.get(ego) if homes else None
-        if metric == "rg" and home is None:
-            continue
-        em = EgoMetrics(timelines[ego], registry, home if metric == "rg" else None)
-        a, d2sum, h2sum, pairs = em.time_of_day_bins(nbins)
+        a, d2sum, _, pairs = EgoMetrics(timelines[ego], registry).time_of_day_bins(nbins)
         acc_a += a
         acc_d2 += d2sum
         acc_pairs += pairs
-        if h2sum is not None:
-            acc_h2 += h2sum
     n = len(timelines)
-    if metric == "activity":
-        values = acc_a / max(n, 1)
-    elif metric == "mobility":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.where(acc_pairs > 0, np.sqrt(acc_d2 / np.maximum(acc_pairs, 1)), 0.0)
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.where(acc_a > 0, np.sqrt(acc_h2 / np.maximum(acc_a, 1)), 0.0)
-    return DailyProfile(metric, bin_minutes, values, n)
+    return (
+        DailyProfile(bin_minutes, acc_a / max(n, 1), n),
+        DailyProfile(bin_minutes, rms(acc_d2, acc_pairs), n),
+    )
 
 
 @dataclass
@@ -258,18 +237,6 @@ def write_homes_csv(
                 )
             n += 1
     return n
-
-
-def read_homes_csv(path) -> dict[str, tuple[float, float] | None]:
-    homes: dict[str, tuple[float, float] | None] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            homes[row[0]] = (float(row[1]), float(row[2])) if row[1] else None
-    return homes
 
 
 def night_event_counts(

@@ -29,10 +29,8 @@ import numpy as np
 
 from .records import (
     CALL,
-    CANONICAL_LAYOUT,
     INCOMING,
     CdrError,
-    ColumnLayout,
     RowReject,
     TowerRegistry,
     parse_event_fields,
@@ -90,6 +88,7 @@ class IngestResult:
     timelines: dict[str, Timeline]
     stats: IngestStats
     analysis_year: int
+    reciprocity: str
     # peer index arrays aligned with each timeline, only when keep_peers
     peers: dict[str, np.ndarray] | None = None
     peer_ids: list[str] | None = None
@@ -102,7 +101,6 @@ def ingest_rows(
     registry: TowerRegistry,
     *,
     analysis_year: int = 2008,
-    layout: ColumnLayout = CANONICAL_LAYOUT,
     reciprocity: str = "pair",
     keep_peers: bool = False,
 ) -> IngestResult:
@@ -131,7 +129,7 @@ def ingest_rows(
     for row in rows:
         stats.rows_read += 1
         try:
-            rec = parse_event_fields(row, layout, ys, ye)
+            rec = parse_event_fields(row, ys, ye)
         except RowReject as rj:
             stats.reject(rj.reason)
             continue
@@ -195,7 +193,8 @@ def ingest_rows(
         stats.individuals_kept, stats.individuals_removed,
     )
     return IngestResult(
-        timelines, stats, analysis_year, peers, id_list if keep_peers else None, removed
+        timelines, stats, analysis_year, reciprocity, peers,
+        id_list if keep_peers else None, removed,
     )
 
 
@@ -227,7 +226,6 @@ def ingest_file(
     registry: TowerRegistry,
     *,
     analysis_year: int = 2008,
-    layout: ColumnLayout = CANONICAL_LAYOUT,
     reciprocity: str = "pair",
     keep_peers: bool = False,
 ) -> IngestResult:
@@ -237,29 +235,28 @@ def ingest_file(
     and skipped without being counted as a reject.
     """
     if is_spool(path):
-        return read_spool(path, registry)
+        return read_spool(path, registry, analysis_year, reciprocity)
 
     def rows():
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
             if first is not None:
-                if not _is_header(first, layout):
+                if not _is_header(first):
                     yield first
                 yield from reader
 
     return ingest_rows(
         rows(), registry,
-        analysis_year=analysis_year, layout=layout,
-        reciprocity=reciprocity, keep_peers=keep_peers,
+        analysis_year=analysis_year, reciprocity=reciprocity, keep_peers=keep_peers,
     )
 
 
-def _is_header(row: list[str], layout: ColumnLayout) -> bool:
-    if len(row) <= layout.timestamp:
+def _is_header(row: list[str]) -> bool:
+    if len(row) <= 2:
         return False
     try:
-        parse_timestamp(row[layout.timestamp])
+        parse_timestamp(row[2])
         return False
     except RowReject:
         return True
@@ -289,15 +286,26 @@ def write_spool(result: IngestResult, registry: TowerRegistry, out_dir) -> None:
         json.dump(asdict(result.stats), fh, indent=2)
         fh.write("\n")
     with open(os.path.join(out_dir, SPOOL_META), "w", encoding="utf-8") as fh:
-        json.dump({"analysis_year": result.analysis_year, "format": 1}, fh, indent=2)
+        json.dump(
+            {"analysis_year": result.analysis_year, "reciprocity": result.reciprocity, "format": 1},
+            fh, indent=2,
+        )
         fh.write("\n")
 
 
-def read_spool(path, registry: TowerRegistry) -> IngestResult:
+def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: str) -> IngestResult:
     """Load a spool directory. The stream is machine-written and already
-    filtered, so defects here are fatal rather than counted."""
+    filtered, so defects here are fatal rather than counted. A spool
+    ingested for another year or reciprocity rule is refused: its rows
+    were already cut to that year and filtered by that rule."""
     with open(os.path.join(path, SPOOL_META), encoding="utf-8") as fh:
         meta = json.load(fh)
+    for key, want in (("analysis_year", analysis_year), ("reciprocity", reciprocity)):
+        if meta.get(key) != want:
+            raise CdrError(
+                f"spool {path} was ingested with {key}={meta.get(key, 'unknown')}, "
+                f"not {want}; re-run ingest with the settings of this analysis"
+            )
     stats = IngestStats()
     stats_path = os.path.join(path, SPOOL_STATS)
     if os.path.exists(stats_path):
@@ -353,4 +361,4 @@ def read_spool(path, registry: TowerRegistry) -> IngestResult:
         np.frombuffer(peer_c, dtype=np.int32) if n else np.empty(0, np.int32),
         id_list,
     )
-    return IngestResult(timelines, stats, int(meta["analysis_year"]), peers, id_list)
+    return IngestResult(timelines, stats, analysis_year, reciprocity, peers, id_list)

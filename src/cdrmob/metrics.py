@@ -25,8 +25,6 @@ window is O(log n).
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from datetime import date
 
@@ -42,7 +40,7 @@ GRANULARITIES = ("year", "month", "day", "hour", "weekday", "range")
 DIVISORS = ("events", "pairs")
 
 _EPOCH_ORD = date(1970, 1, 1).toordinal()
-_EPOCH_WEEKDAY = 3  # 1970-01-01 was a Thursday; weekday index 0 is Monday
+EPOCH_WEEKDAY = 3  # 1970-01-01 was a Thursday; weekday index 0 is Monday
 
 
 def _day_epoch(d: date) -> int:
@@ -100,6 +98,25 @@ class MetricRow:
     pairs: int
 
 
+def rms(sq_sum, n, empty=0.0) -> np.ndarray:
+    """sqrt(sq_sum / n) per bin, `empty` where n is 0. Negative sums (the
+    rounding residue of prefix-sum differences) count as 0, so neither the
+    division nor the root can warn."""
+    return np.where(n > 0, np.sqrt(np.maximum(sq_sum, 0.0) / np.maximum(n, 1)), empty)
+
+
+def _rows(ids, a, m, rg, pairs) -> list[MetricRow]:
+    """MetricRows (ego_id blank) from per-window arrays; rg_km is None for
+    empty windows and when rg is None (no home)."""
+    return [
+        MetricRow(
+            "", wid, int(a[k]), float(m[k]),
+            None if rg is None or a[k] == 0 else float(rg[k]), int(pairs[k]),
+        )
+        for k, wid in enumerate(ids)
+    ]
+
+
 class EgoMetrics:
     """Prefix-sum engine over one timeline.
 
@@ -155,23 +172,17 @@ class EgoMetrics:
             self.cumd2[np.clip(j - 1, 0, top)] - self.cumd2[np.minimum(i, top)],
             0.0,
         )
-        d2 = np.maximum(d2, 0.0)
-        div = a if self.divisor == "events" else pairs
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = np.where(div > 0, np.sqrt(d2 / np.maximum(div, 1)), 0.0)
-            if self.cumh2 is None:
-                rg = None
-            else:
-                h2 = np.maximum(self.cumh2[j] - self.cumh2[i], 0.0)
-                rg = np.where(a > 0, np.sqrt(h2 / np.maximum(a, 1)), np.nan)
-        return a, m, rg, pairs
+        h2 = None if self.cumh2 is None else self.cumh2[j] - self.cumh2[i]
+        return self.from_sums(a, d2, h2, pairs)
+
+    def from_sums(self, a, d2sum, h2sum, pairs):
+        """(activity, mobility, rg, pairs) per bin from pooled sums, shaped
+        as windows() returns them."""
+        m = rms(d2sum, a if self.divisor == "events" else pairs)
+        return a, m, None if h2sum is None else rms(h2sum, a, np.nan), pairs
 
     def window(self, t0: int, t1: int) -> MetricRow:
-        a, m, rg, pairs = self.windows(np.array([t0, t1], dtype=np.int64))
-        r = None
-        if rg is not None and a[0] > 0:
-            r = float(rg[0])
-        return MetricRow("", "", int(a[0]), float(m[0]), r, int(pairs[0]))
+        return _rows([""], *self.windows(np.array([t0, t1], dtype=np.int64)))[0]
 
     def _pooled(self, bin_of_event: np.ndarray, nbins: int, pair_mask=None):
         """Pooled (activity, d2 sum, h2 sum, pair count) per bin. Each
@@ -202,21 +213,9 @@ class EgoMetrics:
     def weekday_bins(self):
         """Pooled sums per weekday (0=Mon), within-day pairs only."""
         days = self.ts // 86400
-        w = ((days + _EPOCH_WEEKDAY) % 7).astype(np.int64)
+        w = ((days + EPOCH_WEEKDAY) % 7).astype(np.int64)
         mask = days[1:] == days[:-1] if len(days) > 1 else None
         return self._pooled(w, 7, pair_mask=mask)
-
-    def _pooled_rows(self, sums, ids) -> list[MetricRow]:
-        a, d2sum, h2sum, pairs = sums
-        rows = []
-        for k, wid in enumerate(ids):
-            div = int(a[k]) if self.divisor == "events" else int(pairs[k])
-            m = math.sqrt(max(d2sum[k], 0.0) / div) if div > 0 else 0.0
-            rg = None
-            if h2sum is not None and a[k] > 0:
-                rg = math.sqrt(max(h2sum[k], 0.0) / a[k])
-            rows.append(MetricRow("", wid, int(a[k]), m, rg, int(pairs[k])))
-        return rows
 
 
 def metrics_rows(
@@ -228,38 +227,10 @@ def metrics_rows(
     if spans is not None:
         ids = [wid for wid, _, _ in spans]
         bounds = np.array([spans[0][1]] + [t1 for _, _, t1 in spans], dtype=np.int64)
-        a, m, rg, pairs = em.windows(bounds)
-        rows = []
-        for k, wid in enumerate(ids):
-            r = None
-            if rg is not None and a[k] > 0:
-                r = float(rg[k])
-            rows.append(MetricRow("", wid, int(a[k]), float(m[k]), r, int(pairs[k])))
-        return rows
+        return _rows(ids, *em.windows(bounds))
     if spec.granularity == "hour":
-        return em._pooled_rows(em.time_of_day_bins(24), HOUR_IDS)
-    return em._pooled_rows(em.weekday_bins(), WEEKDAY_IDS)
-
-
-def metrics_table(
-    timelines: dict[str, Timeline],
-    registry: TowerRegistry,
-    homes: dict[str, tuple[float, float] | None],
-    spec: WindowSpec,
-    *,
-    analysis_year: int = 2008,
-    divisor: str = "events",
-):
-    """Stream MetricRows for every individual, ordered by (ego_id, window).
-
-    Individuals missing from `homes` (or mapped to None) get rg_km=None
-    throughout.
-    """
-    for ego in sorted(timelines):
-        em = EgoMetrics(timelines[ego], registry, homes.get(ego), divisor)
-        for row in metrics_rows(em, spec, analysis_year):
-            row.ego_id = ego
-            yield row
+        return _rows(HOUR_IDS, *em.from_sums(*em.time_of_day_bins(24)))
+    return _rows(WEEKDAY_IDS, *em.from_sums(*em.weekday_bins()))
 
 
 def write_metrics_csv(rows, path) -> int:
@@ -273,39 +244,3 @@ def write_metrics_csv(rows, path) -> int:
             fh.write(f"{r.ego_id},{r.window},{r.activity},{float(r.mobility_km)!r},{rg},{r.pairs}\n")
             n += 1
     return n
-
-
-def read_metrics_csv(path) -> list[MetricRow]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            rows.append(
-                MetricRow(
-                    row[0], row[1], int(row[2]), float(row[3]),
-                    float(row[4]) if row[4] else None, int(row[5]),
-                )
-            )
-    return rows
-
-
-def year_metrics(
-    timelines: dict[str, Timeline],
-    registry: TowerRegistry,
-    homes: dict[str, tuple[float, float] | None],
-    analysis_year: int = 2008,
-    divisor: str = "events",
-) -> dict[str, MetricRow]:
-    """Whole-year metrics per individual, keyed by ego id."""
-    ys, ye = year_bounds(analysis_year)
-    out: dict[str, MetricRow] = {}
-    for ego in sorted(timelines):
-        em = EgoMetrics(timelines[ego], registry, homes.get(ego), divisor)
-        row = em.window(ys, ye)
-        row.ego_id = ego
-        row.window = str(analysis_year)
-        out[ego] = row
-    return out

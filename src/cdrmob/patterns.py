@@ -27,15 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Timeline
-from .metrics import HOUR_IDS, WEEKDAY_IDS, EgoMetrics, WindowSpec
-from .records import AGE_GROUP_LABELS, Demographics, TowerRegistry, age_group_of, year_bounds
+from .metrics import EPOCH_WEEKDAY, HOUR_IDS, WEEKDAY_IDS, EgoMetrics, WindowSpec
+from .records import AGE_GROUP_LABELS, Demographics, age_group_of, year_bounds
 
 AXES = ("year", "month", "dow", "hour")
 VALUES = ("activity", "mobility", "rg")
 STATISTICS = ("mean", "median", "normalized_median")
-
-_EPOCH_WEEKDAY = 3  # 1970-01-01 was a Thursday
 
 
 class PatternError(Exception):
@@ -57,38 +54,13 @@ class PatternSeries:
     se: np.ndarray | None  # standard error, mean statistic only
 
 
-def build_engines(
-    timelines: dict[str, Timeline],
-    registry: TowerRegistry,
-    homes: dict[str, tuple[float, float] | None] | None = None,
-    divisor: str = "events",
-) -> dict[str, EgoMetrics]:
-    """One reusable prefix-sum engine per individual."""
-    h = homes or {}
-    return {e: EgoMetrics(timelines[e], registry, h.get(e), divisor) for e in sorted(timelines)}
-
-
-def _pooled_values(em: EgoMetrics, nbins: int, value: str):
-    a, d2, h2, pairs = em.time_of_day_bins(nbins)
+def _values(metrics, value: str):
+    """One individual's per-bin samples of `value` and which are valid."""
+    a, m, rg, _ = metrics
     if value == "activity":
-        return a.astype(float), np.ones(nbins, dtype=bool)
+        return a.astype(float), np.ones(len(a), dtype=bool)
     if value == "mobility":
-        div = a if em.divisor == "events" else pairs
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = np.where(div > 0, np.sqrt(np.maximum(d2, 0.0) / np.maximum(div, 1)), 0.0)
-        return m, np.ones(nbins, dtype=bool)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rg = np.where(a > 0, np.sqrt(np.maximum(h2, 0.0) / np.maximum(a, 1)), np.nan)
-    return rg, a > 0
-
-
-def _window_values(em: EgoMetrics, bounds: np.ndarray, value: str):
-    a, m, rg, pairs = em.windows(bounds)
-    k = len(bounds) - 1
-    if value == "activity":
-        return a.astype(float), np.ones(k, dtype=bool)
-    if value == "mobility":
-        return m, np.ones(k, dtype=bool)
+        return m, np.ones(len(a), dtype=bool)
     return rg, a > 0
 
 
@@ -127,15 +99,17 @@ def pattern(
     vals = np.empty((len(egos), k))
     valid = np.empty((len(egos), k), dtype=bool)
     for r, e in enumerate(egos):
-        if axis == "hour":
-            v, ok = _pooled_values(ems[e], 24, value)
+        em = ems[e]
+        if axis != "hour":
+            metrics = em.windows(bounds)
+        elif value == "activity":
+            metrics = em.time_of_day_bins(24)  # the counts come first, as in from_sums
         else:
-            v, ok = _window_values(ems[e], bounds, value)
-        vals[r] = v
-        valid[r] = ok
+            metrics = em.from_sums(*em.time_of_day_bins(24))
+        vals[r], valid[r] = _values(metrics, value)
 
     if axis == "dow":
-        wd = np.array([((t0 // 86400) + _EPOCH_WEEKDAY) % 7 for _, t0, _ in spans])
+        wd = np.array([((t0 // 86400) + EPOCH_WEEKDAY) % 7 for _, t0, _ in spans])
         samples = [vals[:, wd == w][valid[:, wd == w]] for w in range(7)]
     else:
         samples = [vals[:, b][valid[:, b]] for b in range(k)]

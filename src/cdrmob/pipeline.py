@@ -5,7 +5,8 @@ A Pipeline lazily computes each stage the first time something needs it
 engines -> grid density -> correlations -> patterns -> strata), so every
 CLI subcommand runs exactly the stages it needs and `report` runs them
 all. Stage results are deterministic functions of the input files and the
-config; thread count only affects wall time, never bytes.
+config. Stages run single-threaded; the thread count is only recorded in
+the manifest.
 
 Reference values quoted in reports (correlation magnitudes, per-class
 densities) come from a large-scale reference dataset and are printed for
@@ -20,7 +21,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -52,7 +52,7 @@ from .home import (
 from .ingest import ingest_file
 from .metrics import EgoMetrics, WindowSpec, metrics_rows, write_metrics_csv
 from .patterns import (
-    EmptyCohortError,
+    PatternError,
     demographic_table,
     pattern,
     write_pattern_csv,
@@ -121,12 +121,24 @@ class Pipeline:
         self.threads = max(1, int(threads))
         self.timings: dict[str, float] = {}
         self._cache: dict[str, object] = {}
+        # seconds spent in nested stages, one entry per stage being computed
+        self._nested: list[float] = []
 
     def _stage(self, name: str, fn):
+        """Compute a stage once. Stages pull their inputs in lazily, so one
+        may run inside another; timings hold each stage's own seconds,
+        excluding the stages nested in it."""
         if name not in self._cache:
+            self._nested.append(0.0)
             t0 = time.perf_counter()
-            self._cache[name] = fn()
-            self.timings[name] = round(time.perf_counter() - t0, 3)
+            try:
+                self._cache[name] = fn()
+            finally:
+                total = time.perf_counter() - t0
+                nested = self._nested.pop()
+                if self._nested:
+                    self._nested[-1] += total
+            self.timings[name] = round(total - nested, 3)
         return self._cache[name]
 
     # ------------------------------------------------------------- inputs
@@ -160,22 +172,19 @@ class Pipeline:
 
     # ------------------------------------------------- rhythm and window
     @property
-    def activity_profile(self):
+    def profiles(self):
         return self._stage(
             "profile",
-            lambda: daily_profile(
-                self.ingest.timelines, self.registry, "activity", self.config.bin_minutes
-            ),
+            lambda: daily_profile(self.ingest.timelines, self.registry, self.config.bin_minutes),
         )
 
     @property
+    def activity_profile(self):
+        return self.profiles[0]
+
+    @property
     def mobility_profile(self):
-        return self._stage(
-            "profile_mobility",
-            lambda: daily_profile(
-                self.ingest.timelines, self.registry, "mobility", self.config.bin_minutes
-            ),
-        )
+        return self.profiles[1]
 
     @property
     def circadian_fit(self):
@@ -219,24 +228,11 @@ class Pipeline:
     def engines(self) -> dict[str, EgoMetrics]:
         def run():
             tls = self.ingest.timelines
-            egos = sorted(tls)
             homes = self.homes
-
-            def make(chunk):
-                return [
-                    (e, EgoMetrics(tls[e], self.registry, homes.get(e), self.config.divisor))
-                    for e in chunk
-                ]
-
-            if self.threads == 1 or len(egos) < 512:
-                pairs = make(egos)
-            else:
-                chunks = [egos[i : i + 512] for i in range(0, len(egos), 512)]
-                pairs = []
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    for part in pool.map(make, chunks):
-                        pairs.extend(part)
-            return dict(pairs)
+            return {
+                e: EgoMetrics(tls[e], self.registry, homes.get(e), self.config.divisor)
+                for e in sorted(tls)
+            }
 
         return self._stage("engines", run)
 
@@ -354,7 +350,9 @@ class Pipeline:
             def add(cohort_name, cohort, axis, value, statistic):
                 try:
                     s = pattern(ems, cohort, axis, value, statistic, y)
-                except EmptyCohortError:
+                except PatternError:
+                    # an empty cohort, or a normalized series whose level is
+                    # zero (sparse data): that series alone is left out
                     return
                 s.cohort = cohort_name
                 series.append(s)
@@ -415,32 +413,28 @@ def write_profile_csv(pipe: Pipeline, path) -> None:
             fh.write(f"{float(centers[k])!r},{float(act.values[k])!r},{float(mob.values[k])!r}\n")
 
 
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _fit_doc(pipe: Pipeline) -> dict | None:
+    """The fitted rhythm, or None when the night window was overridden."""
+    return None if pipe.config.night_window is not None else asdict(pipe.circadian_fit)
+
+
 def write_window_json(pipe: Pipeline, path) -> None:
-    fit = None
-    if pipe.config.night_window is None:
-        f = pipe.circadian_fit
-        fit = {
-            "mu_day_h": f.mu_day_h,
-            "sigma_day_h": f.sigma_day_h,
-            "amp_day": f.amp_day,
-            "mu_evening_h": f.mu_evening_h,
-            "sigma_evening_h": f.sigma_evening_h,
-            "amp_evening": f.amp_evening,
-            "floor": f.floor,
-            "rmse": f.rmse,
-        }
     w = pipe.night_window
     doc = {
         "window_start_h": w[0],
         "window_end_h": w[1],
         "label": window_label(w),
         "source": "override" if pipe.config.night_window is not None else "detected",
-        "daily_fit": fit,
+        "daily_fit": _fit_doc(pipe),
         "bin_minutes": pipe.config.bin_minutes,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def write_correlations_csv(pipe: Pipeline, path) -> None:
@@ -472,17 +466,9 @@ def area_doc(pipe: Pipeline) -> dict:
 
 def build_summary(pipe: Pipeline) -> dict:
     w = pipe.night_window
-    fit = None
-    if pipe.config.night_window is None:
-        f = pipe.circadian_fit
-        fit = {
-            "mu_day_h": f.mu_day_h,
-            "sigma_day_h": f.sigma_day_h,
-            "mu_evening_h": f.mu_evening_h,
-            "sigma_evening_h": f.sigma_evening_h,
-            "floor": f.floor,
-            "rmse": f.rmse,
-        }
+    fit = _fit_doc(pipe)
+    if fit is not None:
+        del fit["amp_day"], fit["amp_evening"]
     homes = pipe.homes
     with_home = sum(1 for h in homes.values() if h is not None)
     corr = pipe.correlations
@@ -640,9 +626,7 @@ def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> d
         write_grid_csv(pipe.grid_density, pipe.labels, os.path.join(out_dir, STAGE_OUTPUTS["grid"]))
         record(STAGE_OUTPUTS["grid"])
     if "areas" in stages:
-        with open(os.path.join(out_dir, STAGE_OUTPUTS["areas"]), "w", encoding="utf-8") as fh:
-            json.dump(area_doc(pipe), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, STAGE_OUTPUTS["areas"]), area_doc(pipe))
         record(STAGE_OUTPUTS["areas"])
     if "correlations" in stages:
         write_correlations_csv(pipe, os.path.join(out_dir, STAGE_OUTPUTS["correlations"]))
@@ -654,9 +638,7 @@ def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> d
         write_strata_csv(pipe.strata, os.path.join(out_dir, STAGE_OUTPUTS["strata"]))
         record(STAGE_OUTPUTS["strata"])
     if "summary" in stages:
-        with open(os.path.join(out_dir, STAGE_OUTPUTS["summary"]), "w", encoding="utf-8") as fh:
-            json.dump(build_summary(pipe), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, STAGE_OUTPUTS["summary"]), build_summary(pipe))
         record(STAGE_OUTPUTS["summary"])
     if plot_data:
         for rel in write_plot_data(pipe, out_dir):
@@ -664,32 +646,35 @@ def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> d
     return done
 
 
-def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: str) -> None:
-    """Run provenance: inputs, config, output digests, timings. The
-    manifest is the one output that may differ between identical reruns
-    (it carries timings)."""
-    cfg = asdict(pipe.config)
-    inputs = {}
-    for name, p in (
-        ("cdr", pipe.cdr_path),
-        ("towers", pipe.towers_path),
-        ("demographics", pipe.demographics_path),
-    ):
-        if p is not None:
-            inputs[name] = {
-                "path": str(p),
-                "sha256": _sha256(p) if os.path.isfile(p) else None,
-            }
-    doc = {
-        "command": command,
-        "package_version": __version__,
-        "config": cfg,
-        "threads": pipe.threads,
-        "inputs": inputs,
-        "outputs": outputs,
-        "timings_s": pipe.timings,
-        "ingest_stats": asdict(pipe.ingest.stats) if "ingest" in pipe._cache else None,
+def input_digests(**paths) -> dict:
+    """{name: {path, sha256}} for each input given; directories (spools)
+    get no digest."""
+    return {
+        name: {"path": str(p), "sha256": _sha256(p) if os.path.isfile(p) else None}
+        for name, p in paths.items()
+        if p is not None
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+
+def save_manifest(out_dir, command: str, outputs: dict[str, str], **fields) -> None:
+    """Write manifest.json: the command, package version and output digests,
+    plus whatever provenance `fields` the command has (inputs, config,
+    timings). The manifest is the one output that may differ between
+    identical reruns (it carries timings)."""
+    doc = {"command": command, "package_version": __version__, "outputs": outputs, **fields}
+    _write_json(os.path.join(out_dir, "manifest.json"), doc)
+
+
+def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: str) -> None:
+    """Manifest of an analysis run: inputs, config, output digests and the
+    exclusive seconds of each stage."""
+    save_manifest(
+        out_dir, command, outputs,
+        config=asdict(pipe.config),
+        threads=pipe.threads,
+        inputs=input_digests(
+            cdr=pipe.cdr_path, towers=pipe.towers_path, demographics=pipe.demographics_path
+        ),
+        timings_s=pipe.timings,
+        ingest_stats=asdict(pipe.ingest.stats) if "ingest" in pipe._cache else None,
+    )

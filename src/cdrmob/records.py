@@ -24,7 +24,6 @@ OUTGOING = "outgoing"
 
 _KIND_TOKENS = {"call": CALL, "sms": SMS}
 _DIRECTION_TOKENS = {"in": INCOMING, "incoming": INCOMING, "out": OUTGOING, "outgoing": OUTGOING}
-_DIRECTION_SHORT = {INCOMING: "in", OUTGOING: "out"}
 
 FEMALE = "female"
 MALE = "male"
@@ -68,38 +67,6 @@ class EventRecord:
     kind: str  # call | sms
     direction: str  # incoming | outgoing
 
-
-@dataclass(frozen=True)
-class ColumnLayout:
-    """Positions of the six event fields in a delimited CDR row.
-
-    The canonical layout is ego_id, peer_id, ISO-8601 timestamp, tower_id,
-    kind, direction; alternative files are supported by remapping indices.
-    """
-
-    ego_id: int = 0
-    peer_id: int = 1
-    timestamp: int = 2
-    tower_id: int = 3
-    kind: int = 4
-    direction: int = 5
-
-    @property
-    def width(self) -> int:
-        return max(self.ego_id, self.peer_id, self.timestamp, self.tower_id, self.kind, self.direction) + 1
-
-    @classmethod
-    def from_names(cls, names: list[str]) -> "ColumnLayout":
-        """Layout from an ordered list of field names, e.g. from a CLI flag."""
-        want = {"ego_id", "peer_id", "timestamp", "tower_id", "kind", "direction"}
-        idx = {name: i for i, name in enumerate(names)}
-        missing = want - idx.keys()
-        if missing:
-            raise ValueError(f"column layout missing fields: {sorted(missing)}")
-        return cls(**{k: idx[k] for k in want})
-
-
-CANONICAL_LAYOUT = ColumnLayout()
 
 _EPOCH_DAY = date(1970, 1, 1).toordinal()
 _date_epoch_cache: dict[str, int] = {}
@@ -150,41 +117,28 @@ def year_bounds(year: int) -> tuple[int, int]:
     return start, end
 
 
-def parse_event_fields(row: list[str], layout: ColumnLayout, year_start: int, year_end: int) -> EventRecord:
-    """Validate one already-split CDR row. Raises RowReject on any defect."""
-    if len(row) < layout.width:
+def parse_event_fields(row: list[str], year_start: int, year_end: int) -> EventRecord:
+    """Validate one already-split CDR row (ego_id, peer_id, timestamp,
+    tower_id, kind, direction). Raises RowReject on any defect."""
+    if len(row) < 6:
         raise RowReject("missing_column", ",".join(row))
-    ego = row[layout.ego_id].strip()
-    peer = row[layout.peer_id].strip()
-    tower = row[layout.tower_id].strip()
+    ego = row[0].strip()
+    peer = row[1].strip()
+    tower = row[3].strip()
     if not ego or not peer or not tower:
         raise RowReject("missing_column", ",".join(row))
     if ego == peer:
         raise RowReject("self_call", ego)
-    ts = parse_timestamp(row[layout.timestamp])
+    ts = parse_timestamp(row[2])
     if not (year_start <= ts < year_end):
-        raise RowReject("outside_year", row[layout.timestamp])
-    kind = _KIND_TOKENS.get(row[layout.kind].strip().lower())
+        raise RowReject("outside_year", row[2])
+    kind = _KIND_TOKENS.get(row[4].strip().lower())
     if kind is None:
-        raise RowReject("bad_kind", row[layout.kind])
-    direction = _DIRECTION_TOKENS.get(row[layout.direction].strip().lower())
+        raise RowReject("bad_kind", row[4])
+    direction = _DIRECTION_TOKENS.get(row[5].strip().lower())
     if direction is None:
-        raise RowReject("bad_direction", row[layout.direction])
+        raise RowReject("bad_direction", row[5])
     return EventRecord(ego, peer, ts, tower, kind, direction)
-
-
-def parse_event_line(line: str, layout: ColumnLayout = CANONICAL_LAYOUT, analysis_year: int = 2008) -> EventRecord:
-    """Parse one delimited CDR line; RowReject (never an abort) on bad data."""
-    ys, ye = year_bounds(analysis_year)
-    return parse_event_fields(next(csv.reader([line])), layout, ys, ye)
-
-
-def serialize_event(rec: EventRecord) -> str:
-    """Canonical column layout; parse_event_line round-trips this exactly."""
-    return (
-        f"{rec.ego_id},{rec.peer_id},{format_timestamp(rec.timestamp)},"
-        f"{rec.tower_id},{rec.kind},{_DIRECTION_SHORT[rec.direction]}"
-    )
 
 
 class TowerRegistry:

@@ -333,14 +333,14 @@ def test_criterion_11_scale_determinism_and_budget(megarow_corpus, tmp_path):
     # so the memory peak is this workload's own
     script = (
         "import json,resource,sys,time\n"
-        "from cdrmob.records import load_towers\n"
+        "from cdrmob.records import load_towers,year_bounds\n"
         "from cdrmob.ingest import ingest_file\n"
-        "from cdrmob.metrics import year_metrics\n"
+        "from cdrmob.metrics import EgoMetrics\n"
         "t0=time.perf_counter()\n"
         f"reg=load_towers({os.path.join(corpus, 'towers.csv')!r})\n"
         f"res=ingest_file({cdr!r},reg)\n"
-        "homes={e:None for e in res.timelines}\n"
-        "rows=year_metrics(res.timelines,reg,homes)\n"
+        "ys,ye=year_bounds(res.analysis_year)\n"
+        "rows={e:EgoMetrics(tl,reg,None).window(ys,ye) for e,tl in sorted(res.timelines.items())}\n"
         "el=time.perf_counter()-t0\n"
         "rss=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(json.dumps({'elapsed':el,'maxrss_kb':rss,'n':len(rows)}))\n"

@@ -4,11 +4,19 @@ Everything runs in-process through main(argv); the acceptance suite
 already exercises the installed entry point in subprocesses.
 """
 
+import csv
 import filecmp
 import json
 import os
+import random
+import time
+
+import pytest
+
+from conftest import _make_pipeline
 
 from cdrmob.cli import main
+from cdrmob.pipeline import STAGE_OUTPUTS, write_manifest, write_outputs
 
 _DAYS = [f"2008-03-{d:02d}" for d in range(1, 11)]
 
@@ -213,3 +221,99 @@ def test_demo_end_to_end(tmp_path, capsys):
     assert (tmp_path / "corpus" / "cdr.csv").exists()
     assert (tmp_path / "report" / "summary.json").exists()
     assert (tmp_path / "report" / "plotdata").is_dir()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--year", "2009"),  # the spool holds 2008 rows only: metrics would all be zero
+    ("--reciprocity", "none"),  # the pair rule already removed who "none" keeps
+])
+def test_spool_refuses_other_settings(small_corpus, tmp_path, capsys, flag, value):
+    corpus, _ = small_corpus
+    towers = os.path.join(corpus, "towers.csv")
+    spool = tmp_path / "spool"
+    assert main(["ingest", "--cdr", os.path.join(corpus, "cdr.csv"), "--towers", towers,
+                 "--out", str(spool)]) == 0
+    out = tmp_path / "metrics"
+    rc = main(["metrics", *_analysis_args(spool, towers, out, flag, value)])
+    assert rc == 2
+    assert "re-run ingest" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_stage_timings_are_exclusive(small_corpus, tmp_path):
+    corpus, truth = small_corpus
+    pipe = _make_pipeline(corpus, truth)
+    t0 = time.perf_counter()
+    outputs = write_outputs(pipe, tmp_path, set(STAGE_OUTPUTS), plot_data=True)
+    write_manifest(pipe, tmp_path, outputs, command="report")
+    wall = time.perf_counter() - t0
+    with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
+        timings = json.load(fh)["timings_s"]
+    assert "ingest" in timings and "profile" in timings
+    # each stage is rounded to the millisecond
+    assert sum(timings.values()) <= wall + 0.001 * len(timings)
+
+
+def test_zero_level_series_is_left_out(tmp_path, capsys):
+    # four individuals, each always at their own tower: nobody ever moves,
+    # so every monthly mobility median is zero and that series cannot be
+    # normalized; everything else is still reported
+    towers = tmp_path / "towers.csv"
+    towers.write_text("t1,40.0,20.0\nt2,40.3,20.3\nt3,40.6,20.6\nt4,40.9,20.9\n")
+    rows = []
+    for m in range(1, 13):
+        for a, b in (("a", "b"), ("c", "d")):
+            for hour in ("02:00:00", "14:00:00"):
+                rows.append(f"{a},{b},2008-{m:02d}-10T{hour},t{ord(a) - 96},call,out\n")
+                rows.append(f"{b},{a},2008-{m:02d}-11T{hour},t{ord(b) - 96},call,out\n")
+    cdr = tmp_path / "cdr.csv"
+    cdr.write_text("".join(rows))
+    out = tmp_path / "out"
+    rc = main(["report", *_analysis_args(cdr, towers, out, "--night-window", "01:00-07:00")])
+    assert rc == 0, capsys.readouterr().err
+    with open(out / "patterns.csv", newline="", encoding="utf-8") as fh:
+        series = {tuple(r[:4]) for r in list(csv.reader(fh))[1:]}
+    with open(out / "grid.csv", newline="", encoding="utf-8") as fh:
+        areas = {r["area_class"] for r in csv.DictReader(fh)}
+    want = {
+        ("all", "dow", "activity", "mean"),
+        ("all", "hour", "activity", "mean"),
+        ("all", "month", "activity", "mean"),
+        ("all", "month", "mobility", "mean"),
+        ("all", "month", "activity", "normalized_median"),
+    }
+    for a in areas:
+        want |= {(f"area{a}", "month", "activity", s) for s in ("mean", "normalized_median")}
+    assert series == want
+
+
+def test_report_is_invariant_under_row_order(small_corpus, tmp_path, capsys):
+    corpus, truth = small_corpus
+    with open(os.path.join(corpus, "cdr.csv"), encoding="utf-8") as fh:
+        header, *rows = fh.readlines()
+    flags = ["--towers", os.path.join(corpus, "towers.csv"),
+             "--demographics", os.path.join(corpus, "demographics.csv"),
+             "--area-bounds", ",".join(str(b) for b in truth.area_boundaries),
+             "--plot-data"]
+    base = tmp_path / "base"
+    assert main(["report", "--cdr", os.path.join(corpus, "cdr.csv"), *flags,
+                 "--out", str(base)]) == 0
+    names = sorted(
+        os.path.relpath(os.path.join(r, f), base)
+        for r, _, fs in os.walk(base) for f in fs if f != "manifest.json"
+    )
+    rng = random.Random(2008)
+    for k in range(2):
+        rng.shuffle(rows)
+        cdr = tmp_path / f"shuffled{k}.csv"
+        cdr.write_text(header + "".join(rows), encoding="utf-8")
+        out = tmp_path / f"out{k}"
+        assert main(["report", "--cdr", str(cdr), *flags, "--out", str(out)]) == 0
+        got = sorted(
+            os.path.relpath(os.path.join(r, f), out)
+            for r, _, fs in os.walk(out) for f in fs if f != "manifest.json"
+        )
+        assert got == names
+        for name in names:
+            assert filecmp.cmp(base / name, out / name, shallow=False), (k, name)
+    capsys.readouterr()

@@ -11,9 +11,7 @@ from cdrmob.geo import (
     EARTH_RADIUS_KM,
     GridSpec,
     NearestTowerIndex,
-    grid_origin_for,
     haversine_km,
-    mean_position,
     offset_km,
 )
 
@@ -116,17 +114,6 @@ def test_grid_rejects_bad_steps():
         GridSpec(0.0, 0.05)
     with pytest.raises(ValueError):
         GridSpec(0.05, -1.0)
-
-
-def test_mean_position():
-    assert mean_position([(10.0, 20.0), (12.0, 24.0)]) == (11.0, 22.0)
-    with pytest.raises(ValueError):
-        mean_position([])
-
-
-def test_grid_origin_floors_bounding_box():
-    assert grid_origin_for([40.2, 41.7], [20.9, 22.1]) == (40.0, 20.0)
-    assert grid_origin_for([-0.3, 1.0], [-10.5, -9.0]) == (-1.0, -11.0)
 
 
 def test_nearest_tower_matches_brute_force():

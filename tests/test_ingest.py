@@ -18,7 +18,7 @@ from cdrmob.ingest import (
     read_spool,
     write_spool,
 )
-from cdrmob.records import TowerRegistry
+from cdrmob.records import CdrError, TowerRegistry
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1), "T3": (40.2, 20.2)})
 
@@ -160,7 +160,7 @@ def test_spool_round_trip(tmp_path):
     spool = tmp_path / "spool"
     write_spool(first, REG, spool)
     assert is_spool(spool) and not is_spool(tmp_path / "nope")
-    back = read_spool(spool, REG)
+    back = read_spool(spool, REG, 2008, "pair")
     assert back.analysis_year == first.analysis_year
     assert back.stats.events_kept == first.stats.events_kept
     assert sorted(back.timelines) == sorted(first.timelines)
@@ -170,6 +170,14 @@ def test_spool_round_trip(tmp_path):
         assert np.array_equal(tl.tower, tl2.tower)
         assert np.array_equal(tl.kind, tl2.kind)
         assert np.array_equal(tl.direction, tl2.direction)
+    # a spool is only valid for the year and rule it was ingested with;
+    # one whose metadata lacks them cannot be checked and is refused too
+    for year, rule in ((2009, "pair"), (2008, "none")):
+        with pytest.raises(CdrError, match="re-run ingest"):
+            read_spool(spool, REG, year, rule)
+    (spool / "meta.json").write_text('{"analysis_year": 2008, "format": 1}\n')
+    with pytest.raises(CdrError, match="re-run ingest"):
+        ingest_file(spool, REG)
 
 
 def test_spool_requires_peer_tracking():

@@ -1,5 +1,6 @@
 """Window metrics engine: prefix sums, pooled bins, window algebra."""
 
+import csv
 import math
 
 import numpy as np
@@ -13,10 +14,7 @@ from cdrmob.metrics import (
     EgoMetrics,
     WindowSpec,
     metrics_rows,
-    metrics_table,
-    read_metrics_csv,
     write_metrics_csv,
-    year_metrics,
 )
 from cdrmob.records import TowerRegistry, parse_timestamp, year_bounds
 
@@ -178,13 +176,21 @@ def test_metrics_table_and_csv_round_trip(tmp_path):
         "u1": _tl([ys + 50], [2], ego="u1"),
     }
     homes = {"u1": HOME, "u2": None}
-    rows = list(metrics_table(tls, REG, homes, WindowSpec("year")))
-    assert [r.ego_id for r in rows] == ["u1", "u2"]
+    rows = []
+    for ego in sorted(tls):
+        for row in metrics_rows(EgoMetrics(tls[ego], REG, homes[ego]), WindowSpec("year"), 2008):
+            row.ego_id = ego
+            rows.append(row)
+    assert [(r.ego_id, r.activity) for r in rows] == [("u1", 1), ("u2", 2)]
     assert rows[1].rg_km is None
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(rows, path)
-    back = read_metrics_csv(path)
-    assert back == rows
-
-    ym = year_metrics(tls, REG, homes)
-    assert ym["u1"].activity == 1 and ym["u2"].activity == 2
+    assert write_metrics_csv(rows, path) == 2
+    with open(path, newline="", encoding="utf-8") as fh:
+        back = list(csv.reader(fh))
+    assert back[0] == ["ego_id", "window", "activity", "mobility_km", "rg_km", "pairs"]
+    for r, line in zip(rows, back[1:]):
+        # floats are written at full precision, a missing rg as a blank
+        assert line[:3] == [r.ego_id, "2008", str(r.activity)]
+        assert float(line[3]) == r.mobility_km
+        assert line[4] == ("" if r.rg_km is None else repr(r.rg_km))
+        assert int(line[5]) == r.pairs

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cdrmob.ingest import Timeline
+from cdrmob.metrics import EgoMetrics
 from cdrmob.patterns import (
     EmptyCohortError,
     PatternError,
-    build_engines,
     demographic_table,
     pattern,
     write_pattern_csv,
@@ -29,6 +29,10 @@ def _tl(stamps, ego="e", tower=0):
     )
 
 
+def _engines(tls, homes=None):
+    return {e: EgoMetrics(tl, REG, (homes or {}).get(e)) for e, tl in tls.items()}
+
+
 def test_dow_pattern_pools_calendar_days():
     # 2008-01-01 was a Tuesday; 2008 has 53 Tuesdays and Wednesdays and
     # 52 of every other weekday
@@ -38,7 +42,7 @@ def test_dow_pattern_pools_calendar_days():
             "a",
         )
     }
-    s = pattern(build_engines(tls, REG), None, "dow", "activity")
+    s = pattern(_engines(tls), None, "dow", "activity")
     assert s.bins == ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
     by = dict(zip(s.bins, s.stat))
     n_by = dict(zip(s.bins, s.n))
@@ -53,7 +57,7 @@ def test_hour_pattern_one_pooled_sample_per_individual():
         "a": _tl(["2008-01-01T10:05:00", "2008-02-01T10:10:00", "2008-03-01T10:15:00"], "a"),
         "b": _tl(["2008-01-01T10:30:00"], "b"),
     }
-    s = pattern(build_engines(tls, REG), None, "hour", "activity")
+    s = pattern(_engines(tls), None, "hour", "activity")
     assert s.bins[10] == "h10"
     assert s.n[10] == 2  # both individuals contribute one pooled sample
     assert s.stat[10] == pytest.approx((3 + 1) / 2)
@@ -62,7 +66,7 @@ def test_hour_pattern_one_pooled_sample_per_individual():
 
 def test_month_pattern_counts_quiet_months_as_zero():
     tls = {"a": _tl(["2008-03-05T12:00:00", "2008-03-20T12:00:00"], "a")}
-    s = pattern(build_engines(tls, REG), None, "month", "activity")
+    s = pattern(_engines(tls), None, "month", "activity")
     assert len(s.bins) == 12 and s.bins[2] == "2008-03"
     assert np.all(s.n == 1)
     assert s.stat[2] == 2.0 and s.stat[0] == 0.0
@@ -73,7 +77,7 @@ def test_rg_pattern_skips_homeless_and_empty_windows():
         "homed": _tl(["2008-03-05T12:00:00"], "homed"),
         "lost": _tl(["2008-03-06T12:00:00"], "lost"),
     }
-    ems = build_engines(tls, REG, homes={"homed": (40.0, 20.0)})
+    ems = _engines(tls, homes={"homed": (40.0, 20.0)})
     s = pattern(ems, None, "month", "rg")
     assert s.n[2] == 1  # only the homed individual, only March
     assert s.n[0] == 0 and np.isnan(s.stat[0])
@@ -84,7 +88,7 @@ def test_rg_pattern_skips_homeless_and_empty_windows():
 
 def test_cohort_selection_and_validation():
     tls = {"a": _tl(["2008-03-05T12:00:00"], "a"), "b": _tl(["2008-04-05T12:00:00"], "b")}
-    ems = build_engines(tls, REG)
+    ems = _engines(tls)
     only_b = pattern(ems, ["b"], "month", "activity")
     assert only_b.stat[3] == 1.0 and only_b.stat[2] == 0.0
     with pytest.raises(EmptyCohortError):
@@ -109,7 +113,7 @@ def test_normalized_median_mean_is_one():
             for d, h in zip(rng.integers(1, 28, size=k + 1), rng.integers(0, 24, size=k + 1))
         ]
         tls[f"u{k}"] = _tl(stamps, f"u{k}")
-    s = pattern(build_engines(tls, REG), None, "month", "activity", "normalized_median")
+    s = pattern(_engines(tls), None, "month", "activity", "normalized_median")
     assert s.se is None
     assert float(np.mean(s.stat[s.n > 0])) == pytest.approx(1.0, abs=1e-12)
 
@@ -117,14 +121,14 @@ def test_normalized_median_mean_is_one():
 def test_normalized_median_rejects_zero_level():
     # the only individual has no events inside the analysis year
     tls = {"a": _tl(["2009-03-05T12:00:00"], "a")}
-    ems = {"a": build_engines(tls, REG)["a"]}
+    ems = _engines(tls)
     with pytest.raises(PatternError):
         pattern(ems, None, "month", "activity", "normalized_median", 2008)
 
 
 def test_write_pattern_csv_handles_labels_and_gaps(tmp_path):
     tls = {"a": _tl(["2008-03-05T12:00:00"], "a")}
-    ems = build_engines(tls, REG, homes={"a": (40.0, 20.0)})
+    ems = _engines(tls, homes={"a": (40.0, 20.0)})
     s1 = pattern(ems, None, "month", "activity")
     s2 = pattern(ems, None, "month", "rg")  # has empty bins -> blank stat
     s2.cohort = "area3"
@@ -148,7 +152,7 @@ def test_demographic_table_strata():
         {"u1": ("female", 30), "u2": ("male", 40), "u3": ("female", 25)}, {}
     )
     areas = {"u1": 1, "u2": 1, "u3": 2}
-    ems = build_engines(tls, REG)
+    ems = _engines(tls)
     rows, skipped = demographic_table(ems, demo, areas)
     assert skipped == 1
     cell = {(r.area, r.gender, r.age_group): r for r in rows}
@@ -171,6 +175,6 @@ def test_demographic_table_strata():
 
 def test_demographic_table_requires_overlap():
     tls = {"u1": _tl(["2008-01-01T10:00:00"], "u1")}
-    ems = build_engines(tls, REG)
+    ems = _engines(tls)
     with pytest.raises(EmptyCohortError):
         demographic_table(ems, Demographics({}, {}), None)
