@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import shutil
 import sys
@@ -108,14 +109,12 @@ def _parse_night_window(text: str) -> tuple[float, float]:
     return (start, end)
 
 
-def _parse_bounds(text: str) -> tuple[int, int, int, int]:
+def _parse_bounds(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; AnalysisConfig checks that they are ranks."""
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise UsageError("--area-bounds must be four comma-separated integers")
-    if len(parts) != 4 or any(b <= 0 for b in parts) or list(parts) != sorted(set(parts)):
-        raise UsageError("--area-bounds must be four strictly increasing positive ranks")
-    return parts
 
 
 def _analysis_config(args) -> AnalysisConfig:
@@ -198,46 +197,32 @@ def _write_files(out_dir, names, command: str, t0: float, write, **fields) -> No
 # -------------------------------------------------------------- handlers
 
 
-def _run_stages(args, stages: set[str], plot_data: bool = False) -> int:
+def _cmd_stages(args) -> int:
+    """An analysis subcommand: write the outputs of its stages."""
     cfg = _analysis_config(args)
     demographics = getattr(args, "demographics", None)
-    stages = set(stages)
+    stages = set(_STAGE_COMMANDS[args.command][0])
     if "strata" in stages and demographics is None:
         stages.discard("strata")
     pipe = Pipeline(args.cdr, args.towers, demographics, cfg, threads=max(1, args.threads))
+    plot_data = getattr(args, "plot_data", False)
     outputs = _write_report(pipe, args.out, stages, plot_data, args.command)
     for rel in sorted(outputs):
         print(os.path.join(args.out, rel))
     return 0
 
 
-def _cmd_homes(args) -> int:
-    return _run_stages(args, {"profile", "window", "homes"})
-
-
-def _cmd_metrics(args) -> int:
-    return _run_stages(args, {"metrics"})
-
-
-def _cmd_density(args) -> int:
-    return _run_stages(args, {"grid"})
-
-
-def _cmd_areas(args) -> int:
-    return _run_stages(args, {"grid", "areas"})
-
-
-def _cmd_correlate(args) -> int:
-    rc = _run_stages(args, {"correlations"})
-    return rc
-
-
-def _cmd_patterns(args) -> int:
-    return _run_stages(args, {"patterns", "strata"})
-
-
-def _cmd_report(args) -> int:
-    return _run_stages(args, set(STAGE_OUTPUTS), plot_data=args.plot_data)
+# analysis subcommand -> (stages it writes, help)
+_STAGE_COMMANDS = {
+    "homes": ({"profile", "window", "homes"},
+              "daily profile, rhythm fit, inactivity window, home locations"),
+    "metrics": ({"metrics"}, "per-individual activity, mobility and gyration radius"),
+    "density": ({"grid"}, "population grid from detected homes"),
+    "areas": ({"grid", "areas"}, "grid plus density-class table"),
+    "correlate": ({"correlations"}, "density vs metric rank correlations by band"),
+    "patterns": ({"patterns", "strata"}, "temporal patterns and demographic strata"),
+    "report": (set(STAGE_OUTPUTS), "full pipeline with summary"),
+}
 
 
 def _cmd_ingest(args) -> int:
@@ -250,7 +235,7 @@ def _cmd_ingest(args) -> int:
         reciprocity=args.reciprocity,
         keep_peers=True,
     )
-    if not result.timelines:
+    if not len(result.table):
         raise PipelineError("no surviving individuals after filtering")
     _write_files(
         args.out, [SPOOL_EVENTS, SPOOL_STATS, SPOOL_META], "ingest", t0,
@@ -369,21 +354,13 @@ def _build_parser() -> _Parser:
     sp.add_argument("--reciprocity", choices=("pair", "degree", "none"), default="pair")
     sp.set_defaults(func=_cmd_ingest)
 
-    for name, fn, hlp in (
-        ("homes", _cmd_homes, "daily profile, rhythm fit, inactivity window, home locations"),
-        ("metrics", _cmd_metrics, "per-individual activity, mobility and gyration radius"),
-        ("density", _cmd_density, "population grid from detected homes"),
-        ("areas", _cmd_areas, "grid plus density-class table"),
-        ("correlate", _cmd_correlate, "density vs metric rank correlations by band"),
-        ("patterns", _cmd_patterns, "temporal patterns and demographic strata"),
-        ("report", _cmd_report, "full pipeline with summary"),
-    ):
+    for name, (_, hlp) in _STAGE_COMMANDS.items():
         sp = sub.add_parser(name, help=hlp)
         _add_analysis_flags(sp)
         if name == "report":
             sp.add_argument("--plot-data", action="store_true",
                             help="also write two-column series under plotdata/")
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=_cmd_stages)
 
     sp = sub.add_parser("validate", help="score a generated corpus against its ground truth")
     sp.add_argument("--corpus", required=True, help="directory written by generate")
@@ -399,7 +376,20 @@ def _build_parser() -> _Parser:
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sp.set_defaults(func=_cmd_demo)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
+                        default="warning",
+                        help="progress messages on stderr at this level and above")
     return p
+
+
+def _configure_logging(level: str) -> None:
+    """Send the package's log records at `level` and above to stderr."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("cdrmob")
+    logger.handlers = [handler]  # a repeated main() replaces, not adds
+    logger.setLevel(level.upper())
 
 
 def main(argv=None) -> int:
@@ -408,6 +398,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    _configure_logging(args.log_level)
     try:
         return args.func(args)
     except UsageError as e:

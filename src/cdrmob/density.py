@@ -51,6 +51,14 @@ class GridDensity:
     def row_of_cell(self) -> dict[tuple[int, int], int]:
         return {(int(i), int(j)): k for k, (i, j) in enumerate(zip(self.cell_i, self.cell_j))}
 
+    def rows_of(self, ci: np.ndarray, cj: np.ndarray) -> np.ndarray:
+        """Grid row of each cell (ci, cj), -1 where the cell is not inhabited.
+        (i << 32) + j orders cells as the rows are sorted, by (i, j)."""
+        key = (self.cell_i.astype(np.int64) << 32) + self.cell_j
+        q = (np.asarray(ci, dtype=np.int64) << 32) + cj
+        r = np.minimum(np.searchsorted(key, q), len(key) - 1)
+        return np.where(key[r] == q, r, -1)
+
 
 def build_density(
     homes: dict[str, tuple[float, float] | None],
@@ -230,46 +238,36 @@ def ego_areas(
     labels: np.ndarray,
 ) -> dict[str, int]:
     """Density class of each homed individual, via their home cell."""
-    row_of = gd.row_of_cell()
-    out: dict[str, int] = {}
-    for ego in sorted(homes):
-        h = homes[ego]
-        if h is None:
-            continue
-        cell = gd.grid.cell_of(h[0], h[1])
-        row = row_of.get(cell)
-        if row is not None:
-            out[ego] = int(labels[row])
-    return out
+    egos = [e for e in sorted(homes) if homes[e] is not None]
+    rows = gd.rows_of(*gd.grid.cells_of([homes[e][0] for e in egos], [homes[e][1] for e in egos]))
+    return {e: int(labels[r]) for e, r in zip(egos, rows.tolist()) if r >= 0}
 
 
 def area_summary(
-    gd: GridDensity,
     labels: np.ndarray,
     homes: dict[str, tuple[float, float] | None],
     fine_grid: GridSpec,
+    by_ego_area: dict[str, int],
 ) -> dict[int, dict[str, float]]:
     """Per class: cell count, resident count, and the mean fine-grid
-    density experienced by residents (each individual weighted once)."""
+    density experienced by residents (each individual weighted once).
+    labels and by_ego_area are the classes of the coarse grid's rows and
+    of each homed individual (ego_areas)."""
     fine = build_density(homes, fine_grid)
-    fine_rows = fine.row_of_cell()
-    by_ego_area = ego_areas(homes, gd, labels)
-    sums: dict[int, list[float]] = {a: [0, 0.0] for a in range(1, 6)}
-    for ego, area in by_ego_area.items():
-        h = homes[ego]
-        row = fine_rows.get(fine_grid.cell_of(h[0], h[1]))
-        if row is None:
-            continue
-        sums[area][0] += 1
-        sums[area][1] += float(fine.density[row])
+    egos = list(by_ego_area)
+    rows = fine.rows_of(
+        *fine_grid.cells_of([homes[e][0] for e in egos], [homes[e][1] for e in egos])
+    )
+    ok = rows >= 0
+    area = np.array(list(by_ego_area.values()), dtype=np.int64)[ok]
+    count = np.bincount(area, minlength=6).tolist()
+    dsum = np.bincount(area, weights=fine.density[rows[ok]], minlength=6).tolist()
     out: dict[int, dict[str, float]] = {}
     for a in range(1, 6):
-        n_cells = int((labels == a).sum())
-        n, dsum = sums[a]
         out[a] = {
-            "cells": n_cells,
-            "residents": int(n),
-            "mean_density_km2": (dsum / n) if n else float("nan"),
+            "cells": int((labels == a).sum()),
+            "residents": count[a],
+            "mean_density_km2": (dsum[a] / count[a]) if count[a] else float("nan"),
         }
     return out
 

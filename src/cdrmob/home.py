@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .geo import NearestTowerIndex
-from .ingest import Timeline
-from .metrics import EgoMetrics, rms
+from .ingest import EventTable
+from .metrics import TableMetrics, rms, segment_rows
 from .records import TowerRegistry
 
 
@@ -50,28 +50,18 @@ class DailyProfile:
         return (np.arange(self.nbins) + 0.5) * w
 
 
-def daily_profile(
-    timelines: dict[str, Timeline],
-    registry: TowerRegistry,
-    bin_minutes: int = 60,
-) -> tuple[DailyProfile, DailyProfile]:
-    """Pool every individual's events into time-of-day bins, in one pass;
-    returns the (activity, mobility) profiles."""
+def daily_profile(tm: TableMetrics, bin_minutes: int = 60) -> tuple[DailyProfile, DailyProfile]:
+    """Pool every individual's events into time-of-day bins; returns the
+    (activity, mobility) profiles. Per-individual sums are added up in id
+    order."""
     if 1440 % bin_minutes:
         raise ValueError("bin width must divide the day evenly")
     nbins = 1440 // bin_minutes
-    acc_a = np.zeros(nbins)
-    acc_d2 = np.zeros(nbins)
-    acc_pairs = np.zeros(nbins)
-    for ego in sorted(timelines):
-        a, d2sum, _, pairs = EgoMetrics(timelines[ego], registry).time_of_day_bins(nbins)
-        acc_a += a
-        acc_d2 += d2sum
-        acc_pairs += pairs
-    n = len(timelines)
+    a, d2sum, _, pairs = tm.time_of_day(nbins)
+    n = len(tm.table)
     return (
-        DailyProfile(bin_minutes, acc_a / max(n, 1), n),
-        DailyProfile(bin_minutes, rms(acc_d2, acc_pairs), n),
+        DailyProfile(bin_minutes, a.sum(axis=0) / max(n, 1), n),
+        DailyProfile(bin_minutes, rms(d2sum.sum(axis=0), pairs.sum(axis=0)), n),
     )
 
 
@@ -180,22 +170,22 @@ def night_mask(ts: np.ndarray, window: tuple[float, float]) -> np.ndarray:
 
 
 def compute_homes(
-    timelines: dict[str, Timeline],
+    table: EventTable,
     registry: TowerRegistry,
     window: tuple[float, float],
-) -> dict[str, tuple[float, float] | None]:
-    """Mean event position inside the night window, per individual; None
-    when an individual has no night events at all."""
-    homes: dict[str, tuple[float, float] | None] = {}
-    for ego in sorted(timelines):
-        tl = timelines[ego]
-        m = night_mask(tl.ts, window)
-        if not m.any():
-            homes[ego] = None
-            continue
-        lat, lon = tl.positions(registry)
-        homes[ego] = (float(lat[m].mean()), float(lon[m].mean()))
-    return homes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean event position inside the night window and the number of night
+    events, per individual in id order: (lat, lon, night events), with
+    NaN coordinates for an individual without night events."""
+    m = night_mask(table.ts, window)
+    counts = np.bincount(table.ego[m], minlength=len(table))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    lat, lon = (x[m] for x in table.positions(registry))
+    hlat, hlon = np.full((2, len(table)), np.nan)
+    for seg, rows in segment_rows(offsets):
+        hlat[seg] = lat[rows].mean(axis=1)
+        hlon[seg] = lon[rows].mean(axis=1)
+    return hlat, hlon, counts
 
 
 def flag_at_sea(
@@ -237,9 +227,3 @@ def write_homes_csv(
                 )
             n += 1
     return n
-
-
-def night_event_counts(
-    timelines: dict[str, Timeline], window: tuple[float, float]
-) -> dict[str, int]:
-    return {ego: int(night_mask(tl.ts, window).sum()) for ego, tl in timelines.items()}

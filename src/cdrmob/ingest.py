@@ -1,5 +1,5 @@
 """Event stream ingestion: validation, reciprocity filtering, and
-assembly of per-individual timelines.
+assembly of one flat event table.
 
 A directed link a->b exists when any row shows a calling or texting b,
 regardless of which side's record it appears on (an outgoing row of ego a
@@ -10,15 +10,19 @@ keeps all of that individual's events; everyone else is dropped entirely.
 This removes one-way sources (spam, robocalls) that would otherwise inflate
 activity counts.
 
-Timelines hold events as parallel numpy arrays, sorted by
-(timestamp, tower id, kind, direction) so that every downstream pass is
-order-deterministic even with duplicate timestamps. Tower order uses the
-registry index, which is constructed to match tower-id string order.
+The kept events of every individual form one EventTable: parallel numpy
+columns sorted by (ego id, timestamp, tower id, kind, direction), with an
+offsets array marking where each individual's segment starts. Every
+downstream stage is a vectorised pass over this table, and the sort makes
+each pass order-deterministic even with duplicate timestamps. Ego order is
+id-string order; tower order uses the registry index, which is
+constructed to match tower-id string order.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import os
@@ -29,7 +33,9 @@ import numpy as np
 
 from .records import (
     CALL,
+    DIRECTION_TOKENS,
     INCOMING,
+    KIND_TOKENS,
     CdrError,
     RowReject,
     TowerRegistry,
@@ -49,21 +55,31 @@ SPOOL_STATS = "stats.json"
 
 
 @dataclass
-class Timeline:
-    """All kept events of one individual, time-ordered.
+class EventTable:
+    """Kept events of every individual in one flat table, sorted by
+    (ego id, timestamp, tower, kind, direction).
 
-    `tower` holds registry indices (int32), `kind` 0=call 1=sms,
-    `direction` 0=incoming 1=outgoing.
+    Segment k, rows offsets[k]:offsets[k+1], holds the events of ids[k];
+    ids are sorted. `tower` holds registry indices (int32), `kind`
+    0=call 1=sms, `direction` 0=incoming 1=outgoing, and `peer`, when
+    kept, indices into IngestResult.peer_ids.
     """
 
-    ego_id: str
+    ids: list[str]
+    offsets: np.ndarray
     ts: np.ndarray
     tower: np.ndarray
     kind: np.ndarray
     direction: np.ndarray
+    peer: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.ts)
+        return len(self.ids)
+
+    @functools.cached_property
+    def ego(self) -> np.ndarray:
+        """Segment index of every row."""
+        return np.repeat(np.arange(len(self.ids)), np.diff(self.offsets))
 
     def positions(self, registry: TowerRegistry) -> tuple[np.ndarray, np.ndarray]:
         return registry.lat[self.tower], registry.lon[self.tower]
@@ -85,15 +101,65 @@ class IngestStats:
 
 @dataclass
 class IngestResult:
-    timelines: dict[str, Timeline]
+    table: EventTable
     stats: IngestStats
     analysis_year: int
     reciprocity: str
-    # peer index arrays aligned with each timeline, only when keep_peers
-    peers: dict[str, np.ndarray] | None = None
-    peer_ids: list[str] | None = None
     # ids that had valid rows but were dropped by the reciprocity rule
     removed_ids: list[str] = field(default_factory=list)
+    # names behind table.peer, only when keep_peers
+    peer_ids: list[str] | None = None
+
+
+class _Columns:
+    """Event columns gathered row by row; names are numbered as first seen."""
+
+    def __init__(self):
+        code: dict[str, int] = {}
+        self.names = names = []
+        self.cols = (array("i"), array("q"), array("i"), array("b"), array("b"), array("i"))
+        put_ego, put_ts, put_tower, put_kind, put_dir, put_peer = (c.append for c in self.cols)
+
+        def add(ego: str, peer: str, ts: int, tower: int, kind: int, direction: int):
+            # runs once per row, so everything it touches is bound in advance
+            e = code.get(ego)
+            if e is None:
+                e = code[ego] = len(names)
+                names.append(ego)
+            p = code.get(peer)
+            if p is None:
+                p = code[peer] = len(names)
+                names.append(peer)
+            put_ego(e)
+            put_ts(ts)
+            put_tower(tower)
+            put_kind(kind)
+            put_dir(direction)
+            put_peer(p)
+            return e, p
+
+        self.add = add
+
+    def table(self, keep=None, peers: bool = True) -> EventTable:
+        """The rows selected by the mask `keep` (all by default), sorted into
+        an EventTable. Ego codes are replaced by the rank of their name
+        first, so segments come out in id order; lexsort's primary key is
+        the last."""
+        cols = [np.asarray(c) for c in self.cols[: 6 if peers else 5]]
+        if keep is not None:
+            cols = [c[keep] for c in cols]
+        names = self.names
+        rank = np.empty(len(names), dtype=np.int32)
+        rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+        order = np.lexsort((*cols[4:0:-1], rank[cols[0]]))
+        for k, c in enumerate(cols):
+            cols[k] = c[order]  # one column at a time: the unsorted one is freed
+        starts = np.flatnonzero(np.diff(cols[0], prepend=-1) != 0)
+        return EventTable(
+            [names[i] for i in cols[0][starts].tolist()],
+            np.append(starts, len(order)).astype(np.int64),
+            *cols[1:5], cols[5] if peers else None,
+        )
 
 
 def ingest_rows(
@@ -116,14 +182,7 @@ def ingest_rows(
     ys, ye = year_bounds(analysis_year)
     stats = IngestStats()
 
-    ids: dict[str, int] = {}
-    id_list: list[str] = []
-    ego_c = array("i")
-    peer_c = array("i")
-    ts_c = array("q")
-    tower_c = array("i")
-    kind_c = array("b")
-    dir_c = array("b")
+    cols = _Columns()
     edges: set[tuple[int, int]] = set()
 
     for row in rows:
@@ -137,27 +196,13 @@ def ingest_rows(
         if ti is None:
             stats.reject("unknown_tower")
             continue
-        e = ids.get(rec.ego_id)
-        if e is None:
-            e = len(id_list)
-            ids[rec.ego_id] = e
-            id_list.append(rec.ego_id)
-        p = ids.get(rec.peer_id)
-        if p is None:
-            p = len(id_list)
-            ids[rec.peer_id] = p
-            id_list.append(rec.peer_id)
-        ego_c.append(e)
-        peer_c.append(p)
-        ts_c.append(rec.timestamp)
-        tower_c.append(ti)
-        kind_c.append(0 if rec.kind == CALL else 1)
         outgoing = rec.direction != INCOMING
-        dir_c.append(1 if outgoing else 0)
+        e, p = cols.add(rec.ego_id, rec.peer_id, rec.timestamp, ti,
+                        0 if rec.kind == CALL else 1, 1 if outgoing else 0)
         edges.add((e, p) if outgoing else (p, e))
 
-    stats.events_valid = len(ts_c)
-    ego_np = np.frombuffer(ego_c, dtype=np.int32) if ego_c else np.empty(0, np.int32)
+    ego_np = np.asarray(cols.cols[0])
+    stats.events_valid = len(ego_np)
     seen = np.unique(ego_np)
     stats.individuals_seen = len(seen)
 
@@ -168,57 +213,24 @@ def ingest_rows(
     else:
         qualified = set(seen.tolist())
 
-    ok = np.zeros(len(id_list), dtype=bool)
+    ok = np.zeros(len(cols.names), dtype=bool)
     if qualified:
         ok[np.fromiter(qualified, dtype=np.int64, count=len(qualified))] = True
     keep = ok[ego_np]
 
-    timelines, peers = _assemble(
-        ego_np[keep],
-        np.frombuffer(ts_c, dtype=np.int64)[keep] if ts_c else np.empty(0, np.int64),
-        np.frombuffer(tower_c, dtype=np.int32)[keep] if tower_c else np.empty(0, np.int32),
-        np.frombuffer(kind_c, dtype=np.int8)[keep] if kind_c else np.empty(0, np.int8),
-        np.frombuffer(dir_c, dtype=np.int8)[keep] if dir_c else np.empty(0, np.int8),
-        (np.frombuffer(peer_c, dtype=np.int32)[keep] if peer_c else np.empty(0, np.int32))
-        if keep_peers else None,
-        id_list,
-    )
-    stats.individuals_kept = len(timelines)
+    table = cols.table(keep, keep_peers)
+    stats.individuals_kept = len(table)
     stats.individuals_removed = stats.individuals_seen - stats.individuals_kept
     stats.events_kept = int(keep.sum())
-    removed = sorted(id_list[int(e)] for e in seen if not ok[int(e)])
+    removed = sorted(cols.names[e] for e in seen.tolist() if not ok[e])
     log.info(
         "ingest: %d rows, %d valid, kept %d events of %d individuals (removed %d)",
         stats.rows_read, stats.events_valid, stats.events_kept,
         stats.individuals_kept, stats.individuals_removed,
     )
     return IngestResult(
-        timelines, stats, analysis_year, reciprocity, peers,
-        id_list if keep_peers else None, removed,
+        table, stats, analysis_year, reciprocity, removed, cols.names if keep_peers else None
     )
-
-
-def _assemble(ego, ts, tower, kind, direction, peer, id_list):
-    """Group filtered event columns into per-ego Timelines, each sorted by
-    (ts, tower, kind, direction). lexsort's primary key is the last."""
-    order = np.lexsort((direction, kind, tower, ts, ego))
-    ego = ego[order]
-    ts, tower, kind, direction = ts[order], tower[order], kind[order], direction[order]
-    if peer is not None:
-        peer = peer[order]
-    timelines: dict[str, Timeline] = {}
-    peers: dict[str, np.ndarray] = {}
-    bounds = np.flatnonzero(np.diff(ego)) + 1
-    starts = np.concatenate(([0], bounds)) if len(ego) else np.empty(0, np.int64)
-    ends = np.concatenate((bounds, [len(ego)])) if len(ego) else np.empty(0, np.int64)
-    for s, t in zip(starts, ends):
-        name = id_list[ego[s]]
-        timelines[name] = Timeline(
-            name, ts[s:t].copy(), tower[s:t].copy(), kind[s:t].copy(), direction[s:t].copy()
-        )
-        if peer is not None:
-            peers[name] = peer[s:t].copy()
-    return timelines, (peers if peer is not None else None)
 
 
 def ingest_file(
@@ -231,8 +243,10 @@ def ingest_file(
 ) -> IngestResult:
     """Ingest a CDR file, or a spool directory produced by write_spool.
 
-    A leading header row is detected by an unparseable timestamp column
-    and skipped without being counted as a reject.
+    A leading header row is skipped without being counted: one whose
+    timestamp does not parse and whose kind and direction are not event
+    tokens either. A first row with only a bad timestamp is data, and is
+    rejected as such.
     """
     if is_spool(path):
         return read_spool(path, registry, analysis_year, reciprocity)
@@ -259,7 +273,12 @@ def _is_header(row: list[str]) -> bool:
         parse_timestamp(row[2])
         return False
     except RowReject:
-        return True
+        pass
+    kind, direction = (row[4:6] + ["", ""])[:2]
+    return (
+        kind.strip().lower() not in KIND_TOKENS
+        and direction.strip().lower() not in DIRECTION_TOKENS
+    )
 
 
 def is_spool(path) -> bool:
@@ -269,19 +288,19 @@ def is_spool(path) -> bool:
 def write_spool(result: IngestResult, registry: TowerRegistry, out_dir) -> None:
     """Persist a filtered event stream: events.csv (integer timestamps,
     grouped by individual in id order), stats.json, meta.json."""
-    if result.peers is None or result.peer_ids is None:
+    tab = result.table
+    if tab.peer is None or result.peer_ids is None:
         raise ValueError("spooling requires ingest with keep_peers=True")
     os.makedirs(out_dir, exist_ok=True)
+    peers = [result.peer_ids[p] for p in tab.peer.tolist()]
+    towers = [registry.ids[t] for t in tab.tower.tolist()]
+    kinds = [KIND_BY_CODE[k] for k in tab.kind.tolist()]
+    dirs = [DIRECTION_SHORT_BY_CODE[d] for d in tab.direction.tolist()]
+    ts = tab.ts.tolist()
     with open(os.path.join(out_dir, SPOOL_EVENTS), "w", encoding="utf-8") as fh:
-        for ego in sorted(result.timelines):
-            tl = result.timelines[ego]
-            pidx = result.peers[ego]
-            for i in range(len(tl)):
-                fh.write(
-                    f"{ego},{result.peer_ids[pidx[i]]},{tl.ts[i]},"
-                    f"{registry.ids[tl.tower[i]]},{KIND_BY_CODE[tl.kind[i]]},"
-                    f"{DIRECTION_SHORT_BY_CODE[tl.direction[i]]}\n"
-                )
+        for ego, s, t in zip(tab.ids, tab.offsets[:-1].tolist(), tab.offsets[1:].tolist()):
+            for i in range(s, t):
+                fh.write(f"{ego},{peers[i]},{ts[i]},{towers[i]},{kinds[i]},{dirs[i]}\n")
     with open(os.path.join(out_dir, SPOOL_STATS), "w", encoding="utf-8") as fh:
         json.dump(asdict(result.stats), fh, indent=2)
         fh.write("\n")
@@ -313,14 +332,7 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
             loaded = json.load(fh)
         stats = IngestStats(**loaded)
 
-    ids: dict[str, int] = {}
-    id_list: list[str] = []
-    ego_c = array("i")
-    peer_c = array("i")
-    ts_c = array("q")
-    tower_c = array("i")
-    kind_c = array("b")
-    dir_c = array("b")
+    cols = _Columns()
     kind_code = {k: i for i, k in enumerate(KIND_BY_CODE)}
     dir_code = {d: i for i, d in enumerate(DIRECTION_SHORT_BY_CODE)}
     events = os.path.join(path, SPOOL_EVENTS)
@@ -340,25 +352,6 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
                 d = dir_code[direction]
             except (ValueError, KeyError):
                 raise CdrError(f"{events}:{lineno}: malformed spool row")
-            for name in (ego, peer):
-                if name not in ids:
-                    ids[name] = len(id_list)
-                    id_list.append(name)
-            ego_c.append(ids[ego])
-            peer_c.append(ids[peer])
-            ts_c.append(ts)
-            tower_c.append(ti)
-            kind_c.append(k)
-            dir_c.append(d)
-
-    n = len(ts_c)
-    timelines, peers = _assemble(
-        np.frombuffer(ego_c, dtype=np.int32) if n else np.empty(0, np.int32),
-        np.frombuffer(ts_c, dtype=np.int64) if n else np.empty(0, np.int64),
-        np.frombuffer(tower_c, dtype=np.int32) if n else np.empty(0, np.int32),
-        np.frombuffer(kind_c, dtype=np.int8) if n else np.empty(0, np.int8),
-        np.frombuffer(dir_c, dtype=np.int8) if n else np.empty(0, np.int8),
-        np.frombuffer(peer_c, dtype=np.int32) if n else np.empty(0, np.int32),
-        id_list,
-    )
-    return IngestResult(timelines, stats, analysis_year, reciprocity, peers, id_list)
+            cols.add(ego, peer, ts, ti, k, d)
+    return IngestResult(table=cols.table(), stats=stats, analysis_year=analysis_year,
+                        reciprocity=reciprocity, peer_ids=cols.names)

@@ -19,8 +19,13 @@ the bin of its earlier event; "weekday" pools calendar days by day of week,
 counting only within-day displacement pairs. Pooled mobility divides the
 pooled squared displacement by the pooled event (or pair) count.
 
-All computation runs off per-individual prefix sums, so any contiguous
-window is O(log n).
+Every individual is computed at once from the flat EventTable. Squared
+consecutive displacements and squared home distances are computed once
+over the whole table. Prefix sums restart at each individual (one
+cumulative sum per segment, laid end to end), so a contiguous window is
+two lookups, and one searchsorted over an (individual, timestamp) key
+finds every window bound of every individual. Pooled windows are
+bincounts over (individual, bin) keys.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from datetime import date
 import numpy as np
 
 from .geo import haversine_km
-from .ingest import Timeline
+from .ingest import EventTable
 from .records import TowerRegistry, format_timestamp, year_bounds
 
 WEEKDAY_IDS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -105,132 +110,186 @@ def rms(sq_sum, n, empty=0.0) -> np.ndarray:
     return np.where(n > 0, np.sqrt(np.maximum(sq_sum, 0.0) / np.maximum(n, 1)), empty)
 
 
-def _rows(ids, a, m, rg, pairs) -> list[MetricRow]:
-    """MetricRows (ego_id blank) from per-window arrays; rg_km is None for
-    empty windows and when rg is None (no home)."""
-    return [
-        MetricRow(
-            "", wid, int(a[k]), float(m[k]),
-            None if rg is None or a[k] == 0 else float(rg[k]), int(pairs[k]),
-        )
-        for k, wid in enumerate(ids)
-    ]
+def segment_rows(offsets: np.ndarray):
+    """Yield (segments, rows) once per distinct non-zero segment length:
+    rows[r] lists the table rows of segments[r]. Reducing a gathered
+    matrix along its rows adds in the same order as reducing each segment
+    on its own."""
+    sizes = np.diff(offsets)
+    order = np.argsort(sizes, kind="stable")
+    for seg in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        if len(seg) and sizes[seg[0]]:
+            yield seg, offsets[seg][:, None] + np.arange(sizes[seg[0]])
 
 
-class EgoMetrics:
-    """Prefix-sum engine over one timeline.
+def segment_cumsum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Inclusive cumulative sums of x, restarted at every segment start."""
+    out = np.empty_like(x)
+    for _, rows in segment_rows(offsets):
+        out[rows] = np.cumsum(x[rows], axis=1)
+    return out
 
-    Holds squared consecutive displacements and squared home distances so
-    that any contiguous window reduces to two array lookups.
+
+def _squared_km(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Squared haversine distances, 64k at a time to bound the temporaries."""
+    out = np.empty(len(lat1))
+    for s in range(0, len(out), 1 << 16):
+        b = slice(s, s + (1 << 16))
+        out[b] = haversine_km(lat1[b], lon1[b], lat2[b], lon2[b]) ** 2
+    return out
+
+
+def _upto(cum, k, start):
+    """Per-segment prefix sum before row k, from an inclusive segment_cumsum."""
+    return np.where(k > start, cum[np.maximum(k - 1, 0)], 0.0)
+
+
+class TableMetrics:
+    """Window metrics of every individual of an EventTable at once.
+
+    d2[r] is the squared displacement from row r to row r+1, 0 after each
+    individual's last event; h2[r] the squared distance of row r to its
+    individual's home, NaN without one (None when no homes are given).
+    Results are n x k matrices, one row per individual in id order; rg is NaN
+    for empty windows and individuals without a home. Whole-table windows are kept.
     """
 
-    def __init__(
-        self,
-        timeline: Timeline,
-        registry: TowerRegistry,
-        home: tuple[float, float] | None = None,
-        divisor: str = "events",
-    ):
+    def __init__(self, table: EventTable, registry: TowerRegistry, homes=None,
+                 divisor: str = "events", d2=None):
         if divisor not in DIVISORS:
             raise ValueError(f"unknown mobility divisor {divisor!r}")
+        self.table = table
         self.divisor = divisor
-        self.ts = timeline.ts
-        lat, lon = timeline.positions(registry)
-        if len(self.ts) > 1:
-            d = haversine_km(lat[:-1], lon[:-1], lat[1:], lon[1:])
-            self.d2 = d * d
-        else:
-            self.d2 = np.empty(0, dtype=float)
-        self.cumd2 = np.concatenate(([0.0], np.cumsum(self.d2)))
-        if home is not None:
-            h = haversine_km(lat, lon, home[0], home[1])
-            self.h2 = h * h
-            self.cumh2 = np.concatenate(([0.0], np.cumsum(self.h2)))
-        else:
-            self.h2 = None
-            self.cumh2 = None
+        self.ego = table.ego
+        lat, lon = table.positions(registry)
+        if d2 is None:
+            d2 = np.zeros(len(lat))
+            d2[:-1] = _squared_km(lat[:-1], lon[:-1], lat[1:], lon[1:])
+            d2[table.offsets[1:] - 1] = 0.0  # no pair across individuals
+        self.d2 = d2
+        self.homed = np.zeros(len(table), dtype=bool) if homes is None else ~np.isnan(homes[0])
+        self.h2 = None
+        if homes is not None:
+            self.h2 = _squared_km(lat, lon, homes[0][self.ego], homes[1][self.ego])
+        self._memo: dict = {}
 
-    def __len__(self) -> int:
-        return len(self.ts)
+    def _once(self, key, fn):
+        if key not in self._memo:
+            self._memo[key] = fn()
+        return self._memo[key]
 
-    def windows(self, bounds: np.ndarray):
-        """Metrics for the half-open spans between consecutive bounds.
-
-        Returns (activity, mobility, rg, pairs) arrays of length
-        len(bounds)-1; rg is None when no home is set, and NaN for empty
-        windows.
-        """
-        idx = np.searchsorted(self.ts, bounds, side="left")
-        i, j = idx[:-1], idx[1:]
-        a = j - i
-        pairs = np.maximum(a - 1, 0)
-        # cumd2 has one entry per event; indices are clipped because the
-        # masked-out branch of the where is still evaluated
-        top = len(self.cumd2) - 1
-        d2 = np.where(
-            pairs > 0,
-            self.cumd2[np.clip(j - 1, 0, top)] - self.cumd2[np.minimum(i, top)],
-            0.0,
-        )
-        h2 = None if self.cumh2 is None else self.cumh2[j] - self.cumh2[i]
-        return self.from_sums(a, d2, h2, pairs)
+    def rows_of(self, cohort) -> np.ndarray:
+        """Rows (individuals in id order) of a cohort of ego ids; None
+        means everyone."""
+        ids = self.table.ids
+        if cohort is None:
+            return np.arange(len(ids))
+        index = self._once("index", lambda: {e: k for k, e in enumerate(ids)})
+        return np.array(sorted(index[e] for e in set(cohort) if e in index), dtype=np.int64)
 
     def from_sums(self, a, d2sum, h2sum, pairs):
-        """(activity, mobility, rg, pairs) per bin from pooled sums, shaped
-        as windows() returns them."""
+        """(activity, mobility, rg, pairs) from window or pooled sums."""
         m = rms(d2sum, a if self.divisor == "events" else pairs)
-        return a, m, None if h2sum is None else rms(h2sum, a, np.nan), pairs
+        rg = np.full(a.shape, np.nan) if h2sum is None else rms(h2sum, a, np.nan)
+        return a, m, rg, pairs
 
-    def window(self, t0: int, t1: int) -> MetricRow:
-        return _rows([""], *self.windows(np.array([t0, t1], dtype=np.int64)))[0]
+    def windows(self, bounds: np.ndarray, lo: int = 0, hi: int | None = None):
+        """Metrics of individuals lo..hi-1 for the half-open spans between
+        consecutive bounds; kept when they cover the whole table."""
+        n = len(self.table)
+        if lo == 0 and hi in (None, n):
+            return self._once(("windows", bounds.tobytes()), lambda: self._windows(bounds, 0, n))
+        return self._windows(bounds, lo, hi)
 
-    def _pooled(self, bin_of_event: np.ndarray, nbins: int, pair_mask=None):
-        """Pooled (activity, d2 sum, h2 sum, pair count) per bin. Each
-        displacement goes to the bin of its earlier event; pair_mask can
-        drop pairs (e.g. ones crossing a day boundary)."""
-        a = np.bincount(bin_of_event, minlength=nbins)
-        earlier = bin_of_event[:-1]
-        d2 = self.d2
+    def _windows(self, bounds, lo, hi):
+        r0, r1 = int(self.table.offsets[lo]), int(self.table.offsets[hi])
+        off = self.table.offsets[lo:hi + 1] - r0
+        ts = self.table.ts[r0:r1]
+        # one sorted (individual, time) key; bounds are clipped to the data's
+        # time span [t0, t1], so every query stays in its individual's range
+        t0, t1 = (int(ts.min()), int(ts.max()) + 1) if len(ts) else (0, 0)
+        key = ((self.ego[r0:r1] - lo) << 40) + (ts - t0)
+        seg = np.arange(hi - lo, dtype=np.int64)[:, None]
+        idx = np.searchsorted(key, (seg << 40) + (np.clip(bounds, t0, t1) - t0), side="left")
+        i, j = idx[:, :-1], idx[:, 1:]
+        start = off[:-1, None]
+        a = j - i
+        pairs = np.maximum(a - 1, 0)
+        cd = segment_cumsum(self.d2[r0:r1], off)
+        d2 = np.where(pairs > 0, _upto(cd, j - 1, start) - _upto(cd, i, start), 0.0)
+        h2 = None
+        if self.h2 is not None:
+            ch = segment_cumsum(self.h2[r0:r1], off)
+            h2 = _upto(ch, j, start) - _upto(ch, i, start)
+        return self.from_sums(a, d2, h2, pairs)
+
+    def pooled(self, bins: np.ndarray, nbins: int, pair_mask=None):
+        """Pooled (activity, d2 sum, h2 sum, pair count) per individual and
+        bin. Each displacement goes to the bin of its earlier event;
+        pair_mask can drop pairs (e.g. ones crossing a day boundary)."""
+        n = len(self.table)
+        key = self.ego * nbins + bins
+        pm = np.ones(len(key), dtype=bool)
+        pm[self.table.offsets[1:] - 1] = False  # last event: no pair
         if pair_mask is not None:
-            earlier = earlier[pair_mask]
-            d2 = d2[pair_mask]
-        pairs = np.bincount(earlier, minlength=nbins)
-        d2sum = np.bincount(earlier, weights=d2, minlength=nbins)
-        h2sum = (
-            np.bincount(bin_of_event, weights=self.h2, minlength=nbins)
-            if self.h2 is not None
-            else None
-        )
-        return a, d2sum, h2sum, pairs
+            pm &= pair_mask
+        pk = key[pm]
 
-    def time_of_day_bins(self, nbins: int = 24):
+        def count(k, w=None):
+            return np.bincount(k, weights=w, minlength=n * nbins).reshape(n, nbins)
+
+        h2 = None if self.h2 is None else count(key, self.h2)
+        return count(key), count(pk, self.d2[pm]), h2, count(pk)
+
+    def time_of_day(self, nbins: int = 24):
         """Pooled sums per time-of-day bin: (activity, d2sum, h2sum, pairs)."""
         if 86400 % nbins:
             raise ValueError("time-of-day bins must divide the day evenly")
-        b = ((self.ts % 86400) // (86400 // nbins)).astype(np.int64)
-        return self._pooled(b, nbins)
+        return self.pooled((self.table.ts % 86400) // (86400 // nbins), nbins)
 
-    def weekday_bins(self):
+    def weekday(self):
         """Pooled sums per weekday (0=Mon), within-day pairs only."""
-        days = self.ts // 86400
-        w = ((days + EPOCH_WEEKDAY) % 7).astype(np.int64)
-        mask = days[1:] == days[:-1] if len(days) > 1 else None
-        return self._pooled(w, 7, pair_mask=mask)
+        days = self.table.ts // 86400
+        same_day = np.append(days[1:] == days[:-1], False)[: len(days)]
+        return self.pooled((days + EPOCH_WEEKDAY) % 7, 7, pair_mask=same_day)
+
+    def day_counts(self, year: int) -> np.ndarray:
+        """Events per individual and calendar day of the year, n x days."""
+        ys, ye = year_bounds(year)
+        ndays = (ye - ys) // 86400
+        ts = self.table.ts
+        inside = (ts >= ys) & (ts < ye)
+        key = (ts[inside] - ys) // 86400
+        key += self.ego[inside] * ndays
+        return np.bincount(key, minlength=len(self.table) * ndays).reshape(-1, ndays)
 
 
-def metrics_rows(
-    em: EgoMetrics, spec: WindowSpec, analysis_year: int
-) -> list[MetricRow]:
-    """All windows of one individual under a spec, in canonical window
-    order (chronological, or h00..h23 / Mon..Sun). ego_id is left blank."""
+# window matrices of at most this many cells are built at once
+_BLOCK_CELLS = 1 << 20
+
+
+def metrics_rows(tm: TableMetrics, spec: WindowSpec, analysis_year: int):
+    """Every individual's windows under a spec, individuals in id order and
+    windows in canonical order (chronological, or h00..h23 / Mon..Sun)."""
+    n = len(tm.table)
     spans = spec.contiguous_windows(analysis_year)
-    if spans is not None:
-        ids = [wid for wid, _, _ in spans]
+    if spans is None:
+        hour = spec.granularity == "hour"
+        wids = HOUR_IDS if hour else WEEKDAY_IDS
+        blocks = [(0, tm.from_sums(*(tm.time_of_day(24) if hour else tm.weekday())))]
+    else:
+        wids = [wid for wid, _, _ in spans]
         bounds = np.array([spans[0][1]] + [t1 for _, _, t1 in spans], dtype=np.int64)
-        return _rows(ids, *em.windows(bounds))
-    if spec.granularity == "hour":
-        return _rows(HOUR_IDS, *em.from_sums(*em.time_of_day_bins(24)))
-    return _rows(WEEKDAY_IDS, *em.from_sums(*em.weekday_bins()))
+        step = max(1, _BLOCK_CELLS // len(wids))
+        blocks = ((lo, tm.windows(bounds, lo, min(lo + step, n))) for lo in range(0, n, step))
+    for lo, block in blocks:
+        a, m, rg, pairs = (x.tolist() for x in block)
+        for r, (ego, homed) in enumerate(zip(tm.table.ids[lo:], tm.homed[lo:lo + len(a)])):
+            for k, wid in enumerate(wids):
+                yield MetricRow(
+                    ego, wid, a[r][k], m[r][k],
+                    rg[r][k] if homed and a[r][k] else None, pairs[r][k],
+                )
 
 
 def write_metrics_csv(rows, path) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EPOCH_WEEKDAY, HOUR_IDS, WEEKDAY_IDS, EgoMetrics, WindowSpec
+from .metrics import EPOCH_WEEKDAY, HOUR_IDS, WEEKDAY_IDS, TableMetrics, WindowSpec
 from .records import AGE_GROUP_LABELS, Demographics, age_group_of, year_bounds
 
 AXES = ("year", "month", "dow", "hour")
@@ -54,18 +54,8 @@ class PatternSeries:
     se: np.ndarray | None  # standard error, mean statistic only
 
 
-def _values(metrics, value: str):
-    """One individual's per-bin samples of `value` and which are valid."""
-    a, m, rg, _ = metrics
-    if value == "activity":
-        return a.astype(float), np.ones(len(a), dtype=bool)
-    if value == "mobility":
-        return m, np.ones(len(a), dtype=bool)
-    return rg, a > 0
-
-
 def pattern(
-    ems: dict[str, EgoMetrics],
+    tm: TableMetrics,
     cohort,
     axis: str,
     value: str,
@@ -79,48 +69,47 @@ def pattern(
         raise ValueError(f"unknown value {value!r}")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
-    egos = sorted(ems.keys() if cohort is None else set(cohort) & ems.keys())
+    rows = tm.rows_of(cohort)
     if value == "rg":
-        egos = [e for e in egos if ems[e].cumh2 is not None]
-    if not egos:
+        rows = rows[tm.homed[rows]]
+    if not len(rows):
         raise EmptyCohortError(f"no usable individuals for {value} pattern")
 
     if axis == "hour":
         ids: tuple[str, ...] = HOUR_IDS
-        k = 24
-        spans = None
+        a, m, rg, _ = tm.from_sums(*tm.time_of_day(24))
+    elif axis == "dow" and value == "activity":
+        a = m = rg = tm.day_counts(analysis_year)
     else:
-        gran = "day" if axis == "dow" else axis
-        spans = WindowSpec(gran).contiguous_windows(analysis_year)
-        ids = WEEKDAY_IDS if axis == "dow" else tuple(w for w, _, _ in spans)
-        k = len(spans)
-        bounds = np.array([spans[0][1]] + [t1 for _, _, t1 in spans], dtype=np.int64)
+        spans = WindowSpec("day" if axis == "dow" else axis).contiguous_windows(analysis_year)
+        ids = tuple(w for w, _, _ in spans)
+        a, m, rg, _ = tm.windows(np.array([spans[0][1]] + [t1 for _, _, t1 in spans]))
 
-    vals = np.empty((len(egos), k))
-    valid = np.empty((len(egos), k), dtype=bool)
-    for r, e in enumerate(egos):
-        em = ems[e]
-        if axis != "hour":
-            metrics = em.windows(bounds)
-        elif value == "activity":
-            metrics = em.time_of_day_bins(24)  # the counts come first, as in from_sums
-        else:
-            metrics = em.from_sums(*em.time_of_day_bins(24))
-        vals[r], valid[r] = _values(metrics, value)
+    def pick(x):
+        return x if len(rows) == len(tm.table) else x[rows]
+
+    vals = pick({"activity": a, "mobility": m, "rg": rg}[value])
+    valid = pick(a) > 0 if value == "rg" else None
+
+    def select(cols):
+        """Samples of the chosen bins, row-major; activity counts as floats."""
+        s = vals[:, cols].ravel() if valid is None else vals[:, cols][valid[:, cols]]
+        return s.astype(float)
 
     if axis == "dow":
-        wd = np.array([((t0 // 86400) + EPOCH_WEEKDAY) % 7 for _, t0, _ in spans])
-        samples = [vals[:, wd == w][valid[:, wd == w]] for w in range(7)]
+        ids = WEEKDAY_IDS
+        ys, ye = year_bounds(analysis_year)
+        wd = (np.arange(ys, ye, 86400) // 86400 + EPOCH_WEEKDAY) % 7
+        samples = (select(wd == w) for w in range(7))
     else:
-        samples = [vals[:, b][valid[:, b]] for b in range(k)]
+        samples = (select(b) for b in range(len(ids)))
 
     nbins = len(ids)
     stat = np.full(nbins, np.nan)
     n = np.zeros(nbins, dtype=np.int64)
     se = np.full(nbins, np.nan) if statistic == "mean" else None
     med = np.full(nbins, np.nan)
-    for b in range(nbins):
-        s = samples[b]
+    for b, s in enumerate(samples):
         n[b] = len(s)
         if not len(s):
             continue
@@ -185,7 +174,7 @@ def _mean_se(x: np.ndarray) -> tuple[float, float | None]:
 
 
 def demographic_table(
-    ems: dict[str, EgoMetrics],
+    tm: TableMetrics,
     demographics: Demographics,
     areas: dict[str, int] | None,
     analysis_year: int = 2008,
@@ -195,20 +184,14 @@ def demographic_table(
     Returns the populated strata and the count of individuals skipped for
     lacking demographics. Empty strata are omitted.
     """
-    ys, ye = year_bounds(analysis_year)
-    egos = [e for e in sorted(ems) if e in demographics.entries]
-    skipped = len(ems) - len(egos)
+    ids = tm.table.ids
+    rows = [k for k, e in enumerate(ids) if e in demographics.entries]
+    egos = [ids[k] for k in rows]
+    skipped = len(ids) - len(egos)
     if not egos:
         raise EmptyCohortError("no individuals with demographics")
-    act = np.empty(len(egos))
-    mob = np.empty(len(egos))
-    rg = np.full(len(egos), np.nan)
-    for i, e in enumerate(egos):
-        row = ems[e].window(ys, ye)
-        act[i] = row.activity
-        mob[i] = row.mobility_km
-        if row.rg_km is not None:
-            rg[i] = row.rg_km
+    a, mob, rg, _ = (x[rows, 0] for x in tm.windows(np.array(year_bounds(analysis_year))))
+    act = a.astype(float)
     gender = np.array([demographics.gender(e) for e in egos])
     group = np.array([age_group_of(demographics.age(e)) for e in egos])
     area = np.array(["" if areas is None else str(areas.get(e, "")) for e in egos])

@@ -1,12 +1,14 @@
 """End-to-end orchestration of the analysis stages.
 
 A Pipeline lazily computes each stage the first time something needs it
-(ingest -> daily profile -> rhythm fit -> night window -> homes -> per-ego
-engines -> grid density -> correlations -> patterns -> strata), so every
+(ingest -> daily profile -> rhythm fit -> night window -> homes -> window
+metrics -> grid density -> correlations -> patterns -> strata), so every
 CLI subcommand runs exactly the stages it needs and `report` runs them
-all. Stage results are deterministic functions of the input files and the
-config. Stages run single-threaded; the thread count is only recorded in
-the manifest.
+all. Every per-individual stage is a vectorised pass over the one event
+table that ingest builds, and each window matrix (whole year, months,
+time of day) is computed once and shared. Stage results are
+deterministic functions of the input files and the config. Stages run
+single-threaded; the thread count is only recorded in the manifest.
 
 Reference values quoted in reports (correlation magnitudes, per-class
 densities) come from a large-scale reference dataset and are printed for
@@ -46,11 +48,10 @@ from .home import (
     find_inactive_window,
     fit_bimodal,
     flag_at_sea,
-    night_event_counts,
     write_homes_csv,
 )
 from .ingest import ingest_file
-from .metrics import EgoMetrics, WindowSpec, metrics_rows, write_metrics_csv
+from .metrics import TableMetrics, WindowSpec, metrics_rows, write_metrics_csv
 from .patterns import (
     PatternError,
     demographic_table,
@@ -58,7 +59,7 @@ from .patterns import (
     write_pattern_csv,
     write_strata_csv,
 )
-from .records import load_demographics, load_towers, year_bounds
+from .records import load_demographics, load_towers
 
 log = logging.getLogger(__name__)
 
@@ -164,7 +165,7 @@ class Pipeline:
                 analysis_year=self.config.analysis_year,
                 reciprocity=self.config.reciprocity,
             )
-            if not res.timelines:
+            if not len(res.table):
                 raise PipelineError("no surviving individuals after filtering")
             return res
 
@@ -172,11 +173,13 @@ class Pipeline:
 
     # ------------------------------------------------- rhythm and window
     @property
+    def steps(self) -> TableMetrics:
+        """Consecutive displacements over the event table, before homes."""
+        return self._stage("steps", lambda: TableMetrics(self.ingest.table, self.registry))
+
+    @property
     def profiles(self):
-        return self._stage(
-            "profile",
-            lambda: daily_profile(self.ingest.timelines, self.registry, self.config.bin_minutes),
-        )
+        return self._stage("profile", lambda: daily_profile(self.steps, self.config.bin_minutes))
 
     @property
     def activity_profile(self):
@@ -203,18 +206,20 @@ class Pipeline:
 
     # --------------------------------------------------------------- homes
     @property
-    def homes(self):
+    def home_points(self):
+        """(lat, lon, night events) per individual in id order."""
         return self._stage(
             "homes",
-            lambda: compute_homes(self.ingest.timelines, self.registry, self.night_window),
+            lambda: compute_homes(self.ingest.table, self.registry, self.night_window),
         )
 
     @property
-    def night_counts(self):
-        return self._stage(
-            "night_counts",
-            lambda: night_event_counts(self.ingest.timelines, self.night_window),
-        )
+    def homes(self) -> dict[str, tuple[float, float] | None]:
+        lat, lon, _ = self.home_points
+        return self._stage("home_dict", lambda: {
+            e: None if math.isnan(a) else (a, b)
+            for e, a, b in zip(self.ingest.table.ids, lat.tolist(), lon.tolist())
+        })
 
     @property
     def at_sea(self):
@@ -223,38 +228,27 @@ class Pipeline:
             lambda: flag_at_sea(self.homes, self.registry, self.config.at_sea_km),
         )
 
-    # ------------------------------------------------------------- engines
+    # ------------------------------------------------------------- metrics
     @property
-    def engines(self) -> dict[str, EgoMetrics]:
-        def run():
-            tls = self.ingest.timelines
-            homes = self.homes
-            return {
-                e: EgoMetrics(tls[e], self.registry, homes.get(e), self.config.divisor)
-                for e in sorted(tls)
-            }
-
-        return self._stage("engines", run)
+    def metrics(self) -> TableMetrics:
+        return self._stage(
+            "metrics",
+            lambda: TableMetrics(
+                self.ingest.table, self.registry, self.home_points[:2], self.config.divisor,
+                d2=self.steps.d2,
+            ),
+        )
 
     @property
     def year_rows(self):
         def run():
-            ys, ye = year_bounds(self.config.analysis_year)
-            out = {}
-            for ego, em in self.engines.items():
-                row = em.window(ys, ye)
-                row.ego_id = ego
-                row.window = str(self.config.analysis_year)
-                out[ego] = row
-            return out
+            rows = metrics_rows(self.metrics, WindowSpec("year"), self.config.analysis_year)
+            return {r.ego_id: r for r in rows}
 
         return self._stage("year_rows", run)
 
     def iter_metric_rows(self):
-        for ego in sorted(self.engines):
-            for row in metrics_rows(self.engines[ego], self.config.window, self.config.analysis_year):
-                row.ego_id = ego
-                yield row
+        return metrics_rows(self.metrics, self.config.window, self.config.analysis_year)
 
     # ------------------------------------------------------------- density
     @property
@@ -329,10 +323,10 @@ class Pipeline:
         return self._stage(
             "area_table",
             lambda: area_summary(
-                self.grid_density,
                 self.labels,
                 self.homes,
                 GridSpec(self.config.fine_step, self.config.fine_step),
+                self.ego_area,
             ),
         )
 
@@ -344,12 +338,12 @@ class Pipeline:
     def patterns_bundle(self):
         def run():
             y = self.config.analysis_year
-            ems = self.engines
+            tm = self.metrics
             series = []
 
             def add(cohort_name, cohort, axis, value, statistic):
                 try:
-                    s = pattern(ems, cohort, axis, value, statistic, y)
+                    s = pattern(tm, cohort, axis, value, statistic, y)
                 except PatternError:
                     # an empty cohort, or a normalized series whose level is
                     # zero (sparse data): that series alone is left out
@@ -379,7 +373,7 @@ class Pipeline:
             if self.demographics is None:
                 return None
             rows, skipped = demographic_table(
-                self.engines, self.demographics, self.ego_area, self.config.analysis_year
+                self.metrics, self.demographics, self.ego_area, self.config.analysis_year
             )
             if skipped:
                 log.info("strata: %d individuals lack demographics", skipped)
@@ -471,6 +465,10 @@ def build_summary(pipe: Pipeline) -> dict:
         del fit["amp_day"], fit["amp_evening"]
     homes = pipe.homes
     with_home = sum(1 for h in homes.values() if h is not None)
+    at_sea = sum(1 for v in pipe.at_sea.values() if v)
+    residents = int(pipe.grid_density.population.sum())
+    st = pipe.ingest.stats
+    demo = pipe.demographics
     corr = pipe.correlations
     areas = area_doc(pipe)
     weekly = {}
@@ -487,18 +485,7 @@ def build_summary(pipe: Pipeline) -> dict:
         elif s.axis == "month" and s.value == "mobility":
             monthly_mob = table
     rs = pipe.ranksize
-    rank_size_doc = (
-        {"skipped": rs}
-        if isinstance(rs, str)
-        else {
-            "exponent": rs.exponent,
-            "intercept": rs.intercept,
-            "r2": rs.r2,
-            "n_cells": rs.n_cells,
-            "n_tail": rs.n_tail,
-            "min_rank": rs.min_rank,
-        }
-    )
+    rank_size_doc = {"skipped": rs} if isinstance(rs, str) else asdict(rs)
     return {
         "package_version": __version__,
         "analysis_year": pipe.config.analysis_year,
@@ -514,12 +501,25 @@ def build_summary(pipe: Pipeline) -> dict:
             "individuals": len(homes),
             "with_home": with_home,
             "without_home": len(homes) - with_home,
-            "at_sea": sum(1 for v in pipe.at_sea.values() if v),
+            "at_sea": at_sea,
         },
         "grid": {
             "step_deg": pipe.config.grid_step,
             "inhabited_cells": len(pipe.grid_density),
-            "residents": int(pipe.grid_density.population.sum()),
+            "residents": residents,
+        },
+        "funnel": {
+            "rows_read": st.rows_read,
+            "rows_rejected": st.rows_rejected,
+            "events_filtered": st.events_valid - st.events_kept,
+            "events_kept": st.events_kept,
+            "individuals_kept": st.individuals_kept,
+            "individuals_removed": st.individuals_removed,
+            "homed": with_home,
+            "at_sea": at_sea,
+            "gridded": residents,
+            "residents_by_class": {a: areas[a]["residents"] for a in areas},
+            "demographics_rejected": None if demo is None else demo.rejected,
         },
         "correlations": {
             "activity": {**corr["activity"], "reference": REFERENCE_CORR_ACTIVITY},
@@ -540,48 +540,32 @@ def write_plot_data(pipe: Pipeline, out_dir) -> list[str]:
     os.makedirs(pd, exist_ok=True)
     written = []
 
-    def emit(name, xs, ys, xh, yh):
-        p = os.path.join(pd, name)
-        with open(p, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"{xh},{yh}\n")
-            for x, y in zip(xs, ys):
-                fh.write(f"{x!r},{y!r}\n")
+    def emit(name, header, lines):
+        with open(os.path.join(pd, name), "w", newline="", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.writelines(line + "\n" for line in lines)
         written.append(os.path.join("plotdata", name))
 
+    def pairs(xs, ys):
+        return [f"{x!r},{y!r}" for x, y in zip(xs, ys)]
+
     act = pipe.activity_profile
-    emit(
-        "daily_activity.csv",
-        [float(v) for v in act.bin_centers_hours()],
-        [float(v) for v in act.values],
-        "hour",
-        "activity",
-    )
+    emit("daily_activity.csv", "hour,activity", pairs(
+        [float(v) for v in act.bin_centers_hours()], [float(v) for v in act.values]
+    ))
     d = np.sort(pipe.grid_density.density)[::-1]
-    emit(
-        "rank_size.csv",
+    emit("rank_size.csv", "log10_rank,log10_density", pairs(
         [float(v) for v in np.log10(np.arange(1, len(d) + 1))],
         [float(v) for v in np.log10(np.maximum(d, 1e-300))],
-        "log10_rank",
-        "log10_density",
-    )
+    ))
     for name in ("activity", "mobility"):
         bands = [b for b in pipe.bands[name] if b.corr is not None]
-        emit(
-            f"bands_{name}.csv",
-            [b.center_rank for b in bands],
-            [b.corr for b in bands],
-            "center_rank",
-            "corr",
-        )
+        emit(f"bands_{name}.csv", "center_rank,corr",
+             pairs([b.center_rank for b in bands], [b.corr for b in bands]))
     for s in pipe.patterns_bundle:
-        xs = list(range(len(s.bins)))
-        ys = [None if np.isnan(v) else float(v) for v in s.stat]
-        p = os.path.join(pd, f"pattern_{_series_key(s)}.csv")
-        with open(p, "w", newline="", encoding="utf-8") as fh:
-            fh.write("bin,stat\n")
-            for b, v in zip(s.bins, ys):
-                fh.write(f"{b},{'' if v is None else repr(v)}\n")
-        written.append(os.path.join("plotdata", f"pattern_{_series_key(s)}.csv"))
+        emit(f"pattern_{_series_key(s)}.csv", "bin,stat", [
+            f"{b},{'' if np.isnan(v) else repr(float(v))}" for b, v in zip(s.bins, s.stat)
+        ])
     return written
 
 
@@ -615,9 +599,8 @@ def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> d
         write_window_json(pipe, os.path.join(out_dir, STAGE_OUTPUTS["window"]))
         record(STAGE_OUTPUTS["window"])
     if "homes" in stages:
-        write_homes_csv(
-            pipe.homes, pipe.night_counts, pipe.at_sea, os.path.join(out_dir, STAGE_OUTPUTS["homes"])
-        )
+        night = dict(zip(pipe.ingest.table.ids, pipe.home_points[2].tolist()))
+        write_homes_csv(pipe.homes, night, pipe.at_sea, os.path.join(out_dir, STAGE_OUTPUTS["homes"]))
         record(STAGE_OUTPUTS["homes"])
     if "metrics" in stages:
         write_metrics_csv(pipe.iter_metric_rows(), os.path.join(out_dir, STAGE_OUTPUTS["metrics"]))

@@ -14,6 +14,7 @@ the stream. Reject reasons are counted by the callers.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime
 
@@ -22,8 +23,8 @@ SMS = "sms"
 INCOMING = "incoming"
 OUTGOING = "outgoing"
 
-_KIND_TOKENS = {"call": CALL, "sms": SMS}
-_DIRECTION_TOKENS = {"in": INCOMING, "incoming": INCOMING, "out": OUTGOING, "outgoing": OUTGOING}
+KIND_TOKENS = {"call": CALL, "sms": SMS}
+DIRECTION_TOKENS = {"in": INCOMING, "incoming": INCOMING, "out": OUTGOING, "outgoing": OUTGOING}
 
 FEMALE = "female"
 MALE = "male"
@@ -132,10 +133,10 @@ def parse_event_fields(row: list[str], year_start: int, year_end: int) -> EventR
     ts = parse_timestamp(row[2])
     if not (year_start <= ts < year_end):
         raise RowReject("outside_year", row[2])
-    kind = _KIND_TOKENS.get(row[4].strip().lower())
+    kind = KIND_TOKENS.get(row[4].strip().lower())
     if kind is None:
         raise RowReject("bad_kind", row[4])
-    direction = _DIRECTION_TOKENS.get(row[5].strip().lower())
+    direction = DIRECTION_TOKENS.get(row[5].strip().lower())
     if direction is None:
         raise RowReject("bad_direction", row[5])
     return EventRecord(ego, peer, ts, tower, kind, direction)
@@ -222,7 +223,8 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
     """Read a demographics file (ego_id,gender,age-or-birth_year).
 
     Bad rows are rejected and counted per reason, never fatal. Ages outside
-    [10, 110] after resolving birth years are rejected.
+    [10, 110] after resolving birth years are rejected, and so is every row
+    of an id that appears more than once (duplicate_id: which one is right?).
     """
     entries: dict[str, tuple[str, int]] = {}
     rejected: dict[str, int] = {}
@@ -231,26 +233,32 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
         rejected[reason] = rejected.get(reason, 0) + 1
 
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (lineno == 1 and _looks_like_header(row, None)):
-                continue
-            if len(row) < 3 or not row[0].strip():
-                reject("missing_column")
-                continue
-            gender = _GENDER_TOKENS.get(row[1].strip().lower())
-            if gender is None:
-                reject("unknown_gender")
-                continue
-            try:
-                value = int(row[2])
-            except ValueError:
-                reject("bad_age")
-                continue
-            age = analysis_year - value if value >= _BIRTH_YEAR_THRESHOLD else value
-            if not (AGE_MIN <= age <= AGE_MAX):
-                reject("age_out_of_range")
-                continue
-            entries[row[0].strip()] = (gender, age)
+        rows = [
+            row for lineno, row in enumerate(csv.reader(fh), start=1)
+            if row and not (lineno == 1 and _looks_like_header(row, None))
+        ]
+    seen = Counter(row[0].strip() for row in rows if len(row) >= 3)
+    for row in rows:
+        if len(row) < 3 or not row[0].strip():
+            reject("missing_column")
+            continue
+        if seen[row[0].strip()] > 1:
+            reject("duplicate_id")
+            continue
+        gender = _GENDER_TOKENS.get(row[1].strip().lower())
+        if gender is None:
+            reject("unknown_gender")
+            continue
+        try:
+            value = int(row[2])
+        except ValueError:
+            reject("bad_age")
+            continue
+        age = analysis_year - value if value >= _BIRTH_YEAR_THRESHOLD else value
+        if not (AGE_MIN <= age <= AGE_MAX):
+            reject("age_out_of_range")
+            continue
+        entries[row[0].strip()] = (gender, age)
     return Demographics(entries, rejected)
 
 

@@ -841,7 +841,7 @@ def validate_corpus(
             )
 
     # --- normalized medians average to one by construction
-    norm = pattern(pipe.engines, None, "month", "activity", "normalized_median",
+    norm = pattern(pipe.metrics, None, "month", "activity", "normalized_median",
                    truth.analysis_year)
     m = float(np.mean(norm.stat[norm.n > 0]))
     checks.append(Check("normalized_median", abs(m - 1.0) < 1e-12, m, "mean = 1 within 1e-12"))

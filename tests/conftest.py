@@ -3,14 +3,18 @@
 Corpora are generated once per session into the pytest tmp factory. Each
 fixture returns (directory, ground truth). Pipelines are cached so the
 expensive stages run once and are shared by every test that reads them.
+event_table and table_metrics build small event tables for unit tests.
 """
 
 import os
 
+import numpy as np
 import pytest
 
-from cdrmob.metrics import WindowSpec
+from cdrmob.ingest import ingest_rows
+from cdrmob.metrics import TableMetrics, WindowSpec
 from cdrmob.pipeline import AnalysisConfig, Pipeline
+from cdrmob.records import format_timestamp
 from cdrmob.synth import (
     CDR_FILE,
     DEMOGRAPHICS_FILE,
@@ -131,3 +135,24 @@ def megarow_corpus(tmp_path_factory):
     """Roughly a million rows for the throughput and determinism checks."""
     cfg = GenConfig(n_individuals=5_000, base_daily_events=0.45, seed=5)
     return _make_corpus(tmp_path_factory, "megarow_corpus", cfg)
+
+
+def event_table(registry, events, year=2008):
+    """EventTable of {ego: (timestamps, tower indices)}, built by ingest
+    with no reciprocity filter; timestamps are epoch seconds or ISO text."""
+    rows = [
+        [ego, "peer", t if isinstance(t, str) else format_timestamp(int(t)),
+         registry.ids[int(w)], "call", "out"]
+        for ego, (stamps, towers) in events.items()
+        for t, w in zip(stamps, towers)
+    ]
+    return ingest_rows(rows, registry, analysis_year=year, reciprocity="none").table
+
+
+def table_metrics(registry, events, homes=None, divisor="events", year=2008):
+    """TableMetrics of event_table(); homes maps ego -> (lat, lon)."""
+    tab = event_table(registry, events, year)
+    if homes is not None:
+        pts = np.array([homes.get(e) or (np.nan, np.nan) for e in tab.ids], float).reshape(-1, 2)
+        homes = (pts[:, 0].copy(), pts[:, 1].copy())
+    return TableMetrics(tab, registry, homes, divisor)

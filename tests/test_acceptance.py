@@ -19,8 +19,8 @@ from conftest import _make_pipeline
 
 from cdrmob.density import build_density_from_counts, rank_size, spearman
 from cdrmob.geo import EARTH_RADIUS_KM, GridSpec
-from cdrmob.ingest import Timeline
-from cdrmob.metrics import EgoMetrics
+from cdrmob.ingest import EventTable
+from cdrmob.metrics import TableMetrics
 from cdrmob.patterns import pattern
 from cdrmob.records import TowerRegistry
 
@@ -69,12 +69,24 @@ def _random_world(rng, n_towers=60):
     return TowerRegistry(entries)
 
 
-def _random_timeline(rng, registry, n):
-    ts = np.sort(rng.integers(1_199_145_600, 1_230_768_000, size=n)).astype(np.int64)
+def _random_table(rng, registry, sizes):
+    """One individual per entry of sizes, each with that many events."""
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    n = int(offsets[-1])
+    ts = np.concatenate([
+        np.sort(rng.integers(1_199_145_600, 1_230_768_000, size=k)) for k in sizes
+    ]).astype(np.int64)
     tower = rng.integers(0, len(registry), size=n).astype(np.int32)
     kind = rng.integers(0, 2, size=n).astype(np.int8)
     direction = rng.integers(0, 2, size=n).astype(np.int8)
-    return Timeline("e", ts, tower, kind, direction)
+    ids = [f"e{k:05d}" for k in range(len(sizes))]
+    return EventTable(ids, offsets, ts, tower, kind, direction)
+
+
+def _window(tm, k, t0, t1):
+    """(activity, mobility, rg or None, pairs) of individual k in [t0, t1)."""
+    a, m, rg, pairs = (x[0, 0] for x in tm.windows(np.array([t0, t1]), k, k + 1))
+    return int(a), float(m), float(rg) if tm.homed[k] and a else None, int(pairs)
 
 
 # ----------------------------------------------------------- criteria
@@ -84,39 +96,41 @@ def test_criterion_01_metric_oracle_equivalence():
     rng = np.random.default_rng(101)
     registry = _random_world(rng)
     start = time.perf_counter()
-    for _ in range(1000):
-        n = int(rng.integers(1, 501))
-        tl = _random_timeline(rng, registry, n)
-        home = (float(rng.uniform(-60, 60)), float(rng.uniform(-170, 170)))
-        em = EgoMetrics(tl, registry, home)
-        lats, lons = tl.positions(registry)
-        lo = int(tl.ts[0])
-        hi = int(tl.ts[-1]) + 1
+    tab = _random_table(rng, registry, rng.integers(1, 501, size=1000))
+    homes = (rng.uniform(-60, 60, size=1000), rng.uniform(-170, 170, size=1000))
+    tm = TableMetrics(tab, registry, homes)
+    lats, lons = tab.positions(registry)
+    for k in range(1000):
+        s, e = int(tab.offsets[k]), int(tab.offsets[k + 1])
+        ts = tab.ts[s:e]
+        home = (float(homes[0][k]), float(homes[1][k]))
+        lo = int(ts[0])
+        hi = int(ts[-1]) + 1
         cut = int(rng.integers(lo, hi + 1))
         for t0, t1 in ((lo, hi), (lo, cut), (cut, hi)):
-            row = em.window(t0, t1)
-            a, m, rg, _ = _oracle_metrics(tl.ts, lats, lons, home, t0, t1)
-            assert row.activity == a
-            assert _rel_eq(row.mobility_km, m if a else 0.0)
+            activity, mobility, rg_km, _ = _window(tm, k, t0, t1)
+            a, m, rg, _ = _oracle_metrics(ts, lats[s:e], lons[s:e], home, t0, t1)
+            assert activity == a
+            assert _rel_eq(mobility, m if a else 0.0)
             if a:
-                assert _rel_eq(row.rg_km, rg)
+                assert _rel_eq(rg_km, rg)
             else:
-                assert row.rg_km is None
+                assert rg_km is None
     elapsed = time.perf_counter() - start
-    print(f"criterion 1: 1000 timelines, brute-force agreement at {_REL:g}, {elapsed:.2f}s")
+    print(f"criterion 1: 1000 individuals, brute-force agreement at {_REL:g}, {elapsed:.2f}s")
     assert elapsed < 10.0
 
 
 def test_criterion_02_two_event_window():
     rng = np.random.default_rng(202)
     registry = _random_world(rng)
-    for _ in range(50):
-        tl = _random_timeline(rng, registry, 2)
-        em = EgoMetrics(tl, registry)
-        lats, lons = tl.positions(registry)
-        d = _oracle_hav(lats[0], lons[0], lats[1], lons[1])
-        row = em.window(int(tl.ts[0]), int(tl.ts[-1]) + 1)
-        assert _rel_eq(row.mobility_km, d / math.sqrt(2.0))
+    tab = _random_table(rng, registry, [2] * 50)
+    tm = TableMetrics(tab, registry)
+    lats, lons = tab.positions(registry)
+    for k in range(50):
+        d = _oracle_hav(lats[2 * k], lons[2 * k], lats[2 * k + 1], lons[2 * k + 1])
+        _, mobility, _, _ = _window(tm, k, int(tab.ts[2 * k]), int(tab.ts[2 * k + 1]) + 1)
+        assert _rel_eq(mobility, d / math.sqrt(2.0))
     print("criterion 2: two-event travel index equals distance over sqrt(2)")
 
 
@@ -266,7 +280,7 @@ def test_criterion_08_weekly_and_seasonal_patterns(default_pipeline):
         assert ratios[a] < 0.9
     for a in (4, 5):
         assert ratios[a] > 0.95
-    norm = pattern(pipe.engines, None, "month", "activity", "normalized_median",
+    norm = pattern(pipe.metrics, None, "month", "activity", "normalized_median",
                    truth.analysis_year)
     m = float(np.mean(norm.stat[norm.n > 0]))
     assert abs(m - 1.0) < 1e-12
@@ -333,14 +347,15 @@ def test_criterion_11_scale_determinism_and_budget(megarow_corpus, tmp_path):
     # so the memory peak is this workload's own
     script = (
         "import json,resource,sys,time\n"
+        "import numpy as np\n"
         "from cdrmob.records import load_towers,year_bounds\n"
         "from cdrmob.ingest import ingest_file\n"
-        "from cdrmob.metrics import EgoMetrics\n"
+        "from cdrmob.metrics import TableMetrics\n"
         "t0=time.perf_counter()\n"
         f"reg=load_towers({os.path.join(corpus, 'towers.csv')!r})\n"
         f"res=ingest_file({cdr!r},reg)\n"
         "ys,ye=year_bounds(res.analysis_year)\n"
-        "rows={e:EgoMetrics(tl,reg,None).window(ys,ye) for e,tl in sorted(res.timelines.items())}\n"
+        "rows=TableMetrics(res.table,reg).windows(np.array([ys,ye]))[0]\n"
         "el=time.perf_counter()-t0\n"
         "rss=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(json.dumps({'elapsed':el,'maxrss_kb':rss,'n':len(rows)}))\n"

@@ -317,3 +317,55 @@ def test_report_is_invariant_under_row_order(small_corpus, tmp_path, capsys):
         for name in names:
             assert filecmp.cmp(base / name, out / name, shallow=False), (k, name)
     capsys.readouterr()
+
+
+def test_summary_funnel_adds_up(small_corpus, tmp_path, capsys):
+    corpus, truth = small_corpus
+    # a few defective rows, so that every step of the funnel is exercised
+    cdr = tmp_path / "cdr.csv"
+    with open(os.path.join(corpus, "cdr.csv"), encoding="utf-8") as fh:
+        cdr.write_text(
+            fh.read()
+            + "x1,x2,2008-13-45T10:00:00,T001,call,out\n"
+            + "x1,x1,2008-05-01T10:00:00,T001,call,out\n"
+            + "x1,x2,2008-05-01T10:00:00,nowhere,call,out\n",
+            encoding="utf-8",
+        )
+    out = tmp_path / "out"
+    assert main(["report", "--cdr", str(cdr),
+                 "--towers", os.path.join(corpus, "towers.csv"),
+                 "--demographics", os.path.join(corpus, "demographics.csv"),
+                 "--area-bounds", ",".join(str(b) for b in truth.area_boundaries),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "summary.json", encoding="utf-8") as fh:
+        summary = json.load(fh)
+    f = summary["funnel"]
+    assert f["rows_rejected"] == {"bad_timestamp": 1, "self_call": 1, "unknown_tower": 1}
+    assert f["events_filtered"] > 0 and f["individuals_removed"] > 0
+    assert f["events_kept"] == (
+        f["rows_read"] - sum(f["rows_rejected"].values()) - f["events_filtered"]
+    )
+    assert f["events_kept"] == summary["ingest"]["events_kept"]
+    assert f["individuals_kept"] == summary["ingest"]["individuals_kept"]
+    assert f["homed"] == summary["homes"]["with_home"]
+    assert f["at_sea"] == summary["homes"]["at_sea"]
+    assert f["gridded"] == summary["grid"]["residents"] <= f["homed"]
+    assert f["residents_by_class"] == {a: summary["areas"][a]["residents"] for a in "12345"}
+    assert f["demographics_rejected"] == {}
+
+
+def test_log_level_writes_progress_to_stderr_only(small_corpus, tmp_path, capsys):
+    corpus, truth = small_corpus
+    argv = ["report", "--cdr", os.path.join(corpus, "cdr.csv"),
+            "--towers", os.path.join(corpus, "towers.csv"),
+            "--area-bounds", ",".join(str(b) for b in truth.area_boundaries),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert main([*argv, "--log-level", "info"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    assert "ingest:" not in quiet.err
+    assert "INFO cdrmob.ingest: ingest:" in loud.err
+    assert main([*argv, "--log-level", "loud"]) == 1

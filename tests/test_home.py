@@ -13,36 +13,33 @@ from cdrmob.home import (
     find_inactive_window,
     fit_bimodal,
     flag_at_sea,
-    night_event_counts,
     night_mask,
     write_homes_csv,
 )
 from cdrmob.geo import haversine_km
-from cdrmob.ingest import Timeline
+from cdrmob.ingest import ingest_rows
+from cdrmob.metrics import TableMetrics
 from cdrmob.records import TowerRegistry, parse_timestamp
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.4, 20.0), "T3": (40.0, 20.3)})
 
 
-def _tl(stamps, towers, ego="e"):
-    ts = np.asarray([parse_timestamp(s) for s in stamps], dtype=np.int64)
-    order = np.argsort(ts, kind="stable")
-    n = len(ts)
-    return Timeline(
-        ego,
-        ts[order],
-        np.asarray(towers, dtype=np.int32)[order],
-        np.zeros(n, dtype=np.int8),
-        np.ones(n, dtype=np.int8),
-    )
+def _table(events):
+    """Event table of {ego: ([timestamps], [tower indices])}."""
+    rows = [
+        [ego, "peer", stamp, REG.ids[tower], "call", "out"]
+        for ego, (stamps, towers) in events.items()
+        for stamp, tower in zip(stamps, towers)
+    ]
+    return ingest_rows(rows, REG, reciprocity="none").table
 
 
 def test_daily_profile_activity_means():
-    tls = {
-        "a": _tl(["2008-01-01T03:10:00", "2008-01-01T03:40:00"], [0, 0], "a"),
-        "b": _tl(["2008-02-05T03:20:00", "2008-02-05T05:30:00"], [1, 2], "b"),
-    }
-    prof, mob = daily_profile(tls, REG, bin_minutes=60)
+    tab = _table({
+        "a": (["2008-01-01T03:10:00", "2008-01-01T03:40:00"], [0, 0]),
+        "b": (["2008-02-05T03:20:00", "2008-02-05T05:30:00"], [1, 2]),
+    })
+    prof, mob = daily_profile(TableMetrics(tab, REG), bin_minutes=60)
     assert prof.nbins == 24 and prof.n_individuals == 2
     assert prof.values[3] == pytest.approx(1.5)  # 3 events over 2 individuals
     assert prof.values[5] == pytest.approx(0.5)
@@ -57,7 +54,7 @@ def test_daily_profile_activity_means():
 
 def test_daily_profile_validation():
     with pytest.raises(ValueError):
-        daily_profile({}, REG, bin_minutes=7)
+        daily_profile(TableMetrics(_table({}), REG), bin_minutes=7)
 
 
 def _mixture(t, mu1, s1, a1, mu2, s2, a2, floor):
@@ -142,24 +139,19 @@ def test_night_mask_complement_partitions_the_day(a, b, tods):
 
 
 def test_compute_homes_and_counts():
-    tls = {
+    tab = _table({
         # two night events at T1, day events elsewhere
-        "a": _tl(
-            ["2008-01-01T02:00:00", "2008-01-02T03:30:00", "2008-01-02T14:00:00"],
-            [0, 0, 1],
-            "a",
-        ),
+        "a": (["2008-01-01T02:00:00", "2008-01-02T03:30:00", "2008-01-02T14:00:00"], [0, 0, 1]),
         # night events at two different towers: home is their mean
-        "b": _tl(["2008-01-01T02:00:00", "2008-01-01T03:00:00"], [0, 1], "b"),
+        "b": (["2008-01-01T02:00:00", "2008-01-01T03:00:00"], [0, 1]),
         # day-only individual: no home
-        "c": _tl(["2008-01-01T12:00:00"], [2], "c"),
-    }
-    homes = compute_homes(tls, REG, (1.0, 7.0))
-    assert homes["a"] == (40.0, 20.0)
-    assert homes["b"] == (pytest.approx(40.2), pytest.approx(20.0))
-    assert homes["c"] is None
-    counts = night_event_counts(tls, (1.0, 7.0))
-    assert counts == {"a": 2, "b": 2, "c": 0}
+        "c": (["2008-01-01T12:00:00"], [2]),
+    })
+    lat, lon, counts = compute_homes(tab, REG, (1.0, 7.0))
+    assert (lat[0], lon[0]) == (40.0, 20.0)
+    assert (lat[1], lon[1]) == (pytest.approx(40.2), pytest.approx(20.0))
+    assert np.isnan(lat[2]) and np.isnan(lon[2])
+    assert counts.tolist() == [2, 2, 0]
 
 
 def test_flag_at_sea_uses_nearest_tower():

@@ -1,4 +1,4 @@
-"""Reciprocity filtering and timeline assembly.
+"""Reciprocity filtering, header detection and event-table assembly.
 
 The link model: an outgoing row of ego a with peer b and an incoming row
 of ego b with peer a are the same directed claim a->b. A pair is
@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrmob.ingest import (
-    Timeline,
     ingest_file,
     ingest_rows,
     is_spool,
@@ -38,10 +37,10 @@ def test_pair_rule_keeps_reciprocal_pairs_only():
         _row("s", "b", 4, direction="out"),
     ]
     res = ingest_rows(rows, REG)
-    assert sorted(res.timelines) == ["a", "b"]
+    assert res.table.ids == ["a", "b"]
     assert res.removed_ids == ["s"]
     # survivors keep all their events, including those with dropped peers
-    assert len(res.timelines["a"]) == 1
+    assert res.table.offsets.tolist() == [0, 1, 2]
     assert res.stats.individuals_seen == 3
     assert res.stats.individuals_removed == 1
     assert res.stats.events_kept == 2
@@ -54,7 +53,7 @@ def test_mirrored_rows_are_one_claim_not_a_pair():
         _row("b", "a", 1, direction="in"),
     ]
     res = ingest_rows(rows, REG)
-    assert res.timelines == {}
+    assert res.table.ids == [] and len(res.table.ts) == 0
     assert res.removed_ids == ["a", "b"]
 
 
@@ -65,11 +64,11 @@ def test_degree_rule_is_weaker_than_pair():
         _row("a", "b", 1, direction="out"),
         _row("a", "c", 2, direction="in"),
     ]
-    assert ingest_rows(rows, REG).timelines == {}
+    assert ingest_rows(rows, REG).table.ids == []
     res = ingest_rows(rows, REG, reciprocity="degree")
-    assert sorted(res.timelines) == ["a"]
+    assert res.table.ids == ["a"]
     res_none = ingest_rows(rows, REG, reciprocity="none")
-    assert sorted(res_none.timelines) == ["a"]
+    assert res_none.table.ids == ["a"]
     with pytest.raises(ValueError):
         ingest_rows(rows, REG, reciprocity="sometimes")
 
@@ -83,7 +82,7 @@ def test_unknown_tower_counted_not_fatal():
     res = ingest_rows(rows, REG)
     assert res.stats.rows_rejected == {"unknown_tower": 1}
     assert res.stats.events_valid == 2
-    assert sorted(res.timelines) == ["a", "b"]
+    assert res.table.ids == ["a", "b"]
 
 
 def test_timeline_sorted_with_tie_breaks():
@@ -95,15 +94,33 @@ def test_timeline_sorted_with_tie_breaks():
         _row("b", "a", 2),
     ]
     res = ingest_rows(rows, REG)
-    tl = res.timelines["a"]
-    assert tl.tower.tolist() == [0, 0, 1]
-    assert tl.kind.tolist() == [0, 1, 1]
-    assert np.all(tl.ts[:-1] <= tl.ts[1:])
+    tab = res.table
+    assert tab.ids == ["a", "b"] and tab.offsets.tolist() == [0, 3, 4]
+    assert tab.tower[:3].tolist() == [0, 0, 1]
+    assert tab.kind[:3].tolist() == [0, 1, 1]
+    assert np.all(tab.ts[:2] <= tab.ts[1:3])
+
+
+def test_segments_follow_id_order_not_first_appearance():
+    # z is seen first, and b only as a peer before it is an ego
+    rows = [_row("z", "b", 5), _row("b", "z", 6), _row("a", "b", 1), _row("b", "a", 2)]
+    tab = ingest_rows(rows, REG).table
+    assert tab.ids == ["a", "b", "z"]
+    assert tab.offsets.tolist() == [0, 1, 3, 4]
+    assert [(t - tab.ts[0]) // 3600 for t in tab.ts.tolist()] == [0, 1, 5, 4]
+    assert tab.ego.tolist() == [0, 1, 1, 2]
 
 
 def test_empty_input():
     res = ingest_rows([], REG)
-    assert res.timelines == {} and res.stats.rows_read == 0
+    assert res.table.ids == [] and res.table.offsets.tolist() == [0]
+    assert res.stats.rows_read == 0
+
+
+def _assert_same_table(t1, t2):
+    assert t1.ids == t2.ids
+    for col in ("offsets", "ts", "tower", "kind", "direction"):
+        assert np.array_equal(getattr(t1, col), getattr(t2, col)), col
 
 
 _IDS = ("a", "b", "c", "d", "e")
@@ -126,15 +143,9 @@ _IDS = ("a", "b", "c", "d", "e")
 def test_filter_is_idempotent(raw):
     rows = [_row(e, p, h, t, k, d) for e, p, h, t, k, d in raw if e != p]
     first = ingest_rows(rows, REG)
-    kept = set(first.timelines)
+    kept = set(first.table.ids)
     again = ingest_rows([r for r in rows if r[0] in kept], REG)
-    assert set(again.timelines) == kept
-    for ego, tl in first.timelines.items():
-        tl2 = again.timelines[ego]
-        assert np.array_equal(tl.ts, tl2.ts)
-        assert np.array_equal(tl.tower, tl2.tower)
-        assert np.array_equal(tl.kind, tl2.kind)
-        assert np.array_equal(tl.direction, tl2.direction)
+    _assert_same_table(first.table, again.table)
 
 
 def test_ingest_file_skips_header(tmp_path):
@@ -146,7 +157,26 @@ def test_ingest_file_skips_header(tmp_path):
     )
     res = ingest_file(p, REG)
     assert res.stats.rows_read == 2  # header not counted as a row
-    assert sorted(res.timelines) == ["a", "b"]
+    assert res.stats.rows_rejected == {}
+    assert res.table.ids == ["a", "b"]
+
+
+def test_bad_first_row_is_counted_not_taken_for_a_header(tmp_path):
+    # a data row whose only defect is its timestamp is rejected as such
+    p = tmp_path / "cdr.csv"
+    p.write_text(
+        "u1,u2,2008-13-45T10:00:00,T1,call,out\n"
+        "u1,u2,2008-06-01T10:00:00,T1,call,out\n"
+        "u2,u1,2008-06-01T11:00:00,T1,call,out\n"
+    )
+    res = ingest_file(p, REG)
+    assert res.stats.rows_read == 3
+    assert res.stats.rows_rejected == {"bad_timestamp": 1}
+    assert res.stats.events_kept == 2
+    # a short header has no event tokens either, and is still skipped
+    p.write_text("ego,peer,when\n" + p.read_text().split("\n", 1)[1])
+    res = ingest_file(p, REG)
+    assert res.stats.rows_read == 2 and res.stats.rows_rejected == {}
 
 
 def test_spool_round_trip(tmp_path):
@@ -163,13 +193,10 @@ def test_spool_round_trip(tmp_path):
     back = read_spool(spool, REG, 2008, "pair")
     assert back.analysis_year == first.analysis_year
     assert back.stats.events_kept == first.stats.events_kept
-    assert sorted(back.timelines) == sorted(first.timelines)
-    for ego, tl in first.timelines.items():
-        tl2 = back.timelines[ego]
-        assert np.array_equal(tl.ts, tl2.ts)
-        assert np.array_equal(tl.tower, tl2.tower)
-        assert np.array_equal(tl.kind, tl2.kind)
-        assert np.array_equal(tl.direction, tl2.direction)
+    _assert_same_table(first.table, back.table)
+    assert [back.peer_ids[p] for p in back.table.peer] == [
+        first.peer_ids[p] for p in first.table.peer
+    ]
     # a spool is only valid for the year and rule it was ingested with;
     # one whose metadata lacks them cannot be checked and is refused too
     for year, rule in ((2009, "pair"), (2008, "none")):

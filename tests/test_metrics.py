@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import table_metrics
+
 from cdrmob.geo import haversine_km
-from cdrmob.ingest import Timeline
 from cdrmob.metrics import (
-    EgoMetrics,
+    MetricRow,
     WindowSpec,
     metrics_rows,
     write_metrics_csv,
@@ -22,15 +23,15 @@ REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1), "T3": (40.3, 20.4)}
 HOME = (40.0, 20.0)
 
 
-def _tl(ts, towers, ego="e"):
-    n = len(ts)
-    return Timeline(
-        ego,
-        np.asarray(ts, dtype=np.int64),
-        np.asarray(towers, dtype=np.int32),
-        np.zeros(n, dtype=np.int8),
-        np.ones(n, dtype=np.int8),
-    )
+def _tm(ts, towers, home=HOME, divisor="events"):
+    """TableMetrics of one individual "e"."""
+    return table_metrics(REG, {"e": (ts, towers)}, {"e": home}, divisor)
+
+
+def _window(tm, t0, t1, row=0) -> MetricRow:
+    a, m, rg, pairs = (x[row, 0] for x in tm.windows(np.array([t0, t1], dtype=np.int64)))
+    homed = tm.homed[row] and a > 0
+    return MetricRow(tm.table.ids[row], "", int(a), float(m), float(rg) if homed else None, int(pairs))
 
 
 def _d(i, j):
@@ -39,8 +40,8 @@ def _d(i, j):
 
 def test_three_event_window_by_hand():
     ys, _ = year_bounds(2008)
-    em = EgoMetrics(_tl([ys + 100, ys + 200, ys + 300], [0, 1, 2]), REG, HOME)
-    row = em.window(ys, ys + 1000)
+    tm = _tm([ys + 100, ys + 200, ys + 300], [0, 1, 2])
+    row = _window(tm, ys, ys + 1000)
     d01, d12 = _d(0, 1), _d(1, 2)
     h1 = float(haversine_km(REG.lat[1], REG.lon[1], *HOME))
     h2 = float(haversine_km(REG.lat[2], REG.lon[2], *HOME))
@@ -51,26 +52,35 @@ def test_three_event_window_by_hand():
 
 def test_divisor_pairs_changes_the_denominator():
     ys, _ = year_bounds(2008)
-    tl = _tl([ys + 100, ys + 200], [0, 1])
     d = _d(0, 1)
-    by_events = EgoMetrics(tl, REG).window(ys, ys + 1000)
-    by_pairs = EgoMetrics(tl, REG, divisor="pairs").window(ys, ys + 1000)
+    by_events = _window(_tm([ys + 100, ys + 200], [0, 1], None), ys, ys + 1000)
+    by_pairs = _window(_tm([ys + 100, ys + 200], [0, 1], None, "pairs"), ys, ys + 1000)
     assert by_events.mobility_km == pytest.approx(d / math.sqrt(2), rel=1e-12)
     assert by_pairs.mobility_km == pytest.approx(d, rel=1e-12)
     with pytest.raises(ValueError):
-        EgoMetrics(tl, REG, divisor="median")
+        _tm([ys + 100, ys + 200], [0, 1], None, "median")
 
 
 def test_empty_and_homeless_windows():
     ys, _ = year_bounds(2008)
-    em = EgoMetrics(_tl([ys + 100], [0]), REG, HOME)
-    empty = em.window(ys + 500, ys + 600)
+    tm = _tm([ys + 100], [0])
+    empty = _window(tm, ys + 500, ys + 600)
     assert empty.activity == 0 and empty.mobility_km == 0.0 and empty.rg_km is None
-    single = em.window(ys, ys + 200)
+    single = _window(tm, ys, ys + 200)
     assert single.activity == 1 and single.mobility_km == 0.0
     assert single.rg_km == pytest.approx(0.0)
-    no_home = EgoMetrics(_tl([ys + 100], [1]), REG).window(ys, ys + 200)
+    no_home = _window(_tm([ys + 100], [1], None), ys, ys + 200)
     assert no_home.rg_km is None
+
+
+def test_pairs_never_cross_individuals():
+    # a's last event and b's first are far apart but belong to two people
+    ys, _ = year_bounds(2008)
+    tm = table_metrics(REG, {"a": ([ys + 10, ys + 20], [0, 0]), "b": ([ys + 30], [2])})
+    assert tm.d2.tolist() == [0.0, 0.0, 0.0]
+    a, m, _, pairs = tm.windows(np.array([ys, ys + 100]))
+    assert a[:, 0].tolist() == [2, 1] and pairs[:, 0].tolist() == [1, 0]
+    assert m[:, 0].tolist() == [0.0, 0.0]
 
 
 _TS = st.lists(
@@ -87,13 +97,16 @@ def test_window_split_algebra(raw_ts, data):
     distance additive, and mobility loses exactly the crossing pair."""
     ts = np.sort(np.asarray(raw_ts, dtype=np.int64))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    towers = rng.integers(0, 3, size=len(ts))
-    em = EgoMetrics(_tl(ts, towers), REG, HOME)
+    tm = _tm(ts, rng.integers(0, 3, size=len(ts)))
+    if not len(ts):
+        assert len(tm.table) == 0
+        return
+    towers = tm.table.tower  # ties on a timestamp are ordered by tower
     ys, ye = year_bounds(2008)
     cut = data.draw(st.integers(ys, ye))
-    whole = em.window(ys, ye)
-    left = em.window(ys, cut)
-    right = em.window(cut, ye)
+    whole = _window(tm, ys, ye)
+    left = _window(tm, ys, cut)
+    right = _window(tm, cut, ye)
     assert whole.activity == left.activity + right.activity
 
     def h2sum(r):
@@ -114,14 +127,14 @@ def test_month_windows_partition_the_year():
     ys, ye = year_bounds(2008)
     rng = np.random.default_rng(9)
     ts = np.sort(rng.integers(ys, ye, size=500))
-    em = EgoMetrics(_tl(ts, rng.integers(0, 3, size=500)), REG, HOME)
-    months = metrics_rows(em, WindowSpec("month"), 2008)
+    tm = _tm(ts, rng.integers(0, 3, size=500))
+    months = list(metrics_rows(tm, WindowSpec("month"), 2008))
     assert [r.window for r in months] == [f"2008-{m:02d}" for m in range(1, 13)]
     assert sum(r.activity for r in months) == 500
-    days = metrics_rows(em, WindowSpec("day"), 2008)
+    days = list(metrics_rows(tm, WindowSpec("day"), 2008))
     assert len(days) == 366  # leap year
     assert sum(r.activity for r in days) == 500
-    year = metrics_rows(em, WindowSpec("year"), 2008)
+    year = list(metrics_rows(tm, WindowSpec("year"), 2008))
     assert len(year) == 1 and year[0].activity == 500
 
 
@@ -145,8 +158,7 @@ def test_range_window_spec():
 def test_hour_bins_attribute_pairs_to_the_earlier_event():
     t0 = parse_timestamp("2008-06-01T10:59:00")
     t1 = parse_timestamp("2008-06-01T11:01:00")
-    em = EgoMetrics(_tl([t0, t1], [0, 1]), REG, HOME)
-    rows = metrics_rows(em, WindowSpec("hour"), 2008)
+    rows = list(metrics_rows(_tm([t0, t1], [0, 1]), WindowSpec("hour"), 2008))
     assert [r.window for r in rows] == [f"h{h:02d}" for h in range(24)]
     by_id = {r.window: r for r in rows}
     assert by_id["h10"].activity == 1 and by_id["h11"].activity == 1
@@ -158,29 +170,23 @@ def test_weekday_bins_skip_day_crossing_pairs():
     # 2008-01-01 was a Tuesday
     t0 = parse_timestamp("2008-01-01T23:50:00")
     t1 = parse_timestamp("2008-01-02T00:10:00")
-    em = EgoMetrics(_tl([t0, t1], [0, 2]), REG, HOME)
-    rows = {r.window: r for r in metrics_rows(em, WindowSpec("weekday"), 2008)}
+    rows = {r.window: r for r in metrics_rows(_tm([t0, t1], [0, 2]), WindowSpec("weekday"), 2008)}
     assert rows["Tue"].activity == 1 and rows["Wed"].activity == 1
     assert all(r.pairs == 0 for r in rows.values())
     # same-day pair does count
     t2 = parse_timestamp("2008-01-01T10:00:00")
-    em2 = EgoMetrics(_tl([t2, t0], [0, 1]), REG, HOME)
-    rows2 = {r.window: r for r in metrics_rows(em2, WindowSpec("weekday"), 2008)}
+    rows2 = {r.window: r for r in metrics_rows(_tm([t2, t0], [0, 1]), WindowSpec("weekday"), 2008)}
     assert rows2["Tue"].pairs == 1
 
 
 def test_metrics_table_and_csv_round_trip(tmp_path):
     ys, _ = year_bounds(2008)
-    tls = {
-        "u2": _tl([ys + 10, ys + 7200], [0, 1], ego="u2"),
-        "u1": _tl([ys + 50], [2], ego="u1"),
-    }
-    homes = {"u1": HOME, "u2": None}
-    rows = []
-    for ego in sorted(tls):
-        for row in metrics_rows(EgoMetrics(tls[ego], REG, homes[ego]), WindowSpec("year"), 2008):
-            row.ego_id = ego
-            rows.append(row)
+    tm = table_metrics(
+        REG,
+        {"u2": ([ys + 10, ys + 7200], [0, 1]), "u1": ([ys + 50], [2])},
+        {"u1": HOME, "u2": None},
+    )
+    rows = list(metrics_rows(tm, WindowSpec("year"), 2008))
     assert [(r.ego_id, r.activity) for r in rows] == [("u1", 1), ("u2", 2)]
     assert rows[1].rg_km is None
     path = tmp_path / "metrics.csv"

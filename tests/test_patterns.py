@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cdrmob.ingest import Timeline
-from cdrmob.metrics import EgoMetrics
+from conftest import table_metrics
+
 from cdrmob.patterns import (
     EmptyCohortError,
     PatternError,
@@ -12,37 +12,27 @@ from cdrmob.patterns import (
     pattern,
     write_pattern_csv,
 )
-from cdrmob.records import Demographics, TowerRegistry, parse_timestamp
+from cdrmob.records import Demographics, TowerRegistry
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1)})
 
 
-def _tl(stamps, ego="e", tower=0):
-    ts = np.sort(np.asarray([parse_timestamp(s) for s in stamps], dtype=np.int64))
-    n = len(ts)
-    return Timeline(
-        ego,
-        ts,
-        np.full(n, tower, dtype=np.int32),
-        np.zeros(n, dtype=np.int8),
-        np.ones(n, dtype=np.int8),
-    )
+def _one_tower(stamps):
+    """One individual's events, all at the first tower."""
+    return stamps, [0] * len(stamps)
 
 
-def _engines(tls, homes=None):
-    return {e: EgoMetrics(tl, REG, (homes or {}).get(e)) for e, tl in tls.items()}
+def _metrics(events, homes=None, year=2008):
+    return table_metrics(REG, events, homes or {}, year=year)
 
 
 def test_dow_pattern_pools_calendar_days():
     # 2008-01-01 was a Tuesday; 2008 has 53 Tuesdays and Wednesdays and
     # 52 of every other weekday
-    tls = {
-        "a": _tl(
-            ["2008-01-04T10:00:00", "2008-01-04T11:00:00", "2008-01-06T10:00:00"],
-            "a",
-        )
+    events = {
+        "a": _one_tower(["2008-01-04T10:00:00", "2008-01-04T11:00:00", "2008-01-06T10:00:00"])
     }
-    s = pattern(_engines(tls), None, "dow", "activity")
+    s = pattern(_metrics(events), None, "dow", "activity")
     assert s.bins == ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
     by = dict(zip(s.bins, s.stat))
     n_by = dict(zip(s.bins, s.n))
@@ -53,11 +43,11 @@ def test_dow_pattern_pools_calendar_days():
 
 
 def test_hour_pattern_one_pooled_sample_per_individual():
-    tls = {
-        "a": _tl(["2008-01-01T10:05:00", "2008-02-01T10:10:00", "2008-03-01T10:15:00"], "a"),
-        "b": _tl(["2008-01-01T10:30:00"], "b"),
+    events = {
+        "a": _one_tower(["2008-01-01T10:05:00", "2008-02-01T10:10:00", "2008-03-01T10:15:00"]),
+        "b": _one_tower(["2008-01-01T10:30:00"]),
     }
-    s = pattern(_engines(tls), None, "hour", "activity")
+    s = pattern(_metrics(events), None, "hour", "activity")
     assert s.bins[10] == "h10"
     assert s.n[10] == 2  # both individuals contribute one pooled sample
     assert s.stat[10] == pytest.approx((3 + 1) / 2)
@@ -65,72 +55,72 @@ def test_hour_pattern_one_pooled_sample_per_individual():
 
 
 def test_month_pattern_counts_quiet_months_as_zero():
-    tls = {"a": _tl(["2008-03-05T12:00:00", "2008-03-20T12:00:00"], "a")}
-    s = pattern(_engines(tls), None, "month", "activity")
+    events = {"a": _one_tower(["2008-03-05T12:00:00", "2008-03-20T12:00:00"])}
+    s = pattern(_metrics(events), None, "month", "activity")
     assert len(s.bins) == 12 and s.bins[2] == "2008-03"
     assert np.all(s.n == 1)
     assert s.stat[2] == 2.0 and s.stat[0] == 0.0
 
 
 def test_rg_pattern_skips_homeless_and_empty_windows():
-    tls = {
-        "homed": _tl(["2008-03-05T12:00:00"], "homed"),
-        "lost": _tl(["2008-03-06T12:00:00"], "lost"),
+    events = {
+        "homed": _one_tower(["2008-03-05T12:00:00"]),
+        "lost": _one_tower(["2008-03-06T12:00:00"]),
     }
-    ems = _engines(tls, homes={"homed": (40.0, 20.0)})
-    s = pattern(ems, None, "month", "rg")
+    tm = _metrics(events, homes={"homed": (40.0, 20.0)})
+    s = pattern(tm, None, "month", "rg")
     assert s.n[2] == 1  # only the homed individual, only March
     assert s.n[0] == 0 and np.isnan(s.stat[0])
     assert s.stat[2] == pytest.approx(0.0)
     with pytest.raises(EmptyCohortError):
-        pattern({"lost": ems["lost"]}, None, "month", "rg")
+        pattern(tm, ["lost"], "month", "rg")
 
 
 def test_cohort_selection_and_validation():
-    tls = {"a": _tl(["2008-03-05T12:00:00"], "a"), "b": _tl(["2008-04-05T12:00:00"], "b")}
-    ems = _engines(tls)
-    only_b = pattern(ems, ["b"], "month", "activity")
+    events = {"a": _one_tower(["2008-03-05T12:00:00"]), "b": _one_tower(["2008-04-05T12:00:00"])}
+    tm = _metrics(events)
+    only_b = pattern(tm, ["b"], "month", "activity")
     assert only_b.stat[3] == 1.0 and only_b.stat[2] == 0.0
     with pytest.raises(EmptyCohortError):
-        pattern(ems, [], "month", "activity")
+        pattern(tm, [], "month", "activity")
     with pytest.raises(EmptyCohortError):
-        pattern(ems, ["ghost"], "month", "activity")
+        pattern(tm, ["ghost"], "month", "activity")
     with pytest.raises(ValueError):
-        pattern(ems, None, "decade", "activity")
+        pattern(tm, None, "decade", "activity")
     with pytest.raises(ValueError):
-        pattern(ems, None, "month", "happiness")
+        pattern(tm, None, "month", "happiness")
     with pytest.raises(ValueError):
-        pattern(ems, None, "month", "activity", "mode")
+        pattern(tm, None, "month", "activity", "mode")
 
 
 def test_normalized_median_mean_is_one():
     rng = np.random.default_rng(4)
-    tls = {}
+    events = {}
     for k in range(12):
         stamps = [
             f"2008-{m:02d}-{int(d):02d}T{int(h):02d}:00:00"
             for m in range(1, 13)
             for d, h in zip(rng.integers(1, 28, size=k + 1), rng.integers(0, 24, size=k + 1))
         ]
-        tls[f"u{k}"] = _tl(stamps, f"u{k}")
-    s = pattern(_engines(tls), None, "month", "activity", "normalized_median")
+        events[f"u{k}"] = _one_tower(stamps)
+    s = pattern(_metrics(events), None, "month", "activity", "normalized_median")
     assert s.se is None
     assert float(np.mean(s.stat[s.n > 0])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalized_median_rejects_zero_level():
     # the only individual has no events inside the analysis year
-    tls = {"a": _tl(["2009-03-05T12:00:00"], "a")}
-    ems = _engines(tls)
+    events = {"a": _one_tower(["2009-03-05T12:00:00"])}
+    tm = _metrics(events, year=2009)
     with pytest.raises(PatternError):
-        pattern(ems, None, "month", "activity", "normalized_median", 2008)
+        pattern(tm, None, "month", "activity", "normalized_median", 2008)
 
 
 def test_write_pattern_csv_handles_labels_and_gaps(tmp_path):
-    tls = {"a": _tl(["2008-03-05T12:00:00"], "a")}
-    ems = _engines(tls, homes={"a": (40.0, 20.0)})
-    s1 = pattern(ems, None, "month", "activity")
-    s2 = pattern(ems, None, "month", "rg")  # has empty bins -> blank stat
+    events = {"a": _one_tower(["2008-03-05T12:00:00"])}
+    tm = _metrics(events, homes={"a": (40.0, 20.0)})
+    s1 = pattern(tm, None, "month", "activity")
+    s2 = pattern(tm, None, "month", "rg")  # has empty bins -> blank stat
     s2.cohort = "area3"
     p = tmp_path / "patterns.csv"
     rows = write_pattern_csv([s1, s2], p)
@@ -142,18 +132,18 @@ def test_write_pattern_csv_handles_labels_and_gaps(tmp_path):
 
 
 def test_demographic_table_strata():
-    tls = {
-        "u1": _tl([f"2008-01-{d:02d}T10:00:00" for d in (1, 2, 3, 4)], "u1"),
-        "u2": _tl([f"2008-01-{d:02d}T10:00:00" for d in (1, 2)], "u2"),
-        "u3": _tl([f"2008-01-{d:02d}T10:00:00" for d in (1, 2, 3, 4, 5, 6)], "u3"),
-        "u4": _tl(["2008-01-01T10:00:00"], "u4"),  # no demographics: skipped
+    events = {
+        "u1": _one_tower([f"2008-01-{d:02d}T10:00:00" for d in (1, 2, 3, 4)]),
+        "u2": _one_tower([f"2008-01-{d:02d}T10:00:00" for d in (1, 2)]),
+        "u3": _one_tower([f"2008-01-{d:02d}T10:00:00" for d in (1, 2, 3, 4, 5, 6)]),
+        "u4": _one_tower(["2008-01-01T10:00:00"]),  # no demographics: skipped
     }
     demo = Demographics(
         {"u1": ("female", 30), "u2": ("male", 40), "u3": ("female", 25)}, {}
     )
     areas = {"u1": 1, "u2": 1, "u3": 2}
-    ems = _engines(tls)
-    rows, skipped = demographic_table(ems, demo, areas)
+    tm = _metrics(events)
+    rows, skipped = demographic_table(tm, demo, areas)
     assert skipped == 1
     cell = {(r.area, r.gender, r.age_group): r for r in rows}
     assert cell[("all", "all", "all")].n == 3
@@ -169,12 +159,12 @@ def test_demographic_table_strata():
     assert cell[("all", "all", "early_middle")].n == 1
     # empty strata are omitted entirely
     assert ("2", "male", "all") not in cell
-    # single-tower timelines never move
+    # individuals seen at one tower never move
     assert cell[("all", "all", "all")].mean_mobility_km == 0.0
 
 
 def test_demographic_table_requires_overlap():
-    tls = {"u1": _tl(["2008-01-01T10:00:00"], "u1")}
-    ems = _engines(tls)
+    events = {"u1": _one_tower(["2008-01-01T10:00:00"])}
+    tm = _metrics(events)
     with pytest.raises(EmptyCohortError):
-        demographic_table(ems, Demographics({}, {}), None)
+        demographic_table(tm, Demographics({}, {}), None)

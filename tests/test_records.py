@@ -132,6 +132,16 @@ def test_load_demographics_age_and_birth_year(tmp_path):
     assert d.gender("ghost") is None
 
 
+def test_load_demographics_rejects_every_row_of_a_duplicated_id(tmp_path):
+    # which of two rows is right cannot be told, so neither is kept
+    p = tmp_path / "demo.csv"
+    p.write_text("u1,F,1970\nu2,M,40\nu1,M,1980\nu3,x,30\nu3,F,25\n")
+    d = load_demographics(p, analysis_year=2008)
+    assert d.entries == {"u2": ("male", 40)}
+    assert d.rejected == {"duplicate_id": 4}
+    assert d.gender("u1") is None
+
+
 def test_age_groups_partition_the_range():
     seen = []
     for age in range(10, 111):

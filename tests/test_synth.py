@@ -40,13 +40,13 @@ def test_noise_free_individual_lives_at_the_planted_tower(tmp_path):
     assert not info["spam"]
     reg = load_towers(tmp_path / TOWERS_FILE)
     res = ingest_file(tmp_path / CDR_FILE, reg)
-    assert list(res.timelines) == [ego]
+    assert res.table.ids == [ego]
     tower_pos = reg.position(info["home_tower"])
-    homes = compute_homes(res.timelines, reg, truth.night_window)
-    assert homes[ego][0] == pytest.approx(tower_pos[0], abs=1e-9)
-    assert homes[ego][1] == pytest.approx(tower_pos[1], abs=1e-9)
+    lat, lon, _ = compute_homes(res.table, reg, truth.night_window)
+    assert lat[0] == pytest.approx(tower_pos[0], abs=1e-9)
+    assert lon[0] == pytest.approx(tower_pos[1], abs=1e-9)
     grid = GridSpec(truth.grid_step, truth.grid_step)
-    assert grid.cell_of(*homes[ego]) == tuple(info["cell"])
+    assert grid.cell_of(lat[0], lon[0]) == tuple(info["cell"])
 
 
 def test_generation_is_deterministic_across_runs_and_threads(tmp_path):
@@ -68,7 +68,7 @@ def test_every_genuine_individual_survives_the_pair_filter(tmp_path):
     reg = load_towers(tmp_path / TOWERS_FILE)
     res = ingest_file(tmp_path / CDR_FILE, reg)
     genuine = {e for e, t in truth.egos.items() if not t["spam"]}
-    assert set(res.timelines) == genuine
+    assert set(res.table.ids) == genuine
     assert set(res.removed_ids) == set(truth.spam_ids)
     assert len(truth.spam_ids) == 12
 

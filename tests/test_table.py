@@ -1,0 +1,146 @@
+"""The flat event table against a direct per-individual computation.
+
+The reference below handles one individual at a time, with its own
+arrays and prefix sums, the way the metrics were defined. The table
+computes every individual at once, so the two must agree to the last bit:
+same rows, same floats, same homes.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import event_table
+
+from cdrmob import metrics
+from cdrmob.geo import haversine_km
+from cdrmob.home import compute_homes, night_mask
+from cdrmob.metrics import (
+    EPOCH_WEEKDAY,
+    HOUR_IDS,
+    WEEKDAY_IDS,
+    MetricRow,
+    TableMetrics,
+    WindowSpec,
+    metrics_rows,
+    rms,
+)
+from cdrmob.records import TowerRegistry, year_bounds
+
+REG = TowerRegistry({f"T{k}": (40.0 + 0.13 * k, 20.0 + 0.07 * k * k) for k in range(5)})
+YS, YE = year_bounds(2008)
+
+
+def _reference_rows(ego, ts, tower, home, spec, divisor):
+    """One individual's MetricRows, computed from its own events only."""
+    lat, lon = REG.lat[tower], REG.lon[tower]
+    d = haversine_km(lat[:-1], lon[:-1], lat[1:], lon[1:])
+    d2 = d * d
+    cumd2 = np.concatenate(([0.0], np.cumsum(d2)))
+    h2 = cumh2 = None
+    if home is not None:
+        h = haversine_km(lat, lon, home[0], home[1])
+        h2 = h * h
+        cumh2 = np.concatenate(([0.0], np.cumsum(h2)))
+    spans = spec.contiguous_windows(2008)
+    if spans is not None:
+        wids = [w for w, _, _ in spans]
+        bounds = np.array([spans[0][1]] + [t1 for _, _, t1 in spans], dtype=np.int64)
+        idx = np.searchsorted(ts, bounds, side="left")
+        i, j = idx[:-1], idx[1:]
+        a = j - i
+        pairs = np.maximum(a - 1, 0)
+        top = len(cumd2) - 1
+        d2sum = np.where(pairs > 0, cumd2[np.clip(j - 1, 0, top)] - cumd2[np.minimum(i, top)], 0.0)
+        h2sum = None if cumh2 is None else cumh2[j] - cumh2[i]
+    else:
+        if spec.granularity == "hour":
+            wids, nbins = HOUR_IDS, 24
+            b = ts % 86400 // 3600
+            keep = np.ones(len(d2), dtype=bool)
+        else:
+            wids, nbins = WEEKDAY_IDS, 7
+            days = ts // 86400
+            b = (days + EPOCH_WEEKDAY) % 7
+            keep = days[1:] == days[:-1]
+        a = np.bincount(b, minlength=nbins)
+        pairs = np.bincount(b[:-1][keep], minlength=nbins)
+        d2sum = np.bincount(b[:-1][keep], weights=d2[keep], minlength=nbins)
+        h2sum = None if h2 is None else np.bincount(b, weights=h2, minlength=nbins)
+    m = rms(d2sum, a if divisor == "events" else pairs)
+    rg = None if h2sum is None else rms(h2sum, a, np.nan)
+    return [
+        MetricRow(
+            ego, wid, int(a[k]), float(m[k]),
+            None if rg is None or a[k] == 0 else float(rg[k]), int(pairs[k]),
+        )
+        for k, wid in enumerate(wids)
+    ]
+
+
+_EVENTS = st.dictionaries(
+    st.sampled_from([f"u{k}" for k in range(8)]),
+    st.lists(
+        st.tuples(
+            # few distinct instants, so that timestamps repeat
+            st.sampled_from(range(YS + 3000, YE, 86400 * 37 + 5400)),
+            st.integers(0, len(REG) - 1),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+_SPECS = [WindowSpec(g) for g in ("year", "month", "day", "hour", "weekday")] + [
+    WindowSpec("range", YS + 86400 * 40, YS + 86400 * 200 + 7),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _EVENTS,
+    st.data(),
+    st.sampled_from(["events", "pairs"]),
+    st.sampled_from([1, 400, 1 << 20]),
+)
+def test_table_matches_per_individual_computation(events, data, divisor, block):
+    raw = {e: ([t for t, _ in evs], [w for _, w in evs]) for e, evs in events.items()}
+    tab = event_table(REG, raw)
+    assert tab.ids == sorted(events)
+    homes = {
+        e: data.draw(st.none() | st.tuples(st.floats(39.0, 41.0), st.floats(19.0, 22.0)))
+        for e in tab.ids
+    }
+    pts = np.array([homes[e] or (np.nan, np.nan) for e in tab.ids], dtype=float)
+    tm = TableMetrics(tab, REG, (pts[:, 0].copy(), pts[:, 1].copy()), divisor)
+    own = {e: sorted(zip(*raw[e])) for e in tab.ids}  # ingest order: (ts, tower)
+    for spec in _SPECS:
+        with mock.patch.object(metrics, "_BLOCK_CELLS", block):
+            got = list(metrics_rows(tm, spec, 2008))
+        want = [
+            row
+            for e in tab.ids
+            for row in _reference_rows(
+                e,
+                np.array([t for t, _ in own[e]], dtype=np.int64),
+                np.array([w for _, w in own[e]], dtype=np.int64),
+                homes[e], spec, divisor,
+            )
+        ]
+        assert list(map(repr, got)) == list(map(repr, want)), spec
+
+    for window in ((1.0, 7.0), (20.0, 3.0)):
+        lat, lon, counts = compute_homes(tab, REG, window)
+        for k, e in enumerate(tab.ids):
+            ts = np.array([t for t, _ in own[e]], dtype=np.int64)
+            tower = np.array([w for _, w in own[e]], dtype=np.int64)
+            m = night_mask(ts, window)
+            assert counts[k] == m.sum()
+            if m.any():
+                assert (lat[k], lon[k]) == (REG.lat[tower][m].mean(), REG.lon[tower][m].mean())
+            else:
+                assert np.isnan(lat[k]) and np.isnan(lon[k])
