@@ -19,10 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .geo import GridSpec
-from .metrics import MetricRow
 
 DEFAULT_AREA_BOUNDARIES = (30, 100, 1000, 10000)
 
@@ -48,9 +46,6 @@ class GridDensity:
     def __len__(self) -> int:
         return len(self.population)
 
-    def row_of_cell(self) -> dict[tuple[int, int], int]:
-        return {(int(i), int(j)): k for k, (i, j) in enumerate(zip(self.cell_i, self.cell_j))}
-
     def rows_of(self, ci: np.ndarray, cj: np.ndarray) -> np.ndarray:
         """Grid row of each cell (ci, cj), -1 where the cell is not inhabited.
         (i << 32) + j orders cells as the rows are sorted, by (i, j)."""
@@ -60,34 +55,26 @@ class GridDensity:
         return np.where(key[r] == q, r, -1)
 
 
-def build_density(
-    homes: dict[str, tuple[float, float] | None],
-    grid: GridSpec,
-    year_rows: dict[str, MetricRow] | None = None,
-) -> GridDensity:
+def build_density(lat: np.ndarray, lon: np.ndarray, grid: GridSpec, year=None) -> GridDensity:
     """Aggregate homes (and optionally whole-year metrics) onto a grid.
 
-    Individuals without a home are skipped; with year_rows given, means of
-    activity/mobility/rg are computed per cell over its residents.
+    lat/lon hold one home per individual, NaN without one; those
+    individuals are skipped. With year = the whole-year (activity,
+    mobility, rg, ...) arrays in the same order, means of activity,
+    mobility and rg are computed per cell over its residents.
     """
-    egos = [e for e in sorted(homes) if homes[e] is not None and (year_rows is None or e in year_rows)]
-    if not egos:
+    homed = ~np.isnan(lat)
+    if not homed.any():
         raise DensityError("no homed individuals to grid")
-    lats = np.array([homes[e][0] for e in egos])
-    lons = np.array([homes[e][1] for e in egos])
-    ci, cj = grid.cells_of(lats, lons)
+    ci, cj = grid.cells_of(lat[homed], lon[homed])
     cells = np.stack((ci, cj), axis=1)
     uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
     pop = np.bincount(inverse, minlength=len(uniq))
     area = np.array([grid.cell_area_km2(int(i)) for i in uniq[:, 0]])
     dens = pop / area
     ma = mm = mr = None
-    if year_rows is not None:
-        act = np.array([year_rows[e].activity for e in egos], dtype=float)
-        mob = np.array([year_rows[e].mobility_km for e in egos], dtype=float)
-        rg = np.array(
-            [year_rows[e].rg_km if year_rows[e].rg_km is not None else np.nan for e in egos]
-        )
+    if year is not None:
+        act, mob, rg = (np.asarray(x, dtype=float)[homed] for x in year[:3])
         ma = np.bincount(inverse, weights=act, minlength=len(uniq)) / pop
         mm = np.bincount(inverse, weights=mob, minlength=len(uniq)) / pop
         ok = ~np.isnan(rg)
@@ -114,8 +101,16 @@ def build_density_from_counts(counts: dict[tuple[int, int], int], grid: GridSpec
 
 
 def rank_desc(values: np.ndarray) -> np.ndarray:
-    """Average-tie ranks, rank 1 for the largest value."""
-    return rankdata(-np.asarray(values, dtype=float), method="average")
+    """Average-tie ranks, rank 1 for the largest value: a tie group
+    holding sorted positions start..end-1 shares rank (start + end + 1) / 2."""
+    x = -np.asarray(values, dtype=float)
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
 
 
 def spearman(x, y) -> float:
@@ -232,34 +227,32 @@ def classify_areas(gd: GridDensity, boundaries=DEFAULT_AREA_BOUNDARIES) -> np.nd
     return labels
 
 
-def ego_areas(
-    homes: dict[str, tuple[float, float] | None],
-    gd: GridDensity,
-    labels: np.ndarray,
-) -> dict[str, int]:
-    """Density class of each homed individual, via their home cell."""
-    egos = [e for e in sorted(homes) if homes[e] is not None]
-    rows = gd.rows_of(*gd.grid.cells_of([homes[e][0] for e in egos], [homes[e][1] for e in egos]))
-    return {e: int(labels[r]) for e, r in zip(egos, rows.tolist()) if r >= 0}
+def ego_areas(lat: np.ndarray, lon: np.ndarray, gd: GridDensity, labels: np.ndarray) -> np.ndarray:
+    """Density class of each individual via their home cell; 0 for an
+    individual without a home or whose cell is not in the grid."""
+    homed = np.flatnonzero(~np.isnan(lat))
+    rows = gd.rows_of(*gd.grid.cells_of(lat[homed], lon[homed]))
+    out = np.zeros(len(lat), dtype=np.int64)
+    out[homed[rows >= 0]] = labels[rows[rows >= 0]]
+    return out
 
 
 def area_summary(
     labels: np.ndarray,
-    homes: dict[str, tuple[float, float] | None],
+    lat: np.ndarray,
+    lon: np.ndarray,
     fine_grid: GridSpec,
-    by_ego_area: dict[str, int],
+    areas: np.ndarray,
 ) -> dict[int, dict[str, float]]:
     """Per class: cell count, resident count, and the mean fine-grid
     density experienced by residents (each individual weighted once).
-    labels and by_ego_area are the classes of the coarse grid's rows and
-    of each homed individual (ego_areas)."""
-    fine = build_density(homes, fine_grid)
-    egos = list(by_ego_area)
-    rows = fine.rows_of(
-        *fine_grid.cells_of([homes[e][0] for e in egos], [homes[e][1] for e in egos])
-    )
+    labels and areas are the classes of the coarse grid's rows and of each
+    individual (ego_areas, 0 for none)."""
+    fine = build_density(lat, lon, fine_grid)
+    classed = areas > 0
+    rows = fine.rows_of(*fine_grid.cells_of(lat[classed], lon[classed]))
     ok = rows >= 0
-    area = np.array(list(by_ego_area.values()), dtype=np.int64)[ok]
+    area = areas[classed][ok]
     count = np.bincount(area, minlength=6).tolist()
     dsum = np.bincount(area, weights=fine.density[rows[ok]], minlength=6).tolist()
     out: dict[int, dict[str, float]] = {}

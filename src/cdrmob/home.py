@@ -189,41 +189,40 @@ def compute_homes(
 
 
 def flag_at_sea(
-    homes: dict[str, tuple[float, float] | None],
+    lat: np.ndarray,
+    lon: np.ndarray,
     registry: TowerRegistry,
     cutoff_km: float = 10.0,
-) -> dict[str, bool]:
-    """True for homes farther than cutoff_km from every tower. With no
+) -> np.ndarray:
+    """True for homes farther than cutoff_km from every tower, False for
+    the rest and for individuals without a home (NaN coordinates). With no
     coastline data this distance is the practical offshore signal."""
-    index = NearestTowerIndex(registry.lat, registry.lon)
-    egos = [e for e, h in homes.items() if h is not None]
-    if not egos:
-        return {}
-    lats = np.array([homes[e][0] for e in egos])
-    lons = np.array([homes[e][1] for e in egos])
-    d = index.distance_km(lats, lons)
-    return {e: bool(d[k] > cutoff_km) for k, e in enumerate(egos)}
+    homed = ~np.isnan(lat)
+    out = np.zeros(len(lat), dtype=bool)
+    if homed.any():
+        index = NearestTowerIndex(registry.lat, registry.lon)
+        out[homed] = index.distance_km(lat[homed], lon[homed]) > cutoff_km
+    return out
 
 
 def write_homes_csv(
-    homes: dict[str, tuple[float, float] | None],
-    night_counts: dict[str, int],
-    at_sea: dict[str, bool],
+    ids: list[str],
+    lat: np.ndarray,
+    lon: np.ndarray,
+    night_events: np.ndarray,
+    at_sea: np.ndarray,
     path,
 ) -> int:
-    """ego_id,home_lat,home_lon,night_events,at_sea; blank coordinates for
-    individuals without a home. Returns the row count."""
-    n = 0
+    """ego_id,home_lat,home_lon,night_events,at_sea, one row per individual
+    of the id-ordered arrays; blank coordinates for individuals without a
+    home. Returns the row count."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("ego_id,home_lat,home_lon,night_events,at_sea\n")
-        for ego in sorted(homes):
-            h = homes[ego]
-            if h is None:
+        for ego, a, b, k, sea in zip(
+            ids, lat.tolist(), lon.tolist(), night_events.tolist(), at_sea.tolist()
+        ):
+            if math.isnan(a):
                 fh.write(f"{ego},,,0,\n")
             else:
-                fh.write(
-                    f"{ego},{h[0]!r},{h[1]!r},{night_counts.get(ego, 0)},"
-                    f"{1 if at_sea.get(ego) else 0}\n"
-                )
-            n += 1
-    return n
+                fh.write(f"{ego},{a!r},{b!r},{k},{1 if sea else 0}\n")
+    return len(ids)

@@ -26,6 +26,7 @@ import functools
 import json
 import logging
 import os
+import zipfile
 from array import array
 from dataclasses import asdict, dataclass, field
 
@@ -46,12 +47,12 @@ from .records import (
 
 log = logging.getLogger(__name__)
 
-KIND_BY_CODE = (CALL, "sms")
-DIRECTION_SHORT_BY_CODE = ("in", "out")
-
-SPOOL_EVENTS = "events.csv"
+SPOOL_EVENTS = "events.npz"
 SPOOL_META = "meta.json"
 SPOOL_STATS = "stats.json"
+SPOOL_FORMAT = 2
+# EventTable columns saved in a spool, next to its ids and peer_ids (the names behind peer)
+_SPOOL_ARRAYS = ("offsets", "ts", "tower", "kind", "direction", "peer")
 
 
 @dataclass
@@ -140,14 +141,11 @@ class _Columns:
 
         self.add = add
 
-    def table(self, keep=None, peers: bool = True) -> EventTable:
-        """The rows selected by the mask `keep` (all by default), sorted into
-        an EventTable. Ego codes are replaced by the rank of their name
-        first, so segments come out in id order; lexsort's primary key is
-        the last."""
-        cols = [np.asarray(c) for c in self.cols[: 6 if peers else 5]]
-        if keep is not None:
-            cols = [c[keep] for c in cols]
+    def table(self, keep: np.ndarray, peers: bool) -> EventTable:
+        """The rows selected by the mask `keep`, sorted into an EventTable.
+        Ego codes are replaced by the rank of their name first, so segments
+        come out in id order; lexsort's primary key is the last."""
+        cols = [np.asarray(c)[keep] for c in self.cols[: 6 if peers else 5]]
         names = self.names
         rank = np.empty(len(names), dtype=np.int32)
         rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
@@ -282,44 +280,48 @@ def _is_header(row: list[str]) -> bool:
 
 
 def is_spool(path) -> bool:
-    return os.path.isdir(path) and os.path.exists(os.path.join(path, SPOOL_EVENTS))
+    return os.path.isdir(path) and os.path.exists(os.path.join(path, SPOOL_META))
 
 
 def write_spool(result: IngestResult, registry: TowerRegistry, out_dir) -> None:
-    """Persist a filtered event stream: events.csv (integer timestamps,
-    grouped by individual in id order), stats.json, meta.json."""
+    """Persist a filtered event stream: the event table as events.npz,
+    stats.json, and meta.json (the year, reciprocity rule and tower table
+    it was ingested with)."""
     tab = result.table
     if tab.peer is None or result.peer_ids is None:
         raise ValueError("spooling requires ingest with keep_peers=True")
     os.makedirs(out_dir, exist_ok=True)
-    peers = [result.peer_ids[p] for p in tab.peer.tolist()]
-    towers = [registry.ids[t] for t in tab.tower.tolist()]
-    kinds = [KIND_BY_CODE[k] for k in tab.kind.tolist()]
-    dirs = [DIRECTION_SHORT_BY_CODE[d] for d in tab.direction.tolist()]
-    ts = tab.ts.tolist()
-    with open(os.path.join(out_dir, SPOOL_EVENTS), "w", encoding="utf-8") as fh:
-        for ego, s, t in zip(tab.ids, tab.offsets[:-1].tolist(), tab.offsets[1:].tolist()):
-            for i in range(s, t):
-                fh.write(f"{ego},{peers[i]},{ts[i]},{towers[i]},{kinds[i]},{dirs[i]}\n")
+    np.savez(
+        os.path.join(out_dir, SPOOL_EVENTS),
+        ids=np.array(tab.ids, dtype=str),
+        peer_ids=np.array(result.peer_ids, dtype=str),
+        **{name: getattr(tab, name) for name in _SPOOL_ARRAYS},
+    )
     with open(os.path.join(out_dir, SPOOL_STATS), "w", encoding="utf-8") as fh:
         json.dump(asdict(result.stats), fh, indent=2)
         fh.write("\n")
     with open(os.path.join(out_dir, SPOOL_META), "w", encoding="utf-8") as fh:
         json.dump(
-            {"analysis_year": result.analysis_year, "reciprocity": result.reciprocity, "format": 1},
+            {"analysis_year": result.analysis_year, "reciprocity": result.reciprocity,
+             "format": SPOOL_FORMAT, "towers_digest": registry.digest()},
             fh, indent=2,
         )
         fh.write("\n")
 
 
 def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: str) -> IngestResult:
-    """Load a spool directory. The stream is machine-written and already
-    filtered, so defects here are fatal rather than counted. A spool
-    ingested for another year or reciprocity rule is refused: its rows
-    were already cut to that year and filtered by that rule."""
+    """Load a spool directory. A spool in another format, or ingested for
+    another year, reciprocity rule or tower table, is refused: its rows
+    were cut to that year, filtered by that rule, and index those towers.
+    The table is machine-written, so a defect in it is fatal."""
     with open(os.path.join(path, SPOOL_META), encoding="utf-8") as fh:
         meta = json.load(fh)
-    for key, want in (("analysis_year", analysis_year), ("reciprocity", reciprocity)):
+    for key, want in (
+        ("format", SPOOL_FORMAT),
+        ("analysis_year", analysis_year),
+        ("reciprocity", reciprocity),
+        ("towers_digest", registry.digest()),
+    ):
         if meta.get(key) != want:
             raise CdrError(
                 f"spool {path} was ingested with {key}={meta.get(key, 'unknown')}, "
@@ -329,29 +331,23 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
     stats_path = os.path.join(path, SPOOL_STATS)
     if os.path.exists(stats_path):
         with open(stats_path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        stats = IngestStats(**loaded)
+            stats = IngestStats(**json.load(fh))
 
-    cols = _Columns()
-    kind_code = {k: i for i, k in enumerate(KIND_BY_CODE)}
-    dir_code = {d: i for i, d in enumerate(DIRECTION_SHORT_BY_CODE)}
     events = os.path.join(path, SPOOL_EVENTS)
-    with open(events, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise CdrError(f"{events}:{lineno}: malformed spool row")
-            ego, peer, ts_s, tower, kind, direction = row
-            ti = registry.index_of(tower)
-            if ti is None:
-                raise CdrError(f"{events}:{lineno}: unknown tower {tower!r}")
-            try:
-                ts = int(ts_s)
-                k = kind_code[kind]
-                d = dir_code[direction]
-            except (ValueError, KeyError):
-                raise CdrError(f"{events}:{lineno}: malformed spool row")
-            cols.add(ego, peer, ts, ti, k, d)
-    return IngestResult(table=cols.table(), stats=stats, analysis_year=analysis_year,
-                        reciprocity=reciprocity, peer_ids=cols.names)
+    try:
+        with np.load(events, allow_pickle=False) as z:
+            ids, peer_ids = z["ids"].tolist(), z["peer_ids"].tolist()
+            cols = {name: z[name] for name in _SPOOL_ARRAYS}
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as e:
+        raise CdrError(f"{events}: unreadable spool: {e}")
+    off, n = cols["offsets"], cols["ts"].size
+    if not (
+        off.shape == (len(ids) + 1,) and off[0] == 0 and off[-1] == n
+        and (np.diff(off) > 0).all()
+        and all(cols[c].shape == (n,) for c in _SPOOL_ARRAYS[1:])
+        and all(((cols[c] >= 0) & (cols[c] < m)).all()
+                for c, m in (("tower", len(registry)), ("peer", len(peer_ids))))
+    ):
+        raise CdrError(f"{events}: malformed spool table")
+    return IngestResult(table=EventTable(ids, **cols), stats=stats, analysis_year=analysis_year,
+                        reciprocity=reciprocity, peer_ids=peer_ids)

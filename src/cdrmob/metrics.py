@@ -173,20 +173,6 @@ class TableMetrics:
             self.h2 = _squared_km(lat, lon, homes[0][self.ego], homes[1][self.ego])
         self._memo: dict = {}
 
-    def _once(self, key, fn):
-        if key not in self._memo:
-            self._memo[key] = fn()
-        return self._memo[key]
-
-    def rows_of(self, cohort) -> np.ndarray:
-        """Rows (individuals in id order) of a cohort of ego ids; None
-        means everyone."""
-        ids = self.table.ids
-        if cohort is None:
-            return np.arange(len(ids))
-        index = self._once("index", lambda: {e: k for k, e in enumerate(ids)})
-        return np.array(sorted(index[e] for e in set(cohort) if e in index), dtype=np.int64)
-
     def from_sums(self, a, d2sum, h2sum, pairs):
         """(activity, mobility, rg, pairs) from window or pooled sums."""
         m = rms(d2sum, a if self.divisor == "events" else pairs)
@@ -198,7 +184,10 @@ class TableMetrics:
         consecutive bounds; kept when they cover the whole table."""
         n = len(self.table)
         if lo == 0 and hi in (None, n):
-            return self._once(("windows", bounds.tobytes()), lambda: self._windows(bounds, 0, n))
+            key = bounds.tobytes()
+            if key not in self._memo:
+                self._memo[key] = self._windows(bounds, 0, n)
+            return self._memo[key]
         return self._windows(bounds, lo, hi)
 
     def _windows(self, bounds, lo, hi):

@@ -56,20 +56,21 @@ class PatternSeries:
 
 def pattern(
     tm: TableMetrics,
-    cohort,
+    rows,
     axis: str,
     value: str,
     statistic: str = "mean",
     analysis_year: int = 2008,
 ) -> PatternSeries:
-    """Pattern series for a cohort (iterable of ego ids; None = everyone)."""
+    """Pattern series for a cohort: rows of the table (individuals in id
+    order, ascending), None for everyone."""
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
     if value not in VALUES:
         raise ValueError(f"unknown value {value!r}")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
-    rows = tm.rows_of(cohort)
+    rows = np.arange(len(tm.table)) if rows is None else np.asarray(rows, dtype=np.int64)
     if value == "rg":
         rows = rows[tm.homed[rows]]
     if not len(rows):
@@ -176,11 +177,12 @@ def _mean_se(x: np.ndarray) -> tuple[float, float | None]:
 def demographic_table(
     tm: TableMetrics,
     demographics: Demographics,
-    areas: dict[str, int] | None,
+    areas: np.ndarray | None,
     analysis_year: int = 2008,
 ) -> tuple[list[StratumRow], int]:
     """Whole-year means stratified by density class, gender, and age group.
 
+    areas holds each individual's density class in id order (0 for none).
     Returns the populated strata and the count of individuals skipped for
     lacking demographics. Empty strata are omitted.
     """
@@ -194,12 +196,12 @@ def demographic_table(
     act = a.astype(float)
     gender = np.array([demographics.gender(e) for e in egos])
     group = np.array([age_group_of(demographics.age(e)) for e in egos])
-    area = np.array(["" if areas is None else str(areas.get(e, "")) for e in egos])
+    area = np.zeros(len(rows), dtype=np.int64) if areas is None else areas[rows]
 
     out: list[StratumRow] = []
     area_keys = ["all"] + [str(a) for a in range(1, 6)]
     for ak in area_keys:
-        am = np.ones(len(egos), dtype=bool) if ak == "all" else area == ak
+        am = np.ones(len(egos), dtype=bool) if ak == "all" else area == int(ak)
         for gk in ("all", "female", "male"):
             gm = am if gk == "all" else am & (gender == gk)
             for grk in ("all",) + AGE_GROUP_LABELS:

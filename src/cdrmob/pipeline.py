@@ -17,6 +17,7 @@ orientation only, never asserted.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -59,7 +60,7 @@ from .patterns import (
     write_pattern_csv,
     write_strata_csv,
 )
-from .records import load_demographics, load_towers
+from .records import load_demographics, load_towers, year_bounds
 
 log = logging.getLogger(__name__)
 
@@ -122,24 +123,29 @@ class Pipeline:
         self.threads = max(1, int(threads))
         self.timings: dict[str, float] = {}
         self._cache: dict[str, object] = {}
-        # seconds spent in nested stages, one entry per stage being computed
+        # seconds spent in nested stages, one entry per stage or write being timed
         self._nested: list[float] = []
 
+    def _timed(self, name: str, fn):
+        """Run fn and record its own seconds under name. Stages pull their
+        inputs in lazily, so one may run inside another (or inside a
+        write); each timing excludes the stages nested in it."""
+        self._nested.append(0.0)
+        t0 = time.perf_counter()
+        try:
+            result = fn()
+        finally:
+            total = time.perf_counter() - t0
+            nested = self._nested.pop()
+            if self._nested:
+                self._nested[-1] += total
+        self.timings[name] = round(total - nested, 3)
+        return result
+
     def _stage(self, name: str, fn):
-        """Compute a stage once. Stages pull their inputs in lazily, so one
-        may run inside another; timings hold each stage's own seconds,
-        excluding the stages nested in it."""
+        """Compute a stage once, timed."""
         if name not in self._cache:
-            self._nested.append(0.0)
-            t0 = time.perf_counter()
-            try:
-                self._cache[name] = fn()
-            finally:
-                total = time.perf_counter() - t0
-                nested = self._nested.pop()
-                if self._nested:
-                    self._nested[-1] += total
-            self.timings[name] = round(total - nested, 3)
+            self._cache[name] = self._timed(name, fn)
         return self._cache[name]
 
     # ------------------------------------------------------------- inputs
@@ -213,19 +219,21 @@ class Pipeline:
             lambda: compute_homes(self.ingest.table, self.registry, self.night_window),
         )
 
-    @property
+    @functools.cached_property
     def homes(self) -> dict[str, tuple[float, float] | None]:
+        """{id: (lat, lon) or None}, for callers outside the pipeline; no
+        stage reads it."""
         lat, lon, _ = self.home_points
-        return self._stage("home_dict", lambda: {
+        return {
             e: None if math.isnan(a) else (a, b)
             for e, a, b in zip(self.ingest.table.ids, lat.tolist(), lon.tolist())
-        })
+        }
 
     @property
-    def at_sea(self):
+    def at_sea(self) -> np.ndarray:
         return self._stage(
             "at_sea",
-            lambda: flag_at_sea(self.homes, self.registry, self.config.at_sea_km),
+            lambda: flag_at_sea(*self.home_points[:2], self.registry, self.config.at_sea_km),
         )
 
     # ------------------------------------------------------------- metrics
@@ -241,11 +249,10 @@ class Pipeline:
 
     @property
     def year_rows(self):
-        def run():
-            rows = metrics_rows(self.metrics, WindowSpec("year"), self.config.analysis_year)
-            return {r.ego_id: r for r in rows}
-
-        return self._stage("year_rows", run)
+        """Whole-year (activity, mobility, rg, pairs) per individual in id order."""
+        return self._stage("year_rows", lambda: tuple(
+            x[:, 0] for x in self.metrics.windows(np.array(year_bounds(self.config.analysis_year)))
+        ))
 
     def iter_metric_rows(self):
         return metrics_rows(self.metrics, self.config.window, self.config.analysis_year)
@@ -259,7 +266,7 @@ class Pipeline:
     def grid_density(self):
         def run():
             try:
-                return build_density(self.homes, self.grid, self.year_rows)
+                return build_density(*self.home_points[:2], self.grid, self.year_rows)
             except DensityError as e:
                 raise PipelineError(str(e))
 
@@ -273,7 +280,9 @@ class Pipeline:
 
     @property
     def ego_area(self):
-        return self._stage("ego_area", lambda: ego_areas(self.homes, self.grid_density, self.labels))
+        return self._stage(
+            "ego_area", lambda: ego_areas(*self.home_points[:2], self.grid_density, self.labels)
+        )
 
     @property
     def correlations(self):
@@ -324,15 +333,16 @@ class Pipeline:
             "area_table",
             lambda: area_summary(
                 self.labels,
-                self.homes,
+                *self.home_points[:2],
                 GridSpec(self.config.fine_step, self.config.fine_step),
                 self.ego_area,
             ),
         )
 
     # ------------------------------------------------------------ patterns
-    def area_cohort(self, area: int) -> list[str]:
-        return [e for e, a in self.ego_area.items() if a == area]
+    def area_cohort(self, area: int) -> np.ndarray:
+        """Rows of the individuals whose home lies in density class `area`."""
+        return np.flatnonzero(self.ego_area == area)
 
     @property
     def patterns_bundle(self):
@@ -359,7 +369,7 @@ class Pipeline:
             add("all", None, "month", "mobility", "normalized_median")
             for a in range(1, 6):
                 cohort = self.area_cohort(a)
-                if not cohort:
+                if not len(cohort):
                     continue
                 add(f"area{a}", cohort, "month", "activity", "mean")
                 add(f"area{a}", cohort, "month", "activity", "normalized_median")
@@ -463,9 +473,9 @@ def build_summary(pipe: Pipeline) -> dict:
     fit = _fit_doc(pipe)
     if fit is not None:
         del fit["amp_day"], fit["amp_evening"]
-    homes = pipe.homes
-    with_home = sum(1 for h in homes.values() if h is not None)
-    at_sea = sum(1 for v in pipe.at_sea.values() if v)
+    n = len(pipe.ingest.table)
+    with_home = int(np.count_nonzero(~np.isnan(pipe.home_points[0])))
+    at_sea = int(np.count_nonzero(pipe.at_sea))
     residents = int(pipe.grid_density.population.sum())
     st = pipe.ingest.stats
     demo = pipe.demographics
@@ -498,9 +508,9 @@ def build_summary(pipe: Pipeline) -> dict:
             "source": "override" if pipe.config.night_window is not None else "detected",
         },
         "homes": {
-            "individuals": len(homes),
+            "individuals": n,
             "with_home": with_home,
-            "without_home": len(homes) - with_home,
+            "without_home": n - with_home,
             "at_sea": at_sea,
         },
         "grid": {
@@ -569,63 +579,48 @@ def write_plot_data(pipe: Pipeline, out_dir) -> list[str]:
     return written
 
 
-STAGE_OUTPUTS = {
-    "profile": "daily_profile.csv",
-    "window": "window.json",
-    "homes": "homes.csv",
-    "metrics": "metrics.csv",
-    "grid": "grid.csv",
-    "areas": "areas.json",
-    "correlations": "correlations.csv",
-    "patterns": "patterns.csv",
-    "strata": "strata.csv",
-    "summary": "summary.json",
+def _write_homes(pipe: Pipeline, path) -> None:
+    write_homes_csv(pipe.ingest.table.ids, *pipe.home_points, pipe.at_sea, path)
+
+
+# stage -> (output file, writer(pipe, path)), in writing order
+WRITERS = {
+    "profile": ("daily_profile.csv", write_profile_csv),
+    "window": ("window.json", write_window_json),
+    "homes": ("homes.csv", _write_homes),
+    "metrics": ("metrics.csv", lambda pipe, path: write_metrics_csv(pipe.iter_metric_rows(), path)),
+    "grid": ("grid.csv", lambda pipe, path: write_grid_csv(pipe.grid_density, pipe.labels, path)),
+    "areas": ("areas.json", lambda pipe, path: _write_json(path, area_doc(pipe))),
+    "correlations": ("correlations.csv", write_correlations_csv),
+    "patterns": ("patterns.csv", lambda pipe, path: write_pattern_csv(pipe.patterns_bundle, path)),
+    "strata": ("strata.csv", lambda pipe, path: write_strata_csv(pipe.strata, path)),
+    "summary": ("summary.json", lambda pipe, path: _write_json(path, build_summary(pipe))),
 }
+STAGE_OUTPUTS = {stage: name for stage, (name, _) in WRITERS.items()}
 
 
 def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> dict[str, str]:
     """Write the requested stage outputs; returns {relative path: sha256}.
-    The caller owns cleanup of anything listed if a later stage fails."""
+    Each write, digest included, is timed as write_<stage> (plot data as
+    write_plotdata) and runs on every call. Strata need demographics. The
+    caller owns cleanup of anything listed if a later stage fails."""
     os.makedirs(out_dir, exist_ok=True)
     done: dict[str, str] = {}
 
-    def record(rel):
-        done[rel] = _sha256(os.path.join(out_dir, rel))
+    def digests(rels):
+        return {rel: _sha256(os.path.join(out_dir, rel)) for rel in rels}
 
-    if "profile" in stages:
-        write_profile_csv(pipe, os.path.join(out_dir, STAGE_OUTPUTS["profile"]))
-        record(STAGE_OUTPUTS["profile"])
-    if "window" in stages:
-        write_window_json(pipe, os.path.join(out_dir, STAGE_OUTPUTS["window"]))
-        record(STAGE_OUTPUTS["window"])
-    if "homes" in stages:
-        night = dict(zip(pipe.ingest.table.ids, pipe.home_points[2].tolist()))
-        write_homes_csv(pipe.homes, night, pipe.at_sea, os.path.join(out_dir, STAGE_OUTPUTS["homes"]))
-        record(STAGE_OUTPUTS["homes"])
-    if "metrics" in stages:
-        write_metrics_csv(pipe.iter_metric_rows(), os.path.join(out_dir, STAGE_OUTPUTS["metrics"]))
-        record(STAGE_OUTPUTS["metrics"])
-    if "grid" in stages:
-        write_grid_csv(pipe.grid_density, pipe.labels, os.path.join(out_dir, STAGE_OUTPUTS["grid"]))
-        record(STAGE_OUTPUTS["grid"])
-    if "areas" in stages:
-        _write_json(os.path.join(out_dir, STAGE_OUTPUTS["areas"]), area_doc(pipe))
-        record(STAGE_OUTPUTS["areas"])
-    if "correlations" in stages:
-        write_correlations_csv(pipe, os.path.join(out_dir, STAGE_OUTPUTS["correlations"]))
-        record(STAGE_OUTPUTS["correlations"])
-    if "patterns" in stages:
-        write_pattern_csv(pipe.patterns_bundle, os.path.join(out_dir, STAGE_OUTPUTS["patterns"]))
-        record(STAGE_OUTPUTS["patterns"])
-    if "strata" in stages and pipe.strata is not None:
-        write_strata_csv(pipe.strata, os.path.join(out_dir, STAGE_OUTPUTS["strata"]))
-        record(STAGE_OUTPUTS["strata"])
-    if "summary" in stages:
-        _write_json(os.path.join(out_dir, STAGE_OUTPUTS["summary"]), build_summary(pipe))
-        record(STAGE_OUTPUTS["summary"])
+    for stage, (name, write) in WRITERS.items():
+        if stage not in stages or (stage == "strata" and pipe.demographics_path is None):
+            continue
+
+        def run():
+            write(pipe, os.path.join(out_dir, name))
+            return digests([name])
+
+        done.update(pipe._timed(f"write_{stage}", run))
     if plot_data:
-        for rel in write_plot_data(pipe, out_dir):
-            record(rel)
+        done.update(pipe._timed("write_plotdata", lambda: digests(write_plot_data(pipe, out_dir))))
     return done
 
 

@@ -14,6 +14,8 @@ the stream. Reject reasons are counted by the callers.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -168,12 +170,22 @@ class TowerRegistry:
         i = self._index[tower_id]
         return float(self.lat[i]), float(self.lon[i])
 
+    def digest(self) -> str:
+        """sha256 of the sorted ids and their float64 coordinates: equal
+        digests mean equal tower indices and positions."""
+        h = hashlib.sha256(json.dumps(self.ids).encode())
+        h.update(self.lat.astype("<f8").tobytes())
+        h.update(self.lon.astype("<f8").tobytes())
+        return h.hexdigest()
+
 
 def load_towers(path) -> TowerRegistry:
     """Read a tower file (tower_id,lat,lon; optional header).
 
     The registry is small and must be clean: duplicate ids and out-of-range
-    coordinates are fatal.
+    coordinates are fatal, and so is a table spanning the antimeridian
+    (longitudes more than 180 degrees apart), because homes and grid cells
+    average longitudes arithmetically.
     """
     entries: dict[str, tuple[float, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -194,6 +206,12 @@ def load_towers(path) -> TowerRegistry:
             if tid in entries:
                 raise CdrError(f"{path}:{lineno}: duplicate tower id {tid!r}")
             entries[tid] = (lat, lon)
+    lons = [lon for _, lon in entries.values()]
+    if lons and max(lons) - min(lons) > 180.0:
+        raise CdrError(
+            f"{path}: towers span the antimeridian (longitudes {min(lons)} to {max(lons)}); "
+            "positions are averaged arithmetically, so this table is not supported"
+        )
     return TowerRegistry(entries)
 
 

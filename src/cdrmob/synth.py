@@ -319,11 +319,9 @@ class _World:
         gd = build_density_from_counts(
             {self.cells[k]: int(pop[k]) for k in range(n)}, grid
         )
-        row_of = gd.row_of_cell()
-        ranks = rank_desc(gd.density)
-        labels = classify_areas(gd, cfg.area_boundaries)
-        self.rank = np.array([float(ranks[row_of[self.cells[k]]]) for k in range(n)])
-        self.area = np.array([int(labels[row_of[self.cells[k]]]) for k in range(n)])
+        rows = gd.rows_of(*np.array(self.cells).T)
+        self.rank = rank_desc(gd.density)[rows]
+        self.area = classify_areas(gd, cfg.area_boundaries)[rows]
 
         if cfg.activity_flip is not None:
             head, tail, pivot = cfg.activity_flip
@@ -713,26 +711,22 @@ def validate_corpus(
     # --- home recovery: detected cell within one cell of the planted cell.
     # Egos with no event inside the night window have no home; they are
     # reported but only detected homes enter the accuracy fraction.
-    grid = pipe.grid
-    genuine = [e for e, t in truth.egos.items() if not t["spam"]]
-    homes = pipe.homes
-    good = homed = 0
-    for ego in genuine:
-        h = homes.get(ego)
-        if h is None:
-            continue
-        homed += 1
-        ci, cj = grid.cell_of(h[0], h[1])
-        ti, tj = truth.egos[ego]["cell"]
-        if abs(ci - ti) <= 1 and abs(cj - tj) <= 1:
-            good += 1
+    genuine = sum(1 for t in truth.egos.values() if not t["spam"])
+    lat, lon, _ = pipe.home_points
+    planted = [truth.egos.get(e) for e in pipe.ingest.table.ids]
+    genuine_row = np.array([t is not None and not t["spam"] for t in planted], dtype=bool)
+    rows = np.flatnonzero(genuine_row & ~np.isnan(lat))
+    homed = len(rows)
+    ci, cj = pipe.grid.cells_of(lat[rows], lon[rows])
+    ti, tj = np.array([planted[k]["cell"] for k in rows.tolist()], dtype=np.int64).reshape(-1, 2).T
+    good = int(np.count_nonzero((np.abs(ci - ti) <= 1) & (np.abs(cj - tj) <= 1)))
     frac = good / homed if homed else 0.0
     checks.append(
         Check(
             "home_cells",
             frac >= 0.99,
             {"within_one_cell": round(frac, 6), "homed": homed,
-             "homeless": len(genuine) - homed},
+             "homeless": genuine - homed},
             ">= 0.99 of detected homes within one grid cell of the planted home",
         )
     )
@@ -917,16 +911,13 @@ def validate_corpus(
     from .density import rank_size as _rank_size
 
     gd = pipe.grid_density
-    row_of = gd.row_of_cell()
-    detected = []
-    for s in truth.settlements:
-        row = row_of.get(tuple(s["cell"]))
-        if row is not None and gd.population[row] > 0:
-            detected.append(float(gd.density[row]))
+    rows = gd.rows_of(*np.array([s["cell"] for s in truth.settlements], dtype=np.int64).T)
+    rows = rows[rows >= 0]
+    detected = gd.density[rows][gd.population[rows] > 0]
     planted_density = np.array([s["density"] for s in truth.settlements])
     try:
         planted_fit = _rank_size(planted_density)
-        detected_fit = _rank_size(np.array(detected))
+        detected_fit = _rank_size(detected)
     except DensityError:
         planted_fit = detected_fit = None
     if planted_fit is not None and detected_fit is not None:

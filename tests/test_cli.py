@@ -85,6 +85,13 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "no surviving individuals" in capsys.readouterr().err
 
+    # a tower table across the antimeridian would average to longitude 0
+    dateline = tmp_path / "dateline.csv"
+    dateline.write_text("tower_id,lat,lon\nt1,10.0,179.9\nt2,10.0,-179.9\n")
+    rc = main(["metrics", *_analysis_args(cdr, dateline, out)])
+    assert rc == 2
+    assert "antimeridian" in capsys.readouterr().err
+
 
 def test_generate_writes_corpus_and_manifest(tmp_path, capsys):
     out = tmp_path / "corpus"
@@ -159,7 +166,7 @@ def test_stage_outputs_match_the_full_report(small_corpus, tmp_path, capsys):
 
 
 def test_spool_feeds_the_metrics_stage(small_corpus, tmp_path, capsys):
-    corpus, _ = small_corpus
+    corpus, truth = small_corpus
     spool = tmp_path / "spool"
     rc = main(["ingest",
                "--cdr", os.path.join(corpus, "cdr.csv"),
@@ -167,18 +174,28 @@ def test_spool_feeds_the_metrics_stage(small_corpus, tmp_path, capsys):
                "--out", str(spool)])
     assert rc == 0
     assert {p.name for p in spool.iterdir()} == {
-        "events.csv", "meta.json", "stats.json", "manifest.json"}
+        "events.npz", "meta.json", "stats.json", "manifest.json"}
 
-    from_csv = tmp_path / "m_csv"
-    from_spool = tmp_path / "m_spool"
     towers = os.path.join(corpus, "towers.csv")
-    assert main(["metrics", "--cdr", os.path.join(corpus, "cdr.csv"),
-                 "--towers", towers, "--out", str(from_csv), "--threads", "2"]) == 0
-    assert main(["metrics", "--cdr", str(spool),
-                 "--towers", towers, "--out", str(from_spool), "--threads", "2"]) == 0
+    common = ["--towers", towers, "--demographics", os.path.join(corpus, "demographics.csv"),
+              "--area-bounds", ",".join(str(b) for b in truth.area_boundaries),
+              "--threads", "2", "--plot-data"]
+    from_csv = tmp_path / "r_csv"
+    from_spool = tmp_path / "r_spool"
+    assert main(["report", "--cdr", os.path.join(corpus, "cdr.csv"),
+                 "--out", str(from_csv), *common]) == 0
+    assert main(["report", "--cdr", str(spool), "--out", str(from_spool), *common]) == 0
     capsys.readouterr()
-    assert filecmp.cmp(from_csv / "metrics.csv", from_spool / "metrics.csv",
-                       shallow=False)
+    # every output but the manifest is the same, byte for byte
+    names = sorted(str(p.relative_to(from_csv)) for p in from_csv.rglob("*") if p.is_file())
+    assert "metrics.csv" in names and "summary.json" in names
+    names.remove("manifest.json")
+    assert names == sorted(
+        str(p.relative_to(from_spool)) for p in from_spool.rglob("*")
+        if p.is_file() and p.name != "manifest.json"
+    )
+    for name in names:
+        assert filecmp.cmp(from_csv / name, from_spool / name, shallow=False), name
 
 
 def test_failed_run_cleans_its_partial_outputs(tmp_path, capsys):
@@ -240,6 +257,36 @@ def test_spool_refuses_other_settings(small_corpus, tmp_path, capsys, flag, valu
     assert not (out / "metrics.csv").exists()
 
 
+def test_spool_refuses_a_moved_tower(tmp_path, capsys):
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    spool = tmp_path / "spool"
+    assert main(["ingest", "--cdr", str(cdr), "--towers", str(towers),
+                 "--out", str(spool)]) == 0
+    # the spool indexes towers by position in the table it was built with
+    moved = tmp_path / "moved.csv"
+    moved.write_text(towers.read_text().replace("t2,40.1,20.1", "t2,40.1,20.2"))
+    out = tmp_path / "metrics"
+    rc = main(["metrics", *_analysis_args(spool, moved, out)])
+    assert rc == 2
+    assert "towers_digest" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_spool_refuses_the_csv_format(tmp_path, capsys):
+    # a format-1 spool: events as CSV rows next to a meta.json
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    (spool / "events.csv").write_text("a,b,1204365600,t1,call,out\nb,a,1204365600,t2,call,out\n")
+    (spool / "meta.json").write_text(
+        '{"analysis_year": 2008, "reciprocity": "pair", "format": 1}\n')
+    out = tmp_path / "metrics"
+    rc = main(["metrics", *_analysis_args(spool, towers, out)])
+    assert rc == 2
+    assert "re-run ingest" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_stage_timings_are_exclusive(small_corpus, tmp_path):
     corpus, truth = small_corpus
     pipe = _make_pipeline(corpus, truth)
@@ -250,8 +297,16 @@ def test_stage_timings_are_exclusive(small_corpus, tmp_path):
     with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
         timings = json.load(fh)["timings_s"]
     assert "ingest" in timings and "profile" in timings
-    # each stage is rounded to the millisecond
+    # one timed write per output (plot data counts as one)
+    assert {k for k in timings if k.startswith("write_")} == {
+        f"write_{s}" for s in [*STAGE_OUTPUTS, "plotdata"]}
+    # each stage is rounded to the millisecond; stages pulled in by a
+    # write count once
     assert sum(timings.values()) <= wall + 0.001 * len(timings)
+    # writes are not cached: asking again writes again
+    os.unlink(tmp_path / "homes.csv")
+    assert write_outputs(pipe, tmp_path, {"homes"}) == {"homes.csv": outputs["homes.csv"]}
+    assert (tmp_path / "homes.csv").exists()
 
 
 def test_zero_level_series_is_left_out(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Density grids, rank statistics, and the five-class split."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,9 +25,15 @@ from cdrmob.density import (
     validate_boundaries,
 )
 from cdrmob.geo import GridSpec
-from cdrmob.metrics import MetricRow
 
 GRID = GridSpec(0.05, 0.05, lat0=40.0, lon0=20.0)
+NAN = float("nan")
+
+
+def _homes(*points):
+    """(lat, lon) arrays of homes in id order; None for no home."""
+    pts = np.array([p or (NAN, NAN) for p in points], dtype=float).reshape(-1, 2)
+    return pts[:, 0].copy(), pts[:, 1].copy()
 
 
 def _gd_from_density(values):
@@ -40,43 +49,41 @@ def _gd_from_density(values):
 
 
 def test_build_density_counts_residents_per_cell():
-    homes = {
-        "a": (40.01, 20.01),
-        "b": (40.02, 20.02),  # same cell as a
-        "c": (40.07, 20.01),  # next latitude band
-        "d": None,            # skipped
-    }
-    gd = build_density(homes, GRID)
+    lat, lon = _homes(
+        (40.01, 20.01),
+        (40.02, 20.02),  # same cell as the first
+        (40.07, 20.01),  # next latitude band
+        None,            # skipped
+    )
+    gd = build_density(lat, lon, GRID)
     assert len(gd) == 2
     assert gd.population.tolist() == [2, 1]
     assert gd.cell_i.tolist() == [0, 1] and gd.cell_j.tolist() == [0, 0]
     a0 = GRID.cell_area_km2(0)
     assert gd.density[0] == pytest.approx(2 / a0)
-    assert gd.row_of_cell() == {(0, 0): 0, (1, 0): 1}
+    assert gd.rows_of([0, 1, 2], [0, 0, 0]).tolist() == [0, 1, -1]
 
 
 def test_build_density_cell_means():
-    homes = {"a": (40.01, 20.01), "b": (40.02, 20.02), "c": (40.07, 20.01)}
-    rows = {
-        "a": MetricRow("a", "2008", 10, 1.0, 2.0, 9),
-        "b": MetricRow("b", "2008", 30, 3.0, None, 29),
-        "c": MetricRow("c", "2008", 7, 0.5, 4.0, 6),
-    }
-    gd = build_density(homes, GRID, rows)
+    lat, lon = _homes((40.01, 20.01), (40.02, 20.02), (40.07, 20.01), None)
+    # whole-year (activity, mobility, rg) per individual; the homeless
+    # fourth one is left out of every cell
+    year = (np.array([10, 30, 7, 99]), np.array([1.0, 3.0, 0.5, 9.0]),
+            np.array([2.0, NAN, 4.0, NAN]))
+    gd = build_density(lat, lon, GRID, year)
     assert gd.mean_activity.tolist() == [20.0, 7.0]
     assert gd.mean_mobility.tolist() == [2.0, 0.5]
     # rg means skip individuals without one
     assert gd.mean_rg[0] == pytest.approx(2.0)
     assert gd.mean_rg[1] == pytest.approx(4.0)
     with pytest.raises(DensityError):
-        build_density({"x": None}, GRID)
+        build_density(*_homes(None), GRID)
 
 
 def test_build_density_from_counts_matches_build_density():
     counts = {(0, 0): 2, (1, 0): 1}
     gd = build_density_from_counts(counts, GRID)
-    homes = {"a": (40.01, 20.01), "b": (40.02, 20.02), "c": (40.07, 20.01)}
-    ref = build_density(homes, GRID)
+    ref = build_density(*_homes((40.01, 20.01), (40.02, 20.02), (40.07, 20.01)), GRID)
     assert np.array_equal(gd.population, ref.population)
     assert np.allclose(gd.density, ref.density)
     with pytest.raises(DensityError):
@@ -85,6 +92,28 @@ def test_build_density_from_counts_matches_build_density():
 
 def test_rank_desc_average_ties():
     assert rank_desc([5.0, 1.0, 5.0, 0.5]).tolist() == [1.5, 3.0, 1.5, 4.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-5, 5) | st.floats(-1e6, 1e6, allow_nan=False), max_size=200))
+def test_rank_desc_matches_scipy_rankdata(xs):
+    # the reference is imported here only: the package itself must not
+    # pay for importing scipy.stats
+    from scipy.stats import rankdata
+
+    want = rankdata(-np.asarray(xs, dtype=float), method="average")
+    got = rank_desc(xs)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, cdrmob.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_spearman_known_values():
@@ -185,11 +214,9 @@ def test_validate_boundaries():
 
 
 def test_ego_areas_follow_home_cells():
-    homes = {"a": (40.01, 20.01), "b": (40.02, 20.02), "c": (40.07, 20.01), "d": None}
-    gd = build_density(homes, GRID)
+    lat, lon = _homes((40.01, 20.01), (40.02, 20.02), (40.07, 20.01), None)
+    gd = build_density(lat, lon, GRID)
     labels = classify_areas(gd, (1, 2, 3, 4))
-    areas = ego_areas(homes, gd, labels)
-    assert set(areas) == {"a", "b", "c"}
-    assert areas["a"] == areas["b"]  # same cell, same class
-    # the two-resident cell is denser, so it ranks first
-    assert areas["a"] == 1 and areas["c"] == 2
+    areas = ego_areas(lat, lon, gd, labels)
+    # the two-resident cell is denser, so it ranks first; 0 = no home
+    assert areas.tolist() == [1, 1, 2, 0]

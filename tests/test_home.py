@@ -156,17 +156,18 @@ def test_compute_homes_and_counts():
 
 def test_flag_at_sea_uses_nearest_tower():
     # towers T1/T2 are ~44 km apart; their midpoint is ~22 km from each
-    homes = {"mid": (40.2, 20.0), "anchored": (40.0, 20.0), "void": None}
-    flags = flag_at_sea(homes, REG, cutoff_km=10.0)
-    assert flags == {"mid": True, "anchored": False}
-    assert flag_at_sea(homes, REG, cutoff_km=30.0)["mid"] is False
-    assert flag_at_sea({"void": None}, REG) == {}
+    # mid, anchored, and one individual without a home (never flagged)
+    lat, lon = np.array([40.2, 40.0, np.nan]), np.array([20.0, 20.0, np.nan])
+    flags = flag_at_sea(lat, lon, REG, cutoff_km=10.0)
+    assert flags.dtype == bool and flags.tolist() == [True, False, False]
+    assert flag_at_sea(lat, lon, REG, cutoff_km=30.0).tolist() == [False, False, False]
+    assert flag_at_sea(lat[2:], lon[2:], REG).tolist() == [False]
 
 
 def test_homes_csv_round_trip(tmp_path):
-    homes = {"a": (40.123456789, 20.987654321), "b": None}
+    lat, lon = np.array([40.123456789, np.nan]), np.array([20.987654321, np.nan])
     p = tmp_path / "homes.csv"
-    assert write_homes_csv(homes, {"a": 7}, {"a": False}, p) == 2
+    assert write_homes_csv(["a", "b"], lat, lon, np.array([7, 0]), np.array([False, False]), p) == 2
     assert p.read_text().splitlines() == [
         "ego_id,home_lat,home_lon,night_events,at_sea",
         "a,40.123456789,20.987654321,7,0",

@@ -194,17 +194,39 @@ def test_spool_round_trip(tmp_path):
     assert back.analysis_year == first.analysis_year
     assert back.stats.events_kept == first.stats.events_kept
     _assert_same_table(first.table, back.table)
+    for col in ("offsets", "ts", "tower", "kind", "direction", "peer"):
+        assert getattr(back.table, col).dtype == getattr(first.table, col).dtype, col
     assert [back.peer_ids[p] for p in back.table.peer] == [
         first.peer_ids[p] for p in first.table.peer
     ]
-    # a spool is only valid for the year and rule it was ingested with;
-    # one whose metadata lacks them cannot be checked and is refused too
-    for year, rule in ((2009, "pair"), (2008, "none")):
+    # writing the same table twice gives the same bytes
+    write_spool(first, REG, tmp_path / "again")
+    assert (spool / "events.npz").read_bytes() == (tmp_path / "again" / "events.npz").read_bytes()
+    # a spool is only valid for the year, rule and tower table it was
+    # ingested with; one whose metadata lacks them cannot be checked and is
+    # refused too
+    moved = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.2), "T3": (40.2, 20.2)})
+    for year, rule, reg in ((2009, "pair", REG), (2008, "none", REG), (2008, "pair", moved)):
         with pytest.raises(CdrError, match="re-run ingest"):
-            read_spool(spool, REG, year, rule)
+            read_spool(spool, reg, year, rule)
     (spool / "meta.json").write_text('{"analysis_year": 2008, "format": 1}\n')
     with pytest.raises(CdrError, match="re-run ingest"):
         ingest_file(spool, REG)
+
+
+def test_spool_with_a_damaged_table_is_refused(tmp_path):
+    res = ingest_rows([_row("a", "b", 1), _row("b", "a", 2)], REG, keep_peers=True)
+    spool = tmp_path / "spool"
+    write_spool(res, REG, spool)
+    with np.load(spool / "events.npz") as z:
+        cols = dict(z)
+    cols["tower"] = cols["tower"] + len(REG)  # past the end of the registry
+    np.savez(spool / "events.npz", **cols)
+    with pytest.raises(CdrError, match="malformed spool"):
+        read_spool(spool, REG, 2008, "pair")
+    (spool / "events.npz").write_bytes(b"not a zip archive")
+    with pytest.raises(CdrError, match="unreadable spool"):
+        read_spool(spool, REG, 2008, "pair")
 
 
 def test_spool_requires_peer_tracking():

@@ -114,6 +114,18 @@ def test_load_towers_fatal_defects(tmp_path):
             load_towers(p)
 
 
+def test_load_towers_refuses_the_antimeridian(tmp_path):
+    # homes and grid cells average longitudes arithmetically: these two
+    # towers, 22 km apart, would put a home at longitude 0
+    p = tmp_path / "dateline.csv"
+    p.write_text("A,10.0,179.9\nB,10.0,-179.9\n")
+    with pytest.raises(CdrError, match="antimeridian"):
+        load_towers(p)
+    # a span of exactly 180 degrees is still accepted
+    p.write_text("A,10.0,-90.0\nB,10.0,90.0\n")
+    assert len(load_towers(p)) == 2
+
+
 def test_load_demographics_age_and_birth_year(tmp_path):
     p = tmp_path / "demo.csv"
     p.write_text(
