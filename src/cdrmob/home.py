@@ -180,7 +180,8 @@ def compute_homes(
     m = night_mask(table.ts, window)
     counts = np.bincount(table.ego[m], minlength=len(table))
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    lat, lon = (x[m] for x in table.positions(registry))
+    tower = table.tower[m]
+    lat, lon = registry.lat[tower], registry.lon[tower]
     hlat, hlon = np.full((2, len(table)), np.nan)
     for seg, rows in segment_rows(offsets):
         hlat[seg] = lat[rows].mean(axis=1)

@@ -130,12 +130,14 @@ def segment_cumsum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _squared_km(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Squared haversine distances, 64k at a time to bound the temporaries."""
-    out = np.empty(len(lat1))
+def _squared_km(p, i, q, j) -> np.ndarray:
+    """Squared haversine distances from points p[i] to points q[j], where p
+    and q are (lat, lon) arrays; gathered and computed 64k at a time, so
+    that no temporary spans the table."""
+    out = np.empty(len(i))
     for s in range(0, len(out), 1 << 16):
-        b = slice(s, s + (1 << 16))
-        out[b] = haversine_km(lat1[b], lon1[b], lat2[b], lon2[b]) ** 2
+        a, b = i[s:s + (1 << 16)], j[s:s + (1 << 16)]
+        out[s:s + len(a)] = haversine_km(p[0][a], p[1][a], q[0][b], q[1][b]) ** 2
     return out
 
 
@@ -161,16 +163,16 @@ class TableMetrics:
         self.table = table
         self.divisor = divisor
         self.ego = table.ego
-        lat, lon = table.positions(registry)
+        towers = (registry.lat, registry.lon)
         if d2 is None:
-            d2 = np.zeros(len(lat))
-            d2[:-1] = _squared_km(lat[:-1], lon[:-1], lat[1:], lon[1:])
+            d2 = np.zeros(len(table.ts))
+            d2[:-1] = _squared_km(towers, table.tower[:-1], towers, table.tower[1:])
             d2[table.offsets[1:] - 1] = 0.0  # no pair across individuals
         self.d2 = d2
         self.homed = np.zeros(len(table), dtype=bool) if homes is None else ~np.isnan(homes[0])
         self.h2 = None
         if homes is not None:
-            self.h2 = _squared_km(lat, lon, homes[0][self.ego], homes[1][self.ego])
+            self.h2 = _squared_km(towers, table.tower, homes, self.ego)
         self._memo: dict = {}
 
     def from_sums(self, a, d2sum, h2sum, pairs):
@@ -253,8 +255,10 @@ class TableMetrics:
         return np.bincount(key, minlength=len(self.table) * ndays).reshape(-1, ndays)
 
 
-# window matrices of at most this many cells are built at once
+# window matrices of at most this many cells are built at once, and
+# converted to Python values at most _ROW_CELLS at a time
 _BLOCK_CELLS = 1 << 20
+_ROW_CELLS = 1 << 14
 
 
 def metrics_rows(tm: TableMetrics, spec: WindowSpec, analysis_year: int):
@@ -271,14 +275,18 @@ def metrics_rows(tm: TableMetrics, spec: WindowSpec, analysis_year: int):
         bounds = np.array([spans[0][1]] + [t1 for _, _, t1 in spans], dtype=np.int64)
         step = max(1, _BLOCK_CELLS // len(wids))
         blocks = ((lo, tm.windows(bounds, lo, min(lo + step, n))) for lo in range(0, n, step))
+    rows = max(1, _ROW_CELLS // len(wids))
     for lo, block in blocks:
-        a, m, rg, pairs = (x.tolist() for x in block)
-        for r, (ego, homed) in enumerate(zip(tm.table.ids[lo:], tm.homed[lo:lo + len(a)])):
-            for k, wid in enumerate(wids):
-                yield MetricRow(
-                    ego, wid, a[r][k], m[r][k],
-                    rg[r][k] if homed and a[r][k] else None, pairs[r][k],
-                )
+        for s in range(0, len(block[0]), rows):
+            a, m, rg, pairs = (x[s:s + rows].tolist() for x in block)
+            first = lo + s
+            ids = tm.table.ids[first:first + len(a)]
+            for r, (ego, homed) in enumerate(zip(ids, tm.homed[first:first + len(a)].tolist())):
+                for k, wid in enumerate(wids):
+                    yield MetricRow(
+                        ego, wid, a[r][k], m[r][k],
+                        rg[r][k] if homed and a[r][k] else None, pairs[r][k],
+                    )
 
 
 def write_metrics_csv(rows, path) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import EPOCH_WEEKDAY, HOUR_IDS, WEEKDAY_IDS, TableMetrics, WindowSpec
-from .records import AGE_GROUP_LABELS, Demographics, age_group_of, year_bounds
+from .records import AGE_GROUP_LABELS, AGE_GROUPS, Demographics, year_bounds
 
 AXES = ("year", "month", "dow", "hour")
 VALUES = ("activity", "mobility", "rg")
@@ -186,22 +186,25 @@ def demographic_table(
     Returns the populated strata and the count of individuals skipped for
     lacking demographics. Empty strata are omitted.
     """
-    ids = tm.table.ids
-    rows = [k for k, e in enumerate(ids) if e in demographics.entries]
-    egos = [ids[k] for k in rows]
-    skipped = len(ids) - len(egos)
-    if not egos:
+    known = sorted(demographics.entries.items())
+    known_ids = np.array([e for e, _ in known], dtype=str)
+    ids = np.array(tm.table.ids, dtype=str)
+    rows = np.flatnonzero(np.isin(ids, known_ids))
+    skipped = len(ids) - len(rows)
+    if not len(rows):
         raise EmptyCohortError("no individuals with demographics")
+    pos = np.searchsorted(known_ids, ids[rows])
     a, mob, rg, _ = (x[rows, 0] for x in tm.windows(np.array(year_bounds(analysis_year))))
     act = a.astype(float)
-    gender = np.array([demographics.gender(e) for e in egos])
-    group = np.array([age_group_of(demographics.age(e)) for e in egos])
+    gender = np.array([g for _, (g, _) in known])[pos]
+    ages = np.array([age for _, (_, age) in known])[pos]
+    group = np.array(AGE_GROUP_LABELS)[np.searchsorted([upper for _, upper in AGE_GROUPS], ages)]
     area = np.zeros(len(rows), dtype=np.int64) if areas is None else areas[rows]
 
     out: list[StratumRow] = []
     area_keys = ["all"] + [str(a) for a in range(1, 6)]
     for ak in area_keys:
-        am = np.ones(len(egos), dtype=bool) if ak == "all" else area == int(ak)
+        am = np.ones(len(rows), dtype=bool) if ak == "all" else area == int(ak)
         for gk in ("all", "female", "male"):
             gm = am if gk == "all" else am & (gender == gk)
             for grk in ("all",) + AGE_GROUP_LABELS:

@@ -23,6 +23,7 @@ import json
 import logging
 import math
 import os
+import resource
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -122,6 +123,8 @@ class Pipeline:
         self.config = config or AnalysisConfig()
         self.threads = max(1, int(threads))
         self.timings: dict[str, float] = {}
+        # peak RSS of the process after each stage or write, in MiB
+        self.rss_mib: dict[str, float] = {}
         self._cache: dict[str, object] = {}
         # seconds spent in nested stages, one entry per stage or write being timed
         self._nested: list[float] = []
@@ -140,6 +143,7 @@ class Pipeline:
             if self._nested:
                 self._nested[-1] += total
         self.timings[name] = round(total - nested, 3)
+        self.rss_mib[name] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         return result
 
     def _stage(self, name: str, fn):
@@ -644,8 +648,9 @@ def save_manifest(out_dir, command: str, outputs: dict[str, str], **fields) -> N
 
 
 def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: str) -> None:
-    """Manifest of an analysis run: inputs, config, output digests and the
-    exclusive seconds of each stage."""
+    """Manifest of an analysis run: inputs, config, output digests, the
+    exclusive seconds of each stage, and the process's peak RSS once each
+    stage was done."""
     save_manifest(
         out_dir, command, outputs,
         config=asdict(pipe.config),
@@ -654,5 +659,6 @@ def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: st
             cdr=pipe.cdr_path, towers=pipe.towers_path, demographics=pipe.demographics_path
         ),
         timings_s=pipe.timings,
+        rss_mib=pipe.rss_mib,
         ingest_stats=asdict(pipe.ingest.stats) if "ingest" in pipe._cache else None,
     )

@@ -8,7 +8,8 @@ mapped onto UTC).
 
 Parsing is total per line: every input row yields either a typed record or a
 `RowReject` carrying a machine-readable reason; a malformed row never aborts
-the stream. Reject reasons are counted by the callers.
+the stream, and neither does one whose bytes are not UTF-8 (`bad_encoding`).
+Reject reasons are counted by the callers.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -75,27 +77,35 @@ _EPOCH_DAY = date(1970, 1, 1).toordinal()
 _date_epoch_cache: dict[str, int] = {}
 
 
+# the exact 'YYYY-MM-DD[T ]HH:MM:SS' shape, with ASCII digits only (int()
+# alone would also read a sign, a space or any Unicode digit)
+_TIMESTAMP = re.compile(r"(\d{4}-\d\d-\d\d)[T ](\d\d):(\d\d):(\d\d)", re.ASCII)
+
+
 def parse_timestamp(text: str) -> int:
     """ISO-8601 local timestamp -> epoch seconds of that civil time.
 
     Fast path for the exact 'YYYY-MM-DD[T ]HH:MM:SS' shape (with a per-date
-    cache); anything else falls through to datetime.fromisoformat.
+    cache); anything else falls through to datetime.fromisoformat. Either
+    way every digit must be an ASCII digit.
     """
     s = text.strip()
-    if len(s) == 19 and s[4] == "-" and s[7] == "-" and s[10] in "T " and s[13] == ":" and s[16] == ":":
-        day = _date_epoch_cache.get(s[:10])
-        try:
-            if day is None:
-                day = (date(int(s[0:4]), int(s[5:7]), int(s[8:10])).toordinal() - _EPOCH_DAY) * 86400
-                _date_epoch_cache[s[:10]] = day
-            hh = int(s[11:13])
-            mm = int(s[14:16])
-            ss = int(s[17:19])
-        except ValueError:
-            raise RowReject("bad_timestamp", text)
+    m = _TIMESTAMP.fullmatch(s)
+    if m:
+        d, hh, mm, ss = m.groups()
+        day = _date_epoch_cache.get(d)
+        if day is None:
+            try:
+                day = (date(int(d[:4]), int(d[5:7]), int(d[8:])).toordinal() - _EPOCH_DAY) * 86400
+            except ValueError:
+                raise RowReject("bad_timestamp", text)
+            _date_epoch_cache[d] = day
+        hh, mm, ss = int(hh), int(mm), int(ss)
         if hh > 23 or mm > 59 or ss > 59:
             raise RowReject("bad_timestamp", text)
         return day + hh * 3600 + mm * 60 + ss
+    if not s.isascii():
+        raise RowReject("bad_timestamp", text)
     try:
         dt = datetime.fromisoformat(s)
     except ValueError:
@@ -120,9 +130,23 @@ def year_bounds(year: int) -> tuple[int, int]:
     return start, end
 
 
+def _undecodable(row: list[str]) -> bool:
+    """Whether a row read with errors="surrogateescape" held bytes that
+    are not UTF-8 (they decode to lone surrogates, which do not encode)."""
+    try:
+        "".join(row).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def parse_event_fields(row: list[str], year_start: int, year_end: int) -> EventRecord:
     """Validate one already-split CDR row (ego_id, peer_id, timestamp,
-    tower_id, kind, direction). Raises RowReject on any defect."""
+    tower_id, kind, direction). Raises RowReject on any defect, the first
+    of: bad_encoding, missing_column, self_call, bad_timestamp,
+    outside_year, bad_kind, bad_direction."""
+    if not all(map(str.isascii, row)) and _undecodable(row):
+        raise RowReject("bad_encoding", ascii(",".join(row)))
     if len(row) < 6:
         raise RowReject("missing_column", ",".join(row))
     ego = row[0].strip()
@@ -179,6 +203,17 @@ class TowerRegistry:
         return h.hexdigest()
 
 
+def _read_rows(path):
+    """The CSV rows of a small input file. A byte that is not UTF-8 is
+    fatal, and named by file and line."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if _undecodable(row):
+                raise CdrError(f"{path}:{reader.line_num}: not valid UTF-8")
+            yield row
+
+
 def load_towers(path) -> TowerRegistry:
     """Read a tower file (tower_id,lat,lon; optional header).
 
@@ -188,24 +223,23 @@ def load_towers(path) -> TowerRegistry:
     average longitudes arithmetically.
     """
     entries: dict[str, tuple[float, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (lineno == 1 and _looks_like_header(row, 1)):
-                continue
-            if len(row) < 3:
-                raise CdrError(f"{path}:{lineno}: tower row needs tower_id,lat,lon")
-            tid = row[0].strip()
-            try:
-                lat, lon = float(row[1]), float(row[2])
-            except ValueError:
-                raise CdrError(f"{path}:{lineno}: unparseable coordinate in {row!r}")
-            if not (-90.0 <= lat <= 90.0):
-                raise CdrError(f"{path}:{lineno}: latitude out of range: {lat}")
-            if not (-180.0 <= lon <= 180.0):
-                raise CdrError(f"{path}:{lineno}: longitude out of range: {lon}")
-            if tid in entries:
-                raise CdrError(f"{path}:{lineno}: duplicate tower id {tid!r}")
-            entries[tid] = (lat, lon)
+    for lineno, row in enumerate(_read_rows(path), start=1):
+        if not row or (lineno == 1 and _looks_like_header(row, 1)):
+            continue
+        if len(row) < 3:
+            raise CdrError(f"{path}:{lineno}: tower row needs tower_id,lat,lon")
+        tid = row[0].strip()
+        try:
+            lat, lon = float(row[1]), float(row[2])
+        except ValueError:
+            raise CdrError(f"{path}:{lineno}: unparseable coordinate in {row!r}")
+        if not (-90.0 <= lat <= 90.0):
+            raise CdrError(f"{path}:{lineno}: latitude out of range: {lat}")
+        if not (-180.0 <= lon <= 180.0):
+            raise CdrError(f"{path}:{lineno}: longitude out of range: {lon}")
+        if tid in entries:
+            raise CdrError(f"{path}:{lineno}: duplicate tower id {tid!r}")
+        entries[tid] = (lat, lon)
     lons = [lon for _, lon in entries.values()]
     if lons and max(lons) - min(lons) > 180.0:
         raise CdrError(
@@ -221,14 +255,6 @@ class Demographics:
 
     entries: dict[str, tuple[str, int]]
     rejected: dict[str, int]
-
-    def gender(self, ego_id: str) -> str | None:
-        e = self.entries.get(ego_id)
-        return e[0] if e else None
-
-    def age(self, ego_id: str) -> int | None:
-        e = self.entries.get(ego_id)
-        return e[1] if e else None
 
 
 # A third column value at or above this is read as a birth year, below as an
@@ -250,11 +276,10 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
     def reject(reason: str):
         rejected[reason] = rejected.get(reason, 0) + 1
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [
-            row for lineno, row in enumerate(csv.reader(fh), start=1)
-            if row and not (lineno == 1 and _looks_like_header(row, None))
-        ]
+    rows = [
+        row for lineno, row in enumerate(_read_rows(path), start=1)
+        if row and not (lineno == 1 and _looks_like_header(row, None))
+    ]
     seen = Counter(row[0].strip() for row in rows if len(row) >= 3)
     for row in rows:
         if len(row) < 3 or not row[0].strip():

@@ -11,12 +11,16 @@ import os
 import random
 import time
 
+from unittest import mock
+
 import pytest
 
 from conftest import _make_pipeline
 
+from cdrmob import ingest
 from cdrmob.cli import main
 from cdrmob.pipeline import STAGE_OUTPUTS, write_manifest, write_outputs
+from cdrmob.synth import CDR_FILE, DEMOGRAPHICS_FILE, TOWERS_FILE, GenConfig, generate
 
 _DAYS = [f"2008-03-{d:02d}" for d in range(1, 11)]
 
@@ -91,6 +95,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
     rc = main(["metrics", *_analysis_args(cdr, dateline, out)])
     assert rc == 2
     assert "antimeridian" in capsys.readouterr().err
+
+    # a tower table that is not UTF-8 is fatal; a CDR row that is not is a
+    # counted reject
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"tower_id,lat,lon\nt1,40.0,20.0\nt\xe9,40.1,20.1\n")
+    rc = main(["metrics", *_analysis_args(cdr, latin1, out)])
+    assert rc == 2
+    assert "latin1.csv:3: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_generate_writes_corpus_and_manifest(tmp_path, capsys):
@@ -198,6 +210,50 @@ def test_spool_feeds_the_metrics_stage(small_corpus, tmp_path, capsys):
         assert filecmp.cmp(from_csv / name, from_spool / name, shallow=False), name
 
 
+def _outputs(out) -> dict[str, bytes]:
+    """Every file of a run but its manifest, by relative path."""
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"
+    }
+
+
+def test_crlf_copy_gives_the_same_report(small_corpus, tmp_path, capsys):
+    corpus, truth = small_corpus
+    cdr = os.path.join(corpus, "cdr.csv")
+    crlf = tmp_path / "cdr_crlf.csv"
+    with open(cdr, "rb") as fh:
+        crlf.write_bytes(fh.read().replace(b"\n", b"\r\n"))
+    flags = ["--towers", os.path.join(corpus, "towers.csv"),
+             "--demographics", os.path.join(corpus, "demographics.csv"),
+             "--area-bounds", ",".join(str(b) for b in truth.area_boundaries)]
+    assert main(["report", "--cdr", cdr, "--out", str(tmp_path / "lf"), *flags]) == 0
+    assert main(["report", "--cdr", str(crlf), "--out", str(tmp_path / "crlf"), *flags]) == 0
+    capsys.readouterr()
+    lf = _outputs(tmp_path / "lf")
+    assert "summary.json" in lf and lf == _outputs(tmp_path / "crlf")
+
+
+def test_outputs_do_not_depend_on_the_block_size(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    truth = generate(GenConfig(n_individuals=200, n_cells=40, base_daily_events=0.05, seed=42),
+                     corpus, threads=1)
+    flags = ["--towers", str(corpus / TOWERS_FILE), "--demographics",
+             str(corpus / DEMOGRAPHICS_FILE),
+             "--area-bounds", ",".join(str(b) for b in truth.area_boundaries)]
+    runs = []
+    for block in (5, 1024, ingest._BLOCK_BYTES):
+        out, spool = tmp_path / f"report{block}", tmp_path / f"spool{block}"
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+            assert main(["report", "--cdr", str(corpus / CDR_FILE), "--out", str(out), *flags]) == 0
+            assert main(["ingest", "--cdr", str(corpus / CDR_FILE), "--towers", flags[1],
+                         "--out", str(spool)]) == 0
+        runs.append((_outputs(out), (spool / "events.npz").read_bytes()))
+    capsys.readouterr()
+    assert "summary.json" in runs[0][0]
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_failed_run_cleans_its_partial_outputs(tmp_path, capsys):
     cdr, towers = _write_minimal_corpus(tmp_path)
     out = tmp_path / "out"
@@ -295,8 +351,13 @@ def test_stage_timings_are_exclusive(small_corpus, tmp_path):
     write_manifest(pipe, tmp_path, outputs, command="report")
     wall = time.perf_counter() - t0
     with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
-        timings = json.load(fh)["timings_s"]
+        manifest = json.load(fh)
+    timings = manifest["timings_s"]
     assert "ingest" in timings and "profile" in timings
+    # the peak RSS once each stage and write was done, which never falls
+    rss = manifest["rss_mib"]
+    assert rss.keys() == timings.keys()
+    assert 0 < rss["towers"] <= rss["ingest"] <= rss["write_summary"] <= rss["write_plotdata"]
     # one timed write per output (plot data counts as one)
     assert {k for k in timings if k.startswith("write_")} == {
         f"write_{s}" for s in [*STAGE_OUTPUTS, "plotdata"]}

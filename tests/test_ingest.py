@@ -1,16 +1,23 @@
-"""Reciprocity filtering, header detection and event-table assembly.
+"""Reciprocity filtering, header detection, event-table assembly, and the
+agreement of ingest_file's byte path with the row path.
 
 The link model: an outgoing row of ego a with peer b and an incoming row
 of ego b with peer a are the same directed claim a->b. A pair is
 reciprocal only when both directions are claimed.
 """
 
+import csv
+from dataclasses import asdict
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdrmob import ingest
 from cdrmob.ingest import (
+    _is_header,
     ingest_file,
     ingest_rows,
     is_spool,
@@ -159,6 +166,12 @@ def test_ingest_file_skips_header(tmp_path):
     assert res.stats.rows_read == 2  # header not counted as a row
     assert res.stats.rows_rejected == {}
     assert res.table.ids == ["a", "b"]
+    # a quoted header sends the whole file down the row path, and is
+    # skipped there too
+    p.write_text('"ego_id","peer_id","timestamp","tower_id","kind","direction"\n'
+                 + p.read_text().split("\n", 1)[1])
+    res = ingest_file(p, REG)
+    assert res.stats.rows_read == 2 and res.stats.rows_rejected == {}
 
 
 def test_bad_first_row_is_counted_not_taken_for_a_header(tmp_path):
@@ -233,3 +246,206 @@ def test_spool_requires_peer_tracking():
     res = ingest_rows([_row("a", "b", 1), _row("b", "a", 2)], REG)
     with pytest.raises(ValueError):
         write_spool(res, REG, "/tmp/unused")
+
+
+# ------------------------------------------------ byte path against row path
+
+
+def _by_rows(path, **kw):
+    """ingest_rows over csv.reader of the file: what ingest_file must equal."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        rows = list(csv.reader(fh))
+    if rows and _is_header(rows[0]):
+        rows = rows[1:]
+    return ingest_rows(rows, REG, keep_peers=True, **kw)
+
+
+def _assert_same_result(got, want):
+    _assert_same_table(got.table, want.table)
+    assert asdict(got.stats) == asdict(want.stats)
+    assert got.removed_ids == want.removed_ids
+    assert got.peer_ids == want.peer_ids
+    assert np.array_equal(got.table.peer, want.table.peer)
+
+
+def _mutate(fields: list[str], how: str, arg: int) -> bytes:
+    """One CDR line (without its line end) after one mutation."""
+    f = list(fields)
+    k = arg % 6
+    if how == "upper":
+        f[4 + arg] = f[4 + arg].upper()
+    elif how == "space":
+        f[k] = " " + f[k] if arg % 2 else f[k] + "\t"
+    elif how == "quote":
+        f[k] = '"' + f[k] + '"'
+    elif how == "quoted_comma":
+        f[k] = '"' + f[k] + ',x"'
+    elif how == "quoted_newline":
+        f[k] = '"' + f[k] + '\nx"'
+    elif how == "lone_cr":
+        f[k] = f[k] + "\r"
+    elif how == "digit":
+        pos = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)[arg]
+        f[2] = f[2][:pos] + ("+", " ", "x", "٣", "１")[arg % 5] + f[2][pos + 1:]
+    elif how == "date":
+        f[2] = ("2007-06-01T10:00:00", "2009-01-01T00:00:00", "2008-02-30T10:00:00",
+                "2008-13-01T10:00:00", "2008-06-00T10:00:00", "2008-06-01T24:00:00",
+                "2008-06-01T10:60:00", "2008-06-01T10:00:60", "2008-06-01 10:00:00",
+                "2008-06-01T10:00", "2008-02-29T23:59:59", "2008-04-31T10:00:00")[arg]
+    elif how == "tower":
+        f[3] = ("T9", "T", "T10", "t1", "")[arg]
+    elif how == "self":
+        f[1] = f[0]
+    elif how == "missing":
+        f = f[:arg]
+    elif how == "extra":
+        f.append("x")
+    elif how == "token":
+        f[4 + arg % 2] = ("sms", "in", "incoming", "outgoing", "fax", "i", "")[arg]
+    elif how == "long_id":
+        f[0] = f[0] * arg
+    elif how == "utf8":
+        f[k] = f[k] + "é"
+    line = ",".join(f).encode()
+    if how == "invalid_utf8":
+        line = line[:arg] + b"\xff" + line[arg:]
+    return b"" if how == "empty" else line
+
+
+# (mutation, argument): every variant _mutate knows, and no mutation
+# several times over, so that most rows stay canonical
+_VARIANTS = (
+    [("none", 0)] * 20
+    + [("upper", i) for i in range(2)]
+    + [("space", i) for i in range(6)]
+    + [("quote", i) for i in (0, 2, 5)]
+    + [("quoted_comma", i) for i in (0, 3)]
+    + [("quoted_newline", i) for i in (1, 5)]
+    + [("lone_cr", i) for i in (0, 2, 5)]
+    + [("digit", i) for i in range(14)]
+    + [("date", i) for i in range(12)]
+    + [("tower", i) for i in range(5)]
+    + [("self", 0), ("extra", 0), ("empty", 0)]
+    + [("missing", i) for i in range(6)]
+    + [("token", i) for i in range(7)]
+    + [("long_id", i) for i in (9, 70)]
+    + [("utf8", i) for i in (0, 3)]
+    + [("invalid_utf8", i) for i in (0, 5, 20)]
+)
+
+
+def _cdr_bytes(lines, header: bool, final_newline: bool) -> bytes:
+    """lines: (fields, mutation, argument, CRLF?) per line."""
+    out = [b"ego_id,peer_id,timestamp,tower_id,kind,direction\n"] if header else []
+    for fields, how, arg, crlf in lines:
+        out.append(_mutate(fields, how, arg) + (b"\r\n" if crlf else b"\n"))
+    data = b"".join(out)
+    return data if final_newline else data.rstrip(b"\n")
+
+
+_lines = st.lists(
+    st.tuples(
+        st.tuples(
+            st.sampled_from(_IDS),
+            st.sampled_from(_IDS),
+            # few distinct hours, so that rows often tie on every sort key
+            st.sampled_from([_T.format(h) for h in (1, 2, 3)]),
+            st.sampled_from(("T1", "T2", "T3")),
+            st.sampled_from(("call", "sms")),
+            st.sampled_from(("in", "out", "incoming", "outgoing")),
+        ).map(lambda f: [f[0], f[1] if f[1] != f[0] else "z", *f[2:]]),
+        st.sampled_from(_VARIANTS),
+        st.booleans(),
+    ).map(lambda t: (t[0], *t[1], t[2])),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lines, st.booleans(), st.booleans(), st.sampled_from((1, 7, 64, 1 << 20)),
+       st.sampled_from(("pair", "degree", "none")))
+def test_byte_path_equals_row_path(tmp_path_factory, lines, header, final_newline, block, rule):
+    path = tmp_path_factory.mktemp("cdr") / "cdr.csv"
+    path.write_bytes(_cdr_bytes(lines, header, final_newline))
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        got = ingest_file(path, REG, reciprocity=rule, keep_peers=True)
+    _assert_same_result(got, _by_rows(path, reciprocity=rule))
+
+
+@pytest.mark.parametrize("block", [1, 64, 1 << 20])
+def test_byte_path_equals_row_path_on_every_variant(tmp_path, block):
+    # each variant once, between canonical rows that tie with it on every
+    # sort key but the peer; quoted variants come last, since a quote
+    # sends the rest of the file down the row path
+    variants = sorted(dict.fromkeys(_VARIANTS), key=lambda v: b'"' in _mutate(["a"] * 6, *v))
+    lines = []
+    for how, arg in variants:
+        for crlf in (False, True):
+            lines.append((["a", "b", _T.format(1), "T1", "call", "out"], "none", 0, crlf))
+            lines.append((["a", "c", _T.format(1), "T1", "call", "out"], how, arg, crlf))
+            lines.append((["b", "a", _T.format(2), "T2", "sms", "in"], "none", 0, crlf))
+    path = tmp_path / "cdr.csv"
+    path.write_bytes(_cdr_bytes(lines, True, True))
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        got = ingest_file(path, REG, keep_peers=True)
+    want = _by_rows(path)
+    _assert_same_result(got, want)
+    assert set(want.stats.rows_rejected) == {
+        "bad_encoding", "bad_timestamp", "outside_year", "unknown_tower", "self_call",
+        "missing_column", "bad_kind", "bad_direction"}
+
+
+def test_canonical_lines_take_the_byte_path(tmp_path):
+    # CRLF line ends included, so that such exports stay fast; only the
+    # upper-case line is parsed row by row
+    p = tmp_path / "cdr.csv"
+    p.write_bytes(
+        b"a,b,2008-06-01T10:00:00,T1,call,out\r\n"
+        b"b,a,2008-06-01T11:00:00,T2,sms,incoming\r\n"
+        b"b,a,2008-06-01T12:00:00,T3,CALL,out\r\n"
+        b"a,c,2008-12-31T23:59:59,T1,sms,in"
+    )
+    with mock.patch.object(ingest, "parse_event_fields", wraps=ingest.parse_event_fields) as spy:
+        res = ingest_file(p, REG)
+    assert spy.call_count == 1
+    assert res.stats.rows_read == 4 and res.stats.events_valid == 4
+
+
+def test_a_tower_id_that_extends_a_known_one_is_unknown(tmp_path):
+    # the byte path compares towers by 8-byte words: an id one byte longer
+    # than a known 8-byte id agrees with it on the first word
+    reg = TowerRegistry({"ABCDEFGH": (40.0, 20.0), "T1": (40.1, 20.1)})
+    p = tmp_path / "cdr.csv"
+    p.write_text("a,b,2008-06-01T10:00:00,ABCDEFGHI,call,out\n"
+                 "b,a,2008-06-01T11:00:00,ABCDEFGH,call,out\n")
+    res = ingest_file(p, reg)
+    assert res.stats.rows_rejected == {"unknown_tower": 1}
+    assert res.stats.events_valid == 1
+
+
+def test_invalid_utf8_is_a_counted_reject(tmp_path):
+    p = tmp_path / "cdr.csv"
+    p.write_bytes(
+        b"a,b,2008-06-01T10:00:00,T1,call,out\n"
+        b"b,\xffa,2008-06-01T11:00:00,T1,call,out\n"
+        b"b,a,2008-06-01T12:00:00,T1,call,out\n"
+        b'"b\xff",a,2008-06-01T12:00:00,T1,call,out\n'
+    )
+    res = ingest_file(p, REG)
+    assert res.stats.rows_read == 4
+    assert res.stats.rows_rejected == {"bad_encoding": 2}
+    assert res.table.ids == ["a", "b"]
+
+
+def test_colliding_id_keys_fall_back_to_the_ids(tmp_path):
+    # with a zero hash multiplier, ids longer than 8 bytes whose last words
+    # agree share a key; the interning must still tell them apart
+    ids = ["aaaaaaaa1", "bbbbbbbb1", "cccccccc12", "dddddddd12"]
+    rows = [f"{a},{b},2008-06-01T{h:02d}:00:00,T{1 + h % 3},call,out\n"
+            for h, (a, b) in enumerate((x, y) for x in ids for y in ids if x != y)]
+    p = tmp_path / "cdr.csv"
+    p.write_text("".join(rows))
+    with mock.patch.object(ingest, "_HASH", np.uint64(0)):
+        got = ingest_file(p, REG, keep_peers=True)
+    assert got.table.ids == sorted(ids)
+    _assert_same_result(got, _by_rows(p))

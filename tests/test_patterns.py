@@ -1,5 +1,7 @@
 """Cohort pattern series and demographic strata."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from cdrmob.patterns import (
     pattern,
     write_pattern_csv,
 )
-from cdrmob.records import Demographics, TowerRegistry
+from cdrmob.records import Demographics, TowerRegistry, age_group_of
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1)})
 
@@ -159,6 +161,17 @@ def test_demographic_table_strata():
     assert ("2", "male", "all") not in cell
     # individuals seen at one tower never move
     assert cell[("all", "all", "all")].mean_mobility_km == 0.0
+
+
+def test_demographic_table_age_bands_at_their_bounds():
+    ages = (10, 18, 19, 35, 36, 45, 46, 55, 56, 65, 66, 110)
+    events = {f"u{k:02d}": _one_tower(["2008-01-01T10:00:00"]) for k in range(len(ages) + 1)}
+    demo = Demographics({f"u{k:02d}": ("male", a) for k, a in enumerate(ages)}, {})
+    rows, skipped = demographic_table(_metrics(events), demo, None)
+    assert skipped == 1
+    got = {r.age_group: r.n for r in rows if r.area == "all" and r.gender == "all"}
+    want = Counter(age_group_of(a) for a in ages)
+    assert got == {"all": len(ages), **want}
 
 
 def test_demographic_table_requires_overlap():

@@ -41,6 +41,29 @@ def test_parse_timestamp_rejects():
         assert e.value.reason == "bad_timestamp"
 
 
+def test_parse_timestamp_takes_only_ascii_digits():
+    # int() alone would read each of these digit pairs as a number
+    for bad in ("2008-+1-05T10:00:00", "2008- 1-05T10:00:00", "2008-01-05T+1:00:00",
+                "2008-01-05T10:0 :00", "2008-01-05T10:00:-1", "٢٠٠٨-01-05T10:00:00",
+                "2008-0١-05T10:00:00", "２００８-01-05T10:00", "2008-01-05T1_:00:00"):
+        with pytest.raises(RowReject) as e:
+            parse_timestamp(bad)
+        assert e.value.reason == "bad_timestamp", bad
+    # surrounding whitespace is still tolerated
+    assert parse_timestamp(" 2008-01-05T10:00:00\t") == parse_timestamp("2008-01-05T10:00:00")
+
+
+def test_bad_encoding_comes_first():
+    ys, ye = year_bounds(2008)
+    # a lone surrogate is what surrogateescape makes of a byte that is not UTF-8
+    for row in (["u1", "u2\udcff", "2008-06-01T12:00:00", "T5", "call", "in"],
+                ["u1\udcff", "u1\udcff", "nonsense"]):
+        with pytest.raises(RowReject) as e:
+            parse_event_fields(row, ys, ye)
+        assert e.value.reason == "bad_encoding"
+    assert parse_event_fields(["ü", "u2", "2008-06-01T12:00:00", "T5", "call", "in"], ys, ye)
+
+
 @given(st.integers(min_value=0, max_value=2_000_000_000))
 def test_timestamp_round_trip(ts):
     assert parse_timestamp(format_timestamp(ts)) == ts
@@ -126,6 +149,20 @@ def test_load_towers_refuses_the_antimeridian(tmp_path):
     assert len(load_towers(p)) == 2
 
 
+def test_inputs_that_are_not_utf8_name_file_and_line(tmp_path):
+    towers = tmp_path / "towers.csv"
+    towers.write_bytes(b"tower_id,lat,lon\nA,40.0,20.0\nB\xff,41.0,21.0\n")
+    with pytest.raises(CdrError, match=r"towers\.csv:3: not valid UTF-8"):
+        load_towers(towers)
+    demo = tmp_path / "demo.csv"
+    demo.write_bytes(b"u1,f,34\nu2,m,40\nu3,\xe9,30\n")
+    with pytest.raises(CdrError, match=r"demo\.csv:3: not valid UTF-8"):
+        load_demographics(demo)
+    # valid UTF-8 beyond ASCII is fine
+    demo.write_text("u1,f,34\nü2,m,40\n", encoding="utf-8")
+    assert load_demographics(demo).entries["ü2"] == ("male", 40)
+
+
 def test_load_demographics_age_and_birth_year(tmp_path):
     p = tmp_path / "demo.csv"
     p.write_text(
@@ -140,8 +177,6 @@ def test_load_demographics_age_and_birth_year(tmp_path):
     d = load_demographics(p, analysis_year=2008)
     assert d.entries == {"u1": ("female", 34), "u2": ("male", 34)}
     assert d.rejected == {"age_out_of_range": 2, "unknown_gender": 1, "bad_age": 1}
-    assert d.gender("u2") == "male" and d.age("u2") == 34
-    assert d.gender("ghost") is None
 
 
 def test_load_demographics_rejects_every_row_of_a_duplicated_id(tmp_path):
@@ -151,7 +186,7 @@ def test_load_demographics_rejects_every_row_of_a_duplicated_id(tmp_path):
     d = load_demographics(p, analysis_year=2008)
     assert d.entries == {"u2": ("male", 40)}
     assert d.rejected == {"duplicate_id": 4}
-    assert d.gender("u1") is None
+    assert "u1" not in d.entries
 
 
 def test_age_groups_partition_the_range():

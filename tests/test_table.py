@@ -119,7 +119,8 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
     tm = TableMetrics(tab, REG, (pts[:, 0].copy(), pts[:, 1].copy()), divisor)
     own = {e: sorted(zip(*raw[e])) for e in tab.ids}  # ingest order: (ts, tower)
     for spec in _SPECS:
-        with mock.patch.object(metrics, "_BLOCK_CELLS", block):
+        with mock.patch.object(metrics, "_BLOCK_CELLS", block), \
+                mock.patch.object(metrics, "_ROW_CELLS", block):
             got = list(metrics_rows(tm, spec, 2008))
         want = [
             row
