@@ -140,34 +140,27 @@ _TS_LO = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
 _TS_SPAN = np.where(_TS_LO == ord("0"), 9, 0).astype(np.uint8)
 # _LOW[k] keeps the first k bytes of a little-endian 8-byte word
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _words(u64: np.ndarray, start: np.ndarray, length: np.ndarray, n: int) -> np.ndarray:
     """Bytes [start, start + length) of each line as n zero-padded
     little-endian words, from u64, the 8-byte words at every offset."""
-    out = np.empty((len(start), n), dtype=np.uint64)
+    out = np.empty((len(start), n), dtype="<u8")
     for j in range(n):
         out[:, j] = u64[start + 8 * j] & _LOW[np.clip(length - 8 * j, 0, 8)]
     return out
 
 
-def _key(words: np.ndarray) -> np.ndarray:
-    """One uint64 per row of words: the word itself for one word, else a
-    hash, so equal keys must be confirmed on the words."""
-    key = words[:, 0].copy()
-    for j in range(1, words.shape[1]):
-        key *= _HASH
-        key ^= words[:, j]
-    return key
-
-
 def _distinct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first row of each distinct row of words, distinct row of each row)."""
-    _, first, inv = np.unique(_key(words), return_index=True, return_inverse=True)
-    if words.shape[1] > 1 and not (words[first][inv] == words).all():
-        _, first, inv = np.unique(words, axis=0, return_index=True, return_inverse=True)
-    return first, inv
+    """(first row of each distinct row of words, distinct row of each row).
+    Rows are compared word by word, so whole ids are compared."""
+    order = np.lexsort(words.T)
+    words = words[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    inv = np.empty(len(order), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return order[new], inv
 
 
 def _text(words: np.ndarray) -> list[str]:
@@ -390,25 +383,25 @@ def _linked(links: np.ndarray, rule: str) -> np.ndarray:
 
 
 def _row_order(ego, ts, tower, kind, direction) -> np.ndarray:
-    """Stable order by (ego, ts, tower, kind, direction): one argsort of a
-    packed int64 key when the columns fit in it, else a lexsort."""
+    """Stable order by (ego, ts, tower, kind, direction): one stable argsort
+    of (ego, ts) packed into int64, which int32 egos and timestamps of one
+    year (under 2**25 s apart) fit in 56 bits; then each run of rows equal
+    in (ego, ts), which are few, is put in order by the rest."""
     t0 = int(ts.min()) if len(ts) else 0
-    spans = (int(ego.max()), int(ts.max()) - t0, int(tower.max())) if len(ts) else (0, 0, 0)
-    bits = [v.bit_length() for v in spans]
-    if sum(bits) + 2 > 63:
-        return np.lexsort((direction, kind, tower, ts, ego))
     # in-place steps, so that no temporary is the size of the key
     key = ego.astype(np.int64)
-    key <<= bits[1]
+    key <<= (int(ts.max()) - t0).bit_length() if len(ts) else 0
     key += ts
     key -= t0
-    key <<= bits[2]
-    key += tower
-    key <<= 1
-    key += kind
-    key <<= 1
-    key += direction
-    return np.argsort(key, kind="stable")
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    tie = np.zeros(len(key), dtype=bool)
+    tie[1:] = key[1:] == key[:-1]
+    tie[:-1] |= tie[1:]
+    at = np.flatnonzero(tie)
+    rows = order[at]
+    order[at] = rows[np.lexsort((direction[rows], kind[rows], tower[rows], key[at]))]
+    return order
 
 
 def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int, reciprocity: str,

@@ -437,15 +437,27 @@ def test_invalid_utf8_is_a_counted_reject(tmp_path):
     assert res.table.ids == ["a", "b"]
 
 
-def test_colliding_id_keys_fall_back_to_the_ids(tmp_path):
-    # with a zero hash multiplier, ids longer than 8 bytes whose last words
-    # agree share a key; the interning must still tell them apart
-    ids = ["aaaaaaaa1", "bbbbbbbb1", "cccccccc12", "dddddddd12"]
-    rows = [f"{a},{b},2008-06-01T{h:02d}:00:00,T{1 + h % 3},call,out\n"
+def test_ids_longer_than_one_word_are_told_apart(tmp_path):
+    # ids of 9 and 10 bytes whose first or last 8 bytes agree
+    ids = ["aaaaaaaa1", "aaaaaaaa2", "baaaaaaaa1", "caaaaaaaa1", "aaaaaaaa12"]
+    rows = [f"{a},{b},2008-06-01T{h % 24:02d}:00:00,T{1 + h % 3},call,out\n"
             for h, (a, b) in enumerate((x, y) for x in ids for y in ids if x != y)]
     p = tmp_path / "cdr.csv"
     p.write_text("".join(rows))
-    with mock.patch.object(ingest, "_HASH", np.uint64(0)):
-        got = ingest_file(p, REG, keep_peers=True)
+    got = ingest_file(p, REG, keep_peers=True)
     assert got.table.ids == sorted(ids)
     _assert_same_result(got, _by_rows(p))
+
+
+def test_row_order_equals_lexsort():
+    # few distinct (ego, ts) so that many rows tie, and codes at the int32 limit
+    rng = np.random.default_rng(3)
+    n = 5000
+    ego = rng.choice(np.array([0, 7, 2**31 - 1], dtype=np.int32), n)
+    ts = 1_199_145_600 + rng.choice(np.array([0, 1, 366 * 86400 - 1]), n)
+    tower = rng.choice(np.array([0, 5, 2**31 - 1], dtype=np.int32), n)
+    kind = rng.integers(0, 2, n, dtype=np.int8)
+    direction = rng.integers(0, 2, n, dtype=np.int8)
+    got = ingest._row_order(ego, ts, tower, kind, direction)
+    assert (got == np.lexsort((direction, kind, tower, ts, ego))).all()
+    assert len(ingest._row_order(*(c[:0] for c in (ego, ts, tower, kind, direction)))) == 0
