@@ -263,29 +263,3 @@ def area_summary(
             "mean_density_km2": (dsum[a] / count[a]) if count[a] else float("nan"),
         }
     return out
-
-
-def write_grid_csv(gd: GridDensity, labels: np.ndarray | None, path) -> int:
-    """cell_i,cell_j,center_lat,center_lon,area_km2,population,
-    density_km2,mean_activity,mean_mobility_km,mean_rg_km,area_class"""
-    n = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(
-            "cell_i,cell_j,center_lat,center_lon,area_km2,population,"
-            "density_km2,mean_activity,mean_mobility_km,mean_rg_km,area_class\n"
-        )
-        for k in range(len(gd)):
-            lat, lon = gd.grid.cell_center(int(gd.cell_i[k]), int(gd.cell_j[k]))
-            ma = "" if gd.mean_activity is None else repr(float(gd.mean_activity[k]))
-            mm = "" if gd.mean_mobility is None else repr(float(gd.mean_mobility[k]))
-            mr = ""
-            if gd.mean_rg is not None and not np.isnan(gd.mean_rg[k]):
-                mr = repr(float(gd.mean_rg[k]))
-            lab = "" if labels is None else str(int(labels[k]))
-            fh.write(
-                f"{int(gd.cell_i[k])},{int(gd.cell_j[k])},{lat!r},{lon!r},"
-                f"{gd.grid.cell_area_km2(int(gd.cell_i[k]))!r},{int(gd.population[k])},"
-                f"{float(gd.density[k])!r},{ma},{mm},{mr},{lab}\n"
-            )
-            n += 1
-    return n

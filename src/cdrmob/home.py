@@ -204,26 +204,3 @@ def flag_at_sea(
         index = NearestTowerIndex(registry.lat, registry.lon)
         out[homed] = index.distance_km(lat[homed], lon[homed]) > cutoff_km
     return out
-
-
-def write_homes_csv(
-    ids: list[str],
-    lat: np.ndarray,
-    lon: np.ndarray,
-    night_events: np.ndarray,
-    at_sea: np.ndarray,
-    path,
-) -> int:
-    """ego_id,home_lat,home_lon,night_events,at_sea, one row per individual
-    of the id-ordered arrays; blank coordinates for individuals without a
-    home. Returns the row count."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("ego_id,home_lat,home_lon,night_events,at_sea\n")
-        for ego, a, b, k, sea in zip(
-            ids, lat.tolist(), lon.tolist(), night_events.tolist(), at_sea.tolist()
-        ):
-            if math.isnan(a):
-                fh.write(f"{ego},,,0,\n")
-            else:
-                fh.write(f"{ego},{a!r},{b!r},{k},{1 if sea else 0}\n")
-    return len(ids)

@@ -92,9 +92,6 @@ class EventTable:
         """Segment index of every row."""
         return np.repeat(np.arange(len(self.ids)), np.diff(self.offsets))
 
-    def positions(self, registry: TowerRegistry) -> tuple[np.ndarray, np.ndarray]:
-        return registry.lat[self.tower], registry.lon[self.tower]
-
 
 @dataclass
 class IngestStats:
@@ -187,7 +184,7 @@ def _lookup(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Columns:
-    """Valid events gathered in file order. Ego and peer names are
+    """Valid events, gathered part by part. Ego and peer names are
     interned as they come: `code` numbers them in order of first sight.
     The columns are allocated for `capacity` rows, and grow in
     place (realloc) past it; pages never written cost no memory."""
@@ -255,7 +252,7 @@ class _Columns:
         self.n += k
 
     def columns(self) -> list[np.ndarray]:
-        """The six columns in file order, trimmed to the rows gathered."""
+        """The six columns as gathered, trimmed to the rows gathered."""
         for c in self.cols:
             c.resize(self.n, refcheck=False)
         return self.cols
@@ -382,11 +379,13 @@ def _linked(links: np.ndarray, rule: str) -> np.ndarray:
     return np.intersect1d(a, b)
 
 
-def _row_order(ego, ts, tower, kind, direction) -> np.ndarray:
-    """Stable order by (ego, ts, tower, kind, direction): one stable argsort
-    of (ego, ts) packed into int64, which int32 egos and timestamps of one
-    year (under 2**25 s apart) fit in 56 bits; then each run of rows equal
-    in (ego, ts), which are few, is put in order by the rest."""
+def _row_order(ego, ts, tower, kind, direction, peer=None) -> np.ndarray:
+    """Stable order by (ego, ts, tower, kind, direction, then peer when
+    given): one stable argsort of (ego, ts) packed into int64, which int32
+    egos and timestamps of one year (under 2**25 s apart) fit in 56 bits;
+    then each run of rows equal in (ego, ts), which are few, is put in
+    order by the rest. Rows that tie on every key are equal in every
+    column, so their input order cannot show."""
     t0 = int(ts.min()) if len(ts) else 0
     # in-place steps, so that no temporary is the size of the key
     key = ego.astype(np.int64)
@@ -400,7 +399,8 @@ def _row_order(ego, ts, tower, kind, direction) -> np.ndarray:
     tie[:-1] |= tie[1:]
     at = np.flatnonzero(tie)
     rows = order[at]
-    order[at] = rows[np.lexsort((direction[rows], kind[rows], tower[rows], key[at]))]
+    last = () if peer is None else (peer[rows],)
+    order[at] = rows[np.lexsort((*last, direction[rows], kind[rows], tower[rows], key[at]))]
     return order
 
 
@@ -408,8 +408,7 @@ def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int, reciprocit
               keep_peers: bool) -> IngestResult:
     """Filter the gathered rows by the reciprocity rule and sort the kept
     ones into an EventTable. Kept codes are replaced by the rank of their
-    name, so segments come in id order and peers index the sorted names.
-    Rows equal in every sort key keep their file order."""
+    name, so segments come in id order and peers index the sorted names."""
     names = sorted(cols.code)
     rank = np.empty(len(names), dtype=np.int32)
     rank[np.fromiter(map(cols.code.__getitem__, names), dtype=np.int64, count=len(names))] = (
@@ -434,7 +433,7 @@ def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int, reciprocit
     for k, c in enumerate(kept):
         c[:n] = rank[c[keep]] if k in (0, 5) else c[keep]
     del keep
-    order = _row_order(*(c[:n] for c in kept[:5]))
+    order = _row_order(*(c[:n] for c in kept))
     for c in kept:
         c[:n] = c[:n][order]
         c.resize(n, refcheck=False)
@@ -501,7 +500,8 @@ def ingest_file(
     and goes through csv.reader and parse_event_fields, exactly as
     ingest_rows would take it. From the line of the first double quote on,
     the whole rest of the file takes that row path, because a quoted field
-    may span lines. Either way rows keep their file order.
+    may span lines. The order in which rows are gathered does not show:
+    the table is sorted on every column.
 
     A leading header row is skipped without being counted: one whose
     timestamp does not parse and whose kind and direction are not event
@@ -522,23 +522,20 @@ def ingest_file(
         return cols.parse_rows(rows, registry, *bounds, stats, into)
 
     def add_block(block: bytes, first: bool) -> None:
-        """Rows of a block of whole lines, in file order: canonical lines
-        decoded in vectorised form, each run of other lines as text."""
+        """Rows of a block of whole lines, in two parts: canonical lines
+        decoded in vectorised form, then every run of other lines as text."""
         starts, stop, canonical, lines, decoded = parser.parse(block, cols)
         stats.rows_read += len(lines)
+        if decoded is not None:
+            cols.append(decoded)
         slow = np.flatnonzero(~canonical)
-        at = array("q")  # the first line of the run of each row-path row
         rows = None
         for run in np.split(slow, np.flatnonzero(np.diff(slow) != 1) + 1) if len(slow) else ():
             text = block[starts[run[0]]: stop[run[-1]]].decode("utf-8", "surrogateescape")
             reader = csv.reader(io.StringIO(text, newline=""))
             rows = row_path(_skip_header(reader) if first and run[0] == 0 else reader, rows)
-            at.extend([run[0]] * (len(rows[0]) - len(at)))
-        if len(at) and decoded is not None:
-            order = np.argsort(np.concatenate((lines, at)), kind="stable")
-            decoded = [np.concatenate((c, r))[order] for c, r in zip(decoded, rows)]
-        if decoded is not None or len(at):
-            cols.append(decoded if decoded is not None else rows)
+        if rows is not None and len(rows[0]):
+            cols.append(rows)
 
     with open(path, "rb") as fh:
         offset = 0  # of the block in the file

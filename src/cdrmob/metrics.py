@@ -93,16 +93,6 @@ class WindowSpec:
         return None
 
 
-@dataclass
-class MetricRow:
-    ego_id: str
-    window: str
-    activity: int
-    mobility_km: float
-    rg_km: float | None  # None when the home is unknown or the window is empty
-    pairs: int
-
-
 def rms(sq_sum, n, empty=0.0) -> np.ndarray:
     """sqrt(sq_sum / n) per bin, `empty` where n is 0. Negative sums (the
     rounding residue of prefix-sum differences) count as 0, so neither the
@@ -256,14 +246,16 @@ class TableMetrics:
 
 
 # window matrices of at most this many cells are built at once, and
-# converted to Python values at most _ROW_CELLS at a time
+# yielded as columns of at most _ROW_CELLS cells
 _BLOCK_CELLS = 1 << 20
 _ROW_CELLS = 1 << 14
 
 
 def metrics_rows(tm: TableMetrics, spec: WindowSpec, analysis_year: int):
-    """Every individual's windows under a spec, individuals in id order and
-    windows in canonical order (chronological, or h00..h23 / Mon..Sun)."""
+    """Every individual's windows under a spec, as blocks of columns (ego
+    id, window id, activity, mobility, rg, pairs): individuals in id order
+    and windows in canonical order (chronological, or h00..h23 /
+    Mon..Sun); rg is NaN for empty windows and individuals without a home."""
     n = len(tm.table)
     spans = spec.contiguous_windows(analysis_year)
     if spans is None:
@@ -277,26 +269,8 @@ def metrics_rows(tm: TableMetrics, spec: WindowSpec, analysis_year: int):
         blocks = ((lo, tm.windows(bounds, lo, min(lo + step, n))) for lo in range(0, n, step))
     rows = max(1, _ROW_CELLS // len(wids))
     for lo, block in blocks:
-        for s in range(0, len(block[0]), rows):
-            a, m, rg, pairs = (x[s:s + rows].tolist() for x in block)
-            first = lo + s
-            ids = tm.table.ids[first:first + len(a)]
-            for r, (ego, homed) in enumerate(zip(ids, tm.homed[first:first + len(a)].tolist())):
-                for k, wid in enumerate(wids):
-                    yield MetricRow(
-                        ego, wid, a[r][k], m[r][k],
-                        rg[r][k] if homed and a[r][k] else None, pairs[r][k],
-                    )
-
-
-def write_metrics_csv(rows, path) -> int:
-    """Write a metric stream; floats keep full round-trip precision.
-    Returns the row count."""
-    n = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("ego_id,window,activity,mobility_km,rg_km,pairs\n")
-        for r in rows:
-            rg = "" if r.rg_km is None else repr(float(r.rg_km))
-            fh.write(f"{r.ego_id},{r.window},{r.activity},{float(r.mobility_km)!r},{rg},{r.pairs}\n")
-            n += 1
-    return n
+        k = len(block[0])
+        for s in range(0, k, rows):
+            ids = tm.table.ids[lo + s:lo + min(s + rows, k)]
+            yield ([e for e in ids for _ in wids], list(wids) * len(ids),
+                   *(x[s:s + rows].ravel() for x in block))

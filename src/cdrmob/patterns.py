@@ -52,6 +52,7 @@ class PatternSeries:
     stat: np.ndarray  # NaN where a bin has no samples
     n: np.ndarray
     se: np.ndarray | None  # standard error, mean statistic only
+    cohort: str = "all"  # a label the caller sets, e.g. area3
 
 
 def pattern(
@@ -134,26 +135,6 @@ def pattern(
     return PatternSeries(axis, value, statistic, ids, stat, n, se)
 
 
-def write_pattern_csv(series: list[PatternSeries], path) -> int:
-    """cohort,axis,value,statistic,bin,stat,n,se (stat/se blank where undefined).
-    Cohort is a caller-attached label; series built directly default to "all"."""
-    rows = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("cohort,axis,value,statistic,bin,stat,n,se\n")
-        for s in series:
-            cohort = getattr(s, "cohort", "all")
-            for b, wid in enumerate(s.bins):
-                v = "" if np.isnan(s.stat[b]) else repr(float(s.stat[b]))
-                e = ""
-                if s.se is not None and not np.isnan(s.se[b]):
-                    e = repr(float(s.se[b]))
-                fh.write(
-                    f"{cohort},{s.axis},{s.value},{s.statistic},{wid},{v},{int(s.n[b])},{e}\n"
-                )
-                rows += 1
-    return rows
-
-
 @dataclass
 class StratumRow:
     area: str  # "1".."5" or "all"
@@ -224,23 +205,3 @@ def demographic_table(
                     StratumRow(ak, gk, grk, nsel, ma, sa, mm, sm, len(rsel), mr, sr)
                 )
     return out, skipped
-
-
-def write_strata_csv(rows: list[StratumRow], path) -> int:
-    def fmt(x):
-        return "" if x is None else repr(float(x))
-
-    n = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(
-            "area,gender,age_group,n,mean_activity,se_activity,"
-            "mean_mobility_km,se_mobility_km,n_rg,mean_rg_km,se_rg_km\n"
-        )
-        for r in rows:
-            fh.write(
-                f"{r.area},{r.gender},{r.age_group},{r.n},{r.mean_activity!r},"
-                f"{fmt(r.se_activity)},{r.mean_mobility_km!r},{fmt(r.se_mobility_km)},"
-                f"{r.n_rg},{fmt(r.mean_rg_km)},{fmt(r.se_rg_km)}\n"
-            )
-            n += 1
-    return n

@@ -25,7 +25,7 @@ import math
 import os
 import resource
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .density import (
     sliding_correlation,
     spearman,
     validate_boundaries,
-    write_grid_csv,
 )
 from .geo import GridSpec
 from .home import (
@@ -50,16 +49,13 @@ from .home import (
     find_inactive_window,
     fit_bimodal,
     flag_at_sea,
-    write_homes_csv,
 )
 from .ingest import ingest_file
-from .metrics import TableMetrics, WindowSpec, metrics_rows, write_metrics_csv
+from .metrics import TableMetrics, WindowSpec, metrics_rows
 from .patterns import (
     PatternError,
     demographic_table,
     pattern,
-    write_pattern_csv,
-    write_strata_csv,
 )
 from .records import load_demographics, load_towers, year_bounds
 
@@ -408,17 +404,7 @@ def _sha256(path) -> str:
 
 
 def _series_key(s) -> str:
-    return f"{getattr(s, 'cohort', 'all')}_{s.axis}_{s.value}_{s.statistic}"
-
-
-def write_profile_csv(pipe: Pipeline, path) -> None:
-    act = pipe.activity_profile
-    mob = pipe.mobility_profile
-    centers = act.bin_centers_hours()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("bin_center_h,activity_mean,mobility_rms_km\n")
-        for k in range(act.nbins):
-            fh.write(f"{float(centers[k])!r},{float(act.values[k])!r},{float(mob.values[k])!r}\n")
+    return f"{s.cohort}_{s.axis}_{s.value}_{s.statistic}"
 
 
 def _write_json(path, doc) -> None:
@@ -427,14 +413,33 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _cells(column) -> list[str]:
+    """The CSV text of each value of a column (a list or numpy array):
+    empty for None and NaN, the round-trip repr of any other float, str of
+    everything else. This is the one cell format of every CSV output."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    return ["" if x is None or x != x else repr(float(x)) if isinstance(x, float) else str(x)
+            for x in column]
+
+
+def _write_csv(path, header: str, blocks) -> None:
+    """Write a header line, then the rows of each block of equal-length
+    columns, formatted a whole column at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for cols in blocks:
+            fh.writelines(",".join(row) + "\n" for row in zip(*map(_cells, cols)))
+
+
 def _fit_doc(pipe: Pipeline) -> dict | None:
     """The fitted rhythm, or None when the night window was overridden."""
     return None if pipe.config.night_window is not None else asdict(pipe.circadian_fit)
 
 
-def write_window_json(pipe: Pipeline, path) -> None:
+def window_doc(pipe: Pipeline) -> dict:
     w = pipe.night_window
-    doc = {
+    return {
         "window_start_h": w[0],
         "window_end_h": w[1],
         "label": window_label(w),
@@ -442,19 +447,6 @@ def write_window_json(pipe: Pipeline, path) -> None:
         "daily_fit": _fit_doc(pipe),
         "bin_minutes": pipe.config.bin_minutes,
     }
-    _write_json(path, doc)
-
-
-def write_correlations_csv(pipe: Pipeline, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("variable,band,rank_lo,rank_hi,center_rank,n_cells,corr,note\n")
-        for name in ("activity", "mobility"):
-            for b in pipe.bands[name]:
-                c = "" if b.corr is None else repr(float(b.corr))
-                fh.write(
-                    f"{name},{b.band},{b.rank_lo!r},{b.rank_hi!r},"
-                    f"{b.center_rank!r},{b.n_cells},{c},{b.note}\n"
-                )
 
 
 def area_doc(pipe: Pipeline) -> dict:
@@ -489,7 +481,7 @@ def build_summary(pipe: Pipeline) -> dict:
     monthly_act = {}
     monthly_mob = {}
     for s in pipe.patterns_bundle:
-        if getattr(s, "cohort", "all") != "all" or s.statistic != "mean":
+        if s.cohort != "all" or s.statistic != "mean":
             continue
         table = {b: (None if np.isnan(s.stat[i]) else float(s.stat[i])) for i, b in enumerate(s.bins)}
         if s.axis == "dow" and s.value == "activity":
@@ -548,59 +540,87 @@ def build_summary(pipe: Pipeline) -> dict:
     }
 
 
-def write_plot_data(pipe: Pipeline, out_dir) -> list[str]:
-    """Two-column files for external plotting, one per series."""
-    pd = os.path.join(out_dir, "plotdata")
-    os.makedirs(pd, exist_ok=True)
-    written = []
+def _profile_columns(pipe: Pipeline) -> list:
+    act, mob = pipe.profiles
+    return [(act.bin_centers_hours(), act.values, mob.values)]
 
-    def emit(name, header, lines):
-        with open(os.path.join(pd, name), "w", newline="", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            fh.writelines(line + "\n" for line in lines)
-        written.append(os.path.join("plotdata", name))
 
-    def pairs(xs, ys):
-        return [f"{x!r},{y!r}" for x, y in zip(xs, ys)]
+def _homes_columns(pipe: Pipeline) -> list:
+    """Blank coordinates and at_sea for an individual without a home (who
+    has no night events either)."""
+    lat, lon, night = pipe.home_points
+    sea = [None if math.isnan(a) else int(s) for a, s in zip(lat.tolist(), pipe.at_sea.tolist())]
+    return [(pipe.ingest.table.ids, lat, lon, night, sea)]
 
+
+def _grid_columns(pipe: Pipeline) -> list:
+    gd = pipe.grid_density
+    lat, lon = gd.grid.cell_center(gd.cell_i, gd.cell_j)
+    area = [gd.grid.cell_area_km2(i) for i in gd.cell_i.tolist()]
+    return [(gd.cell_i, gd.cell_j, lat, lon, area, gd.population, gd.density,
+             gd.mean_activity, gd.mean_mobility, gd.mean_rg, pipe.labels)]
+
+
+def _band_columns(pipe: Pipeline) -> list:
+    rows = [(name, *astuple(b)) for name in ("activity", "mobility") for b in pipe.bands[name]]
+    return [list(zip(*rows))]
+
+
+def _pattern_columns(pipe: Pipeline):
+    """One block per series; se is blank for statistics without one."""
+    for s in pipe.patterns_bundle:
+        k = len(s.bins)
+        yield ([s.cohort] * k, [s.axis] * k, [s.value] * k, [s.statistic] * k,
+               s.bins, s.stat, s.n, [None] * k if s.se is None else s.se)
+
+
+def _plot_tables(pipe: Pipeline):
+    """(file name, header, columns) of each two-column plot-data file."""
     act = pipe.activity_profile
-    emit("daily_activity.csv", "hour,activity", pairs(
-        [float(v) for v in act.bin_centers_hours()], [float(v) for v in act.values]
-    ))
+    yield "daily_activity.csv", "hour,activity", (act.bin_centers_hours(), act.values)
     d = np.sort(pipe.grid_density.density)[::-1]
-    emit("rank_size.csv", "log10_rank,log10_density", pairs(
-        [float(v) for v in np.log10(np.arange(1, len(d) + 1))],
-        [float(v) for v in np.log10(np.maximum(d, 1e-300))],
-    ))
+    yield "rank_size.csv", "log10_rank,log10_density", (
+        np.log10(np.arange(1, len(d) + 1)), np.log10(np.maximum(d, 1e-300))
+    )
     for name in ("activity", "mobility"):
         bands = [b for b in pipe.bands[name] if b.corr is not None]
-        emit(f"bands_{name}.csv", "center_rank,corr",
-             pairs([b.center_rank for b in bands], [b.corr for b in bands]))
+        yield f"bands_{name}.csv", "center_rank,corr", (
+            [b.center_rank for b in bands], [b.corr for b in bands]
+        )
     for s in pipe.patterns_bundle:
-        emit(f"pattern_{_series_key(s)}.csv", "bin,stat", [
-            f"{b},{'' if np.isnan(v) else repr(float(v))}" for b, v in zip(s.bins, s.stat)
-        ])
+        yield f"pattern_{_series_key(s)}.csv", "bin,stat", (s.bins, s.stat)
+
+
+def write_plot_data(pipe: Pipeline, out_dir) -> list[str]:
+    """Two-column files for external plotting, one per series."""
+    os.makedirs(os.path.join(out_dir, "plotdata"), exist_ok=True)
+    written = []
+    for name, header, cols in _plot_tables(pipe):
+        written.append(os.path.join("plotdata", name))
+        _write_csv(os.path.join(out_dir, written[-1]), header, [cols])
     return written
 
 
-def _write_homes(pipe: Pipeline, path) -> None:
-    write_homes_csv(pipe.ingest.table.ids, *pipe.home_points, pipe.at_sea, path)
-
-
-# stage -> (output file, writer(pipe, path)), in writing order
+# stage -> (output file, CSV header or None for JSON, content(pipe): the
+# CSV's blocks of columns or the JSON document), in writing order
 WRITERS = {
-    "profile": ("daily_profile.csv", write_profile_csv),
-    "window": ("window.json", write_window_json),
-    "homes": ("homes.csv", _write_homes),
-    "metrics": ("metrics.csv", lambda pipe, path: write_metrics_csv(pipe.iter_metric_rows(), path)),
-    "grid": ("grid.csv", lambda pipe, path: write_grid_csv(pipe.grid_density, pipe.labels, path)),
-    "areas": ("areas.json", lambda pipe, path: _write_json(path, area_doc(pipe))),
-    "correlations": ("correlations.csv", write_correlations_csv),
-    "patterns": ("patterns.csv", lambda pipe, path: write_pattern_csv(pipe.patterns_bundle, path)),
-    "strata": ("strata.csv", lambda pipe, path: write_strata_csv(pipe.strata, path)),
-    "summary": ("summary.json", lambda pipe, path: _write_json(path, build_summary(pipe))),
+    "profile": ("daily_profile.csv", "bin_center_h,activity_mean,mobility_rms_km", _profile_columns),
+    "window": ("window.json", None, window_doc),
+    "homes": ("homes.csv", "ego_id,home_lat,home_lon,night_events,at_sea", _homes_columns),
+    "metrics": ("metrics.csv", "ego_id,window,activity,mobility_km,rg_km,pairs",
+                Pipeline.iter_metric_rows),
+    "grid": ("grid.csv", "cell_i,cell_j,center_lat,center_lon,area_km2,population,density_km2,"
+             "mean_activity,mean_mobility_km,mean_rg_km,area_class", _grid_columns),
+    "areas": ("areas.json", None, area_doc),
+    "correlations": ("correlations.csv",
+                     "variable,band,rank_lo,rank_hi,center_rank,n_cells,corr,note", _band_columns),
+    "patterns": ("patterns.csv", "cohort,axis,value,statistic,bin,stat,n,se", _pattern_columns),
+    "strata": ("strata.csv", "area,gender,age_group,n,mean_activity,se_activity,mean_mobility_km,"
+               "se_mobility_km,n_rg,mean_rg_km,se_rg_km",
+               lambda pipe: [list(zip(*map(astuple, pipe.strata)))]),
+    "summary": ("summary.json", None, build_summary),
 }
-STAGE_OUTPUTS = {stage: name for stage, (name, _) in WRITERS.items()}
+STAGE_OUTPUTS = {stage: name for stage, (name, _, _) in WRITERS.items()}
 
 
 def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> dict[str, str]:
@@ -614,12 +634,16 @@ def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> d
     def digests(rels):
         return {rel: _sha256(os.path.join(out_dir, rel)) for rel in rels}
 
-    for stage, (name, write) in WRITERS.items():
+    for stage, (name, header, content) in WRITERS.items():
         if stage not in stages or (stage == "strata" and pipe.demographics_path is None):
             continue
 
         def run():
-            write(pipe, os.path.join(out_dir, name))
+            path = os.path.join(out_dir, name)
+            if header is None:
+                _write_json(path, content(pipe))
+            else:
+                _write_csv(path, header, content(pipe))
             return digests([name])
 
         done.update(pipe._timed(f"write_{stage}", run))

@@ -184,15 +184,8 @@ class TowerRegistry:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, tower_id: str) -> bool:
-        return tower_id in self._index
-
     def index_of(self, tower_id: str) -> int | None:
         return self._index.get(tower_id)
-
-    def position(self, tower_id: str) -> tuple[float, float]:
-        i = self._index[tower_id]
-        return float(self.lat[i]), float(self.lon[i])
 
     def digest(self) -> str:
         """sha256 of the sorted ids and their float64 coordinates: equal

@@ -24,7 +24,7 @@ stream per individual:
 Every quantity needed to score the pipeline is written to a ground-truth
 file next to the corpus. Determinism: the world derives from seed stream
 (seed, 0) and each individual from (seed, 1_000_000 + index), so output
-bytes depend only on the config, never on thread count.
+bytes depend only on the config.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import date
 
@@ -470,9 +469,14 @@ def _ego_chunk(world: _World, lo: int, hi: int):
     return "".join(out), demo, truth
 
 
+# individuals generated, and their text held, at a time
+_CHUNK = 512
+
+
 def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
     """Write cdr.csv, towers.csv, demographics.csv, truth.json and
-    genconfig.json under out_dir. Byte-identical for any thread count."""
+    genconfig.json under out_dir. Generation runs in one thread; `threads`
+    is accepted and ignored (a thread pool made it slower)."""
     os.makedirs(out_dir, exist_ok=True)
     world = _World(cfg)
 
@@ -481,27 +485,17 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
         fh.writelines(world.tower_rows)
 
     n = cfg.n_individuals
-    chunk = max(64, math.ceil(n / max(threads, 1) / 8))
-    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     egos_truth: dict[str, dict] = {}
     with open(os.path.join(out_dir, CDR_FILE), "w", encoding="utf-8") as cdr, open(
         os.path.join(out_dir, DEMOGRAPHICS_FILE), "w", encoding="utf-8"
     ) as dem:
         cdr.write("ego_id,peer_id,timestamp,tower_id,kind,direction\n")
         dem.write("ego_id,gender,birth_year\n")
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = pool.map(lambda sp: _ego_chunk(world, *sp), spans)
-                for text, demo, truth in results:
-                    cdr.write(text)
-                    dem.writelines(demo)
-                    egos_truth.update(truth)
-        else:
-            for sp in spans:
-                text, demo, truth = _ego_chunk(world, *sp)
-                cdr.write(text)
-                dem.writelines(demo)
-                egos_truth.update(truth)
+        for lo in range(0, n, _CHUNK):
+            text, demo, truth = _ego_chunk(world, lo, min(lo + _CHUNK, n))
+            cdr.write(text)
+            dem.writelines(demo)
+            egos_truth.update(truth)
 
     settlements = [
         {
@@ -596,7 +590,7 @@ class Scorecard:
 def _series(bundle, cohort, axis, value, statistic):
     for s in bundle:
         if (
-            getattr(s, "cohort", "all") == cohort
+            s.cohort == cohort
             and s.axis == axis
             and s.value == value
             and s.statistic == statistic

@@ -99,7 +99,7 @@ def test_criterion_01_metric_oracle_equivalence():
     tab = _random_table(rng, registry, rng.integers(1, 501, size=1000))
     homes = (rng.uniform(-60, 60, size=1000), rng.uniform(-170, 170, size=1000))
     tm = TableMetrics(tab, registry, homes)
-    lats, lons = tab.positions(registry)
+    lats, lons = registry.lat[tab.tower], registry.lon[tab.tower]
     for k in range(1000):
         s, e = int(tab.offsets[k]), int(tab.offsets[k + 1])
         ts = tab.ts[s:e]
@@ -126,7 +126,7 @@ def test_criterion_02_two_event_window():
     registry = _random_world(rng)
     tab = _random_table(rng, registry, [2] * 50)
     tm = TableMetrics(tab, registry)
-    lats, lons = tab.positions(registry)
+    lats, lons = registry.lat[tab.tower], registry.lon[tab.tower]
     for k in range(50):
         d = _oracle_hav(lats[2 * k], lons[2 * k], lats[2 * k + 1], lons[2 * k + 1])
         _, mobility, _, _ = _window(tm, k, int(tab.ts[2 * k]), int(tab.ts[2 * k + 1]) + 1)

@@ -1,5 +1,7 @@
 """Daily rhythm fitting, inactivity window, and home detection."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,11 +16,11 @@ from cdrmob.home import (
     fit_bimodal,
     flag_at_sea,
     night_mask,
-    write_homes_csv,
 )
 from cdrmob.geo import haversine_km
 from cdrmob.ingest import ingest_rows
 from cdrmob.metrics import TableMetrics
+from cdrmob.pipeline import WRITERS, _write_csv
 from cdrmob.records import TowerRegistry, parse_timestamp
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.4, 20.0), "T3": (40.0, 20.3)})
@@ -166,8 +168,14 @@ def test_flag_at_sea_uses_nearest_tower():
 
 def test_homes_csv_round_trip(tmp_path):
     lat, lon = np.array([40.123456789, np.nan]), np.array([20.987654321, np.nan])
-    p = tmp_path / "homes.csv"
-    assert write_homes_csv(["a", "b"], lat, lon, np.array([7, 0]), np.array([False, False]), p) == 2
+    pipe = SimpleNamespace(
+        ingest=SimpleNamespace(table=SimpleNamespace(ids=["a", "b"])),
+        home_points=(lat, lon, np.array([7, 0])),
+        at_sea=np.array([False, False]),
+    )
+    name, header, columns = WRITERS["homes"]
+    p = tmp_path / name
+    _write_csv(p, header, columns(pipe))
     assert p.read_text().splitlines() == [
         "ego_id,home_lat,home_lon,night_events,at_sea",
         "a,40.123456789,20.987654321,7,0",

@@ -7,6 +7,7 @@ reciprocal only when both directions are claimed.
 """
 
 import csv
+import random
 from dataclasses import asdict
 from unittest import mock
 
@@ -225,6 +226,27 @@ def test_spool_round_trip(tmp_path):
     (spool / "meta.json").write_text('{"analysis_year": 2008, "format": 1}\n')
     with pytest.raises(CdrError, match="re-run ingest"):
         ingest_file(spool, REG)
+
+
+def test_spool_does_not_depend_on_row_order(tmp_path):
+    # rows of u1 that tie on every sort key but the peer; the upper-case
+    # ones take the row path, and small blocks mix the two paths
+    rows = [f"u1,{peer},2008-06-01T10:00:00,T1,{kind},out\n"
+            for peer in ("u2", "u3", "u4") for kind in ("call", "CALL")]
+    rows += [f"{a},{b},2008-06-0{d}T0{d}:00:00,T{d},sms,in\n"
+             for d in (1, 2, 3) for a, b in (("u2", "u1"), ("u3", "u4"))]
+    rng = random.Random(5)
+    spools = set()
+    for k in range(4):
+        rng.shuffle(rows)
+        p = tmp_path / f"cdr{k}.csv"
+        p.write_text("".join(rows))
+        for block in (64, 1 << 20):
+            with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+                res = ingest_file(p, REG, keep_peers=True, reciprocity="none")
+            write_spool(res, REG, tmp_path / "spool")
+            spools.add((tmp_path / "spool" / "events.npz").read_bytes())
+    assert len(spools) == 1
 
 
 def test_spool_with_a_damaged_table_is_refused(tmp_path):
@@ -460,4 +482,7 @@ def test_row_order_equals_lexsort():
     direction = rng.integers(0, 2, n, dtype=np.int8)
     got = ingest._row_order(ego, ts, tower, kind, direction)
     assert (got == np.lexsort((direction, kind, tower, ts, ego))).all()
+    peer = rng.choice(np.array([0, 4, 2**31 - 1], dtype=np.int32), n)
+    got = ingest._row_order(ego, ts, tower, kind, direction, peer)
+    assert (got == np.lexsort((peer, direction, kind, tower, ts, ego))).all()
     assert len(ingest._row_order(*(c[:0] for c in (ego, ts, tower, kind, direction)))) == 0

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from conftest import table_metrics
 
 from cdrmob.geo import haversine_km
 from cdrmob.metrics import (
-    MetricRow,
     WindowSpec,
     metrics_rows,
-    write_metrics_csv,
 )
+from cdrmob.pipeline import WRITERS, _write_csv
 from cdrmob.records import TowerRegistry, parse_timestamp, year_bounds
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1), "T3": (40.3, 20.4)})
@@ -28,10 +28,28 @@ def _tm(ts, towers, home=HOME, divisor="events"):
     return table_metrics(REG, {"e": (ts, towers)}, {"e": home}, divisor)
 
 
-def _window(tm, t0, t1, row=0) -> MetricRow:
+class Row(NamedTuple):
+    ego_id: str
+    window: str
+    activity: int
+    mobility_km: float
+    rg_km: float | None  # None when the home is unknown or the window is empty
+    pairs: int
+
+
+def _rows(tm, spec) -> list[Row]:
+    """The rows of metrics_rows' blocks of columns."""
+    return [
+        Row(e, w, a, m, None if math.isnan(rg) else rg, p)
+        for cols in metrics_rows(tm, spec, 2008)
+        for e, w, a, m, rg, p in zip(*(c if isinstance(c, list) else c.tolist() for c in cols))
+    ]
+
+
+def _window(tm, t0, t1, row=0) -> Row:
     a, m, rg, pairs = (x[row, 0] for x in tm.windows(np.array([t0, t1], dtype=np.int64)))
     homed = tm.homed[row] and a > 0
-    return MetricRow(tm.table.ids[row], "", int(a), float(m), float(rg) if homed else None, int(pairs))
+    return Row(tm.table.ids[row], "", int(a), float(m), float(rg) if homed else None, int(pairs))
 
 
 def _d(i, j):
@@ -128,13 +146,13 @@ def test_month_windows_partition_the_year():
     rng = np.random.default_rng(9)
     ts = np.sort(rng.integers(ys, ye, size=500))
     tm = _tm(ts, rng.integers(0, 3, size=500))
-    months = list(metrics_rows(tm, WindowSpec("month"), 2008))
+    months = _rows(tm, WindowSpec("month"))
     assert [r.window for r in months] == [f"2008-{m:02d}" for m in range(1, 13)]
     assert sum(r.activity for r in months) == 500
-    days = list(metrics_rows(tm, WindowSpec("day"), 2008))
+    days = _rows(tm, WindowSpec("day"))
     assert len(days) == 366  # leap year
     assert sum(r.activity for r in days) == 500
-    year = list(metrics_rows(tm, WindowSpec("year"), 2008))
+    year = _rows(tm, WindowSpec("year"))
     assert len(year) == 1 and year[0].activity == 500
 
 
@@ -158,7 +176,7 @@ def test_range_window_spec():
 def test_hour_bins_attribute_pairs_to_the_earlier_event():
     t0 = parse_timestamp("2008-06-01T10:59:00")
     t1 = parse_timestamp("2008-06-01T11:01:00")
-    rows = list(metrics_rows(_tm([t0, t1], [0, 1]), WindowSpec("hour"), 2008))
+    rows = _rows(_tm([t0, t1], [0, 1]), WindowSpec("hour"))
     assert [r.window for r in rows] == [f"h{h:02d}" for h in range(24)]
     by_id = {r.window: r for r in rows}
     assert by_id["h10"].activity == 1 and by_id["h11"].activity == 1
@@ -170,12 +188,12 @@ def test_weekday_bins_skip_day_crossing_pairs():
     # 2008-01-01 was a Tuesday
     t0 = parse_timestamp("2008-01-01T23:50:00")
     t1 = parse_timestamp("2008-01-02T00:10:00")
-    rows = {r.window: r for r in metrics_rows(_tm([t0, t1], [0, 2]), WindowSpec("weekday"), 2008)}
+    rows = {r.window: r for r in _rows(_tm([t0, t1], [0, 2]), WindowSpec("weekday"))}
     assert rows["Tue"].activity == 1 and rows["Wed"].activity == 1
     assert all(r.pairs == 0 for r in rows.values())
     # same-day pair does count
     t2 = parse_timestamp("2008-01-01T10:00:00")
-    rows2 = {r.window: r for r in metrics_rows(_tm([t2, t0], [0, 1]), WindowSpec("weekday"), 2008)}
+    rows2 = {r.window: r for r in _rows(_tm([t2, t0], [0, 1]), WindowSpec("weekday"))}
     assert rows2["Tue"].pairs == 1
 
 
@@ -186,14 +204,16 @@ def test_metrics_table_and_csv_round_trip(tmp_path):
         {"u2": ([ys + 10, ys + 7200], [0, 1]), "u1": ([ys + 50], [2])},
         {"u1": HOME, "u2": None},
     )
-    rows = list(metrics_rows(tm, WindowSpec("year"), 2008))
+    rows = _rows(tm, WindowSpec("year"))
     assert [(r.ego_id, r.activity) for r in rows] == [("u1", 1), ("u2", 2)]
     assert rows[1].rg_km is None
     path = tmp_path / "metrics.csv"
-    assert write_metrics_csv(rows, path) == 2
+    _, header, _ = WRITERS["metrics"]
+    _write_csv(path, header, metrics_rows(tm, WindowSpec("year"), 2008))
     with open(path, newline="", encoding="utf-8") as fh:
         back = list(csv.reader(fh))
     assert back[0] == ["ego_id", "window", "activity", "mobility_km", "rg_km", "pairs"]
+    assert len(back) == 3
     for r, line in zip(rows, back[1:]):
         # floats are written at full precision, a missing rg as a blank
         assert line[:3] == [r.ego_id, "2008", str(r.activity)]

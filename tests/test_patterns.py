@@ -1,6 +1,7 @@
 """Cohort pattern series and demographic strata."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from cdrmob.patterns import (
     PatternError,
     demographic_table,
     pattern,
-    write_pattern_csv,
 )
+from cdrmob.pipeline import WRITERS, _write_csv
 from cdrmob.records import Demographics, TowerRegistry, age_group_of
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1)})
@@ -122,11 +123,12 @@ def test_write_pattern_csv_handles_labels_and_gaps(tmp_path):
     s1 = pattern(tm, None, "month", "activity")
     s2 = pattern(tm, None, "month", "rg")  # has empty bins -> blank stat
     s2.cohort = "area3"
-    p = tmp_path / "patterns.csv"
-    rows = write_pattern_csv([s1, s2], p)
+    name, header, columns = WRITERS["patterns"]
+    p = tmp_path / name
+    _write_csv(p, header, columns(SimpleNamespace(patterns_bundle=[s1, s2])))
     lines = p.read_text().splitlines()
     assert lines[0] == "cohort,axis,value,statistic,bin,stat,n,se"
-    assert rows == 24 and len(lines) == 25
+    assert len(lines) == 25
     assert lines[1].startswith("all,month,activity,mean,2008-01,")
     assert lines[13].startswith("area3,month,rg,mean,2008-01,,0,")
 

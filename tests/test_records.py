@@ -105,15 +105,16 @@ def test_tower_registry_sorted_ids():
     reg = TowerRegistry({"T2": (1.0, 2.0), "T1": (3.0, 4.0)})
     assert reg.ids == ["T1", "T2"]
     assert reg.index_of("T1") == 0
-    assert "T2" in reg and reg.index_of("nope") is None
-    assert reg.position("T2") == (1.0, 2.0)
+    assert reg.index_of("T2") == 1 and reg.index_of("nope") is None
+    assert (reg.lat[1], reg.lon[1]) == (1.0, 2.0)
 
 
 def test_load_towers(tmp_path):
     p = tmp_path / "towers.csv"
     p.write_text("tower_id,lat,lon\nA,40.0,20.0\nB,40.1,20.1\n")
     reg = load_towers(p)
-    assert len(reg) == 2 and reg.position("A") == (40.0, 20.0)
+    a = reg.index_of("A")
+    assert len(reg) == 2 and (reg.lat[a], reg.lon[a]) == (40.0, 20.0)
     # headerless files load too
     p2 = tmp_path / "bare.csv"
     p2.write_text("A,40.0,20.0\n")

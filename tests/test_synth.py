@@ -41,10 +41,10 @@ def test_noise_free_individual_lives_at_the_planted_tower(tmp_path):
     reg = load_towers(tmp_path / TOWERS_FILE)
     res = ingest_file(tmp_path / CDR_FILE, reg)
     assert res.table.ids == [ego]
-    tower_pos = reg.position(info["home_tower"])
+    home = reg.index_of(info["home_tower"])
     lat, lon, _ = compute_homes(res.table, reg, truth.night_window)
-    assert lat[0] == pytest.approx(tower_pos[0], abs=1e-9)
-    assert lon[0] == pytest.approx(tower_pos[1], abs=1e-9)
+    assert lat[0] == pytest.approx(reg.lat[home], abs=1e-9)
+    assert lon[0] == pytest.approx(reg.lon[home], abs=1e-9)
     grid = GridSpec(truth.grid_step, truth.grid_step)
     assert grid.cell_of(lat[0], lon[0]) == tuple(info["cell"])
 

@@ -21,20 +21,25 @@ from cdrmob.metrics import (
     EPOCH_WEEKDAY,
     HOUR_IDS,
     WEEKDAY_IDS,
-    MetricRow,
     TableMetrics,
     WindowSpec,
     metrics_rows,
     rms,
 )
+from cdrmob.pipeline import _cells
 from cdrmob.records import TowerRegistry, year_bounds
 
 REG = TowerRegistry({f"T{k}": (40.0 + 0.13 * k, 20.0 + 0.07 * k * k) for k in range(5)})
 YS, YE = year_bounds(2008)
 
 
+def _text(blocks) -> list[tuple[str, ...]]:
+    """The metrics.csv cells of blocks of columns."""
+    return [row for cols in blocks for row in zip(*map(_cells, cols))]
+
+
 def _reference_rows(ego, ts, tower, home, spec, divisor):
-    """One individual's MetricRows, computed from its own events only."""
+    """One individual's metrics.csv cells, computed from its own events only."""
     lat, lon = REG.lat[tower], REG.lon[tower]
     d = haversine_km(lat[:-1], lon[:-1], lat[1:], lon[1:])
     d2 = d * d
@@ -71,13 +76,11 @@ def _reference_rows(ego, ts, tower, home, spec, divisor):
         h2sum = None if h2 is None else np.bincount(b, weights=h2, minlength=nbins)
     m = rms(d2sum, a if divisor == "events" else pairs)
     rg = None if h2sum is None else rms(h2sum, a, np.nan)
-    return [
-        MetricRow(
-            ego, wid, int(a[k]), float(m[k]),
-            None if rg is None or a[k] == 0 else float(rg[k]), int(pairs[k]),
-        )
-        for k, wid in enumerate(wids)
-    ]
+    return _text([(
+        [ego] * len(wids), wids, a.tolist(), m.tolist(),
+        [None if rg is None or a[k] == 0 else float(rg[k]) for k in range(len(wids))],
+        pairs.tolist(),
+    )])
 
 
 _EVENTS = st.dictionaries(
@@ -121,7 +124,7 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
     for spec in _SPECS:
         with mock.patch.object(metrics, "_BLOCK_CELLS", block), \
                 mock.patch.object(metrics, "_ROW_CELLS", block):
-            got = list(metrics_rows(tm, spec, 2008))
+            got = _text(metrics_rows(tm, spec, 2008))
         want = [
             row
             for e in tab.ids
@@ -132,7 +135,7 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
                 homes[e], spec, divisor,
             )
         ]
-        assert list(map(repr, got)) == list(map(repr, want)), spec
+        assert got == want, spec
 
     for window in ((1.0, 7.0), (20.0, 3.0)):
         lat, lon, counts = compute_homes(tab, REG, window)
