@@ -186,10 +186,8 @@ def _write_files(out_dir, names, command: str, t0: float, write, **fields) -> No
     with _removed_on_failure(out_dir, names + ["manifest.json"]):
         write()
         outputs = {n: _sha256(os.path.join(out_dir, n)) for n in names}
-        save_manifest(
-            out_dir, command, outputs,
-            timings_s={command: round(time.perf_counter() - t0, 3)}, **fields,
-        )
+        seconds = {command: round(time.perf_counter() - t0, 3)}
+        save_manifest(out_dir, command, outputs, timings_s=seconds, inclusive_s=seconds, **fields)
     for n in names + ["manifest.json"]:
         print(os.path.join(out_dir, n))
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .geo import NearestTowerIndex
 from .ingest import EventTable
@@ -52,16 +51,21 @@ class DailyProfile:
 
 def daily_profile(tm: TableMetrics, bin_minutes: int = 60) -> tuple[DailyProfile, DailyProfile]:
     """Pool every individual's events into time-of-day bins; returns the
-    (activity, mobility) profiles. Per-individual sums are added up in id
-    order."""
+    (activity, mobility) profiles. Per-individual sums are added up row by
+    row in id order, one block of individuals at a time."""
     if 1440 % bin_minutes:
         raise ValueError("bin width must divide the day evenly")
     nbins = 1440 // bin_minutes
-    a, d2sum, _, pairs = tm.time_of_day(nbins)
+    a, d2sum, pairs = np.zeros(nbins, dtype=np.int64), np.zeros(nbins), np.zeros(nbins, dtype=np.int64)
+    for lo, hi in tm.blocks(nbins):
+        ba, bd2, _, bpairs = tm.time_of_day(nbins, lo, hi)
+        # one sequential sum over the rows, continued from the previous blocks
+        a, d2sum, pairs = (np.add.reduce(np.vstack((t[None], b)), axis=0)
+                           for t, b in ((a, ba), (d2sum, bd2), (pairs, bpairs)))
     n = len(tm.table)
     return (
-        DailyProfile(bin_minutes, a.sum(axis=0) / max(n, 1), n),
-        DailyProfile(bin_minutes, rms(d2sum.sum(axis=0), pairs.sum(axis=0)), n),
+        DailyProfile(bin_minutes, a / max(n, 1), n),
+        DailyProfile(bin_minutes, rms(d2sum, pairs), n),
     )
 
 
@@ -95,6 +99,8 @@ def fit_bimodal(profile: DailyProfile) -> BimodalFit:
     separated, non-vanishing components (peaks closer than 2 h, or the
     smaller amplitude under 5% of the larger).
     """
+    from scipy.optimize import curve_fit  # costs most of the package's import time
+
     t = profile.bin_centers_hours()
     y = np.asarray(profile.values, dtype=float)
     span = float(y.max() - y.min())
@@ -178,7 +184,7 @@ def compute_homes(
     events, per individual in id order: (lat, lon, night events), with
     NaN coordinates for an individual without night events."""
     m = night_mask(table.ts, window)
-    counts = np.bincount(table.ego[m], minlength=len(table))
+    counts = np.add.reduceat(m, table.offsets[:-1], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     tower = table.tower[m]
     lat, lon = registry.lat[tower], registry.lon[tower]

@@ -29,7 +29,6 @@ constructed to match tower-id string order.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import logging
@@ -86,11 +85,6 @@ class EventTable:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @functools.cached_property
-    def ego(self) -> np.ndarray:
-        """Segment index of every row."""
-        return np.repeat(np.arange(len(self.ids)), np.diff(self.offsets))
 
 
 @dataclass
@@ -307,6 +301,14 @@ class _ByteParser:
         fit = (ln[:, 2] == 19) & (ln[:, 4] <= 8) & (ln[:, 5] <= 8)
         fit &= (ids >= 1).all(axis=1) & (ids <= _MAX_ID_BYTES).all(axis=1)
         lines, lo, ln = lines[fit], lo[fit], ln[fit]
+        # kind and direction are one word each: a file whose tokens are not
+        # canonical leaves this block here, before the costlier decoding
+        u64 = np.ndarray(len(block) + 57, dtype="<u8", buffer=arr, strides=(1,))
+        kind, found = _lookup(_KIND_KEYS[0], u64[lo[:, 4]] & _LOW[ln[:, 4]])
+        direction, found2 = _lookup(_DIRECTION_KEYS[0], u64[lo[:, 5]] & _LOW[ln[:, 5]])
+        found &= found2
+        lines, lo, ln = lines[found], lo[found], ln[found]
+        kind, direction = _KIND_KEYS[1][kind[found]], _DIRECTION_KEYS[1][direction[found]]
         m = len(lines)
         canonical = np.zeros(len(starts), dtype=bool)
         if not m:
@@ -331,13 +333,6 @@ class _ByteParser:
         ts = (self.month_offset[mi] + day - 1) * np.int64(86400) + (hh * 3600 + mm * 60 + ss)
         ts += self.year_start
 
-        u64 = np.ndarray(len(block) + 57, dtype="<u8", buffer=arr, strides=(1,))
-        kind, found = _lookup(_KIND_KEYS[0], u64[lo[:, 4]] & _LOW[ln[:, 4]])
-        kind = _KIND_KEYS[1][kind]
-        good &= found
-        direction, found = _lookup(_DIRECTION_KEYS[0], u64[lo[:, 5]] & _LOW[ln[:, 5]])
-        direction = _DIRECTION_KEYS[1][direction]
-        good &= found
         # towers and ids are looked up once per distinct value in the block
         words = _words(u64, lo[:, 3], ln[:, 3], -(-int(ln[:, 3].max()) // 8))
         first, inv = _distinct(words)

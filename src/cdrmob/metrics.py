@@ -19,13 +19,16 @@ the bin of its earlier event; "weekday" pools calendar days by day of week,
 counting only within-day displacement pairs. Pooled mobility divides the
 pooled squared displacement by the pooled event (or pair) count.
 
-Every individual is computed at once from the flat EventTable. Squared
-consecutive displacements and squared home distances are computed once
-over the whole table. Prefix sums restart at each individual (one
-cumulative sum per segment, laid end to end), so a contiguous window is
-two lookups, and one searchsorted over an (individual, timestamp) key
-finds every window bound of every individual. Pooled windows are
-bincounts over (individual, bin) keys.
+Squared consecutive displacements and squared home distances are
+computed once over the flat EventTable (8 bytes per event each). Every
+per-individual matrix is then built for one block of consecutive
+individuals at a time, so what a pass holds beyond its result grows with
+the block, not with the table. Prefix sums restart at each individual
+(one cumulative sum per segment, laid end to end), so a contiguous window
+is two lookups, and one searchsorted over an (individual, timestamp) key
+finds every window bound of every individual of a block. Pooled windows
+are bincounts over (individual, bin) keys. Each individual's values
+depend only on its own segment, so they are the same for any blocking.
 """
 
 from __future__ import annotations
@@ -112,12 +115,19 @@ def segment_rows(offsets: np.ndarray):
             yield seg, offsets[seg][:, None] + np.arange(sizes[seg[0]])
 
 
-def segment_cumsum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Inclusive cumulative sums of x, restarted at every segment start."""
-    out = np.empty_like(x)
+def segment_cumsum(xs: list[np.ndarray], offsets: np.ndarray) -> list[np.ndarray]:
+    """Inclusive cumulative sums of each array of xs, restarted at every
+    segment start; one pass over the segments serves every array."""
+    outs = [np.empty_like(x) for x in xs]
     for _, rows in segment_rows(offsets):
-        out[rows] = np.cumsum(x[rows], axis=1)
-    return out
+        for x, out in zip(xs, outs):
+            out[rows] = np.cumsum(x[rows], axis=1)
+    return outs
+
+
+def _segment_index(offsets: np.ndarray) -> np.ndarray:
+    """Segment index of every row between offsets[0] and offsets[-1]."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
 def _squared_km(p, i, q, j) -> np.ndarray:
@@ -136,14 +146,25 @@ def _upto(cum, k, start):
     return np.where(k > start, cum[np.maximum(k - 1, 0)], 0.0)
 
 
+# Every per-individual matrix is built for a block of consecutive
+# individuals at a time: a block holds at most this many events and result
+# cells (2 MiB per int64 or float64 column), or one individual.
+_BLOCK_CELLS = 1 << 18
+# Whole-table windows of at most this many spans (a year, its months) are
+# kept once built: year_rows, strata, patterns and metrics.csv share them.
+_KEPT_SPANS = 12
+
+
 class TableMetrics:
-    """Window metrics of every individual of an EventTable at once.
+    """Window metrics of every individual of an EventTable, built one block
+    of consecutive individuals at a time.
 
     d2[r] is the squared displacement from row r to row r+1, 0 after each
     individual's last event; h2[r] the squared distance of row r to its
     individual's home, NaN without one (None when no homes are given).
     Results are n x k matrices, one row per individual in id order; rg is NaN
-    for empty windows and individuals without a home. Whole-table windows are kept.
+    for empty windows and individuals without a home. Whole-table year and
+    month windows are kept.
     """
 
     def __init__(self, table: EventTable, registry: TowerRegistry, homes=None,
@@ -152,7 +173,6 @@ class TableMetrics:
             raise ValueError(f"unknown mobility divisor {divisor!r}")
         self.table = table
         self.divisor = divisor
-        self.ego = table.ego
         towers = (registry.lat, registry.lon)
         if d2 is None:
             d2 = np.zeros(len(table.ts))
@@ -160,10 +180,50 @@ class TableMetrics:
             d2[table.offsets[1:] - 1] = 0.0  # no pair across individuals
         self.d2 = d2
         self.homed = np.zeros(len(table), dtype=bool) if homes is None else ~np.isnan(homes[0])
+        # the smallest unsigned type that holds any individual's event count
+        self._count_type = np.min_scalar_type(int(np.diff(table.offsets).max(initial=0)))
         self.h2 = None
         if homes is not None:
-            self.h2 = _squared_km(towers, table.tower, homes, self.ego)
+            self.h2 = np.empty(len(table.ts))
+            for lo, hi in self.blocks():
+                r0, r1, off = self._rows(lo, hi)
+                self.h2[r0:r1] = _squared_km(towers, table.tower[r0:r1], homes,
+                                             lo + _segment_index(off))
         self._memo: dict = {}
+
+    def blocks(self, width: int = 1):
+        """(lo, hi) blocks of consecutive individuals, in id order, each with
+        at most _BLOCK_CELLS events and lo..hi-1 x width result cells, or a
+        single individual; one empty block for an empty table."""
+        off = self.table.offsets
+        n = len(self.table)
+        step = max(1, _BLOCK_CELLS // max(width, 1))
+        if not n:
+            yield 0, 0
+        lo = 0
+        while lo < n:
+            fit = int(np.searchsorted(off, off[lo] + _BLOCK_CELLS, side="right")) - 1
+            hi = max(lo + 1, min(n, lo + step, fit))
+            yield lo, hi
+            lo = hi
+
+    def _rows(self, lo, hi):
+        """First and past-last table row of individuals lo..hi-1, and their
+        segment offsets from the first."""
+        off = self.table.offsets[lo:hi + 1]
+        return int(off[0]), int(off[-1]), off - off[0]
+
+    def stack(self, fn, width: int):
+        """The arrays fn(lo, hi) returns for each block, laid end to end into
+        whole-table arrays; width is the result cells per individual."""
+        out = None
+        for lo, hi in self.blocks(width):
+            part = fn(lo, hi)
+            if out is None:
+                out = [np.empty((len(self.table),) + p.shape[1:], p.dtype) for p in part]
+            for o, p in zip(out, part):
+                o[lo:hi] = p
+        return tuple(out)
 
     def from_sums(self, a, d2sum, h2sum, pairs):
         """(activity, mobility, rg, pairs) from window or pooled sums."""
@@ -172,82 +232,87 @@ class TableMetrics:
         return a, m, rg, pairs
 
     def windows(self, bounds: np.ndarray, lo: int = 0, hi: int | None = None):
-        """Metrics of individuals lo..hi-1 for the half-open spans between
-        consecutive bounds; kept when they cover the whole table."""
-        n = len(self.table)
-        if lo == 0 and hi in (None, n):
-            key = bounds.tobytes()
-            if key not in self._memo:
-                self._memo[key] = self._windows(bounds, 0, n)
-            return self._memo[key]
-        return self._windows(bounds, lo, hi)
+        """Metrics of individuals lo..hi-1 (everyone when hi is None) for the
+        half-open spans between consecutive bounds. A whole-table result is
+        built block by block, and kept when it has at most _KEPT_SPANS spans."""
+        key = bounds.tobytes()
+        if key in self._memo:
+            return tuple(x[lo:hi] for x in self._memo[key])
+        if hi is not None:
+            return self._windows(bounds, lo, hi)
+        whole = self.stack(lambda a, b: self._windows(bounds, a, b), len(bounds) - 1)
+        if len(bounds) - 1 <= _KEPT_SPANS:
+            self._memo[key] = whole
+        return whole
 
     def _windows(self, bounds, lo, hi):
-        r0, r1 = int(self.table.offsets[lo]), int(self.table.offsets[hi])
-        off = self.table.offsets[lo:hi + 1] - r0
+        r0, r1, off = self._rows(lo, hi)
         ts = self.table.ts[r0:r1]
         # one sorted (individual, time) key; bounds are clipped to the data's
         # time span [t0, t1], so every query stays in its individual's range
         t0, t1 = (int(ts.min()), int(ts.max()) + 1) if len(ts) else (0, 0)
-        key = ((self.ego[r0:r1] - lo) << 40) + (ts - t0)
+        key = (_segment_index(off) << 40) + (ts - t0)
         seg = np.arange(hi - lo, dtype=np.int64)[:, None]
         idx = np.searchsorted(key, (seg << 40) + (np.clip(bounds, t0, t1) - t0), side="left")
         i, j = idx[:, :-1], idx[:, 1:]
         start = off[:-1, None]
         a = j - i
         pairs = np.maximum(a - 1, 0)
-        cd = segment_cumsum(self.d2[r0:r1], off)
+        cd, *ch = segment_cumsum([x[r0:r1] for x in (self.d2, self.h2) if x is not None], off)
         d2 = np.where(pairs > 0, _upto(cd, j - 1, start) - _upto(cd, i, start), 0.0)
-        h2 = None
-        if self.h2 is not None:
-            ch = segment_cumsum(self.h2[r0:r1], off)
-            h2 = _upto(ch, j, start) - _upto(ch, i, start)
+        h2 = None if not ch else _upto(ch[0], j, start) - _upto(ch[0], i, start)
         return self.from_sums(a, d2, h2, pairs)
 
-    def pooled(self, bins: np.ndarray, nbins: int, pair_mask=None):
-        """Pooled (activity, d2 sum, h2 sum, pair count) per individual and
-        bin. Each displacement goes to the bin of its earlier event;
-        pair_mask can drop pairs (e.g. ones crossing a day boundary)."""
-        n = len(self.table)
-        key = self.ego * nbins + bins
+    def pooled(self, bins: np.ndarray, nbins: int, lo: int, hi: int, pair_mask=None):
+        """Pooled (activity, d2 sum, h2 sum, pair count) per individual of
+        lo..hi-1 and bin, from the bin of each of their events. Each
+        displacement goes to the bin of its earlier event; pair_mask can
+        drop pairs (e.g. ones crossing a day boundary)."""
+        r0, r1, off = self._rows(lo, hi)
+        key = _segment_index(off) * nbins + bins
         pm = np.ones(len(key), dtype=bool)
-        pm[self.table.offsets[1:] - 1] = False  # last event: no pair
+        pm[off[1:] - 1] = False  # last event: no pair
         if pair_mask is not None:
             pm &= pair_mask
         pk = key[pm]
 
         def count(k, w=None):
-            return np.bincount(k, weights=w, minlength=n * nbins).reshape(n, nbins)
+            return np.bincount(k, weights=w, minlength=(hi - lo) * nbins).reshape(hi - lo, nbins)
 
-        h2 = None if self.h2 is None else count(key, self.h2)
-        return count(key), count(pk, self.d2[pm]), h2, count(pk)
+        h2 = None if self.h2 is None else count(key, self.h2[r0:r1])
+        return count(key), count(pk, self.d2[r0:r1][pm]), h2, count(pk)
 
-    def time_of_day(self, nbins: int = 24):
-        """Pooled sums per time-of-day bin: (activity, d2sum, h2sum, pairs)."""
+    def time_of_day(self, nbins: int, lo: int, hi: int):
+        """Pooled sums per time-of-day bin of individuals lo..hi-1:
+        (activity, d2sum, h2sum, pairs)."""
         if 86400 % nbins:
             raise ValueError("time-of-day bins must divide the day evenly")
-        return self.pooled((self.table.ts % 86400) // (86400 // nbins), nbins)
+        r0, r1, _ = self._rows(lo, hi)
+        return self.pooled((self.table.ts[r0:r1] % 86400) // (86400 // nbins), nbins, lo, hi)
 
-    def weekday(self):
-        """Pooled sums per weekday (0=Mon), within-day pairs only."""
-        days = self.table.ts // 86400
+    def weekday(self, lo: int, hi: int):
+        """Pooled sums per weekday (0=Mon) of individuals lo..hi-1,
+        within-day pairs only."""
+        r0, r1, _ = self._rows(lo, hi)
+        days = self.table.ts[r0:r1] // 86400
         same_day = np.append(days[1:] == days[:-1], False)[: len(days)]
-        return self.pooled((days + EPOCH_WEEKDAY) % 7, 7, pair_mask=same_day)
+        return self.pooled((days + EPOCH_WEEKDAY) % 7, 7, lo, hi, pair_mask=same_day)
 
-    def day_counts(self, year: int) -> np.ndarray:
-        """Events per individual and calendar day of the year, n x days."""
+    def day_counts(self, year: int, lo: int, hi: int) -> np.ndarray:
+        """Events of individuals lo..hi-1 per calendar day of the year, as
+        _count_type: one pass over the events, and usually a byte or two per
+        day and individual."""
         ys, ye = year_bounds(year)
         ndays = (ye - ys) // 86400
-        ts = self.table.ts
+        r0, r1, off = self._rows(lo, hi)
+        ts = self.table.ts[r0:r1]
         inside = (ts >= ys) & (ts < ye)
-        key = (ts[inside] - ys) // 86400
-        key += self.ego[inside] * ndays
-        return np.bincount(key, minlength=len(self.table) * ndays).reshape(-1, ndays)
+        key = _segment_index(off)[inside] * ndays + (ts[inside] - ys) // 86400
+        counts = np.bincount(key, minlength=(hi - lo) * ndays).reshape(hi - lo, ndays)
+        return counts.astype(self._count_type)
 
 
-# window matrices of at most this many cells are built at once, and
-# yielded as columns of at most _ROW_CELLS cells
-_BLOCK_CELLS = 1 << 20
+# metrics.csv is yielded as columns of at most this many cells
 _ROW_CELLS = 1 << 14
 
 
@@ -256,17 +321,18 @@ def metrics_rows(tm: TableMetrics, spec: WindowSpec, analysis_year: int):
     id, window id, activity, mobility, rg, pairs): individuals in id order
     and windows in canonical order (chronological, or h00..h23 /
     Mon..Sun); rg is NaN for empty windows and individuals without a home."""
-    n = len(tm.table)
     spans = spec.contiguous_windows(analysis_year)
     if spans is None:
         hour = spec.granularity == "hour"
         wids = HOUR_IDS if hour else WEEKDAY_IDS
-        blocks = [(0, tm.from_sums(*(tm.time_of_day(24) if hour else tm.weekday())))]
+        blocks = ((lo, tm.from_sums(*(tm.time_of_day(24, lo, hi) if hour else tm.weekday(lo, hi))))
+                  for lo, hi in tm.blocks(len(wids)))
     else:
         wids = [wid for wid, _, _ in spans]
         bounds = np.array([spans[0][1]] + [t1 for _, _, t1 in spans], dtype=np.int64)
-        step = max(1, _BLOCK_CELLS // len(wids))
-        blocks = ((lo, tm.windows(bounds, lo, min(lo + step, n))) for lo in range(0, n, step))
+        if len(wids) <= _KEPT_SPANS:
+            tm.windows(bounds)  # kept, and shared with the other stages
+        blocks = ((lo, tm.windows(bounds, lo, hi)) for lo, hi in tm.blocks(len(wids)))
     rows = max(1, _ROW_CELLS // len(wids))
     for lo, block in blocks:
         k = len(block[0])

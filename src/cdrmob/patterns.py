@@ -77,34 +77,47 @@ def pattern(
     if not len(rows):
         raise EmptyCohortError(f"no usable individuals for {value} pattern")
 
-    if axis == "hour":
-        ids: tuple[str, ...] = HOUR_IDS
-        a, m, rg, _ = tm.from_sums(*tm.time_of_day(24))
-    elif axis == "dow" and value == "activity":
-        a = m = rg = tm.day_counts(analysis_year)
-    else:
-        spans = WindowSpec("day" if axis == "dow" else axis).contiguous_windows(analysis_year)
-        ids = tuple(w for w, _, _ in spans)
-        a, m, rg, _ = tm.windows(np.array([spans[0][1]] + [t1 for _, _, t1 in spans]))
-
     def pick(x):
         return x if len(rows) == len(tm.table) else x[rows]
 
-    vals = pick({"activity": a, "mobility": m, "rg": rg}[value])
-    valid = pick(a) > 0 if value == "rg" else None
+    def values(x):
+        """The chosen value of (activity, mobility, rg, pairs), and for rg
+        the activity too, which marks the windows that have events."""
+        a, m, rg, _ = x
+        return (rg, a) if value == "rg" else ({"activity": a, "mobility": m}[value],)
 
-    def select(cols):
-        """Samples of the chosen bins, row-major; activity counts as floats."""
-        s = vals[:, cols].ravel() if valid is None else vals[:, cols][valid[:, cols]]
-        return s.astype(float)
+    def select(v, a=None):
+        """The cohort's samples of a matrix of windows, row-major, only
+        where a has events when given; activity counts as floats."""
+        s = pick(v) if a is None else pick(v)[pick(a) > 0]
+        return s.ravel().astype(float)
 
     if axis == "dow":
-        ids = WEEKDAY_IDS
+        ids: tuple[str, ...] = WEEKDAY_IDS
         ys, ye = year_bounds(analysis_year)
-        wd = (np.arange(ys, ye, 86400) // 86400 + EPOCH_WEEKDAY) % 7
-        samples = (select(wd == w) for w in range(7))
+        days = np.arange(ys, ye, 86400)
+        wd = (days // 86400 + EPOCH_WEEKDAY) % 7
+        if value == "activity":
+            counts, = tm.stack(lambda lo, hi: (tm.day_counts(analysis_year, lo, hi),), len(days))
+            samples = (select(counts[:, wd == w]) for w in range(7))
+        else:
+            def weekday(w):
+                """The windows of the calendar days of weekday w."""
+                d = days[wd == w]
+                b = np.column_stack((d, d + 86400)).ravel()  # each day, then the gap to the next
+                return tm.stack(lambda lo, hi: values(x[:, ::2] for x in tm.windows(b, lo, hi)),
+                                len(b) - 1)
+
+            samples = (select(*weekday(w)) for w in range(7))
     else:
-        samples = (select(b) for b in range(len(ids)))
+        if axis == "hour":
+            ids = HOUR_IDS
+            cols = tm.stack(lambda lo, hi: values(tm.from_sums(*tm.time_of_day(24, lo, hi))), 24)
+        else:
+            spans = WindowSpec(axis).contiguous_windows(analysis_year)
+            ids = tuple(w for w, _, _ in spans)
+            cols = values(tm.windows(np.array([spans[0][1]] + [t1 for _, _, t1 in spans])))
+        samples = (select(*(c[:, b] for c in cols)) for b in range(len(ids)))
 
     nbins = len(ids)
     stat = np.full(nbins, np.nan)

@@ -119,6 +119,8 @@ class Pipeline:
         self.config = config or AnalysisConfig()
         self.threads = max(1, int(threads))
         self.timings: dict[str, float] = {}
+        # seconds of each stage or write with the stages nested in it
+        self.inclusive: dict[str, float] = {}
         # peak RSS of the process after each stage or write, in MiB
         self.rss_mib: dict[str, float] = {}
         self._cache: dict[str, object] = {}
@@ -139,6 +141,7 @@ class Pipeline:
             if self._nested:
                 self._nested[-1] += total
         self.timings[name] = round(total - nested, 3)
+        self.inclusive[name] = round(total, 3)
         self.rss_mib[name] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         return result
 
@@ -673,8 +676,8 @@ def save_manifest(out_dir, command: str, outputs: dict[str, str], **fields) -> N
 
 def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: str) -> None:
     """Manifest of an analysis run: inputs, config, output digests, the
-    exclusive seconds of each stage, and the process's peak RSS once each
-    stage was done."""
+    exclusive and inclusive seconds of each stage, and the process's peak
+    RSS once each stage was done."""
     save_manifest(
         out_dir, command, outputs,
         config=asdict(pipe.config),
@@ -683,6 +686,7 @@ def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: st
             cdr=pipe.cdr_path, towers=pipe.towers_path, demographics=pipe.demographics_path
         ),
         timings_s=pipe.timings,
+        inclusive_s=pipe.inclusive,
         rss_mib=pipe.rss_mib,
         ingest_stats=asdict(pipe.ingest.stats) if "ingest" in pipe._cache else None,
     )

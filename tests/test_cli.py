@@ -357,6 +357,14 @@ def test_stage_timings_are_exclusive(small_corpus, tmp_path):
     # the peak RSS once each stage and write was done, which never falls
     rss = manifest["rss_mib"]
     assert rss.keys() == timings.keys()
+    # inclusive time adds the nested stages back, so it is never less
+    inclusive = manifest["inclusive_s"]
+    assert inclusive.keys() == timings.keys()
+    assert all(inclusive[k] >= timings[k] for k in timings)
+    # the first write pulls in towers, ingest, steps and profile; each
+    # value is rounded to the millisecond on its own
+    nested = ("towers", "ingest", "steps", "profile", "write_profile")
+    assert inclusive["write_profile"] >= sum(timings[k] for k in nested) - 0.0005 * len(nested)
     assert 0 < rss["towers"] <= rss["ingest"] <= rss["write_summary"] <= rss["write_plotdata"]
     # one timed write per output (plot data counts as one)
     assert {k for k in timings if k.startswith("write_")} == {

@@ -107,13 +107,23 @@ def test_rank_desc_matches_scipy_rankdata(xs):
     assert np.array_equal(got, want)
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    code = "import sys, cdrmob.cli; print('scipy.stats' in sys.modules)"
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter has `module` loaded after importing cdrmob.cli."""
+    code = f"import sys, cdrmob.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
         os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    assert not _loaded_by_cli_import("scipy.stats")
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only the daily rhythm fit needs it; ingest and generate never do
+    assert not _loaded_by_cli_import("scipy.optimize")
 
 
 def test_spearman_known_values():

@@ -116,7 +116,6 @@ def test_segments_follow_id_order_not_first_appearance():
     assert tab.ids == ["a", "b", "z"]
     assert tab.offsets.tolist() == [0, 1, 3, 4]
     assert [(t - tab.ts[0]) // 3600 for t in tab.ts.tolist()] == [0, 1, 5, 4]
-    assert tab.ego.tolist() == [0, 1, 1, 2]
 
 
 def test_empty_input():

@@ -2,13 +2,16 @@
 
 The reference below handles one individual at a time, with its own
 arrays and prefix sums, the way the metrics were defined. The table
-computes every individual at once, so the two must agree to the last bit:
-same rows, same floats, same homes.
+computes blocks of consecutive individuals at once, and for any block
+size the two must agree to the last bit: same rows, same floats, same
+homes.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +19,8 @@ from conftest import event_table
 
 from cdrmob import metrics
 from cdrmob.geo import haversine_km
-from cdrmob.home import compute_homes, night_mask
+from cdrmob.home import compute_homes, daily_profile, night_mask
+from cdrmob.ingest import EventTable
 from cdrmob.metrics import (
     EPOCH_WEEKDAY,
     HOUR_IDS,
@@ -26,6 +30,7 @@ from cdrmob.metrics import (
     metrics_rows,
     rms,
 )
+from cdrmob.patterns import PatternError, pattern
 from cdrmob.pipeline import _cells
 from cdrmob.records import TowerRegistry, year_bounds
 
@@ -103,12 +108,39 @@ _SPECS = [WindowSpec(g) for g in ("year", "month", "day", "hour", "weekday")] + 
 ]
 
 
+def _reference_profile(own, nbins):
+    """Time-of-day activity and mobility profiles: each individual's own
+    pooled sums, added one individual after another in id order."""
+    a, d2sum, pairs = np.zeros(nbins, dtype=np.int64), np.zeros(nbins), np.zeros(nbins, dtype=np.int64)
+    for evs in own.values():
+        ts = np.array([t for t, _ in evs], dtype=np.int64)
+        tower = np.array([w for _, w in evs])
+        b = ts % 86400 // (86400 // nbins)
+        d = haversine_km(REG.lat[tower][:-1], REG.lon[tower][:-1], REG.lat[tower][1:], REG.lon[tower][1:])
+        a = a + np.bincount(b, minlength=nbins)
+        d2sum = d2sum + np.bincount(b[:-1], weights=d * d, minlength=nbins)
+        pairs = pairs + np.bincount(b[:-1], minlength=nbins)
+    return a / max(len(own), 1), rms(d2sum, pairs)
+
+
+def _series(tm, axis, value, statistic):
+    """A pattern's (stat, n, se) bytes, or its error."""
+    try:
+        s = pattern(tm, None, axis, value, statistic, 2008)
+    except PatternError as e:
+        return repr(e)
+    return s.stat.tobytes(), s.n.tobytes(), None if s.se is None else s.se.tobytes()
+
+
+_DEFAULT_BLOCK = metrics._BLOCK_CELLS
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     _EVENTS,
     st.data(),
     st.sampled_from(["events", "pairs"]),
-    st.sampled_from([1, 400, 1 << 20]),
+    st.sampled_from([1, 7, _DEFAULT_BLOCK]),
 )
 def test_table_matches_per_individual_computation(events, data, divisor, block):
     raw = {e: ([t for t, _ in evs], [w for _, w in evs]) for e, evs in events.items()}
@@ -119,8 +151,25 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
         for e in tab.ids
     }
     pts = np.array([homes[e] or (np.nan, np.nan) for e in tab.ids], dtype=float)
-    tm = TableMetrics(tab, REG, (pts[:, 0].copy(), pts[:, 1].copy()), divisor)
+    homes_arg = (pts[:, 0].copy(), pts[:, 1].copy())
+    with mock.patch.object(metrics, "_BLOCK_CELLS", block):
+        tm = TableMetrics(tab, REG, homes_arg, divisor)
     own = {e: sorted(zip(*raw[e])) for e in tab.ids}  # ingest order: (ts, tower)
+
+    # daily profiles against individual sums added in id order, and every
+    # pattern series against the same series built in a single block
+    whole = TableMetrics(tab, REG, homes_arg, divisor)
+    series = [(axis, value, statistic) for axis in ("dow", "hour", "month")
+              for value in ("activity", "mobility", "rg") for statistic in ("mean", "median")]
+    with mock.patch.object(metrics, "_BLOCK_CELLS", block):
+        act, mob = daily_profile(tm, 30)
+        got_series = [_series(tm, *x) for x in series]
+    want_act, want_mob = _reference_profile(own, 48)
+    assert act.values.tobytes() == want_act.tobytes()
+    assert mob.values.tobytes() == want_mob.tobytes()
+    with mock.patch.object(metrics, "_BLOCK_CELLS", 1 << 40):
+        assert got_series == [_series(whole, *x) for x in series]
+
     for spec in _SPECS:
         with mock.patch.object(metrics, "_BLOCK_CELLS", block), \
                 mock.patch.object(metrics, "_ROW_CELLS", block):
@@ -148,3 +197,39 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
                 assert (lat[k], lon[k]) == (REG.lat[tower][m].mean(), REG.lon[tower][m].mean())
             else:
                 assert np.isnan(lat[k]) and np.isnan(lon[k])
+
+
+def _traced_peak(fn) -> int:
+    """Bytes fn() allocates at its peak beyond what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("what, budget", [
+    # the weekday samples themselves are 52-53 float64 per individual
+    ("dow", 1536),
+    # nothing per individual outlives a block
+    ("profile", 256),
+])
+def test_block_memory_does_not_grow_with_individuals_times_bins(what, budget):
+    n = 20_000
+    rng = np.random.default_rng(5)
+    ts = np.sort(rng.integers(YS, YE, size=(n, 2)), axis=1).ravel()
+    tab = EventTable(
+        ids=[f"u{k:05d}" for k in range(n)], offsets=np.arange(0, 2 * n + 1, 2), ts=ts,
+        tower=rng.integers(0, len(REG), size=2 * n).astype(np.int32),
+        kind=np.zeros(2 * n, dtype=np.int8), direction=np.zeros(2 * n, dtype=np.int8),
+    )
+    with mock.patch.object(metrics, "_BLOCK_CELLS", 4096):
+        tm = TableMetrics(tab, REG)
+        if what == "dow":
+            peak = _traced_peak(lambda: pattern(tm, None, "dow", "activity"))
+        else:
+            peak = _traced_peak(lambda: daily_profile(tm, 30))
+    assert peak / n < budget, f"{what}: {peak / n:.0f} B per individual"
