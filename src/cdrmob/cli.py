@@ -226,13 +226,7 @@ _STAGE_COMMANDS = {
 def _cmd_ingest(args) -> int:
     registry = load_towers(args.towers)
     t0 = time.perf_counter()
-    result = ingest_file(
-        args.cdr,
-        registry,
-        analysis_year=args.year,
-        reciprocity=args.reciprocity,
-        keep_peers=True,
-    )
+    result = ingest_file(args.cdr, registry, analysis_year=args.year, reciprocity=args.reciprocity)
     if not len(result.table):
         raise PipelineError("no surviving individuals after filtering")
     _write_files(

@@ -35,7 +35,7 @@ import logging
 import os
 import zipfile
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 
 import numpy as np
@@ -59,9 +59,9 @@ log = logging.getLogger(__name__)
 SPOOL_EVENTS = "events.npz"
 SPOOL_META = "meta.json"
 SPOOL_STATS = "stats.json"
-SPOOL_FORMAT = 2
-# EventTable columns saved in a spool, next to its ids and peer_ids (the names behind peer)
-_SPOOL_ARRAYS = ("offsets", "ts", "tower", "kind", "direction", "peer")
+SPOOL_FORMAT = 3
+# EventTable columns saved in a spool, next to its ids
+_SPOOL_ARRAYS = ("offsets", "ts", "tower", "kind", "direction")
 
 
 @dataclass
@@ -71,8 +71,8 @@ class EventTable:
 
     Segment k, rows offsets[k]:offsets[k+1], holds the events of ids[k];
     ids are sorted. `tower` holds registry indices (int32), `kind`
-    0=call 1=sms, `direction` 0=incoming 1=outgoing, and `peer`, when
-    kept, indices into IngestResult.peer_ids (every name seen, sorted).
+    0=call 1=sms, and `direction` 0=incoming 1=outgoing. Peers are only
+    read by the reciprocity filter, so the table has no peer column.
     """
 
     ids: list[str]
@@ -81,7 +81,6 @@ class EventTable:
     tower: np.ndarray
     kind: np.ndarray
     direction: np.ndarray
-    peer: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -109,8 +108,6 @@ class IngestResult:
     reciprocity: str
     # ids that had valid rows but were dropped by the reciprocity rule
     removed_ids: list[str] = field(default_factory=list)
-    # names behind table.peer, sorted, only when keep_peers
-    peer_ids: list[str] | None = None
 
 
 # Bytes of CDR text that ingest_file parses at a time, each block cut at a
@@ -185,10 +182,10 @@ class _Columns:
 
     def __init__(self, capacity: int = 0):
         self.code: dict[str, int] = {}
-        # ego, ts, tower, kind, direction, peer
+        # ego, ts, tower, kind, direction: the peer of a row only enters
+        # its link key
         self.cols = [
-            np.empty(capacity, dtype=t)
-            for t in (np.int32, np.int64, np.int32, np.int8, np.int8, np.int32)
+            np.empty(capacity, dtype=t) for t in (np.int32, np.int64, np.int32, np.int8, np.int8)
         ]
         self.n = 0
         # the distinct directed links a->b of each appended part, as int64
@@ -231,6 +228,7 @@ class _Columns:
         return cols
 
     def append(self, cols) -> None:
+        """Add parsed rows, given as six columns, the last one their peers."""
         cols = [np.asarray(c) for c in cols]
         ego, out, peer = cols[0], cols[4].astype(bool), cols[5]
         key = np.where(out, ego, peer).astype(np.int64)
@@ -246,7 +244,7 @@ class _Columns:
         self.n += k
 
     def columns(self) -> list[np.ndarray]:
-        """The six columns as gathered, trimmed to the rows gathered."""
+        """The five columns as gathered, trimmed to the rows gathered."""
         for c in self.cols:
             c.resize(self.n, refcheck=False)
         return self.cols
@@ -374,13 +372,13 @@ def _linked(links: np.ndarray, rule: str) -> np.ndarray:
     return np.intersect1d(a, b)
 
 
-def _row_order(ego, ts, tower, kind, direction, peer=None) -> np.ndarray:
-    """Stable order by (ego, ts, tower, kind, direction, then peer when
-    given): one stable argsort of (ego, ts) packed into int64, which int32
-    egos and timestamps of one year (under 2**25 s apart) fit in 56 bits;
-    then each run of rows equal in (ego, ts), which are few, is put in
-    order by the rest. Rows that tie on every key are equal in every
-    column, so their input order cannot show."""
+def _row_order(ego, ts, tower, kind, direction) -> np.ndarray:
+    """Stable order by (ego, ts, tower, kind, direction): one stable
+    argsort of (ego, ts) packed into int64, which int32 egos and timestamps
+    of one year (under 2**25 s apart) fit in 56 bits; then each run of rows
+    equal in (ego, ts), which are few, is put in order by the rest. Rows
+    that tie on every key are equal in every column of the table, so their
+    input order cannot show."""
     t0 = int(ts.min()) if len(ts) else 0
     # in-place steps, so that no temporary is the size of the key
     key = ego.astype(np.int64)
@@ -394,16 +392,15 @@ def _row_order(ego, ts, tower, kind, direction, peer=None) -> np.ndarray:
     tie[:-1] |= tie[1:]
     at = np.flatnonzero(tie)
     rows = order[at]
-    last = () if peer is None else (peer[rows],)
-    order[at] = rows[np.lexsort((*last, direction[rows], kind[rows], tower[rows], key[at]))]
+    order[at] = rows[np.lexsort((direction[rows], kind[rows], tower[rows], key[at]))]
     return order
 
 
-def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int, reciprocity: str,
-              keep_peers: bool) -> IngestResult:
+def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int,
+              reciprocity: str) -> IngestResult:
     """Filter the gathered rows by the reciprocity rule and sort the kept
-    ones into an EventTable. Kept codes are replaced by the rank of their
-    name, so segments come in id order and peers index the sorted names."""
+    ones into an EventTable. Kept ego codes are replaced by the rank of
+    their name, so segments come in id order."""
     names = sorted(cols.code)
     rank = np.empty(len(names), dtype=np.int32)
     rank[np.fromiter(map(cols.code.__getitem__, names), dtype=np.int64, count=len(names))] = (
@@ -421,12 +418,10 @@ def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int, reciprocit
         ok[_linked(np.unique(np.concatenate(cols.links)), reciprocity)] = True
     keep = ok[kept[0]]
     n = int(keep.sum())
-    if not keep_peers:
-        kept.pop()
     # filtered, coded and sorted in place, so that the table is the
     # gathered columns and every copy made on the way is a temporary
     for k, c in enumerate(kept):
-        c[:n] = rank[c[keep]] if k in (0, 5) else c[keep]
+        c[:n] = rank[c[keep]] if k == 0 else c[keep]
     del keep
     order = _row_order(*(c[:n] for c in kept))
     for c in kept:
@@ -436,7 +431,7 @@ def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int, reciprocit
     table = EventTable(
         [names[i] for i in kept[0][starts].tolist()],
         np.append(starts, len(order)).astype(np.int64),
-        *kept[1:5], kept[5] if keep_peers else None,
+        *kept[1:],
     )
     stats.individuals_kept = len(table)
     stats.individuals_removed = stats.individuals_seen - stats.individuals_kept
@@ -447,9 +442,7 @@ def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int, reciprocit
         stats.rows_read, stats.events_valid, stats.events_kept,
         stats.individuals_kept, stats.individuals_removed,
     )
-    return IngestResult(
-        table, stats, analysis_year, reciprocity, removed, names if keep_peers else None
-    )
+    return IngestResult(table, stats, analysis_year, reciprocity, removed)
 
 
 def _check_rule(reciprocity: str) -> None:
@@ -463,7 +456,6 @@ def ingest_rows(
     *,
     analysis_year: int = 2008,
     reciprocity: str = "pair",
-    keep_peers: bool = False,
 ) -> IngestResult:
     """Filter and assemble an iterable of already-split CDR rows.
 
@@ -476,7 +468,7 @@ def ingest_rows(
     stats = IngestStats()
     cols = _Columns()
     cols.append(cols.parse_rows(rows, registry, *year_bounds(analysis_year), stats))
-    return _assemble(cols, stats, analysis_year, reciprocity, keep_peers)
+    return _assemble(cols, stats, analysis_year, reciprocity)
 
 
 def ingest_file(
@@ -485,7 +477,6 @@ def ingest_file(
     *,
     analysis_year: int = 2008,
     reciprocity: str = "pair",
-    keep_peers: bool = False,
 ) -> IngestResult:
     """Ingest a CDR file, or a spool directory produced by write_spool.
 
@@ -560,7 +551,7 @@ def ingest_file(
             if not chunk:
                 break
             offset += len(block)
-    return _assemble(cols, stats, analysis_year, reciprocity, keep_peers)
+    return _assemble(cols, stats, analysis_year, reciprocity)
 
 
 def _is_header(row: list[str]) -> bool:
@@ -587,13 +578,10 @@ def write_spool(result: IngestResult, registry: TowerRegistry, out_dir) -> None:
     stats.json, and meta.json (the year, reciprocity rule and tower table
     it was ingested with)."""
     tab = result.table
-    if tab.peer is None or result.peer_ids is None:
-        raise ValueError("spooling requires ingest with keep_peers=True")
     os.makedirs(out_dir, exist_ok=True)
     np.savez(
         os.path.join(out_dir, SPOOL_EVENTS),
         ids=np.array(tab.ids, dtype=str),
-        peer_ids=np.array(result.peer_ids, dtype=str),
         **{name: getattr(tab, name) for name in _SPOOL_ARRAYS},
     )
     with open(os.path.join(out_dir, SPOOL_STATS), "w", encoding="utf-8") as fh:
@@ -608,13 +596,26 @@ def write_spool(result: IngestResult, registry: TowerRegistry, out_dir) -> None:
         fh.write("\n")
 
 
+def _spool_json(path, name) -> dict:
+    """The JSON object in file `name` of a spool directory."""
+    p = os.path.join(path, name)
+    try:
+        with open(p, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise CdrError(f"{p}: unreadable spool file: {e}")
+    if not isinstance(doc, dict):
+        raise CdrError(f"{p}: unreadable spool file: not a JSON object")
+    return doc
+
+
 def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: str) -> IngestResult:
     """Load a spool directory. A spool in another format, or ingested for
     another year, reciprocity rule or tower table, is refused: its rows
     were cut to that year, filtered by that rule, and index those towers.
-    The table is machine-written, so a defect in it is fatal."""
-    with open(os.path.join(path, SPOOL_META), encoding="utf-8") as fh:
-        meta = json.load(fh)
+    The spool is machine-written, so a defect in any of its files is
+    fatal, a missing stats.json included."""
+    meta = _spool_json(path, SPOOL_META)
     for key, want in (
         ("format", SPOOL_FORMAT),
         ("analysis_year", analysis_year),
@@ -626,16 +627,17 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
                 f"spool {path} was ingested with {key}={meta.get(key, 'unknown')}, "
                 f"not {want}; re-run ingest with the settings of this analysis"
             )
-    stats = IngestStats()
-    stats_path = os.path.join(path, SPOOL_STATS)
-    if os.path.exists(stats_path):
-        with open(stats_path, encoding="utf-8") as fh:
-            stats = IngestStats(**json.load(fh))
+    counts = _spool_json(path, SPOOL_STATS)
+    keys = sorted(f.name for f in fields(IngestStats))
+    if sorted(counts) != keys:
+        raise CdrError(f"{os.path.join(path, SPOOL_STATS)}: malformed spool file: "
+                       f"keys {sorted(counts)}, not {keys}")
+    stats = IngestStats(**counts)
 
     events = os.path.join(path, SPOOL_EVENTS)
     try:
         with np.load(events, allow_pickle=False) as z:
-            ids, peer_ids = z["ids"].tolist(), z["peer_ids"].tolist()
+            ids = z["ids"].tolist()
             cols = {name: z[name] for name in _SPOOL_ARRAYS}
     except (OSError, ValueError, KeyError, zipfile.BadZipFile) as e:
         raise CdrError(f"{events}: unreadable spool: {e}")
@@ -644,9 +646,8 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
         off.shape == (len(ids) + 1,) and off[0] == 0 and off[-1] == n
         and (np.diff(off) > 0).all()
         and all(cols[c].shape == (n,) for c in _SPOOL_ARRAYS[1:])
-        and all(((cols[c] >= 0) & (cols[c] < m)).all()
-                for c, m in (("tower", len(registry)), ("peer", len(peer_ids))))
+        and ((cols["tower"] >= 0) & (cols["tower"] < len(registry))).all()
     ):
         raise CdrError(f"{events}: malformed spool table")
     return IngestResult(table=EventTable(ids, **cols), stats=stats, analysis_year=analysis_year,
-                        reciprocity=reciprocity, peer_ids=peer_ids)
+                        reciprocity=reciprocity)

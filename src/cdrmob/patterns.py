@@ -1,23 +1,21 @@
 """Cohort-level behaviour patterns along time axes and demographic strata.
 
-A pattern series fixes an axis (year, month, dow, hour), a per-window
-value (activity, mobility, rg), and a statistic (mean, median,
-normalized_median), then pools one sample per (individual, matching
-window) over a cohort:
+A pattern series fixes an axis (month, dow, hour), a per-window value
+(activity, mobility), and a statistic (mean, normalized_median), then
+pools one sample per (individual, matching window) over a cohort:
 
-  * month/year windows exist for every individual, so quiet windows enter
-    as zero activity / zero mobility samples;
+  * month windows exist for every individual, so quiet months enter as
+    zero activity / zero mobility samples;
   * dow pools every calendar day of the year by weekday, again keeping
     quiet days as zeros;
   * hour pools the 24 time-of-day bins, each individual contributing one
-    pooled value per bin;
-  * rg samples exist only for windows that contain events of an
-    individual with a known home; empty windows are excluded rather than
-    counted as zero.
+    pooled value per bin.
 
-normalized_median rescales the per-bin medians so their mean over
-populated bins is 1, which makes shapes comparable across cohorts of very
-different overall levels.
+Only the kinds in KINDS are computed. Every bin of such a series has a
+sample of every individual of the cohort.
+
+normalized_median rescales the per-bin medians so their mean is 1, which
+makes shapes comparable across cohorts of very different overall levels.
 """
 
 from __future__ import annotations
@@ -30,9 +28,16 @@ import numpy as np
 from .metrics import EPOCH_WEEKDAY, HOUR_IDS, WEEKDAY_IDS, TableMetrics, WindowSpec
 from .records import AGE_GROUP_LABELS, AGE_GROUPS, Demographics, year_bounds
 
-AXES = ("year", "month", "dow", "hour")
-VALUES = ("activity", "mobility", "rg")
-STATISTICS = ("mean", "median", "normalized_median")
+# The (axis, value, statistic) kinds of pattern series, in the order the
+# report writes them for the whole population.
+KINDS = (
+    ("dow", "activity", "mean"),
+    ("hour", "activity", "mean"),
+    ("month", "activity", "mean"),
+    ("month", "mobility", "mean"),
+    ("month", "activity", "normalized_median"),
+    ("month", "mobility", "normalized_median"),
+)
 
 
 class PatternError(Exception):
@@ -49,10 +54,15 @@ class PatternSeries:
     value: str
     statistic: str
     bins: tuple[str, ...]
-    stat: np.ndarray  # NaN where a bin has no samples
+    stat: np.ndarray
     n: np.ndarray
-    se: np.ndarray | None  # standard error, mean statistic only
+    se: np.ndarray | None  # standard error, mean statistic only; NaN for one sample
     cohort: str = "all"  # a label the caller sets, e.g. area3
+
+
+def _mean_se(x: np.ndarray) -> tuple[float, float | None]:
+    m = float(x.mean())
+    return m, (float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else None)
 
 
 def pattern(
@@ -63,88 +73,51 @@ def pattern(
     statistic: str = "mean",
     analysis_year: int = 2008,
 ) -> PatternSeries:
-    """Pattern series for a cohort: rows of the table (individuals in id
-    order, ascending), None for everyone."""
-    if axis not in AXES:
-        raise ValueError(f"unknown axis {axis!r}")
-    if value not in VALUES:
-        raise ValueError(f"unknown value {value!r}")
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
+    """Pattern series of one of the KINDS for a cohort: rows of the table
+    (individuals in id order, ascending), None for everyone."""
+    if (axis, value, statistic) not in KINDS:
+        raise ValueError(f"unknown pattern kind {axis}/{value}/{statistic}")
     rows = np.arange(len(tm.table)) if rows is None else np.asarray(rows, dtype=np.int64)
-    if value == "rg":
-        rows = rows[tm.homed[rows]]
     if not len(rows):
         raise EmptyCohortError(f"no usable individuals for {value} pattern")
 
-    def pick(x):
-        return x if len(rows) == len(tm.table) else x[rows]
-
-    def values(x):
-        """The chosen value of (activity, mobility, rg, pairs), and for rg
-        the activity too, which marks the windows that have events."""
-        a, m, rg, _ = x
-        return (rg, a) if value == "rg" else ({"activity": a, "mobility": m}[value],)
-
-    def select(v, a=None):
-        """The cohort's samples of a matrix of windows, row-major, only
-        where a has events when given; activity counts as floats."""
-        s = pick(v) if a is None else pick(v)[pick(a) > 0]
-        return s.ravel().astype(float)
+    def select(v):
+        """The cohort's samples of a matrix of windows, row-major, as floats."""
+        return (v if len(rows) == len(tm.table) else v[rows]).ravel().astype(float)
 
     if axis == "dow":
         ids: tuple[str, ...] = WEEKDAY_IDS
         ys, ye = year_bounds(analysis_year)
-        days = np.arange(ys, ye, 86400)
-        wd = (days // 86400 + EPOCH_WEEKDAY) % 7
-        if value == "activity":
-            counts, = tm.stack(lambda lo, hi: (tm.day_counts(analysis_year, lo, hi),), len(days))
-            samples = (select(counts[:, wd == w]) for w in range(7))
-        else:
-            def weekday(w):
-                """The windows of the calendar days of weekday w."""
-                d = days[wd == w]
-                b = np.column_stack((d, d + 86400)).ravel()  # each day, then the gap to the next
-                return tm.stack(lambda lo, hi: values(x[:, ::2] for x in tm.windows(b, lo, hi)),
-                                len(b) - 1)
-
-            samples = (select(*weekday(w)) for w in range(7))
+        wd = (np.arange(ys, ye, 86400) // 86400 + EPOCH_WEEKDAY) % 7
+        counts, = tm.stack(lambda lo, hi: (tm.day_counts(analysis_year, lo, hi),), len(wd))
+        samples = (select(counts[:, wd == w]) for w in range(7))
+    elif axis == "hour":
+        ids = HOUR_IDS
+        counts, = tm.stack(lambda lo, hi: tm.time_of_day(24, lo, hi)[:1], 24)
+        samples = (select(counts[:, b]) for b in range(24))
     else:
-        if axis == "hour":
-            ids = HOUR_IDS
-            cols = tm.stack(lambda lo, hi: values(tm.from_sums(*tm.time_of_day(24, lo, hi))), 24)
-        else:
-            spans = WindowSpec(axis).contiguous_windows(analysis_year)
-            ids = tuple(w for w, _, _ in spans)
-            cols = values(tm.windows(np.array([spans[0][1]] + [t1 for _, _, t1 in spans])))
-        samples = (select(*(c[:, b] for c in cols)) for b in range(len(ids)))
+        spans = WindowSpec("month").contiguous_windows(analysis_year)
+        ids = tuple(w for w, _, _ in spans)
+        a, m, _, _ = tm.windows(np.array([spans[0][1]] + [t1 for _, _, t1 in spans]))
+        v = a if value == "activity" else m
+        samples = (select(v[:, b]) for b in range(len(ids)))
 
-    nbins = len(ids)
-    stat = np.full(nbins, np.nan)
-    n = np.zeros(nbins, dtype=np.int64)
-    se = np.full(nbins, np.nan) if statistic == "mean" else None
-    med = np.full(nbins, np.nan)
+    stat = np.empty(len(ids))
+    n = np.empty(len(ids), dtype=np.int64)
+    se = np.full(len(ids), np.nan) if statistic == "mean" else None
     for b, s in enumerate(samples):
         n[b] = len(s)
-        if not len(s):
-            continue
         if statistic == "mean":
-            stat[b] = float(s.mean())
-            if len(s) > 1:
-                se[b] = float(s.std(ddof=1) / math.sqrt(len(s)))
+            stat[b], e = _mean_se(s)
+            if e is not None:
+                se[b] = e
         else:
-            med[b] = float(np.median(s))
-            stat[b] = med[b]
+            stat[b] = float(np.median(s))
     if statistic == "normalized_median":
-        pop = n > 0
-        if not pop.any():
-            raise EmptyCohortError("no populated bins")
-        norm = float(np.nanmean(med[pop]))
+        norm = float(np.mean(stat))
         if norm == 0:
             raise PatternError("cannot normalize: median level is zero")
-        stat = med / norm
-    if int(n.sum()) == 0:
-        raise EmptyCohortError("cohort produced no samples")
+        stat = stat / norm
     return PatternSeries(axis, value, statistic, ids, stat, n, se)
 
 
@@ -161,11 +134,6 @@ class StratumRow:
     n_rg: int
     mean_rg_km: float | None
     se_rg_km: float | None
-
-
-def _mean_se(x: np.ndarray) -> tuple[float, float | None]:
-    m = float(x.mean())
-    return m, (float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else None)
 
 
 def demographic_table(

@@ -52,11 +52,7 @@ from .home import (
 )
 from .ingest import ingest_file
 from .metrics import TableMetrics, WindowSpec, metrics_rows
-from .patterns import (
-    PatternError,
-    demographic_table,
-    pattern,
-)
+from .patterns import KINDS, PatternError, demographic_table, pattern
 from .records import load_demographics, load_towers, year_bounds
 
 log = logging.getLogger(__name__)
@@ -64,6 +60,13 @@ log = logging.getLogger(__name__)
 REFERENCE_CORR_ACTIVITY = 0.38
 REFERENCE_CORR_MOBILITY = -0.11
 REFERENCE_AREA_DENSITY_KM2 = (1252.9, 418.7, 83.2, 10.0, 1.5)
+
+# Fixed analysis settings: the cell size of the fine grid that measures
+# each density class (degrees), the width of the inactivity window
+# (hours), and how far from every tower a home counts as at sea (km).
+FINE_STEP = 0.01
+NIGHT_HOURS = 6.0
+AT_SEA_KM = 10.0
 
 
 class PipelineError(Exception):
@@ -77,20 +80,17 @@ class AnalysisConfig:
 
     analysis_year: int = 2008
     grid_step: float = 0.05
-    fine_step: float = 0.01
     window: WindowSpec = field(default_factory=WindowSpec)
     night_window: tuple[float, float] | None = None  # override detection
-    night_hours: float = 6.0
     bin_minutes: int = 30
     area_boundaries: tuple = DEFAULT_AREA_BOUNDARIES
     divisor: str = "events"
     reciprocity: str = "pair"
-    at_sea_km: float = 10.0
 
     def __post_init__(self):
         validate_boundaries(self.area_boundaries)
-        if self.grid_step <= 0 or self.fine_step <= 0:
-            raise ValueError("grid steps must be positive")
+        if self.grid_step <= 0:
+            raise ValueError("grid step must be positive")
         if 1440 % self.bin_minutes:
             raise ValueError("bin width must divide the day evenly")
 
@@ -195,10 +195,6 @@ class Pipeline:
         return self.profiles[0]
 
     @property
-    def mobility_profile(self):
-        return self.profiles[1]
-
-    @property
     def circadian_fit(self):
         return self._stage("fit", lambda: fit_bimodal(self.activity_profile))
 
@@ -209,7 +205,7 @@ class Pipeline:
                 return self.config.night_window
             # confirm the rhythm is two-peaked before trusting its minimum
             self.circadian_fit
-            return find_inactive_window(self.activity_profile, self.config.night_hours)
+            return find_inactive_window(self.activity_profile, NIGHT_HOURS)
 
         return self._stage("window", run)
 
@@ -236,7 +232,7 @@ class Pipeline:
     def at_sea(self) -> np.ndarray:
         return self._stage(
             "at_sea",
-            lambda: flag_at_sea(*self.home_points[:2], self.registry, self.config.at_sea_km),
+            lambda: flag_at_sea(*self.home_points[:2], self.registry, AT_SEA_KM),
         )
 
     # ------------------------------------------------------------- metrics
@@ -337,7 +333,7 @@ class Pipeline:
             lambda: area_summary(
                 self.labels,
                 *self.home_points[:2],
-                GridSpec(self.config.fine_step, self.config.fine_step),
+                GridSpec(FINE_STEP, FINE_STEP),
                 self.ego_area,
             ),
         )
@@ -364,12 +360,8 @@ class Pipeline:
                 s.cohort = cohort_name
                 series.append(s)
 
-            add("all", None, "dow", "activity", "mean")
-            add("all", None, "hour", "activity", "mean")
-            add("all", None, "month", "activity", "mean")
-            add("all", None, "month", "mobility", "mean")
-            add("all", None, "month", "activity", "normalized_median")
-            add("all", None, "month", "mobility", "normalized_median")
+            for kind in KINDS:
+                add("all", None, *kind)
             for a in range(1, 6):
                 cohort = self.area_cohort(a)
                 if not len(cohort):

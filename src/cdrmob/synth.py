@@ -213,7 +213,8 @@ class GroundTruth:
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, separators=(",", ":"), sort_keys=True)
+            # the fields as they are: asdict would deep-copy every individual's entry
+            json.dump(vars(self), fh, separators=(",", ":"), sort_keys=True)
             fh.write("\n")
 
     @classmethod

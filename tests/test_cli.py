@@ -343,6 +343,35 @@ def test_spool_refuses_the_csv_format(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+def _damage_stats(spool):
+    stats = json.loads((spool / "stats.json").read_text())
+    (spool / "stats.json").write_text(json.dumps({**stats, "rows_skipped": 0}))
+
+
+# a damaged spool file -> (the file named in the error, how to damage it)
+_SPOOL_DAMAGE = {
+    "no_stats": ("stats.json", lambda spool: (spool / "stats.json").unlink()),
+    "meta_not_json": ("meta.json", lambda spool: (spool / "meta.json").write_text("{format: 3")),
+    "stats_unknown_key": ("stats.json", _damage_stats),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_SPOOL_DAMAGE))
+def test_spool_with_a_damaged_file_is_refused(tmp_path, capsys, damage):
+    # without its stats.json the funnel would read zeros next to real homes
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    spool = tmp_path / "spool"
+    assert main(["ingest", "--cdr", str(cdr), "--towers", str(towers),
+                 "--out", str(spool)]) == 0
+    name, damage_fn = _SPOOL_DAMAGE[damage]
+    damage_fn(spool)
+    out = tmp_path / "report"
+    rc = main(["report", *_analysis_args(spool, towers, out)])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_stage_timings_are_exclusive(small_corpus, tmp_path):
     corpus, truth = small_corpus
     pipe = _make_pipeline(corpus, truth)

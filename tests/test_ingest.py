@@ -199,7 +199,7 @@ def test_spool_round_trip(tmp_path):
         _row("a", "c", 3, direction="in"),
         _row("s", "a", 4),
     ]
-    first = ingest_rows(rows, REG, keep_peers=True)
+    first = ingest_rows(rows, REG)
     spool = tmp_path / "spool"
     write_spool(first, REG, spool)
     assert is_spool(spool) and not is_spool(tmp_path / "nope")
@@ -207,11 +207,8 @@ def test_spool_round_trip(tmp_path):
     assert back.analysis_year == first.analysis_year
     assert back.stats.events_kept == first.stats.events_kept
     _assert_same_table(first.table, back.table)
-    for col in ("offsets", "ts", "tower", "kind", "direction", "peer"):
+    for col in ("offsets", "ts", "tower", "kind", "direction"):
         assert getattr(back.table, col).dtype == getattr(first.table, col).dtype, col
-    assert [back.peer_ids[p] for p in back.table.peer] == [
-        first.peer_ids[p] for p in first.table.peer
-    ]
     # writing the same table twice gives the same bytes
     write_spool(first, REG, tmp_path / "again")
     assert (spool / "events.npz").read_bytes() == (tmp_path / "again" / "events.npz").read_bytes()
@@ -222,9 +219,12 @@ def test_spool_round_trip(tmp_path):
     for year, rule, reg in ((2009, "pair", REG), (2008, "none", REG), (2008, "pair", moved)):
         with pytest.raises(CdrError, match="re-run ingest"):
             read_spool(spool, reg, year, rule)
-    (spool / "meta.json").write_text('{"analysis_year": 2008, "format": 1}\n')
-    with pytest.raises(CdrError, match="re-run ingest"):
-        ingest_file(spool, REG)
+    # so is a spool of an older format: 1 held CSV rows, 2 a peer column
+    for fmt in (1, 2):
+        (spool / "meta.json").write_text(
+            f'{{"analysis_year": 2008, "reciprocity": "pair", "format": {fmt}}}\n')
+        with pytest.raises(CdrError, match="re-run ingest"):
+            ingest_file(spool, REG)
 
 
 def test_spool_does_not_depend_on_row_order(tmp_path):
@@ -242,14 +242,28 @@ def test_spool_does_not_depend_on_row_order(tmp_path):
         p.write_text("".join(rows))
         for block in (64, 1 << 20):
             with mock.patch.object(ingest, "_BLOCK_BYTES", block):
-                res = ingest_file(p, REG, keep_peers=True, reciprocity="none")
+                res = ingest_file(p, REG, reciprocity="none")
             write_spool(res, REG, tmp_path / "spool")
             spools.add((tmp_path / "spool" / "events.npz").read_bytes())
     assert len(spools) == 1
 
 
+def test_spool_holds_exactly_the_arrays_it_reads(tmp_path):
+    res = ingest_rows([_row("a", "b", 1), _row("b", "a", 2)], REG)
+    spool = tmp_path / "spool"
+    write_spool(res, REG, spool)
+    with np.load(spool / "events.npz") as z:
+        cols = dict(z)
+    assert sorted(cols) == ["direction", "ids", "kind", "offsets", "tower", "ts"]
+    # and read_spool needs every one of them
+    for name in cols:
+        np.savez(spool / "events.npz", **{k: v for k, v in cols.items() if k != name})
+        with pytest.raises(CdrError, match="unreadable spool"):
+            read_spool(spool, REG, 2008, "pair")
+
+
 def test_spool_with_a_damaged_table_is_refused(tmp_path):
-    res = ingest_rows([_row("a", "b", 1), _row("b", "a", 2)], REG, keep_peers=True)
+    res = ingest_rows([_row("a", "b", 1), _row("b", "a", 2)], REG)
     spool = tmp_path / "spool"
     write_spool(res, REG, spool)
     with np.load(spool / "events.npz") as z:
@@ -263,12 +277,6 @@ def test_spool_with_a_damaged_table_is_refused(tmp_path):
         read_spool(spool, REG, 2008, "pair")
 
 
-def test_spool_requires_peer_tracking():
-    res = ingest_rows([_row("a", "b", 1), _row("b", "a", 2)], REG)
-    with pytest.raises(ValueError):
-        write_spool(res, REG, "/tmp/unused")
-
-
 # ------------------------------------------------ byte path against row path
 
 
@@ -278,15 +286,13 @@ def _by_rows(path, **kw):
         rows = list(csv.reader(fh))
     if rows and _is_header(rows[0]):
         rows = rows[1:]
-    return ingest_rows(rows, REG, keep_peers=True, **kw)
+    return ingest_rows(rows, REG, **kw)
 
 
 def _assert_same_result(got, want):
     _assert_same_table(got.table, want.table)
     assert asdict(got.stats) == asdict(want.stats)
     assert got.removed_ids == want.removed_ids
-    assert got.peer_ids == want.peer_ids
-    assert np.array_equal(got.table.peer, want.table.peer)
 
 
 def _mutate(fields: list[str], how: str, arg: int) -> bytes:
@@ -389,7 +395,7 @@ def test_byte_path_equals_row_path(tmp_path_factory, lines, header, final_newlin
     path = tmp_path_factory.mktemp("cdr") / "cdr.csv"
     path.write_bytes(_cdr_bytes(lines, header, final_newline))
     with mock.patch.object(ingest, "_BLOCK_BYTES", block):
-        got = ingest_file(path, REG, reciprocity=rule, keep_peers=True)
+        got = ingest_file(path, REG, reciprocity=rule)
     _assert_same_result(got, _by_rows(path, reciprocity=rule))
 
 
@@ -408,7 +414,7 @@ def test_byte_path_equals_row_path_on_every_variant(tmp_path, block):
     path = tmp_path / "cdr.csv"
     path.write_bytes(_cdr_bytes(lines, True, True))
     with mock.patch.object(ingest, "_BLOCK_BYTES", block):
-        got = ingest_file(path, REG, keep_peers=True)
+        got = ingest_file(path, REG)
     want = _by_rows(path)
     _assert_same_result(got, want)
     assert set(want.stats.rows_rejected) == {
@@ -465,7 +471,7 @@ def test_ids_longer_than_one_word_are_told_apart(tmp_path):
             for h, (a, b) in enumerate((x, y) for x in ids for y in ids if x != y)]
     p = tmp_path / "cdr.csv"
     p.write_text("".join(rows))
-    got = ingest_file(p, REG, keep_peers=True)
+    got = ingest_file(p, REG)
     assert got.table.ids == sorted(ids)
     _assert_same_result(got, _by_rows(p))
 
@@ -481,7 +487,4 @@ def test_row_order_equals_lexsort():
     direction = rng.integers(0, 2, n, dtype=np.int8)
     got = ingest._row_order(ego, ts, tower, kind, direction)
     assert (got == np.lexsort((direction, kind, tower, ts, ego))).all()
-    peer = rng.choice(np.array([0, 4, 2**31 - 1], dtype=np.int32), n)
-    got = ingest._row_order(ego, ts, tower, kind, direction, peer)
-    assert (got == np.lexsort((peer, direction, kind, tower, ts, ego))).all()
     assert len(ingest._row_order(*(c[:0] for c in (ego, ts, tower, kind, direction)))) == 0

@@ -11,6 +11,7 @@ from conftest import table_metrics
 from cdrmob.patterns import (
     EmptyCohortError,
     PatternError,
+    PatternSeries,
     demographic_table,
     pattern,
 )
@@ -65,20 +66,6 @@ def test_month_pattern_counts_quiet_months_as_zero():
     assert s.stat[2] == 2.0 and s.stat[0] == 0.0
 
 
-def test_rg_pattern_skips_homeless_and_empty_windows():
-    events = {
-        "homed": _one_tower(["2008-03-05T12:00:00"]),
-        "lost": _one_tower(["2008-03-06T12:00:00"]),
-    }
-    tm = _metrics(events, homes={"homed": (40.0, 20.0)})
-    s = pattern(tm, None, "month", "rg")
-    assert s.n[2] == 1  # only the homed individual, only March
-    assert s.n[0] == 0 and np.isnan(s.stat[0])
-    assert s.stat[2] == pytest.approx(0.0)
-    with pytest.raises(EmptyCohortError):
-        pattern(tm, [1], "month", "rg")  # row 1 is "lost"
-
-
 def test_cohort_selection_and_validation():
     events = {"a": _one_tower(["2008-03-05T12:00:00"]), "b": _one_tower(["2008-04-05T12:00:00"])}
     tm = _metrics(events)
@@ -86,12 +73,13 @@ def test_cohort_selection_and_validation():
     assert only_b.stat[3] == 1.0 and only_b.stat[2] == 0.0
     with pytest.raises(EmptyCohortError):
         pattern(tm, [], "month", "activity")
-    with pytest.raises(ValueError):
-        pattern(tm, None, "decade", "activity")
-    with pytest.raises(ValueError):
-        pattern(tm, None, "month", "happiness")
-    with pytest.raises(ValueError):
-        pattern(tm, None, "month", "activity", "mode")
+    # only the kinds the report writes: no rg, no year axis, no plain
+    # median, and no weekday or hour mobility
+    for kind in (("decade", "activity"), ("month", "happiness"), ("month", "activity", "mode"),
+                 ("month", "rg"), ("year", "activity"), ("month", "activity", "median"),
+                 ("dow", "mobility"), ("hour", "mobility")):
+        with pytest.raises(ValueError):
+            pattern(tm, None, *kind)
 
 
 def test_normalized_median_mean_is_one():
@@ -119,10 +107,12 @@ def test_normalized_median_rejects_zero_level():
 
 def test_write_pattern_csv_handles_labels_and_gaps(tmp_path):
     events = {"a": _one_tower(["2008-03-05T12:00:00"])}
-    tm = _metrics(events, homes={"a": (40.0, 20.0)})
-    s1 = pattern(tm, None, "month", "activity")
-    s2 = pattern(tm, None, "month", "rg")  # has empty bins -> blank stat
-    s2.cohort = "area3"
+    s1 = pattern(_metrics(events), None, "month", "activity")
+    # a series with empty bins and no standard error: blank cells
+    stat = np.full(12, np.nan)
+    stat[2] = 1.0
+    s2 = PatternSeries("month", "activity", "normalized_median", s1.bins, stat,
+                       (stat == 1.0).astype(np.int64), None, "area3")
     name, header, columns = WRITERS["patterns"]
     p = tmp_path / name
     _write_csv(p, header, columns(SimpleNamespace(patterns_bundle=[s1, s2])))
@@ -130,7 +120,8 @@ def test_write_pattern_csv_handles_labels_and_gaps(tmp_path):
     assert lines[0] == "cohort,axis,value,statistic,bin,stat,n,se"
     assert len(lines) == 25
     assert lines[1].startswith("all,month,activity,mean,2008-01,")
-    assert lines[13].startswith("area3,month,rg,mean,2008-01,,0,")
+    assert lines[13] == "area3,month,activity,normalized_median,2008-01,,0,"
+    assert lines[15] == "area3,month,activity,normalized_median,2008-03,1.0,1,"
 
 
 def test_demographic_table_strata():

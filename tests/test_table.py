@@ -30,7 +30,7 @@ from cdrmob.metrics import (
     metrics_rows,
     rms,
 )
-from cdrmob.patterns import PatternError, pattern
+from cdrmob.patterns import KINDS, PatternError, pattern
 from cdrmob.pipeline import _cells
 from cdrmob.records import TowerRegistry, year_bounds
 
@@ -159,16 +159,14 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
     # daily profiles against individual sums added in id order, and every
     # pattern series against the same series built in a single block
     whole = TableMetrics(tab, REG, homes_arg, divisor)
-    series = [(axis, value, statistic) for axis in ("dow", "hour", "month")
-              for value in ("activity", "mobility", "rg") for statistic in ("mean", "median")]
     with mock.patch.object(metrics, "_BLOCK_CELLS", block):
         act, mob = daily_profile(tm, 30)
-        got_series = [_series(tm, *x) for x in series]
+        got_series = [_series(tm, *x) for x in KINDS]
     want_act, want_mob = _reference_profile(own, 48)
     assert act.values.tobytes() == want_act.tobytes()
     assert mob.values.tobytes() == want_mob.tobytes()
     with mock.patch.object(metrics, "_BLOCK_CELLS", 1 << 40):
-        assert got_series == [_series(whole, *x) for x in series]
+        assert got_series == [_series(whole, *x) for x in KINDS]
 
     for spec in _SPECS:
         with mock.patch.object(metrics, "_BLOCK_CELLS", block), \
