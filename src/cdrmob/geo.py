@@ -1,4 +1,4 @@
-"""Geodesic distance, grid binning, and nearest-tower lookup.
+"""Geodesic distance, grid binning, and the test for points far from every tower.
 
 Distances are great-circle (haversine) in kilometers; grids are plain
 lat/lon lattices with half-open cells. Homes average longitudes
@@ -8,6 +8,7 @@ the antimeridian.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,26 +80,71 @@ class GridSpec:
         return EARTH_RADIUS_KM ** 2 * dlon * abs(math.sin(top) - math.sin(bottom))
 
 
-class NearestTowerIndex:
-    """Nearest-tower lookup on the unit sphere.
+# Candidate (point, tower) pairs that far_from_towers compares at a time:
+# a few arrays of 8 or 24 bytes per pair.
+_PAIR_BLOCK = 1 << 18
 
-    Embeds tower coordinates as 3D unit vectors so that euclidean nearest
-    neighbour equals great-circle nearest neighbour; chord length converts
-    back to arc distance exactly.
+
+def far_from_towers(lats, lons, tower_lats, tower_lons, cutoff_km: float) -> np.ndarray:
+    """True for each point (finite coordinates) farther than cutoff_km
+    from every tower.
+
+    Points and towers are embedded as 3D unit vectors, where euclidean
+    nearest is great-circle nearest and the chord converts back to arc
+    distance exactly. Towers are bucketed in cubic cells at least one
+    cutoff chord wide, so a tower within the cutoff of a point lies in one
+    of the 27 cells around the point's cell. The nearest of those gives the
+    distance: squared chords summed as ((dx*dx + dy*dy) + dz*dz), the order
+    of scipy's cKDTree, so the flags are the ones its nearest-tower query
+    gives, bit for bit.
     """
+    q = _unit_vectors(np.asarray(lats, float), np.asarray(lons, float))
+    t = _unit_vectors(np.asarray(tower_lats, float), np.asarray(tower_lons, float))
+    arc = min(max(cutoff_km, 0.0) / EARTH_RADIUS_KM, math.pi)
+    # at most 2^20 cells a side, so a cell key fits in an int64
+    width = 1.001 * max(2.0 * math.sin(arc / 2.0), 2.0 ** -19)
+    shift = int(1.0 / width) + 3
+    base = 2 * shift + 2
+    tkey = _cell_keys(t, width, shift, base)
+    order = np.argsort(tkey, kind="stable")
+    tkey, t = tkey[order], t[order]
+    # the towers around each distinct cell of the points, laid end to end
+    cells, cell_of = np.unique(_cell_keys(q, width, shift, base), return_inverse=True)
+    near = cells[:, None] + np.array([(i * base + j) * base + k
+                                      for i, j, k in itertools.product((-1, 0, 1), repeat=3)])
+    first = np.searchsorted(tkey, near, side="left")
+    count = np.searchsorted(tkey, near, side="right") - first
+    around = _ranges(first.ravel(), count.ravel())
+    per_cell = count.sum(axis=1)
+    cell_start = np.cumsum(per_cell) - per_cell
+    per_point = per_cell[cell_of]
+    ends = np.cumsum(per_point)
+    best = np.full(len(q), np.inf)  # nearest squared chord
+    lo = 0
+    while lo < len(q):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - per_point[lo] + _PAIR_BLOCK, "right")))
+        n = per_point[lo:hi]
+        tw = around[_ranges(cell_start[cell_of[lo:hi]], n)]
+        qi = np.repeat(np.arange(lo, hi), n)
+        dx, dy, dz = (q[qi, c] - t[tw, c] for c in range(3))
+        d2 = (dx * dx + dy * dy) + dz * dz
+        has = n > 0
+        if has.any():
+            best[lo:hi][has] = np.minimum.reduceat(d2, (np.cumsum(n) - n)[has])
+        lo = hi
+    chord = np.sqrt(best)
+    return EARTH_RADIUS_KM * (2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))) > cutoff_km
 
-    def __init__(self, lats: np.ndarray, lons: np.ndarray):
-        from scipy.spatial import cKDTree
 
-        self._xyz = _unit_vectors(np.asarray(lats, float), np.asarray(lons, float))
-        self._tree = cKDTree(self._xyz)
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, end to end."""
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
-    def distance_km(self, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-        """Great-circle distance from each query point to its nearest tower."""
-        q = _unit_vectors(np.asarray(lats, float), np.asarray(lons, float))
-        chord, _ = self._tree.query(q)
-        arc = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
-        return EARTH_RADIUS_KM * arc
+
+def _cell_keys(xyz: np.ndarray, width: float, shift: int, base: int) -> np.ndarray:
+    """One int64 per row: its cell's (i, j, k), shifted to 1..base-2."""
+    c = np.floor(xyz / width).astype(np.int64) + shift
+    return (c[:, 0] * base + c[:, 1]) * base + c[:, 2]
 
 
 def _unit_vectors(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:

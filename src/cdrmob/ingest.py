@@ -609,6 +609,11 @@ def _spool_json(path, name) -> dict:
     return doc
 
 
+def _is_count(v) -> bool:
+    """A JSON count: a non-negative integer, and not a boolean."""
+    return type(v) is int and v >= 0
+
+
 def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: str) -> IngestResult:
     """Load a spool directory. A spool in another format, or ingested for
     another year, reciprocity rule or tower table, is refused: its rows
@@ -627,11 +632,15 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
                 f"spool {path} was ingested with {key}={meta.get(key, 'unknown')}, "
                 f"not {want}; re-run ingest with the settings of this analysis"
             )
+    stats_path = os.path.join(path, SPOOL_STATS)
     counts = _spool_json(path, SPOOL_STATS)
     keys = sorted(f.name for f in fields(IngestStats))
     if sorted(counts) != keys:
-        raise CdrError(f"{os.path.join(path, SPOOL_STATS)}: malformed spool file: "
-                       f"keys {sorted(counts)}, not {keys}")
+        raise CdrError(f"{stats_path}: malformed spool file: keys {sorted(counts)}, not {keys}")
+    rejected = counts["rows_rejected"]
+    if not (isinstance(rejected, dict) and all(map(_is_count, rejected.values()))
+            and all(_is_count(v) for k, v in counts.items() if k != "rows_rejected")):
+        raise CdrError(f"{stats_path}: malformed spool file: counts must be non-negative integers")
     stats = IngestStats(**counts)
 
     events = os.path.join(path, SPOOL_EVENTS)
@@ -649,5 +658,9 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
         and ((cols["tower"] >= 0) & (cols["tower"] < len(registry))).all()
     ):
         raise CdrError(f"{events}: malformed spool table")
+    if (stats.events_kept, stats.individuals_kept) != (n, len(ids)):
+        raise CdrError(f"{stats_path}: events_kept {stats.events_kept} and individuals_kept "
+                       f"{stats.individuals_kept} disagree with the {n} events of {len(ids)} "
+                       f"individuals in {events}")
     return IngestResult(table=EventTable(ids, **cols), stats=stats, analysis_year=analysis_year,
                         reciprocity=reciprocity)

@@ -282,13 +282,22 @@ class TableMetrics:
         h2 = None if self.h2 is None else count(key, self.h2[r0:r1])
         return count(key), count(pk, self.d2[r0:r1][pm]), h2, count(pk)
 
-    def time_of_day(self, nbins: int, lo: int, hi: int):
-        """Pooled sums per time-of-day bin of individuals lo..hi-1:
-        (activity, d2sum, h2sum, pairs)."""
+    def _tod_bins(self, nbins: int, lo: int, hi: int) -> np.ndarray:
         if 86400 % nbins:
             raise ValueError("time-of-day bins must divide the day evenly")
         r0, r1, _ = self._rows(lo, hi)
-        return self.pooled((self.table.ts[r0:r1] % 86400) // (86400 // nbins), nbins, lo, hi)
+        return (self.table.ts[r0:r1] % 86400) // (86400 // nbins)
+
+    def time_of_day(self, nbins: int, lo: int, hi: int):
+        """Pooled sums per time-of-day bin of individuals lo..hi-1:
+        (activity, d2sum, h2sum, pairs)."""
+        return self.pooled(self._tod_bins(nbins, lo, hi), nbins, lo, hi)
+
+    def time_of_day_counts(self, nbins: int, lo: int, hi: int) -> np.ndarray:
+        """Events per time-of-day bin of individuals lo..hi-1: the activity
+        of time_of_day without its displacement sums."""
+        key = _segment_index(self._rows(lo, hi)[2]) * nbins + self._tod_bins(nbins, lo, hi)
+        return np.bincount(key, minlength=(hi - lo) * nbins).reshape(hi - lo, nbins)
 
     def weekday(self, lo: int, hi: int):
         """Pooled sums per weekday (0=Mon) of individuals lo..hi-1,

@@ -93,7 +93,7 @@ def pattern(
         samples = (select(counts[:, wd == w]) for w in range(7))
     elif axis == "hour":
         ids = HOUR_IDS
-        counts, = tm.stack(lambda lo, hi: tm.time_of_day(24, lo, hi)[:1], 24)
+        counts, = tm.stack(lambda lo, hi: (tm.time_of_day_counts(24, lo, hi),), 24)
         samples = (select(counts[:, b]) for b in range(24))
     else:
         spans = WindowSpec("month").contiguous_windows(analysis_year)

@@ -343,16 +343,30 @@ def test_spool_refuses_the_csv_format(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
-def _damage_stats(spool):
-    stats = json.loads((spool / "stats.json").read_text())
-    (spool / "stats.json").write_text(json.dumps({**stats, "rows_skipped": 0}))
+def _edit_stats(**changes):
+    """A damage that rewrites stats.json with some values changed; a
+    callable value maps the old value to the new one."""
+    def damage(spool):
+        stats = json.loads((spool / "stats.json").read_text())
+        for key, value in changes.items():
+            stats[key] = value(stats.get(key)) if callable(value) else value
+        (spool / "stats.json").write_text(json.dumps(stats))
+    return damage
 
 
 # a damaged spool file -> (the file named in the error, how to damage it)
 _SPOOL_DAMAGE = {
     "no_stats": ("stats.json", lambda spool: (spool / "stats.json").unlink()),
     "meta_not_json": ("meta.json", lambda spool: (spool / "meta.json").write_text("{format: 3")),
-    "stats_unknown_key": ("stats.json", _damage_stats),
+    "stats_unknown_key": ("stats.json", _edit_stats(rows_skipped=0)),
+    "stats_count_not_int": ("stats.json", _edit_stats(rows_read="many")),
+    "stats_count_negative": ("stats.json", _edit_stats(individuals_removed=-5)),
+    "stats_count_float": ("stats.json", _edit_stats(events_valid=20.0)),
+    "stats_count_bool": ("stats.json", _edit_stats(individuals_seen=True)),
+    "stats_rejects_not_a_map": ("stats.json", _edit_stats(rows_rejected=[["bad_time", 1]])),
+    "stats_reject_count_negative": ("stats.json", _edit_stats(rows_rejected={"bad_time": -1})),
+    "stats_events_disagree": ("stats.json", _edit_stats(events_kept=lambda n: n + 1)),
+    "stats_individuals_disagree": ("stats.json", _edit_stats(individuals_kept=lambda n: n - 1)),
 }
 
 

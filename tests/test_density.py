@@ -107,14 +107,18 @@ def test_rank_desc_matches_scipy_rankdata(xs):
     assert np.array_equal(got, want)
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh interpreter has `module` loaded after importing cdrmob.cli."""
-    code = f"import sys, cdrmob.cli; print({module!r} in sys.modules)"
+def _fresh_python(code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter on this source tree."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
         os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    return out.stdout.strip() == "True"
+    return out.stdout.strip()
+
+
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter has `module` loaded after importing cdrmob.cli."""
+    return _fresh_python(f"import sys, cdrmob.cli; print({module!r} in sys.modules)") == "True"
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -122,8 +126,22 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # only the daily rhythm fit needs it; ingest and generate never do
     assert not _loaded_by_cli_import("scipy.optimize")
+
+
+def test_report_loads_no_scipy(small_corpus, tmp_path):
+    # the rhythm fit and the at-sea test are numpy only; scipy serves the
+    # tests as a reference
+    corpus, truth = small_corpus
+    argv = ["report", "--cdr", os.path.join(corpus, "cdr.csv"),
+            "--towers", os.path.join(corpus, "towers.csv"), "--out", str(tmp_path / "report"),
+            "--grid-step", str(truth.grid_step),
+            "--area-bounds", ",".join(map(str, truth.area_boundaries))]
+    out = _fresh_python(
+        "import sys; from cdrmob.cli import main; rc = main(" + repr(argv) + "); "
+        "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    # report prints its outputs first
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_spearman_known_values():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cdrmob.geo import (
     EARTH_RADIUS_KM,
     GridSpec,
-    NearestTowerIndex,
+    far_from_towers,
     haversine_km,
     offset_km,
 )
@@ -116,21 +116,27 @@ def test_grid_rejects_bad_steps():
         GridSpec(0.05, -1.0)
 
 
-def test_nearest_tower_matches_brute_force():
+def test_far_from_towers_matches_brute_force():
     rng = np.random.default_rng(77)
     tlat = rng.uniform(35.0, 45.0, size=30)
     tlon = rng.uniform(15.0, 25.0, size=30)
-    idx = NearestTowerIndex(tlat, tlon)
     qlat = rng.uniform(35.0, 45.0, size=100)
     qlon = rng.uniform(15.0, 25.0, size=100)
-    got = idx.distance_km(qlat, qlon)
-    for k in range(100):
-        want = min(
-            float(haversine_km(qlat[k], qlon[k], tlat[t], tlon[t]))
-            for t in range(30)
-        )
-        assert got[k] == pytest.approx(want, abs=1e-9)
-    assert idx.distance_km(tlat, tlon) == pytest.approx(np.zeros(30), abs=1e-9)
+    nearest = np.array([
+        min(float(haversine_km(qlat[k], qlon[k], tlat[t], tlon[t])) for t in range(30))
+        for k in range(100)
+    ])
+    for cutoff in (0.0, 5.0, 20.0, 50.0, float(np.median(nearest)), 5000.0, 30000.0):
+        far = far_from_towers(qlat, qlon, tlat, tlon, cutoff)
+        # haversine and chord agree to far better than this
+        clear = np.abs(nearest - cutoff) > 1e-9
+        assert far.dtype == bool and clear.sum() >= 99
+        assert np.array_equal(far[clear], (nearest > cutoff)[clear])
+    # a tower is within any cutoff of itself, and nothing is within a
+    # negative one
+    assert not far_from_towers(tlat, tlon, tlat, tlon, 0.0).any()
+    assert far_from_towers(tlat, tlon, tlat, tlon, -1.0).all()
+    assert far_from_towers(qlat[:0], qlon[:0], tlat, tlon, 10.0).shape == (0,)
 
 
 def test_offset_km_inverts_through_haversine():

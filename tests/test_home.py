@@ -4,12 +4,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrmob.home import (
     DailyProfile,
     UnimodalProfileError,
+    _curve_fit,
+    _two_gauss,
     compute_homes,
     daily_profile,
     find_inactive_window,
@@ -17,7 +19,7 @@ from cdrmob.home import (
     flag_at_sea,
     night_mask,
 )
-from cdrmob.geo import haversine_km
+from cdrmob.geo import EARTH_RADIUS_KM, _unit_vectors, haversine_km
 from cdrmob.ingest import ingest_rows
 from cdrmob.metrics import TableMetrics
 from cdrmob.pipeline import WRITERS, _write_csv
@@ -164,6 +166,71 @@ def test_flag_at_sea_uses_nearest_tower():
     assert flags.dtype == bool and flags.tolist() == [True, False, False]
     assert flag_at_sea(lat, lon, REG, cutoff_km=30.0).tolist() == [False, False, False]
     assert flag_at_sea(lat[2:], lon[2:], REG).tolist() == [False]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.floats(0.2, 50.0), st.integers(-3, 3))
+def test_flag_at_sea_matches_ckdtree_at_the_cutoff(seed, n_towers, radius, ulps):
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(seed)
+    tlat, tlon = rng.uniform(40.0, 41.0, n_towers), rng.uniform(20.0, 21.3, n_towers)
+    reg = TowerRegistry({f"t{i}": (a, o) for i, (a, o) in enumerate(zip(tlat, tlon))})
+    # homes about `radius` km from a random tower, then a few ulps off
+    k = rng.integers(n_towers, size=300)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 300)
+    deg = np.degrees(radius / EARTH_RADIUS_KM)
+    lat = tlat[k] + deg * np.sin(ang)
+    lon = tlon[k] + deg * np.cos(ang) / np.cos(np.radians(tlat[k]))
+    lat += ulps * np.spacing(lat)
+    chord, _ = cKDTree(_unit_vectors(reg.lat, reg.lon)).query(_unit_vectors(lat, lon))
+    km = EARTH_RADIUS_KM * (2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)))
+    # cutoffs on some home distances exactly and a few ulps either side
+    for cutoff in (radius, km[0], np.nextafter(km[1], 0.0), np.nextafter(km[2], np.inf),
+                   km[3] + 2 * np.spacing(km[3]), float(np.median(km))):
+        assert np.array_equal(flag_at_sea(lat, lon, reg, float(cutoff)), km > cutoff)
+
+
+_LOWER = [0.0, 0.0, 0.3, 0.0, 0.0, 0.3, 0.0]
+_UPPER = [np.inf, 24.0, 8.0, np.inf, 24.0, 8.0, np.inf]
+_AMP, _HOUR, _WIDTH = st.floats(0.0, 3.0), st.floats(0.0, 24.0), st.floats(0.3, 8.0)
+
+
+def _fit_or_error(fit):
+    try:
+        return fit()
+    except (RuntimeError, ValueError) as e:
+        return type(e)
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([24, 48, 96]),
+    st.tuples(_AMP, st.floats(5.0, 14.0), _WIDTH, _AMP, st.floats(15.0, 23.0), _WIDTH,
+              st.floats(0.0, 1.0)),
+    st.sampled_from([0.0, 1e-9, 1e-3, 0.05, 0.5]),
+    st.booleans(),
+    # the floor start may be negative, which curve_fit refuses
+    st.tuples(_AMP, _HOUR, _WIDTH, _AMP, _HOUR, _WIDTH, st.floats(-0.5, 1.0)),
+    st.sampled_from([2, 5, 12, 20000]),
+    st.integers(0, 2**32 - 1),
+)
+def test_curve_fit_port_matches_scipy_bit_for_bit(nbins, shape, noise, flat, p0, maxfev, seed):
+    from scipy.optimize import curve_fit
+
+    t = (np.arange(nbins) + 0.5) * 24.0 / nbins
+    a1, mu1, s1, a2, mu2, s2, floor = shape
+    y = 0.3 if flat else _mixture(t, mu1, s1, a1, mu2, s2, a2, floor)
+    y = y + np.random.default_rng(seed).normal(0.0, noise, nbins)
+    want = _fit_or_error(lambda: curve_fit(_two_gauss, t, y, p0=list(p0), bounds=(_LOWER, _UPPER),
+                                           maxfev=maxfev)[0])
+    got = _fit_or_error(lambda: _curve_fit(lambda p: _two_gauss(t, *p) - y, list(p0),
+                                           _LOWER, _UPPER, max_nfev=maxfev))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert not isinstance(got, type) and got.tobytes() == want.tobytes()
 
 
 def test_homes_csv_round_trip(tmp_path):
