@@ -36,37 +36,29 @@ def haversine_km(lat1, lon1, lat2, lon2):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Lat/lon lattice: half-open cells of lat_step x lon_step degrees
-    anchored at a lower-left origin. The coarse analysis grid uses 0.05
-    degree steps; the fine per-km2 reporting grid uses 0.01."""
+    """Lat/lon lattice: half-open square cells of step degrees, anchored at
+    (0, 0) so cell indices are absolute. The coarse analysis grid uses
+    0.05 degree steps; the fine per-km2 reporting grid uses 0.01."""
 
-    lat_step: float = 0.05
-    lon_step: float = 0.05
-    lat0: float = 0.0
-    lon0: float = 0.0
+    step: float
 
     def __post_init__(self):
-        if self.lat_step <= 0 or self.lon_step <= 0:
-            raise ValueError("grid steps must be positive")
+        if self.step <= 0:
+            raise ValueError("grid step must be positive")
 
     def cell_of(self, lat: float, lon: float) -> tuple[int, int]:
         """Cell index (i, j) of a point; cells are half-open so a point on a
         boundary belongs to the higher cell."""
-        i = math.floor((lat - self.lat0) / self.lat_step)
-        j = math.floor((lon - self.lon0) / self.lon_step)
-        return i, j
+        return math.floor(lat / self.step), math.floor(lon / self.step)
 
     def cells_of(self, lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized cell_of."""
-        i = np.floor((np.asarray(lats) - self.lat0) / self.lat_step).astype(np.int64)
-        j = np.floor((np.asarray(lons) - self.lon0) / self.lon_step).astype(np.int64)
+        i = np.floor(np.asarray(lats) / self.step).astype(np.int64)
+        j = np.floor(np.asarray(lons) / self.step).astype(np.int64)
         return i, j
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        return (
-            self.lat0 + (i + 0.5) * self.lat_step,
-            self.lon0 + (j + 0.5) * self.lon_step,
-        )
+        return (i + 0.5) * self.step, (j + 0.5) * self.step
 
     def cell_area_km2(self, i: int) -> float:
         """Spherical area of any cell in latitude band i.
@@ -74,9 +66,9 @@ class GridSpec:
         Exact on the sphere: R^2 * dlon * (sin(top) - sin(bottom)). Depends
         only on the latitude band, not on j.
         """
-        bottom = math.radians(self.lat0 + i * self.lat_step)
-        top = math.radians(self.lat0 + (i + 1) * self.lat_step)
-        dlon = math.radians(self.lon_step)
+        bottom = math.radians(i * self.step)
+        top = math.radians((i + 1) * self.step)
+        dlon = math.radians(self.step)
         return EARTH_RADIUS_KM ** 2 * dlon * abs(math.sin(top) - math.sin(bottom))
 
 

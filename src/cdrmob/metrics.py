@@ -179,7 +179,6 @@ class TableMetrics:
             d2[:-1] = _squared_km(towers, table.tower[:-1], towers, table.tower[1:])
             d2[table.offsets[1:] - 1] = 0.0  # no pair across individuals
         self.d2 = d2
-        self.homed = np.zeros(len(table), dtype=bool) if homes is None else ~np.isnan(homes[0])
         # the smallest unsigned type that holds any individual's event count
         self._count_type = np.min_scalar_type(int(np.diff(table.offsets).max(initial=0)))
         self.h2 = None

@@ -259,7 +259,7 @@ class Pipeline:
     # ------------------------------------------------------------- density
     @property
     def grid(self) -> GridSpec:
-        return GridSpec(self.config.grid_step, self.config.grid_step)
+        return GridSpec(self.config.grid_step)
 
     @property
     def grid_density(self):
@@ -333,7 +333,7 @@ class Pipeline:
             lambda: area_summary(
                 self.labels,
                 *self.home_points[:2],
-                GridSpec(FINE_STEP, FINE_STEP),
+                GridSpec(FINE_STEP),
                 self.ego_area,
             ),
         )

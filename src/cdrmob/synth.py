@@ -32,14 +32,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import date
 
 import numpy as np
 
 from .density import DensityError, build_density_from_counts, classify_areas, rank_desc
 from .geo import GridSpec, offset_km
-from .records import AGE_GROUP_LABELS, age_group_of, year_bounds
+from .records import age_group_of, year_bounds
 
 CDR_FILE = "cdr.csv"
 TOWERS_FILE = "towers.csv"
@@ -59,77 +59,82 @@ def _tod_strings() -> list[str]:
     return _TOD_STRINGS
 
 
+# The world every corpus shares: settlement layout, daily rhythm, week,
+# travel and demography. GenConfig holds the settings that corpora vary.
+ZIPF_EXPONENT = 1.0
+ORIGIN_LAT = 40.0
+ORIGIN_LON = 20.0
+CELL_SPACING = 3  # lattice pitch between settlements, in cells
+
+MU_DAY_H = 12.97
+SIGMA_DAY_H = 2.36
+AMP_DAY = 1.0
+MU_EVE_H = 19.72
+SIGMA_EVE_H = 2.31
+AMP_EVE = 0.85
+
+DOW_MULT = (0.98, 1.00, 1.02, 1.06, 1.15, 1.04, 0.80)  # Mon..Sun
+DENSE_AREA_MAX = 3  # density classes 1..this use the dense month table
+
+LAMBDA0_KM = 3.0
+LAMBDA_MIN_KM = 0.5
+LAMBDA_MAX_KM = 12.0
+SATELLITE_RINGS = (0.6, 0.9, 1.2, 1.5)
+MOBILITY_MONTH_MULT = (1.25, 1.0, 0.99, 0.98, 0.97, 0.96, 1.15, 1.18, 0.93, 0.92, 0.91, 0.90)
+
+SMS_FRACTION = 0.3
+FEMALE_FRACTION = 0.5
+AGE_EXCESS_SCALE = {
+    "teen": 2.0,
+    "early_adult": 0.5,
+    "early_middle": 1.0,
+    "middle": 1.5,
+    "early_senior": 1.0,
+    "senior": 0.8,
+}
+AGE_ACTIVITY_MULT = {
+    "teen": 0.9,
+    "early_adult": 1.2,
+    "early_middle": 1.05,
+    "middle": 0.95,
+    "early_senior": 0.8,
+    "senior": 0.65,
+}
+AGE_MIN = 13
+AGE_MAX = 85
+
+SPAM_EVENTS_BASE = 20
+SPAM_EVENTS_POISSON = 30
+
+
 @dataclass(frozen=True)
 class GenConfig:
-    """Knobs of the synthetic world. Defaults give a ~2.8M-row corpus
-    whose every planted effect clears its recovery tolerance with margin."""
+    """The settings that corpora vary; the constants above fix the rest.
+    Defaults give a ~2.8M-row corpus whose every planted effect clears its
+    recovery tolerance with margin."""
 
     n_individuals: int = 10_000
     n_cells: int = 400
-    zipf_exponent: float = 1.0
-    origin_lat: float = 40.0
-    origin_lon: float = 20.0
     grid_step: float = 0.05
-    cell_spacing: int = 3  # lattice pitch between settlements, in cells
 
-    mu_day_h: float = 12.97
-    sigma_day_h: float = 2.36
-    amp_day: float = 1.0
-    mu_eve_h: float = 19.72
-    sigma_eve_h: float = 2.31
-    amp_eve: float = 0.85
     night_floor: float = 0.04
-
     base_daily_events: float = 0.75
-    dow_mult: tuple = (0.98, 1.00, 1.02, 1.06, 1.15, 1.04, 0.80)  # Mon..Sun
     month_mult_dense: tuple = (1.02, 1.0, 1.0, 0.99, 1.0, 1.01, 1.0, 0.80, 1.0, 1.0, 0.99, 1.01)
     month_mult_sparse: tuple = (1.02, 1.0, 1.0, 0.99, 1.0, 1.01, 1.0, 1.0, 1.0, 1.0, 0.99, 1.01)
-    dense_area_max: int = 3  # density classes 1..this use the dense month table
 
     beta: float = 0.15  # activity ~ (rho/rho_mean)^beta
     gamma: float = 0.5  # displacement scale ~ (rho/rho_mean)^-gamma
-    lambda0_km: float = 3.0
-    lambda_min_km: float = 0.5
-    lambda_max_km: float = 12.0
-    satellite_rings: tuple = (0.6, 0.9, 1.2, 1.5)
     # replace the beta coupling by a rank-driven one with a sign flip:
     # (head_exponent, tail_exponent, pivot_rank)
     activity_flip: tuple | None = None
 
     p_home_night: float = 0.95
     p_away_day: float = 0.5
-    mobility_month_mult: tuple = (1.25, 1.0, 0.99, 0.98, 0.97, 0.96, 1.15, 1.18, 0.93, 0.92, 0.91, 0.90)
 
-    sms_fraction: float = 0.3
-    female_fraction: float = 0.5
     female_activity_excess: tuple = (0.36, 0.28, 0.21, 0.14, 0.07)  # by density class
-    age_excess_scale: dict = field(
-        default_factory=lambda: {
-            "teen": 2.0,
-            "early_adult": 0.5,
-            "early_middle": 1.0,
-            "middle": 1.5,
-            "early_senior": 1.0,
-            "senior": 0.8,
-        }
-    )
-    age_activity_mult: dict = field(
-        default_factory=lambda: {
-            "teen": 0.9,
-            "early_adult": 1.2,
-            "early_middle": 1.05,
-            "middle": 0.95,
-            "early_senior": 0.8,
-            "senior": 0.65,
-        }
-    )
     female_mobility_excess: float = 0.06
-    age_min: int = 13
-    age_max: int = 85
 
     spam_fraction: float = 0.05
-    spam_events_base: int = 20
-    spam_events_poisson: int = 30
 
     area_boundaries: tuple = (12, 40, 120, 260)
     analysis_year: int = 2008
@@ -144,20 +149,16 @@ class GenConfig:
             raise ValueError("spam fraction must be in [0, 1)")
         if self.n_real < self.n_cells:
             raise ValueError("fewer genuine individuals than settlements")
-        for name in ("sigma_day_h", "sigma_eve_h", "base_daily_events", "lambda0_km", "grid_step"):
+        for name in ("base_daily_events", "grid_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for p in ("p_home_night", "p_away_day", "sms_fraction", "female_fraction"):
+        for p in ("p_home_night", "p_away_day"):
             if not (0 <= getattr(self, p) <= 1):
                 raise ValueError(f"{p} must be in [0, 1]")
-        if any(m <= 0 for m in self.dow_mult + self.month_mult_dense + self.month_mult_sparse):
+        if any(m <= 0 for m in self.month_mult_dense + self.month_mult_sparse):
             raise ValueError("all rate multipliers must be positive")
-        if len(self.dow_mult) != 7 or len(self.month_mult_dense) != 12 or len(self.month_mult_sparse) != 12:
-            raise ValueError("multiplier tables have fixed sizes 7/12/12")
-        if set(self.age_excess_scale) != set(AGE_GROUP_LABELS) or set(self.age_activity_mult) != set(AGE_GROUP_LABELS):
-            raise ValueError("age tables must cover every age group")
-        if not (self.age_min < self.age_max):
-            raise ValueError("empty age range")
+        if len(self.month_mult_dense) != 12 or len(self.month_mult_sparse) != 12:
+            raise ValueError("month multiplier tables have 12 entries")
 
     @property
     def n_spam(self) -> int:
@@ -236,10 +237,7 @@ def _mixture_pdf_hours(t_h: np.ndarray, cfg: GenConfig) -> np.ndarray:
     reappears on the other side (keeps the early morning the true
     minimum)."""
     f = np.full(t_h.shape, cfg.night_floor, dtype=float)
-    for mu, sig, amp in (
-        (cfg.mu_day_h, cfg.sigma_day_h, cfg.amp_day),
-        (cfg.mu_eve_h, cfg.sigma_eve_h, cfg.amp_eve),
-    ):
+    for mu, sig, amp in ((MU_DAY_H, SIGMA_DAY_H, AMP_DAY), (MU_EVE_H, SIGMA_EVE_H, AMP_EVE)):
         for k in (-24.0, 0.0, 24.0):
             f += amp * np.exp(-0.5 * ((t_h - mu + k) / sig) ** 2)
     return f
@@ -260,15 +258,15 @@ class _World:
     def __init__(self, cfg: GenConfig):
         self.cfg = cfg
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-        grid = GridSpec(cfg.grid_step, cfg.grid_step)
+        grid = GridSpec(cfg.grid_step)
         self.grid = grid
         n = cfg.n_cells
         side = math.ceil(math.sqrt(n))
-        base_i = round(cfg.origin_lat / cfg.grid_step)
-        base_j = round(cfg.origin_lon / cfg.grid_step)
+        base_i = round(ORIGIN_LAT / cfg.grid_step)
+        base_j = round(ORIGIN_LON / cfg.grid_step)
 
         # Zipf population quotas summing exactly to n_real, all >= 1
-        w = np.arange(1, n + 1, dtype=float) ** (-cfg.zipf_exponent)
+        w = np.arange(1, n + 1, dtype=float) ** (-ZIPF_EXPONENT)
         raw = cfg.n_real * w / w.sum()
         pop = np.floor(raw).astype(np.int64)
         frac = raw - pop
@@ -291,8 +289,8 @@ class _World:
         next_tower = 1
         for k in range(n):
             r, c = divmod(k, side)
-            ci = base_i + r * cfg.cell_spacing
-            cj = base_j + c * cfg.cell_spacing
+            ci = base_i + r * CELL_SPACING
+            cj = base_j + c * CELL_SPACING
             self.cells.append((ci, cj))
             areas_km2[k] = grid.cell_area_km2(ci)
             # home tower inside the central 80% of its cell
@@ -310,9 +308,9 @@ class _World:
         self.rho = rho
         rho_mean = float(rho.mean())
         self.lam = np.clip(
-            cfg.lambda0_km * (rho / rho_mean) ** (-cfg.gamma),
-            cfg.lambda_min_km,
-            cfg.lambda_max_km,
+            LAMBDA0_KM * (rho / rho_mean) ** (-cfg.gamma),
+            LAMBDA_MIN_KM,
+            LAMBDA_MAX_KM,
         )
         self.act_density_mult = (rho / rho_mean) ** cfg.beta
 
@@ -333,8 +331,8 @@ class _World:
         # satellite towers on rings around each settlement
         for k in range(n):
             lat0, lon0 = self.center_pos[k]
-            bearings = rng.random(len(cfg.satellite_rings)) * 2.0 * math.pi
-            for ring, th in zip(cfg.satellite_rings, bearings):
+            bearings = rng.random(len(SATELLITE_RINGS)) * 2.0 * math.pi
+            for ring, th in zip(SATELLITE_RINGS, bearings):
                 d = ring * float(self.lam[k])
                 lat, lon = offset_km(lat0, lon0, d * math.sin(th), d * math.cos(th))
                 lat, lon = float(lat), float(lon)
@@ -361,7 +359,7 @@ class _World:
 
         dense = np.asarray(cfg.month_mult_dense)[self.day_month]
         sparse = np.asarray(cfg.month_mult_sparse)[self.day_month]
-        dowv = np.asarray(cfg.dow_mult)[self.day_wd]
+        dowv = np.asarray(DOW_MULT)[self.day_wd]
         self.day_weight = {"dense": dowv * dense, "sparse": dowv * sparse}
         self.day_probs = {k: v / v.sum() for k, v in self.day_weight.items()}
         self.weight_sum = {k: float(v.sum()) for k, v in self.day_weight.items()}
@@ -369,7 +367,7 @@ class _World:
         self.tod_cdf, self.tod_hours = _tod_quantiles(cfg)
 
     def month_class(self, area: int) -> str:
-        return "dense" if area <= self.cfg.dense_area_max else "sparse"
+        return "dense" if area <= DENSE_AREA_MAX else "sparse"
 
 
 def _ego_chunk(world: _World, lo: int, hi: int):
@@ -387,21 +385,21 @@ def _ego_chunk(world: _World, lo: int, hi: int):
         spam = i >= n_real
         if spam:
             s = int(rng.integers(0, cfg.n_cells))
-            n_ev = cfg.spam_events_base + int(rng.poisson(cfg.spam_events_poisson))
+            n_ev = SPAM_EVENTS_BASE + int(rng.poisson(SPAM_EVENTS_POISSON))
             female = False
             age = None
             rate = float(n_ev)
         else:
             s = int(world.settlement_of[i])
-            female = bool(rng.random() < cfg.female_fraction)
-            age = int(rng.integers(cfg.age_min, cfg.age_max + 1))
+            female = bool(rng.random() < FEMALE_FRACTION)
+            age = int(rng.integers(AGE_MIN, AGE_MAX + 1))
             group = age_group_of(age)
             area = int(world.area[s])
             klass = world.month_class(area)
             daily = cfg.base_daily_events * float(world.act_density_mult[s])
-            daily *= cfg.age_activity_mult[group]
+            daily *= AGE_ACTIVITY_MULT[group]
             if female:
-                excess = cfg.female_activity_excess[area - 1] * cfg.age_excess_scale[group]
+                excess = cfg.female_activity_excess[area - 1] * AGE_EXCESS_SCALE[group]
                 daily *= 1.0 + excess
             rate = daily * world.weight_sum[klass]
             n_ev = max(int(rng.poisson(rate)), 2)
@@ -415,12 +413,12 @@ def _ego_chunk(world: _World, lo: int, hi: int):
         ts = world.year_start + days * 86400 + tod_sec
 
         night = (tod_sec >= 3600) & (tod_sec < 7 * 3600)
-        p_away_day = cfg.p_away_day * np.asarray(cfg.mobility_month_mult)[world.day_month[days]]
+        p_away_day = cfg.p_away_day * np.asarray(MOBILITY_MONTH_MULT)[world.day_month[days]]
         if not spam and female:
             p_away_day = p_away_day * (1.0 + cfg.female_mobility_excess)
         p_home = np.where(night, cfg.p_home_night, 1.0 - np.minimum(p_away_day, 0.95))
         at_home = rng.random(n_ev) < p_home
-        sat = rng.integers(0, len(cfg.satellite_rings), size=n_ev)
+        sat = rng.integers(0, len(SATELLITE_RINGS), size=n_ev)
 
         if spam:
             victims = rng.integers(0, n_real, size=n_ev)
@@ -442,7 +440,7 @@ def _ego_chunk(world: _World, lo: int, hi: int):
             partners[1] = plist[0]
             outgoing[0] = True
             outgoing[1] = False
-        sms = rng.random(n_ev) < cfg.sms_fraction
+        sms = rng.random(n_ev) < SMS_FRACTION
 
         order = np.argsort(ts, kind="stable")
         center_id = world.center_ids[s]
@@ -518,22 +516,22 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
         seed=cfg.seed,
         night_window=(1.0, 7.0),
         circadian={
-            "mu_day_h": cfg.mu_day_h,
-            "sigma_day_h": cfg.sigma_day_h,
-            "amp_day": cfg.amp_day,
-            "mu_eve_h": cfg.mu_eve_h,
-            "sigma_eve_h": cfg.sigma_eve_h,
-            "amp_eve": cfg.amp_eve,
+            "mu_day_h": MU_DAY_H,
+            "sigma_day_h": SIGMA_DAY_H,
+            "amp_day": AMP_DAY,
+            "mu_eve_h": MU_EVE_H,
+            "sigma_eve_h": SIGMA_EVE_H,
+            "amp_eve": AMP_EVE,
             "floor": cfg.night_floor,
         },
-        dow_mult=cfg.dow_mult,
+        dow_mult=DOW_MULT,
         month_mult_dense=cfg.month_mult_dense,
         month_mult_sparse=cfg.month_mult_sparse,
-        dense_area_max=cfg.dense_area_max,
-        mobility_month_mult=cfg.mobility_month_mult,
+        dense_area_max=DENSE_AREA_MAX,
+        mobility_month_mult=MOBILITY_MONTH_MULT,
         beta=cfg.beta,
         gamma=cfg.gamma,
-        zipf_exponent=cfg.zipf_exponent,
+        zipf_exponent=ZIPF_EXPONENT,
         activity_flip=cfg.activity_flip,
         female_activity_excess=cfg.female_activity_excess,
         female_mobility_excess=cfg.female_mobility_excess,

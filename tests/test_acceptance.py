@@ -83,10 +83,11 @@ def _random_table(rng, registry, sizes):
     return EventTable(ids, offsets, ts, tower, kind, direction)
 
 
-def _window(tm, k, t0, t1):
-    """(activity, mobility, rg or None, pairs) of individual k in [t0, t1)."""
+def _window(tm, k, t0, t1, home_lat=math.nan):
+    """(activity, mobility, rg or None, pairs) of individual k in [t0, t1);
+    rg only for an individual whose home latitude is known."""
     a, m, rg, pairs = (x[0, 0] for x in tm.windows(np.array([t0, t1]), k, k + 1))
-    return int(a), float(m), float(rg) if tm.homed[k] and a else None, int(pairs)
+    return int(a), float(m), float(rg) if not math.isnan(home_lat) and a else None, int(pairs)
 
 
 # ----------------------------------------------------------- criteria
@@ -108,7 +109,7 @@ def test_criterion_01_metric_oracle_equivalence():
         hi = int(ts[-1]) + 1
         cut = int(rng.integers(lo, hi + 1))
         for t0, t1 in ((lo, hi), (lo, cut), (cut, hi)):
-            activity, mobility, rg_km, _ = _window(tm, k, t0, t1)
+            activity, mobility, rg_km, _ = _window(tm, k, t0, t1, home[0])
             a, m, rg, _ = _oracle_metrics(ts, lats[s:e], lons[s:e], home, t0, t1)
             assert activity == a
             assert _rel_eq(mobility, m if a else 0.0)
@@ -245,7 +246,7 @@ def test_criterion_06_activity_flip_bands(flip_pipeline):
 
 
 def test_criterion_07_rank_size_tail_exponent():
-    grid = GridSpec(0.05, 0.05)
+    grid = GridSpec(0.05)
     counts = {}
     k = 1
     for i in range(100):

@@ -5,6 +5,7 @@ already exercises the installed entry point in subprocesses.
 """
 
 import csv
+import dataclasses
 import filecmp
 import json
 import os
@@ -139,6 +140,23 @@ def test_gen_config_file_merges_with_flags(tmp_path, capsys):
     bad.write_text("[1, 2, 3]")
     assert main(["generate", "--out", str(tmp_path / "c3"), "--gen-config", str(bad)]) == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_gen_config_refuses_a_fixed_setting(tmp_path, capsys):
+    # the SMS share is a constant of the generator, not a setting
+    fixed = tmp_path / "fixed.json"
+    fixed.write_text(json.dumps({"n_individuals": 50, "n_cells": 5, "sms_fraction": 0.3}))
+    out = tmp_path / "refused"
+    assert main(["generate", "--out", str(out), "--gen-config", str(fixed)]) == 1
+    assert "sms_fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+    valid = tmp_path / "valid.json"
+    valid.write_text(json.dumps({"n_individuals": 50, "n_cells": 5}))
+    out = tmp_path / "corpus"
+    assert main(["generate", "--out", str(out), "--gen-config", str(valid)]) == 0
+    with open(out / "genconfig.json", encoding="utf-8") as fh:
+        assert set(json.load(fh)) == {f.name for f in dataclasses.fields(GenConfig)}
 
 
 def test_stage_outputs_match_the_full_report(small_corpus, tmp_path, capsys):
@@ -372,15 +390,19 @@ _SPOOL_DAMAGE = {
 
 @pytest.mark.parametrize("damage", sorted(_SPOOL_DAMAGE))
 def test_spool_with_a_damaged_file_is_refused(tmp_path, capsys, damage):
-    # without its stats.json the funnel would read zeros next to real homes
-    cdr, towers = _write_minimal_corpus(tmp_path)
+    # without its stats.json the funnel would read zeros next to real homes;
+    # night events and a set night window let the intact spool report
+    cdr, towers = _write_minimal_corpus(tmp_path, hour="03:00:00")
     spool = tmp_path / "spool"
     assert main(["ingest", "--cdr", str(cdr), "--towers", str(towers),
                  "--out", str(spool)]) == 0
+    night = ("--night-window", "00:00-06:00")
+    assert main(["report", *_analysis_args(spool, towers, tmp_path / "intact", *night)]) == 0
+    capsys.readouterr()
     name, damage_fn = _SPOOL_DAMAGE[damage]
     damage_fn(spool)
     out = tmp_path / "report"
-    rc = main(["report", *_analysis_args(spool, towers, out)])
+    rc = main(["report", *_analysis_args(spool, towers, out, *night)])
     assert rc == 2
     assert name in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())

@@ -26,7 +26,7 @@ from cdrmob.density import (
 )
 from cdrmob.geo import GridSpec
 
-GRID = GridSpec(0.05, 0.05, lat0=40.0, lon0=20.0)
+GRID = GridSpec(0.05)
 NAN = float("nan")
 
 
@@ -58,10 +58,10 @@ def test_build_density_counts_residents_per_cell():
     gd = build_density(lat, lon, GRID)
     assert len(gd) == 2
     assert gd.population.tolist() == [2, 1]
-    assert gd.cell_i.tolist() == [0, 1] and gd.cell_j.tolist() == [0, 0]
-    a0 = GRID.cell_area_km2(0)
+    assert gd.cell_i.tolist() == [800, 801] and gd.cell_j.tolist() == [400, 400]
+    a0 = GRID.cell_area_km2(800)
     assert gd.density[0] == pytest.approx(2 / a0)
-    assert gd.rows_of([0, 1, 2], [0, 0, 0]).tolist() == [0, 1, -1]
+    assert gd.rows_of([800, 801, 802], [400, 400, 400]).tolist() == [0, 1, -1]
 
 
 def test_build_density_cell_means():
@@ -81,13 +81,13 @@ def test_build_density_cell_means():
 
 
 def test_build_density_from_counts_matches_build_density():
-    counts = {(0, 0): 2, (1, 0): 1}
+    counts = {(800, 400): 2, (801, 400): 1}
     gd = build_density_from_counts(counts, GRID)
     ref = build_density(*_homes((40.01, 20.01), (40.02, 20.02), (40.07, 20.01)), GRID)
     assert np.array_equal(gd.population, ref.population)
     assert np.allclose(gd.density, ref.density)
     with pytest.raises(DensityError):
-        build_density_from_counts({(0, 0): 0}, GRID)
+        build_density_from_counts({(800, 400): 0}, GRID)
 
 
 def test_rank_desc_average_ties():

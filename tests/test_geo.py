@@ -72,26 +72,27 @@ def test_haversine_triangle_inequality(lat1, lon1, lat2, lon2, lat3, lon3):
 
 
 def test_grid_cell_boundaries():
-    # binary-representable step and origin, so edge coordinates are exact
-    # and the half-open rule is actually observable
-    g = GridSpec(0.25, 0.25, lat0=40.0, lon0=20.0)
-    assert g.cell_of(40.0, 20.0) == (0, 0)
-    assert g.cell_of(40.25, 20.0) == (1, 0)
-    assert g.cell_of(40.249999, 20.499999) == (0, 1)
-    assert g.cell_of(39.999999, 20.0) == (-1, 0)
-    assert g.cell_of(39.75, 20.0) == (-1, 0)
+    # a binary-representable step, so edge coordinates are exact and the
+    # half-open rule is actually observable
+    g = GridSpec(0.25)
+    assert g.cell_of(40.0, 20.0) == (160, 80)
+    assert g.cell_of(40.25, 20.0) == (161, 80)
+    assert g.cell_of(40.249999, 20.499999) == (160, 81)
+    assert g.cell_of(39.999999, 20.0) == (159, 80)
+    assert g.cell_of(39.75, 20.0) == (159, 80)
+    assert g.cell_of(-0.25, -0.000001) == (-1, -1)
 
 
 @given(st.integers(-500, 500), st.integers(-500, 500))
 def test_grid_center_round_trip(i, j):
-    g = GridSpec(0.05, 0.05, lat0=12.0, lon0=-7.0)
-    lat, lon = g.cell_center(i, j)
-    assert g.cell_of(lat, lon) == (i, j)
+    g = GridSpec(0.05)
+    lat, lon = g.cell_center(240 + i, -140 + j)  # around (12, -7)
+    assert g.cell_of(lat, lon) == (240 + i, -140 + j)
 
 
 def test_cells_of_matches_scalar():
     rng = np.random.default_rng(5)
-    g = GridSpec(0.05, 0.05, lat0=40.0, lon0=20.0)
+    g = GridSpec(0.05)
     lats = rng.uniform(39.0, 43.0, size=200)
     lons = rng.uniform(19.0, 24.0, size=200)
     vi, vj = g.cells_of(lats, lons)
@@ -100,9 +101,9 @@ def test_cells_of_matches_scalar():
 
 
 def test_cell_area_against_tangent_plane():
-    g = GridSpec(0.05, 0.05, lat0=40.0, lon0=20.0)
-    for i in (0, 10, 40):
-        mid = 40.0 + (i + 0.5) * 0.05
+    g = GridSpec(0.05)
+    for i in (800, 810, 840):
+        mid = (i + 0.5) * 0.05
         planar = (KM_PER_DEG_LAT * 0.05) ** 2 * math.cos(math.radians(mid))
         assert g.cell_area_km2(i) == pytest.approx(planar, rel=1e-5)
     # area depends only on the latitude band
@@ -111,9 +112,9 @@ def test_cell_area_against_tangent_plane():
 
 def test_grid_rejects_bad_steps():
     with pytest.raises(ValueError):
-        GridSpec(0.0, 0.05)
+        GridSpec(0.0)
     with pytest.raises(ValueError):
-        GridSpec(0.05, -1.0)
+        GridSpec(-1.0)
 
 
 def test_far_from_towers_matches_brute_force():

@@ -46,9 +46,10 @@ def _rows(tm, spec) -> list[Row]:
     ]
 
 
-def _window(tm, t0, t1, row=0) -> Row:
+def _window(tm, t0, t1, row=0, home=HOME) -> Row:
+    """The row of window [t0, t1); rg only when the individual has a home."""
     a, m, rg, pairs = (x[row, 0] for x in tm.windows(np.array([t0, t1], dtype=np.int64)))
-    homed = tm.homed[row] and a > 0
+    homed = home is not None and a > 0
     return Row(tm.table.ids[row], "", int(a), float(m), float(rg) if homed else None, int(pairs))
 
 
@@ -71,8 +72,8 @@ def test_three_event_window_by_hand():
 def test_divisor_pairs_changes_the_denominator():
     ys, _ = year_bounds(2008)
     d = _d(0, 1)
-    by_events = _window(_tm([ys + 100, ys + 200], [0, 1], None), ys, ys + 1000)
-    by_pairs = _window(_tm([ys + 100, ys + 200], [0, 1], None, "pairs"), ys, ys + 1000)
+    by_events = _window(_tm([ys + 100, ys + 200], [0, 1], None), ys, ys + 1000, home=None)
+    by_pairs = _window(_tm([ys + 100, ys + 200], [0, 1], None, "pairs"), ys, ys + 1000, home=None)
     assert by_events.mobility_km == pytest.approx(d / math.sqrt(2), rel=1e-12)
     assert by_pairs.mobility_km == pytest.approx(d, rel=1e-12)
     with pytest.raises(ValueError):
@@ -87,7 +88,7 @@ def test_empty_and_homeless_windows():
     single = _window(tm, ys, ys + 200)
     assert single.activity == 1 and single.mobility_km == 0.0
     assert single.rg_km == pytest.approx(0.0)
-    no_home = _window(_tm([ys + 100], [1], None), ys, ys + 200)
+    no_home = _window(_tm([ys + 100], [1], None), ys, ys + 200, home=None)
     assert no_home.rg_km is None
 
 

@@ -45,7 +45,7 @@ def test_noise_free_individual_lives_at_the_planted_tower(tmp_path):
     lat, lon, _ = compute_homes(res.table, reg, truth.night_window)
     assert lat[0] == pytest.approx(reg.lat[home], abs=1e-9)
     assert lon[0] == pytest.approx(reg.lon[home], abs=1e-9)
-    grid = GridSpec(truth.grid_step, truth.grid_step)
+    grid = GridSpec(truth.grid_step)
     assert grid.cell_of(lat[0], lon[0]) == tuple(info["cell"])
 
 
@@ -80,12 +80,10 @@ def test_genconfig_validation():
         dict(spam_fraction=1.0),
         dict(spam_fraction=-0.1),
         dict(n_individuals=30, n_cells=50),  # fewer genuine than settlements
-        dict(sigma_day_h=0.0),
         dict(base_daily_events=-1.0),
         dict(p_home_night=1.5),
-        dict(dow_mult=(1.0,) * 6),
         dict(month_mult_dense=(1.0,) * 11),
-        dict(dow_mult=(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0)),
+        dict(month_mult_sparse=(1.0,) * 7 + (0.0,) + (1.0,) * 4),
     ]
     for kw in bad:
         with pytest.raises(ValueError):
