@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from datetime import date
@@ -46,18 +47,6 @@ TOWERS_FILE = "towers.csv"
 DEMOGRAPHICS_FILE = "demographics.csv"
 TRUTH_FILE = "truth.json"
 CONFIG_FILE = "genconfig.json"
-
-_TOD_STRINGS: list[str] | None = None
-
-
-def _tod_strings() -> list[str]:
-    global _TOD_STRINGS
-    if _TOD_STRINGS is None:
-        _TOD_STRINGS = [
-            f"{s // 3600:02d}:{s % 3600 // 60:02d}:{s % 60:02d}" for s in range(86400)
-        ]
-    return _TOD_STRINGS
-
 
 # The world every corpus shares: settlement layout, daily rhythm, week,
 # travel and demography. GenConfig holds the settings that corpora vary.
@@ -105,6 +94,7 @@ AGE_MAX = 85
 
 SPAM_EVENTS_BASE = 20
 SPAM_EVENTS_POISSON = 30
+OUTSIDER_ID = "x0001"  # the partner of a corpus's only genuine individual
 
 
 @dataclass(frozen=True)
@@ -159,6 +149,17 @@ class GenConfig:
             raise ValueError("all rate multipliers must be positive")
         if len(self.month_mult_dense) != 12 or len(self.month_mult_sparse) != 12:
             raise ValueError("month multiplier tables have 12 entries")
+        flip = self.activity_flip
+        if flip is not None and not (
+            isinstance(flip, (tuple, list))
+            and len(flip) == 3
+            and all(isinstance(x, numbers.Real) and math.isfinite(x) for x in flip)
+            and flip[2] > 0
+        ):
+            raise ValueError(
+                "activity_flip must be three finite numbers "
+                "(head_exponent, tail_exponent, pivot_rank) with pivot_rank > 0"
+            )
 
     @property
     def n_spam(self) -> int:
@@ -214,8 +215,9 @@ class GroundTruth:
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            # the fields as they are: asdict would deep-copy every individual's entry
-            json.dump(vars(self), fh, separators=(",", ":"), sort_keys=True)
+            # the fields as they are: asdict would deep-copy every individual's
+            # entry; dumps runs the C encoder, where dump streams through Python
+            fh.write(json.dumps(vars(self), separators=(",", ":"), sort_keys=True))
             fh.write("\n")
 
     @classmethod
@@ -252,6 +254,11 @@ def _tod_quantiles(cfg: GenConfig, npts: int = 2881) -> tuple[np.ndarray, np.nda
     return cdf, t
 
 
+def _byte_table(strings: list[str]) -> np.ndarray:
+    """One row of ASCII bytes per string, NUL-padded to the longest."""
+    return np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1)
+
+
 class _World:
     """Deterministic world shared by all per-individual workers."""
 
@@ -283,7 +290,7 @@ class _World:
         self.cells: list[tuple[int, int]] = []
         self.center_ids: list[str] = []
         self.center_pos: list[tuple[float, float]] = []
-        self.sat_ids: list[list[str]] = []
+        tower_ids: list[str] = []  # centres 1..n, then each settlement's satellites
         tower_rows: list[str] = []
         areas_km2 = np.empty(n)
         next_tower = 1
@@ -301,8 +308,8 @@ class _World:
             next_tower += 1
             self.center_ids.append(tid)
             self.center_pos.append((lat, lon))
+            tower_ids.append(tid)
             tower_rows.append(f"{tid},{lat!r},{lon!r}\n")
-            self.sat_ids.append([])
 
         rho = pop / areas_km2
         self.rho = rho
@@ -338,13 +345,15 @@ class _World:
                 lat, lon = float(lat), float(lon)
                 tid = f"T{next_tower:0{tower_width}d}"
                 next_tower += 1
-                self.sat_ids[k].append(tid)
+                tower_ids.append(tid)
                 tower_rows.append(f"{tid},{lat!r},{lon!r}\n")
         self.tower_rows = tower_rows
+        self.tower_bytes = _byte_table(tower_ids)
 
-        # individual ids: genuine first, spam last
+        # individual ids: genuine first, spam last; id_bytes adds the outsider
         width = len(str(cfg.n_individuals))
         self.ego_ids = [f"u{i + 1:0{width}d}" for i in range(cfg.n_individuals)]
+        self.id_bytes = _byte_table(self.ego_ids + [OUTSIDER_ID])
         self.settlement_of = np.repeat(np.arange(n), pop)  # genuine egos only
 
         ys, ye = year_bounds(cfg.analysis_year)
@@ -355,14 +364,22 @@ class _World:
             [date.fromordinal(d0 + d).month - 1 for d in range(n_days)], dtype=np.int64
         )
         self.day_wd = ((ys // 86400 + np.arange(n_days)) + 3) % 7
-        self.date_strs = [date.fromordinal(d0 + d).isoformat() for d in range(n_days)]
+        self.date_bytes = _byte_table(
+            [f"{date.fromordinal(d0 + d).isoformat()}T" for d in range(n_days)]
+        )
 
         dense = np.asarray(cfg.month_mult_dense)[self.day_month]
         sparse = np.asarray(cfg.month_mult_sparse)[self.day_month]
         dowv = np.asarray(DOW_MULT)[self.day_wd]
-        self.day_weight = {"dense": dowv * dense, "sparse": dowv * sparse}
-        self.day_probs = {k: v / v.sum() for k, v in self.day_weight.items()}
-        self.weight_sum = {k: float(v.sum()) for k, v in self.day_weight.items()}
+        day_weight = {"dense": dowv * dense, "sparse": dowv * sparse}
+        self.weight_sum = {k: float(v.sum()) for k, v in day_weight.items()}
+        # the day CDF of each class, as Generator.choice builds it from p
+        self.day_cdf = {}
+        for k, v in day_weight.items():
+            cdf = (v / v.sum()).cumsum()
+            cdf /= cdf[-1]
+            self.day_cdf[k] = cdf
+        self.dense = self.area <= DENSE_AREA_MAX
 
         self.tod_cdf, self.tod_hours = _tod_quantiles(cfg)
 
@@ -370,102 +387,153 @@ class _World:
         return "dense" if area <= DENSE_AREA_MAX else "sparse"
 
 
-def _ego_chunk(world: _World, lo: int, hi: int):
-    """Generate individuals [lo, hi): returns (csv_text, demo_rows,
-    truth_entries). All randomness comes from per-individual substreams."""
+def _partner_ring(idx: np.ndarray, n_real: int, outsider: int) -> np.ndarray:
+    """The partners of genuine individuals idx, one sorted row each: the
+    distinct other genuine individuals within two places on a ring of
+    n_real, or the outsider alone when there is no other."""
+    if n_real == 1:
+        return np.full((len(idx), 1), outsider)
+    ring = (idx[:, None] + np.array([-2, -1, 1, 2])) % n_real
+    ring.sort(axis=1)
+    drop = ring == idx[:, None]
+    drop[:, 1:] |= ring[:, 1:] == ring[:, :-1]
+    ring[drop] = n_real  # past every genuine index, so it sorts last
+    ring.sort(axis=1)
+    return ring[:, : min(4, n_real - 1)]
+
+
+def _clock_bytes(sec: np.ndarray) -> np.ndarray:
+    """HH:MM:SS of each second of the day, one row of 8 bytes each."""
+    hms = np.stack([sec // 3600, sec // 60 % 60, sec % 60], axis=1)
+    out = np.empty((len(sec), 8), dtype=np.uint8)
+    out[:, 0::3] = hms // 10 + ord("0")
+    out[:, 1::3] = hms % 10 + ord("0")
+    out[:, 2::3] = ord(":")
+    return out
+
+
+def _join_fields(fields: list) -> bytes:
+    """Rows made of fields side by side: (n, width) byte tables, or byte
+    strings that every row shares. NUL padding is dropped."""
+    n = next(len(f) for f in fields if isinstance(f, np.ndarray))
+    widths = [len(f) if isinstance(f, bytes) else f.shape[1] for f in fields]
+    buf = np.empty((n, sum(widths)), dtype=np.uint8)
+    col = 0
+    for f, w in zip(fields, widths):
+        buf[:, col : col + w] = np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f
+        col += w
+    flat = buf.ravel()
+    return flat[flat != 0].tobytes()
+
+
+def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], dict]:
+    """Generate individuals [lo, hi): returns (csv_bytes, demo_rows,
+    truth_entries). All randomness comes from per-individual substreams,
+    drawn one individual at a time; the rest runs once over the chunk."""
     cfg = world.cfg
-    out: list[str] = []
-    demo: list[str] = []
-    truth: dict[str, dict] = {}
-    tod_str = _tod_strings()
     n_real = cfg.n_real
+    n_sat = len(SATELLITE_RINGS)
+    # genuine individuals lead the chunk, spam ids trail it
+    ring = _partner_ring(np.arange(lo, min(hi, n_real)), n_real, cfg.n_individuals)
+    g = len(ring)
+    areas = world.area.tolist()
+    act = world.act_density_mult.tolist()
+    settle, n_ev, female, age, rate = [], [], [], [], []
+    u3, sat, pick, u_out, u_sms = [], [], [], [], []
     for i in range(lo, hi):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1_000_000 + i)))
-        ego = world.ego_ids[i]
-        spam = i >= n_real
-        if spam:
+        if i >= n_real:
             s = int(rng.integers(0, cfg.n_cells))
-            n_ev = SPAM_EVENTS_BASE + int(rng.poisson(SPAM_EVENTS_POISSON))
-            female = False
-            age = None
-            rate = float(n_ev)
+            k = SPAM_EVENTS_BASE + int(rng.poisson(SPAM_EVENTS_POISSON))
+            fem, a, r = False, None, float(k)
         else:
             s = int(world.settlement_of[i])
-            female = bool(rng.random() < FEMALE_FRACTION)
-            age = int(rng.integers(AGE_MIN, AGE_MAX + 1))
-            group = age_group_of(age)
-            area = int(world.area[s])
-            klass = world.month_class(area)
-            daily = cfg.base_daily_events * float(world.act_density_mult[s])
+            fem = bool(rng.random() < FEMALE_FRACTION)
+            a = int(rng.integers(AGE_MIN, AGE_MAX + 1))
+            group = age_group_of(a)
+            area = areas[s]
+            daily = cfg.base_daily_events * act[s]
             daily *= AGE_ACTIVITY_MULT[group]
-            if female:
-                excess = cfg.female_activity_excess[area - 1] * AGE_EXCESS_SCALE[group]
-                daily *= 1.0 + excess
-            rate = daily * world.weight_sum[klass]
-            n_ev = max(int(rng.poisson(rate)), 2)
-
-        klass = world.month_class(int(world.area[s]))
-        days = rng.choice(len(world.day_probs[klass]), size=n_ev, p=world.day_probs[klass])
-        tod_sec = np.minimum(
-            (np.interp(rng.random(n_ev), world.tod_cdf, world.tod_hours) * 3600.0).astype(np.int64),
-            86399,
-        )
-        ts = world.year_start + days * 86400 + tod_sec
-
-        night = (tod_sec >= 3600) & (tod_sec < 7 * 3600)
-        p_away_day = cfg.p_away_day * np.asarray(MOBILITY_MONTH_MULT)[world.day_month[days]]
-        if not spam and female:
-            p_away_day = p_away_day * (1.0 + cfg.female_mobility_excess)
-        p_home = np.where(night, cfg.p_home_night, 1.0 - np.minimum(p_away_day, 0.95))
-        at_home = rng.random(n_ev) < p_home
-        sat = rng.integers(0, len(SATELLITE_RINGS), size=n_ev)
-
-        if spam:
-            victims = rng.integers(0, n_real, size=n_ev)
-            partners = [world.ego_ids[int(v)] for v in victims]
-            outgoing = np.ones(n_ev, dtype=bool)
+            if fem:
+                daily *= 1.0 + cfg.female_activity_excess[area - 1] * AGE_EXCESS_SCALE[group]
+            r = daily * world.weight_sum[world.month_class(area)]
+            k = max(int(rng.poisson(r)), 2)
+        settle.append(s)
+        n_ev.append(k)
+        female.append(fem)
+        age.append(a)
+        rate.append(r)
+        u3.append(rng.random((3, k)))  # day (Generator.choice's draw), time of day, at home
+        sat.append(rng.integers(0, n_sat, size=k))
+        if i >= n_real:
+            pick.append(rng.integers(0, n_real, size=k))  # the spam's victims
         else:
-            if n_real >= 2:
-                ring = sorted(
-                    {(i + d) % n_real for d in (-2, -1, 1, 2)} - {i}
-                )
-                plist = [world.ego_ids[j] for j in ring]
-            else:
-                plist = ["x0001"]
-            pick = rng.integers(0, len(plist), size=n_ev)
-            partners = [plist[int(p)] for p in pick]
-            outgoing = rng.random(n_ev) < 0.5
-            # first two raw events: a guaranteed reciprocal pair
-            partners[0] = plist[0]
-            partners[1] = plist[0]
-            outgoing[0] = True
-            outgoing[1] = False
-        sms = rng.random(n_ev) < SMS_FRACTION
+            pick.append(rng.integers(0, ring.shape[1], size=k))
+            u_out.append(rng.random(k))
+        u_sms.append(rng.random(k))
 
-        order = np.argsort(ts, kind="stable")
-        center_id = world.center_ids[s]
-        sats = world.sat_ids[s]
-        date_strs = world.date_strs
-        for k in order:
-            tower = center_id if at_home[k] else sats[sat[k]]
-            out.append(
-                f"{ego},{partners[k]},{date_strs[days[k]]}T{tod_str[tod_sec[k]]},"
-                f"{tower},{'sms' if sms[k] else 'call'},{'out' if outgoing[k] else 'in'}\n"
-            )
+    counts = np.array(n_ev)
+    who = np.repeat(np.arange(hi - lo), counts)
+    first = np.cumsum(counts) - counts
+    s_ev = np.array(settle)[who]
+    u_day, u_tod, u_home = np.concatenate(u3, axis=1)
+    days = np.where(
+        world.dense[s_ev],
+        world.day_cdf["dense"].searchsorted(u_day, side="right"),
+        world.day_cdf["sparse"].searchsorted(u_day, side="right"),
+    )
+    tod = np.minimum(
+        (np.interp(u_tod, world.tod_cdf, world.tod_hours) * 3600.0).astype(np.int64), 86399
+    )
 
-        if not spam:
-            demo.append(f"{ego},{'F' if female else 'M'},{cfg.analysis_year - age}\n")
-        truth[ego] = {
+    night = (tod >= 3600) & (tod < 7 * 3600)
+    p_away = cfg.p_away_day * np.asarray(MOBILITY_MONTH_MULT)[world.day_month[days]]
+    p_away = p_away * np.where(np.array(female)[who], 1.0 + cfg.female_mobility_excess, 1.0)
+    p_home = np.where(night, cfg.p_home_night, 1.0 - np.minimum(p_away, 0.95))
+    # row s of tower_bytes is settlement s's centre; its satellites follow all centres
+    tower = np.where(u_home < p_home, s_ev, cfg.n_cells + n_sat * s_ev + np.concatenate(sat))
+
+    partner = np.concatenate(pick)
+    outgoing = np.ones(len(partner), dtype=bool)  # spam only ever calls out
+    if g:
+        n_g = int(counts[:g].sum())
+        partner[:n_g] = ring[who[:n_g], partner[:n_g]]
+        outgoing[:n_g] = np.concatenate(u_out) < 0.5
+        # first two raw events: a guaranteed reciprocal pair
+        head = first[:g]
+        partner[head] = ring[:, 0]
+        partner[head + 1] = ring[:, 0]
+        outgoing[head] = True
+        outgoing[head + 1] = False
+    sms = np.concatenate(u_sms) < SMS_FRACTION
+
+    o = np.lexsort((days * 86400 + tod, who))  # stable: ties keep draw order
+    text = _join_fields([
+        world.id_bytes[lo + who[o]], b",", world.id_bytes[partner[o]], b",",
+        world.date_bytes[days[o]], _clock_bytes(tod[o]), b",",
+        world.tower_bytes[tower[o]], b",",
+        _byte_table(["call", "sms"])[sms[o].astype(np.intp)], b",",
+        _byte_table(["in", "out"])[outgoing[o].astype(np.intp)], b"\n",
+    ])
+
+    demo = [
+        f"{world.ego_ids[i]},{'F' if fem else 'M'},{cfg.analysis_year - a}\n"
+        for i, fem, a in zip(range(lo, lo + g), female, age)
+    ]
+    truth: dict[str, dict] = {}
+    for i, s, fem, a, r in zip(range(lo, hi), settle, female, age, rate):
+        spam = i >= n_real
+        truth[world.ego_ids[i]] = {
             "settlement": s + 1,
             "cell": list(world.cells[s]),
-            "home_tower": None if spam else center_id,
-            "gender": None if spam else ("female" if female else "male"),
-            "age": age,
-            "area": int(world.area[s]),
-            "rate": rate,
+            "home_tower": None if spam else world.center_ids[s],
+            "gender": None if spam else ("female" if fem else "male"),
+            "age": a,
+            "area": areas[s],
+            "rate": r,
             "spam": spam,
         }
-    return "".join(out), demo, truth
+    return text, demo, truth
 
 
 # individuals generated, and their text held, at a time
@@ -485,10 +553,10 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
 
     n = cfg.n_individuals
     egos_truth: dict[str, dict] = {}
-    with open(os.path.join(out_dir, CDR_FILE), "w", encoding="utf-8") as cdr, open(
+    with open(os.path.join(out_dir, CDR_FILE), "wb") as cdr, open(
         os.path.join(out_dir, DEMOGRAPHICS_FILE), "w", encoding="utf-8"
     ) as dem:
-        cdr.write("ego_id,peer_id,timestamp,tower_id,kind,direction\n")
+        cdr.write(b"ego_id,peer_id,timestamp,tower_id,kind,direction\n")
         dem.write("ego_id,gender,birth_year\n")
         for lo in range(0, n, _CHUNK):
             text, demo, truth = _ego_chunk(world, lo, min(lo + _CHUNK, n))

@@ -159,6 +159,18 @@ def test_gen_config_refuses_a_fixed_setting(tmp_path, capsys):
         assert set(json.load(fh)) == {f.name for f in dataclasses.fields(GenConfig)}
 
 
+@pytest.mark.parametrize("flip", [[0.4, -0.5, 0], [0.4, -0.5, -3], [0.4, -0.5]])
+def test_gen_config_refuses_a_bad_activity_flip(tmp_path, capsys, flip):
+    # a zero pivot gave every genuine individual 2 events, a negative one
+    # and a pair crashed mid-generation; all three are usage errors now
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps({"n_individuals": 50, "n_cells": 5, "activity_flip": flip}))
+    out = tmp_path / "refused"
+    assert main(["generate", "--out", str(out), "--gen-config", str(path)]) == 1
+    assert "activity_flip" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stage_outputs_match_the_full_report(small_corpus, tmp_path, capsys):
     corpus, truth = small_corpus
     common = [

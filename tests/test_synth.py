@@ -1,18 +1,39 @@
 """Corpus generator: determinism, planted structure, config handling."""
 
 import filecmp
+import functools
+import io
 import json
+import tempfile
+from datetime import date
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cdrmob import synth
 from cdrmob.geo import GridSpec
 from cdrmob.home import compute_homes
 from cdrmob.ingest import ingest_file
-from cdrmob.records import load_towers
+from cdrmob.records import age_group_of, load_towers
 from cdrmob.synth import (
+    AGE_ACTIVITY_MULT,
+    AGE_EXCESS_SCALE,
+    AGE_MAX,
+    AGE_MIN,
     CDR_FILE,
     CONFIG_FILE,
     DEMOGRAPHICS_FILE,
+    DOW_MULT,
+    FEMALE_FRACTION,
+    MOBILITY_MONTH_MULT,
+    SATELLITE_RINGS,
+    SMS_FRACTION,
+    SPAM_EVENTS_BASE,
+    SPAM_EVENTS_POISSON,
     TOWERS_FILE,
     TRUTH_FILE,
     GenConfig,
@@ -22,6 +43,178 @@ from cdrmob.synth import (
 )
 
 _FILES = (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE, TRUTH_FILE, CONFIG_FILE)
+
+
+@functools.cache
+def _clock_strings() -> list[str]:
+    return [f"{s // 3600:02d}:{s % 3600 // 60:02d}:{s % 60:02d}" for s in range(86400)]
+
+
+def _reference_chunk(world, lo, hi):
+    """The per-row writer the numpy chunk writer replaced, kept as its
+    oracle: a generator, a dozen numpy calls and one f-string per event,
+    one individual at a time. Same contract as synth._ego_chunk."""
+    cfg = world.cfg
+    n = cfg.n_cells
+    n_sat = len(SATELLITE_RINGS)
+    tower_ids = [row.split(",", 1)[0] for row in world.tower_rows]
+    sat_ids = [tower_ids[n + n_sat * k : n + n_sat * (k + 1)] for k in range(n)]
+    d0 = date(cfg.analysis_year, 1, 1).toordinal()
+    date_strs = [date.fromordinal(d0 + d).isoformat() for d in range(len(world.day_month))]
+    dowv = np.asarray(DOW_MULT)[world.day_wd]
+    day_probs = {}
+    for klass, table in (("dense", cfg.month_mult_dense), ("sparse", cfg.month_mult_sparse)):
+        v = dowv * np.asarray(table)[world.day_month]
+        day_probs[klass] = v / v.sum()
+    tod_str = _clock_strings()
+
+    out: list[str] = []
+    demo: list[str] = []
+    truth: dict[str, dict] = {}
+    n_real = cfg.n_real
+    for i in range(lo, hi):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1_000_000 + i)))
+        ego = world.ego_ids[i]
+        spam = i >= n_real
+        if spam:
+            s = int(rng.integers(0, cfg.n_cells))
+            n_ev = SPAM_EVENTS_BASE + int(rng.poisson(SPAM_EVENTS_POISSON))
+            female = False
+            age = None
+            rate = float(n_ev)
+        else:
+            s = int(world.settlement_of[i])
+            female = bool(rng.random() < FEMALE_FRACTION)
+            age = int(rng.integers(AGE_MIN, AGE_MAX + 1))
+            group = age_group_of(age)
+            area = int(world.area[s])
+            klass = world.month_class(area)
+            daily = cfg.base_daily_events * float(world.act_density_mult[s])
+            daily *= AGE_ACTIVITY_MULT[group]
+            if female:
+                excess = cfg.female_activity_excess[area - 1] * AGE_EXCESS_SCALE[group]
+                daily *= 1.0 + excess
+            rate = daily * world.weight_sum[klass]
+            n_ev = max(int(rng.poisson(rate)), 2)
+
+        klass = world.month_class(int(world.area[s]))
+        days = rng.choice(len(day_probs[klass]), size=n_ev, p=day_probs[klass])
+        tod_sec = np.minimum(
+            (np.interp(rng.random(n_ev), world.tod_cdf, world.tod_hours) * 3600.0).astype(np.int64),
+            86399,
+        )
+        ts = world.year_start + days * 86400 + tod_sec
+
+        night = (tod_sec >= 3600) & (tod_sec < 7 * 3600)
+        p_away_day = cfg.p_away_day * np.asarray(MOBILITY_MONTH_MULT)[world.day_month[days]]
+        if not spam and female:
+            p_away_day = p_away_day * (1.0 + cfg.female_mobility_excess)
+        p_home = np.where(night, cfg.p_home_night, 1.0 - np.minimum(p_away_day, 0.95))
+        at_home = rng.random(n_ev) < p_home
+        sat = rng.integers(0, n_sat, size=n_ev)
+
+        if spam:
+            victims = rng.integers(0, n_real, size=n_ev)
+            partners = [world.ego_ids[int(v)] for v in victims]
+            outgoing = np.ones(n_ev, dtype=bool)
+        else:
+            if n_real >= 2:
+                ring = sorted({(i + d) % n_real for d in (-2, -1, 1, 2)} - {i})
+                plist = [world.ego_ids[j] for j in ring]
+            else:
+                plist = ["x0001"]
+            pick = rng.integers(0, len(plist), size=n_ev)
+            partners = [plist[int(p)] for p in pick]
+            outgoing = rng.random(n_ev) < 0.5
+            partners[0] = plist[0]
+            partners[1] = plist[0]
+            outgoing[0] = True
+            outgoing[1] = False
+        sms = rng.random(n_ev) < SMS_FRACTION
+
+        order = np.argsort(ts, kind="stable")
+        center_id = world.center_ids[s]
+        sats = sat_ids[s]
+        for k in order:
+            tower = center_id if at_home[k] else sats[sat[k]]
+            out.append(
+                f"{ego},{partners[k]},{date_strs[days[k]]}T{tod_str[tod_sec[k]]},"
+                f"{tower},{'sms' if sms[k] else 'call'},{'out' if outgoing[k] else 'in'}\n"
+            )
+
+        if not spam:
+            demo.append(f"{ego},{'F' if female else 'M'},{cfg.analysis_year - age}\n")
+        truth[ego] = {
+            "settlement": s + 1,
+            "cell": list(world.cells[s]),
+            "home_tower": None if spam else center_id,
+            "gender": None if spam else ("female" if female else "male"),
+            "age": age,
+            "area": int(world.area[s]),
+            "rate": rate,
+            "spam": spam,
+        }
+    return "".join(out).encode("ascii"), demo, truth
+
+
+def _corpus_bytes(cfg: GenConfig, out) -> dict[str, bytes]:
+    generate(cfg, out)
+    return {name: (Path(out) / name).read_bytes() for name in _FILES}
+
+
+def _oracle_bytes(cfg: GenConfig, out) -> dict[str, bytes]:
+    with mock.patch.object(synth, "_ego_chunk", _reference_chunk):
+        return _corpus_bytes(cfg, out)
+
+
+@st.composite
+def _small_configs(draw):
+    n = draw(st.integers(1, 60))
+    spam = draw(st.sampled_from((0.0, 0.3)))
+    n_real = n - int(round(n * spam))
+    cells = draw(st.integers(1, n_real))
+    flip = draw(st.none() | st.tuples(st.just(0.4), st.just(-0.5), st.integers(1, cells)))
+    return GenConfig(
+        n_individuals=n,
+        n_cells=cells,
+        spam_fraction=spam,
+        activity_flip=flip,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_configs())
+# the outsider partner of a lone genuine individual, called by spam; the 1-,
+# 2- and 3-partner rings of 2 to 4 genuine individuals
+@example(GenConfig(n_individuals=2, n_cells=1, spam_fraction=0.3, seed=3))
+@example(GenConfig(n_individuals=2, n_cells=2, spam_fraction=0.0, seed=4))
+@example(GenConfig(n_individuals=3, n_cells=1, spam_fraction=0.0, seed=5))
+@example(GenConfig(n_individuals=6, n_cells=2, spam_fraction=0.3, activity_flip=(0.4, -0.5, 1)))
+def test_generate_writes_the_bytes_of_the_per_row_oracle(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        got = _corpus_bytes(cfg, Path(tmp) / "numpy")
+        want = _oracle_bytes(cfg, Path(tmp) / "oracle")
+    for name in _FILES:
+        assert got[name] == want[name], name
+
+
+def test_chunk_size_does_not_change_the_bytes(tmp_path, monkeypatch):
+    # 135 genuine and 15 spam individuals: chunks of 7 straddle the boundary
+    cfg = GenConfig(n_individuals=150, n_cells=12, spam_fraction=0.1, seed=13)
+    want = _oracle_bytes(cfg, tmp_path / "oracle")
+    for chunk in (1, 7, synth._CHUNK):
+        monkeypatch.setattr(synth, "_CHUNK", chunk)
+        got = _corpus_bytes(cfg, tmp_path / f"chunk{chunk}")
+        for name in _FILES:
+            assert got[name] == want[name], (chunk, name)
+
+
+def test_truth_file_holds_the_streaming_encoders_bytes(tmp_path):
+    truth = generate(GenConfig(n_individuals=60, n_cells=6, spam_fraction=0.1, seed=21), tmp_path)
+    buf = io.StringIO()
+    json.dump(vars(truth), buf, separators=(",", ":"), sort_keys=True)
+    assert (tmp_path / TRUTH_FILE).read_text(encoding="utf-8") == buf.getvalue() + "\n"
 
 
 def test_noise_free_individual_lives_at_the_planted_tower(tmp_path):
@@ -88,6 +281,24 @@ def test_genconfig_validation():
     for kw in bad:
         with pytest.raises(ValueError):
             GenConfig(**kw)
+
+
+@pytest.mark.parametrize(
+    "flip",
+    [
+        (0.4, -0.5, 0),  # a zero pivot: every genuine rate divides by zero
+        (0.4, -0.5, -3),  # a negative pivot: a negative Poisson rate
+        (0.4, -0.5),  # two numbers where three are unpacked
+        (0.4, -0.5, 1, 2),
+        (float("nan"), -0.5, 100),
+        (0.4, float("inf"), 100),
+        (0.4, -0.5, "100"),
+        100,
+    ],
+)
+def test_activity_flip_is_three_finite_numbers_with_a_positive_pivot(flip):
+    with pytest.raises(ValueError, match="activity_flip"):
+        GenConfig(n_individuals=50, n_cells=5, activity_flip=flip)
 
 
 def test_genconfig_json_round_trip(tmp_path):
