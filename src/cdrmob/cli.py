@@ -39,7 +39,7 @@ from .pipeline import (
     write_manifest,
     write_outputs,
 )
-from .records import CdrError, load_towers, parse_timestamp
+from .records import CdrError, load_towers, parse_timestamp, write_json, year_bounds
 from .synth import (
     CDR_FILE,
     CONFIG_FILE,
@@ -47,6 +47,7 @@ from .synth import (
     TOWERS_FILE,
     TRUTH_FILE,
     GenConfig,
+    corpus_pipeline,
     generate,
     validate_corpus,
 )
@@ -109,6 +110,16 @@ def _parse_night_window(text: str) -> tuple[float, float]:
     return (start, end)
 
 
+def _parse_year(text: str) -> int:
+    """An analysis year that year_bounds can handle (1-9998)."""
+    try:
+        year = int(text)
+        year_bounds(year)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"bad year {text!r}: {e}")
+    return year
+
+
 def _parse_bounds(text: str) -> tuple[int, ...]:
     """Comma-separated integers; AnalysisConfig checks that they are ranks."""
     try:
@@ -144,7 +155,7 @@ def _add_analysis_flags(p: _Parser, *, demographics=True):
     p.add_argument("--night-window", default=None, help="override detection, HH:MM-HH:MM")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="recorded in the manifest; analysis stages run single-threaded")
-    p.add_argument("--year", type=int, default=2008, help="analysis year")
+    p.add_argument("--year", type=_parse_year, default=2008, help="analysis year, 1-9998")
     p.add_argument("--divisor", choices=("events", "pairs"), default="events",
                    help="mobility normalization")
     p.add_argument("--reciprocity", choices=("pair", "degree", "none"), default="pair",
@@ -279,7 +290,7 @@ def _cmd_validate(args) -> int:
         print(line)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        card.to_json(os.path.join(args.out, "scorecard.json"))
+        write_json(os.path.join(args.out, "scorecard.json"), asdict(card))
         print(os.path.join(args.out, "scorecard.json"))
     if card.passed:
         print("all checks passed")
@@ -293,20 +304,9 @@ def _cmd_demo(args) -> int:
     report_dir = os.path.join(args.out, "report")
     cfg = GenConfig(n_individuals=args.n, seed=args.seed)
     os.makedirs(corpus, exist_ok=True)
-    generate(cfg, corpus, threads=max(1, args.threads))
+    truth = generate(cfg, corpus, threads=max(1, args.threads))
     print(f"corpus: {corpus} ({cfg.n_individuals} individuals, seed {cfg.seed})")
-    acfg = AnalysisConfig(
-        analysis_year=cfg.analysis_year,
-        grid_step=cfg.grid_step,
-        area_boundaries=cfg.area_boundaries,
-    )
-    pipe = Pipeline(
-        os.path.join(corpus, CDR_FILE),
-        os.path.join(corpus, TOWERS_FILE),
-        os.path.join(corpus, DEMOGRAPHICS_FILE),
-        acfg,
-        threads=max(1, args.threads),
-    )
+    pipe = corpus_pipeline(corpus, truth, threads=max(1, args.threads))
     outputs = _write_report(pipe, report_dir, set(STAGE_OUTPUTS), True, "demo")
     w = pipe.night_window
     corr = pipe.correlations
@@ -342,7 +342,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--cdr", required=True)
     sp.add_argument("--towers", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--year", type=int, default=2008)
+    sp.add_argument("--year", type=_parse_year, default=2008, help="analysis year, 1-9998")
     sp.add_argument("--reciprocity", choices=("pair", "degree", "none"), default="pair")
     sp.set_defaults(func=_cmd_ingest)
 

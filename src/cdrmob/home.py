@@ -42,7 +42,6 @@ class DailyProfile:
 
     bin_minutes: int
     values: np.ndarray
-    n_individuals: int
 
     @property
     def nbins(self) -> int:
@@ -53,7 +52,7 @@ class DailyProfile:
         return (np.arange(self.nbins) + 0.5) * w
 
 
-def daily_profile(tm: TableMetrics, bin_minutes: int = 60) -> tuple[DailyProfile, DailyProfile]:
+def daily_profile(tm: TableMetrics, bin_minutes: int) -> tuple[DailyProfile, DailyProfile]:
     """Pool every individual's events into time-of-day bins; returns the
     (activity, mobility) profiles. Per-individual sums are added up row by
     row in id order, one block of individuals at a time."""
@@ -66,10 +65,9 @@ def daily_profile(tm: TableMetrics, bin_minutes: int = 60) -> tuple[DailyProfile
         # one sequential sum over the rows, continued from the previous blocks
         a, d2sum, pairs = (np.add.reduce(np.vstack((t[None], b)), axis=0)
                            for t, b in ((a, ba), (d2sum, bd2), (pairs, bpairs)))
-    n = len(tm.table)
     return (
-        DailyProfile(bin_minutes, a / max(n, 1), n),
-        DailyProfile(bin_minutes, rms(d2sum, pairs), n),
+        DailyProfile(bin_minutes, a / max(len(tm.table), 1)),
+        DailyProfile(bin_minutes, rms(d2sum, pairs)),
     )
 
 

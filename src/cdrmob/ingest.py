@@ -36,21 +36,20 @@ import os
 import zipfile
 from array import array
 from dataclasses import asdict, dataclass, field, fields
-from datetime import date
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .records import (
-    CALL,
     DIRECTION_TOKENS,
-    INCOMING,
     KIND_TOKENS,
     CdrError,
     RowReject,
     TowerRegistry,
+    month_starts,
     parse_event_fields,
     parse_timestamp,
+    write_json,
     year_bounds,
 )
 
@@ -163,8 +162,8 @@ def _token_keys(codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     return keys[order], np.array(list(codes.values()), dtype=np.int8)[order]
 
 
-_KIND_KEYS = _token_keys({t: int(k != CALL) for t, k in KIND_TOKENS.items()})
-_DIRECTION_KEYS = _token_keys({t: int(d != INCOMING) for t, d in DIRECTION_TOKENS.items()})
+_KIND_KEYS = _token_keys(KIND_TOKENS)
+_DIRECTION_KEYS = _token_keys(DIRECTION_TOKENS)
 
 
 def _lookup(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +221,8 @@ class _Columns:
             put_ego(e)
             put_ts(rec.timestamp)
             put_tower(ti)
-            put_kind(0 if rec.kind == CALL else 1)
-            put_dir(0 if rec.direction == INCOMING else 1)
+            put_kind(rec.kind)
+            put_dir(rec.direction)
             put_peer(p)
         return cols
 
@@ -264,11 +263,9 @@ class _ByteParser:
 
     def __init__(self, registry: TowerRegistry, analysis_year: int):
         self.year = analysis_year
-        self.year_start, _ = year_bounds(analysis_year)
-        firsts = [date(analysis_year, m, 1).toordinal() for m in range(1, 13)]
-        firsts.append(date(analysis_year + 1, 1, 1).toordinal())
-        self.month_days = np.diff(firsts)
-        self.month_offset = np.array(firsts[:12]) - firsts[0]
+        starts = np.array(month_starts(analysis_year), dtype=np.int64)
+        self.month_start = starts[:12]
+        self.month_days = np.diff(starts) // 86400
         self.registry = registry
 
     def parse(self, block: bytes, cols: _Columns):
@@ -328,8 +325,7 @@ class _ByteParser:
         good &= (number(0, 4) == self.year) & (month >= 1) & (month <= 12)
         good &= (day >= 1) & (day <= self.month_days[mi])
         good &= (hh <= 23) & (mm <= 59) & (ss <= 59)
-        ts = (self.month_offset[mi] + day - 1) * np.int64(86400) + (hh * 3600 + mm * 60 + ss)
-        ts += self.year_start
+        ts = self.month_start[mi] + (day - 1) * np.int64(86400) + (hh * 3600 + mm * 60 + ss)
 
         # towers and ids are looked up once per distinct value in the block
         words = _words(u64, lo[:, 3], ln[:, 3], -(-int(ln[:, 3].max()) // 8))
@@ -584,16 +580,11 @@ def write_spool(result: IngestResult, registry: TowerRegistry, out_dir) -> None:
         ids=np.array(tab.ids, dtype=str),
         **{name: getattr(tab, name) for name in _SPOOL_ARRAYS},
     )
-    with open(os.path.join(out_dir, SPOOL_STATS), "w", encoding="utf-8") as fh:
-        json.dump(asdict(result.stats), fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, SPOOL_META), "w", encoding="utf-8") as fh:
-        json.dump(
-            {"analysis_year": result.analysis_year, "reciprocity": result.reciprocity,
-             "format": SPOOL_FORMAT, "towers_digest": registry.digest()},
-            fh, indent=2,
-        )
-        fh.write("\n")
+    write_json(os.path.join(out_dir, SPOOL_STATS), asdict(result.stats))
+    write_json(os.path.join(out_dir, SPOOL_META), {
+        "analysis_year": result.analysis_year, "reciprocity": result.reciprocity,
+        "format": SPOOL_FORMAT, "towers_digest": registry.digest(),
+    })
 
 
 def _spool_json(path, name) -> dict:

@@ -34,26 +34,17 @@ depend only on its own segment, so they are the same for any blocking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
 from .geo import haversine_km
 from .ingest import EventTable
-from .records import TowerRegistry, format_timestamp, year_bounds
+from .records import EPOCH_WEEKDAY, TowerRegistry, format_timestamp, month_starts, year_bounds
 
 WEEKDAY_IDS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 HOUR_IDS = tuple(f"h{h:02d}" for h in range(24))
 GRANULARITIES = ("year", "month", "day", "hour", "weekday", "range")
 DIVISORS = ("events", "pairs")
-
-_EPOCH_ORD = date(1970, 1, 1).toordinal()
-EPOCH_WEEKDAY = 3  # 1970-01-01 was a Thursday; weekday index 0 is Monday
-
-
-def _day_epoch(d: date) -> int:
-    return (d.toordinal() - _EPOCH_ORD) * 86400
-
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -81,15 +72,10 @@ class WindowSpec:
         if self.granularity == "year":
             return [(str(year), ys, ye)]
         if self.granularity == "month":
-            starts = [_day_epoch(date(year, m, 1)) for m in range(1, 13)] + [ye]
-            return [(f"{year}-{m:02d}", starts[m - 1], starts[m]) for m in range(1, 13)]
+            starts = month_starts(year)
+            return [(f"{year}-{m + 1:02d}", starts[m], starts[m + 1]) for m in range(12)]
         if self.granularity == "day":
-            d0 = date(year, 1, 1).toordinal()
-            d1 = date(year + 1, 1, 1).toordinal()
-            return [
-                (date.fromordinal(o).isoformat(), (o - _EPOCH_ORD) * 86400, (o + 1 - _EPOCH_ORD) * 86400)
-                for o in range(d0, d1)
-            ]
+            return [(format_timestamp(t)[:10], t, t + 86400) for t in range(ys, ye, 86400)]
         if self.granularity == "range":
             wid = f"{format_timestamp(self.start)}/{format_timestamp(self.end)}"
             return [(wid, self.start, self.end)]

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EPOCH_WEEKDAY, HOUR_IDS, WEEKDAY_IDS, TableMetrics, WindowSpec
-from .records import AGE_GROUP_LABELS, AGE_GROUPS, Demographics, year_bounds
+from .metrics import HOUR_IDS, WEEKDAY_IDS, TableMetrics, WindowSpec
+from .records import AGE_GROUP_LABELS, AGE_GROUPS, EPOCH_WEEKDAY, Demographics, year_bounds
 
 # The (axis, value, statistic) kinds of pattern series, in the order the
 # report writes them for the whole population.
@@ -57,7 +57,6 @@ class PatternSeries:
     stat: np.ndarray
     n: np.ndarray
     se: np.ndarray | None  # standard error, mean statistic only; NaN for one sample
-    cohort: str = "all"  # a label the caller sets, e.g. area3
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float | None]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import logging
 import math
 import os
@@ -53,7 +52,7 @@ from .home import (
 from .ingest import ingest_file
 from .metrics import TableMetrics, WindowSpec, metrics_rows
 from .patterns import KINDS, PatternError, demographic_table, pattern
-from .records import load_demographics, load_towers, year_bounds
+from .records import load_demographics, load_towers, write_json, year_bounds
 
 log = logging.getLogger(__name__)
 
@@ -63,10 +62,12 @@ REFERENCE_AREA_DENSITY_KM2 = (1252.9, 418.7, 83.2, 10.0, 1.5)
 
 # Fixed analysis settings: the cell size of the fine grid that measures
 # each density class (degrees), the width of the inactivity window
-# (hours), and how far from every tower a home counts as at sea (km).
+# (hours), how far from every tower a home counts as at sea (km), and the
+# bin width of the daily profile (minutes).
 FINE_STEP = 0.01
 NIGHT_HOURS = 6.0
 AT_SEA_KM = 10.0
+BIN_MINUTES = 30
 
 
 class PipelineError(Exception):
@@ -82,7 +83,6 @@ class AnalysisConfig:
     grid_step: float = 0.05
     window: WindowSpec = field(default_factory=WindowSpec)
     night_window: tuple[float, float] | None = None  # override detection
-    bin_minutes: int = 30
     area_boundaries: tuple = DEFAULT_AREA_BOUNDARIES
     divisor: str = "events"
     reciprocity: str = "pair"
@@ -91,8 +91,6 @@ class AnalysisConfig:
         validate_boundaries(self.area_boundaries)
         if self.grid_step <= 0:
             raise ValueError("grid step must be positive")
-        if 1440 % self.bin_minutes:
-            raise ValueError("bin width must divide the day evenly")
 
 
 def _hhmm(h: float) -> str:
@@ -109,14 +107,14 @@ class Pipeline:
         self,
         cdr_path,
         towers_path,
-        demographics_path=None,
-        config: AnalysisConfig | None = None,
+        demographics_path,
+        config: AnalysisConfig,
         threads: int = 1,
     ):
         self.cdr_path = cdr_path
         self.towers_path = towers_path
         self.demographics_path = demographics_path
-        self.config = config or AnalysisConfig()
+        self.config = config
         self.threads = max(1, int(threads))
         self.timings: dict[str, float] = {}
         # seconds of each stage or write with the stages nested in it
@@ -188,7 +186,7 @@ class Pipeline:
 
     @property
     def profiles(self):
-        return self._stage("profile", lambda: daily_profile(self.steps, self.config.bin_minutes))
+        return self._stage("profile", lambda: daily_profile(self.steps, BIN_MINUTES))
 
     @property
     def activity_profile(self):
@@ -344,21 +342,21 @@ class Pipeline:
         return np.flatnonzero(self.ego_area == area)
 
     @property
-    def patterns_bundle(self):
+    def patterns_bundle(self) -> dict:
+        """{(cohort, axis, value, statistic): PatternSeries}, in the order
+        the report writes them; cohort is "all" or "area1".."area5"."""
         def run():
-            y = self.config.analysis_year
-            tm = self.metrics
-            series = []
+            bundle = {}
 
             def add(cohort_name, cohort, axis, value, statistic):
                 try:
-                    s = pattern(tm, cohort, axis, value, statistic, y)
+                    bundle[cohort_name, axis, value, statistic] = pattern(
+                        self.metrics, cohort, axis, value, statistic, self.config.analysis_year
+                    )
                 except PatternError:
                     # an empty cohort, or a normalized series whose level is
                     # zero (sparse data): that series alone is left out
-                    return
-                s.cohort = cohort_name
-                series.append(s)
+                    pass
 
             for kind in KINDS:
                 add("all", None, *kind)
@@ -368,7 +366,7 @@ class Pipeline:
                     continue
                 add(f"area{a}", cohort, "month", "activity", "mean")
                 add(f"area{a}", cohort, "month", "activity", "normalized_median")
-            return series
+            return bundle
 
         return self._stage("patterns", run)
 
@@ -396,16 +394,6 @@ def _sha256(path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
-
-
-def _series_key(s) -> str:
-    return f"{s.cohort}_{s.axis}_{s.value}_{s.statistic}"
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _cells(column) -> list[str]:
@@ -440,7 +428,7 @@ def window_doc(pipe: Pipeline) -> dict:
         "label": window_label(w),
         "source": "override" if pipe.config.night_window is not None else "detected",
         "daily_fit": _fit_doc(pipe),
-        "bin_minutes": pipe.config.bin_minutes,
+        "bin_minutes": BIN_MINUTES,
     }
 
 
@@ -472,19 +460,14 @@ def build_summary(pipe: Pipeline) -> dict:
     demo = pipe.demographics
     corr = pipe.correlations
     areas = area_doc(pipe)
-    weekly = {}
-    monthly_act = {}
-    monthly_mob = {}
-    for s in pipe.patterns_bundle:
-        if s.cohort != "all" or s.statistic != "mean":
-            continue
-        table = {b: (None if np.isnan(s.stat[i]) else float(s.stat[i])) for i, b in enumerate(s.bins)}
-        if s.axis == "dow" and s.value == "activity":
-            weekly = table
-        elif s.axis == "month" and s.value == "activity":
-            monthly_act = table
-        elif s.axis == "month" and s.value == "mobility":
-            monthly_mob = table
+
+    def table(axis, value):
+        """A whole-population mean series by bin, empty when left out."""
+        s = pipe.patterns_bundle.get(("all", axis, value, "mean"))
+        return {} if s is None else {
+            b: (None if np.isnan(x) else float(x)) for b, x in zip(s.bins, s.stat)
+        }
+
     rs = pipe.ranksize
     rank_size_doc = {"skipped": rs} if isinstance(rs, str) else asdict(rs)
     return {
@@ -529,9 +512,9 @@ def build_summary(pipe: Pipeline) -> dict:
         },
         "rank_size": rank_size_doc,
         "areas": areas,
-        "weekly_activity": weekly,
-        "monthly_activity": monthly_act,
-        "monthly_mobility": monthly_mob,
+        "weekly_activity": table("dow", "activity"),
+        "monthly_activity": table("month", "activity"),
+        "monthly_mobility": table("month", "mobility"),
     }
 
 
@@ -563,10 +546,9 @@ def _band_columns(pipe: Pipeline) -> list:
 
 def _pattern_columns(pipe: Pipeline):
     """One block per series; se is blank for statistics without one."""
-    for s in pipe.patterns_bundle:
+    for key, s in pipe.patterns_bundle.items():
         k = len(s.bins)
-        yield ([s.cohort] * k, [s.axis] * k, [s.value] * k, [s.statistic] * k,
-               s.bins, s.stat, s.n, [None] * k if s.se is None else s.se)
+        yield (*([x] * k for x in key), s.bins, s.stat, s.n, [None] * k if s.se is None else s.se)
 
 
 def _plot_tables(pipe: Pipeline):
@@ -582,8 +564,8 @@ def _plot_tables(pipe: Pipeline):
         yield f"bands_{name}.csv", "center_rank,corr", (
             [b.center_rank for b in bands], [b.corr for b in bands]
         )
-    for s in pipe.patterns_bundle:
-        yield f"pattern_{_series_key(s)}.csv", "bin,stat", (s.bins, s.stat)
+    for key, s in pipe.patterns_bundle.items():
+        yield f"pattern_{'_'.join(key)}.csv", "bin,stat", (s.bins, s.stat)
 
 
 def write_plot_data(pipe: Pipeline, out_dir) -> list[str]:
@@ -636,7 +618,7 @@ def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> d
         def run():
             path = os.path.join(out_dir, name)
             if header is None:
-                _write_json(path, content(pipe))
+                write_json(path, content(pipe))
             else:
                 _write_csv(path, header, content(pipe))
             return digests([name])
@@ -663,7 +645,7 @@ def save_manifest(out_dir, command: str, outputs: dict[str, str], **fields) -> N
     timings). The manifest is the one output that may differ between
     identical reruns (it carries timings)."""
     doc = {"command": command, "package_version": __version__, "outputs": outputs, **fields}
-    _write_json(os.path.join(out_dir, "manifest.json"), doc)
+    write_json(os.path.join(out_dir, "manifest.json"), doc)
 
 
 def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: str) -> None:

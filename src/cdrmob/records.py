@@ -22,13 +22,9 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime
 
-CALL = "call"
-SMS = "sms"
-INCOMING = "incoming"
-OUTGOING = "outgoing"
-
-KIND_TOKENS = {"call": CALL, "sms": SMS}
-DIRECTION_TOKENS = {"in": INCOMING, "incoming": INCOMING, "out": OUTGOING, "outgoing": OUTGOING}
+# event tokens -> the codes of the event table's kind and direction columns
+KIND_TOKENS = {"call": 0, "sms": 1}
+DIRECTION_TOKENS = {"in": 0, "incoming": 0, "out": 1, "outgoing": 1}
 
 FEMALE = "female"
 MALE = "male"
@@ -69,11 +65,12 @@ class EventRecord:
     peer_id: str
     timestamp: int  # seconds since epoch of local civil time
     tower_id: str
-    kind: str  # call | sms
-    direction: str  # incoming | outgoing
+    kind: int  # 0 call, 1 sms
+    direction: int  # 0 incoming, 1 outgoing
 
 
 _EPOCH_DAY = date(1970, 1, 1).toordinal()
+EPOCH_WEEKDAY = 3  # 1970-01-01 was a Thursday; weekday index 0 is Monday
 _date_epoch_cache: dict[str, int] = {}
 
 
@@ -123,11 +120,27 @@ def format_timestamp(ts: int) -> str:
     return f"{d.isoformat()}T{rem // 3600:02d}:{rem % 3600 // 60:02d}:{rem % 60:02d}"
 
 
+def month_starts(year: int) -> list[int]:
+    """Epoch seconds at the start of each month of a civil year, and of the
+    next January: 13 values. Years 1-9998 are supported."""
+    if not 1 <= year <= 9998:
+        raise ValueError(f"year {year} is outside 1-9998")
+    firsts = [date(year, m, 1) for m in range(1, 13)] + [date(year + 1, 1, 1)]
+    return [(d.toordinal() - _EPOCH_DAY) * 86400 for d in firsts]
+
+
 def year_bounds(year: int) -> tuple[int, int]:
     """[start, end) epoch seconds of a civil year."""
-    start = (date(year, 1, 1).toordinal() - _EPOCH_DAY) * 86400
-    end = (date(year + 1, 1, 1).toordinal() - _EPOCH_DAY) * 86400
-    return start, end
+    starts = month_starts(year)
+    return starts[0], starts[12]
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON document in the one format of every JSON output but
+    truth.json: indented by two, keys sorted, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _undecodable(row: list[str]) -> bool:

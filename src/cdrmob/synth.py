@@ -33,14 +33,19 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass
-from datetime import date
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .density import DensityError, build_density_from_counts, classify_areas, rank_desc
+from .density import (
+    DensityError,
+    build_density_from_counts,
+    classify_areas,
+    rank_desc,
+    validate_boundaries,
+)
 from .geo import GridSpec, offset_km
-from .records import age_group_of, year_bounds
+from .records import EPOCH_WEEKDAY, age_group_of, format_timestamp, month_starts, write_json
 
 CDR_FILE = "cdr.csv"
 TOWERS_FILE = "towers.csv"
@@ -149,6 +154,10 @@ class GenConfig:
             raise ValueError("all rate multipliers must be positive")
         if len(self.month_mult_dense) != 12 or len(self.month_mult_sparse) != 12:
             raise ValueError("month multiplier tables have 12 entries")
+        if len(self.female_activity_excess) != 5:
+            raise ValueError("female_activity_excess has one entry per density class (5)")
+        validate_boundaries(self.area_boundaries)
+        month_starts(self.analysis_year)  # refuses a year outside 1-9998
         flip = self.activity_flip
         if flip is not None and not (
             isinstance(flip, (tuple, list))
@@ -169,11 +178,6 @@ class GenConfig:
     def n_real(self) -> int:
         return self.n_individuals - self.n_spam
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def from_dict(cls, d: dict) -> "GenConfig":
         kw = dict(d)
@@ -181,11 +185,6 @@ class GenConfig:
             if isinstance(v, list):
                 kw[k] = tuple(v)
         return cls(**kw)
-
-    @classmethod
-    def from_json(cls, path) -> "GenConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass
@@ -356,17 +355,13 @@ class _World:
         self.id_bytes = _byte_table(self.ego_ids + [OUTSIDER_ID])
         self.settlement_of = np.repeat(np.arange(n), pop)  # genuine egos only
 
-        ys, ye = year_bounds(cfg.analysis_year)
-        self.year_start = ys
-        n_days = (ye - ys) // 86400
-        d0 = date(cfg.analysis_year, 1, 1).toordinal()
-        self.day_month = np.array(
-            [date.fromordinal(d0 + d).month - 1 for d in range(n_days)], dtype=np.int64
-        )
-        self.day_wd = ((ys // 86400 + np.arange(n_days)) + 3) % 7
-        self.date_bytes = _byte_table(
-            [f"{date.fromordinal(d0 + d).isoformat()}T" for d in range(n_days)]
-        )
+        # the month, weekday and YYYY-MM-DDT text of each day of the year
+        starts = month_starts(cfg.analysis_year)
+        month_days = np.diff(starts) // 86400
+        self.day_month = np.repeat(np.arange(12), month_days)
+        days = starts[0] // 86400 + np.arange(month_days.sum())
+        self.day_wd = (days + EPOCH_WEEKDAY) % 7
+        self.date_bytes = _byte_table([format_timestamp(d * 86400)[:11] for d in days.tolist()])
 
         dense = np.asarray(cfg.month_mult_dense)[self.day_month]
         sparse = np.asarray(cfg.month_mult_sparse)[self.day_month]
@@ -610,7 +605,7 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
         spam_ids=world.ego_ids[cfg.n_real :],
     )
     truth.to_json(os.path.join(out_dir, TRUTH_FILE))
-    cfg.to_json(os.path.join(out_dir, CONFIG_FILE))
+    write_json(os.path.join(out_dir, CONFIG_FILE), asdict(cfg))
     return truth
 
 
@@ -635,35 +630,17 @@ class Check:
 
 @dataclass
 class Scorecard:
-    checks: list[Check]
+    """The checks of a corpus, and whether all of them passed; asdict()
+    of it is scorecard.json."""
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    checks: list[Check]
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.passed = all(c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
-
-    def to_json(self, path) -> None:
-        doc = {
-            "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _series(bundle, cohort, axis, value, statistic):
-    for s in bundle:
-        if (
-            s.cohort == cohort
-            and s.axis == axis
-            and s.value == value
-            and s.statistic == statistic
-        ):
-            return s
-    return None
 
 
 def _aug_ratio(stat: np.ndarray) -> float:
@@ -678,6 +655,22 @@ def _strata_cell(rows, area: str, gender: str):
     return None
 
 
+def corpus_pipeline(corpus_dir, truth: GroundTruth, reciprocity: str = "pair",
+                    threads: int = 1):
+    """The Pipeline of a generated corpus, set up with the year, grid step
+    and area boundaries it was generated with."""
+    from .pipeline import AnalysisConfig, Pipeline
+
+    cfg = AnalysisConfig(
+        analysis_year=truth.analysis_year,
+        grid_step=truth.grid_step,
+        area_boundaries=truth.area_boundaries,
+        reciprocity=reciprocity,
+    )
+    paths = (os.path.join(corpus_dir, f) for f in (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE))
+    return Pipeline(*paths, cfg, threads=threads)
+
+
 def validate_corpus(
     corpus_dir,
     truth: GroundTruth | None = None,
@@ -689,26 +682,9 @@ def validate_corpus(
     to the given config (no spam, no flip, coupling zeroed) are either
     skipped or replaced by their null counterparts. Passing a weaker
     reciprocity rule is the hook for negative controls (spam kept in)."""
-    from .pipeline import AnalysisConfig, Pipeline
-    from .metrics import WindowSpec
-    from .patterns import pattern
-
     if truth is None:
         truth = GroundTruth.from_json(os.path.join(corpus_dir, TRUTH_FILE))
-    cfg = AnalysisConfig(
-        analysis_year=truth.analysis_year,
-        grid_step=truth.grid_step,
-        window=WindowSpec("year"),
-        area_boundaries=truth.area_boundaries,
-        reciprocity=reciprocity,
-    )
-    pipe = Pipeline(
-        os.path.join(corpus_dir, CDR_FILE),
-        os.path.join(corpus_dir, TOWERS_FILE),
-        os.path.join(corpus_dir, DEMOGRAPHICS_FILE),
-        cfg,
-        threads=threads,
-    )
+    pipe = corpus_pipeline(corpus_dir, truth, reciprocity, threads)
     checks: list[Check] = []
 
     # --- filtering: planted spam out, nothing genuine lost
@@ -864,7 +840,7 @@ def validate_corpus(
 
     # --- weekly extremes
     bundle = pipe.patterns_bundle
-    dow = _series(bundle, "all", "dow", "activity", "mean")
+    dow = bundle["all", "dow", "activity", "mean"]
     want_max = int(np.argmax(truth.dow_mult))
     want_min = int(np.argmin(truth.dow_mult))
     got_max = int(np.nanargmax(dow.stat))
@@ -880,7 +856,7 @@ def validate_corpus(
 
     # --- August dip confined to the dense classes that plant it
     for a in range(1, 6):
-        s = _series(bundle, f"area{a}", "month", "activity", "mean")
+        s = bundle.get((f"area{a}", "month", "activity", "mean"))
         if s is None or np.isnan(s.stat[6:9]).any():
             continue
         table = truth.month_mult_dense if a <= truth.dense_area_max else truth.month_mult_sparse
@@ -895,11 +871,12 @@ def validate_corpus(
                 Check(f"seasonal_dip_area{a}", measured > 0.95, round(measured, 4), "> 0.95 (no dip planted)")
             )
 
-    # --- normalized medians average to one by construction
-    norm = pattern(pipe.metrics, None, "month", "activity", "normalized_median",
-                   truth.analysis_year)
-    m = float(np.mean(norm.stat[norm.n > 0]))
-    checks.append(Check("normalized_median", abs(m - 1.0) < 1e-12, m, "mean = 1 within 1e-12"))
+    # --- normalized medians average to one by construction; the series is
+    # left out when its level is zero
+    norm = bundle.get(("all", "month", "activity", "normalized_median"))
+    m = None if norm is None else float(np.mean(norm.stat[norm.n > 0]))
+    checks.append(Check("normalized_median", m is not None and abs(m - 1.0) < 1e-12, m,
+                        "mean = 1 within 1e-12"))
 
     # --- gender contrasts across density classes
     rows = pipe.strata

@@ -12,17 +12,9 @@ import numpy as np
 import pytest
 
 from cdrmob.ingest import ingest_rows
-from cdrmob.metrics import TableMetrics, WindowSpec
-from cdrmob.pipeline import AnalysisConfig, Pipeline
+from cdrmob.metrics import TableMetrics
 from cdrmob.records import format_timestamp
-from cdrmob.synth import (
-    CDR_FILE,
-    DEMOGRAPHICS_FILE,
-    TOWERS_FILE,
-    GenConfig,
-    GroundTruth,
-    generate,
-)
+from cdrmob.synth import GenConfig, corpus_pipeline, generate
 
 _THREADS = min(4, os.cpu_count() or 1)
 
@@ -36,22 +28,6 @@ def _make_corpus(tmp_path_factory, name: str, cfg: GenConfig):
     return out, truth
 
 
-def _make_pipeline(corpus, truth: GroundTruth, threads: int = _THREADS) -> Pipeline:
-    cfg = AnalysisConfig(
-        analysis_year=truth.analysis_year,
-        grid_step=truth.grid_step,
-        window=WindowSpec("year"),
-        area_boundaries=truth.area_boundaries,
-    )
-    return Pipeline(
-        os.path.join(corpus, CDR_FILE),
-        os.path.join(corpus, TOWERS_FILE),
-        os.path.join(corpus, DEMOGRAPHICS_FILE),
-        cfg,
-        threads=threads,
-    )
-
-
 @pytest.fixture(scope="session")
 def default_corpus(tmp_path_factory):
     """The stock world: 10k individuals, 400 settlements, every effect on."""
@@ -61,7 +37,7 @@ def default_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def default_pipeline(default_corpus):
     corpus, truth = default_corpus
-    return _make_pipeline(corpus, truth), truth
+    return corpus_pipeline(corpus, truth, threads=_THREADS), truth
 
 
 @pytest.fixture(scope="session")
@@ -93,7 +69,7 @@ def null_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def null_pipeline(null_corpus):
     corpus, truth = null_corpus
-    return _make_pipeline(corpus, truth), truth
+    return corpus_pipeline(corpus, truth, threads=_THREADS), truth
 
 
 @pytest.fixture(scope="session")
@@ -121,7 +97,7 @@ def flip_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def flip_pipeline(flip_corpus):
     corpus, truth = flip_corpus
-    return _make_pipeline(corpus, truth), truth
+    return corpus_pipeline(corpus, truth, threads=_THREADS), truth
 
 
 @pytest.fixture(scope="session")

@@ -15,14 +15,12 @@ import time
 
 import numpy as np
 
-from conftest import _make_pipeline
-
 from cdrmob.density import build_density_from_counts, rank_size, spearman
 from cdrmob.geo import EARTH_RADIUS_KM, GridSpec
 from cdrmob.ingest import EventTable
 from cdrmob.metrics import TableMetrics
-from cdrmob.patterns import pattern
 from cdrmob.records import TowerRegistry
+from cdrmob.synth import corpus_pipeline
 
 _REL = 1e-9
 
@@ -175,7 +173,7 @@ def test_criterion_03_rank_correlation_oracle():
 def test_criterion_04_default_corpus_recovery(default_corpus):
     corpus, truth = default_corpus
     # fresh single-thread pipeline so the timing covers ingest through homes
-    pipe = _make_pipeline(corpus, truth, threads=1)
+    pipe = corpus_pipeline(corpus, truth, threads=1)
     start = time.perf_counter()
     window = pipe.night_window
     fit = pipe.circadian_fit
@@ -262,27 +260,18 @@ def test_criterion_07_rank_size_tail_exponent():
 def test_criterion_08_weekly_and_seasonal_patterns(default_pipeline):
     pipe, truth = default_pipeline
     bundle = pipe.patterns_bundle
-    dow = next(
-        s for s in bundle
-        if getattr(s, "cohort", "") == "all" and s.axis == "dow"
-        and s.value == "activity" and s.statistic == "mean"
-    )
+    dow = bundle["all", "dow", "activity", "mean"]
     assert dow.bins[int(np.argmax(dow.stat))] == "Fri"
     assert dow.bins[int(np.argmin(dow.stat))] == "Sun"
     ratios = {}
     for a in range(1, 6):
-        s = next(
-            s for s in bundle
-            if getattr(s, "cohort", "") == f"area{a}" and s.axis == "month"
-            and s.value == "activity" and s.statistic == "mean"
-        )
+        s = bundle[f"area{a}", "month", "activity", "mean"]
         ratios[a] = float(s.stat[7] / ((s.stat[6] + s.stat[8]) / 2.0))
     for a in (1, 2, 3):
         assert ratios[a] < 0.9
     for a in (4, 5):
         assert ratios[a] > 0.95
-    norm = pattern(pipe.metrics, None, "month", "activity", "normalized_median",
-                   truth.analysis_year)
+    norm = bundle["all", "month", "activity", "normalized_median"]
     m = float(np.mean(norm.stat[norm.n > 0]))
     assert abs(m - 1.0) < 1e-12
     print(

@@ -16,12 +16,10 @@ from unittest import mock
 
 import pytest
 
-from conftest import _make_pipeline
-
 from cdrmob import ingest
 from cdrmob.cli import main
 from cdrmob.pipeline import STAGE_OUTPUTS, write_manifest, write_outputs
-from cdrmob.synth import CDR_FILE, DEMOGRAPHICS_FILE, TOWERS_FILE, GenConfig, generate
+from cdrmob.synth import CDR_FILE, DEMOGRAPHICS_FILE, TOWERS_FILE, GenConfig, corpus_pipeline, generate
 
 _DAYS = [f"2008-03-{d:02d}" for d in range(1, 11)]
 
@@ -168,6 +166,31 @@ def test_gen_config_refuses_a_bad_activity_flip(tmp_path, capsys, flip):
     out = tmp_path / "refused"
     assert main(["generate", "--out", str(out), "--gen-config", str(path)]) == 1
     assert "activity_flip" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, year", [("report", "0"), ("ingest", "10000")])
+def test_year_outside_the_calendar_is_a_usage_error(tmp_path, capsys, command, year):
+    # the calendar covers years 1-9998; past it, a run ended in a traceback
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, *_analysis_args(cdr, towers, out, "--year", year)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"analysis_year": 0},
+    # 40 cells span three density classes, and class 2 has no entry
+    {"n_individuals": 400, "n_cells": 40, "female_activity_excess": [0.1]},
+    {"area_boundaries": [5, 4, 3, 2]},
+])
+def test_gen_config_refuses_what_generation_would_crash_on(tmp_path, capsys, setting):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"n_individuals": 50, "n_cells": 5, **setting}))
+    out = tmp_path / "refused"
+    assert main(["generate", "--out", str(out), "--gen-config", str(path)]) == 1
+    assert "usage error" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -422,7 +445,7 @@ def test_spool_with_a_damaged_file_is_refused(tmp_path, capsys, damage):
 
 def test_stage_timings_are_exclusive(small_corpus, tmp_path):
     corpus, truth = small_corpus
-    pipe = _make_pipeline(corpus, truth)
+    pipe = corpus_pipeline(corpus, truth)
     t0 = time.perf_counter()
     outputs = write_outputs(pipe, tmp_path, set(STAGE_OUTPUTS), plot_data=True)
     write_manifest(pipe, tmp_path, outputs, command="report")

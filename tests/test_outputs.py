@@ -8,7 +8,9 @@ format, run this module as a script.
 
 import os
 import sys
+from unittest import mock
 
+from cdrmob import pipeline
 from cdrmob.metrics import WindowSpec
 from cdrmob.pipeline import STAGE_OUTPUTS, AnalysisConfig, Pipeline, write_outputs
 
@@ -43,19 +45,20 @@ def _write_input(root):
 
 def _csv_outputs(root) -> str:
     """Every CSV that a month-window report with plot data writes, each
-    under a `== name ==` line, in name order."""
+    under a `== name ==` line, in name order; the daily profile has
+    four-hour bins."""
     _write_input(root)
     cfg = AnalysisConfig(
         grid_step=0.05,
         window=WindowSpec("month"),
         night_window=(0.0, 6.0),
-        bin_minutes=240,
         area_boundaries=(1, 2, 3, 5),
         reciprocity="none",
     )
     pipe = Pipeline(root / "cdr.csv", root / "towers.csv", root / "demographics.csv", cfg)
     out = root / "out"
-    written = write_outputs(pipe, out, set(STAGE_OUTPUTS), plot_data=True)
+    with mock.patch.object(pipeline, "BIN_MINUTES", 240):
+        written = write_outputs(pipe, out, set(STAGE_OUTPUTS), plot_data=True)
     return "".join(
         f"== {name} ==\n" + (out / name).read_text(encoding="utf-8")
         for name in sorted(written)

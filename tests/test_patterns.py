@@ -112,10 +112,12 @@ def test_write_pattern_csv_handles_labels_and_gaps(tmp_path):
     stat = np.full(12, np.nan)
     stat[2] = 1.0
     s2 = PatternSeries("month", "activity", "normalized_median", s1.bins, stat,
-                       (stat == 1.0).astype(np.int64), None, "area3")
+                       (stat == 1.0).astype(np.int64), None)
     name, header, columns = WRITERS["patterns"]
     p = tmp_path / name
-    _write_csv(p, header, columns(SimpleNamespace(patterns_bundle=[s1, s2])))
+    bundle = {("all", "month", "activity", "mean"): s1,
+              ("area3", "month", "activity", "normalized_median"): s2}
+    _write_csv(p, header, columns(SimpleNamespace(patterns_bundle=bundle)))
     lines = p.read_text().splitlines()
     assert lines[0] == "cohort,axis,value,statistic,bin,stat,n,se"
     assert len(lines) == 25

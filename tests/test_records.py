@@ -76,7 +76,8 @@ def test_year_bounds_2008_is_leap():
 
 
 def test_parse_event_line_round_trip():
-    rec = EventRecord("u1", "u2", parse_timestamp("2008-06-01T12:00:00"), "T5", "sms", "incoming")
+    # kind 1 is sms, direction 0 incoming
+    rec = EventRecord("u1", "u2", parse_timestamp("2008-06-01T12:00:00"), "T5", 1, 0)
     line = f"u1,u2,{format_timestamp(rec.timestamp)},T5,sms,in"
     assert _parse_line(line) == rec
     # tokens are case- and space-tolerant
@@ -85,7 +86,7 @@ def test_parse_event_line_round_trip():
 
 def test_parse_event_line_reject_reasons():
     ok = "u1,u2,2008-06-01T12:00:00,T5,call,in"
-    assert _parse_line(ok).kind == "call"
+    assert _parse_line(ok).kind == 0  # call
     cases = {
         "u1,u2,2008-06-01T12:00:00,T5,call": "missing_column",
         "u1,,2008-06-01T12:00:00,T5,call,in": "missing_column",

@@ -22,7 +22,6 @@ from cdrmob.geo import haversine_km
 from cdrmob.home import compute_homes, daily_profile, night_mask
 from cdrmob.ingest import EventTable
 from cdrmob.metrics import (
-    EPOCH_WEEKDAY,
     HOUR_IDS,
     WEEKDAY_IDS,
     TableMetrics,
@@ -32,7 +31,7 @@ from cdrmob.metrics import (
 )
 from cdrmob.patterns import KINDS, PatternError, pattern
 from cdrmob.pipeline import _cells
-from cdrmob.records import TowerRegistry, year_bounds
+from cdrmob.records import EPOCH_WEEKDAY, TowerRegistry, year_bounds
 
 REG = TowerRegistry({f"T{k}": (40.0 + 0.13 * k, 20.0 + 0.07 * k * k) for k in range(5)})
 YS, YE = year_bounds(2008)
