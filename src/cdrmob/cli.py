@@ -302,7 +302,10 @@ def _cmd_validate(args) -> int:
 def _cmd_demo(args) -> int:
     corpus = os.path.join(args.out, "corpus")
     report_dir = os.path.join(args.out, "report")
-    cfg = GenConfig(n_individuals=args.n, seed=args.seed)
+    try:
+        cfg = GenConfig(n_individuals=args.n, seed=args.seed)
+    except ValueError as e:
+        raise UsageError(f"bad generator config: {e}")
     os.makedirs(corpus, exist_ok=True)
     truth = generate(cfg, corpus, threads=max(1, args.threads))
     print(f"corpus: {corpus} ({cfg.n_individuals} individuals, seed {cfg.seed})")

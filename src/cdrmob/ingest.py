@@ -11,10 +11,15 @@ This removes one-way sources (spam, robocalls) that would otherwise inflate
 activity counts.
 
 A CDR file is read as bytes in blocks. Canonical lines, the common case,
-are found and decoded in vectorised form: an index of newlines and commas
-comes first, then fixed-width fields are gathered by offset (the approach
-of Langdale and Lemire, "Parsing gigabytes of JSON per second", VLDB J.
-28, 2019, with numpy for SIMD). Every other line takes the row path,
+are found and decoded in vectorised form: an index of newlines, commas
+and bytes outside printable ASCII comes first, then each field is read by
+offset as whole 8-byte words (the structural indexing of Langdale and
+Lemire, "Parsing gigabytes of JSON per second", VLDB J. 28, 2019, with
+numpy for SIMD). A timestamp is checked as three words against a byte
+template of the analysis year, and its fields come from those words. Kind
+and direction words are folded to lower case, so token case does not
+leave the byte path. A tower is looked up by one searchsorted among the
+registry's ids held as sorted keys. Every other line takes the row path,
 csv.reader and parse_event_fields, which defines what a row means.
 
 The kept events of every individual form one EventTable: parallel numpy
@@ -38,7 +43,6 @@ from array import array
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .records import (
     DIRECTION_TOKENS,
@@ -111,37 +115,85 @@ class IngestResult:
 
 # Bytes of CDR text that ingest_file parses at a time, each block cut at a
 # newline. Per-byte temporaries are uint8 or bool and per-line ones a few
-# int64s, so a block costs a small multiple of its size: on a 1.06M-row
+# words, so a block costs a small multiple of its size: on a 1.06M-row
 # file ingest alone peaked at 96 MiB with 1 MiB blocks and 287 MiB with
 # 16 MiB ones, in the same time.
 _BLOCK_BYTES = 1 << 20
 # Longer ids (ego, peer or tower) take the row path; this bounds the
 # per-line gather arrays of the byte path.
 _MAX_ID_BYTES = 64
-# zeros after a block, so that the 8-byte words of every field, and its
-# timestamp window, lie inside the buffer
+# zeros after a block, so that the 8-byte words of every field lie inside
+# the buffer
 _PAD = bytes(_MAX_ID_BYTES)
-# a canonical timestamp, byte by byte: digit positions allow 0-9, the
-# separators only themselves
-_TS_LO = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
-_TS_SPAN = np.where(_TS_LO == ord("0"), 9, 0).astype(np.uint8)
+# a UTF-8 byte order mark, which an input file may start with
+_BOM = b"\xef\xbb\xbf"
 # _LOW[k] keeps the first k bytes of a little-endian 8-byte word
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# the start of a day that the calendar does not have
+_NO_DAY = np.iinfo(np.int64).min
+
+
+def _bytewise(b: int) -> np.uint64:
+    """A word with byte b in each of its 8 bytes."""
+    return np.uint64(b * 0x0101010101010101)
+
+
+_NIBBLES = _bytewise(0x0F)
+_HIGH = _bytewise(0x80)
+_UP_FROM, _UP_PAST = _bytewise(0x80 - ord("A")), _bytewise(0x80 - ord("Z") - 1)
+
+
+def _lower(w: np.ndarray) -> np.ndarray:
+    """Words with their A-Z bytes made a-z, as str.lower does for ASCII.
+    No byte may be above 0x7F, so that no bytewise sum carries: a byte's
+    high bit is then set in w + _UP_FROM from "A" on, and in w + _UP_PAST
+    from past "Z" on."""
+    return w | (((w + _UP_FROM) & ~(w + _UP_PAST) & _HIGH) >> np.uint64(2))
+
+
+def _ts_template(year: int) -> list[tuple[np.uint64, ...]]:
+    """Checks of the three 8-byte words of a canonical timestamp of the
+    year, at bytes 0, 8 and 11: per word (mask, want, six, carry). A word w
+    fits when w & mask == want, which holds every other byte to the
+    template and a digit's high nibble to 3, and when (w + six) & carry is
+    0, which holds its low nibble to at most 9."""
+    text = f"{year:04d}-dd-ddTdd:dd:dd"
+    checks = []
+    for at in (0, 8, 11):
+        word = [0, 0, 0, 0]
+        for k, c in enumerate(text[at: at + 8]):
+            byte = (0xF0, 0x30, 0x06, 0x40) if c == "d" else (0xFF, ord(c), 0, 0)
+            word = [v | x << 8 * k for v, x in zip(word, byte)]
+        checks.append(tuple(map(np.uint64, word)))
+    return checks
+
+
+def _pairs(w: np.ndarray) -> np.ndarray:
+    """Byte k of the result is 10 * (digit k) + (digit k + 1) of word w."""
+    d = w & _NIBBLES
+    return d * np.uint64(10) + (d >> np.uint64(8))
+
+
+def _word(u64: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The first min(length, 8) bytes from each start as one zero-padded
+    little-endian word, from u64, the 8-byte words at every offset."""
+    return u64[start] & _LOW[np.minimum(length, 8)]
 
 
 def _words(u64: np.ndarray, start: np.ndarray, length: np.ndarray, n: int) -> np.ndarray:
-    """Bytes [start, start + length) of each line as n zero-padded
-    little-endian words, from u64, the 8-byte words at every offset."""
+    """Bytes [start, start + length) of each line as n zero-padded words."""
     out = np.empty((len(start), n), dtype="<u8")
     for j in range(n):
-        out[:, j] = u64[start + 8 * j] & _LOW[np.clip(length - 8 * j, 0, 8)]
+        out[:, j] = _word(u64, start + 8 * j, np.maximum(length - 8 * j, 0))
     return out
 
 
 def _distinct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first row of each distinct row of words, distinct row of each row).
-    Rows are compared word by word, so whole ids are compared."""
-    order = np.lexsort(words.T)
+    Rows are compared word by word, so whole ids are compared. Rows of one
+    word are sorted by a plain argsort, about twice as fast as np.lexsort
+    of the one key."""
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
     words = words[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (words[1:] != words[:-1]).any(axis=1)
@@ -155,22 +207,43 @@ def _text(words: np.ndarray) -> list[str]:
     return words.view(f"S{8 * words.shape[1]}")[:, 0].astype(str).tolist()
 
 
-def _token_keys(codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted one-word keys of the tokens, and their codes."""
-    keys = np.array([int.from_bytes(t.encode(), "little") for t in codes], dtype=np.uint64)
-    order = np.argsort(keys)
-    return keys[order], np.array(list(codes.values()), dtype=np.int8)[order]
+def _token_keys(codes: dict[str, int]) -> list[tuple[np.uint64, np.int8]]:
+    """The one-word key of each token, and its code."""
+    return [(np.uint64(int.from_bytes(t.encode(), "little")), np.int8(c))
+            for t, c in codes.items()]
 
 
 _KIND_KEYS = _token_keys(KIND_TOKENS)
 _DIRECTION_KEYS = _token_keys(DIRECTION_TOKENS)
 
 
+def _match(keys: list[tuple[np.uint64, np.int8]], w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(code, found) of each word among the token keys: a compare per
+    token, which for a handful of them is cheaper than a searchsorted.
+    A word matches one key at most, so its code is the sum."""
+    code = np.zeros(len(w), dtype=np.int8)
+    found = np.zeros(len(w), dtype=bool)
+    for key, c in keys:
+        hit = w == key
+        found |= hit
+        code += hit.view(np.int8) * c
+    return code, found
+
+
 def _lookup(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position, found) of each x in the sorted, non-empty keys."""
+    """(position, found) of each x in the sorted keys."""
+    if not len(keys):
+        return np.zeros(len(x), dtype=np.intp), np.zeros(len(x), dtype=bool)
     i = np.searchsorted(keys, x)
     i[i == len(keys)] = 0
     return i, keys[i] == x
+
+
+def _fits_a_line(text: str) -> bool:
+    """Whether a canonical line can hold the id: 1-64 bytes, each in
+    0x21-0x7E."""
+    return (0 < len(text) <= _MAX_ID_BYTES and text.isascii() and text.isprintable()
+            and " " not in text)
 
 
 class _Columns:
@@ -256,17 +329,41 @@ class _ByteParser:
     A line is canonical when it has exactly 5 commas and every byte is in
     0x21-0x7E (quotes never reach here; one CR before the LF is allowed),
     its ids are 1-64 bytes, its timestamp is YYYY-MM-DDTHH:MM:SS of a real
-    date and time in the analysis year, its kind and direction are exact
-    lowercase tokens, its tower is in the registry, and its ego is not its
-    peer. parse_event_fields accepts every such row, with these values.
+    date and time in the analysis year, its kind and direction are event
+    tokens in any letter case, its tower is in the registry, and its ego is
+    not its peer. parse_event_fields accepts every such row, with these
+    values.
+
+    Each line costs a few operations on whole 8-byte words. The timestamp
+    is checked as three words against a template of the year (fixed bytes
+    equal, digit bytes 0-9) and its fields are read from those words. The
+    kind and direction words are folded to lower case and looked up among
+    the tokens. Towers are found by one searchsorted among the registry's
+    ids held as sorted keys: one little-endian word each when every id fits
+    in 8 bytes, byte strings of whole words otherwise.
     """
 
     def __init__(self, registry: TowerRegistry, analysis_year: int):
-        self.year = analysis_year
-        starts = np.array(month_starts(analysis_year), dtype=np.int64)
-        self.month_start = starts[:12]
-        self.month_days = np.diff(starts) // 86400
-        self.registry = registry
+        starts = month_starts(analysis_year)
+        self.ts_template = _ts_template(analysis_year)
+        # the epoch second at which each day starts, by (month << 8) | day,
+        # the two numbers as _pairs reads them; _NO_DAY where no such date is
+        self.day_start = np.full(1 << 16, _NO_DAY, dtype=np.int64)
+        for m in range(12):
+            days = (starts[m + 1] - starts[m]) // 86400
+            at = ((m + 1) << 8) + 1
+            self.day_start[at: at + days] = starts[m] + 86400 * np.arange(days)
+        # ids that no canonical line can hold are left out: padded with
+        # zeros, one that ends in NUL bytes would equal a shorter id
+        ids = [(t.encode(), i) for i, t in enumerate(registry.ids) if _fits_a_line(t)]
+        self.tower_words = max([1] + [-(-len(t) // 8) for t, _ in ids])
+        if self.tower_words == 1:
+            keys = np.array([int.from_bytes(t, "little") for t, _ in ids], dtype=np.uint64)
+        else:
+            keys = np.array([t for t, _ in ids], dtype=f"S{8 * self.tower_words}")
+        order = np.argsort(keys)
+        self.tower_keys = keys[order]
+        self.tower_index = np.array([i for _, i in ids], dtype=np.int32)[order]
 
     def parse(self, block: bytes, cols: _Columns):
         """(line starts, line ends past the LF, canonical line mask, line
@@ -277,77 +374,78 @@ class _ByteParser:
         stop = np.flatnonzero(b == 10) + 1
         starts = np.concatenate(([0], stop[:-1]))
         cr = (stop - starts > 1) & (b[stop - 2] == 13)
-        ends = stop - 1 - cr
-
-        def per_line(positions):
-            """How many of the sorted positions fall in each line."""
-            return np.diff(np.searchsorted(positions, stop), prepend=0)
-
-        # bytes outside 0x21-0x7E: only the LF, and a CR before it
-        ok = per_line(np.flatnonzero((b - np.uint8(0x21)) > 0x5D)) == 1 + cr
-        commas = np.flatnonzero(b == 44)
-        ok &= per_line(commas) == 5
+        # bytes outside 0x21-0x7E: only the LF, and a CR before it. Every
+        # line has those, so a block that has no more has none elsewhere.
+        odd = (b - np.uint8(0x21)) > 0x5D
+        if np.count_nonzero(odd) == len(stop) + np.count_nonzero(cr):
+            ok = np.ones(len(stop), dtype=bool)
+        else:
+            ok = np.diff(np.searchsorted(np.flatnonzero(odd), stop), prepend=0) == 1 + cr
+        # the commas before each line's end: the index of its first comma,
+        # and how many it has
+        itype = np.int32 if len(arr) < 1 << 31 else np.intp
+        commas = np.flatnonzero(b == 44).astype(itype)
+        before = np.searchsorted(commas, stop)
+        first = np.concatenate(([0], before[:-1]))
+        ok &= before - first == 5
         lines = np.flatnonzero(ok)
-        c0 = np.searchsorted(commas, starts[lines])
-        # field k of line i spans edge[i, k] + 1 .. edge[i, k + 1]
-        edge = np.column_stack((starts[lines] - 1, commas[c0[:, None] + np.arange(5)], ends[lines]))
-        lo, ln = edge[:, :6] + 1, np.diff(edge, axis=1) - 1
-        ids = ln[:, [0, 1, 3]]
-        fit = (ln[:, 2] == 19) & (ln[:, 4] <= 8) & (ln[:, 5] <= 8)
-        fit &= (ids >= 1).all(axis=1) & (ids <= _MAX_ID_BYTES).all(axis=1)
-        lines, lo, ln = lines[fit], lo[fit], ln[fit]
-        # kind and direction are one word each: a file whose tokens are not
-        # canonical leaves this block here, before the costlier decoding
-        u64 = np.ndarray(len(block) + 57, dtype="<u8", buffer=arr, strides=(1,))
-        kind, found = _lookup(_KIND_KEYS[0], u64[lo[:, 4]] & _LOW[ln[:, 4]])
-        direction, found2 = _lookup(_DIRECTION_KEYS[0], u64[lo[:, 5]] & _LOW[ln[:, 5]])
-        found &= found2
-        lines, lo, ln = lines[found], lo[found], ln[found]
-        kind, direction = _KIND_KEYS[1][kind[found]], _DIRECTION_KEYS[1][direction[found]]
-        m = len(lines)
         canonical = np.zeros(len(starts), dtype=bool)
-        if not m:
+        if not len(lines):
             return starts, stop, canonical, lines, None
 
-        t = sliding_window_view(arr, 19)[lo[:, 2]]
-        good = ((t - _TS_LO) <= _TS_SPAN).all(axis=1)
-        t -= np.uint8(ord("0"))
+        # field k of a line spans edge[k] + 1 .. edge[k + 1] - 1
+        c = first[lines]
+        edge = [(starts[lines] - 1).astype(itype), *(commas[c + k] for k in range(5)),
+                (stop[lines] - 1 - cr[lines]).astype(itype)]
+        lo = [e + 1 for e in edge[:6]]
+        ln = [edge[k + 1] - lo[k] for k in range(6)]
+        good = (ln[2] == 19) & (ln[4] <= 8) & (ln[5] <= 8)
+        for k in (0, 1, 3):
+            good &= (ln[k] >= 1) & (ln[k] <= _MAX_ID_BYTES)
+        u64 = np.ndarray(len(block) + 57, dtype="<u8", buffer=arr, strides=(1,))
+        kind, found = _match(_KIND_KEYS, _lower(_word(u64, lo[4], ln[4])))
+        good &= found
+        direction, found = _match(_DIRECTION_KEYS, _lower(_word(u64, lo[5], ln[5])))
+        good &= found
 
-        def number(k, width):
-            v = t[:, k].astype(np.int32)
-            for j in range(k + 1, k + width):
-                v = v * 10 + t[:, j]
-            return v
-
-        month, day = number(5, 2), number(8, 2)
-        hh, mm, ss = number(11, 2), number(14, 2), number(17, 2)
-        mi = np.clip(month - 1, 0, 11)
-        good &= (number(0, 4) == self.year) & (month >= 1) & (month <= 12)
-        good &= (day >= 1) & (day <= self.month_days[mi])
+        w = (u64[lo[2]], u64[lo[2] + 8], u64[lo[2] + 11])
+        for word, (mask, want, six, carry) in zip(w, self.ts_template):
+            good &= (word & mask) == want
+            good &= ((word + six) & carry) == 0
+        month = _pairs(w[0]) >> np.uint64(32) & np.uint64(0xFF00)
+        day = self.day_start[month | _pairs(w[1]) & np.uint64(0xFF)]
+        good &= day != _NO_DAY
+        hh, mm, ss = (_pairs(w[2]) >> np.uint64(8 * k) & np.uint64(0xFF) for k in (0, 3, 6))
         good &= (hh <= 23) & (mm <= 59) & (ss <= 59)
-        ts = self.month_start[mi] + (day - 1) * np.int64(86400) + (hh * 3600 + mm * 60 + ss)
+        ts = day + (hh * np.uint64(3600) + mm * np.uint64(60) + ss).astype(np.int64)
 
-        # towers and ids are looked up once per distinct value in the block
-        words = _words(u64, lo[:, 3], ln[:, 3], -(-int(ln[:, 3].max()) // 8))
-        first, inv = _distinct(words)
-        index = [self.registry.index_of(t) for t in _text(words[first])]
-        tower = np.array([-1 if i is None else i for i in index], dtype=np.int32)[inv]
-        good &= tower >= 0
+        nw = self.tower_words
+        if nw == 1:
+            key = _word(u64, lo[3], ln[3])
+        else:
+            key = _words(u64, lo[3], ln[3], nw).view(f"S{8 * nw}")[:, 0]
+        tower, found = _lookup(self.tower_keys, key)
+        good &= found & (ln[3] <= 8 * nw)
+        if not good.any():
+            return starts, stop, canonical, lines[:0], None
 
-        n = -(-int(ln[:, :2].max()) // 8)
-        words = np.concatenate((_words(u64, lo[:, 0], ln[:, 0], n), _words(u64, lo[:, 1], ln[:, 1], n)))
-        first, inv = _distinct(words)
+        # ids are interned once per distinct value in the block
+        m = len(lines)
+        n = -(-int(max(ln[0].max(where=good, initial=0), ln[1].max(where=good, initial=0))) // 8)
+        words = _words(u64, np.concatenate(lo[:2]), np.concatenate(ln[:2]), n)
+        once, inv = _distinct(words)
         ego, peer = inv[:m], inv[m:]
         good &= ego != peer
         ego, peer = ego[good], peer[good]
-        used = np.zeros(len(first), dtype=bool)
+        used = np.zeros(len(once), dtype=bool)
         used[ego] = used[peer] = True
-        code = np.zeros(len(first), dtype=np.int32)
-        code[used] = cols.intern(_text(words[first[used]]))
+        code = np.zeros(len(once), dtype=np.int32)
+        code[used] = cols.intern(_text(words[once[used]]))
         lines = lines[good]
         canonical[lines] = True
         return starts, stop, canonical, lines, (
-            code[ego], ts[good], tower[good], kind[good], direction[good], code[peer]
+            code[ego], ts[good], self.tower_index[tower[good]], kind[good], direction[good],
+            code[peer],
         )
 
 
@@ -485,10 +583,10 @@ def ingest_file(
     may span lines. The order in which rows are gathered does not show:
     the table is sorted on every column.
 
-    A leading header row is skipped without being counted: one whose
-    timestamp does not parse and whose kind and direction are not event
-    tokens either. A first row with only a bad timestamp is data, and is
-    rejected as such.
+    One leading UTF-8 byte order mark is skipped, and so is a leading
+    header row, without being counted: one whose timestamp does not parse
+    and whose kind and direction are not event tokens either. A first row
+    with only a bad timestamp is data, and is rejected as such.
     """
     if is_spool(path):
         return read_spool(path, registry, analysis_year, reciprocity)
@@ -520,7 +618,9 @@ def ingest_file(
             cols.append(rows)
 
     with open(path, "rb") as fh:
-        offset = 0  # of the block in the file
+        head = len(_BOM) if fh.read(len(_BOM)) == _BOM else 0
+        fh.seek(head)
+        offset = head  # of the block in the file
         carry = b""
         while True:
             chunk = fh.read(_BLOCK_BYTES)
@@ -535,14 +635,14 @@ def ingest_file(
                 block = block[: block.rfind(b"\n", 0, quote) + 1]
             if block:
                 # the last line of a file may lack its newline
-                add_block(block if block.endswith(b"\n") else block + b"\n", offset == 0)
+                add_block(block if block.endswith(b"\n") else block + b"\n", offset == head)
             if quote >= 0:
                 # a quoted field may span lines: the rest goes row by row
                 fh.seek(offset + len(block))
                 reader = csv.reader(
                     io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline="")
                 )
-                cols.append(row_path(_skip_header(reader) if offset + len(block) == 0 else reader))
+                cols.append(row_path(_skip_header(reader) if offset + len(block) == head else reader))
                 break
             if not chunk:
                 break

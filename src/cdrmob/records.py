@@ -210,9 +210,10 @@ class TowerRegistry:
 
 
 def _read_rows(path):
-    """The CSV rows of a small input file. A byte that is not UTF-8 is
-    fatal, and named by file and line."""
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    """The CSV rows of a small input file, after one leading UTF-8 byte
+    order mark if it has one. A byte that is not UTF-8 is fatal, and named
+    by file and line."""
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if _undecodable(row):

@@ -158,6 +158,8 @@ class GenConfig:
             raise ValueError("female_activity_excess has one entry per density class (5)")
         validate_boundaries(self.area_boundaries)
         month_starts(self.analysis_year)  # refuses a year outside 1-9998
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         flip = self.activity_flip
         if flip is not None and not (
             isinstance(flip, (tuple, list))

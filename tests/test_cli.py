@@ -194,6 +194,22 @@ def test_gen_config_refuses_what_generation_would_crash_on(tmp_path, capsys, set
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["50", "0"])
+def test_demo_with_too_few_individuals_is_a_usage_error(tmp_path, capsys, n):
+    # the demo's 400 settlements need more genuine individuals than 50
+    out = tmp_path / "demo"
+    assert main(["demo", "--out", str(out), "--n", n]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "refused"
+    assert main(["generate", "--out", str(out), "--n", "50", "--cells", "5", "--seed", "-1"]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stage_outputs_match_the_full_report(small_corpus, tmp_path, capsys):
     corpus, truth = small_corpus
     common = [
@@ -285,6 +301,25 @@ def test_crlf_copy_gives_the_same_report(small_corpus, tmp_path, capsys):
     capsys.readouterr()
     lf = _outputs(tmp_path / "lf")
     assert "summary.json" in lf and lf == _outputs(tmp_path / "crlf")
+
+
+def test_a_byte_order_mark_on_each_input_changes_no_output(small_corpus, tmp_path, capsys):
+    # headerless inputs, so that the mark sits on the first data row
+    corpus, truth = small_corpus
+    reports = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        inputs = tmp_path / f"inputs{len(mark)}"
+        inputs.mkdir()
+        for name in (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE):
+            with open(os.path.join(corpus, name), "rb") as fh:
+                (inputs / name).write_bytes(mark + fh.read().split(b"\n", 1)[1])
+        out = tmp_path / f"report{len(mark)}"
+        assert main(["report", "--cdr", str(inputs / CDR_FILE), "--towers", str(inputs / TOWERS_FILE),
+                     "--demographics", str(inputs / DEMOGRAPHICS_FILE), "--area-bounds",
+                     ",".join(str(b) for b in truth.area_boundaries), "--out", str(out)]) == 0
+        reports.append(_outputs(out))
+    capsys.readouterr()
+    assert "summary.json" in reports[0] and reports[0] == reports[1]
 
 
 def test_outputs_do_not_depend_on_the_block_size(tmp_path, capsys):

@@ -280,13 +280,13 @@ def test_spool_with_a_damaged_table_is_refused(tmp_path):
 # ------------------------------------------------ byte path against row path
 
 
-def _by_rows(path, **kw):
+def _by_rows(path, registry=REG, **kw):
     """ingest_rows over csv.reader of the file: what ingest_file must equal."""
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         rows = list(csv.reader(fh))
     if rows and _is_header(rows[0]):
         rows = rows[1:]
-    return ingest_rows(rows, REG, **kw)
+    return ingest_rows(rows, registry, **kw)
 
 
 def _assert_same_result(got, want):
@@ -423,8 +423,8 @@ def test_byte_path_equals_row_path_on_every_variant(tmp_path, block):
 
 
 def test_canonical_lines_take_the_byte_path(tmp_path):
-    # CRLF line ends included, so that such exports stay fast; only the
-    # upper-case line is parsed row by row
+    # CRLF line ends and upper-case tokens included, so that such exports
+    # stay fast: no line is parsed row by row
     p = tmp_path / "cdr.csv"
     p.write_bytes(
         b"a,b,2008-06-01T10:00:00,T1,call,out\r\n"
@@ -434,7 +434,7 @@ def test_canonical_lines_take_the_byte_path(tmp_path):
     )
     with mock.patch.object(ingest, "parse_event_fields", wraps=ingest.parse_event_fields) as spy:
         res = ingest_file(p, REG)
-    assert spy.call_count == 1
+    assert spy.call_count == 0
     assert res.stats.rows_read == 4 and res.stats.events_valid == 4
 
 
@@ -488,3 +488,101 @@ def test_row_order_equals_lexsort():
     got = ingest._row_order(ego, ts, tower, kind, direction)
     assert (got == np.lexsort((direction, kind, tower, ts, ego))).all()
     assert len(ingest._row_order(*(c[:0] for c in (ego, ts, tower, kind, direction)))) == 0
+
+
+# ------------------------------------------------------ decoder edge cases
+
+
+def _same_as_rows(path, registry=REG, blocks=(1, 1 << 20), **kw):
+    """Check ingest_file against the row path at each block size, and
+    return the row path's result."""
+    want = _by_rows(path, registry, **kw)
+    for block in blocks:
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+            _assert_same_result(ingest_file(path, registry, **kw), want)
+    return want
+
+
+@pytest.mark.parametrize("year", [2008, 5])
+@pytest.mark.parametrize("pos", range(19))
+def test_every_printable_byte_in_every_timestamp_position(tmp_path, pos, year):
+    # one line per printable ASCII byte at this position; a quote sends the
+    # rest of the file down the row path, so its line comes last
+    ts = f"{year:04d}-06-15T12:34:56"
+    chars = sorted(map(chr, range(0x20, 0x7F)), key=lambda c: c == '"')
+    lines = [f"a,b,{ts[:pos]}{c}{ts[pos + 1:]},T1,call,out\n" for c in chars]
+    p = tmp_path / "cdr.csv"
+    p.write_text(f"b,a,{ts},T2,sms,in\n" + "".join(lines))
+    got = _same_as_rows(p, blocks=(1 << 20,), analysis_year=year, reciprocity="none")
+    assert got.stats.events_valid > 1 and got.stats.rows_rejected
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_ids_at_the_byte_path_length_limit(tmp_path, n):
+    ids = ["a" * n, "a" * (n - 1) + "b", "b" + "a" * (n - 1), "c"]
+    rows = [f"{x},{y},2008-06-01T{h % 24:02d}:00:00,T{1 + h % 3},call,out\n"
+            for h, (x, y) in enumerate((x, y) for x in ids for y in ids if x != y)]
+    p = tmp_path / "cdr.csv"
+    p.write_text("".join(rows))
+    got = _same_as_rows(p)
+    assert got.table.ids == sorted(ids)
+
+
+def test_towers_of_several_words(tmp_path):
+    # ids of 8, 9 and 17 bytes take keys of three words; lines name each,
+    # and ids that extend or cut one of them by a byte
+    known = ["ABCDEFGH", "ABCDEFGHI", "ABCDEFGHIJKLMNOPQ"]
+    reg = TowerRegistry({t: (40.0 + i / 10, 20.0) for i, t in enumerate(known)})
+    towers = known + ["ABCDEFG", "ABCDEFGHIJ", "ABCDEFGHIJKLMNOP", "ABCDEFGHIJKLMNOPQR", "abcdefgh"]
+    rows = [f"a,b,2008-06-01T{h:02d}:00:00,{t},call,out\nb,a,2008-06-01T{h:02d}:30:00,{t},sms,in\n"
+            for h, t in enumerate(towers)]
+    p = tmp_path / "cdr.csv"
+    p.write_text("".join(rows))
+    got = _same_as_rows(p, reg)
+    assert got.stats.events_valid == 2 * len(known)
+    assert got.stats.rows_rejected == {"unknown_tower": 2 * (len(towers) - len(known))}
+
+
+@pytest.mark.parametrize("ids", [["Tö"], ["T1\x00"], ["T 1"], [""], ["T" * 65], []])
+def test_a_registry_id_no_canonical_line_can_hold(tmp_path, ids):
+    # such an id is left out of the byte path's keys: "T1\x00", padded with
+    # zeros, would otherwise equal the unknown "T1"
+    reg = TowerRegistry({t: (40.0 + i / 10, 20.0) for i, t in enumerate(ids + ["T2"][: len(ids)])})
+    rows = [f"a,b,2008-06-01T{h:02d}:00:00,{t},call,out\nb,a,2008-06-01T{h:02d}:30:00,{t},sms,in\n"
+            for h, t in enumerate(["T1", "T2", "Tö", *ids])]
+    p = tmp_path / "cdr.csv"
+    p.write_text("".join(rows), encoding="utf-8")
+    got = _same_as_rows(p, reg)
+    assert got.stats.rows_rejected["unknown_tower"] >= 2
+
+
+@pytest.mark.parametrize("line", [
+    "a,b,2008-06-01T10:00:00,T9,call,out",  # unknown tower
+    "a,b,2008-13-01T10:00:00,T1,call,out",  # no such date
+    "a,b,2008-06-01T10:00:00,T1,fax,out",  # no such kind
+    "a,a,2008-06-01T10:00:00,T1,call,out",  # self call
+    "a,b,2008-06-01 10:00:00,T1,call,out",  # not canonical: a space
+    "a,b,2008-06-01T10:00:00,T1,call",  # not canonical: 4 commas
+])
+def test_a_block_without_a_canonical_line(tmp_path, line):
+    p = tmp_path / "cdr.csv"
+    p.write_text((line + "\n") * 3)
+    got = _same_as_rows(p, blocks=(1, 40, 1 << 20))
+    assert got.stats.rows_read == 3
+
+
+@pytest.mark.parametrize("first", [
+    "a,b,2008-06-01T10:00:00,T1,call,out",  # byte path
+    '"a",b,2008-06-01T10:00:00,T1,call,out',  # a quote: row path from here
+    "ego_id,peer_id,timestamp,tower_id,kind,direction",  # a header
+    '"ego_id",peer_id,timestamp,tower_id,kind,direction',  # a quoted header
+])
+def test_a_byte_order_mark_is_skipped(tmp_path, first):
+    body = first + "\nb,a,2008-06-01T11:00:00,T2,sms,in\nb,c,2008-06-01T12:00:00,T3,call,out\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(body)
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode())
+    want = _same_as_rows(plain)
+    for block in (1, 1 << 20):
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+            _assert_same_result(ingest_file(marked, REG), want)
