@@ -88,18 +88,6 @@ def build_density(lat: np.ndarray, lon: np.ndarray, grid: GridSpec, year=None) -
     return GridDensity(grid, uniq[:, 0], uniq[:, 1], pop, dens, ma, mm, mr)
 
 
-def build_density_from_counts(counts: dict[tuple[int, int], int], grid: GridSpec) -> GridDensity:
-    """Grid density straight from per-cell head counts."""
-    keys = sorted(k for k, v in counts.items() if v > 0)
-    if not keys:
-        raise DensityError("no inhabited cells")
-    ci = np.array([k[0] for k in keys])
-    cj = np.array([k[1] for k in keys])
-    pop = np.array([counts[k] for k in keys])
-    area = np.array([grid.cell_area_km2(int(i)) for i in ci])
-    return GridDensity(grid, ci, cj, pop, pop / area)
-
-
 def rank_desc(values: np.ndarray) -> np.ndarray:
     """Average-tie ranks, rank 1 for the largest value: a tie group
     holding sorted positions start..end-1 shares rank (start + end + 1) / 2."""
@@ -215,13 +203,13 @@ def validate_boundaries(boundaries) -> tuple[int, ...]:
     return b
 
 
-def classify_areas(gd: GridDensity, boundaries=DEFAULT_AREA_BOUNDARIES) -> np.ndarray:
-    """Density class 1..5 per grid row: class 1 holds ranks up to the
-    first boundary, class 5 everything past the last. Tied densities share
-    a rank and therefore a class."""
+def classify_areas(density: np.ndarray, boundaries=DEFAULT_AREA_BOUNDARIES) -> np.ndarray:
+    """Density class 1..5 of each cell of a density array: class 1 holds
+    ranks up to the first boundary, class 5 everything past the last. Tied
+    densities share a rank and therefore a class."""
     b = validate_boundaries(boundaries)
-    ranks = rank_desc(gd.density)
-    labels = np.full(len(gd), len(b) + 1, dtype=np.int64)
+    ranks = rank_desc(density)
+    labels = np.full(len(ranks), len(b) + 1, dtype=np.int64)
     for bound in b:
         labels -= (ranks <= bound).astype(np.int64)
     return labels

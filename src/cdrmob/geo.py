@@ -46,13 +46,9 @@ class GridSpec:
         if self.step <= 0:
             raise ValueError("grid step must be positive")
 
-    def cell_of(self, lat: float, lon: float) -> tuple[int, int]:
-        """Cell index (i, j) of a point; cells are half-open so a point on a
-        boundary belongs to the higher cell."""
-        return math.floor(lat / self.step), math.floor(lon / self.step)
-
     def cells_of(self, lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized cell_of."""
+        """Cell indices (i, j) of points; cells are half-open, so a point on
+        a boundary belongs to the higher cell."""
         i = np.floor(np.asarray(lats) / self.step).astype(np.int64)
         j = np.floor(np.asarray(lons) / self.step).astype(np.int64)
         return i, j

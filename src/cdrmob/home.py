@@ -27,48 +27,31 @@ from .metrics import TableMetrics, rms, segment_rows
 from .records import TowerRegistry
 
 
+# The daily profile has 30-minute bins, each fitted at its centre hour, and
+# the inactivity window is 6 hours wide.
+BIN_MINUTES = 30
+BIN_CENTERS_H = (np.arange(1440 // BIN_MINUTES) + 0.5) * (BIN_MINUTES / 60.0)
+NIGHT_HOURS = 6.0
+
+
 class UnimodalProfileError(Exception):
     """The daily profile does not show two separated peaks."""
 
 
-@dataclass
-class DailyProfile:
-    """Population daily rhythm: one value per time-of-day bin.
-
-    activity is the mean event count per individual per bin; mobility is
-    the root mean square displacement over all pooled displacement pairs
-    in the bin.
-    """
-
-    bin_minutes: int
-    values: np.ndarray
-
-    @property
-    def nbins(self) -> int:
-        return len(self.values)
-
-    def bin_centers_hours(self) -> np.ndarray:
-        w = self.bin_minutes / 60.0
-        return (np.arange(self.nbins) + 0.5) * w
-
-
-def daily_profile(tm: TableMetrics, bin_minutes: int) -> tuple[DailyProfile, DailyProfile]:
-    """Pool every individual's events into time-of-day bins; returns the
-    (activity, mobility) profiles. Per-individual sums are added up row by
-    row in id order, one block of individuals at a time."""
-    if 1440 % bin_minutes:
-        raise ValueError("bin width must divide the day evenly")
-    nbins = 1440 // bin_minutes
+def daily_profile(tm: TableMetrics) -> tuple[np.ndarray, np.ndarray]:
+    """Population daily rhythm, one value per bin of BIN_CENTERS_H:
+    (activity, mobility). Activity is the mean event count per individual
+    in the bin; mobility the root mean square displacement over all pooled
+    displacement pairs starting in the bin. Per-individual sums are added
+    up row by row in id order, one block of individuals at a time."""
+    nbins = len(BIN_CENTERS_H)
     a, d2sum, pairs = np.zeros(nbins, dtype=np.int64), np.zeros(nbins), np.zeros(nbins, dtype=np.int64)
     for lo, hi in tm.blocks(nbins):
         ba, bd2, _, bpairs = tm.time_of_day(nbins, lo, hi)
         # one sequential sum over the rows, continued from the previous blocks
         a, d2sum, pairs = (np.add.reduce(np.vstack((t[None], b)), axis=0)
                            for t, b in ((a, ba), (d2sum, bd2), (pairs, bpairs)))
-    return (
-        DailyProfile(bin_minutes, a / max(len(tm.table), 1)),
-        DailyProfile(bin_minutes, rms(d2sum, pairs)),
-    )
+    return a / max(len(tm.table), 1), rms(d2sum, pairs)
 
 
 @dataclass
@@ -394,17 +377,17 @@ def _quadratic(J, g, s, diag):
     return 0.5 * q + np.dot(s, g)
 
 
-def fit_bimodal(profile: DailyProfile) -> BimodalFit:
-    """Fit floor + two Gaussians to the profile at bin centers, by bounded
-    least squares from three starts; the start with the smallest sum of
-    squares wins.
+def fit_bimodal(profile: np.ndarray) -> BimodalFit:
+    """Fit floor + two Gaussians to a daily profile at BIN_CENTERS_H, by
+    bounded least squares from three starts; the start with the smallest
+    sum of squares wins.
 
     Raises UnimodalProfileError when the optimizer cannot place two
     separated, non-vanishing components (peaks closer than 2 h, or the
     smaller amplitude under 5% of the larger).
     """
-    t = profile.bin_centers_hours()
-    y = np.asarray(profile.values, dtype=float)
+    t = BIN_CENTERS_H
+    y = np.asarray(profile, dtype=float)
     span = float(y.max() - y.min())
     if span <= 0:
         raise UnimodalProfileError("profile is flat")
@@ -447,23 +430,20 @@ def fit_bimodal(profile: DailyProfile) -> BimodalFit:
     return BimodalFit(mu1, s1, a1, mu2, s2, a2, base, rmse)
 
 
-def find_inactive_window(profile: DailyProfile, window_hours: float = 6.0) -> tuple[float, float]:
-    """Start/end clock hours of the quietest window of the given width.
+def find_inactive_window(profile: np.ndarray) -> tuple[float, float]:
+    """Start/end clock hours of the quietest NIGHT_HOURS of a daily profile.
 
     The window slides circularly in whole bins; ties resolve to the
     earliest clock start. End may exceed 24 only conceptually; it is
     reported modulo 24 (e.g. (23.0, 5.0)).
     """
-    wbins = round(window_hours * 60 / profile.bin_minutes)
-    if wbins < 1 or wbins > profile.nbins:
-        raise ValueError("window width out of range")
-    y = np.asarray(profile.values, dtype=float)
+    wbins = round(NIGHT_HOURS * 60 / BIN_MINUTES)
+    y = np.asarray(profile, dtype=float)
     wrapped = np.concatenate((y, y[: wbins - 1]))
     sums = np.convolve(wrapped, np.ones(wbins), mode="valid")
     start_bin = int(np.argmin(sums))  # first minimum = earliest clock start
-    w = profile.bin_minutes / 60.0
-    start = start_bin * w
-    end = (start + window_hours) % 24.0
+    start = start_bin * (BIN_MINUTES / 60.0)
+    end = (start + NIGHT_HOURS) % 24.0
     return start, (24.0 if end == 0 else end)
 
 

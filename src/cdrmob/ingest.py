@@ -51,6 +51,7 @@ from .records import (
     RowReject,
     TowerRegistry,
     month_starts,
+    nul_free,
     parse_event_fields,
     parse_timestamp,
     write_json,
@@ -578,9 +579,10 @@ def ingest_file(
     (see _ByteParser) are decoded in vectorised form. Every other line is
     decoded as UTF-8 (an invalid byte makes its row a bad_encoding reject)
     and goes through csv.reader and parse_event_fields, exactly as
-    ingest_rows would take it. From the line of the first double quote on,
-    the whole rest of the file takes that row path, because a quoted field
-    may span lines. The order in which rows are gathered does not show:
+    ingest_rows would take it; a line that holds a NUL byte is counted as
+    a bad_encoding reject before csv.reader sees it. From the line of the
+    first double quote on, the whole rest of the file takes that row path,
+    because a quoted field may span lines. The order in which rows are gathered does not show:
     the table is sorted on every column.
 
     One leading UTF-8 byte order mark is skipped, and so is a leading
@@ -601,6 +603,10 @@ def ingest_file(
     def row_path(rows, into=None):
         return cols.parse_rows(rows, registry, *bounds, stats, into)
 
+    def nul_line(_):
+        stats.rows_read += 1
+        stats.reject("bad_encoding")
+
     def add_block(block: bytes, first: bool) -> None:
         """Rows of a block of whole lines, in two parts: canonical lines
         decoded in vectorised form, then every run of other lines as text."""
@@ -612,7 +618,7 @@ def ingest_file(
         rows = None
         for run in np.split(slow, np.flatnonzero(np.diff(slow) != 1) + 1) if len(slow) else ():
             text = block[starts[run[0]]: stop[run[-1]]].decode("utf-8", "surrogateescape")
-            reader = csv.reader(io.StringIO(text, newline=""))
+            reader = csv.reader(nul_free(io.StringIO(text, newline=""), nul_line))
             rows = row_path(_skip_header(reader) if first and run[0] == 0 else reader, rows)
         if rows is not None and len(rows[0]):
             cols.append(rows)
@@ -639,9 +645,10 @@ def ingest_file(
             if quote >= 0:
                 # a quoted field may span lines: the rest goes row by row
                 fh.seek(offset + len(block))
-                reader = csv.reader(
-                    io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline="")
-                )
+                reader = csv.reader(nul_free(
+                    io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=""),
+                    nul_line,
+                ))
                 cols.append(row_path(_skip_header(reader) if offset + len(block) == head else reader))
                 break
             if not chunk:

@@ -268,8 +268,8 @@ class TableMetrics:
         return count(key), count(pk, self.d2[r0:r1][pm]), h2, count(pk)
 
     def _tod_bins(self, nbins: int, lo: int, hi: int) -> np.ndarray:
-        if 86400 % nbins:
-            raise ValueError("time-of-day bins must divide the day evenly")
+        """Time-of-day bin of each event of individuals lo..hi-1, for nbins
+        that divide the day evenly."""
         r0, r1, _ = self._rows(lo, hi)
         return (self.table.ts[r0:r1] % 86400) // (86400 // nbins)
 

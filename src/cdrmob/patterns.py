@@ -41,11 +41,8 @@ KINDS = (
 
 
 class PatternError(Exception):
-    pass
-
-
-class EmptyCohortError(PatternError):
-    """No individual in the cohort can contribute a sample."""
+    """A series or table cannot be formed: an empty cohort, or a
+    normalized series whose level is zero."""
 
 
 @dataclass
@@ -78,7 +75,7 @@ def pattern(
         raise ValueError(f"unknown pattern kind {axis}/{value}/{statistic}")
     rows = np.arange(len(tm.table)) if rows is None else np.asarray(rows, dtype=np.int64)
     if not len(rows):
-        raise EmptyCohortError(f"no usable individuals for {value} pattern")
+        raise PatternError(f"no usable individuals for {value} pattern")
 
     def select(v):
         """The cohort's samples of a matrix of windows, row-major, as floats."""
@@ -153,7 +150,7 @@ def demographic_table(
     rows = np.flatnonzero(np.isin(ids, known_ids))
     skipped = len(ids) - len(rows)
     if not len(rows):
-        raise EmptyCohortError("no individuals with demographics")
+        raise PatternError("no individuals with demographics")
     pos = np.searchsorted(known_ids, ids[rows])
     a, mob, rg, _ = (x[rows, 0] for x in tm.windows(np.array(year_bounds(analysis_year))))
     act = a.astype(float)

@@ -43,6 +43,8 @@ from .density import (
 )
 from .geo import GridSpec
 from .home import (
+    BIN_CENTERS_H,
+    BIN_MINUTES,
     compute_homes,
     daily_profile,
     find_inactive_window,
@@ -61,13 +63,10 @@ REFERENCE_CORR_MOBILITY = -0.11
 REFERENCE_AREA_DENSITY_KM2 = (1252.9, 418.7, 83.2, 10.0, 1.5)
 
 # Fixed analysis settings: the cell size of the fine grid that measures
-# each density class (degrees), the width of the inactivity window
-# (hours), how far from every tower a home counts as at sea (km), and the
-# bin width of the daily profile (minutes).
+# each density class (degrees), and how far from every tower a home counts
+# as at sea (km).
 FINE_STEP = 0.01
-NIGHT_HOURS = 6.0
 AT_SEA_KM = 10.0
-BIN_MINUTES = 30
 
 
 class PipelineError(Exception):
@@ -186,7 +185,7 @@ class Pipeline:
 
     @property
     def profiles(self):
-        return self._stage("profile", lambda: daily_profile(self.steps, BIN_MINUTES))
+        return self._stage("profile", lambda: daily_profile(self.steps))
 
     @property
     def activity_profile(self):
@@ -203,7 +202,7 @@ class Pipeline:
                 return self.config.night_window
             # confirm the rhythm is two-peaked before trusting its minimum
             self.circadian_fit
-            return find_inactive_window(self.activity_profile, NIGHT_HOURS)
+            return find_inactive_window(self.activity_profile)
 
         return self._stage("window", run)
 
@@ -272,7 +271,7 @@ class Pipeline:
     @property
     def labels(self):
         return self._stage(
-            "areas", lambda: classify_areas(self.grid_density, self.config.area_boundaries)
+            "areas", lambda: classify_areas(self.grid_density.density, self.config.area_boundaries)
         )
 
     @property
@@ -519,8 +518,7 @@ def build_summary(pipe: Pipeline) -> dict:
 
 
 def _profile_columns(pipe: Pipeline) -> list:
-    act, mob = pipe.profiles
-    return [(act.bin_centers_hours(), act.values, mob.values)]
+    return [(BIN_CENTERS_H, *pipe.profiles)]
 
 
 def _homes_columns(pipe: Pipeline) -> list:
@@ -553,8 +551,7 @@ def _pattern_columns(pipe: Pipeline):
 
 def _plot_tables(pipe: Pipeline):
     """(file name, header, columns) of each two-column plot-data file."""
-    act = pipe.activity_profile
-    yield "daily_activity.csv", "hour,activity", (act.bin_centers_hours(), act.values)
+    yield "daily_activity.csv", "hour,activity", (BIN_CENTERS_H, pipe.activity_profile)
     d = np.sort(pipe.grid_density.density)[::-1]
     yield "rank_size.csv", "log10_rank,log10_density", (
         np.log10(np.arange(1, len(d) + 1)), np.log10(np.maximum(d, 1e-300))

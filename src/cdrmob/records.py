@@ -71,45 +71,26 @@ class EventRecord:
 
 _EPOCH_DAY = date(1970, 1, 1).toordinal()
 EPOCH_WEEKDAY = 3  # 1970-01-01 was a Thursday; weekday index 0 is Monday
-_date_epoch_cache: dict[str, int] = {}
 
-
-# the exact 'YYYY-MM-DD[T ]HH:MM:SS' shape, with ASCII digits only (int()
-# alone would also read a sign, a space or any Unicode digit)
-_TIMESTAMP = re.compile(r"(\d{4}-\d\d-\d\d)[T ](\d\d):(\d\d):(\d\d)", re.ASCII)
+# The one timestamp grammar: YYYY-MM-DD, optionally with [T ]HH:MM and then
+# :SS, in ASCII digits only. fromisoformat alone accepts more, and what more
+# depends on the Python version (ISO week dates, basic format, fractions).
+_TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\d(?:[T ]\d\d:\d\d(?::\d\d)?)?", re.ASCII)
 
 
 def parse_timestamp(text: str) -> int:
     """ISO-8601 local timestamp -> epoch seconds of that civil time.
 
-    Fast path for the exact 'YYYY-MM-DD[T ]HH:MM:SS' shape (with a per-date
-    cache); anything else falls through to datetime.fromisoformat. Either
-    way every digit must be an ASCII digit.
+    Surrounding whitespace is stripped; the rest must be YYYY-MM-DD or
+    YYYY-MM-DD[T ]HH:MM[:SS] of a real date and time.
     """
     s = text.strip()
-    m = _TIMESTAMP.fullmatch(s)
-    if m:
-        d, hh, mm, ss = m.groups()
-        day = _date_epoch_cache.get(d)
-        if day is None:
-            try:
-                day = (date(int(d[:4]), int(d[5:7]), int(d[8:])).toordinal() - _EPOCH_DAY) * 86400
-            except ValueError:
-                raise RowReject("bad_timestamp", text)
-            _date_epoch_cache[d] = day
-        hh, mm, ss = int(hh), int(mm), int(ss)
-        if hh > 23 or mm > 59 or ss > 59:
-            raise RowReject("bad_timestamp", text)
-        return day + hh * 3600 + mm * 60 + ss
-    if not s.isascii():
+    if not _TIMESTAMP.fullmatch(s):
         raise RowReject("bad_timestamp", text)
     try:
         dt = datetime.fromisoformat(s)
     except ValueError:
         raise RowReject("bad_timestamp", text)
-    if dt.tzinfo is not None:
-        # civil local time only; zone-aware inputs are not comparable
-        raise RowReject("bad_timestamp", f"timezone-aware: {text}")
     return (dt.toordinal() - _EPOCH_DAY) * 86400 + dt.hour * 3600 + dt.minute * 60 + dt.second
 
 
@@ -143,6 +124,17 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def nul_free(lines, on_nul):
+    """The lines that hold no NUL character; on_nul(line number, from 1)
+    is called for each one that does. csv.reader refuses a NUL before
+    Python 3.11 and keeps it from then on, so no such line may reach it."""
+    for n, line in enumerate(lines, start=1):
+        if "\0" in line:
+            on_nul(n)
+        else:
+            yield line
+
+
 def _undecodable(row: list[str]) -> bool:
     """Whether a row read with errors="surrogateescape" held bytes that
     are not UTF-8 (they decode to lone surrogates, which do not encode)."""
@@ -156,9 +148,9 @@ def _undecodable(row: list[str]) -> bool:
 def parse_event_fields(row: list[str], year_start: int, year_end: int) -> EventRecord:
     """Validate one already-split CDR row (ego_id, peer_id, timestamp,
     tower_id, kind, direction). Raises RowReject on any defect, the first
-    of: bad_encoding, missing_column, self_call, bad_timestamp,
-    outside_year, bad_kind, bad_direction."""
-    if not all(map(str.isascii, row)) and _undecodable(row):
+    of: bad_encoding (bytes that are not UTF-8, or a NUL), missing_column,
+    self_call, bad_timestamp, outside_year, bad_kind, bad_direction."""
+    if any("\0" in f for f in row) or (not all(map(str.isascii, row)) and _undecodable(row)):
         raise RowReject("bad_encoding", ascii(",".join(row)))
     if len(row) < 6:
         raise RowReject("missing_column", ",".join(row))
@@ -211,10 +203,13 @@ class TowerRegistry:
 
 def _read_rows(path):
     """The CSV rows of a small input file, after one leading UTF-8 byte
-    order mark if it has one. A byte that is not UTF-8 is fatal, and named
-    by file and line."""
+    order mark if it has one. A byte that is not UTF-8 is fatal, and so is
+    a NUL, each named by file and line."""
+    def nul(n):
+        raise CdrError(f"{path}:{n}: holds a NUL byte")
+
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(nul_free(fh, nul))
         for row in reader:
             if _undecodable(row):
                 raise CdrError(f"{path}:{reader.line_num}: not valid UTF-8")

@@ -37,13 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .density import (
-    DensityError,
-    build_density_from_counts,
-    classify_areas,
-    rank_desc,
-    validate_boundaries,
-)
+from .density import DensityError, classify_areas, rank_desc, validate_boundaries
 from .geo import GridSpec, offset_km
 from .records import EPOCH_WEEKDAY, age_group_of, format_timestamp, month_starts, write_json
 
@@ -215,11 +209,22 @@ class GroundTruth:
     spam_ids: list
 
     def to_json(self, path) -> None:
+        """Write the bytes of json.dump(vars(self), separators=(",", ":"),
+        sort_keys=True) and a newline, with the individuals encoded _CHUNK
+        at a time, so that no string holds them all."""
+        def dumps(doc) -> str:
+            # dumps runs the C encoder, where dump streams through Python
+            return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+        # the fields as they are: asdict would deep-copy every individual's entry
+        head, tail = dumps(dict(vars(self), egos={})).split('"egos":{}')
+        ids = sorted(self.egos)
         with open(path, "w", encoding="utf-8") as fh:
-            # the fields as they are: asdict would deep-copy every individual's
-            # entry; dumps runs the C encoder, where dump streams through Python
-            fh.write(json.dumps(vars(self), separators=(",", ":"), sort_keys=True))
-            fh.write("\n")
+            fh.write(head + '"egos":{')
+            for lo in range(0, len(ids), _CHUNK):
+                part = dumps({e: self.egos[e] for e in ids[lo: lo + _CHUNK]})
+                fh.write(("," if lo else "") + part[1:-1])
+            fh.write("}" + tail + "\n")
 
     @classmethod
     def from_json(cls, path) -> "GroundTruth":
@@ -322,12 +327,8 @@ class _World:
         )
         self.act_density_mult = (rho / rho_mean) ** cfg.beta
 
-        gd = build_density_from_counts(
-            {self.cells[k]: int(pop[k]) for k in range(n)}, grid
-        )
-        rows = gd.rows_of(*np.array(self.cells).T)
-        self.rank = rank_desc(gd.density)[rows]
-        self.area = classify_areas(gd, cfg.area_boundaries)[rows]
+        self.rank = rank_desc(rho)
+        self.area = classify_areas(rho, cfg.area_boundaries)
 
         if cfg.activity_flip is not None:
             head, tail, pivot = cfg.activity_flip

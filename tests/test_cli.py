@@ -104,6 +104,29 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "latin1.csv:3: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_a_nul_byte_in_towers_or_demographics_exits_2(tmp_path, capsys):
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    nul = tmp_path / "nul.csv"
+    nul.write_bytes(b"tower_id,lat,lon\nt1,40.0,20.0\nt2\x00,40.1,20.1\n")
+    assert main(["metrics", *_analysis_args(cdr, nul, tmp_path / "out")]) == 2
+    assert "nul.csv:3: holds a NUL byte" in capsys.readouterr().err
+    nul.write_bytes(b"ego_id,gender,birth_year\na,F,1970\nb,M\x00,1980\n")
+    # demographics are read last, for the strata: a set window gets there
+    argv = ["patterns", *_analysis_args(cdr, towers, tmp_path / "out", "--demographics", str(nul),
+                                        "--night-window", "11:00-13:00")]
+    assert main(argv) == 2
+    assert "nul.csv:3: holds a NUL byte" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", ["20080301T000000", "2008-W09-6T00:00", "2008-03-01T00:00:00.5"])
+def test_a_window_outside_the_timestamp_grammar_is_a_usage_error(tmp_path, capsys, start):
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    argv = ["metrics", *_analysis_args(cdr, towers, tmp_path / "out", "--window",
+                                       f"{start}/2008-04-01T00:00:00")]
+    assert main(argv) == 1
+    assert "bad --window range" in capsys.readouterr().err
+
+
 def test_generate_writes_corpus_and_manifest(tmp_path, capsys):
     out = tmp_path / "corpus"
     rc = main(["generate", "--out", str(out), "--n", "60", "--cells", "6", "--seed", "4"])

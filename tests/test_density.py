@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from cdrmob.density import (
     BandCorrelation,
     DensityError,
-    GridDensity,
     build_density,
-    build_density_from_counts,
     classify_areas,
     ego_areas,
     rank_desc,
@@ -34,18 +32,6 @@ def _homes(*points):
     """(lat, lon) arrays of homes in id order; None for no home."""
     pts = np.array([p or (NAN, NAN) for p in points], dtype=float).reshape(-1, 2)
     return pts[:, 0].copy(), pts[:, 1].copy()
-
-
-def _gd_from_density(values):
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    return GridDensity(
-        GRID,
-        np.arange(n),
-        np.zeros(n, dtype=int),
-        np.maximum(values, 1).astype(int),
-        values,
-    )
 
 
 def test_build_density_counts_residents_per_cell():
@@ -78,16 +64,6 @@ def test_build_density_cell_means():
     assert gd.mean_rg[1] == pytest.approx(4.0)
     with pytest.raises(DensityError):
         build_density(*_homes(None), GRID)
-
-
-def test_build_density_from_counts_matches_build_density():
-    counts = {(800, 400): 2, (801, 400): 1}
-    gd = build_density_from_counts(counts, GRID)
-    ref = build_density(*_homes((40.01, 20.01), (40.02, 20.02), (40.07, 20.01)), GRID)
-    assert np.array_equal(gd.population, ref.population)
-    assert np.allclose(gd.density, ref.density)
-    with pytest.raises(DensityError):
-        build_density_from_counts({(800, 400): 0}, GRID)
 
 
 def test_rank_desc_average_ties():
@@ -218,8 +194,7 @@ def test_rank_size_exact_on_pure_power_law():
 
 def test_classify_areas_boundaries_and_ties():
     # 40 cells with distinct densities: ranks 1..40
-    gd = _gd_from_density(np.arange(40, 0, -1, dtype=float))
-    labels = classify_areas(gd, (2, 5, 10, 20))
+    labels = classify_areas(np.arange(40, 0, -1, dtype=float), (2, 5, 10, 20))
     assert labels[:2].tolist() == [1, 1]
     assert labels[2:5].tolist() == [2, 2, 2]
     assert labels[5:10].tolist() == [3] * 5
@@ -229,8 +204,8 @@ def test_classify_areas_boundaries_and_ties():
 
 def test_classify_areas_tied_cells_share_a_class():
     # two cells tied at the top share rank 1.5 and stay in class 1
-    gd = _gd_from_density([9.0, 9.0, 5.0, 1.0])
-    labels = classify_areas(gd, (2, 3, 4, 5))  # boundaries beyond n: tail classes empty
+    # boundaries beyond n: tail classes empty
+    labels = classify_areas(np.array([9.0, 9.0, 5.0, 1.0]), (2, 3, 4, 5))
     assert labels.tolist() == [1, 1, 2, 3]
 
 
@@ -244,7 +219,7 @@ def test_validate_boundaries():
 def test_ego_areas_follow_home_cells():
     lat, lon = _homes((40.01, 20.01), (40.02, 20.02), (40.07, 20.01), None)
     gd = build_density(lat, lon, GRID)
-    labels = classify_areas(gd, (1, 2, 3, 4))
+    labels = classify_areas(gd.density, (1, 2, 3, 4))
     areas = ego_areas(lat, lon, gd, labels)
     # the two-resident cell is denser, so it ranks first; 0 = no home
     assert areas.tolist() == [1, 1, 2, 0]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrmob.home import (
-    DailyProfile,
+    BIN_CENTERS_H,
     UnimodalProfileError,
     _curve_fit,
     _two_gauss,
@@ -40,25 +40,20 @@ def _table(events):
 
 def test_daily_profile_activity_means():
     tab = _table({
-        "a": (["2008-01-01T03:10:00", "2008-01-01T03:40:00"], [0, 0]),
-        "b": (["2008-02-05T03:20:00", "2008-02-05T05:30:00"], [1, 2]),
+        "a": (["2008-01-01T03:10:00", "2008-01-01T03:20:00"], [0, 0]),
+        "b": (["2008-02-05T03:00:00", "2008-02-05T05:30:00"], [1, 2]),
     })
-    prof, mob = daily_profile(TableMetrics(tab, REG), bin_minutes=60)
-    assert prof.nbins == 24
-    assert prof.values[3] == pytest.approx(1.5)  # 3 events over 2 individuals
-    assert prof.values[5] == pytest.approx(0.5)
-    assert prof.values[7] == 0.0
-    assert prof.bin_centers_hours()[0] == pytest.approx(0.5)
+    prof, mob = daily_profile(TableMetrics(tab, REG))
+    assert len(prof) == len(mob) == 48
+    assert prof[6] == pytest.approx(1.5)  # 3 events over 2 individuals in 03:00-03:30
+    assert prof[11] == pytest.approx(0.5)
+    assert prof[7] == 0.0
+    assert BIN_CENTERS_H[0] == pytest.approx(0.25)
     # mobility is the RMS over pairs starting in the bin: a's and b's both
-    # start at 03h, and only b's (to 05h) has a length
+    # start at 03:00-03:30, and only b's (to 05:30) has a length
     d = float(haversine_km(REG.lat[1], REG.lon[1], REG.lat[2], REG.lon[2]))
-    assert mob.values[3] == pytest.approx(d / np.sqrt(2))
-    assert mob.values[5] == 0.0
-
-
-def test_daily_profile_validation():
-    with pytest.raises(ValueError):
-        daily_profile(TableMetrics(_table({}), REG), bin_minutes=7)
+    assert mob[6] == pytest.approx(d / np.sqrt(2))
+    assert mob[11] == 0.0
 
 
 def _mixture(t, mu1, s1, a1, mu2, s2, a2, floor):
@@ -72,7 +67,7 @@ def _mixture(t, mu1, s1, a1, mu2, s2, a2, floor):
 def test_fit_recovers_constructed_two_peak_profile():
     t = (np.arange(48) + 0.5) * 0.5
     y = _mixture(t, 12.97, 2.36, 1.0, 19.72, 2.31, 0.85, 0.05)
-    fit = fit_bimodal(DailyProfile(30, y))
+    fit = fit_bimodal(y)
     assert fit.mu_day_h == pytest.approx(12.97, abs=1e-3)
     assert fit.mu_evening_h == pytest.approx(19.72, abs=1e-3)
     assert fit.sigma_day_h == pytest.approx(2.36, abs=1e-3)
@@ -82,33 +77,29 @@ def test_fit_recovers_constructed_two_peak_profile():
     assert fit.rmse < 1e-6
     # components come back ordered by hour even when the evening peak wins
     y2 = _mixture(t, 11.0, 2.0, 0.6, 20.0, 2.0, 1.0, 0.02)
-    fit2 = fit_bimodal(DailyProfile(30, y2))
+    fit2 = fit_bimodal(y2)
     assert fit2.mu_day_h < fit2.mu_evening_h
 
 
 def test_fit_rejects_degenerate_profiles():
     t = (np.arange(48) + 0.5) * 0.5
     with pytest.raises(UnimodalProfileError):
-        fit_bimodal(DailyProfile(30, np.ones(48)))
+        fit_bimodal(np.ones(48))
     one_peak = 0.05 + np.exp(-0.5 * ((t - 14.0) / 2.5) ** 2)
     with pytest.raises(UnimodalProfileError):
-        fit_bimodal(DailyProfile(30, one_peak))
+        fit_bimodal(one_peak)
 
 
 def test_find_inactive_window_plain_and_wrapped():
     y = np.ones(48)
     y[2:14] = 0.1  # quiet 01:00-07:00
-    assert find_inactive_window(DailyProfile(30, y)) == (1.0, 7.0)
+    assert find_inactive_window(y) == (1.0, 7.0)
     z = np.ones(48)
     z[46:] = 0.1  # quiet 23:00-05:00, wrapping midnight
     z[:10] = 0.1
-    assert find_inactive_window(DailyProfile(30, z)) == (23.0, 5.0)
+    assert find_inactive_window(z) == (23.0, 5.0)
     # ties resolve to the earliest clock start
-    assert find_inactive_window(DailyProfile(30, np.ones(48))) == (0.0, 6.0)
-    with pytest.raises(ValueError):
-        find_inactive_window(DailyProfile(30, y), window_hours=0.0)
-    with pytest.raises(ValueError):
-        find_inactive_window(DailyProfile(30, y), window_hours=25.0)
+    assert find_inactive_window(np.ones(48)) == (0.0, 6.0)
 
 
 def test_night_mask_boundaries():

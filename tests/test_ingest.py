@@ -25,7 +25,7 @@ from cdrmob.ingest import (
     read_spool,
     write_spool,
 )
-from cdrmob.records import CdrError, TowerRegistry
+from cdrmob.records import CdrError, TowerRegistry, nul_free
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1), "T3": (40.2, 20.2)})
 
@@ -281,12 +281,14 @@ def test_spool_with_a_damaged_table_is_refused(tmp_path):
 
 
 def _by_rows(path, registry=REG, **kw):
-    """ingest_rows over csv.reader of the file: what ingest_file must equal."""
+    """ingest_rows over csv.reader of the file, with each line that holds
+    a NUL given as a row of its own: what ingest_file must equal."""
+    nul = []
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        rows = list(csv.reader(fh))
+        rows = list(csv.reader(nul_free(fh, nul.append)))
     if rows and _is_header(rows[0]):
         rows = rows[1:]
-    return ingest_rows(rows, registry, **kw)
+    return ingest_rows(rows + [["\0"]] * len(nul), registry, **kw)
 
 
 def _assert_same_result(got, want):
@@ -333,6 +335,8 @@ def _mutate(fields: list[str], how: str, arg: int) -> bytes:
         f[0] = f[0] * arg
     elif how == "utf8":
         f[k] = f[k] + "é"
+    elif how == "nul":
+        f[k] = f[k] + "\0"
     line = ",".join(f).encode()
     if how == "invalid_utf8":
         line = line[:arg] + b"\xff" + line[arg:]
@@ -358,6 +362,7 @@ _VARIANTS = (
     + [("long_id", i) for i in (9, 70)]
     + [("utf8", i) for i in (0, 3)]
     + [("invalid_utf8", i) for i in (0, 5, 20)]
+    + [("nul", i) for i in (0, 3)]
 )
 
 
@@ -462,6 +467,29 @@ def test_invalid_utf8_is_a_counted_reject(tmp_path):
     assert res.stats.rows_read == 4
     assert res.stats.rows_rejected == {"bad_encoding": 2}
     assert res.table.ids == ["a", "b"]
+
+
+@pytest.mark.parametrize("block", [1, 1 << 20])
+def test_a_nul_byte_is_a_counted_reject(tmp_path, block):
+    # before and after a quote, which sends the rest of the file down the
+    # row path: an id "a\0" would be kept next to "a", and a spool
+    # (numpy drops trailing NULs) would then hold two segments named "a"
+    p = tmp_path / "cdr.csv"
+    p.write_bytes(
+        b"a,b,2008-06-01T10:00:00,T1,call,out\n"
+        b"b,a,2008-06-01T11:00:00,T1,call,out\n"
+        b"a\x00,b,2008-06-01T12:00:00,T1,call,out\n"
+        b"b,a\x00,2008-06-01T12:00:00,T1,call,out\n"
+        b'"b",a,2008-06-01T13:00:00,T1,call,out\n'
+        b"a,b\x00,2008-06-01T14:00:00,T1,call,out\n"
+    )
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        res = ingest_file(p, REG)
+    assert res.stats.rows_read == 6
+    assert res.stats.rows_rejected == {"bad_encoding": 3}
+    assert res.table.ids == ["a", "b"]
+    write_spool(res, REG, tmp_path / "spool")
+    _assert_same_table(read_spool(tmp_path / "spool", REG, 2008, "pair").table, res.table)
 
 
 def test_ids_longer_than_one_word_are_told_apart(tmp_path):

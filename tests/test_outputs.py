@@ -10,7 +10,9 @@ import os
 import sys
 from unittest import mock
 
-from cdrmob import pipeline
+import numpy as np
+
+from cdrmob import home, pipeline
 from cdrmob.metrics import WindowSpec
 from cdrmob.pipeline import STAGE_OUTPUTS, AnalysisConfig, Pipeline, write_outputs
 
@@ -57,7 +59,8 @@ def _csv_outputs(root) -> str:
     )
     pipe = Pipeline(root / "cdr.csv", root / "towers.csv", root / "demographics.csv", cfg)
     out = root / "out"
-    with mock.patch.object(pipeline, "BIN_MINUTES", 240):
+    four_hours = {"BIN_MINUTES": 240, "BIN_CENTERS_H": (np.arange(6) + 0.5) * 4.0}
+    with mock.patch.multiple(home, **four_hours), mock.patch.multiple(pipeline, **four_hours):
         written = write_outputs(pipe, out, set(STAGE_OUTPUTS), plot_data=True)
     return "".join(
         f"== {name} ==\n" + (out / name).read_text(encoding="utf-8")

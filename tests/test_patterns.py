@@ -9,7 +9,6 @@ import pytest
 from conftest import table_metrics
 
 from cdrmob.patterns import (
-    EmptyCohortError,
     PatternError,
     PatternSeries,
     demographic_table,
@@ -71,7 +70,7 @@ def test_cohort_selection_and_validation():
     tm = _metrics(events)
     only_b = pattern(tm, [1], "month", "activity")  # rows follow id order: a, b
     assert only_b.stat[3] == 1.0 and only_b.stat[2] == 0.0
-    with pytest.raises(EmptyCohortError):
+    with pytest.raises(PatternError):
         pattern(tm, [], "month", "activity")
     # only the kinds the report writes: no rg, no year axis, no plain
     # median, and no weekday or hour mobility
@@ -172,5 +171,5 @@ def test_demographic_table_age_bands_at_their_bounds():
 def test_demographic_table_requires_overlap():
     events = {"u1": _one_tower(["2008-01-01T10:00:00"])}
     tm = _metrics(events)
-    with pytest.raises(EmptyCohortError):
+    with pytest.raises(PatternError):
         demographic_table(tm, Demographics({}, {}), None)

@@ -1,9 +1,10 @@
 """Row parsing, registries, and demographics resolution."""
 
 import csv
+from datetime import date
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cdrmob.records import (
@@ -28,14 +29,19 @@ def _parse_line(line: str):
 
 
 def test_parse_timestamp_fast_and_slow_paths_agree():
-    # 19-char shape takes the hand-rolled path, others go via fromisoformat
+    # the separator, and the seconds or the whole time, may be left out
     assert parse_timestamp("2008-03-05T14:30:00") == parse_timestamp("2008-03-05 14:30:00")
     assert parse_timestamp("2008-03-05T14:30") == parse_timestamp("2008-03-05T14:30:00")
+    assert parse_timestamp("2008-03-05") == parse_timestamp("2008-03-05T00:00:00")
 
 
 def test_parse_timestamp_rejects():
+    # fromisoformat reads the last four from Python 3.11 on, but not before:
+    # basic format, an ISO week date, a fraction of a second, an hour alone
     for bad in ("2008-13-01T00:00:00", "2008-02-30T00:00:00", "2008-01-01T24:00:00",
-                "2008-01-01T00:60:00", "nonsense", "2008-01-01T00:00:00+02:00"):
+                "2008-01-01T00:60:00", "nonsense", "2008-01-01T00:00:00+02:00",
+                "2008-01-01x10:00:00", "20080101T100000", "2008-W01-1T10:00",
+                "2008-01-01T10:00:00.5", "2008-01-01T10"):
         with pytest.raises(RowReject) as e:
             parse_timestamp(bad)
         assert e.value.reason == "bad_timestamp"
@@ -56,8 +62,10 @@ def test_parse_timestamp_takes_only_ascii_digits():
 def test_bad_encoding_comes_first():
     ys, ye = year_bounds(2008)
     # a lone surrogate is what surrogateescape makes of a byte that is not UTF-8
+    # and a NUL, which no id, timestamp or token holds
     for row in (["u1", "u2\udcff", "2008-06-01T12:00:00", "T5", "call", "in"],
-                ["u1\udcff", "u1\udcff", "nonsense"]):
+                ["u1\udcff", "u1\udcff", "nonsense"],
+                ["u1", "u2\x00", "2008-06-01T12:00:00", "T5", "call", "in"]):
         with pytest.raises(RowReject) as e:
             parse_event_fields(row, ys, ye)
         assert e.value.reason == "bad_encoding"
@@ -67,6 +75,58 @@ def test_bad_encoding_comes_first():
 @given(st.integers(min_value=0, max_value=2_000_000_000))
 def test_timestamp_round_trip(ts):
     assert parse_timestamp(format_timestamp(ts)) == ts
+
+
+def _grammar_oracle(text: str) -> int | None:
+    """Epoch seconds of text under the timestamp grammar, None for a
+    bad_timestamp: YYYY-MM-DD, optionally [T ]HH:MM and then :SS, ASCII
+    digits, a real date and time, surrounding whitespace stripped."""
+    s = text.strip()
+    shape = {10: "dddd-dd-dd", 16: "dddd-dd-dd_dd:dd", 19: "dddd-dd-dd_dd:dd:dd"}.get(len(s))
+    if shape is None:
+        return None
+    for c, want in zip(s, shape):
+        ok = c in "0123456789" if want == "d" else c in "T " if want == "_" else c == want
+        if not ok:
+            return None
+    hh, mm, ss = (int(s[k: k + 2]) if len(s) > k else 0 for k in (11, 14, 17))
+    try:
+        day = date(int(s[:4]), int(s[5:7]), int(s[8:10]))
+    except ValueError:
+        return None
+    if hh > 23 or mm > 59 or ss > 59:
+        return None
+    return (day - date(1970, 1, 1)).days * 86400 + hh * 3600 + mm * 60 + ss
+
+
+@st.composite
+def _near_grammar(draw) -> str:
+    """A timestamp of the grammar, cut or not, with a few characters
+    inserted, replaced or deleted, and whitespace around it."""
+    ts = draw(st.integers(min_value=-62135596800, max_value=253402300799))  # years 1-9999
+    text = format_timestamp(ts)[: draw(st.sampled_from((10, 13, 16, 19)))]
+    text = text.replace("T", draw(st.sampled_from("T t")))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from("0123456789-:T W.+Z\t\0٣１"))
+        text = draw(st.sampled_from((text[:at] + c + text[at:], text[:at] + c + text[at + 1:],
+                                     text[:at] + text[at + 1:])))
+    return draw(st.sampled_from(("", " ", "\t"))) + text + draw(st.sampled_from(("", " ", "\n")))
+
+
+@given(_near_grammar())
+@example("20080101T100000")
+@example("2008-W01-1T10:00")
+@example("2008-01-01T10:00:00.5")
+@example("2008-01-01x10:00:00")
+def test_parse_timestamp_takes_exactly_the_grammar(text):
+    want = _grammar_oracle(text)
+    if want is None:
+        with pytest.raises(RowReject) as e:
+            parse_timestamp(text)
+        assert e.value.reason == "bad_timestamp"
+    else:
+        assert parse_timestamp(text) == want
 
 
 def test_year_bounds_2008_is_leap():
@@ -163,6 +223,18 @@ def test_inputs_that_are_not_utf8_name_file_and_line(tmp_path):
     # valid UTF-8 beyond ASCII is fine
     demo.write_text("u1,f,34\nü2,m,40\n", encoding="utf-8")
     assert load_demographics(demo).entries["ü2"] == ("male", 40)
+
+
+def test_a_nul_byte_in_towers_or_demographics_names_file_and_line(tmp_path):
+    # csv.reader raises on a NUL before Python 3.11, and keeps it from then on
+    towers = tmp_path / "towers.csv"
+    towers.write_bytes(b"tower_id,lat,lon\nA,40.0,20.0\nB\x00,41.0,21.0\n")
+    with pytest.raises(CdrError, match=r"towers\.csv:3: holds a NUL byte"):
+        load_towers(towers)
+    demo = tmp_path / "demo.csv"
+    demo.write_bytes(b"u1,f,34\nu2,m,40\x00\n")
+    with pytest.raises(CdrError, match=r"demo\.csv:2: holds a NUL byte"):
+        load_demographics(demo)
 
 
 def test_load_demographics_age_and_birth_year(tmp_path):

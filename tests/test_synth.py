@@ -2,6 +2,7 @@
 
 import filecmp
 import functools
+import hashlib
 import io
 import json
 import tempfile
@@ -212,6 +213,25 @@ def test_chunk_size_does_not_change_the_bytes(tmp_path, monkeypatch):
             assert got[name] == want[name], (chunk, name)
 
 
+# sha256 of each file of a small corpus: spam, a planted flip and all five
+# density classes, with more individuals than a chunk of the writers
+_PINNED_CONFIG = GenConfig(n_individuals=600, n_cells=30, base_daily_events=0.2,
+                           activity_flip=(0.4, -0.5, 10), area_boundaries=(2, 5, 10, 20), seed=3)
+_PINNED_SHA256 = {
+    CDR_FILE: "db972557998adac7a2e1905106d4ed6c3d8c45bee2e17cd78f54d57a355cab8e",
+    TOWERS_FILE: "1f538ed11a6c30acd3718e18bdeced0183db5abb5d18af19ed58654ac68928a5",
+    DEMOGRAPHICS_FILE: "e0ef2d41a18a73f55fecdec73ab8c8d603bfaf3d98b891b64a9426bfd614c120",
+    TRUTH_FILE: "633f2789964d01d51832834348085d7172d8a1210d090cd2777fe33bd488a56d",
+    CONFIG_FILE: "8c85e5819030bc2c8229946fe531935c786833b7cf7b3aaef964b23bb971aee7",
+}
+
+
+def test_generated_files_keep_their_bytes(tmp_path):
+    generate(_PINNED_CONFIG, tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _FILES}
+    assert got == _PINNED_SHA256
+
+
 def test_truth_file_holds_the_streaming_encoders_bytes(tmp_path):
     truth = generate(GenConfig(n_individuals=60, n_cells=6, spam_fraction=0.1, seed=21), tmp_path)
     buf = io.StringIO()
@@ -241,7 +261,7 @@ def test_noise_free_individual_lives_at_the_planted_tower(tmp_path):
     assert lat[0] == pytest.approx(reg.lat[home], abs=1e-9)
     assert lon[0] == pytest.approx(reg.lon[home], abs=1e-9)
     grid = GridSpec(truth.grid_step)
-    assert grid.cell_of(lat[0], lon[0]) == tuple(info["cell"])
+    assert grid.cells_of(lat[0], lon[0]) == tuple(info["cell"])
 
 
 def test_generation_is_deterministic_across_runs_and_threads(tmp_path):

@@ -159,11 +159,11 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
     # pattern series against the same series built in a single block
     whole = TableMetrics(tab, REG, homes_arg, divisor)
     with mock.patch.object(metrics, "_BLOCK_CELLS", block):
-        act, mob = daily_profile(tm, 30)
+        act, mob = daily_profile(tm)
         got_series = [_series(tm, *x) for x in KINDS]
     want_act, want_mob = _reference_profile(own, 48)
-    assert act.values.tobytes() == want_act.tobytes()
-    assert mob.values.tobytes() == want_mob.tobytes()
+    assert act.tobytes() == want_act.tobytes()
+    assert mob.tobytes() == want_mob.tobytes()
     with mock.patch.object(metrics, "_BLOCK_CELLS", 1 << 40):
         assert got_series == [_series(whole, *x) for x in KINDS]
 
@@ -228,5 +228,5 @@ def test_block_memory_does_not_grow_with_individuals_times_bins(what, budget):
         if what == "dow":
             peak = _traced_peak(lambda: pattern(tm, None, "dow", "activity"))
         else:
-            peak = _traced_peak(lambda: daily_profile(tm, 30))
+            peak = _traced_peak(lambda: daily_profile(tm))
     assert peak / n < budget, f"{what}: {peak / n:.0f} B per individual"
