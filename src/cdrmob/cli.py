@@ -107,6 +107,10 @@ def _parse_night_window(text: str) -> tuple[float, float]:
         raise UsageError("--night-window must look like HH:MM-HH:MM")
     if not (0 <= start < 24 and 0 < end <= 24):
         raise UsageError("--night-window hours out of range")
+    if not (0 <= int(m0) < 60 and 0 <= int(m1) < 60):
+        raise UsageError("--night-window minutes must be 00-59")
+    if start == end:
+        raise UsageError("--night-window must not start where it ends")
     return (start, end)
 
 
@@ -143,12 +147,18 @@ def _analysis_config(args) -> AnalysisConfig:
         raise UsageError(str(e))
 
 
+def _out_dir(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory")
+    return text
+
+
 def _add_analysis_flags(p: _Parser, *, demographics=True):
     p.add_argument("--cdr", required=True, help="CDR csv file or spool directory")
     p.add_argument("--towers", required=True, help="tower csv (tower_id,lat,lon)")
     if demographics:
         p.add_argument("--demographics", default=None, help="csv (ego_id,gender,age or birth year)")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_out_dir, required=True, help="output directory")
     p.add_argument("--grid-step", type=float, default=0.05, help="grid cell size, degrees")
     p.add_argument("--window", default="year", help="metrics windows: granularity or ISO range START/END")
     p.add_argument("--area-bounds", default="30,100,1000,10000", help="rank boundaries r1,r2,r3,r4")
@@ -163,14 +173,13 @@ def _add_analysis_flags(p: _Parser, *, demographics=True):
 
 
 @contextmanager
-def _removed_on_failure(out_dir, names):
-    """Run the body; if it raises, remove the listed outputs from out_dir
-    (files or directories, whichever got written) and re-raise."""
+def _removed_on_failure(paths):
+    """Run the body; if it raises, remove the listed paths (files or
+    directories, whichever got written) and re-raise."""
     try:
         yield
     except BaseException:
-        for n in names:
-            p = os.path.join(out_dir, n)
+        for p in paths:
             try:
                 if os.path.isdir(p):
                     shutil.rmtree(p)
@@ -181,11 +190,36 @@ def _removed_on_failure(out_dir, names):
         raise
 
 
+@contextmanager
+def _new_dirs_removed_on_failure(out_dir):
+    """Run the body; if it raises, remove out_dir if it did not exist
+    before, and each parent of it that did not exist and is empty now, then
+    re-raise. Other runs may write into those parents meanwhile, so only
+    out_dir itself is removed with its contents."""
+    new = []
+    if out_dir is not None:
+        path = os.path.abspath(out_dir)
+        while not os.path.lexists(path):
+            new.append(path)
+            path = os.path.dirname(path)
+    try:
+        yield
+    except BaseException:
+        if new:
+            shutil.rmtree(new[0], ignore_errors=True)
+        for parent in new[1:]:
+            try:
+                os.rmdir(parent)
+            except OSError:
+                break
+        raise
+
+
 def _write_report(pipe: Pipeline, out_dir, stages, plot_data: bool, command: str) -> dict:
     names = [STAGE_OUTPUTS[s] for s in stages] + ["manifest.json"]
     if plot_data:
         names.append("plotdata")
-    with _removed_on_failure(out_dir, names):
+    with _removed_on_failure([os.path.join(out_dir, n) for n in names]):
         outputs = write_outputs(pipe, out_dir, stages, plot_data=plot_data)
         write_manifest(pipe, out_dir, outputs, command=command)
     return outputs
@@ -194,7 +228,7 @@ def _write_report(pipe: Pipeline, out_dir, stages, plot_data: bool, command: str
 def _write_files(out_dir, names, command: str, t0: float, write, **fields) -> None:
     """write() the named files into out_dir, then a manifest of their
     digests timed from t0; list them all on stdout."""
-    with _removed_on_failure(out_dir, names + ["manifest.json"]):
+    with _removed_on_failure([os.path.join(out_dir, n) for n in names + ["manifest.json"]]):
         write()
         outputs = {n: _sha256(os.path.join(out_dir, n)) for n in names}
         seconds = {command: round(time.perf_counter() - t0, 3)}
@@ -333,7 +367,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("generate", help="write a synthetic corpus with ground truth")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", type=_out_dir, required=True)
     sp.add_argument("--n", type=int, default=None, help="number of individuals")
     sp.add_argument("--cells", type=int, default=None, help="number of settlements")
     sp.add_argument("--seed", type=int, default=None)
@@ -344,7 +378,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("ingest", help="filter a CDR file into a reusable spool")
     sp.add_argument("--cdr", required=True)
     sp.add_argument("--towers", required=True)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", type=_out_dir, required=True)
     sp.add_argument("--year", type=_parse_year, default=2008, help="analysis year, 1-9998")
     sp.add_argument("--reciprocity", choices=("pair", "degree", "none"), default="pair")
     sp.set_defaults(func=_cmd_ingest)
@@ -359,13 +393,13 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("validate", help="score a generated corpus against its ground truth")
     sp.add_argument("--corpus", required=True, help="directory written by generate")
-    sp.add_argument("--out", default=None, help="where to write scorecard.json")
+    sp.add_argument("--out", type=_out_dir, default=None, help="where to write scorecard.json")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sp.add_argument("--reciprocity", choices=("pair", "degree", "none"), default="pair")
     sp.set_defaults(func=_cmd_validate)
 
     sp = sub.add_parser("demo", help="generate a small corpus and run the full report")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", type=_out_dir, required=True)
     sp.add_argument("--n", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
@@ -395,7 +429,9 @@ def main(argv=None) -> int:
         return 1
     _configure_logging(args.log_level)
     try:
-        return args.func(args)
+        # a failed run leaves no directory it created
+        with _new_dirs_removed_on_failure(getattr(args, "out", None)):
+            return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

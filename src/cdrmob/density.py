@@ -38,7 +38,9 @@ class GridDensity:
     cell_i: np.ndarray
     cell_j: np.ndarray
     population: np.ndarray
+    area_km2: np.ndarray
     density: np.ndarray  # individuals per km^2
+    row: np.ndarray  # each individual's row, -1 for one without a home
     mean_activity: np.ndarray | None = None
     mean_mobility: np.ndarray | None = None
     mean_rg: np.ndarray | None = None
@@ -69,9 +71,10 @@ def build_density(lat: np.ndarray, lon: np.ndarray, grid: GridSpec, year=None) -
     ci, cj = grid.cells_of(lat[homed], lon[homed])
     cells = np.stack((ci, cj), axis=1)
     uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
+    row = np.full(len(lat), -1, dtype=np.int64)
+    row[homed] = inverse
     pop = np.bincount(inverse, minlength=len(uniq))
     area = np.array([grid.cell_area_km2(int(i)) for i in uniq[:, 0]])
-    dens = pop / area
     ma = mm = mr = None
     if year is not None:
         act, mob, rg = (np.asarray(x, dtype=float)[homed] for x in year[:3])
@@ -85,7 +88,7 @@ def build_density(lat: np.ndarray, lon: np.ndarray, grid: GridSpec, year=None) -
                 np.bincount(inverse[ok], weights=rg[ok], minlength=len(uniq)) / np.maximum(nrg, 1),
                 np.nan,
             )
-    return GridDensity(grid, uniq[:, 0], uniq[:, 1], pop, dens, ma, mm, mr)
+    return GridDensity(grid, uniq[:, 0], uniq[:, 1], pop, area, pop / area, row, ma, mm, mr)
 
 
 def rank_desc(values: np.ndarray) -> np.ndarray:
@@ -215,14 +218,10 @@ def classify_areas(density: np.ndarray, boundaries=DEFAULT_AREA_BOUNDARIES) -> n
     return labels
 
 
-def ego_areas(lat: np.ndarray, lon: np.ndarray, gd: GridDensity, labels: np.ndarray) -> np.ndarray:
-    """Density class of each individual via their home cell; 0 for an
-    individual without a home or whose cell is not in the grid."""
-    homed = np.flatnonzero(~np.isnan(lat))
-    rows = gd.rows_of(*gd.grid.cells_of(lat[homed], lon[homed]))
-    out = np.zeros(len(lat), dtype=np.int64)
-    out[homed[rows >= 0]] = labels[rows[rows >= 0]]
-    return out
+def ego_areas(gd: GridDensity, labels: np.ndarray) -> np.ndarray:
+    """Density class of each individual via their home cell (labels holds
+    the class of each grid row); 0 for an individual without a home."""
+    return np.where(gd.row >= 0, labels[gd.row], 0)
 
 
 def area_summary(
@@ -238,11 +237,9 @@ def area_summary(
     individual (ego_areas, 0 for none)."""
     fine = build_density(lat, lon, fine_grid)
     classed = areas > 0
-    rows = fine.rows_of(*fine_grid.cells_of(lat[classed], lon[classed]))
-    ok = rows >= 0
-    area = areas[classed][ok]
+    area = areas[classed]
     count = np.bincount(area, minlength=6).tolist()
-    dsum = np.bincount(area, weights=fine.density[rows[ok]], minlength=6).tolist()
+    dsum = np.bincount(area, weights=fine.density[fine.row[classed]], minlength=6).tolist()
     out: dict[int, dict[str, float]] = {}
     for a in range(1, 6):
         out[a] = {

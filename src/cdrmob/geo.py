@@ -43,8 +43,10 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
+        # 1e-6 keeps every |i| and |j| under 2^31, as rows_of's key needs;
+        # 90 degrees is the coarsest grid the analysis has use for
+        if not 1e-6 <= self.step <= 90:
+            raise ValueError("grid step must be a number of degrees from 1e-6 to 90")
 
     def cells_of(self, lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cell indices (i, j) of points; cells are half-open, so a point on
@@ -57,15 +59,20 @@ class GridSpec:
         return (i + 0.5) * self.step, (j + 0.5) * self.step
 
     def cell_area_km2(self, i: int) -> float:
-        """Spherical area of any cell in latitude band i.
+        """Spherical area of the part on the sphere of any cell in latitude
+        band i.
 
-        Exact on the sphere: R^2 * dlon * (sin(top) - sin(bottom)). Depends
+        Exact: R^2 * dlon * (sin(top) - sin(bottom)), with a band that runs
+        past a pole cut at it. The band that starts at the north pole holds
+        only the pole itself and is measured as the band below it. Depends
         only on the latitude band, not on j.
         """
-        bottom = math.radians(i * self.step)
-        top = math.radians((i + 1) * self.step)
+        if i * self.step >= 90.0:
+            i -= 1
+        bottom = math.radians(max(i * self.step, -90.0))
+        top = math.radians(min((i + 1) * self.step, 90.0))
         dlon = math.radians(self.step)
-        return EARTH_RADIUS_KM ** 2 * dlon * abs(math.sin(top) - math.sin(bottom))
+        return EARTH_RADIUS_KM ** 2 * dlon * (math.sin(top) - math.sin(bottom))
 
 
 # Candidate (point, tower) pairs that far_from_towers compares at a time:

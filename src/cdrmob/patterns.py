@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import HOUR_IDS, WEEKDAY_IDS, TableMetrics, WindowSpec
-from .records import AGE_GROUP_LABELS, AGE_GROUPS, EPOCH_WEEKDAY, Demographics, year_bounds
+from .records import AGE_GROUP_LABELS, EPOCH_WEEKDAY, Demographics, year_bounds
 
 # The (axis, value, statistic) kinds of pattern series, in the order the
 # report writes them for the whole population.
@@ -144,19 +144,15 @@ def demographic_table(
     Returns the populated strata and the count of individuals skipped for
     lacking demographics. Empty strata are omitted.
     """
-    known = sorted(demographics.entries.items())
-    known_ids = np.array([e for e, _ in known], dtype=str)
     ids = np.array(tm.table.ids, dtype=str)
-    rows = np.flatnonzero(np.isin(ids, known_ids))
+    rows = np.flatnonzero(np.isin(ids, demographics.ids))
     skipped = len(ids) - len(rows)
     if not len(rows):
         raise PatternError("no individuals with demographics")
-    pos = np.searchsorted(known_ids, ids[rows])
+    pos = np.searchsorted(demographics.ids, ids[rows])
     a, mob, rg, _ = (x[rows, 0] for x in tm.windows(np.array(year_bounds(analysis_year))))
     act = a.astype(float)
-    gender = np.array([g for _, (g, _) in known])[pos]
-    ages = np.array([age for _, (_, age) in known])[pos]
-    group = np.array(AGE_GROUP_LABELS)[np.searchsorted([upper for _, upper in AGE_GROUPS], ages)]
+    female, group = demographics.female[pos], demographics.age_group[pos]
     area = np.zeros(len(rows), dtype=np.int64) if areas is None else areas[rows]
 
     out: list[StratumRow] = []
@@ -164,9 +160,9 @@ def demographic_table(
     for ak in area_keys:
         am = np.ones(len(rows), dtype=bool) if ak == "all" else area == int(ak)
         for gk in ("all", "female", "male"):
-            gm = am if gk == "all" else am & (gender == gk)
-            for grk in ("all",) + AGE_GROUP_LABELS:
-                m = gm if grk == "all" else gm & (group == grk)
+            gm = am if gk == "all" else am & (female == (gk == "female"))
+            for g, grk in enumerate(("all",) + AGE_GROUP_LABELS, start=-1):
+                m = gm if grk == "all" else gm & (group == g)
                 nsel = int(m.sum())
                 if nsel == 0:
                     continue

@@ -88,8 +88,7 @@ class AnalysisConfig:
 
     def __post_init__(self):
         validate_boundaries(self.area_boundaries)
-        if self.grid_step <= 0:
-            raise ValueError("grid step must be positive")
+        GridSpec(self.grid_step)  # refuses a step outside 1e-6 to 90 degrees
 
 
 def _hhmm(h: float) -> str:
@@ -277,7 +276,7 @@ class Pipeline:
     @property
     def ego_area(self):
         return self._stage(
-            "ego_area", lambda: ego_areas(*self.home_points[:2], self.grid_density, self.labels)
+            "ego_area", lambda: ego_areas(self.grid_density, self.labels)
         )
 
     @property
@@ -532,8 +531,7 @@ def _homes_columns(pipe: Pipeline) -> list:
 def _grid_columns(pipe: Pipeline) -> list:
     gd = pipe.grid_density
     lat, lon = gd.grid.cell_center(gd.cell_i, gd.cell_j)
-    area = [gd.grid.cell_area_km2(i) for i in gd.cell_i.tolist()]
-    return [(gd.cell_i, gd.cell_j, lat, lon, area, gd.population, gd.density,
+    return [(gd.cell_i, gd.cell_j, lat, lon, gd.area_km2, gd.population, gd.density,
              gd.mean_activity, gd.mean_mobility, gd.mean_rg, pipe.labels)]
 
 

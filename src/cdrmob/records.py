@@ -22,13 +22,14 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime
 
+import numpy as np
+
 # event tokens -> the codes of the event table's kind and direction columns
 KIND_TOKENS = {"call": 0, "sms": 1}
 DIRECTION_TOKENS = {"in": 0, "incoming": 0, "out": 1, "outgoing": 1}
 
-FEMALE = "female"
-MALE = "male"
-_GENDER_TOKENS = {"f": FEMALE, "female": FEMALE, "m": MALE, "male": MALE}
+# gender token -> whether it reads female
+_GENDER_TOKENS = {"f": True, "female": True, "m": False, "male": False}
 
 AGE_MIN = 10
 AGE_MAX = 110
@@ -179,8 +180,6 @@ class TowerRegistry:
     rely on this)."""
 
     def __init__(self, entries: dict[str, tuple[float, float]]):
-        import numpy as np
-
         self.ids: list[str] = sorted(entries)
         self._index = {tid: i for i, tid in enumerate(self.ids)}
         self.lat = np.array([entries[t][0] for t in self.ids], dtype=float)
@@ -253,9 +252,11 @@ def load_towers(path) -> TowerRegistry:
 
 @dataclass
 class Demographics:
-    """ego_id -> (gender, resolved integer age); plus reject counts."""
+    """The accepted individuals as columns in id order, plus reject counts."""
 
-    entries: dict[str, tuple[str, int]]
+    ids: np.ndarray  # str, sorted ascending
+    female: np.ndarray  # bool
+    age_group: np.ndarray  # index into AGE_GROUPS
     rejected: dict[str, int]
 
 
@@ -272,7 +273,7 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
     [10, 110] after resolving birth years are rejected, and so is every row
     of an id that appears more than once (duplicate_id: which one is right?).
     """
-    entries: dict[str, tuple[str, int]] = {}
+    entries: dict[str, tuple[bool, int]] = {}  # id -> (female, age)
     rejected: dict[str, int] = {}
 
     def reject(reason: str):
@@ -290,8 +291,8 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
         if seen[row[0].strip()] > 1:
             reject("duplicate_id")
             continue
-        gender = _GENDER_TOKENS.get(row[1].strip().lower())
-        if gender is None:
+        female = _GENDER_TOKENS.get(row[1].strip().lower())
+        if female is None:
             reject("unknown_gender")
             continue
         try:
@@ -303,8 +304,11 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
         if not (AGE_MIN <= age <= AGE_MAX):
             reject("age_out_of_range")
             continue
-        entries[row[0].strip()] = (gender, age)
-    return Demographics(entries, rejected)
+        entries[row[0].strip()] = (female, age)
+    ids = sorted(entries)
+    female, age = np.array([entries[e] for e in ids], dtype=np.int64).reshape(-1, 2).T
+    group = np.searchsorted([upper for _, upper in AGE_GROUPS], age)
+    return Demographics(np.array(ids, dtype=str), female == 1, group, rejected)
 
 
 def age_group_of(age: int) -> str:

@@ -33,7 +33,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -130,6 +130,15 @@ class GenConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in (value if isinstance(value, (tuple, list)) else (value,))):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("n_individuals", "n_cells", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_cells < 1:
             raise ValueError("need at least one settlement cell")
         if self.n_individuals < 1:
@@ -138,9 +147,11 @@ class GenConfig:
             raise ValueError("spam fraction must be in [0, 1)")
         if self.n_real < self.n_cells:
             raise ValueError("fewer genuine individuals than settlements")
-        for name in ("base_daily_events", "grid_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.base_daily_events <= 0:
+            raise ValueError("base_daily_events must be positive")
+        if self.night_floor < 0:
+            raise ValueError("night_floor must be non-negative")
+        GridSpec(self.grid_step)  # refuses a step outside 1e-6 to 90 degrees
         for p in ("p_home_night", "p_away_day"):
             if not (0 <= getattr(self, p) <= 1):
                 raise ValueError(f"{p} must be in [0, 1]")
@@ -158,7 +169,7 @@ class GenConfig:
         if flip is not None and not (
             isinstance(flip, (tuple, list))
             and len(flip) == 3
-            and all(isinstance(x, numbers.Real) and math.isfinite(x) for x in flip)
+            and all(isinstance(x, numbers.Real) for x in flip)
             and flip[2] > 0
         ):
             raise ValueError(

@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 
-from cdrmob import ingest
+from cdrmob import cli, ingest
 from cdrmob.cli import main
 from cdrmob.pipeline import STAGE_OUTPUTS, write_manifest, write_outputs
 from cdrmob.synth import CDR_FILE, DEMOGRAPHICS_FILE, TOWERS_FILE, GenConfig, corpus_pipeline, generate
@@ -54,6 +54,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["metrics", *_analysis_args(cdr, towers, out, "--window",
                                     "2008-05-01T00:00:00/2008-04-01T00:00:00")],
         ["metrics", *_analysis_args(cdr, towers, out, "--night-window", "25:00-07:00")],
+        # minutes past 59, and a window of no width
+        ["metrics", *_analysis_args(cdr, towers, out, "--night-window", "01:30-02:75")],
+        ["homes", *_analysis_args(cdr, towers, out, "--night-window", "05:00-05:00")],
         ["metrics", *_analysis_args(cdr, towers, out, "--area-bounds", "5,4,3,2")],
         ["metrics", *_analysis_args(cdr, towers, out, "--area-bounds", "1,2,3")],
         ["generate", "--out", str(out), "--n", "10", "--cells", "50"],
@@ -61,6 +64,18 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 1, argv
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["nan", "1e-300", "1e300", "inf", "1e-7", "91"])
+def test_grid_step_outside_its_range_is_a_usage_error(tmp_path, capsys, step):
+    # NaN gave one cell at index -2^63, 1e-300 a cell of 0 km2, 1e300 one
+    # of 5e305 km2, and inf a traceback
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    out = tmp_path / "out"
+    assert main(["report", *_analysis_args(cdr, towers, out, "--grid-step", step)]) == 1
+    assert "grid step must be a number of degrees from 1e-6 to 90" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -207,6 +222,16 @@ def test_year_outside_the_calendar_is_a_usage_error(tmp_path, capsys, command, y
     # 40 cells span three density classes, and class 2 has no entry
     {"n_individuals": 400, "n_cells": 40, "female_activity_excess": [0.1]},
     {"area_boundaries": [5, 4, 3, 2]},
+    # each of these ended in a traceback, or drew event times from a
+    # negative intensity
+    {"grid_step": float("nan")},
+    {"beta": float("nan")},
+    {"base_daily_events": float("inf")},
+    {"month_mult_dense": [1.0] * 11 + [float("nan")]},
+    {"n_cells": 2.5},
+    {"n_individuals": 1500.5},
+    {"seed": 1.5},
+    {"night_floor": -1.0},
 ])
 def test_gen_config_refuses_what_generation_would_crash_on(tmp_path, capsys, setting):
     path = tmp_path / "gen.json"
@@ -365,6 +390,45 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, capsys):
     assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize("out_name", ["out", "new/out"])
+def test_failed_run_removes_the_directory_it_created(tmp_path, capsys, out_name):
+    # the 2008 rows all fall outside 2010: a data error once --out exists
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    out = tmp_path / out_name
+    assert main(["report", *_analysis_args(cdr, towers, out, "--year", "2010")]) == 2
+    assert "no surviving individuals" in capsys.readouterr().err
+    assert not (tmp_path / out_name.split("/")[0]).exists()
+
+
+@pytest.mark.parametrize("out_name, rc", [("", 1), ("missing/..", 2), (".", 2)])
+def test_failed_run_keeps_the_working_directory(tmp_path, capsys, monkeypatch, out_name, rc):
+    # each of these names the working directory once made absolute
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sentinel.txt").write_text("keep\n")
+    assert main(["report", *_analysis_args(cdr, towers, out_name, "--year", "2010")]) == rc
+    capsys.readouterr()
+    assert (tmp_path / "sentinel.txt").read_text() == "keep\n"
+
+
+def test_failed_run_keeps_what_another_run_wrote_beside_it(tmp_path, capsys, monkeypatch):
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    results = tmp_path / "results"
+    run = cli._cmd_stages
+
+    def run_beside_another(args):
+        # a second run writes results/b while this one runs
+        (results / "b").mkdir(parents=True)
+        (results / "b" / "grid.csv").write_text("theirs\n")
+        return run(args)
+
+    monkeypatch.setattr(cli, "_cmd_stages", run_beside_another)
+    assert main(["report", *_analysis_args(cdr, towers, results / "a", "--year", "2010")]) == 2
+    capsys.readouterr()
+    assert not (results / "a").exists()
+    assert (results / "b" / "grid.csv").read_text() == "theirs\n"
+
+
 def test_failed_run_cleans_its_partial_outputs(tmp_path, capsys):
     cdr, towers = _write_minimal_corpus(tmp_path)
     out = tmp_path / "out"
@@ -380,16 +444,19 @@ def test_failed_run_cleans_its_partial_outputs(tmp_path, capsys):
     assert keep.read_text() == "not ours\n"
 
 
-def test_validate_flags_an_unfiltered_corpus(small_corpus, capsys):
+def test_validate_flags_an_unfiltered_corpus(small_corpus, tmp_path, capsys):
     corpus, _ = small_corpus
     assert main(["validate", "--corpus", str(corpus), "--threads", "2"]) == 0
     ok_out = capsys.readouterr().out
     assert "all checks passed" in ok_out and "FAIL" not in ok_out
 
+    # a failed scorecard is a finished run: its directory stays
+    card = tmp_path / "card"
     rc = main(["validate", "--corpus", str(corpus), "--threads", "2",
-               "--reciprocity", "none"])
+               "--reciprocity", "none", "--out", str(card)])
     captured = capsys.readouterr()
     assert rc == 2
+    assert (card / "scorecard.json").exists()
     assert "some checks failed" in captured.err
     fails = [l for l in captured.out.splitlines() if l.startswith("FAIL")]
     assert any("spam_filter" in l for l in fails)

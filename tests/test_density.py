@@ -50,6 +50,30 @@ def test_build_density_counts_residents_per_cell():
     assert gd.rows_of([800, 801, 802], [400, 400, 400]).tolist() == [0, 1, -1]
 
 
+_LAT = st.floats(-90, 90, allow_nan=False)
+_LON = st.floats(-180, 180, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_LAT, _LON) | st.none(), min_size=1, max_size=60).filter(any),
+       st.sampled_from([0.01, 0.05, 0.25, 1.0, 7.5, 50.0, 60.0]))
+def test_grid_rows_and_areas_follow_each_home(points, step):
+    # homes anywhere on the sphere, NaN for none: each homed individual's
+    # row is the row of the cell that cells_of bins its home in
+    grid = GridSpec(step)
+    lat, lon = _homes(*points)
+    gd = build_density(lat, lon, grid)
+    homed = ~np.isnan(lat)
+    assert (gd.row[~homed] == -1).all()
+    ci, cj = grid.cells_of(lat[homed], lon[homed])
+    r = gd.row[homed]
+    assert (gd.cell_i[r] == ci).all() and (gd.cell_j[r] == cj).all()
+    assert np.array_equal(gd.rows_of(ci, cj), r)
+    assert gd.area_km2.tolist() == [grid.cell_area_km2(i) for i in gd.cell_i.tolist()]
+    assert (gd.area_km2 > 0).all()
+    assert np.bincount(r, minlength=len(gd)).tolist() == gd.population.tolist()
+
+
 def test_build_density_cell_means():
     lat, lon = _homes((40.01, 20.01), (40.02, 20.02), (40.07, 20.01), None)
     # whole-year (activity, mobility, rg) per individual; the homeless
@@ -220,6 +244,6 @@ def test_ego_areas_follow_home_cells():
     lat, lon = _homes((40.01, 20.01), (40.02, 20.02), (40.07, 20.01), None)
     gd = build_density(lat, lon, GRID)
     labels = classify_areas(gd.density, (1, 2, 3, 4))
-    areas = ego_areas(lat, lon, gd, labels)
+    areas = ego_areas(gd, labels)
     # the two-resident cell is denser, so it ranks first; 0 = no home
     assert areas.tolist() == [1, 1, 2, 0]

@@ -111,10 +111,32 @@ def test_cell_area_against_tangent_plane():
 
 
 def test_grid_rejects_bad_steps():
-    with pytest.raises(ValueError):
-        GridSpec(0.0)
-    with pytest.raises(ValueError):
-        GridSpec(-1.0)
+    # a step from 1e-6 to 90 degrees keeps cell indices under 2^31
+    for bad in (0.0, -1.0, float("nan"), float("inf"), 1e-300, 9.9e-7, 90.5, 1e300):
+        with pytest.raises(ValueError, match="from 1e-6 to 90"):
+            GridSpec(bad)
+    assert GridSpec(1e-6).step == 1e-6 and GridSpec(90.0).cell_area_km2(0) > 0
+
+
+@pytest.mark.parametrize("step", [0.07, 7.5, 50.0, 60.0, 90.0])
+def test_cell_areas_cover_the_sphere_once(step):
+    # the bands that hold a latitude from -90 to 90 make one lune of dlon;
+    # a band that runs past a pole counts only its part on the sphere
+    grid = GridSpec(step)
+    bands = range(math.floor(-90 / step), math.ceil(90 / step))
+    areas = [grid.cell_area_km2(i) for i in bands]
+    assert min(areas) > 0
+    lune = 2 * EARTH_RADIUS_KM ** 2 * math.radians(step)
+    assert sum(areas) == pytest.approx(lune, rel=1e-9)
+    # a home at 70N with step 60 lies in [60, 120]: measured as [60, 90]
+    if step == 60.0:
+        cap = EARTH_RADIUS_KM ** 2 * math.radians(60) * (1 - math.sin(math.radians(60)))
+        assert grid.cell_area_km2(int(grid.cells_of(70.0, 0.0)[0])) == pytest.approx(cap)
+    # the band that starts at the north pole holds only the pole: it
+    # takes the area of the band below it
+    top = math.floor(90 / step)
+    if top * step == 90.0:
+        assert grid.cell_area_km2(top) == grid.cell_area_km2(top - 1)
 
 
 def test_far_from_towers_matches_brute_force():

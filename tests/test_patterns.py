@@ -15,7 +15,7 @@ from cdrmob.patterns import (
     pattern,
 )
 from cdrmob.pipeline import WRITERS, _write_csv
-from cdrmob.records import Demographics, TowerRegistry, age_group_of
+from cdrmob.records import TowerRegistry, age_group_of, load_demographics
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1)})
 
@@ -27,6 +27,13 @@ def _one_tower(stamps):
 
 def _metrics(events, homes=None, year=2008):
     return table_metrics(REG, events, homes or {}, year=year)
+
+
+def _demographics(tmp_path, rows):
+    """Demographics loaded from a file of (ego_id, gender, age) rows."""
+    path = tmp_path / "demographics.csv"
+    path.write_text("".join(f"{e},{g},{a}\n" for e, g, a in rows))
+    return load_demographics(path)
 
 
 def test_dow_pattern_pools_calendar_days():
@@ -125,16 +132,14 @@ def test_write_pattern_csv_handles_labels_and_gaps(tmp_path):
     assert lines[15] == "area3,month,activity,normalized_median,2008-03,1.0,1,"
 
 
-def test_demographic_table_strata():
+def test_demographic_table_strata(tmp_path):
     events = {
         "u1": _one_tower([f"2008-01-{d:02d}T10:00:00" for d in (1, 2, 3, 4)]),
         "u2": _one_tower([f"2008-01-{d:02d}T10:00:00" for d in (1, 2)]),
         "u3": _one_tower([f"2008-01-{d:02d}T10:00:00" for d in (1, 2, 3, 4, 5, 6)]),
         "u4": _one_tower(["2008-01-01T10:00:00"]),  # no demographics: skipped
     }
-    demo = Demographics(
-        {"u1": ("female", 30), "u2": ("male", 40), "u3": ("female", 25)}, {}
-    )
+    demo = _demographics(tmp_path, [("u3", "f", 25), ("u1", "f", 30), ("u2", "m", 40)])
     areas = np.array([1, 1, 2, 0])  # density class per individual, u1..u4
     tm = _metrics(events)
     rows, skipped = demographic_table(tm, demo, areas)
@@ -157,10 +162,10 @@ def test_demographic_table_strata():
     assert cell[("all", "all", "all")].mean_mobility_km == 0.0
 
 
-def test_demographic_table_age_bands_at_their_bounds():
+def test_demographic_table_age_bands_at_their_bounds(tmp_path):
     ages = (10, 18, 19, 35, 36, 45, 46, 55, 56, 65, 66, 110)
     events = {f"u{k:02d}": _one_tower(["2008-01-01T10:00:00"]) for k in range(len(ages) + 1)}
-    demo = Demographics({f"u{k:02d}": ("male", a) for k, a in enumerate(ages)}, {})
+    demo = _demographics(tmp_path, [(f"u{k:02d}", "m", a) for k, a in enumerate(ages)])
     rows, skipped = demographic_table(_metrics(events), demo, None)
     assert skipped == 1
     got = {r.age_group: r.n for r in rows if r.area == "all" and r.gender == "all"}
@@ -168,8 +173,11 @@ def test_demographic_table_age_bands_at_their_bounds():
     assert got == {"all": len(ages), **want}
 
 
-def test_demographic_table_requires_overlap():
+def test_demographic_table_requires_overlap(tmp_path):
     events = {"u1": _one_tower(["2008-01-01T10:00:00"])}
     tm = _metrics(events)
     with pytest.raises(PatternError):
-        demographic_table(tm, Demographics({}, {}), None)
+        demographic_table(tm, _demographics(tmp_path, []), None)
+    # demographics of other individuals only
+    with pytest.raises(PatternError):
+        demographic_table(tm, _demographics(tmp_path, [("u2", "f", 30)]), None)
