@@ -5,20 +5,20 @@ One subcommand per pipeline stage plus `report` (everything), `generate`
 ground truth) and `demo` (generate + report in one go). Every analysis
 run writes a manifest.json describing inputs, config and output digests.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Partially written
-outputs are removed when a run fails.
+Exit codes: 0 success, 1 usage error, 2 data error. A run publishes all
+its files into --out or, when it fails, changes nothing there.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import shutil
 import sys
+import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 
 from . import __version__
@@ -39,7 +39,14 @@ from .pipeline import (
     write_manifest,
     write_outputs,
 )
-from .records import CdrError, load_towers, parse_timestamp, write_json, year_bounds
+from .records import (
+    CdrError,
+    load_towers,
+    parse_timestamp,
+    read_json_object,
+    write_json,
+    year_bounds,
+)
 from .synth import (
     CDR_FILE,
     CONFIG_FILE,
@@ -47,6 +54,7 @@ from .synth import (
     TOWERS_FILE,
     TRUTH_FILE,
     GenConfig,
+    RateError,
     corpus_pipeline,
     generate,
     validate_corpus,
@@ -173,66 +181,44 @@ def _add_analysis_flags(p: _Parser, *, demographics=True):
 
 
 @contextmanager
-def _removed_on_failure(paths):
-    """Run the body; if it raises, remove the listed paths (files or
-    directories, whichever got written) and re-raise."""
+def _published(out_dir):
+    """Yield a new staging directory in out_dir, or in its nearest existing
+    ancestor, so each move is a rename in one file system. When the body
+    returns, move every staged file into out_dir, made as needed. Either
+    way remove the staging directory: a failed run leaves out_dir as it was."""
+    base = out = os.path.abspath(out_dir)
+    while not os.path.isdir(base):
+        if os.path.lexists(base):
+            raise UsageError(f"--out {out_dir}: {base} exists and is not a directory")
+        base = os.path.dirname(base)
+    stage = tempfile.mkdtemp(prefix=".cdrmob-", dir=base)
     try:
-        yield
-    except BaseException:
-        for p in paths:
-            try:
-                if os.path.isdir(p):
-                    shutil.rmtree(p)
-                elif os.path.exists(p):
-                    os.unlink(p)
-            except OSError:
-                pass
-        raise
-
-
-@contextmanager
-def _new_dirs_removed_on_failure(out_dir):
-    """Run the body; if it raises, remove out_dir if it did not exist
-    before, and each parent of it that did not exist and is empty now, then
-    re-raise. Other runs may write into those parents meanwhile, so only
-    out_dir itself is removed with its contents."""
-    new = []
-    if out_dir is not None:
-        path = os.path.abspath(out_dir)
-        while not os.path.lexists(path):
-            new.append(path)
-            path = os.path.dirname(path)
-    try:
-        yield
-    except BaseException:
-        if new:
-            shutil.rmtree(new[0], ignore_errors=True)
-        for parent in new[1:]:
-            try:
-                os.rmdir(parent)
-            except OSError:
-                break
-        raise
+        yield stage
+        for root, _, files in os.walk(stage):
+            dest = os.path.normpath(os.path.join(out, os.path.relpath(root, stage)))
+            os.makedirs(dest, exist_ok=True)
+            for name in files:
+                os.replace(os.path.join(root, name), os.path.join(dest, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _write_report(pipe: Pipeline, out_dir, stages, plot_data: bool, command: str) -> dict:
-    names = [STAGE_OUTPUTS[s] for s in stages] + ["manifest.json"]
-    if plot_data:
-        names.append("plotdata")
-    with _removed_on_failure([os.path.join(out_dir, n) for n in names]):
-        outputs = write_outputs(pipe, out_dir, stages, plot_data=plot_data)
-        write_manifest(pipe, out_dir, outputs, command=command)
+    with _published(out_dir) as stage:
+        outputs = write_outputs(pipe, stage, stages, plot_data=plot_data)
+        write_manifest(pipe, stage, outputs, command=command)
     return outputs
 
 
-def _write_files(out_dir, names, command: str, t0: float, write, **fields) -> None:
-    """write() the named files into out_dir, then a manifest of their
-    digests timed from t0; list them all on stdout."""
-    with _removed_on_failure([os.path.join(out_dir, n) for n in names + ["manifest.json"]]):
-        write()
-        outputs = {n: _sha256(os.path.join(out_dir, n)) for n in names}
+def _write_files(out_dir, names, command: str, write) -> None:
+    """Publish the named files that write(staging directory) makes, and a
+    manifest of their digests, time and the fields write returns; list them."""
+    with _published(out_dir) as stage:
+        t0 = time.perf_counter()
+        fields = write(stage)
+        outputs = {n: _sha256(os.path.join(stage, n)) for n in names}
         seconds = {command: round(time.perf_counter() - t0, 3)}
-        save_manifest(out_dir, command, outputs, timings_s=seconds, inclusive_s=seconds, **fields)
+        save_manifest(stage, command, outputs, timings_s=seconds, inclusive_s=seconds, **fields)
     for n in names + ["manifest.json"]:
         print(os.path.join(out_dir, n))
 
@@ -269,62 +255,58 @@ _STAGE_COMMANDS = {
 
 
 def _cmd_ingest(args) -> int:
-    registry = load_towers(args.towers)
-    t0 = time.perf_counter()
-    result = ingest_file(args.cdr, registry, analysis_year=args.year, reciprocity=args.reciprocity)
-    if not len(result.table):
-        raise PipelineError("no surviving individuals after filtering")
-    _write_files(
-        args.out, [SPOOL_EVENTS, SPOOL_STATS, SPOOL_META], "ingest", t0,
-        lambda: write_spool(result, registry, args.out),
-        inputs=input_digests(cdr=args.cdr, towers=args.towers),
-        ingest_stats=asdict(result.stats),
-    )
+    def write(stage):
+        registry = load_towers(args.towers)
+        result = ingest_file(args.cdr, registry, analysis_year=args.year,
+                             reciprocity=args.reciprocity)
+        if not len(result.table):
+            raise PipelineError("no surviving individuals after filtering")
+        write_spool(result, registry, stage)
+        return {"inputs": input_digests(cdr=args.cdr, towers=args.towers),
+                "ingest_stats": asdict(result.stats)}
+
+    _write_files(args.out, [SPOOL_EVENTS, SPOOL_STATS, SPOOL_META], "ingest", write)
     return 0
 
 
-def _gen_config(args) -> GenConfig:
-    base = {}
-    if args.gen_config:
-        try:
-            with open(args.gen_config, encoding="utf-8") as fh:
-                base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise CdrError(f"cannot read --gen-config: {e}")
-        if not isinstance(base, dict):
-            raise CdrError("--gen-config must hold a JSON object")
-    if args.n is not None:
-        base["n_individuals"] = args.n
-    if args.cells is not None:
-        base["n_cells"] = args.cells
-    if args.seed is not None:
-        base["seed"] = args.seed
+def _generate(settings: dict, out_dir, threads: int) -> tuple:
+    """(GenConfig, GroundTruth) of the corpus of these settings, generated
+    into out_dir. Settings that GenConfig, or the generator's check of the
+    event rates they give, refuses are a usage error."""
     try:
-        return GenConfig.from_dict(base)
+        cfg = GenConfig.from_dict(settings)
     except (TypeError, ValueError) as e:
+        raise UsageError(f"bad generator config: {e}")
+    try:
+        return cfg, generate(cfg, out_dir, threads=max(1, threads))
+    except RateError as e:
         raise UsageError(f"bad generator config: {e}")
 
 
 def _cmd_generate(args) -> int:
-    cfg = _gen_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    _write_files(
-        args.out, [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE, TRUTH_FILE, CONFIG_FILE],
-        "generate", time.perf_counter(),
-        lambda: generate(cfg, args.out, threads=max(1, args.threads)),
-        config=asdict(cfg),
-    )
+    settings = read_json_object(args.gen_config, "--gen-config") if args.gen_config else {}
+    for key, value in (("n_individuals", args.n), ("n_cells", args.cells), ("seed", args.seed)):
+        if value is not None:
+            settings[key] = value
+
+    def write(stage):
+        cfg, _ = _generate(settings, stage, args.threads)
+        return {"config": asdict(cfg)}
+
+    _write_files(args.out, [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE, TRUTH_FILE, CONFIG_FILE],
+                 "generate", write)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    card = validate_corpus(args.corpus, threads=max(1, args.threads),
-                           reciprocity=args.reciprocity)
+    with _published(args.out) if args.out else nullcontext() as stage:
+        card = validate_corpus(args.corpus, threads=max(1, args.threads),
+                               reciprocity=args.reciprocity)
+        if stage:
+            write_json(os.path.join(stage, "scorecard.json"), asdict(card))
     for line in card.lines():
         print(line)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_json(os.path.join(args.out, "scorecard.json"), asdict(card))
         print(os.path.join(args.out, "scorecard.json"))
     if card.passed:
         print("all checks passed")
@@ -334,14 +316,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    # the report reads the published corpus: its manifest names files that exist
     corpus = os.path.join(args.out, "corpus")
     report_dir = os.path.join(args.out, "report")
-    try:
-        cfg = GenConfig(n_individuals=args.n, seed=args.seed)
-    except ValueError as e:
-        raise UsageError(f"bad generator config: {e}")
-    os.makedirs(corpus, exist_ok=True)
-    truth = generate(cfg, corpus, threads=max(1, args.threads))
+    with _published(corpus) as stage:
+        cfg, truth = _generate({"n_individuals": args.n, "seed": args.seed}, stage, args.threads)
     print(f"corpus: {corpus} ({cfg.n_individuals} individuals, seed {cfg.seed})")
     pipe = corpus_pipeline(corpus, truth, threads=max(1, args.threads))
     outputs = _write_report(pipe, report_dir, set(STAGE_OUTPUTS), True, "demo")
@@ -429,9 +408,7 @@ def main(argv=None) -> int:
         return 1
     _configure_logging(args.log_level)
     try:
-        # a failed run leaves no directory it created
-        with _new_dirs_removed_on_failure(getattr(args, "out", None)):
-            return args.func(args)
+        return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

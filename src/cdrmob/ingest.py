@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import os
 import zipfile
@@ -54,6 +53,7 @@ from .records import (
     nul_free,
     parse_event_fields,
     parse_timestamp,
+    read_json_object,
     write_json,
     year_bounds,
 )
@@ -694,19 +694,6 @@ def write_spool(result: IngestResult, registry: TowerRegistry, out_dir) -> None:
     })
 
 
-def _spool_json(path, name) -> dict:
-    """The JSON object in file `name` of a spool directory."""
-    p = os.path.join(path, name)
-    try:
-        with open(p, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as e:
-        raise CdrError(f"{p}: unreadable spool file: {e}")
-    if not isinstance(doc, dict):
-        raise CdrError(f"{p}: unreadable spool file: not a JSON object")
-    return doc
-
-
 def _is_count(v) -> bool:
     """A JSON count: a non-negative integer, and not a boolean."""
     return type(v) is int and v >= 0
@@ -718,7 +705,7 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
     were cut to that year, filtered by that rule, and index those towers.
     The spool is machine-written, so a defect in any of its files is
     fatal, a missing stats.json included."""
-    meta = _spool_json(path, SPOOL_META)
+    meta = read_json_object(os.path.join(path, SPOOL_META), "spool file")
     for key, want in (
         ("format", SPOOL_FORMAT),
         ("analysis_year", analysis_year),
@@ -731,10 +718,7 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
                 f"not {want}; re-run ingest with the settings of this analysis"
             )
     stats_path = os.path.join(path, SPOOL_STATS)
-    counts = _spool_json(path, SPOOL_STATS)
-    keys = sorted(f.name for f in fields(IngestStats))
-    if sorted(counts) != keys:
-        raise CdrError(f"{stats_path}: malformed spool file: keys {sorted(counts)}, not {keys}")
+    counts = read_json_object(stats_path, "spool file", [f.name for f in fields(IngestStats)])
     rejected = counts["rows_rejected"]
     if not (isinstance(rejected, dict) and all(map(_is_count, rejected.values()))
             and all(_is_count(v) for k, v in counts.items() if k != "rows_rejected")):

@@ -598,8 +598,7 @@ STAGE_OUTPUTS = {stage: name for stage, (name, _, _) in WRITERS.items()}
 def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> dict[str, str]:
     """Write the requested stage outputs; returns {relative path: sha256}.
     Each write, digest included, is timed as write_<stage> (plot data as
-    write_plotdata) and runs on every call. Strata need demographics. The
-    caller owns cleanup of anything listed if a later stage fails."""
+    write_plotdata) and runs on every call. Strata need demographics."""
     os.makedirs(out_dir, exist_ok=True)
     done: dict[str, str] = {}
 

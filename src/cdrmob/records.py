@@ -125,6 +125,22 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def read_json_object(path, what: str, keys=None) -> dict:
+    """The JSON object in file `path`, with exactly `keys` when they are
+    given; a CdrError names the file and `what` it was read as when it
+    cannot be read, is not a JSON object or has other keys."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise CdrError(f"{path}: unreadable {what}: {e}")
+    if not isinstance(doc, dict):
+        raise CdrError(f"{path}: unreadable {what}: not a JSON object")
+    if keys is not None and doc.keys() != set(keys):
+        raise CdrError(f"{path}: malformed {what}: keys {sorted(doc)}, not {sorted(keys)}")
+    return doc
+
+
 def nul_free(lines, on_nul):
     """The lines that hold no NUL character; on_nul(line number, from 1)
     is called for each one that does. csv.reader refuses a NUL before

@@ -39,7 +39,14 @@ import numpy as np
 
 from .density import DensityError, classify_areas, rank_desc, validate_boundaries
 from .geo import GridSpec, offset_km
-from .records import EPOCH_WEEKDAY, age_group_of, format_timestamp, month_starts, write_json
+from .records import (
+    EPOCH_WEEKDAY,
+    age_group_of,
+    format_timestamp,
+    month_starts,
+    read_json_object,
+    write_json,
+)
 
 CDR_FILE = "cdr.csv"
 TOWERS_FILE = "towers.csv"
@@ -94,6 +101,15 @@ AGE_MAX = 85
 SPAM_EVENTS_BASE = 20
 SPAM_EVENTS_POISSON = 30
 OUTSIDER_ID = "x0001"  # the partner of a corpus's only genuine individual
+# The most events one individual may be expected to make in the year, about
+# 2,700 a day. numpy refuses a Poisson rate above about 9.2e18, but at this
+# rate one individual's draws already take about 56 MB.
+MAX_YEAR_EVENTS = 1e6
+
+
+class RateError(ValueError):
+    """Settings under which some individual's expected events fall outside
+    0 to MAX_YEAR_EVENTS."""
 
 
 @dataclass(frozen=True)
@@ -239,8 +255,7 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, path) -> "GroundTruth":
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
+        d = read_json_object(path, "ground truth", [f.name for f in fields(cls)])
         for k in (
             "night_window", "dow_mult", "month_mult_dense", "month_mult_sparse",
             "mobility_month_mult", "female_activity_excess", "area_boundaries",
@@ -389,6 +404,19 @@ class _World:
             cdf /= cdf[-1]
             self.day_cdf[k] = cdf
         self.dense = self.area <= DENSE_AREA_MAX
+
+        # every rate _ego_chunk can draw: men, then women, of each age group
+        year = np.where(self.dense, self.weight_sum["dense"], self.weight_sum["sparse"])
+        groups = list(AGE_ACTIVITY_MULT)
+        men = np.outer(cfg.base_daily_events * self.act_density_mult * year,
+                       [AGE_ACTIVITY_MULT[g] for g in groups])
+        excess = np.outer(np.asarray(cfg.female_activity_excess)[self.area - 1],
+                          [AGE_EXCESS_SCALE[g] for g in groups])
+        rates = np.concatenate([men, men * (1.0 + excess)])
+        if not ((rates >= 0) & (rates <= MAX_YEAR_EVENTS)).all():
+            raise RateError(f"an individual's expected events in the year must be from 0 to "
+                            f"{MAX_YEAR_EVENTS:g}; these settings give rates from "
+                            f"{rates.min():g} to {rates.max():g}")
 
         self.tod_cdf, self.tod_hours = _tod_quantiles(cfg)
 

@@ -4,17 +4,23 @@ Everything runs in-process through main(argv); the acceptance suite
 already exercises the installed entry point in subprocesses.
 """
 
+import contextlib
 import csv
 import dataclasses
 import filecmp
+import io
 import json
 import os
+import pathlib
 import random
+import tempfile
 import time
 
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cdrmob import cli, ingest
 from cdrmob.cli import main
@@ -232,6 +238,11 @@ def test_year_outside_the_calendar_is_a_usage_error(tmp_path, capsys, command, y
     {"n_individuals": 1500.5},
     {"seed": 1.5},
     {"night_floor": -1.0},
+    # numpy refused these Poisson rates mid-generation: too large, not
+    # finite, and negative
+    {"base_daily_events": 1e300},
+    {"beta": 1e6},
+    {"female_activity_excess": [-1.0, 0.0, 0.0, 0.0, 0.0]},
 ])
 def test_gen_config_refuses_what_generation_would_crash_on(tmp_path, capsys, setting):
     path = tmp_path / "gen.json"
@@ -442,6 +453,89 @@ def test_failed_run_cleans_its_partial_outputs(tmp_path, capsys):
     # must not be left behind, while the unrelated file survives
     assert {p.name for p in out.iterdir()} == {"keep.txt"}
     assert keep.read_text() == "not ours\n"
+
+
+def _tree(root) -> dict[str, bytes | None]:
+    """Every path under root, hidden ones included: a file's bytes, or
+    None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command", ["report", "homes"])
+def test_failed_rerun_leaves_an_earlier_report_as_it_was(small_corpus, tmp_path, capsys,
+                                                          command):
+    corpus, _ = small_corpus
+    inputs = ["--cdr", str(corpus / CDR_FILE), "--towers", str(corpus / TOWERS_FILE),
+              "--demographics", str(corpus / DEMOGRAPHICS_FILE), "--area-bounds", "12,40,120,260"]
+    out = tmp_path / "out"
+    assert main(["report", *inputs, "--plot-data", "--out", str(out)]) == 0
+    before = _tree(out)
+    assert "plotdata" in before and "manifest.json" in before
+    if command == "report":
+        # no 2008 row falls in 2010: the rerun fails at ingest
+        rerun = ["report", *inputs, "--plot-data", "--year", "2010", "--out", str(out)]
+    else:
+        # the single-spike profile is written, then its rhythm fit fails
+        cdr, towers = _write_minimal_corpus(tmp_path)
+        rerun = ["homes", *_analysis_args(cdr, towers, out)]
+    capsys.readouterr()
+    assert main(rerun) == 2
+    assert "error:" in capsys.readouterr().err
+    assert _tree(out) == before
+
+
+def test_no_staging_directory_remains(tmp_path, capsys):
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    assert main(["generate", "--out", str(tmp_path / "new" / "corpus"),
+                 "--n", "60", "--cells", "6"]) == 0
+    assert main(["ingest", "--cdr", str(cdr), "--towers", str(towers),
+                 "--out", str(tmp_path / "new")]) == 0
+    assert main(["report", *_analysis_args(cdr, towers, tmp_path / "new")]) == 2
+    assert main(["report", *_analysis_args(cdr, towers, tmp_path / "gone")]) == 2
+    capsys.readouterr()
+    assert not [p for p in tmp_path.rglob(".cdrmob-*")]
+    assert not (tmp_path / "gone").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "generate", "demo"])
+@pytest.mark.parametrize("under", [False, True])
+def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys, command, under):
+    # it ended in a FileExistsError traceback
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    before = _tree(tmp_path)
+    out = cdr / "sub" if under else cdr
+    argv = {
+        "report": ["report", *_analysis_args(cdr, towers, out)],
+        "generate": ["generate", "--out", str(out), "--n", "60", "--cells", "6"],
+        "demo": ["demo", "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    assert f"{cdr} exists and is not a directory" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("damage", ["not json", "missing", "unexpected", "a list"])
+def test_a_malformed_ground_truth_names_the_file(tmp_path, capsys, damage):
+    # a file that is not JSON, or that lacks a field, ended in a traceback
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--out", str(corpus), "--n", "60", "--cells", "6"]) == 0
+    truth = corpus / "truth.json"
+    doc = json.loads(truth.read_text())
+    if damage == "not json":
+        truth.write_text(truth.read_text()[:-10])
+    elif damage == "missing":
+        del doc["night_window"]
+        truth.write_text(json.dumps(doc))
+    elif damage == "unexpected":
+        truth.write_text(json.dumps({**doc, "extra": 1}))
+    else:
+        truth.write_text(json.dumps([doc]))
+    capsys.readouterr()
+    assert main(["validate", "--corpus", str(corpus), "--out", str(tmp_path / "card")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {truth}: " in err and "ground truth" in err
+    assert not (tmp_path / "card").exists()
 
 
 def test_validate_flags_an_unfiltered_corpus(small_corpus, tmp_path, capsys):
@@ -718,3 +812,73 @@ def test_log_level_writes_progress_to_stderr_only(small_corpus, tmp_path, capsys
     assert "ingest:" not in quiet.err
     assert "INFO cdrmob.ingest: ingest:" in loud.err
     assert main([*argv, "--log-level", "loud"]) == 1
+
+
+# ------------------------------------------------ command-line property
+
+# Values of each flag, the first one valid, mixed with out-of-range,
+# negative, empty and non-numeric ones. A value that starts with @ names a
+# path in the directory of the minimal corpus ("@" the directory itself).
+_OUTS = ["@out", "@out/deep/er", "@", "@cdr.csv", "@cdr.csv/sub", ""]
+_ANALYSIS_FLAGS = {
+    "--cdr": ["@cdr.csv", "@towers.csv", "@", "@missing"],
+    "--towers": ["@towers.csv", "@cdr.csv", "@", "@missing"],
+    "--demographics": ["@missing", "@cdr.csv", "@"],
+    "--year": ["2008", "2010", "0", "-5", "9999", "", "abc"],
+    "--grid-step": ["0.05", "1", "0", "-1", "nan", "1e300", "", "x"],
+    "--window": ["year", "month", "day", "decade", "", "2008-03-01/2008-02-01",
+                 "2008-01-01/2008-12-31"],
+    "--night-window": ["01:00-07:00", "23:30-05:00", "25:00-07:00", "01:00-01:00", "", "1-7"],
+    "--area-bounds": ["1,2,3,4", "30,100,1000,10000", "5,4,3,2", "1,2", "", "a,b,c,d", "-1,0,1,2"],
+    "--divisor": ["events", "pairs", "", "rows"],
+    "--reciprocity": ["pair", "degree", "none", "", "all"],
+    "--threads": ["1", "0", "-2", "", "two"],
+}
+_GRAMMAR = {
+    **{name: _ANALYSIS_FLAGS for name in cli._STAGE_COMMANDS},
+    "ingest": {k: _ANALYSIS_FLAGS[k] for k in ("--cdr", "--towers", "--year", "--reciprocity")},
+    "generate": {"--n": ["60", "50", "0", "-1", "", "2.5"], "--cells": ["5", "0", "-3", "", "x"],
+                 "--seed": ["1", "-1", "", "s"], "--threads": _ANALYSIS_FLAGS["--threads"],
+                 "--gen-config": ["@gen.json", "@big.json", "@missing", "@cdr.csv"]},
+    "validate": {"--corpus": ["@", "@missing", "@cdr.csv"],
+                 "--reciprocity": _ANALYSIS_FLAGS["--reciprocity"]},
+    "demo": {"--n": ["450", "50", "0", "-1", "", "many"], "--seed": ["7", "-1", "", "s"]},
+}
+# flags that are always given: each input, --out, and --n, whose default
+# would make a corpus of thousands
+_ALWAYS = {"--out", "--cdr", "--towers", "--corpus", "--n"}
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand, then each of its flags: given its valid value eight
+    times in ten and any value otherwise; a flag not in _ALWAYS is left out
+    six times in ten."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [command]
+    for flag, values in {"--out": _OUTS, **_GRAMMAR[command]}.items():
+        if flag in _ALWAYS or draw(st.integers(0, 9)) >= 6:
+            valid = draw(st.integers(0, 9)) < 8
+            argv += [flag, values[0] if valid else draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_command_lines())
+def test_any_command_line_exits_0_1_or_2_and_a_failure_changes_nothing(tmp_path, argv):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as d:
+        root = pathlib.Path(d)
+        _write_minimal_corpus(root)
+        (root / "gen.json").write_text(json.dumps({"n_individuals": 60, "n_cells": 5}))
+        (root / "big.json").write_text(json.dumps({"base_daily_events": 1e300}))
+        argv = [str(root / a[1:]) if a.startswith("@") else a for a in argv]
+        before = _tree(root)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert not list(root.rglob(".cdrmob-*")), argv
+        if rc:
+            assert _tree(root) == before, argv
