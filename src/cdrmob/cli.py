@@ -184,21 +184,36 @@ def _add_analysis_flags(p: _Parser, *, demographics=True):
 def _published(out_dir):
     """Yield a new staging directory in out_dir, or in its nearest existing
     ancestor, so each move is a rename in one file system. When the body
-    returns, move every staged file into out_dir, made as needed. Either
-    way remove the staging directory: a failed run leaves out_dir as it was."""
+    returns, and every destination is absent or of the staged kind (a
+    directory, or a regular file), make the directories in out_dir and move
+    every staged file there, manifest.json last. Either way remove the
+    staging directory: a failed run leaves out_dir as it was."""
     base = out = os.path.abspath(out_dir)
     while not os.path.isdir(base):
         if os.path.lexists(base):
             raise UsageError(f"--out {out_dir}: {base} exists and is not a directory")
         base = os.path.dirname(base)
+
+    def clear(path, fits, kind):
+        if os.path.lexists(path) and not fits(path):
+            raise PipelineError(f"cannot publish {path}: it exists and is not a {kind}")
+
     stage = tempfile.mkdtemp(prefix=".cdrmob-", dir=base)
     try:
         yield stage
+        dirs, moves = [], []
         for root, _, files in os.walk(stage):
             dest = os.path.normpath(os.path.join(out, os.path.relpath(root, stage)))
-            os.makedirs(dest, exist_ok=True)
+            clear(dest, os.path.isdir, "directory")
+            dirs.append(dest)
             for name in files:
-                os.replace(os.path.join(root, name), os.path.join(dest, name))
+                clear(os.path.join(dest, name), os.path.isfile, "regular file")
+                moves.append((os.path.join(root, name), os.path.join(dest, name)))
+        for d in dirs:
+            os.makedirs(d, exist_ok=True)
+        # a directory whose manifest matches its files is complete
+        for src, dest in sorted(moves, key=lambda m: m[1] == os.path.join(out, "manifest.json")):
+            os.replace(src, dest)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 

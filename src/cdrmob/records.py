@@ -323,18 +323,16 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
         entries[row[0].strip()] = (female, age)
     ids = sorted(entries)
     female, age = np.array([entries[e] for e in ids], dtype=np.int64).reshape(-1, 2).T
-    group = np.searchsorted([upper for _, upper in AGE_GROUPS], age)
-    return Demographics(np.array(ids, dtype=str), female == 1, group, rejected)
+    return Demographics(np.array(ids, dtype=str), female == 1, age_group_of(age), rejected)
 
 
-def age_group_of(age: int) -> str:
-    """One of the six age-group labels; error outside [10, 110]."""
-    if not (AGE_MIN <= age <= AGE_MAX):
+def age_group_of(age):
+    """The AGE_GROUPS index of an age, or of each age of an array; error
+    outside [10, 110]."""
+    a = np.asarray(age)
+    if not ((AGE_MIN <= a) & (a <= AGE_MAX)).all():
         raise ValueError(f"age {age} outside [{AGE_MIN}, {AGE_MAX}]")
-    for label, upper in AGE_GROUPS:
-        if age <= upper:
-            return label
-    raise AssertionError("unreachable")
+    return np.searchsorted([upper for _, upper in AGE_GROUPS], age)
 
 
 def _looks_like_header(row: list[str], numeric_col: int | None) -> bool:

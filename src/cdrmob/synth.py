@@ -41,6 +41,7 @@ from .density import DensityError, classify_areas, rank_desc, validate_boundarie
 from .geo import GridSpec, offset_km
 from .records import (
     EPOCH_WEEKDAY,
+    CdrError,
     age_group_of,
     format_timestamp,
     month_starts,
@@ -70,6 +71,7 @@ AMP_EVE = 0.85
 
 DOW_MULT = (0.98, 1.00, 1.02, 1.06, 1.15, 1.04, 0.80)  # Mon..Sun
 DENSE_AREA_MAX = 3  # density classes 1..this use the dense month table
+NIGHT_WINDOW_H = (1.0, 7.0)  # clock hours in which events anchor to home
 
 LAMBDA0_KM = 3.0
 LAMBDA_MIN_KM = 0.5
@@ -79,22 +81,9 @@ MOBILITY_MONTH_MULT = (1.25, 1.0, 0.99, 0.98, 0.97, 0.96, 1.15, 1.18, 0.93, 0.92
 
 SMS_FRACTION = 0.3
 FEMALE_FRACTION = 0.5
-AGE_EXCESS_SCALE = {
-    "teen": 2.0,
-    "early_adult": 0.5,
-    "early_middle": 1.0,
-    "middle": 1.5,
-    "early_senior": 1.0,
-    "senior": 0.8,
-}
-AGE_ACTIVITY_MULT = {
-    "teen": 0.9,
-    "early_adult": 1.2,
-    "early_middle": 1.05,
-    "middle": 0.95,
-    "early_senior": 0.8,
-    "senior": 0.65,
-}
+# by age group, in records.AGE_GROUPS order (teen .. senior)
+AGE_EXCESS_SCALE = (2.0, 0.5, 1.0, 1.5, 1.0, 0.8)
+AGE_ACTIVITY_MULT = (0.9, 1.2, 1.05, 0.95, 0.8, 0.65)
 AGE_MIN = 13
 AGE_MAX = 85
 
@@ -256,14 +245,56 @@ class GroundTruth:
     @classmethod
     def from_json(cls, path) -> "GroundTruth":
         d = read_json_object(path, "ground truth", [f.name for f in fields(cls)])
-        for k in (
-            "night_window", "dow_mult", "month_mult_dense", "month_mult_sparse",
-            "mobility_month_mult", "female_activity_excess", "area_boundaries",
-        ):
-            d[k] = tuple(d[k])
-        if d["activity_flip"] is not None:
-            d["activity_flip"] = tuple(d["activity_flip"])
+        for k, shape in _TRUTH_SHAPES.items():
+            if not _fits(d[k], shape):
+                raise CdrError(f"{path}: malformed ground truth: "
+                               f"{k} has the wrong JSON type or length")
+            if isinstance(d[k], list) and k not in ("settlements", "spam_ids"):
+                d[k] = tuple(d[k])  # as GenConfig holds it
+        try:  # the settings the corpus's pipeline is set up with
+            month_starts(d["analysis_year"])
+            GridSpec(d["grid_step"])
+            validate_boundaries(d["area_boundaries"])
+        except ValueError as e:
+            raise CdrError(f"{path}: malformed ground truth: {e}")
         return cls(**d)
+
+
+def _fits(value, shape) -> bool:
+    """Whether a JSON value has a shape: a type (float takes any number), a
+    tuple of shapes it may take, [element shape, length or None] for a list,
+    or {key: shape} for an object holding those keys ({str: shape}: any keys)."""
+    if isinstance(shape, tuple):
+        return any(_fits(value, s) for s in shape)
+    if isinstance(shape, list):
+        return (isinstance(value, list) and shape[1] in (None, len(value))
+                and all(_fits(v, shape[0]) for v in value))
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and (
+            all(_fits(v, shape[str]) for v in value.values()) if str in shape
+            else all(k in value and _fits(value[k], s) for k, s in shape.items()))
+    if shape is None:
+        return value is None
+    if shape is bool or isinstance(value, bool):
+        return shape is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if shape is float else shape)
+
+
+_CELL = [int, 2]
+# the JSON shape of each truth.json field; of an individual or a settlement,
+# the keys that the scorecard reads
+_TRUTH_SHAPES = {
+    "analysis_year": int, "seed": int, "night_window": [float, 2],
+    "circadian": {k: float for k in ("mu_day_h", "sigma_day_h", "amp_day", "mu_eve_h",
+                                     "sigma_eve_h", "amp_eve", "floor")},
+    "dow_mult": [float, 7], "month_mult_dense": [float, 12], "month_mult_sparse": [float, 12],
+    "dense_area_max": int, "mobility_month_mult": [float, 12], "beta": float, "gamma": float,
+    "zipf_exponent": float, "activity_flip": (None, [float, 3]),
+    "female_activity_excess": [float, 5], "female_mobility_excess": float,
+    "area_boundaries": [int, 4], "grid_step": float,
+    "settlements": [{"cell": _CELL, "density": float}, None],
+    "egos": {str: {"cell": _CELL, "spam": bool}}, "spam_ids": [str, None],
+}
 
 
 def _mixture_pdf_hours(t_h: np.ndarray, cfg: GenConfig) -> np.ndarray:
@@ -346,22 +377,22 @@ class _World:
         rho = pop / areas_km2
         self.rho = rho
         rho_mean = float(rho.mean())
-        self.lam = np.clip(
-            LAMBDA0_KM * (rho / rho_mean) ** (-cfg.gamma),
-            LAMBDA_MIN_KM,
-            LAMBDA_MAX_KM,
-        )
-        self.act_density_mult = (rho / rho_mean) ** cfg.beta
-
         self.rank = rank_desc(rho)
         self.area = classify_areas(rho, cfg.area_boundaries)
-
-        if cfg.activity_flip is not None:
-            head, tail, pivot = cfg.activity_flip
-            rel = self.rank / float(pivot)
-            self.act_density_mult = np.where(
-                self.rank <= pivot, rel**head, rel**tail
+        self.dense = self.area <= DENSE_AREA_MAX
+        with np.errstate(over="ignore"):  # the rate check refuses an infinite rate
+            self.lam = np.clip(
+                LAMBDA0_KM * (rho / rho_mean) ** (-cfg.gamma),
+                LAMBDA_MIN_KM,
+                LAMBDA_MAX_KM,
             )
+            self.act_density_mult = (rho / rho_mean) ** cfg.beta
+            if cfg.activity_flip is not None:
+                head, tail, pivot = cfg.activity_flip
+                rel = self.rank / float(pivot)
+                self.act_density_mult = np.where(
+                    self.rank <= pivot, rel**head, rel**tail
+                )
 
         # satellite towers on rings around each settlement
         for k in range(n):
@@ -392,36 +423,32 @@ class _World:
         self.day_wd = (days + EPOCH_WEEKDAY) % 7
         self.date_bytes = _byte_table([format_timestamp(d * 86400)[:11] for d in days.tolist()])
 
-        dense = np.asarray(cfg.month_mult_dense)[self.day_month]
-        sparse = np.asarray(cfg.month_mult_sparse)[self.day_month]
-        dowv = np.asarray(DOW_MULT)[self.day_wd]
-        day_weight = {"dense": dowv * dense, "sparse": dowv * sparse}
-        self.weight_sum = {k: float(v.sum()) for k, v in day_weight.items()}
-        # the day CDF of each class, as Generator.choice builds it from p
-        self.day_cdf = {}
-        for k, v in day_weight.items():
-            cdf = (v / v.sum()).cumsum()
-            cdf /= cdf[-1]
-            self.day_cdf[k] = cdf
-        self.dense = self.area <= DENSE_AREA_MAX
+        # each day's weight under the sparse (row 0) and the dense (row 1)
+        # month table; settlement s follows row self.dense[s]
+        months = np.asarray([cfg.month_mult_sparse, cfg.month_mult_dense])
+        day_weight = np.asarray(DOW_MULT)[self.day_wd] * months[:, self.day_month]
+        row_sum = np.array([v.sum() for v in day_weight])  # sum(axis=1) rounds otherwise
+        # the day CDF of each row, as Generator.choice builds it from p
+        self.day_cdf = (day_weight / row_sum[:, None]).cumsum(axis=1)
+        self.day_cdf /= self.day_cdf[:, -1:]
+        year = row_sum[self.dense.astype(np.intp)]
 
-        # every rate _ego_chunk can draw: men, then women, of each age group
-        year = np.where(self.dense, self.weight_sum["dense"], self.weight_sum["sparse"])
-        groups = list(AGE_ACTIVITY_MULT)
-        men = np.outer(cfg.base_daily_events * self.act_density_mult * year,
-                       [AGE_ACTIVITY_MULT[g] for g in groups])
-        excess = np.outer(np.asarray(cfg.female_activity_excess)[self.area - 1],
-                          [AGE_EXCESS_SCALE[g] for g in groups])
-        rates = np.concatenate([men, men * (1.0 + excess)])
-        if not ((rates >= 0) & (rates <= MAX_YEAR_EVENTS)).all():
+        # expected events in the year of a genuine individual, by settlement,
+        # sex (men, women) and age group: the rates drawn and the rates checked
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            daily = np.outer(cfg.base_daily_events * self.act_density_mult, AGE_ACTIVITY_MULT)
+            lift = 1.0 + np.outer(np.asarray(cfg.female_activity_excess)[self.area - 1],
+                                  AGE_EXCESS_SCALE)
+            rate = np.stack([daily, daily * lift], axis=1) * year[:, None, None]
+        if not ((rate >= 0) & (rate <= MAX_YEAR_EVENTS)).all():
             raise RateError(f"an individual's expected events in the year must be from 0 to "
                             f"{MAX_YEAR_EVENTS:g}; these settings give rates from "
-                            f"{rates.min():g} to {rates.max():g}")
+                            f"{rate.min():g} to {rate.max():g}")
+        self.rate = rate.tolist()  # read once per individual
+        # the age group of each age the generator draws, from AGE_MIN
+        self.age_group = age_group_of(np.arange(AGE_MIN, AGE_MAX + 1)).tolist()
 
         self.tod_cdf, self.tod_hours = _tod_quantiles(cfg)
-
-    def month_class(self, area: int) -> str:
-        return "dense" if area <= DENSE_AREA_MAX else "sparse"
 
 
 def _partner_ring(idx: np.ndarray, n_real: int, outsider: int) -> np.ndarray:
@@ -474,7 +501,6 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], dict]
     ring = _partner_ring(np.arange(lo, min(hi, n_real)), n_real, cfg.n_individuals)
     g = len(ring)
     areas = world.area.tolist()
-    act = world.act_density_mult.tolist()
     settle, n_ev, female, age, rate = [], [], [], [], []
     u3, sat, pick, u_out, u_sms = [], [], [], [], []
     for i in range(lo, hi):
@@ -487,13 +513,7 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], dict]
             s = int(world.settlement_of[i])
             fem = bool(rng.random() < FEMALE_FRACTION)
             a = int(rng.integers(AGE_MIN, AGE_MAX + 1))
-            group = age_group_of(a)
-            area = areas[s]
-            daily = cfg.base_daily_events * act[s]
-            daily *= AGE_ACTIVITY_MULT[group]
-            if fem:
-                daily *= 1.0 + cfg.female_activity_excess[area - 1] * AGE_EXCESS_SCALE[group]
-            r = daily * world.weight_sum[world.month_class(area)]
+            r = world.rate[s][fem][world.age_group[a - AGE_MIN]]
             k = max(int(rng.poisson(r)), 2)
         settle.append(s)
         n_ev.append(k)
@@ -516,14 +536,14 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], dict]
     u_day, u_tod, u_home = np.concatenate(u3, axis=1)
     days = np.where(
         world.dense[s_ev],
-        world.day_cdf["dense"].searchsorted(u_day, side="right"),
-        world.day_cdf["sparse"].searchsorted(u_day, side="right"),
+        world.day_cdf[1].searchsorted(u_day, side="right"),
+        world.day_cdf[0].searchsorted(u_day, side="right"),
     )
     tod = np.minimum(
         (np.interp(u_tod, world.tod_cdf, world.tod_hours) * 3600.0).astype(np.int64), 86399
     )
 
-    night = (tod >= 3600) & (tod < 7 * 3600)
+    night = (tod >= NIGHT_WINDOW_H[0] * 3600) & (tod < NIGHT_WINDOW_H[1] * 3600)
     p_away = cfg.p_away_day * np.asarray(MOBILITY_MONTH_MULT)[world.day_month[days]]
     p_away = p_away * np.where(np.array(female)[who], 1.0 + cfg.female_mobility_excess, 1.0)
     p_home = np.where(night, cfg.p_home_night, 1.0 - np.minimum(p_away, 0.95))
@@ -619,7 +639,7 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
     truth = GroundTruth(
         analysis_year=cfg.analysis_year,
         seed=cfg.seed,
-        night_window=(1.0, 7.0),
+        night_window=NIGHT_WINDOW_H,
         circadian={
             "mu_day_h": MU_DAY_H,
             "sigma_day_h": SIGMA_DAY_H,

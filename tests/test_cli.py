@@ -13,6 +13,9 @@ import json
 import os
 import pathlib
 import random
+import shutil
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -25,7 +28,16 @@ from hypothesis import strategies as st
 from cdrmob import cli, ingest
 from cdrmob.cli import main
 from cdrmob.pipeline import STAGE_OUTPUTS, write_manifest, write_outputs
-from cdrmob.synth import CDR_FILE, DEMOGRAPHICS_FILE, TOWERS_FILE, GenConfig, corpus_pipeline, generate
+from cdrmob.synth import (
+    CDR_FILE,
+    DEMOGRAPHICS_FILE,
+    TOWERS_FILE,
+    TRUTH_FILE,
+    GenConfig,
+    GroundTruth,
+    corpus_pipeline,
+    generate,
+)
 
 _DAYS = [f"2008-03-{d:02d}" for d in range(1, 11)]
 
@@ -251,6 +263,26 @@ def test_gen_config_refuses_what_generation_would_crash_on(tmp_path, capsys, set
     assert main(["generate", "--out", str(out), "--gen-config", str(path)]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, code", [
+    ({"beta": 1e6}, 1),
+    ({"gamma": 1e6}, 0),  # every travel scale is clipped
+    ({"activity_flip": [1e6, -0.5, 3]}, 0),
+])
+def test_an_overflowing_power_is_no_warning(tmp_path, setting, code):
+    # numpy's overflow warning came before the usage error, and under
+    # python -W error it was a traceback
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"n_individuals": 50, "n_cells": 5, **setting}))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "cdrmob.cli", "generate",
+                          "--out", str(tmp_path / "out"), "--gen-config", str(path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
 
 
 @pytest.mark.parametrize("n", ["50", "0"])
@@ -485,6 +517,41 @@ def test_failed_rerun_leaves_an_earlier_report_as_it_was(small_corpus, tmp_path,
     assert _tree(out) == before
 
 
+@pytest.mark.parametrize("name, kind", [("summary.json", "directory"), ("plotdata", "file")])
+def test_a_destination_of_the_wrong_kind_publishes_nothing(small_corpus, tmp_path, capsys,
+                                                            name, kind):
+    # a directory named summary.json failed the report after areas.json had
+    # moved into --out; a file named plotdata, after all 11 top-level files
+    corpus, _ = small_corpus
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("not ours\n")
+    if kind == "directory":
+        (out / name).mkdir()
+        (out / name / "inside.txt").write_text("not ours\n")
+    else:
+        (out / name).write_text("not ours\n")
+    before = _tree(out)
+    assert main(["report", "--cdr", str(corpus / CDR_FILE), "--towers", str(corpus / TOWERS_FILE),
+                 "--demographics", str(corpus / DEMOGRAPHICS_FILE),
+                 "--area-bounds", "12,40,120,260", "--plot-data", "--out", str(out)]) == 2
+    assert _tree(out) == before
+    assert f"error: cannot publish {out / name}: it exists" in capsys.readouterr().err
+
+
+def test_the_manifest_is_published_last(tmp_path, capsys):
+    moved = []
+    replace = os.replace
+
+    def recorded(src, dst):
+        moved.append(os.path.basename(dst))
+        replace(src, dst)
+
+    with mock.patch.object(cli.os, "replace", recorded):
+        assert main(["generate", "--out", str(tmp_path / "c"), "--n", "60", "--cells", "6"]) == 0
+    assert len(moved) == 6 and moved[-1] == "manifest.json"
+
+
 def test_no_staging_directory_remains(tmp_path, capsys):
     cdr, towers = _write_minimal_corpus(tmp_path)
     assert main(["generate", "--out", str(tmp_path / "new" / "corpus"),
@@ -536,6 +603,50 @@ def test_a_malformed_ground_truth_names_the_file(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert f"error: {truth}: " in err and "ground truth" in err
     assert not (tmp_path / "card").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("tiny") / "corpus"
+    generate(GenConfig(n_individuals=60, n_cells=6), corpus)
+    return corpus
+
+
+# the fields that take a number; activity_flip also takes null
+_NUMBER_FIELDS = {"analysis_year", "seed", "dense_area_max", "beta", "gamma", "zipf_exponent",
+                  "female_mobility_excess", "grid_step"}
+
+
+@pytest.mark.parametrize("value", [5, "x", [1], {"a": 1}, None], ids=repr)
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GroundTruth)])
+def test_a_ground_truth_field_of_any_json_type_exits_0_or_2(tiny_corpus, tmp_path, capsys,
+                                                             name, value):
+    # a night_window of 5 or settlements of [1] ended in a TypeError traceback
+    corpus = tmp_path / "corpus"
+    shutil.copytree(tiny_corpus, corpus)
+    truth = corpus / TRUTH_FILE
+    truth.write_text(json.dumps({**json.loads(truth.read_text()), name: value}))
+    rc = main(["validate", "--corpus", str(corpus)])
+    err = capsys.readouterr().err
+    fits = value == 5 and name in _NUMBER_FIELDS or value is None and name == "activity_flip"
+    if fits:
+        assert rc in (0, 2) and "malformed" not in err
+    else:
+        assert rc == 2
+        assert f"error: {truth}: malformed ground truth: {name} has the wrong JSON type or length" in err
+
+
+@pytest.mark.parametrize("name, value", [
+    ("analysis_year", 0), ("grid_step", -1.0), ("area_boundaries", [4, 3, 2, 1]),
+])
+def test_ground_truth_settings_the_pipeline_refuses_exit_2(tiny_corpus, tmp_path, capsys,
+                                                           name, value):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(tiny_corpus, corpus)
+    truth = corpus / TRUTH_FILE
+    truth.write_text(json.dumps({**json.loads(truth.read_text()), name: value}))
+    assert main(["validate", "--corpus", str(corpus)]) == 2
+    assert f"error: {truth}: malformed ground truth: " in capsys.readouterr().err
 
 
 def test_validate_flags_an_unfiltered_corpus(small_corpus, tmp_path, capsys):

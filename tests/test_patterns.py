@@ -15,7 +15,7 @@ from cdrmob.patterns import (
     pattern,
 )
 from cdrmob.pipeline import WRITERS, _write_csv
-from cdrmob.records import TowerRegistry, age_group_of, load_demographics
+from cdrmob.records import AGE_GROUP_LABELS, TowerRegistry, age_group_of, load_demographics
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1)})
 
@@ -169,7 +169,7 @@ def test_demographic_table_age_bands_at_their_bounds(tmp_path):
     rows, skipped = demographic_table(_metrics(events), demo, None)
     assert skipped == 1
     got = {r.age_group: r.n for r in rows if r.area == "all" and r.gender == "all"}
-    want = Counter(age_group_of(a) for a in ages)
+    want = Counter(AGE_GROUP_LABELS[age_group_of(a)] for a in ages)
     assert got == {"all": len(ages), **want}
 
 

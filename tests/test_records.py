@@ -3,6 +3,7 @@
 import csv
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -276,18 +277,22 @@ def test_load_demographics_columns_are_in_id_order(tmp_path):
     d = load_demographics(p)
     assert d.ids.tolist() == ids
     assert d.female.tolist() == [a % 2 == 0 for a in ages]
-    assert [AGE_GROUP_LABELS[g] for g in d.age_group] == [age_group_of(a) for a in ages]
+    assert d.age_group.tolist() == [age_group_of(a) for a in ages]
     assert d.rejected == {"age_out_of_range": 1, "unknown_gender": 1}
 
 
 def test_age_groups_partition_the_range():
     seen = []
     for age in range(10, 111):
-        g = age_group_of(age)
+        g = AGE_GROUP_LABELS[age_group_of(age)]
         if not seen or seen[-1] != g:
             seen.append(g)
     assert tuple(seen) == AGE_GROUP_LABELS
-    assert age_group_of(18) == "teen" and age_group_of(19) == "early_adult"
-    for bad in (9, 111):
+    assert AGE_GROUP_LABELS[age_group_of(18)] == "teen"
+    assert AGE_GROUP_LABELS[age_group_of(19)] == "early_adult"
+    # an array of ages takes the same rule, and one age out of range refuses it
+    ages = np.arange(10, 111)
+    assert age_group_of(ages).tolist() == [age_group_of(a) for a in ages.tolist()]
+    for bad in (9, 111, [30, 9], np.array([111, 30])):
         with pytest.raises(ValueError):
             age_group_of(bad)

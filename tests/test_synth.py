@@ -6,7 +6,7 @@ import hashlib
 import io
 import json
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -29,8 +29,10 @@ from cdrmob.synth import (
     CDR_FILE,
     CONFIG_FILE,
     DEMOGRAPHICS_FILE,
+    DENSE_AREA_MAX,
     DOW_MULT,
     FEMALE_FRACTION,
+    MAX_YEAR_EVENTS,
     MOBILITY_MONTH_MULT,
     SATELLITE_RINGS,
     SMS_FRACTION,
@@ -65,10 +67,11 @@ def _reference_chunk(world, lo, hi):
     date_strs = [date.fromordinal(d0 + d).isoformat() for d in range(len(world.day_month))]
     year_start, _ = year_bounds(cfg.analysis_year)
     dowv = np.asarray(DOW_MULT)[world.day_wd]
-    day_probs = {}
+    day_probs, year_weight = {}, {}
     for klass, table in (("dense", cfg.month_mult_dense), ("sparse", cfg.month_mult_sparse)):
         v = dowv * np.asarray(table)[world.day_month]
         day_probs[klass] = v / v.sum()
+        year_weight[klass] = float(v.sum())
     tod_str = _clock_strings()
 
     out: list[str] = []
@@ -91,16 +94,16 @@ def _reference_chunk(world, lo, hi):
             age = int(rng.integers(AGE_MIN, AGE_MAX + 1))
             group = age_group_of(age)
             area = int(world.area[s])
-            klass = world.month_class(area)
+            klass = "dense" if area <= DENSE_AREA_MAX else "sparse"
             daily = cfg.base_daily_events * float(world.act_density_mult[s])
             daily *= AGE_ACTIVITY_MULT[group]
             if female:
                 excess = cfg.female_activity_excess[area - 1] * AGE_EXCESS_SCALE[group]
                 daily *= 1.0 + excess
-            rate = daily * world.weight_sum[klass]
+            rate = daily * year_weight[klass]
             n_ev = max(int(rng.poisson(rate)), 2)
 
-        klass = world.month_class(int(world.area[s]))
+        klass = "dense" if int(world.area[s]) <= DENSE_AREA_MAX else "sparse"
         days = rng.choice(len(day_probs[klass]), size=n_ev, p=day_probs[klass])
         tod_sec = np.minimum(
             (np.interp(rng.random(n_ev), world.tod_cdf, world.tod_hours) * 3600.0).astype(np.int64),
@@ -230,6 +233,32 @@ def test_generated_files_keep_their_bytes(tmp_path):
     generate(_PINNED_CONFIG, tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _FILES}
     assert got == _PINNED_SHA256
+
+
+def test_each_drawn_rate_is_the_checked_table_entry(tmp_path):
+    # the rate check multiplied in another order than the draws did, so
+    # about 40% of the rates it checked differed from the drawn ones
+    generate(_PINNED_CONFIG, tmp_path)
+    egos = json.loads((tmp_path / TRUTH_FILE).read_text())["egos"].values()
+    assert {t["area"] for t in egos} == {1, 2, 3, 4, 5} and any(t["spam"] for t in egos)
+    rate = synth._World(_PINNED_CONFIG).rate
+    assert np.shape(rate) == (_PINNED_CONFIG.n_cells, 2, 6)
+    for t in egos:
+        if not t["spam"]:
+            sex = t["gender"] == "female"
+            assert t["rate"] == rate[t["settlement"] - 1][sex][age_group_of(t["age"])]
+
+
+@pytest.mark.parametrize("factor, refused", [(1 + 1e-9, True), (1 - 1e-9, False)])
+def test_the_rate_check_bounds_the_largest_table_entry(factor, refused):
+    cfg = _PINNED_CONFIG
+    base = cfg.base_daily_events * MAX_YEAR_EVENTS / np.max(synth._World(cfg).rate) * factor
+    edge = replace(cfg, base_daily_events=base)
+    if refused:
+        with pytest.raises(synth.RateError):
+            synth._World(edge)
+    else:
+        assert np.max(synth._World(edge).rate) <= MAX_YEAR_EVENTS
 
 
 def test_truth_file_holds_the_streaming_encoders_bytes(tmp_path):
