@@ -24,7 +24,14 @@ from dataclasses import asdict
 from . import __version__
 from .density import DensityError
 from .home import UnimodalProfileError
-from .ingest import SPOOL_EVENTS, SPOOL_META, SPOOL_STATS, ingest_file, write_spool
+from .ingest import (
+    RECIPROCITY_RULES,
+    SPOOL_EVENTS,
+    SPOOL_META,
+    SPOOL_STATS,
+    ingest_file,
+    write_spool,
+)
 from .metrics import GRANULARITIES, WindowSpec
 from .patterns import PatternError
 from .pipeline import (
@@ -161,11 +168,10 @@ def _out_dir(text: str) -> str:
     return text
 
 
-def _add_analysis_flags(p: _Parser, *, demographics=True):
+def _add_analysis_flags(p: _Parser):
     p.add_argument("--cdr", required=True, help="CDR csv file or spool directory")
     p.add_argument("--towers", required=True, help="tower csv (tower_id,lat,lon)")
-    if demographics:
-        p.add_argument("--demographics", default=None, help="csv (ego_id,gender,age or birth year)")
+    p.add_argument("--demographics", default=None, help="csv (ego_id,gender,age or birth year)")
     p.add_argument("--out", type=_out_dir, required=True, help="output directory")
     p.add_argument("--grid-step", type=float, default=0.05, help="grid cell size, degrees")
     p.add_argument("--window", default="year", help="metrics windows: granularity or ISO range START/END")
@@ -176,7 +182,7 @@ def _add_analysis_flags(p: _Parser, *, demographics=True):
     p.add_argument("--year", type=_parse_year, default=2008, help="analysis year, 1-9998")
     p.add_argument("--divisor", choices=("events", "pairs"), default="events",
                    help="mobility normalization")
-    p.add_argument("--reciprocity", choices=("pair", "degree", "none"), default="pair",
+    p.add_argument("--reciprocity", choices=RECIPROCITY_RULES, default="pair",
                    help="filter rule; none keeps everyone")
 
 
@@ -244,11 +250,8 @@ def _write_files(out_dir, names, command: str, write) -> None:
 def _cmd_stages(args) -> int:
     """An analysis subcommand: write the outputs of its stages."""
     cfg = _analysis_config(args)
-    demographics = getattr(args, "demographics", None)
-    stages = set(_STAGE_COMMANDS[args.command][0])
-    if "strata" in stages and demographics is None:
-        stages.discard("strata")
-    pipe = Pipeline(args.cdr, args.towers, demographics, cfg, threads=max(1, args.threads))
+    pipe = Pipeline(args.cdr, args.towers, args.demographics, cfg, threads=max(1, args.threads))
+    stages = _STAGE_COMMANDS[args.command][0]
     plot_data = getattr(args, "plot_data", False)
     outputs = _write_report(pipe, args.out, stages, plot_data, args.command)
     for rel in sorted(outputs):
@@ -374,7 +377,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--towers", required=True)
     sp.add_argument("--out", type=_out_dir, required=True)
     sp.add_argument("--year", type=_parse_year, default=2008, help="analysis year, 1-9998")
-    sp.add_argument("--reciprocity", choices=("pair", "degree", "none"), default="pair")
+    sp.add_argument("--reciprocity", choices=RECIPROCITY_RULES, default="pair")
     sp.set_defaults(func=_cmd_ingest)
 
     for name, (_, hlp) in _STAGE_COMMANDS.items():
@@ -389,7 +392,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--corpus", required=True, help="directory written by generate")
     sp.add_argument("--out", type=_out_dir, default=None, help="where to write scorecard.json")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    sp.add_argument("--reciprocity", choices=("pair", "degree", "none"), default="pair")
+    sp.add_argument("--reciprocity", choices=RECIPROCITY_RULES, default="pair")
     sp.set_defaults(func=_cmd_validate)
 
     sp = sub.add_parser("demo", help="generate a small corpus and run the full report")

@@ -63,9 +63,11 @@ log = logging.getLogger(__name__)
 SPOOL_EVENTS = "events.npz"
 SPOOL_META = "meta.json"
 SPOOL_STATS = "stats.json"
-SPOOL_FORMAT = 3
+SPOOL_FORMAT = 4
 # EventTable columns saved in a spool, next to its ids
 _SPOOL_ARRAYS = ("offsets", "ts", "tower", "kind", "direction")
+# the rules an individual is kept by (see ingest_rows)
+RECIPROCITY_RULES = ("pair", "degree", "none")
 
 
 @dataclass
@@ -541,7 +543,7 @@ def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int,
 
 
 def _check_rule(reciprocity: str) -> None:
-    if reciprocity not in ("pair", "degree", "none"):
+    if reciprocity not in RECIPROCITY_RULES:
         raise ValueError(f"unknown reciprocity rule: {reciprocity!r}")
 
 
@@ -582,7 +584,9 @@ def ingest_file(
     ingest_rows would take it; a line that holds a NUL byte is counted as
     a bad_encoding reject before csv.reader sees it. From the line of the
     first double quote on, the whole rest of the file takes that row path,
-    because a quoted field may span lines. The order in which rows are gathered does not show:
+    because a quoted field may span lines; a row that csv.reader refuses,
+    such as a field that an unbalanced quote makes longer than csv's
+    limit, is a CdrError. The order in which rows are gathered does not show:
     the table is sorted on every column.
 
     One leading UTF-8 byte order mark is skipped, and so is a leading
@@ -601,7 +605,10 @@ def ingest_file(
     bounds = year_bounds(analysis_year)
 
     def row_path(rows, into=None):
-        return cols.parse_rows(rows, registry, *bounds, stats, into)
+        try:
+            return cols.parse_rows(rows, registry, *bounds, stats, into)
+        except csv.Error as e:
+            raise CdrError(f"{path}: not readable as CSV: {e}")
 
     def nul_line(_):
         stats.rows_read += 1
@@ -679,12 +686,13 @@ def is_spool(path) -> bool:
 def write_spool(result: IngestResult, registry: TowerRegistry, out_dir) -> None:
     """Persist a filtered event stream: the event table as events.npz,
     stats.json, and meta.json (the year, reciprocity rule and tower table
-    it was ingested with)."""
+    it was ingested with). The ids are saved as one uint8 array, their
+    UTF-8 text joined by NULs: a row whose id holds a NUL is rejected."""
     tab = result.table
     os.makedirs(out_dir, exist_ok=True)
     np.savez(
         os.path.join(out_dir, SPOOL_EVENTS),
-        ids=np.array(tab.ids, dtype=str),
+        ids=np.frombuffer("\0".join(tab.ids).encode(), dtype=np.uint8),
         **{name: getattr(tab, name) for name in _SPOOL_ARRAYS},
     )
     write_json(os.path.join(out_dir, SPOOL_STATS), asdict(result.stats))
@@ -728,13 +736,15 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
     events = os.path.join(path, SPOOL_EVENTS)
     try:
         with np.load(events, allow_pickle=False) as z:
-            ids = z["ids"].tolist()
+            text = z["ids"]
             cols = {name: z[name] for name in _SPOOL_ARRAYS}
+        ids = text.tobytes().decode("utf-8").split("\0") if text.size else []
     except (OSError, ValueError, KeyError, zipfile.BadZipFile) as e:
         raise CdrError(f"{events}: unreadable spool: {e}")
     off, n = cols["offsets"], cols["ts"].size
     if not (
-        off.shape == (len(ids) + 1,) and off[0] == 0 and off[-1] == n
+        text.dtype == np.uint8 and text.ndim == 1
+        and off.shape == (len(ids) + 1,) and off[0] == 0 and off[-1] == n
         and (np.diff(off) > 0).all()
         and all(cols[c].shape == (n,) for c in _SPOOL_ARRAYS[1:])
         and ((cols["tower"] >= 0) & (cols["tower"] < len(registry))).all()

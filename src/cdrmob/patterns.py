@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import HOUR_IDS, WEEKDAY_IDS, TableMetrics, WindowSpec
-from .records import AGE_GROUP_LABELS, EPOCH_WEEKDAY, Demographics, year_bounds
+from .records import AGE_GROUP_LABELS, EPOCH_WEEKDAY, Demographics, age_group_of, year_bounds
 
 # The (axis, value, statistic) kinds of pattern series, in the order the
 # report writes them for the whole population.
@@ -144,15 +144,15 @@ def demographic_table(
     Returns the populated strata and the count of individuals skipped for
     lacking demographics. Empty strata are omitted.
     """
-    ids = np.array(tm.table.ids, dtype=str)
-    rows = np.flatnonzero(np.isin(ids, demographics.ids))
-    skipped = len(ids) - len(rows)
+    people = [demographics.by_id.get(e) for e in tm.table.ids]
+    rows = np.flatnonzero([p is not None for p in people])
+    skipped = len(people) - len(rows)
     if not len(rows):
         raise PatternError("no individuals with demographics")
-    pos = np.searchsorted(demographics.ids, ids[rows])
+    female, age = np.array([people[k] for k in rows], dtype=np.int64).T
+    female, group = female == 1, age_group_of(age)
     a, mob, rg, _ = (x[rows, 0] for x in tm.windows(np.array(year_bounds(analysis_year))))
     act = a.astype(float)
-    female, group = demographics.female[pos], demographics.age_group[pos]
     area = np.zeros(len(rows), dtype=np.int64) if areas is None else areas[rows]
 
     out: list[StratumRow] = []

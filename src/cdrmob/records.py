@@ -219,16 +219,22 @@ class TowerRegistry:
 def _read_rows(path):
     """The CSV rows of a small input file, after one leading UTF-8 byte
     order mark if it has one. A byte that is not UTF-8 is fatal, and so is
-    a NUL, each named by file and line."""
+    a NUL or a row that csv.reader refuses (an unbalanced quote opens a
+    field that outgrows its limit), each named by file and line."""
     def nul(n):
         raise CdrError(f"{path}:{n}: holds a NUL byte")
 
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(nul_free(fh, nul))
-        for row in reader:
-            if _undecodable(row):
-                raise CdrError(f"{path}:{reader.line_num}: not valid UTF-8")
-            yield row
+        line = 1  # where the next row starts
+        try:
+            for row in reader:
+                if _undecodable(row):
+                    raise CdrError(f"{path}:{reader.line_num}: not valid UTF-8")
+                line = reader.line_num + 1
+                yield row
+        except csv.Error as e:
+            raise CdrError(f"{path}:{line}: not readable as CSV: {e}")
 
 
 def load_towers(path) -> TowerRegistry:
@@ -268,11 +274,9 @@ def load_towers(path) -> TowerRegistry:
 
 @dataclass
 class Demographics:
-    """The accepted individuals as columns in id order, plus reject counts."""
+    """The accepted individuals by id, plus reject counts."""
 
-    ids: np.ndarray  # str, sorted ascending
-    female: np.ndarray  # bool
-    age_group: np.ndarray  # index into AGE_GROUPS
+    by_id: dict[str, tuple[bool, int]]  # id -> (female, age)
     rejected: dict[str, int]
 
 
@@ -321,9 +325,7 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
             reject("age_out_of_range")
             continue
         entries[row[0].strip()] = (female, age)
-    ids = sorted(entries)
-    female, age = np.array([entries[e] for e in ids], dtype=np.int64).reshape(-1, 2).T
-    return Demographics(np.array(ids, dtype=str), female == 1, age_group_of(age), rejected)
+    return Demographics(entries, rejected)
 
 
 def age_group_of(age):

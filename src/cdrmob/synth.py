@@ -101,6 +101,15 @@ class RateError(ValueError):
     0 to MAX_YEAR_EVENTS."""
 
 
+def _finite(x) -> bool:
+    """Whether a setting that is a number converts to a finite float (an
+    int past float's range does not); other values are checked by field."""
+    try:
+        return not isinstance(x, numbers.Real) or math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """The settings that corpora vary; the constants above fix the rest.
@@ -137,8 +146,7 @@ class GenConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if any(isinstance(x, float) and not math.isfinite(x)
-                   for x in (value if isinstance(value, (tuple, list)) else (value,))):
+            if not all(map(_finite, value if isinstance(value, (tuple, list)) else (value,))):
                 raise ValueError(f"{f.name} must be finite")
         for name in ("n_individuals", "n_cells", "seed"):
             value = getattr(self, name)

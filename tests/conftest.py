@@ -3,10 +3,12 @@
 Corpora are generated once per session into the pytest tmp factory. Each
 fixture returns (directory, ground truth). Pipelines are cached so the
 expensive stages run once and are shared by every test that reads them.
-event_table and table_metrics build small event tables for unit tests.
+event_table and table_metrics build small event tables for unit tests,
+and traced_peak measures what a call allocates.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,3 +134,15 @@ def table_metrics(registry, events, homes=None, divisor="events", year=2008):
         pts = np.array([homes.get(e) or (np.nan, np.nan) for e in tab.ids], float).reshape(-1, 2)
         homes = (pts[:, 0].copy(), pts[:, 1].copy())
     return TableMetrics(tab, registry, homes, divisor)
+
+
+def traced_peak(fn) -> int:
+    """Bytes fn() allocates at its peak beyond what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

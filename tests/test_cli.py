@@ -22,7 +22,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cdrmob import cli, ingest
@@ -255,6 +255,16 @@ def test_year_outside_the_calendar_is_a_usage_error(tmp_path, capsys, command, y
     {"base_daily_events": 1e300},
     {"beta": 1e6},
     {"female_activity_excess": [-1.0, 0.0, 0.0, 0.0, 0.0]},
+    # a JSON integer past float's range ended in an OverflowError
+    {"n_individuals": 10**400},
+    {"night_floor": 10**400},
+    {"base_daily_events": 10**400},
+    {"beta": 10**400},
+    {"gamma": 10**400},
+    {"female_mobility_excess": 10**400},
+    {"month_mult_dense": [1.0] * 11 + [10**400]},
+    {"female_activity_excess": [10**400, 0.0, 0.0, 0.0, 0.0]},
+    {"activity_flip": [0.4, -0.5, 10**400]},
 ])
 def test_gen_config_refuses_what_generation_would_crash_on(tmp_path, capsys, setting):
     path = tmp_path / "gen.json"
@@ -392,6 +402,25 @@ def test_crlf_copy_gives_the_same_report(small_corpus, tmp_path, capsys):
     capsys.readouterr()
     lf = _outputs(tmp_path / "lf")
     assert "summary.json" in lf and lf == _outputs(tmp_path / "crlf")
+
+
+@pytest.mark.parametrize("name", [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE])
+def test_an_unbalanced_quote_is_a_data_error(small_corpus, tmp_path, capsys, name):
+    # csv.reader reads from the quote on as one field, and refused it with
+    # a traceback once it passed 131,072 characters
+    corpus, truth = small_corpus
+    paths = {n: os.path.join(corpus, n) for n in (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE)}
+    with open(paths[name], encoding="utf-8") as fh:
+        head, rest = fh.readline(), fh.read()
+    paths[name] = tmp_path / name
+    paths[name].write_text(f'{head}"\n{rest}' + "x" * 140_000 + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", "--cdr", str(paths[CDR_FILE]), "--towers", str(paths[TOWERS_FILE]),
+                 "--demographics", str(paths[DEMOGRAPHICS_FILE]), "--area-bounds",
+                 ",".join(str(b) for b in truth.area_boundaries), "--out", str(out)]) == 2
+    where = name if name == CDR_FILE else f"{name}:2"
+    assert f"{where}: not readable as CSV" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_byte_order_mark_on_each_input_changes_no_output(small_corpus, tmp_path, capsys):
@@ -993,3 +1022,104 @@ def test_any_command_line_exits_0_1_or_2_and_a_failure_changes_nothing(tmp_path,
         assert not list(root.rglob(".cdrmob-*")), argv
         if rc:
             assert _tree(root) == before, argv
+
+
+# ---------------------------------------------------- edits of the inputs
+
+_INPUTS = (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE)
+# edits after which csv.reader and the parsers see the same records
+_SAME_RECORDS = ("bom", "crlf", "quote_field", "token_case", "pad", "space_t")
+_EDITS = _SAME_RECORDS + ("stray_quote", "nul", "not_utf8", "truncate", "repeat_header",
+                          "long_id")
+# the columns of each file that hold tokens, and of the CDR its timestamps
+_TOKEN_COLUMNS = {CDR_FILE: (4, 5), TOWERS_FILE: (), DEMOGRAPHICS_FILE: (1,)}
+
+
+def _edit(data: bytes, name: str, edit: str, line: int, at: int) -> bytes:
+    """An input file's bytes with one edit applied: at its line `line`
+    (modulo the line count; 0 is the header) and, where the edit inserts,
+    at byte `at` of that line (modulo its length plus one)."""
+    lines = data.split(b"\n")[:-1]
+    k = line % len(lines)
+    at %= len(lines[k]) + 1
+
+    def each_line(fix):
+        return b"".join(fix(row.split(b",")) + b"\n" for row in lines)
+
+    def cells(fix, row):
+        return b",".join(fix(j, f) for j, f in enumerate(row))
+
+    if edit == "bom":
+        return b"\xef\xbb\xbf" + data
+    if edit == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if edit == "token_case":
+        columns = _TOKEN_COLUMNS[name]
+        return each_line(lambda row: cells(lambda j, f: f.upper() if j in columns else f, row))
+    if edit == "space_t":
+        if name != CDR_FILE:
+            return data
+        return each_line(lambda row: cells(lambda j, f: f[:10] + b" " + f[11:] if j == 2 else f,
+                                           row))
+    if edit == "truncate":
+        return data[: len(data) - 1 - line % len(lines[-1])]
+    row = lines[k].split(b",")
+    lines[k] = {
+        "quote_field": lambda: cells(lambda j, f: b'"%s"' % f if j == at % len(row) else f, row),
+        "pad": lambda: cells(lambda j, f: b" " + f + b"  ", row),
+        "stray_quote": lambda: lines[k][:at] + b'"' + lines[k][at:],
+        "nul": lambda: lines[k][:at] + b"\0" + lines[k][at:],
+        "not_utf8": lambda: lines[k][:at] + b"\xff" + lines[k][at:],
+        "repeat_header": lambda: lines[0] + b"\n" + lines[k],
+        "long_id": lambda: cells(lambda j, f: b"x" * 10_000 if j == 0 else f, row),
+    }[edit]()
+    return b"".join(row + b"\n" for row in lines)
+
+
+@pytest.fixture(scope="module")
+def edit_corpus(tmp_path_factory):
+    """The inputs of a small corpus, its area bounds and its report."""
+    root = tmp_path_factory.mktemp("edit_corpus")
+    truth = generate(GenConfig(n_individuals=200, n_cells=40, base_daily_events=0.05, seed=42),
+                     root, threads=1)
+    inputs = {name: (root / name).read_bytes() for name in _INPUTS}
+    bounds = ",".join(str(b) for b in truth.area_boundaries)
+    rc, err, report = _report_of(inputs, root / "edited", bounds)
+    assert rc == 0, err
+    return inputs, bounds, report
+
+
+def _report_of(inputs: dict, root, bounds: str) -> tuple[int, str, dict]:
+    """The exit code, stderr and files of a report on these input bytes."""
+    root.mkdir()
+    for name, data in inputs.items():
+        (root / name).write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["report", "--cdr", str(root / CDR_FILE), "--towers", str(root / TOWERS_FILE),
+                   "--demographics", str(root / DEMOGRAPHICS_FILE), "--area-bounds", bounds,
+                   "--out", str(root / "report")])
+    return rc, err.getvalue(), _outputs(root / "report") if rc == 0 else {}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(_INPUTS), edit=st.sampled_from(_EDITS),
+       line=st.integers(0, 10_000), at=st.integers(0, 100))
+# a quote at the start of the CDR's first row makes the rest of the file
+# one field, longer than csv.reader's limit: a traceback before
+@example(name=CDR_FILE, edit="stray_quote", line=1, at=0)
+def test_an_edited_input_exits_0_or_2_and_the_funnel_adds_up(edit_corpus, tmp_path, name, edit,
+                                                             line, at):
+    inputs, bounds, report = edit_corpus
+    edited = {**inputs, name: _edit(inputs[name], name, edit, line, at)}
+    with tempfile.TemporaryDirectory(dir=tmp_path) as d:
+        rc, err, got = _report_of(edited, pathlib.Path(d) / "run", bounds)
+    assert rc in (0, 2) and "Traceback" not in err, err
+    if rc == 0:
+        summary = json.loads(got["summary.json"])
+        funnel = summary["funnel"]
+        assert funnel["rows_read"] == summary["ingest"]["events_valid"] + sum(
+            funnel["rows_rejected"].values())
+    if edit in _SAME_RECORDS:
+        assert rc == 0 and got == report, err

@@ -219,8 +219,9 @@ def test_spool_round_trip(tmp_path):
     for year, rule, reg in ((2009, "pair", REG), (2008, "none", REG), (2008, "pair", moved)):
         with pytest.raises(CdrError, match="re-run ingest"):
             read_spool(spool, reg, year, rule)
-    # so is a spool of an older format: 1 held CSV rows, 2 a peer column
-    for fmt in (1, 2):
+    # so is a spool of an older format: 1 held CSV rows, 2 a peer column,
+    # 3 its ids as fixed-width text
+    for fmt in (1, 2, 3):
         (spool / "meta.json").write_text(
             f'{{"analysis_year": 2008, "reciprocity": "pair", "format": {fmt}}}\n')
         with pytest.raises(CdrError, match="re-run ingest"):
@@ -268,9 +269,13 @@ def test_spool_with_a_damaged_table_is_refused(tmp_path):
     write_spool(res, REG, spool)
     with np.load(spool / "events.npz") as z:
         cols = dict(z)
-    cols["tower"] = cols["tower"] + len(REG)  # past the end of the registry
-    np.savez(spool / "events.npz", **cols)
-    with pytest.raises(CdrError, match="malformed spool"):
+    # towers past the end of the registry, ids that are not one UTF-8 text
+    for name, bad in (("tower", cols["tower"] + len(REG)), ("ids", np.array(["a", "b"]))):
+        np.savez(spool / "events.npz", **{**cols, name: bad})
+        with pytest.raises(CdrError, match="malformed spool"):
+            read_spool(spool, REG, 2008, "pair")
+    np.savez(spool / "events.npz", **{**cols, "ids": np.array([0xFF], dtype=np.uint8)})
+    with pytest.raises(CdrError, match="unreadable spool"):
         read_spool(spool, REG, 2008, "pair")
     (spool / "events.npz").write_bytes(b"not a zip archive")
     with pytest.raises(CdrError, match="unreadable spool"):

@@ -1,13 +1,15 @@
 """Cohort pattern series and demographic strata."""
 
+import zipfile
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import table_metrics
+from conftest import table_metrics, traced_peak
 
+from cdrmob.ingest import IngestResult, IngestStats, write_spool
 from cdrmob.patterns import (
     PatternError,
     PatternSeries,
@@ -181,3 +183,21 @@ def test_demographic_table_requires_overlap(tmp_path):
     # demographics of other individuals only
     with pytest.raises(PatternError):
         demographic_table(tm, _demographics(tmp_path, [("u2", "f", 30)]), None)
+
+
+def test_one_long_id_costs_its_own_bytes_only(tmp_path):
+    # fixed-width id text costs 4 bytes times the longest id for every id:
+    # here 20 MB for each of the table, the demographics and the spool
+    ids = [f"u{k:03d}" for k in range(500)] + ["x" * 10_000]
+    events = {e: _one_tower(["2008-01-01T10:00:00"]) for e in ids}
+    tm = _metrics(events)
+    path = tmp_path / "demographics.csv"
+    path.write_text("".join(f"{e},f,30\n" for e in ids))
+    assert traced_peak(lambda: load_demographics(path)) < 1 << 20
+    demo = load_demographics(path)
+    assert traced_peak(lambda: demographic_table(tm, demo, None)) < 1 << 20
+    result = IngestResult(tm.table, IngestStats(), 2008, "none")
+    write_spool(result, REG, tmp_path / "spool")
+    with zipfile.ZipFile(tmp_path / "spool" / "events.npz") as z:
+        # the ids' text and a NUL between each two, after a .npy header
+        assert z.getinfo("ids.npy").file_size <= len("\0".join(ids)) + 128

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cdrmob.records import (
     AGE_GROUP_LABELS,
+    AGE_GROUPS,
     CdrError,
     EventRecord,
     RowReject,
@@ -223,8 +224,7 @@ def test_inputs_that_are_not_utf8_name_file_and_line(tmp_path):
         load_demographics(demo)
     # valid UTF-8 beyond ASCII is fine
     demo.write_text("u1,f,34\nü2,m,40\n", encoding="utf-8")
-    d = load_demographics(demo)
-    assert d.ids.tolist() == ["u1", "ü2"] and d.female.tolist() == [True, False]
+    assert load_demographics(demo).by_id == {"u1": (True, 34), "ü2": (False, 40)}
 
 
 def test_a_nul_byte_in_towers_or_demographics_names_file_and_line(tmp_path):
@@ -251,9 +251,9 @@ def test_load_demographics_age_and_birth_year(tmp_path):
         "u6,m,2005\n"        # age 3 after resolution: rejected
     )
     d = load_demographics(p, analysis_year=2008)
-    assert d.ids.tolist() == ["u1", "u2"]
-    assert d.female.tolist() == [True, False]
-    assert [AGE_GROUP_LABELS[g] for g in d.age_group] == ["early_adult", "early_adult"]
+    assert d.by_id == {"u1": (True, 34), "u2": (False, 34)}
+    assert [AGE_GROUP_LABELS[age_group_of(a)] for _, a in d.by_id.values()] == [
+        "early_adult", "early_adult"]
     assert d.rejected == {"age_out_of_range": 2, "unknown_gender": 1, "bad_age": 1}
 
 
@@ -262,22 +262,23 @@ def test_load_demographics_rejects_every_row_of_a_duplicated_id(tmp_path):
     p = tmp_path / "demo.csv"
     p.write_text("u1,F,1970\nu2,M,40\nu1,M,1980\nu3,x,30\nu3,F,25\n")
     d = load_demographics(p, analysis_year=2008)
-    assert d.ids.tolist() == ["u2"] and d.female.tolist() == [False]
-    assert [AGE_GROUP_LABELS[g] for g in d.age_group] == ["early_middle"]
+    assert d.by_id == {"u2": (False, 40)}
+    assert AGE_GROUP_LABELS[age_group_of(d.by_id["u2"][1])] == "early_middle"
     assert d.rejected == {"duplicate_id": 4}
 
 
-def test_load_demographics_columns_are_in_id_order(tmp_path):
-    # rows in any order give columns sorted by id; every age coded as its group
+def test_load_demographics_keeps_every_age_in_range(tmp_path):
+    # every age from 10 to 110 is kept with its id's gender, and each
+    # codes as the group whose bounds hold it
     ages = range(10, 111)
     ids = [f"u{a:03d}" for a in ages]
     p = tmp_path / "demo.csv"
     p.write_text("".join(f"{e},{'fm'[a % 2]},{a}\n" for e, a in reversed(list(zip(ids, ages))))
                  + "u200,f,9\nu201,x,30\n")
     d = load_demographics(p)
-    assert d.ids.tolist() == ids
-    assert d.female.tolist() == [a % 2 == 0 for a in ages]
-    assert d.age_group.tolist() == [age_group_of(a) for a in ages]
+    assert d.by_id == {e: (a % 2 == 0, a) for e, a in zip(ids, ages)}
+    assert [age_group_of(d.by_id[e][1]) for e in ids] == [
+        next(g for g, (_, upper) in enumerate(AGE_GROUPS) if a <= upper) for a in ages]
     assert d.rejected == {"age_out_of_range": 1, "unknown_gender": 1}
 
 

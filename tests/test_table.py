@@ -7,7 +7,6 @@ size the two must agree to the last bit: same rows, same floats, same
 homes.
 """
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import event_table
+from conftest import event_table, traced_peak
 
 from cdrmob import metrics
 from cdrmob.geo import haversine_km
@@ -196,18 +195,6 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
                 assert np.isnan(lat[k]) and np.isnan(lon[k])
 
 
-def _traced_peak(fn) -> int:
-    """Bytes fn() allocates at its peak beyond what was allocated before."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("what, budget", [
     # the weekday samples themselves are 52-53 float64 per individual
     ("dow", 1536),
@@ -226,7 +213,7 @@ def test_block_memory_does_not_grow_with_individuals_times_bins(what, budget):
     with mock.patch.object(metrics, "_BLOCK_CELLS", 4096):
         tm = TableMetrics(tab, REG)
         if what == "dow":
-            peak = _traced_peak(lambda: pattern(tm, None, "dow", "activity"))
+            peak = traced_peak(lambda: pattern(tm, None, "dow", "activity"))
         else:
-            peak = _traced_peak(lambda: daily_profile(tm))
+            peak = traced_peak(lambda: daily_profile(tm))
     assert peak / n < budget, f"{what}: {peak / n:.0f} B per individual"
