@@ -280,7 +280,7 @@ def _cmd_ingest(args) -> int:
         if not len(result.table):
             raise PipelineError("no surviving individuals after filtering")
         write_spool(result, registry, stage)
-        return {"inputs": input_digests(cdr=args.cdr, towers=args.towers),
+        return {"inputs": input_digests({"cdr": result.sha256}, cdr=args.cdr, towers=args.towers),
                 "ingest_stats": asdict(result.stats)}
 
     _write_files(args.out, [SPOOL_EVENTS, SPOOL_STATS, SPOOL_META], "ingest", write)

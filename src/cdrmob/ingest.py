@@ -33,7 +33,7 @@ constructed to match tower-id string order.
 
 from __future__ import annotations
 
-import csv
+import hashlib
 import io
 import logging
 import os
@@ -49,8 +49,8 @@ from .records import (
     CdrError,
     RowReject,
     TowerRegistry,
+    csv_rows,
     month_starts,
-    nul_free,
     parse_event_fields,
     parse_timestamp,
     read_json_object,
@@ -114,6 +114,8 @@ class IngestResult:
     reciprocity: str
     # ids that had valid rows but were dropped by the reciprocity rule
     removed_ids: list[str] = field(default_factory=list)
+    # sha256 of the CDR file, when ingest_file read all of it as bytes
+    sha256: str | None = None
 
 
 # Bytes of CDR text that ingest_file parses at a time, each block cut at a
@@ -580,19 +582,21 @@ def ingest_file(
     The file is read as bytes in blocks cut at a newline. Canonical lines
     (see _ByteParser) are decoded in vectorised form. Every other line is
     decoded as UTF-8 (an invalid byte makes its row a bad_encoding reject)
-    and goes through csv.reader and parse_event_fields, exactly as
+    and goes through csv_rows and parse_event_fields, exactly as
     ingest_rows would take it; a line that holds a NUL byte is counted as
     a bad_encoding reject before csv.reader sees it. From the line of the
-    first double quote on, the whole rest of the file takes that row path,
-    because a quoted field may span lines; a row that csv.reader refuses,
-    such as a field that an unbalanced quote makes longer than csv's
-    limit, is a CdrError. The order in which rows are gathered does not show:
-    the table is sorted on every column.
+    first double quote on, the whole rest of the file takes that row path.
+    A row that spans lines, as an unbalanced quote makes one, and a row
+    that csv.reader refuses are a CdrError naming the line. The order in
+    which rows are gathered does not show: the table is sorted on every
+    column.
 
     One leading UTF-8 byte order mark is skipped, and so is a leading
     header row, without being counted: one whose timestamp does not parse
     and whose kind and direction are not event tokens either. A first row
-    with only a bad timestamp is data, and is rejected as such.
+    with only a bad timestamp is data, and is rejected as such. The
+    result's sha256 is the file's, unless a quote sent its tail down the
+    row path.
     """
     if is_spool(path):
         return read_spool(path, registry, analysis_year, reciprocity)
@@ -604,19 +608,14 @@ def ingest_file(
     parser = _ByteParser(registry, analysis_year)
     bounds = year_bounds(analysis_year)
 
-    def row_path(rows, into=None):
-        try:
-            return cols.parse_rows(rows, registry, *bounds, stats, into)
-        except csv.Error as e:
-            raise CdrError(f"{path}: not readable as CSV: {e}")
-
     def nul_line(_):
         stats.rows_read += 1
         stats.reject("bad_encoding")
 
-    def add_block(block: bytes, first: bool) -> None:
-        """Rows of a block of whole lines, in two parts: canonical lines
-        decoded in vectorised form, then every run of other lines as text."""
+    def add_block(block: bytes, line: int) -> int:
+        """Rows of a block of whole lines whose first is line `line` of the
+        file, in two parts: canonical lines decoded in vectorised form, then
+        every run of other lines as text. Returns the number of lines."""
         starts, stop, canonical, lines, decoded = parser.parse(block, cols)
         stats.rows_read += len(lines)
         if decoded is not None:
@@ -625,18 +624,25 @@ def ingest_file(
         rows = None
         for run in np.split(slow, np.flatnonzero(np.diff(slow) != 1) + 1) if len(slow) else ():
             text = block[starts[run[0]]: stop[run[-1]]].decode("utf-8", "surrogateescape")
-            reader = csv.reader(nul_free(io.StringIO(text, newline=""), nul_line))
-            rows = row_path(_skip_header(reader) if first and run[0] == 0 else reader, rows)
+            reader = csv_rows(io.StringIO(text, newline=""), path, nul_line, line + run[0])
+            rows = cols.parse_rows(_skip_header(reader) if line + run[0] == 1 else reader,
+                                   registry, *bounds, stats, rows)
         if rows is not None and len(rows[0]):
             cols.append(rows)
+        return len(starts)
 
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        head = len(_BOM) if fh.read(len(_BOM)) == _BOM else 0
+        mark = fh.read(len(_BOM))
+        head = len(_BOM) if mark == _BOM else 0
+        digest.update(mark[:head])
         fh.seek(head)
         offset = head  # of the block in the file
+        line = 1  # the number of its first line
         carry = b""
         while True:
             chunk = fh.read(_BLOCK_BYTES)
+            digest.update(chunk)
             block = carry + chunk if carry else chunk
             cut = block.rfind(b"\n") + 1 if chunk else len(block)
             if chunk and not cut:
@@ -648,20 +654,25 @@ def ingest_file(
                 block = block[: block.rfind(b"\n", 0, quote) + 1]
             if block:
                 # the last line of a file may lack its newline
-                add_block(block if block.endswith(b"\n") else block + b"\n", offset == head)
+                line += add_block(block if block.endswith(b"\n") else block + b"\n", line)
             if quote >= 0:
-                # a quoted field may span lines: the rest goes row by row
+                # the rest goes row by row, as text, and is not hashed: the
+                # file is read again for its digest
                 fh.seek(offset + len(block))
-                reader = csv.reader(nul_free(
+                reader = csv_rows(
                     io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=""),
-                    nul_line,
-                ))
-                cols.append(row_path(_skip_header(reader) if offset + len(block) == head else reader))
+                    path, nul_line, line,
+                )
+                cols.append(cols.parse_rows(_skip_header(reader) if line == 1 else reader,
+                                            registry, *bounds, stats))
+                digest = None
                 break
             if not chunk:
                 break
             offset += len(block)
-    return _assemble(cols, stats, analysis_year, reciprocity)
+    result = _assemble(cols, stats, analysis_year, reciprocity)
+    result.sha256 = None if digest is None else digest.hexdigest()
+    return result
 
 
 def _is_header(row: list[str]) -> bool:

@@ -103,11 +103,20 @@ def segment_rows(offsets: np.ndarray):
 
 def segment_cumsum(xs: list[np.ndarray], offsets: np.ndarray) -> list[np.ndarray]:
     """Inclusive cumulative sums of each array of xs, restarted at every
-    segment start; one pass over the segments serves every array."""
+    segment start; one pass over the segments serves every array. The
+    segments whose lengths round up to the same power of two are gathered
+    as one matrix, each padded with repeats of its last row: a cumulative
+    sum runs left to right, so the padding changes none of the sums kept."""
     outs = [np.empty_like(x) for x in xs]
-    for _, rows in segment_rows(offsets):
+    sizes = np.diff(offsets)
+    width = np.frexp(np.maximum(sizes, 1) - 1)[1]  # log2 of each padded length
+    for w in np.unique(width[sizes > 0]):
+        seg = np.flatnonzero((width == w) & (sizes > 0))
+        at = np.arange(1 << w)
+        rows = offsets[seg][:, None] + np.minimum(at, sizes[seg][:, None] - 1)
+        kept = at < sizes[seg][:, None]
         for x, out in zip(xs, outs):
-            out[rows] = np.cumsum(x[rows], axis=1)
+            out[rows[kept]] = np.cumsum(x[rows], axis=1)[kept]
     return outs
 
 
@@ -137,7 +146,7 @@ def _upto(cum, k, start):
 # cells (2 MiB per int64 or float64 column), or one individual.
 _BLOCK_CELLS = 1 << 18
 # Whole-table windows of at most this many spans (a year, its months) are
-# kept once built: year_rows, strata, patterns and metrics.csv share them.
+# kept once built: year_rows, strata and metrics.csv share them.
 _KEPT_SPANS = 12
 
 
@@ -150,7 +159,8 @@ class TableMetrics:
     individual's home, NaN without one (None when no homes are given).
     Results are n x k matrices, one row per individual in id order; rg is NaN
     for empty windows and individuals without a home. Whole-table year and
-    month windows are kept.
+    month windows are kept, and so are the month patterns' activity and
+    mobility.
     """
 
     def __init__(self, table: EventTable, registry: TowerRegistry, homes=None,
@@ -165,8 +175,6 @@ class TableMetrics:
             d2[:-1] = _squared_km(towers, table.tower[:-1], towers, table.tower[1:])
             d2[table.offsets[1:] - 1] = 0.0  # no pair across individuals
         self.d2 = d2
-        # the smallest unsigned type that holds any individual's event count
-        self._count_type = np.min_scalar_type(int(np.diff(table.offsets).max(initial=0)))
         self.h2 = None
         if homes is not None:
             self.h2 = np.empty(len(table.ts))
@@ -176,18 +184,20 @@ class TableMetrics:
                                              lo + _segment_index(off))
         self._memo: dict = {}
 
-    def blocks(self, width: int = 1):
+    def blocks(self, width: int = 1, cells: int | None = None):
         """(lo, hi) blocks of consecutive individuals, in id order, each with
-        at most _BLOCK_CELLS events and lo..hi-1 x width result cells, or a
-        single individual; one empty block for an empty table."""
+        at most _BLOCK_CELLS events and lo..hi-1 x width result cells (or
+        `cells` of each, when that is fewer), or a single individual; one
+        empty block for an empty table."""
         off = self.table.offsets
         n = len(self.table)
-        step = max(1, _BLOCK_CELLS // max(width, 1))
+        cells = _BLOCK_CELLS if cells is None else min(cells, _BLOCK_CELLS)
+        step = max(1, cells // max(width, 1))
         if not n:
             yield 0, 0
         lo = 0
         while lo < n:
-            fit = int(np.searchsorted(off, off[lo] + _BLOCK_CELLS, side="right")) - 1
+            fit = int(np.searchsorted(off, off[lo] + cells, side="right")) - 1
             hi = max(lo + 1, min(n, lo + step, fit))
             yield lo, hi
             lo = hi
@@ -198,11 +208,11 @@ class TableMetrics:
         off = self.table.offsets[lo:hi + 1]
         return int(off[0]), int(off[-1]), off - off[0]
 
-    def stack(self, fn, width: int):
+    def stack(self, fn, width: int, cells: int | None = None):
         """The arrays fn(lo, hi) returns for each block, laid end to end into
-        whole-table arrays; width is the result cells per individual."""
+        whole-table arrays; width and cells are those of blocks()."""
         out = None
-        for lo, hi in self.blocks(width):
+        for lo, hi in self.blocks(width, cells):
             part = fn(lo, hi)
             if out is None:
                 out = [np.empty((len(self.table),) + p.shape[1:], p.dtype) for p in part]
@@ -230,7 +240,23 @@ class TableMetrics:
             self._memo[key] = whole
         return whole
 
-    def _windows(self, bounds, lo, hi):
+    def activity_mobility(self, bounds: np.ndarray, cells: int | None = None):
+        """Whole-table activity, in the smallest unsigned type that holds
+        it, and mobility for the spans between bounds, as windows() gives
+        them; built in blocks of at most `cells` (see blocks()) and kept."""
+        key = ("activity_mobility", bounds.tobytes())
+        if key not in self._memo:
+            count = np.min_scalar_type(int(np.diff(self.table.offsets).max(initial=0)))
+
+            def block(lo, hi):
+                a, m, _, _ = self._windows(bounds, lo, hi, rg=False)
+                return a.astype(count), m
+
+            self._memo[key] = self.stack(block, len(bounds) - 1, cells)
+        return self._memo[key]
+
+    def _windows(self, bounds, lo, hi, rg: bool = True):
+        """windows() of individuals lo..hi-1; rg is left NaN unless asked for."""
         r0, r1, off = self._rows(lo, hi)
         ts = self.table.ts[r0:r1]
         # one sorted (individual, time) key; bounds are clipped to the data's
@@ -243,7 +269,8 @@ class TableMetrics:
         start = off[:-1, None]
         a = j - i
         pairs = np.maximum(a - 1, 0)
-        cd, *ch = segment_cumsum([x[r0:r1] for x in (self.d2, self.h2) if x is not None], off)
+        cd, *ch = segment_cumsum(
+            [x[r0:r1] for x in (self.d2, self.h2 if rg else None) if x is not None], off)
         d2 = np.where(pairs > 0, _upto(cd, j - 1, start) - _upto(cd, i, start), 0.0)
         h2 = None if not ch else _upto(ch[0], j, start) - _upto(ch[0], i, start)
         return self.from_sums(a, d2, h2, pairs)
@@ -278,12 +305,6 @@ class TableMetrics:
         (activity, d2sum, h2sum, pairs)."""
         return self.pooled(self._tod_bins(nbins, lo, hi), nbins, lo, hi)
 
-    def time_of_day_counts(self, nbins: int, lo: int, hi: int) -> np.ndarray:
-        """Events per time-of-day bin of individuals lo..hi-1: the activity
-        of time_of_day without its displacement sums."""
-        key = _segment_index(self._rows(lo, hi)[2]) * nbins + self._tod_bins(nbins, lo, hi)
-        return np.bincount(key, minlength=(hi - lo) * nbins).reshape(hi - lo, nbins)
-
     def weekday(self, lo: int, hi: int):
         """Pooled sums per weekday (0=Mon) of individuals lo..hi-1,
         within-day pairs only."""
@@ -292,18 +313,18 @@ class TableMetrics:
         same_day = np.append(days[1:] == days[:-1], False)[: len(days)]
         return self.pooled((days + EPOCH_WEEKDAY) % 7, 7, lo, hi, pair_mask=same_day)
 
-    def day_counts(self, year: int, lo: int, hi: int) -> np.ndarray:
-        """Events of individuals lo..hi-1 per calendar day of the year, as
-        _count_type: one pass over the events, and usually a byte or two per
-        day and individual."""
-        ys, ye = year_bounds(year)
-        ndays = (ye - ys) // 86400
+    def event_counts(self, bin_of, nbins: int, lo: int, hi: int) -> np.ndarray:
+        """Events of individuals lo..hi-1 per bin: bin_of maps an array of
+        timestamps to bins, and an event it maps outside 0..nbins-1 is not
+        counted."""
         r0, r1, off = self._rows(lo, hi)
-        ts = self.table.ts[r0:r1]
-        inside = (ts >= ys) & (ts < ye)
-        key = _segment_index(off)[inside] * ndays + (ts[inside] - ys) // 86400
-        counts = np.bincount(key, minlength=(hi - lo) * ndays).reshape(hi - lo, ndays)
-        return counts.astype(self._count_type)
+        b = bin_of(self.table.ts[r0:r1])
+        key = _segment_index(off) * nbins
+        key += b
+        inside = (b >= 0) & (b < nbins)
+        if not inside.all():
+            key = key[inside]
+        return np.bincount(key, minlength=(hi - lo) * nbins).reshape(hi - lo, nbins)
 
 
 # metrics.csv is yielded as columns of at most this many cells

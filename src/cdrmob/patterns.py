@@ -14,6 +14,13 @@ pools one sample per (individual, matching window) over a cohort:
 Only the kinds in KINDS are computed. Every bin of such a series has a
 sample of every individual of the cohort.
 
+The statistics are numpy's mean, std(ddof=1) and median of a bin's
+samples pooled in one array, to the last bit, but no such array is
+built: weekday and hour counts are made for one block of individuals at
+a time, in one pass for the means and one for the squared deviations,
+which are added in numpy's own summation order. Month samples are
+columns of each individual's kept month activity and mobility.
+
 normalized_median rescales the per-bin medians so their mean is 1, which
 makes shapes comparable across cohorts of very different overall levels.
 """
@@ -26,7 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import HOUR_IDS, WEEKDAY_IDS, TableMetrics, WindowSpec
-from .records import AGE_GROUP_LABELS, EPOCH_WEEKDAY, Demographics, age_group_of, year_bounds
+from .records import (
+    AGE_GROUP_LABELS,
+    EPOCH_WEEKDAY,
+    Demographics,
+    age_group_of,
+    month_starts,
+    year_bounds,
+)
 
 # The (axis, value, statistic) kinds of pattern series, in the order the
 # report writes them for the whole population.
@@ -61,6 +75,135 @@ def _mean_se(x: np.ndarray) -> tuple[float, float | None]:
     return m, (float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else None)
 
 
+# numpy's add.reduce of a contiguous float64 run is a pairwise sum (Higham,
+# SIAM J. Sci. Comput. 14(4), 1993): a run of more than _LEAF values splits
+# at n // 2 rounded down to a multiple of 8, and each leaf of at most _LEAF
+# values is summed by add.reduce itself, as one row of a matrix is.
+# tests/test_patterns.py pins both facts to the numpy in use.
+_LEAF = 128
+# The patterns' passes take blocks of at most this many events and cells,
+# so that their per-event temporaries stay at a few MiB.
+_PASS_CELLS = 1 << 16
+
+
+def _tree(n: int):
+    """numpy's summation tree over n values: which nodes of each level split,
+    from the root down (a node that does not is carried to the next level
+    as it is), and the bounds of the leaves, from 0 to n."""
+    splits, bounds = [], np.array([0, n])
+    while True:
+        sizes = np.diff(bounds)
+        split = sizes > _LEAF
+        if not split.any():
+            return splits, bounds
+        half = sizes[split] // 2
+        half -= half % 8
+        splits.append(split)
+        bounds = np.sort(np.concatenate((bounds, bounds[:-1][split] + half)))
+
+
+class _PairwiseSums:
+    """np.add.reduce of each of several float64 sequences, of lengths ns,
+    whose values arrive in order: each add() passes the next chunk of every
+    sequence. A leaf of numpy's tree is summed once its values are in, and
+    the inner nodes are added level by level at the end, so what is held is
+    a bound and a sum per leaf and less than a leaf of each sequence."""
+
+    def __init__(self, ns):
+        self.ns = list(ns)
+        # the sequences are laid end to end, and so are their leaves:
+        # leaf k holds positions bounds[k] .. bounds[k + 1] - 1
+        pos = np.concatenate(([0], np.cumsum(self.ns)))
+        leaves = {n: _tree(n)[1][:-1] for n in set(self.ns)}
+        self.bounds = np.concatenate([p + leaves[n] for p, n in zip(pos, self.ns)] + [pos[-1:]])
+        self.first = np.concatenate(([0], np.cumsum([len(leaves[n]) for n in self.ns])))
+        self.sums = np.empty(len(self.bounds) - 1)
+        self.start = pos[:-1]  # each sequence's first position
+        self.done = self.first[:-1]  # its next leaf to sum
+        self.seen = self.start  # and its values fed, as a position
+        self.carry = [np.empty(0)] * len(self.ns)  # its values past the leaves summed
+
+    def add(self, chunks) -> None:
+        """Feed the next values of every sequence: chunks[s] holds those of
+        sequence s, as an array of any shape read in row-major order."""
+        held = np.array([len(x) for x in self.carry])
+        fed = np.array([x.size for x in chunks])
+        base = self.seen - held  # the position of each sequence's first value in buf
+        # every leaf but a sequence's last holds a multiple of 8 values, so
+        # each starts a row of 8 in buf when a sequence's values lie where
+        # their position does, modulo 8; leaves are then gathered row-wise
+        lead = (base - self.start) % 8
+        room = (lead + held + fed + 7) // 8 * 8
+        at = np.cumsum(room) - room + lead  # where each sequence goes in buf
+        buf = np.empty(int(room.sum()))
+        for a, h, x, y in zip(at, held, self.carry, chunks):
+            buf[a:a + h] = x
+            buf[a + h:a + h + y.size].reshape(y.shape)[...] = y
+        self.seen = self.seen + fed
+        k1 = np.searchsorted(self.bounds, self.seen, side="right") - 1
+        count = k1 - self.done
+        seq = np.repeat(np.arange(len(fed)), count)
+        leaves = np.arange(count.sum()) + np.repeat(self.done - np.cumsum(count) + count, count)
+        row = (self.bounds[leaves] - base[seq] + at[seq]) // 8
+        size = self.bounds[leaves + 1] - self.bounds[leaves]
+        rows = buf.reshape(-1, 8)
+        for n in np.unique(size):
+            k = np.flatnonzero(size == n)
+            values = rows.take(row[k, None] + np.arange(-(-n // 8)), axis=0).reshape(len(k), -1)
+            self.sums[leaves[k]] = np.add.reduce(values[:, :n], axis=1)
+        self.done = k1
+        self.carry = [buf[a:b].copy() for a, b in zip(self.bounds[k1] - base + at, at + held + fed)]
+
+    def totals(self) -> list[np.float64]:
+        assert (self.done == self.first[1:]).all(), "values missing"
+        splits = {n: _tree(n)[0] for n in set(self.ns)}
+        out = []
+        for n, lo, hi in zip(self.ns, self.first[:-1], self.first[1:]):
+            node = self.sums[lo:hi]
+            for split in reversed(splits[n]):
+                # the first child of each node on the level below
+                child = np.cumsum(split + 1) - 1 - split
+                node, below = node[child], node
+                node[split] += below[child[split] + 1]
+            out.append(node[0])
+        return out
+
+
+def _streamed_mean_se(tm: TableMetrics, rows, bin_of, edges: np.ndarray):
+    """(mean, n, se) of each bin of an activity series, in two passes over
+    blocks of individuals. bin_of maps timestamps to columns, and bin b
+    pools the cohort's event counts in columns edges[b]..edges[b+1]-1: each
+    individual's in column order, individuals in row order. The values are
+    numpy's mean and std(ddof=1) / sqrt(n) of those samples: a mean is an
+    exact integer total over n, and the squared deviations are added in
+    numpy's order."""
+    width, nrows = int(edges[-1]), len(tm.table) if rows is None else len(rows)
+    member = None
+    if rows is not None:
+        member = np.zeros(len(tm.table), dtype=bool)
+        member[rows] = True
+    off, ts = tm.table.offsets, tm.table.ts
+    total = np.zeros(width, dtype=np.int64)
+    for lo, hi in tm.blocks(1, _PASS_CELLS):
+        col = bin_of(ts[off[lo]:off[hi]])
+        keep = (col >= 0) & (col < width)
+        if member is not None:
+            keep &= np.repeat(member[lo:hi], np.diff(off[lo:hi + 1]))
+        total += np.bincount(col if keep.all() else col[keep], minlength=width)
+    n = np.diff(edges) * nrows
+    mean = np.add.reduceat(total, edges[:-1]) / n
+
+    squares, deviation_of = _PairwiseSums(n), np.repeat(mean, np.diff(edges))
+    for lo, hi in tm.blocks(width, _PASS_CELLS):
+        sel = slice(None) if member is None else member[lo:hi]
+        x = np.subtract(tm.event_counts(bin_of, width, lo, hi)[sel], deviation_of, dtype=float)
+        x *= x
+        squares.add([x[:, a:b] for a, b in zip(edges[:-1], edges[1:])])
+    se = np.array([np.sqrt(s / (k - 1)) / math.sqrt(k) if k > 1 else np.nan
+                   for s, k in zip(squares.totals(), n)])
+    return mean, n, se
+
+
 def pattern(
     tm: TableMetrics,
     rows,
@@ -73,35 +216,44 @@ def pattern(
     (individuals in id order, ascending), None for everyone."""
     if (axis, value, statistic) not in KINDS:
         raise ValueError(f"unknown pattern kind {axis}/{value}/{statistic}")
-    rows = np.arange(len(tm.table)) if rows is None else np.asarray(rows, dtype=np.int64)
-    if not len(rows):
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if (np.diff(rows) <= 0).any():
+            raise ValueError("cohort rows must ascend")
+    if not len(tm.table) if rows is None else not len(rows):
         raise PatternError(f"no usable individuals for {value} pattern")
 
-    def select(v):
-        """The cohort's samples of a matrix of windows, row-major, as floats."""
-        return (v if len(rows) == len(tm.table) else v[rows]).ravel().astype(float)
-
     if axis == "dow":
-        ids: tuple[str, ...] = WEEKDAY_IDS
+        # the year's days are laid out weekday by weekday, each weekday's
+        # in date order; column holds -1 before and after them, where
+        # take(mode="clip") sends the days outside the year
         ys, ye = year_bounds(analysis_year)
         wd = (np.arange(ys, ye, 86400) // 86400 + EPOCH_WEEKDAY) % 7
-        counts, = tm.stack(lambda lo, hi: (tm.day_counts(analysis_year, lo, hi),), len(wd))
-        samples = (select(counts[:, wd == w]) for w in range(7))
-    elif axis == "hour":
-        ids = HOUR_IDS
-        counts, = tm.stack(lambda lo, hi: (tm.time_of_day_counts(24, lo, hi),), 24)
-        samples = (select(counts[:, b]) for b in range(24))
-    else:
-        spans = WindowSpec("month").contiguous_windows(analysis_year)
-        ids = tuple(w for w, _, _ in spans)
-        a, m, _, _ = tm.windows(np.array([spans[0][1]] + [t1 for _, _, t1 in spans]))
-        v = a if value == "activity" else m
-        samples = (select(v[:, b]) for b in range(len(ids)))
+        column = np.full(len(wd) + 2, -1)
+        column[1 + np.argsort(wd, kind="stable")] = np.arange(len(wd))
+        edges = np.concatenate(([0], np.cumsum(np.bincount(wd, minlength=7))))
+        stat, n, se = _streamed_mean_se(
+            tm, rows, lambda ts: column.take((ts - ys) // 86400 + 1, mode="clip"), edges)
+        return PatternSeries(axis, value, statistic, WEEKDAY_IDS, stat, n, se)
+    if axis == "hour":
+        def hour_of(ts):
+            h = ts // 3600
+            h -= h // 24 * 24  # h % 24: numpy's floor division by a scalar is the faster
+            return h
 
+        stat, n, se = _streamed_mean_se(tm, rows, hour_of, np.arange(25))
+        return PatternSeries(axis, value, statistic, HOUR_IDS, stat, n, se)
+
+    # month windows: each individual's activity and mobility are kept, and
+    # each month's samples are a column of them
+    ids = tuple(w for w, _, _ in WindowSpec("month").contiguous_windows(analysis_year))
+    a, m = tm.activity_mobility(np.array(month_starts(analysis_year)), _PASS_CELLS)
+    v = a if value == "activity" else m
     stat = np.empty(len(ids))
     n = np.empty(len(ids), dtype=np.int64)
     se = np.full(len(ids), np.nan) if statistic == "mean" else None
-    for b, s in enumerate(samples):
+    for b in range(len(ids)):
+        s = (v[:, b] if rows is None else v[rows, b]).astype(float)
         n[b] = len(s)
         if statistic == "mean":
             stat[b], e = _mean_se(s)

@@ -623,14 +623,17 @@ def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> d
     return done
 
 
-def input_digests(**paths) -> dict:
+def input_digests(known: dict | None = None, **paths) -> dict:
     """{name: {path, sha256}} for each input given; directories (spools)
-    get no digest."""
-    return {
-        name: {"path": str(p), "sha256": _sha256(p) if os.path.isfile(p) else None}
-        for name, p in paths.items()
-        if p is not None
-    }
+    get no digest. `known` maps names to digests already taken, which are
+    not taken again."""
+    known = known or {}
+
+    def digest(name, p):
+        return known.get(name) or (_sha256(p) if os.path.isfile(p) else None)
+
+    return {name: {"path": str(p), "sha256": digest(name, p)}
+            for name, p in paths.items() if p is not None}
 
 
 def save_manifest(out_dir, command: str, outputs: dict[str, str], **fields) -> None:
@@ -651,7 +654,9 @@ def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: st
         config=asdict(pipe.config),
         threads=pipe.threads,
         inputs=input_digests(
-            cdr=pipe.cdr_path, towers=pipe.towers_path, demographics=pipe.demographics_path
+            # ingest hashes the CDR file as it reads it
+            {"cdr": pipe.ingest.sha256} if "ingest" in pipe._cache else None,
+            cdr=pipe.cdr_path, towers=pipe.towers_path, demographics=pipe.demographics_path,
         ),
         timings_s=pipe.timings,
         inclusive_s=pipe.inclusive,

@@ -141,15 +141,40 @@ def read_json_object(path, what: str, keys=None) -> dict:
     return doc
 
 
-def nul_free(lines, on_nul):
-    """The lines that hold no NUL character; on_nul(line number, from 1)
-    is called for each one that does. csv.reader refuses a NUL before
-    Python 3.11 and keeps it from then on, so no such line may reach it."""
-    for n, line in enumerate(lines, start=1):
-        if "\0" in line:
-            on_nul(n)
-        else:
-            yield line
+def csv_rows(lines, where, on_nul, first: int = 1):
+    """csv.reader's rows of lines read with newline="", one row per line.
+    Lines are numbered from `first` by the LFs before them. A line that
+    holds a NUL is left out, and on_nul(its number) is called: csv.reader
+    refuses a NUL before Python 3.11 and keeps it from then on. A row
+    that spans lines (a quoted line end, or one stray quote that makes the
+    rest of a file one field) and a row that csv.reader refuses are
+    CdrErrors naming `where` and the line the row starts on."""
+    start = [0]  # the number of the first line of the row being read
+
+    def feed():
+        n = first
+        for line in lines:
+            if "\0" in line:
+                on_nul(n)
+            else:
+                start[0] = start[0] or n
+                yield line
+            n += line.endswith("\n")
+
+    reader = csv.reader(feed())
+    read = 0  # lines read by the reader
+    while True:
+        start[0] = 0
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise CdrError(f"{where}:{start[0]}: not readable as CSV: {e}") from None
+        if reader.line_num > read + 1:
+            raise CdrError(f"{where}:{start[0]}: a row spans lines (an unbalanced quote?)")
+        read = reader.line_num
+        yield row
 
 
 def _undecodable(row: list[str]) -> bool:
@@ -219,22 +244,15 @@ class TowerRegistry:
 def _read_rows(path):
     """The CSV rows of a small input file, after one leading UTF-8 byte
     order mark if it has one. A byte that is not UTF-8 is fatal, and so is
-    a NUL or a row that csv.reader refuses (an unbalanced quote opens a
-    field that outgrows its limit), each named by file and line."""
+    a NUL or a row that csv_rows refuses, each named by file and line."""
     def nul(n):
         raise CdrError(f"{path}:{n}: holds a NUL byte")
 
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        reader = csv.reader(nul_free(fh, nul))
-        line = 1  # where the next row starts
-        try:
-            for row in reader:
-                if _undecodable(row):
-                    raise CdrError(f"{path}:{reader.line_num}: not valid UTF-8")
-                line = reader.line_num + 1
-                yield row
-        except csv.Error as e:
-            raise CdrError(f"{path}:{line}: not readable as CSV: {e}")
+        for line, row in enumerate(csv_rows(fh, path, nul), start=1):
+            if _undecodable(row):
+                raise CdrError(f"{path}:{line}: not valid UTF-8")
+            yield row
 
 
 def load_towers(path) -> TowerRegistry:

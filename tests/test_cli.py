@@ -8,6 +8,7 @@ import contextlib
 import csv
 import dataclasses
 import filecmp
+import hashlib
 import io
 import json
 import os
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cdrmob import cli, ingest
+from cdrmob import cli, ingest, pipeline
 from cdrmob.cli import main
 from cdrmob.pipeline import STAGE_OUTPUTS, write_manifest, write_outputs
 from cdrmob.synth import (
@@ -418,8 +419,28 @@ def test_an_unbalanced_quote_is_a_data_error(small_corpus, tmp_path, capsys, nam
     assert main(["report", "--cdr", str(paths[CDR_FILE]), "--towers", str(paths[TOWERS_FILE]),
                  "--demographics", str(paths[DEMOGRAPHICS_FILE]), "--area-bounds",
                  ",".join(str(b) for b in truth.area_boundaries), "--out", str(out)]) == 2
-    where = name if name == CDR_FILE else f"{name}:2"
-    assert f"{where}: not readable as CSV" in capsys.readouterr().err
+    assert f"{name}:2: not readable as CSV" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE])
+def test_a_stray_quote_is_a_data_error(small_corpus, tmp_path, capsys, name):
+    # with fewer than csv's 131,072 characters after it, a quote made the
+    # rest of the file one field: one reject, or the rest of the rows lost,
+    # and exit 0
+    corpus, truth = small_corpus
+    paths = {n: os.path.join(corpus, n) for n in (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE)}
+    with open(paths[name], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    k = max(1, len(lines) - 50)  # 49 lines follow it, or all but the header
+    paths[name] = tmp_path / name
+    paths[name].write_text("".join(lines[:k] + ['"' + lines[k]] + lines[k + 1:]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", "--cdr", str(paths[CDR_FILE]), "--towers", str(paths[TOWERS_FILE]),
+                 "--demographics", str(paths[DEMOGRAPHICS_FILE]), "--area-bounds",
+                 ",".join(str(b) for b in truth.area_boundaries), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}:{k + 1}: a row spans lines" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -800,6 +821,31 @@ def test_spool_with_a_damaged_file_is_refused(tmp_path, capsys, damage):
     assert rc == 2
     assert name in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("form", ["plain", "bom", "quoted_tail"])
+def test_the_manifest_takes_the_cdr_digest_from_ingest(tmp_path, capsys, form):
+    # ingest hashes each block it reads, so the manifest does not read the
+    # file again; a tail read row by row after a quote is hashed on its own
+    cdr, towers = _write_minimal_corpus(tmp_path, hour="03:00:00")
+    data = cdr.read_bytes()
+    if form == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif form == "quoted_tail":
+        head, tail = data.split(b"\n", 5)[:5], data.split(b"\n", 5)[5]
+        data = b"\n".join(head + [b'"' + tail.replace(b",", b'",', 1)])
+    cdr.write_bytes(data)
+    digest = hashlib.sha256(data).hexdigest()
+    with mock.patch.object(ingest, "_BLOCK_BYTES", 64), \
+            mock.patch.object(pipeline, "_sha256", wraps=pipeline._sha256) as hashed:
+        assert main(["ingest", *_analysis_args(cdr, towers, tmp_path / "spool")]) == 0
+        assert main(["report", *_analysis_args(cdr, towers, tmp_path / "report",
+                                               "--night-window", "00:00-06:00")]) == 0
+    for out in ("spool", "report"):
+        with open(tmp_path / out / "manifest.json", encoding="utf-8") as fh:
+            assert json.load(fh)["inputs"]["cdr"]["sha256"] == digest
+    reread = [c for c in hashed.call_args_list if c.args == (str(cdr),)]
+    assert len(reread) == (2 if form == "quoted_tail" else 0)
 
 
 def test_stage_timings_are_exclusive(small_corpus, tmp_path):

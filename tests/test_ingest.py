@@ -6,8 +6,8 @@ of ego b with peer a are the same directed claim a->b. A pair is
 reciprocal only when both directions are claimed.
 """
 
-import csv
 import random
+import re
 from dataclasses import asdict
 from unittest import mock
 
@@ -25,7 +25,7 @@ from cdrmob.ingest import (
     read_spool,
     write_spool,
 )
-from cdrmob.records import CdrError, TowerRegistry, nul_free
+from cdrmob.records import CdrError, TowerRegistry, csv_rows
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1), "T3": (40.2, 20.2)})
 
@@ -286,14 +286,22 @@ def test_spool_with_a_damaged_table_is_refused(tmp_path):
 
 
 def _by_rows(path, registry=REG, **kw):
-    """ingest_rows over csv.reader of the file, with each line that holds
+    """ingest_rows over csv_rows of the file, with each line that holds
     a NUL given as a row of its own: what ingest_file must equal."""
     nul = []
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        rows = list(csv.reader(nul_free(fh, nul.append)))
+        rows = list(csv_rows(fh, path, nul.append))
     if rows and _is_header(rows[0]):
         rows = rows[1:]
     return ingest_rows(rows + [["\0"]] * len(nul), registry, **kw)
+
+
+def _outcome(fn):
+    """fn()'s result, or the text of the CdrError it raises."""
+    try:
+        return fn()
+    except CdrError as e:
+        return str(e)
 
 
 def _assert_same_result(got, want):
@@ -405,16 +413,23 @@ def test_byte_path_equals_row_path(tmp_path_factory, lines, header, final_newlin
     path = tmp_path_factory.mktemp("cdr") / "cdr.csv"
     path.write_bytes(_cdr_bytes(lines, header, final_newline))
     with mock.patch.object(ingest, "_BLOCK_BYTES", block):
-        got = ingest_file(path, REG, reciprocity=rule)
-    _assert_same_result(got, _by_rows(path, reciprocity=rule))
+        got = _outcome(lambda: ingest_file(path, REG, reciprocity=rule))
+    want = _outcome(lambda: _by_rows(path, reciprocity=rule))
+    if isinstance(want, str):
+        # a quoted field ran past its line: both refuse the file, at one line
+        assert got == want
+    else:
+        _assert_same_result(got, want)
 
 
 @pytest.mark.parametrize("block", [1, 64, 1 << 20])
 def test_byte_path_equals_row_path_on_every_variant(tmp_path, block):
     # each variant once, between canonical rows that tie with it on every
     # sort key but the peer; quoted variants come last, since a quote
-    # sends the rest of the file down the row path
-    variants = sorted(dict.fromkeys(_VARIANTS), key=lambda v: b'"' in _mutate(["a"] * 6, *v))
+    # sends the rest of the file down the row path. A quoted line end
+    # refuses the file (test_a_row_that_spans_lines_is_refused).
+    variants = sorted((v for v in dict.fromkeys(_VARIANTS) if v[0] != "quoted_newline"),
+                      key=lambda v: b'"' in _mutate(["a"] * 6, *v))
     lines = []
     for how, arg in variants:
         for crlf in (False, True):
@@ -430,6 +445,29 @@ def test_byte_path_equals_row_path_on_every_variant(tmp_path, block):
     assert set(want.stats.rows_rejected) == {
         "bad_encoding", "bad_timestamp", "outside_year", "unknown_tower", "self_call",
         "missing_column", "bad_kind", "bad_direction"}
+
+
+@pytest.mark.parametrize("block", [1, 64, 1 << 20])
+def test_a_row_that_spans_lines_is_refused(tmp_path, block):
+    # a stray quote with fewer than csv's 131,072 characters after it made
+    # the rest of the file one field: one missing_column reject, and exit 0
+    rows = [f"a,b,2008-06-01T10:{m:02d}:00,T1,call,out" for m in range(60)]
+    header = "ego_id,peer_id,timestamp,tower_id,kind,direction"
+    cases = [  # (lines, line of the row refused)
+        ([header, *rows[:11], '"' + rows[11], *rows[12:]], 13),
+        ([*rows[:-49], '"' + rows[-49], *rows[-48:]], 12),
+        ([*rows[:5], 'a,"b', 'c",2008-06-01T10:00:00,T1,call,out', *rows[5:]], 6),
+        # a NUL line counts; a lone CR ends a row but not a line
+        ([rows[0], "a,b\0", rows[1] + "\r" + rows[2], '"' + rows[3], *rows[4:]], 4),
+    ]
+    p = tmp_path / "cdr.csv"
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        for lines, line in cases:
+            for mark, end, last in (("", "\n", "\n"), ("\ufeff", "\r\n", "")):
+                p.write_text(mark + end.join(lines) + last, encoding="utf-8", newline="")
+                want = re.escape(f"{p}:{line}: a row spans lines")
+                with pytest.raises(CdrError, match=want):
+                    ingest_file(p, REG)
 
 
 def test_canonical_lines_take_the_byte_path(tmp_path):

@@ -1,23 +1,37 @@
 """Cohort pattern series and demographic strata."""
 
+import math
 import zipfile
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import table_metrics, traced_peak
 
-from cdrmob.ingest import IngestResult, IngestStats, write_spool
+from cdrmob import metrics
+from cdrmob.ingest import EventTable, IngestResult, IngestStats, write_spool
+from cdrmob.metrics import TableMetrics
 from cdrmob.patterns import (
+    KINDS,
     PatternError,
     PatternSeries,
+    _PairwiseSums,
     demographic_table,
     pattern,
 )
 from cdrmob.pipeline import WRITERS, _write_csv
-from cdrmob.records import AGE_GROUP_LABELS, TowerRegistry, age_group_of, load_demographics
+from cdrmob.records import (
+    AGE_GROUP_LABELS,
+    EPOCH_WEEKDAY,
+    TowerRegistry,
+    age_group_of,
+    load_demographics,
+    month_starts,
+    year_bounds,
+)
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1)})
 
@@ -81,6 +95,8 @@ def test_cohort_selection_and_validation():
     assert only_b.stat[3] == 1.0 and only_b.stat[2] == 0.0
     with pytest.raises(PatternError):
         pattern(tm, [], "month", "activity")
+    with pytest.raises(ValueError, match="ascend"):
+        pattern(tm, [1, 0], "dow", "activity")
     # only the kinds the report writes: no rg, no year axis, no plain
     # median, and no weekday or hour mobility
     for kind in (("decade", "activity"), ("month", "happiness"), ("month", "activity", "mode"),
@@ -88,6 +104,84 @@ def test_cohort_selection_and_validation():
                  ("dow", "mobility"), ("hour", "mobility")):
         with pytest.raises(ValueError):
             pattern(tm, None, *kind)
+
+
+def _spread(rng, n):
+    """n floats of magnitudes from 1e-8 to 1e8, so that the order in which
+    they are added shows in their sum."""
+    return rng.random(n) * 10.0 ** rng.integers(-8, 9, size=n)
+
+
+def test_the_streamed_sum_is_numpys_pairwise_sum():
+    rng = np.random.default_rng(3)
+    # a leaf of numpy's tree is summed as one row of a matrix is
+    for n in range(1, 129):
+        x = _spread(rng, 5 * n).reshape(5, n)
+        rows = np.array([np.add.reduce(r) for r in x])
+        assert np.add.reduce(x, axis=1).tobytes() == rows.tobytes()
+    # every length to 300, then long ones, each fed in random chunks
+    for lengths, most in ((range(1, 301), 40), ([1023, 4097, 65537, 999_983, 2_000_003], 300_000)):
+        xs = [_spread(rng, n) for n in lengths]
+        sums = _PairwiseSums([len(x) for x in xs])
+        fed = np.zeros(len(xs), dtype=np.int64)
+        while (fed < lengths).any():
+            step = np.minimum(rng.integers(0, most, size=len(xs)), np.array(lengths) - fed)
+            sums.add([x[f:f + k] for x, f, k in zip(xs, fed, step)])
+            fed += step
+        assert [float(t) for t in sums.totals()] == [float(np.add.reduce(x)) for x in xs]
+    # which a plain left-to-right sum would not give
+    assert np.cumsum(xs[-1])[-1] != np.add.reduce(xs[-1])
+
+
+@pytest.mark.parametrize("block", [7, 1 << 12, None])
+def test_pattern_series_are_numpys_statistics_of_their_samples(block):
+    """Every series, for everyone and for a cohort, against numpy's mean,
+    std(ddof=1) / sqrt(n) and median of its samples pooled in one array,
+    to the last bit; the blocks are as small as 7 cells."""
+    rng = np.random.default_rng(11)
+    ys, ye = year_bounds(2008)
+    n = 400
+    sizes = rng.integers(1, 150, size=n)
+    # each individual's events fall on some days, so day counts vary
+    ts = np.concatenate([
+        np.sort(ys + 86400 * rng.integers(0, 366, size=d)[rng.integers(0, d, size=k)]
+                + rng.integers(0, 86400, size=k))
+        for k, d in zip(sizes, rng.integers(1, 40, size=n))
+    ])
+    reg = TowerRegistry({f"T{k}": (40.0 + 0.13 * k, 20.0 + 0.07 * k * k) for k in range(5)})
+    tab = EventTable(
+        ids=[f"u{k:03d}" for k in range(n)], offsets=np.concatenate(([0], np.cumsum(sizes))), ts=ts,
+        tower=rng.integers(0, len(reg), size=len(ts)).astype(np.int32),
+        kind=np.zeros(len(ts), dtype=np.int8), direction=np.zeros(len(ts), dtype=np.int8),
+    )
+    tm = TableMetrics(tab, reg)
+    seg = np.repeat(np.arange(n), sizes)
+    day, hour = np.zeros((n, 366)), np.zeros((n, 24))
+    np.add.at(day, (seg, (ts - ys) // 86400), 1)
+    np.add.at(hour, (seg, ts % 86400 // 3600), 1)
+    weekday = (np.arange(ys, ye, 86400) // 86400 + EPOCH_WEEKDAY) % 7
+    act, mob, _, _ = tm.windows(np.array(month_starts(2008)))
+
+    def samples(axis, value, rows):
+        if axis == "dow":
+            return [day[rows][:, weekday == w].ravel() for w in range(7)]
+        if axis == "hour":
+            return [hour[rows][:, b] for b in range(24)]
+        return [(act if value == "activity" else mob)[rows][:, b].astype(float) for b in range(12)]
+
+    cases = [(rows, kind) for rows in (None, np.arange(0, n, 3)) for kind in KINDS]
+    with mock.patch.object(metrics, "_BLOCK_CELLS", block or metrics._BLOCK_CELLS):
+        got = [pattern(tm, rows, *kind) for rows, kind in cases]
+    for s, (rows, (axis, value, statistic)) in zip(got, cases):
+        xs = samples(axis, value, slice(None) if rows is None else rows)
+        assert s.n.tolist() == [len(x) for x in xs]
+        if statistic == "mean":
+            assert s.stat.tobytes() == np.array([np.mean(x) for x in xs]).tobytes()
+            se = np.array([x.std(ddof=1) / math.sqrt(len(x)) for x in xs])
+            assert s.se.tobytes() == se.tobytes()
+        else:
+            median = np.array([np.median(x) for x in xs])
+            assert s.stat.tobytes() == (median / np.mean(median)).tobytes()
 
 
 def test_normalized_median_mean_is_one():

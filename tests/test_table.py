@@ -196,8 +196,13 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
 
 
 @pytest.mark.parametrize("what, budget", [
-    # the weekday samples themselves are 52-53 float64 per individual
-    ("dow", 1536),
+    # a pattern holds one float and one bound per leaf of its summation
+    # tree, about 4 per individual for the weekdays, and no sample outlives
+    # its block; the month pattern keeps each individual's activity and
+    # mobility (9-16 B per month)
+    ("dow", 256),
+    ("hour", 256),
+    ("month", 256),
     # nothing per individual outlives a block
     ("profile", 256),
 ])
@@ -212,8 +217,8 @@ def test_block_memory_does_not_grow_with_individuals_times_bins(what, budget):
     )
     with mock.patch.object(metrics, "_BLOCK_CELLS", 4096):
         tm = TableMetrics(tab, REG)
-        if what == "dow":
-            peak = traced_peak(lambda: pattern(tm, None, "dow", "activity"))
-        else:
+        if what == "profile":
             peak = traced_peak(lambda: daily_profile(tm))
+        else:
+            peak = traced_peak(lambda: pattern(tm, None, what, "activity"))
     assert peak / n < budget, f"{what}: {peak / n:.0f} B per individual"
