@@ -54,18 +54,6 @@ from .records import (
     write_json,
     year_bounds,
 )
-from .synth import (
-    CDR_FILE,
-    CONFIG_FILE,
-    DEMOGRAPHICS_FILE,
-    TOWERS_FILE,
-    TRUTH_FILE,
-    GenConfig,
-    RateError,
-    corpus_pipeline,
-    generate,
-    validate_corpus,
-)
 
 _DATA_ERRORS = (
     CdrError,
@@ -291,6 +279,9 @@ def _generate(settings: dict, out_dir, threads: int) -> tuple:
     """(GenConfig, GroundTruth) of the corpus of these settings, generated
     into out_dir. Settings that GenConfig, or the generator's check of the
     event rates they give, refuses are a usage error."""
+    # synth is imported by the commands that use it: a report does not
+    from .synth import GenConfig, RateError, generate
+
     try:
         cfg = GenConfig.from_dict(settings)
     except (TypeError, ValueError) as e:
@@ -302,6 +293,8 @@ def _generate(settings: dict, out_dir, threads: int) -> tuple:
 
 
 def _cmd_generate(args) -> int:
+    from .synth import CDR_FILE, CONFIG_FILE, DEMOGRAPHICS_FILE, TOWERS_FILE, TRUTH_FILE
+
     settings = read_json_object(args.gen_config, "--gen-config") if args.gen_config else {}
     for key, value in (("n_individuals", args.n), ("n_cells", args.cells), ("seed", args.seed)):
         if value is not None:
@@ -317,6 +310,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .synth import validate_corpus
+
     with _published(args.out) if args.out else nullcontext() as stage:
         card = validate_corpus(args.corpus, threads=max(1, args.threads),
                                reciprocity=args.reciprocity)
@@ -334,6 +329,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .synth import corpus_pipeline
+
     # the report reads the published corpus: its manifest names files that exist
     corpus = os.path.join(args.out, "corpus")
     report_dir = os.path.join(args.out, "report")

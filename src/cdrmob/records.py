@@ -141,14 +141,15 @@ def read_json_object(path, what: str, keys=None) -> dict:
     return doc
 
 
-def csv_rows(lines, where, on_nul, first: int = 1):
-    """csv.reader's rows of lines read with newline="", one row per line.
-    Lines are numbered from `first` by the LFs before them. A line that
-    holds a NUL is left out, and on_nul(its number) is called: csv.reader
-    refuses a NUL before Python 3.11 and keeps it from then on. A row
-    that spans lines (a quoted line end, or one stray quote that makes the
-    rest of a file one field) and a row that csv.reader refuses are
-    CdrErrors naming `where` and the line the row starts on."""
+def csv_rows(lines, where, on_nul, first: int = 1, numbered: bool = False):
+    """csv.reader's rows of lines read with newline="", one row per line,
+    or with `numbered` (line, row) pairs. Lines are numbered from `first`
+    by the LFs before them, so a lone CR starts a row but not a line. A
+    line that holds a NUL is left out, and on_nul(its number) is called:
+    csv.reader refuses a NUL before Python 3.11 and keeps it from then on.
+    A row that spans lines (a quoted line end, or one stray quote that
+    makes the rest of a file one field) and a row that csv.reader refuses
+    are CdrErrors naming `where` and the line the row starts on."""
     start = [0]  # the number of the first line of the row being read
 
     def feed():
@@ -174,7 +175,7 @@ def csv_rows(lines, where, on_nul, first: int = 1):
         if reader.line_num > read + 1:
             raise CdrError(f"{where}:{start[0]}: a row spans lines (an unbalanced quote?)")
         read = reader.line_num
-        yield row
+        yield (start[0], row) if numbered else row
 
 
 def _undecodable(row: list[str]) -> bool:
@@ -242,17 +243,18 @@ class TowerRegistry:
 
 
 def _read_rows(path):
-    """The CSV rows of a small input file, after one leading UTF-8 byte
-    order mark if it has one. A byte that is not UTF-8 is fatal, and so is
-    a NUL or a row that csv_rows refuses, each named by file and line."""
+    """(line, row) of each CSV row of a small input file, after one leading
+    UTF-8 byte order mark if it has one, numbered as csv_rows numbers them.
+    A byte that is not UTF-8 is fatal, and so is a NUL or a row that
+    csv_rows refuses, each named by file and line."""
     def nul(n):
         raise CdrError(f"{path}:{n}: holds a NUL byte")
 
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for line, row in enumerate(csv_rows(fh, path, nul), start=1):
+        for line, row in csv_rows(fh, path, nul, numbered=True):
             if _undecodable(row):
                 raise CdrError(f"{path}:{line}: not valid UTF-8")
-            yield row
+            yield line, row
 
 
 def load_towers(path) -> TowerRegistry:
@@ -264,8 +266,8 @@ def load_towers(path) -> TowerRegistry:
     average longitudes arithmetically.
     """
     entries: dict[str, tuple[float, float]] = {}
-    for lineno, row in enumerate(_read_rows(path), start=1):
-        if not row or (lineno == 1 and _looks_like_header(row, 1)):
+    for k, (lineno, row) in enumerate(_read_rows(path)):
+        if not row or (k == 0 and _looks_like_header(row, 1)):
             continue
         if len(row) < 3:
             raise CdrError(f"{path}:{lineno}: tower row needs tower_id,lat,lon")
@@ -318,8 +320,8 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
         rejected[reason] = rejected.get(reason, 0) + 1
 
     rows = [
-        row for lineno, row in enumerate(_read_rows(path), start=1)
-        if row and not (lineno == 1 and _looks_like_header(row, None))
+        row for k, (_, row) in enumerate(_read_rows(path))
+        if row and not (k == 0 and _looks_like_header(row, None))
     ]
     seen = Counter(row[0].strip() for row in rows if len(row) >= 3)
     for row in rows:

@@ -33,6 +33,7 @@ import json
 import math
 import numbers
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -605,10 +606,60 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], dict]
 _CHUNK = 512
 
 
+def _workers(n_chunks: int) -> int:
+    """How many processes build n_chunks chunks: one per CPU this process
+    may run on (one where the platform cannot say), at most one per chunk."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, n_chunks)
+
+
+_worker_world: _World | None = None  # set in each worker process, never in its parent
+
+
+def _adopt_world(world: _World) -> None:
+    global _worker_world
+    _worker_world = world
+
+
+def _worker_chunk(bounds: tuple[int, int]) -> tuple[bytes, list[str], dict]:
+    return _ego_chunk(_worker_world, *bounds)
+
+
+@contextmanager
+def _chunks(world: _World, bounds: list[tuple[int, int]]):
+    """Yield an iterator over _ego_chunk's result for each (lo, hi) of
+    bounds, in order. With more than one worker, forked processes build
+    the chunks: each inherits the world through fork, so only bounds go in
+    and results come out. Every worker has exited when this returns or
+    raises."""
+    k = _workers(len(bounds))
+    if k > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Pool forks all k workers in its constructor, before it starts
+            # its helper threads
+            pool = multiprocessing.get_context("fork").Pool(k, _adopt_world, (world,))
+            try:
+                yield pool.imap(_worker_chunk, bounds)
+            except BaseException:
+                pool.terminate()  # stops the workers, busy or not
+                raise
+            else:
+                pool.close()  # the workers exit once the tasks run out
+            finally:
+                pool.join()
+            return
+    yield (_ego_chunk(world, lo, hi) for lo, hi in bounds)
+
+
 def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
     """Write cdr.csv, towers.csv, demographics.csv, truth.json and
-    genconfig.json under out_dir. Generation runs in one thread; `threads`
-    is accepted and ignored (a thread pool made it slower)."""
+    genconfig.json under out_dir. One worker process per CPU this process
+    may run on builds the chunks of _CHUNK individuals, and this process
+    writes them in order, so the bytes do not depend on the number of
+    workers. Where there is one CPU or no fork, the chunks are built here.
+    `threads` is accepted and ignored."""
     os.makedirs(out_dir, exist_ok=True)
     world = _World(cfg)
 
@@ -617,14 +668,15 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
         fh.writelines(world.tower_rows)
 
     n = cfg.n_individuals
+    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     egos_truth: dict[str, dict] = {}
-    with open(os.path.join(out_dir, CDR_FILE), "wb") as cdr, open(
-        os.path.join(out_dir, DEMOGRAPHICS_FILE), "w", encoding="utf-8"
-    ) as dem:
+    # the workers fork before these files open, so they hold none of them
+    with _chunks(world, bounds) as chunks, open(
+        os.path.join(out_dir, CDR_FILE), "wb"
+    ) as cdr, open(os.path.join(out_dir, DEMOGRAPHICS_FILE), "w", encoding="utf-8") as dem:
         cdr.write(b"ego_id,peer_id,timestamp,tower_id,kind,direction\n")
         dem.write("ego_id,gender,birth_year\n")
-        for lo in range(0, n, _CHUNK):
-            text, demo, truth = _ego_chunk(world, lo, min(lo + _CHUNK, n))
+        for text, demo, truth in chunks:
             cdr.write(text)
             dem.writelines(demo)
             egos_truth.update(truth)

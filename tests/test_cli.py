@@ -11,6 +11,7 @@ import filecmp
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import pathlib
 import random
@@ -26,9 +27,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cdrmob import cli, ingest, pipeline
+from cdrmob import cli, ingest, pipeline, synth
 from cdrmob.cli import main
 from cdrmob.pipeline import STAGE_OUTPUTS, write_manifest, write_outputs
+from cdrmob.records import CdrError
 from cdrmob.synth import (
     CDR_FILE,
     DEMOGRAPHICS_FILE,
@@ -286,14 +288,26 @@ def test_an_overflowing_power_is_no_warning(tmp_path, setting, code):
     # python -W error it was a traceback
     path = tmp_path / "gen.json"
     path.write_text(json.dumps({"n_individuals": 50, "n_cells": 5, **setting}))
+    run = _python("-W", "error", "-m", "cdrmob.cli", "generate",
+                  "--out", str(tmp_path / "out"), "--gen-config", str(path))
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a Python child on this checkout's src/."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
         src, os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, "-W", "error", "-m", "cdrmob.cli", "generate",
-                          "--out", str(tmp_path / "out"), "--gen-config", str(path)],
-                         env=env, capture_output=True, text=True)
-    assert run.returncode == code, run.stderr
-    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_the_cli_loads_the_generator_only_to_generate():
+    # every report compiled synth.py where no bytecode is written
+    run = _python("-c", "import sys, cdrmob.cli; "
+                        "print(sorted({'cdrmob.synth', 'multiprocessing'} & set(sys.modules)))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("n", ["50", "0"])
@@ -600,6 +614,22 @@ def test_the_manifest_is_published_last(tmp_path, capsys):
     with mock.patch.object(cli.os, "replace", recorded):
         assert main(["generate", "--out", str(tmp_path / "c"), "--n", "60", "--cells", "6"]) == 0
     assert len(moved) == 6 and moved[-1] == "manifest.json"
+
+
+def test_a_chunk_that_fails_in_a_worker_publishes_nothing(tmp_path, capsys, monkeypatch):
+    def failing(world, lo, hi):
+        if lo:
+            raise CdrError(f"chunk at {lo} failed")
+        return ego_chunk(world, lo, hi)
+
+    ego_chunk = synth._ego_chunk
+    monkeypatch.setattr(synth, "_ego_chunk", failing)
+    monkeypatch.setattr(synth, "_workers", lambda n_chunks: min(2, n_chunks))
+    out = tmp_path / "corpus"
+    assert main(["generate", "--out", str(out), "--n", "600", "--cells", "6"]) == 2  # 2 chunks
+    assert "error: chunk at 512 failed" in capsys.readouterr().err
+    assert not multiprocessing.active_children()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_staging_directory_remains(tmp_path, capsys):

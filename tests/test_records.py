@@ -227,6 +227,20 @@ def test_inputs_that_are_not_utf8_name_file_and_line(tmp_path):
     assert load_demographics(demo).by_id == {"u1": (True, 34), "ü2": (False, 40)}
 
 
+@pytest.mark.parametrize("name, body, load, error", [
+    ("towers.csv", b"tower_id,lat,lon\nT1,40.0,20.0\rT2,40.1,20.1\nT3,abc,20.2\n",
+     load_towers, "unparseable coordinate"),
+    ("demo.csv", b"ego_id,gender,birth_year\nu1,F,1970\ru2,M,1980\nu3,\xe9,1990\n",
+     load_demographics, "not valid UTF-8"),
+], ids=["towers", "demographics"])
+def test_a_lone_cr_starts_a_row_but_not_a_line(tmp_path, name, body, load, error):
+    # rows were numbered, not lines: the error named line 4
+    path = tmp_path / name
+    path.write_bytes(body)
+    with pytest.raises(CdrError, match=rf"{name.replace('.', '[.]')}:3: {error}"):
+        load(path)
+
+
 def test_a_nul_byte_in_towers_or_demographics_names_file_and_line(tmp_path):
     # csv.reader raises on a NUL before Python 3.11, and keeps it from then on
     towers = tmp_path / "towers.csv"

@@ -5,7 +5,11 @@ import functools
 import hashlib
 import io
 import json
+import multiprocessing
+import multiprocessing.pool
+import os
 import tempfile
+import warnings
 from dataclasses import asdict, replace
 from datetime import date
 from pathlib import Path
@@ -20,7 +24,7 @@ from cdrmob import synth
 from cdrmob.geo import GridSpec
 from cdrmob.home import compute_homes
 from cdrmob.ingest import ingest_file
-from cdrmob.records import age_group_of, load_towers, write_json, year_bounds
+from cdrmob.records import CdrError, age_group_of, load_towers, write_json, year_bounds
 from cdrmob.synth import (
     AGE_ACTIVITY_MULT,
     AGE_EXCESS_SCALE,
@@ -42,6 +46,7 @@ from cdrmob.synth import (
     TRUTH_FILE,
     GenConfig,
     GroundTruth,
+    _ego_chunk,
     generate,
     validate_corpus,
 )
@@ -205,15 +210,60 @@ def test_generate_writes_the_bytes_of_the_per_row_oracle(cfg):
         assert got[name] == want[name], name
 
 
+def _force_workers(monkeypatch, workers: int) -> list:
+    """Build the chunks in `workers` processes, whatever the CPU count;
+    one means in this process. Returns the list of every pool made: while
+    the caller holds it, only generate's own cleanup, not garbage
+    collection, can stop the workers."""
+    monkeypatch.setattr(synth, "_workers", lambda n_chunks: min(workers, n_chunks))
+    pools = []
+    init = multiprocessing.pool.Pool.__init__
+
+    def kept(pool, *args, **kwargs):
+        pools.append(pool)
+        init(pool, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", kept)
+    return pools
+
+
 def test_chunk_size_does_not_change_the_bytes(tmp_path, monkeypatch):
     # 135 genuine and 15 spam individuals: chunks of 7 straddle the boundary
     cfg = GenConfig(n_individuals=150, n_cells=12, spam_fraction=0.1, seed=13)
     want = _oracle_bytes(cfg, tmp_path / "oracle")
-    for chunk in (1, 7, synth._CHUNK):
-        monkeypatch.setattr(synth, "_CHUNK", chunk)
-        got = _corpus_bytes(cfg, tmp_path / f"chunk{chunk}")
-        for name in _FILES:
-            assert got[name] == want[name], (chunk, name)
+    for workers in (1, 2, 3):
+        pools = _force_workers(monkeypatch, workers)
+        for chunk in (1, 7, synth._CHUNK):
+            monkeypatch.setattr(synth, "_CHUNK", chunk)
+            with warnings.catch_warnings():
+                # Python 3.12 on warns of a fork in a process that runs threads
+                warnings.simplefilter("error")
+                got = _corpus_bytes(cfg, tmp_path / f"w{workers}-chunk{chunk}")
+            assert not multiprocessing.active_children()
+            for name in _FILES:
+                assert got[name] == want[name], (workers, chunk, name)
+        assert len(pools) == (2 if workers > 1 else 0)  # chunks of 7 and of 1
+
+
+def _failing_chunk(world, lo, hi):
+    """_ego_chunk for the first chunk; for any other, an error naming the
+    process that raised it."""
+    if lo:
+        raise CdrError(f"chunk at {lo} failed in process {os.getpid()}")
+    return _ego_chunk(world, lo, hi)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_chunk_that_fails_fails_generate_and_leaves_no_worker(tmp_path, monkeypatch, workers):
+    pools = _force_workers(monkeypatch, workers)
+    monkeypatch.setattr(synth, "_ego_chunk", _failing_chunk)
+    monkeypatch.setattr(synth, "_CHUNK", 100)
+    cfg = GenConfig(n_individuals=300, n_cells=12, seed=13)  # chunks at 0, 100 and 200
+    with pytest.raises(CdrError, match=r"chunk at (100|200) failed in process \d+") as e:
+        generate(cfg, tmp_path)
+    assert not multiprocessing.active_children()
+    in_here = e.value.args[0].endswith(f" {os.getpid()}")
+    assert in_here == (workers == 1) == (not pools)
 
 
 # sha256 of each file of a small corpus: spam, a planted flip and all five
