@@ -19,8 +19,10 @@ numpy for SIMD). A timestamp is checked as three words against a byte
 template of the analysis year, and its fields come from those words. Kind
 and direction words are folded to lower case, so token case does not
 leave the byte path. A tower is looked up by one searchsorted among the
-registry's ids held as sorted keys. Every other line takes the row path,
-csv.reader and parse_event_fields, which defines what a row means.
+registry's ids held as sorted keys. Every other line, one that holds a
+quote included, takes the row path, csv.reader and parse_event_fields,
+which defines what a row means. A row may not span lines, so every
+newline ends a row and blocks are cut at any of them.
 
 The kept events of every individual form one EventTable: parallel numpy
 columns sorted by (ego id, timestamp, tower id, kind, direction), with an
@@ -114,7 +116,7 @@ class IngestResult:
     reciprocity: str
     # ids that had valid rows but were dropped by the reciprocity rule
     removed_ids: list[str] = field(default_factory=list)
-    # sha256 of the CDR file, when ingest_file read all of it as bytes
+    # sha256 of the CDR file; None for a spool
     sha256: str | None = None
 
 
@@ -332,7 +334,7 @@ class _ByteParser:
     for one tower registry and analysis year.
 
     A line is canonical when it has exactly 5 commas and every byte is in
-    0x21-0x7E (quotes never reach here; one CR before the LF is allowed),
+    0x21-0x7E but the double quote (one CR before the LF is allowed),
     its ids are 1-64 bytes, its timestamp is YYYY-MM-DDTHH:MM:SS of a real
     date and time in the analysis year, its kind and direction are event
     tokens in any letter case, its tower is in the registry, and its ego is
@@ -379,9 +381,12 @@ class _ByteParser:
         stop = np.flatnonzero(b == 10) + 1
         starts = np.concatenate(([0], stop[:-1]))
         cr = (stop - starts > 1) & (b[stop - 2] == 13)
-        # bytes outside 0x21-0x7E: only the LF, and a CR before it. Every
-        # line has those, so a block that has no more has none elsewhere.
+        # bytes outside 0x21-0x7E, and quotes: only the LF, and a CR before
+        # it. Every line has those, so a block that has no more has none
+        # elsewhere. A quote-free block pays one memchr for the quote.
         odd = (b - np.uint8(0x21)) > 0x5D
+        if b'"' in block:
+            odd |= b == 0x22
         if np.count_nonzero(odd) == len(stop) + np.count_nonzero(cr):
             ok = np.ones(len(stop), dtype=bool)
         else:
@@ -584,19 +589,17 @@ def ingest_file(
     decoded as UTF-8 (an invalid byte makes its row a bad_encoding reject)
     and goes through csv_rows and parse_event_fields, exactly as
     ingest_rows would take it; a line that holds a NUL byte is counted as
-    a bad_encoding reject before csv.reader sees it. From the line of the
-    first double quote on, the whole rest of the file takes that row path.
-    A row that spans lines, as an unbalanced quote makes one, and a row
-    that csv.reader refuses are a CdrError naming the line. The order in
-    which rows are gathered does not show: the table is sorted on every
-    column.
+    a bad_encoding reject before csv.reader sees it. A line that holds a
+    double quote takes that row path on its own. A row that spans lines,
+    as an unbalanced quote makes one, and a row that csv.reader refuses
+    are a CdrError naming the line. The order in which rows are gathered
+    does not show: the table is sorted on every column.
 
     One leading UTF-8 byte order mark is skipped, and so is a leading
     header row, without being counted: one whose timestamp does not parse
     and whose kind and direction are not event tokens either. A first row
     with only a bad timestamp is data, and is rejected as such. The
-    result's sha256 is the file's, unless a quote sent its tail down the
-    row path.
+    result's sha256 is the file's, taken from the blocks as they are read.
     """
     if is_spool(path):
         return read_spool(path, registry, analysis_year, reciprocity)
@@ -637,8 +640,7 @@ def ingest_file(
         head = len(_BOM) if mark == _BOM else 0
         digest.update(mark[:head])
         fh.seek(head)
-        offset = head  # of the block in the file
-        line = 1  # the number of its first line
+        line = 1  # the number of the next block's first line
         carry = b""
         while True:
             chunk = fh.read(_BLOCK_BYTES)
@@ -649,29 +651,13 @@ def ingest_file(
                 carry = block  # no whole line yet
                 continue
             block, carry = block[:cut], block[cut:]
-            quote = block.find(b'"')
-            if quote >= 0:
-                block = block[: block.rfind(b"\n", 0, quote) + 1]
             if block:
                 # the last line of a file may lack its newline
                 line += add_block(block if block.endswith(b"\n") else block + b"\n", line)
-            if quote >= 0:
-                # the rest goes row by row, as text, and is not hashed: the
-                # file is read again for its digest
-                fh.seek(offset + len(block))
-                reader = csv_rows(
-                    io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=""),
-                    path, nul_line, line,
-                )
-                cols.append(cols.parse_rows(_skip_header(reader) if line == 1 else reader,
-                                            registry, *bounds, stats))
-                digest = None
-                break
             if not chunk:
                 break
-            offset += len(block)
     result = _assemble(cols, stats, analysis_year, reciprocity)
-    result.sha256 = None if digest is None else digest.hexdigest()
+    result.sha256 = digest.hexdigest()
     return result
 
 

@@ -147,10 +147,12 @@ def csv_rows(lines, where, on_nul, first: int = 1, numbered: bool = False):
     by the LFs before them, so a lone CR starts a row but not a line. A
     line that holds a NUL is left out, and on_nul(its number) is called:
     csv.reader refuses a NUL before Python 3.11 and keeps it from then on.
-    A row that spans lines (a quoted line end, or one stray quote that
-    makes the rest of a file one field) and a row that csv.reader refuses
-    are CdrErrors naming `where` and the line the row starts on."""
+    A row that spans lines and a row that csv.reader refuses are CdrErrors
+    naming `where` and the line the row starts on. A row spans lines when
+    it reads more than one, or when a quote left open at the end of the
+    lines makes the reader ask for a line after the last."""
     start = [0]  # the number of the first line of the row being read
+    ended = [False]  # whether the reader has asked for a line after the last
 
     def feed():
         n = first
@@ -161,6 +163,7 @@ def csv_rows(lines, where, on_nul, first: int = 1, numbered: bool = False):
                 start[0] = start[0] or n
                 yield line
             n += line.endswith("\n")
+        ended[0] = True
 
     reader = csv.reader(feed())
     read = 0  # lines read by the reader
@@ -172,7 +175,7 @@ def csv_rows(lines, where, on_nul, first: int = 1, numbered: bool = False):
             return
         except csv.Error as e:
             raise CdrError(f"{where}:{start[0]}: not readable as CSV: {e}") from None
-        if reader.line_num > read + 1:
+        if reader.line_num > read + 1 or ended[0]:
             raise CdrError(f"{where}:{start[0]}: a row spans lines (an unbalanced quote?)")
         read = reader.line_num
         yield (start[0], row) if numbered else row

@@ -631,24 +631,22 @@ def _chunks(world: _World, bounds: list[tuple[int, int]]):
     bounds, in order. With more than one worker, forked processes build
     the chunks: each inherits the world through fork, so only bounds go in
     and results come out. Every worker has exited when this returns or
-    raises."""
+    raises. A worker that exits without a result breaks the pool: the
+    iterator raises BrokenProcessPool, and the other workers are stopped."""
     k = _workers(len(bounds))
     if k > 1:
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
-            # Pool forks all k workers in its constructor, before it starts
-            # its helper threads
-            pool = multiprocessing.get_context("fork").Pool(k, _adopt_world, (world,))
+            # with fork, the executor starts all k workers before its
+            # manager thread, at the first submit
+            pool = ProcessPoolExecutor(k, multiprocessing.get_context("fork"), _adopt_world,
+                                       (world,))
             try:
-                yield pool.imap(_worker_chunk, bounds)
-            except BaseException:
-                pool.terminate()  # stops the workers, busy or not
-                raise
-            else:
-                pool.close()  # the workers exit once the tasks run out
+                yield pool.map(_worker_chunk, bounds)
             finally:
-                pool.join()
+                pool.shutdown(cancel_futures=True)
             return
     yield (_ego_chunk(world, lo, hi) for lo, hi in bounds)
 

@@ -422,7 +422,8 @@ def test_crlf_copy_gives_the_same_report(small_corpus, tmp_path, capsys):
 @pytest.mark.parametrize("name", [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE])
 def test_an_unbalanced_quote_is_a_data_error(small_corpus, tmp_path, capsys, name):
     # csv.reader reads from the quote on as one field, and refused it with
-    # a traceback once it passed 131,072 characters
+    # a traceback once it passed 131,072 characters. In cdr.csv the quote's
+    # line is read on its own, so the field ends with that line
     corpus, truth = small_corpus
     paths = {n: os.path.join(corpus, n) for n in (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE)}
     with open(paths[name], encoding="utf-8") as fh:
@@ -433,8 +434,12 @@ def test_an_unbalanced_quote_is_a_data_error(small_corpus, tmp_path, capsys, nam
     assert main(["report", "--cdr", str(paths[CDR_FILE]), "--towers", str(paths[TOWERS_FILE]),
                  "--demographics", str(paths[DEMOGRAPHICS_FILE]), "--area-bounds",
                  ",".join(str(b) for b in truth.area_boundaries), "--out", str(out)]) == 2
-    assert f"{name}:2: not readable as CSV" in capsys.readouterr().err
-    assert not out.exists()
+    err = capsys.readouterr().err
+    if name == CDR_FILE:
+        assert f"{name}:2: a row spans lines" in err
+    else:
+        assert f"{name}:2: not readable as CSV" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("name", [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE])
@@ -455,6 +460,30 @@ def test_a_stray_quote_is_a_data_error(small_corpus, tmp_path, capsys, name):
                  ",".join(str(b) for b in truth.area_boundaries), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{name}:{k + 1}: a row spans lines" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("name", [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE])
+def test_an_open_quote_on_the_last_line_is_a_data_error(small_corpus, tmp_path, capsys, name,
+                                                        final_newline):
+    # with no line after it, the quote's field ended at the end of the
+    # file: the row was read as if unquoted, and a tower row such as
+    # T9,40.0,"20.5 loaded with longitude 20.5
+    corpus, truth = small_corpus
+    paths = {n: os.path.join(corpus, n) for n in (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE)}
+    with open(paths[name], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    head, _, last = lines[-1].rpartition(",")
+    lines[-1] = f'{head},"{last}'
+    paths[name] = tmp_path / name
+    paths[name].write_text("\n".join(lines) + ("\n" if final_newline else ""), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", "--cdr", str(paths[CDR_FILE]), "--towers", str(paths[TOWERS_FILE]),
+                 "--demographics", str(paths[DEMOGRAPHICS_FILE]), "--area-bounds",
+                 ",".join(str(b) for b in truth.area_boundaries), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}:{len(lines)}: a row spans lines" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -856,7 +885,7 @@ def test_spool_with_a_damaged_file_is_refused(tmp_path, capsys, damage):
 @pytest.mark.parametrize("form", ["plain", "bom", "quoted_tail"])
 def test_the_manifest_takes_the_cdr_digest_from_ingest(tmp_path, capsys, form):
     # ingest hashes each block it reads, so the manifest does not read the
-    # file again; a tail read row by row after a quote is hashed on its own
+    # file again, quoted lines or not
     cdr, towers = _write_minimal_corpus(tmp_path, hour="03:00:00")
     data = cdr.read_bytes()
     if form == "bom":
@@ -875,7 +904,7 @@ def test_the_manifest_takes_the_cdr_digest_from_ingest(tmp_path, capsys, form):
         with open(tmp_path / out / "manifest.json", encoding="utf-8") as fh:
             assert json.load(fh)["inputs"]["cdr"]["sha256"] == digest
     reread = [c for c in hashed.call_args_list if c.args == (str(cdr),)]
-    assert len(reread) == (2 if form == "quoted_tail" else 0)
+    assert len(reread) == 0
 
 
 def test_stage_timings_are_exclusive(small_corpus, tmp_path):
@@ -1182,8 +1211,8 @@ def _report_of(inputs: dict, root, bounds: str) -> tuple[int, str, dict]:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(name=st.sampled_from(_INPUTS), edit=st.sampled_from(_EDITS),
        line=st.integers(0, 10_000), at=st.integers(0, 100))
-# a quote at the start of the CDR's first row makes the rest of the file
-# one field, longer than csv.reader's limit: a traceback before
+# a quote at the start of the CDR's first row made the rest of the file
+# one field, longer than csv.reader's limit: a traceback
 @example(name=CDR_FILE, edit="stray_quote", line=1, at=0)
 def test_an_edited_input_exits_0_or_2_and_the_funnel_adds_up(edit_corpus, tmp_path, name, edit,
                                                              line, at):

@@ -425,11 +425,9 @@ def test_byte_path_equals_row_path(tmp_path_factory, lines, header, final_newlin
 @pytest.mark.parametrize("block", [1, 64, 1 << 20])
 def test_byte_path_equals_row_path_on_every_variant(tmp_path, block):
     # each variant once, between canonical rows that tie with it on every
-    # sort key but the peer; quoted variants come last, since a quote
-    # sends the rest of the file down the row path. A quoted line end
-    # refuses the file (test_a_row_that_spans_lines_is_refused).
-    variants = sorted((v for v in dict.fromkeys(_VARIANTS) if v[0] != "quoted_newline"),
-                      key=lambda v: b'"' in _mutate(["a"] * 6, *v))
+    # sort key but the peer. A quoted line end refuses the file
+    # (test_a_row_that_spans_lines_is_refused).
+    variants = [v for v in dict.fromkeys(_VARIANTS) if v[0] != "quoted_newline"]
     lines = []
     for how, arg in variants:
         for crlf in (False, True):
@@ -445,6 +443,30 @@ def test_byte_path_equals_row_path_on_every_variant(tmp_path, block):
     assert set(want.stats.rows_rejected) == {
         "bad_encoding", "bad_timestamp", "outside_year", "unknown_tower", "self_call",
         "missing_column", "bad_kind", "bad_direction"}
+
+
+@pytest.mark.parametrize("block", [1, 64, 1 << 20])
+def test_a_quoted_line_alone_takes_the_row_path(tmp_path, block):
+    # the lines after a quote went row by row too, to the end of the file
+    rows = [f"{a},{b},2008-06-01T{h:02d}:00:00,T1,call,out"
+            for h, (a, b) in enumerate(["ab", "ba", "ac", "ca", "bc", "cb"])]
+    rows[1] = rows[1].replace("b,a,", '"b",a,')
+    p = tmp_path / "cdr.csv"
+    p.write_text("\n".join(rows) + "\n")
+    parse_rows = ingest._Columns.parse_rows
+    seen = []
+
+    def counted(cols, rows, *args):
+        rows = list(rows)
+        seen.extend(rows)
+        return parse_rows(cols, rows, *args)
+
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block), \
+            mock.patch.object(ingest._Columns, "parse_rows", counted):
+        got = ingest_file(p, REG)
+    assert seen == [["b", "a", "2008-06-01T01:00:00", "T1", "call", "out"]]
+    assert got.stats.rows_read == got.stats.events_valid == 6
+    _assert_same_result(got, _by_rows(p))
 
 
 @pytest.mark.parametrize("block", [1, 64, 1 << 20])
@@ -514,9 +536,9 @@ def test_invalid_utf8_is_a_counted_reject(tmp_path):
 
 @pytest.mark.parametrize("block", [1, 1 << 20])
 def test_a_nul_byte_is_a_counted_reject(tmp_path, block):
-    # before and after a quote, which sends the rest of the file down the
-    # row path: an id "a\0" would be kept next to "a", and a spool
-    # (numpy drops trailing NULs) would then hold two segments named "a"
+    # before and after a quoted line, which takes the row path: an id
+    # "a\0" would be kept next to "a", and a spool (numpy drops trailing
+    # NULs) would then hold two segments named "a"
     p = tmp_path / "cdr.csv"
     p.write_bytes(
         b"a,b,2008-06-01T10:00:00,T1,call,out\n"
@@ -577,13 +599,18 @@ def _same_as_rows(path, registry=REG, blocks=(1, 1 << 20), **kw):
 @pytest.mark.parametrize("year", [2008, 5])
 @pytest.mark.parametrize("pos", range(19))
 def test_every_printable_byte_in_every_timestamp_position(tmp_path, pos, year):
-    # one line per printable ASCII byte at this position; a quote sends the
-    # rest of the file down the row path, so its line comes last
+    # one line per printable ASCII byte at this position, the quote's on
+    # line 4. A quote that opens the timestamp field leaves it open at the
+    # end of the line: that row spans lines, and the file is refused
     ts = f"{year:04d}-06-15T12:34:56"
-    chars = sorted(map(chr, range(0x20, 0x7F)), key=lambda c: c == '"')
-    lines = [f"a,b,{ts[:pos]}{c}{ts[pos + 1:]},T1,call,out\n" for c in chars]
+    lines = [f"a,b,{ts[:pos]}{chr(c)}{ts[pos + 1:]},T1,call,out\n" for c in range(0x20, 0x7F)]
     p = tmp_path / "cdr.csv"
     p.write_text(f"b,a,{ts},T2,sms,in\n" + "".join(lines))
+    if pos == 0:
+        for ingest_fn in (ingest_file, _by_rows):
+            with pytest.raises(CdrError, match=re.escape(f"{p}:4: a row spans lines")):
+                ingest_fn(p, REG, analysis_year=year, reciprocity="none")
+        return
     got = _same_as_rows(p, blocks=(1 << 20,), analysis_year=year, reciprocity="none")
     assert got.stats.events_valid > 1 and got.stats.rows_rejected
 
@@ -644,7 +671,7 @@ def test_a_block_without_a_canonical_line(tmp_path, line):
 
 @pytest.mark.parametrize("first", [
     "a,b,2008-06-01T10:00:00,T1,call,out",  # byte path
-    '"a",b,2008-06-01T10:00:00,T1,call,out',  # a quote: row path from here
+    '"a",b,2008-06-01T10:00:00,T1,call,out',  # a quote: this line takes the row path
     "ego_id,peer_id,timestamp,tower_id,kind,direction",  # a header
     '"ego_id",peer_id,timestamp,tower_id,kind,direction',  # a quoted header
 ])

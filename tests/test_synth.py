@@ -6,10 +6,13 @@ import hashlib
 import io
 import json
 import multiprocessing
-import multiprocessing.pool
 import os
+import signal
 import tempfile
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from datetime import date
 from pathlib import Path
@@ -21,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrmob import synth
+from cdrmob.cli import main
 from cdrmob.geo import GridSpec
 from cdrmob.home import compute_homes
 from cdrmob.ingest import ingest_file
@@ -217,13 +221,13 @@ def _force_workers(monkeypatch, workers: int) -> list:
     collection, can stop the workers."""
     monkeypatch.setattr(synth, "_workers", lambda n_chunks: min(workers, n_chunks))
     pools = []
-    init = multiprocessing.pool.Pool.__init__
+    init = ProcessPoolExecutor.__init__
 
     def kept(pool, *args, **kwargs):
         pools.append(pool)
         init(pool, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", kept)
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", kept)
     return pools
 
 
@@ -264,6 +268,44 @@ def test_a_chunk_that_fails_fails_generate_and_leaves_no_worker(tmp_path, monkey
     assert not multiprocessing.active_children()
     in_here = e.value.args[0].endswith(f" {os.getpid()}")
     assert in_here == (workers == 1) == (not pools)
+
+
+def _dying_chunk(world, lo, hi):
+    """_ego_chunk for the first chunk; for any other, the process exits at
+    once, with neither a result nor an error."""
+    if lo:
+        os._exit(9)
+    return _ego_chunk(world, lo, hi)
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the body once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def test_a_worker_that_dies_fails_generate_and_leaves_no_worker(tmp_path, monkeypatch):
+    # a pool that replaced the dead worker waited for its chunk forever
+    pools = _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(synth, "_ego_chunk", _dying_chunk)
+    cfg = GenConfig(n_individuals=1200, n_cells=12, seed=13)  # chunks at 0, 512 and 1024
+    with _deadline(10), pytest.raises(BrokenProcessPool):
+        generate(cfg, tmp_path / "direct")
+    assert len(pools) == 1 and not multiprocessing.active_children()
+    out = tmp_path / "corpus"
+    with _deadline(10), pytest.raises(BrokenProcessPool):
+        main(["generate", "--out", str(out), "--n", "1200", "--cells", "12"])
+    assert len(pools) == 2 and not multiprocessing.active_children()
+    assert not out.exists() and not list(tmp_path.glob(".cdrmob-*"))
 
 
 # sha256 of each file of a small corpus: spam, a planted flip and all five
