@@ -24,6 +24,14 @@ quote included, takes the row path, csv.reader and parse_event_fields,
 which defines what a row means. A row may not span lines, so every
 newline ends a row and blocks are cut at any of them.
 
+Blocks are parsed on one thread per CPU, as in the block-parallel bulk
+loading of Muehlbauer et al. ("Instant Loading for Main Memory
+Databases", PVLDB 6(14), 2013): the decoding is numpy kernels, which
+release the interpreter lock, and a block's result names its ids by
+indices of its own. The calling thread reads and hashes the file and
+takes the results in block order: it interns each block's ids, so an id
+gets the same code whatever the thread count, and runs the row path.
+
 The kept events of every individual form one EventTable: parallel numpy
 columns sorted by (ego id, timestamp, tower id, kind, direction), with an
 offsets array marking where each individual's segment starts. Every
@@ -41,6 +49,8 @@ import logging
 import os
 import zipfile
 from array import array
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -56,6 +66,7 @@ from .records import (
     parse_event_fields,
     parse_timestamp,
     read_json_object,
+    workers as _workers,
     write_json,
     year_bounds,
 )
@@ -122,9 +133,10 @@ class IngestResult:
 
 # Bytes of CDR text that ingest_file parses at a time, each block cut at a
 # newline. Per-byte temporaries are uint8 or bool and per-line ones a few
-# words, so a block costs a small multiple of its size: on a 1.06M-row
-# file ingest alone peaked at 96 MiB with 1 MiB blocks and 287 MiB with
-# 16 MiB ones, in the same time.
+# words, so a block costs a small multiple of its size: about 4 MiB at its
+# peak for 1 MiB of the 1.06M-row benchmark file, and one thread per CPU
+# holds one each. That file's ingest alone peaked at 96 MiB with 1 MiB
+# blocks and 287 MiB with 16 MiB ones, in the same time.
 _BLOCK_BYTES = 1 << 20
 # Longer ids (ego, peer or tower) take the row path; this bounds the
 # per-line gather arrays of the byte path.
@@ -253,6 +265,28 @@ def _fits_a_line(text: str) -> bool:
             and " " not in text)
 
 
+def _link_keys(ego: np.ndarray, peer: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """The directed link a->b of each row as an int64 key (a << 32) | b: on
+    an outgoing row the ego calls or texts the peer, on an incoming one the
+    peer the ego."""
+    out = direction.astype(bool)
+    key = np.where(out, ego, peer).astype(np.int64)
+    key <<= 32
+    key |= np.where(out, peer, ego)
+    return key
+
+
+def _unique_sorted(keys: np.ndarray) -> np.ndarray:
+    """np.unique(keys), from a sort of keys in place and a neighbour
+    compare: numpy 2.4's np.unique takes a hash path for integers, which
+    took 1.5 s on 2M distinct random keys where this takes 0.02 s."""
+    keys.sort()
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
+
+
 class _Columns:
     """Valid events, gathered part by part. Ego and peer names are
     interned as they come: `code` numbers them in order of first sight.
@@ -267,8 +301,8 @@ class _Columns:
             np.empty(capacity, dtype=t) for t in (np.int32, np.int64, np.int32, np.int8, np.int8)
         ]
         self.n = 0
-        # the distinct directed links a->b of each appended part, as int64
-        # keys (a << 32) | b; empty to start with, for input without rows
+        # the directed links a->b of each appended part, as int64 keys
+        # (a << 32) | b; empty to start with, for input without rows
         self.links = [np.empty(0, dtype=np.int64)]
 
     def intern(self, names: list[str]) -> np.ndarray:
@@ -306,15 +340,24 @@ class _Columns:
             put_peer(p)
         return cols
 
-    def append(self, cols) -> None:
-        """Add parsed rows, given as six columns, the last one their peers."""
-        cols = [np.asarray(c) for c in cols]
-        ego, out, peer = cols[0], cols[4].astype(bool), cols[5]
-        key = np.where(out, ego, peer).astype(np.int64)
-        key <<= 32
-        key |= np.where(out, peer, ego)
-        self.links.append(np.unique(key))
-        k = len(ego)
+    def append_rows(self, rows) -> None:
+        """Add the row path's six columns, the last one the peers."""
+        rows = [np.asarray(c) for c in rows]
+        self.append(rows[:5], _link_keys(rows[0], rows[5], rows[4]))
+
+    def append_block(self, names: list[str], ego, ts, tower, kind, direction, links) -> None:
+        """Add a block's canonical rows, as _ByteParser.parse gives them:
+        its names are interned here, in their order, so codes do not
+        depend on which thread parsed the block."""
+        code = self.intern(names)
+        wide = code.astype(np.int64)
+        self.append((code[ego], ts, tower, kind, direction),
+                    wide[links >> 32] << 32 | wide[links & 0xFFFFFFFF])
+
+    def append(self, cols, links: np.ndarray) -> None:
+        """Add rows, given as five columns, and their link keys."""
+        self.links.append(links)
+        k = len(cols[0])
         if self.n + k > len(self.cols[0]):
             for c in self.cols:
                 c.resize(max(2 * len(c), self.n + k), refcheck=False)
@@ -372,47 +415,65 @@ class _ByteParser:
         self.tower_keys = keys[order]
         self.tower_index = np.array([i for _, i in ids], dtype=np.int32)[order]
 
-    def parse(self, block: bytes, cols: _Columns):
-        """(line starts, line ends past the LF, canonical line mask, line
-        of each canonical row, and its six columns) of a block of whole
-        lines. Names of canonical rows are interned into cols."""
-        arr = np.frombuffer(block + _PAD, dtype=np.uint8)
-        b = arr[: len(block)]
-        stop = np.flatnonzero(b == 10) + 1
-        starts = np.concatenate(([0], stop[:-1]))
+    def parse(self, block: bytes):
+        """(line starts, line ends past the LF, canonical line mask, and the
+        canonical rows or None) of a block of whole lines followed by _PAD.
+        The rows are
+        (names, ego, ts, tower, kind, direction, links): names holds each
+        distinct id the rows use once, ego indexes it, and links holds the
+        distinct directed links a->b of the rows as sorted keys (a << 32) | b
+        of indices into names. Nothing is shared with another block, so
+        blocks may be parsed on several threads at once."""
+        size = len(block) - len(_PAD)
+        arr = np.frombuffer(block, dtype=np.uint8)
+        b = arr[:size]
+        # positions are int32 and temporaries are dropped once used: every
+        # thread that parses holds a block's working set
+        itype = np.int32 if size < 1 << 31 else np.intp
+        stop = np.flatnonzero(b == 10).astype(itype)
+        stop += 1
+        starts = np.empty_like(stop)
+        starts[0] = 0
+        starts[1:] = stop[:-1]
         cr = (stop - starts > 1) & (b[stop - 2] == 13)
         # bytes outside 0x21-0x7E, and quotes: only the LF, and a CR before
         # it. Every line has those, so a block that has no more has none
         # elsewhere. A quote-free block pays one memchr for the quote.
-        odd = (b - np.uint8(0x21)) > 0x5D
+        odd = b - np.uint8(0x21)
+        odd = np.greater(odd, 0x5D, out=odd.view(bool))
         if b'"' in block:
             odd |= b == 0x22
         if np.count_nonzero(odd) == len(stop) + np.count_nonzero(cr):
             ok = np.ones(len(stop), dtype=bool)
         else:
             ok = np.diff(np.searchsorted(np.flatnonzero(odd), stop), prepend=0) == 1 + cr
+        del odd
         # the commas before each line's end: the index of its first comma,
         # and how many it has
-        itype = np.int32 if len(arr) < 1 << 31 else np.intp
         commas = np.flatnonzero(b == 44).astype(itype)
-        before = np.searchsorted(commas, stop)
-        first = np.concatenate(([0], before[:-1]))
+        before = np.searchsorted(commas, stop).astype(itype)
+        first = np.empty_like(before)
+        first[0] = 0
+        first[1:] = before[:-1]
         ok &= before - first == 5
+        del before
         lines = np.flatnonzero(ok)
         canonical = np.zeros(len(starts), dtype=bool)
         if not len(lines):
-            return starts, stop, canonical, lines, None
+            return starts, stop, canonical, None
 
         # field k of a line spans edge[k] + 1 .. edge[k + 1] - 1
         c = first[lines]
-        edge = [(starts[lines] - 1).astype(itype), *(commas[c + k] for k in range(5)),
-                (stop[lines] - 1 - cr[lines]).astype(itype)]
+        edge = [starts[lines] - 1, *(commas[c + k] for k in range(5)),
+                stop[lines] - 1 - cr[lines]]
+        del c, commas, first
         lo = [e + 1 for e in edge[:6]]
         ln = [edge[k + 1] - lo[k] for k in range(6)]
+        del edge
         good = (ln[2] == 19) & (ln[4] <= 8) & (ln[5] <= 8)
         for k in (0, 1, 3):
             good &= (ln[k] >= 1) & (ln[k] <= _MAX_ID_BYTES)
-        u64 = np.ndarray(len(block) + 57, dtype="<u8", buffer=arr, strides=(1,))
+        u64 = np.ndarray(size + 57, dtype="<u8", buffer=arr, strides=(1,))
         kind, found = _match(_KIND_KEYS, _lower(_word(u64, lo[4], ln[4])))
         good &= found
         direction, found = _match(_DIRECTION_KEYS, _lower(_word(u64, lo[5], ln[5])))
@@ -426,8 +487,10 @@ class _ByteParser:
         day = self.day_start[month | _pairs(w[1]) & np.uint64(0xFF)]
         good &= day != _NO_DAY
         hh, mm, ss = (_pairs(w[2]) >> np.uint64(8 * k) & np.uint64(0xFF) for k in (0, 3, 6))
+        del w, month
         good &= (hh <= 23) & (mm <= 59) & (ss <= 59)
         ts = day + (hh * np.uint64(3600) + mm * np.uint64(60) + ss).astype(np.int64)
+        del day, hh, mm, ss
 
         nw = self.tower_words
         if nw == 1:
@@ -436,26 +499,33 @@ class _ByteParser:
             key = _words(u64, lo[3], ln[3], nw).view(f"S{8 * nw}")[:, 0]
         tower, found = _lookup(self.tower_keys, key)
         good &= found & (ln[3] <= 8 * nw)
+        del key, found
         if not good.any():
-            return starts, stop, canonical, lines[:0], None
+            return starts, stop, canonical, None
 
-        # ids are interned once per distinct value in the block
+        # each distinct id of the block is named once
         m = len(lines)
         n = -(-int(max(ln[0].max(where=good, initial=0), ln[1].max(where=good, initial=0))) // 8)
         words = _words(u64, np.concatenate(lo[:2]), np.concatenate(ln[:2]), n)
+        del lo, ln
         once, inv = _distinct(words)
         ego, peer = inv[:m], inv[m:]
         good &= ego != peer
         ego, peer = ego[good], peer[good]
+        del inv
         used = np.zeros(len(once), dtype=bool)
         used[ego] = used[peer] = True
-        code = np.zeros(len(once), dtype=np.int32)
-        code[used] = cols.intern(_text(words[once[used]]))
-        lines = lines[good]
-        canonical[lines] = True
-        return starts, stop, canonical, lines, (
-            code[ego], ts[good], self.tower_index[tower[good]], kind[good], direction[good],
-            code[peer],
+        # the index of each used id among the used ones
+        index = np.cumsum(used, dtype=np.int32)
+        index -= 1
+        names = _text(words[once[used]])
+        del words, once, used
+        ego, peer = index[ego], index[peer]
+        direction = direction[good]
+        links = _unique_sorted(_link_keys(ego, peer, direction))
+        canonical[lines[good]] = True
+        return starts, stop, canonical, (
+            names, ego, ts[good], self.tower_index[tower[good]], kind[good], direction, links,
         )
 
 
@@ -477,26 +547,28 @@ def _linked(links: np.ndarray, rule: str) -> np.ndarray:
 
 
 def _row_order(ego, ts, tower, kind, direction) -> np.ndarray:
-    """Stable order by (ego, ts, tower, kind, direction): one stable
-    argsort of (ego, ts) packed into int64, which int32 egos and timestamps
-    of one year (under 2**25 s apart) fit in 56 bits; then each run of rows
-    equal in (ego, ts), which are few, is put in order by the rest. Rows
-    that tie on every key are equal in every column of the table, so their
-    input order cannot show."""
+    """The stable order by (ego, ts, tower, kind, direction): one argsort
+    of (ego, ts) packed into int64, which int32 egos and timestamps of one
+    year (under 2**25 s apart) fit in 56 bits; then each run of rows equal
+    in (ego, ts), which are few, is put in order by the rest and by row.
+    The argsort need not be stable, so it is numpy's quicksort, which
+    takes no buffer: on a million keys nearly in order it took 22 ms where
+    the stable sort took 57. The sorted keys come from a second, in-place
+    sort, not a copy of the key in that order."""
     t0 = int(ts.min()) if len(ts) else 0
     # in-place steps, so that no temporary is the size of the key
     key = ego.astype(np.int64)
     key <<= (int(ts.max()) - t0).bit_length() if len(ts) else 0
     key += ts
     key -= t0
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    order = np.argsort(key)
+    key.sort()
     tie = np.zeros(len(key), dtype=bool)
     tie[1:] = key[1:] == key[:-1]
     tie[:-1] |= tie[1:]
     at = np.flatnonzero(tie)
     rows = order[at]
-    order[at] = rows[np.lexsort((direction[rows], kind[rows], tower[rows], key[at]))]
+    order[at] = rows[np.lexsort((rows, direction[rows], kind[rows], tower[rows], key[at]))]
     return order
 
 
@@ -519,7 +591,10 @@ def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int,
         ok = seen
     else:
         ok = np.zeros(len(names), dtype=bool)
-        ok[_linked(np.unique(np.concatenate(cols.links)), reciprocity)] = True
+        links = np.concatenate(cols.links)
+        cols.links.clear()
+        ok[_linked(_unique_sorted(links), reciprocity)] = True
+        del links
     keep = ok[kept[0]]
     n = int(keep.sum())
     # filtered, coded and sorted in place, so that the table is the
@@ -571,8 +646,76 @@ def ingest_rows(
     _check_rule(reciprocity)
     stats = IngestStats()
     cols = _Columns()
-    cols.append(cols.parse_rows(rows, registry, *year_bounds(analysis_year), stats))
+    cols.append_rows(cols.parse_rows(rows, registry, *year_bounds(analysis_year), stats))
     return _assemble(cols, stats, analysis_year, reciprocity)
+
+
+def _blocks(fh, digest):
+    """Each block of whole lines of a binary file from its position on,
+    read _BLOCK_BYTES at a time and followed by _PAD; every line ends in
+    an LF, one being added to a last line without it. Every byte read is
+    fed to digest."""
+    carry = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        digest.update(chunk)
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            carry += chunk  # no whole line yet
+            continue
+        yield b"".join((carry, memoryview(chunk)[:cut], _PAD))
+        carry = chunk[cut:]
+    if carry:
+        yield carry + b"\n" + _PAD
+
+
+def _in_order(pool, parse, blocks, k: int):
+    """(block, parse(block)) for each block, in order, parsed on the pool's
+    k threads with at most k + 1 blocks in flight."""
+    flight = deque()
+    for block in blocks:
+        flight.append((block, pool.submit(parse, block)))
+        if len(flight) > k:
+            block, parsed = flight.popleft()
+            yield block, parsed.result()
+    for block, parsed in flight:
+        yield block, parsed.result()
+
+
+def _trim_heap() -> None:
+    """Give the C heap's free pages back to the system, where the C
+    library is glibc. Each thread that parsed blocks allocated from a malloc
+    arena of its own and keeps the blocks' freed working sets there, where
+    no later allocation of this thread can reuse them: on the benchmark
+    corpora that raised the report's peak RSS by up to 7 MiB."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
+@contextmanager
+def _parsed(parse, blocks, n_blocks: int):
+    """Yield an iterator over (block, parse(block)) for each block, in
+    order. The blocks are parsed on one thread per CPU, at most one per
+    block; with one thread, in this one. Every thread has exited when this
+    returns or raises."""
+    k = _workers(n_blocks)
+    if k > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(k)
+        try:
+            yield _in_order(pool, parse, blocks, k)
+        finally:
+            pool.shutdown(cancel_futures=True)
+            _trim_heap()
+        return
+    yield ((block, parse(block)) for block in blocks)
 
 
 def ingest_file(
@@ -585,15 +728,21 @@ def ingest_file(
     """Ingest a CDR file, or a spool directory produced by write_spool.
 
     The file is read as bytes in blocks cut at a newline. Canonical lines
-    (see _ByteParser) are decoded in vectorised form. Every other line is
-    decoded as UTF-8 (an invalid byte makes its row a bad_encoding reject)
-    and goes through csv_rows and parse_event_fields, exactly as
-    ingest_rows would take it; a line that holds a NUL byte is counted as
-    a bad_encoding reject before csv.reader sees it. A line that holds a
-    double quote takes that row path on its own. A row that spans lines,
-    as an unbalanced quote makes one, and a row that csv.reader refuses
-    are a CdrError naming the line. The order in which rows are gathered
-    does not show: the table is sorted on every column.
+    (see _ByteParser) are decoded in vectorised form, on one thread per
+    CPU: numpy releases the interpreter lock in its kernels. This thread
+    reads and hashes the blocks, and takes each block's result in file
+    order: it interns the block's names, so every id gets the code a
+    serial run gives it, and it runs the row path for the block's other
+    lines. Those are decoded as UTF-8 (an invalid byte makes its row a
+    bad_encoding reject) and go through csv_rows and parse_event_fields,
+    exactly as ingest_rows would take them; a line that holds a NUL byte
+    is counted as a bad_encoding reject before csv.reader sees it. A line
+    that holds a double quote takes that row path on its own. A row that
+    spans lines, as an unbalanced quote makes one, and a row that
+    csv.reader refuses are a CdrError naming the line. The order in which
+    rows are gathered does not show: the table is sorted on every column.
+    With one CPU, or a file of one block, every block is parsed in this
+    thread; no thread outlives the call.
 
     One leading UTF-8 byte order mark is skipped, and so is a leading
     header row, without being counted: one whose timestamp does not parse
@@ -605,9 +754,10 @@ def ingest_file(
         return read_spool(path, registry, analysis_year, reciprocity)
     _check_rule(reciprocity)
     stats = IngestStats()
+    size = os.path.getsize(path)
     # a valid row has at least 14 bytes and a line end; past 16M rows the
     # columns grow in place
-    cols = _Columns(min(os.path.getsize(path) // 15 + 1, 1 << 24))
+    cols = _Columns(min(size // 15 + 1, 1 << 24))
     parser = _ByteParser(registry, analysis_year)
     bounds = year_bounds(analysis_year)
 
@@ -615,14 +765,14 @@ def ingest_file(
         stats.rows_read += 1
         stats.reject("bad_encoding")
 
-    def add_block(block: bytes, line: int) -> int:
-        """Rows of a block of whole lines whose first is line `line` of the
-        file, in two parts: canonical lines decoded in vectorised form, then
+    def add_block(block: bytes, line: int, parsed) -> int:
+        """Rows of a block whose first line is line `line` of the file, in
+        two parts: its canonical rows, as parser.parse decoded them, then
         every run of other lines as text. Returns the number of lines."""
-        starts, stop, canonical, lines, decoded = parser.parse(block, cols)
-        stats.rows_read += len(lines)
+        starts, stop, canonical, decoded = parsed
         if decoded is not None:
-            cols.append(decoded)
+            stats.rows_read += len(decoded[1])
+            cols.append_block(*decoded)
         slow = np.flatnonzero(~canonical)
         rows = None
         for run in np.split(slow, np.flatnonzero(np.diff(slow) != 1) + 1) if len(slow) else ():
@@ -631,7 +781,7 @@ def ingest_file(
             rows = cols.parse_rows(_skip_header(reader) if line + run[0] == 1 else reader,
                                    registry, *bounds, stats, rows)
         if rows is not None and len(rows[0]):
-            cols.append(rows)
+            cols.append_rows(rows)
         return len(starts)
 
     digest = hashlib.sha256()
@@ -641,21 +791,9 @@ def ingest_file(
         digest.update(mark[:head])
         fh.seek(head)
         line = 1  # the number of the next block's first line
-        carry = b""
-        while True:
-            chunk = fh.read(_BLOCK_BYTES)
-            digest.update(chunk)
-            block = carry + chunk if carry else chunk
-            cut = block.rfind(b"\n") + 1 if chunk else len(block)
-            if chunk and not cut:
-                carry = block  # no whole line yet
-                continue
-            block, carry = block[:cut], block[cut:]
-            if block:
-                # the last line of a file may lack its newline
-                line += add_block(block if block.endswith(b"\n") else block + b"\n", line)
-            if not chunk:
-                break
+        with _parsed(parser.parse, _blocks(fh, digest), -(-size // _BLOCK_BYTES)) as parsed:
+            for block, result in parsed:
+                line += add_block(block, line, result)
     result = _assemble(cols, stats, analysis_year, reciprocity)
     result.sha256 = digest.hexdigest()
     return result

@@ -298,7 +298,9 @@ class TableMetrics:
         """Time-of-day bin of each event of individuals lo..hi-1, for nbins
         that divide the day evenly."""
         r0, r1, _ = self._rows(lo, hi)
-        return (self.table.ts[r0:r1] % 86400) // (86400 // nbins)
+        b = self.table.ts[r0:r1] // (86400 // nbins)
+        b -= b // nbins * nbins  # b % nbins: numpy's floor division by a scalar is the faster
+        return b
 
     def time_of_day(self, nbins: int, lo: int, hi: int):
         """Pooled sums per time-of-day bin of individuals lo..hi-1:
@@ -311,7 +313,9 @@ class TableMetrics:
         r0, r1, _ = self._rows(lo, hi)
         days = self.table.ts[r0:r1] // 86400
         same_day = np.append(days[1:] == days[:-1], False)[: len(days)]
-        return self.pooled((days + EPOCH_WEEKDAY) % 7, 7, lo, hi, pair_mask=same_day)
+        days += EPOCH_WEEKDAY
+        days -= days // 7 * 7  # days % 7, as in _tod_bins
+        return self.pooled(days, 7, lo, hi, pair_mask=same_day)
 
     def event_counts(self, bin_of, nbins: int, lo: int, hi: int) -> np.ndarray:
         """Events of individuals lo..hi-1 per bin: bin_of maps an array of

@@ -100,6 +100,17 @@ def window_label(window: tuple[float, float]) -> str:
     return f"{_hhmm(window[0])}-{_hhmm(window[1])}"
 
 
+def _resident_mib() -> float | None:
+    """The process's resident size in MiB, from /proc/self/statm; None
+    where that file cannot be read."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            pages = int(fh.read().split()[1])
+    except (OSError, ValueError, IndexError):
+        return None
+    return round(pages * os.sysconf("SC_PAGE_SIZE") / (1 << 20), 1)
+
+
 class Pipeline:
     def __init__(
         self,
@@ -119,6 +130,9 @@ class Pipeline:
         self.inclusive: dict[str, float] = {}
         # peak RSS of the process after each stage or write, in MiB
         self.rss_mib: dict[str, float] = {}
+        # RSS of the process after each stage or write, in MiB, where
+        # /proc/self/statm can be read
+        self.rss_end_mib: dict[str, float] = {}
         self._cache: dict[str, object] = {}
         # seconds spent in nested stages, one entry per stage or write being timed
         self._nested: list[float] = []
@@ -138,7 +152,11 @@ class Pipeline:
                 self._nested[-1] += total
         self.timings[name] = round(total - nested, 3)
         self.inclusive[name] = round(total, 3)
+        # read before the peak, which is never less than it
+        end = _resident_mib()
         self.rss_mib[name] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        if end is not None:
+            self.rss_end_mib[name] = end
         return result
 
     def _stage(self, name: str, fn):
@@ -648,7 +666,7 @@ def save_manifest(out_dir, command: str, outputs: dict[str, str], **fields) -> N
 def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: str) -> None:
     """Manifest of an analysis run: inputs, config, output digests, the
     exclusive and inclusive seconds of each stage, and the process's peak
-    RSS once each stage was done."""
+    and current RSS once each stage was done."""
     save_manifest(
         out_dir, command, outputs,
         config=asdict(pipe.config),
@@ -661,5 +679,6 @@ def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: st
         timings_s=pipe.timings,
         inclusive_s=pipe.inclusive,
         rss_mib=pipe.rss_mib,
+        rss_end_mib=pipe.rss_end_mib,
         ingest_stats=asdict(pipe.ingest.stats) if "ingest" in pipe._cache else None,
     )

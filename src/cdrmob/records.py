@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -115,6 +116,13 @@ def year_bounds(year: int) -> tuple[int, int]:
     """[start, end) epoch seconds of a civil year."""
     starts = month_starts(year)
     return starts[0], starts[12]
+
+
+def workers(tasks: int) -> int:
+    """How many workers share `tasks` tasks: one per CPU this process may
+    run on (one where the platform cannot say), at most one per task."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, tasks)
 
 
 def write_json(path, doc) -> None:

@@ -47,6 +47,7 @@ from .records import (
     format_timestamp,
     month_starts,
     read_json_object,
+    workers as _workers,
     write_json,
 )
 
@@ -604,13 +605,6 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], dict]
 
 # individuals generated, and their text held, at a time
 _CHUNK = 512
-
-
-def _workers(n_chunks: int) -> int:
-    """How many processes build n_chunks chunks: one per CPU this process
-    may run on (one where the platform cannot say), at most one per chunk."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cpus, n_chunks)
 
 
 _worker_world: _World | None = None  # set in each worker process, never in its parent

@@ -6,8 +6,11 @@ of ego b with peer a are the same directed claim a->b. A pair is
 reciprocal only when both directions are claimed.
 """
 
+import hashlib
 import random
 import re
+import threading
+import warnings
 from dataclasses import asdict
 from unittest import mock
 
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrmob import ingest
+from cdrmob import ingest, synth
 from cdrmob.ingest import (
     _is_header,
     ingest_file,
@@ -684,3 +687,96 @@ def test_a_byte_order_mark_is_skipped(tmp_path, first):
     for block in (1, 1 << 20):
         with mock.patch.object(ingest, "_BLOCK_BYTES", block):
             _assert_same_result(ingest_file(marked, REG), want)
+
+
+# ------------------------------------------------------------ worker threads
+
+
+def test_link_keys_merge_as_np_unique():
+    # empty parts, keys repeated within and across parts, and ego and peer
+    # codes at the int32 limit
+    rng = np.random.default_rng(11)
+    codes = np.array([0, 1, 2, 2**31 - 2, 2**31 - 1], dtype=np.int64)
+    for n_parts in (1, 2, 7):
+        parts = [np.empty(0, dtype=np.int64)]
+        for _ in range(n_parts):
+            n = int(rng.integers(0, 40))
+            parts.append(rng.choice(codes, n) << 32 | rng.choice(codes, n))
+            parts.append(np.empty(0, dtype=np.int64))
+        parts.append(parts[1][::-1].copy())
+        want = np.unique(np.concatenate(parts))
+        got = ingest._unique_sorted(np.concatenate(parts))
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert len(ingest._unique_sorted(np.empty(0, dtype=np.int64))) == 0
+
+
+def _force_workers(monkeypatch, workers: int) -> set:
+    """Parse the blocks on `workers` threads, whatever the CPU count; one
+    means in the calling thread. Returns the set of threads that parse."""
+    monkeypatch.setattr(ingest, "_workers", lambda n_blocks: min(workers, n_blocks))
+    parse = ingest._ByteParser.parse
+    threads = set()
+
+    def traced(parser, block):
+        threads.add(threading.current_thread())
+        return parse(parser, block)
+
+    monkeypatch.setattr(ingest._ByteParser, "parse", traced)
+    return threads
+
+
+def _threads_corpus() -> bytes:
+    """A byte order mark, a header, then canonical rows among every
+    variant of _mutate but a quoted line end: quoted lines, NUL lines, lone
+    CRs and rejects. Most ids form reciprocal pairs; "s" only calls out."""
+    rng = random.Random(27)
+    lines = []
+    for how, arg in [v for v in _VARIANTS if v[0] != "quoted_newline"] * 3:
+        a, b = rng.sample(_IDS, 2)
+        fields = [a, b, _T.format(rng.randrange(24)), rng.choice(("T1", "T2", "T3")),
+                  rng.choice(("call", "sms")), rng.choice(("in", "out"))]
+        lines.append((fields, how, arg, rng.random() < 0.3))
+    lines.append((["s", "a", _T.format(3), "T1", "sms", "out"], "none", 0, False))
+    rng.shuffle(lines)
+    return b"\xef\xbb\xbf" + _cdr_bytes(lines, True, True)
+
+
+@pytest.mark.parametrize("block", [1, 64, 1 << 20])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_worker_count_changes_no_byte(tmp_path, monkeypatch, block, workers):
+    p = tmp_path / "cdr.csv"
+    data = _threads_corpus()
+    p.write_bytes(data)
+    want = ingest_file(p, REG)
+    assert "s" in want.removed_ids and want.table.ids and want.stats.rows_rejected
+    threads = _force_workers(monkeypatch, workers)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+    running = threading.active_count()
+    got = ingest_file(p, REG)
+    assert threading.active_count() == running
+    _assert_same_result(got, want)
+    assert got.sha256 == want.sha256 == hashlib.sha256(data).hexdigest()
+    # one block of 1 MiB is parsed in this thread
+    parsed_here = threads == {threading.current_thread()}
+    assert parsed_here == (workers == 1 or block == 1 << 20)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_row_that_spans_lines_in_a_late_block_is_refused_alike(tmp_path, monkeypatch, workers):
+    # then a fork, which Python 3.12 on warns of while a thread runs
+    rows = [f"a,b,2008-06-01T10:{m % 60:02d}:00,T1,call,out" for m in range(300)]
+    rows[-20:-20] = ['a,"b', 'c",2008-06-01T10:00:00,T1,call,out']
+    p = tmp_path / "cdr.csv"
+    p.write_text("\n".join(rows) + "\n")
+    _force_workers(monkeypatch, workers)
+    running = threading.active_count()
+    for block in (1, 64, 1 << 20):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+        with pytest.raises(CdrError, match=re.escape(f"{p}:281: a row spans lines")):
+            ingest_file(p, REG)
+        assert threading.active_count() == running
+    monkeypatch.setattr(synth, "_workers", lambda n_chunks: min(2, n_chunks))
+    monkeypatch.setattr(synth, "_CHUNK", 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        synth.generate(synth.GenConfig(n_individuals=300, n_cells=12, seed=13), tmp_path / "gen")

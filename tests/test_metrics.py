@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from conftest import table_metrics
 
 from cdrmob.geo import haversine_km
+from cdrmob.ingest import EventTable
 from cdrmob.metrics import (
+    TableMetrics,
     WindowSpec,
     metrics_rows,
 )
 from cdrmob.pipeline import WRITERS, _write_csv
-from cdrmob.records import TowerRegistry, parse_timestamp, year_bounds
+from cdrmob.records import EPOCH_WEEKDAY, TowerRegistry, parse_timestamp, year_bounds
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1), "T3": (40.3, 20.4)})
 HOME = (40.0, 20.0)
@@ -221,3 +223,23 @@ def test_metrics_table_and_csv_round_trip(tmp_path):
         assert float(line[3]) == r.mobility_km
         assert line[4] == ("" if r.rg_km is None else repr(r.rg_km))
         assert int(line[5]) == r.pairs
+
+
+def test_hour_and_weekday_bins_equal_the_remainder():
+    # the bins come from floor division; numpy's % is the reference, on
+    # negative times, day and week edges, and times far from the epoch
+    rng = np.random.default_rng(23)
+    edges = np.array([0, 1, 3599, 3600, 86399, 86400, 7 * 86400 - 1, 7 * 86400])
+    ts = np.sort(np.concatenate([
+        edges, -edges, edges - 1, edges + parse_timestamp("2008-03-03T00:00:00"),
+        rng.integers(-2**40, 2**40, 2000), rng.integers(-2**62, 2**62, 200),
+    ]))
+    tab = EventTable(["e"], np.array([0, len(ts)]), ts, np.zeros(len(ts), dtype=np.int32),
+                     np.zeros(len(ts), dtype=np.int8), np.zeros(len(ts), dtype=np.int8))
+    tm = TableMetrics(tab, REG)
+    for nbins in (1, 24, 48, 96, 1440):
+        assert (tm._tod_bins(nbins, 0, 1) == (ts % 86400) // (86400 // nbins)).all(), nbins
+    bins = []
+    tm.pooled = lambda b, *args, **kw: bins.append(b)
+    tm.weekday(0, 1)
+    assert (bins[0] == (ts // 86400 + EPOCH_WEEKDAY) % 7).all()
