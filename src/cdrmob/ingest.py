@@ -25,7 +25,7 @@ which defines what a row means. A row may not span lines, so every
 newline ends a row and blocks are cut at any of them.
 
 Blocks are parsed on one thread per CPU, as in the block-parallel bulk
-loading of Muehlbauer et al. ("Instant Loading for Main Memory
+loading of Mühlbauer et al. ("Instant Loading for Main Memory
 Databases", PVLDB 6(14), 2013): the decoding is numpy kernels, which
 release the interpreter lock, and a block's result names its ids by
 indices of its own. The calling thread reads and hashes the file and
@@ -135,7 +135,7 @@ class IngestResult:
 # newline. Per-byte temporaries are uint8 or bool and per-line ones a few
 # words, so a block costs a small multiple of its size: about 4 MiB at its
 # peak for 1 MiB of the 1.06M-row benchmark file, and one thread per CPU
-# holds one each. That file's ingest alone peaked at 96 MiB with 1 MiB
+# holds one each. On that file a serial ingest peaked at 96 MiB with 1 MiB
 # blocks and 287 MiB with 16 MiB ones, in the same time.
 _BLOCK_BYTES = 1 << 20
 # Longer ids (ego, peer or tower) take the row path; this bounds the
@@ -684,9 +684,9 @@ def _in_order(pool, parse, blocks, k: int):
 def _trim_heap() -> None:
     """Give the C heap's free pages back to the system, where the C
     library is glibc. Each thread that parsed blocks allocated from a malloc
-    arena of its own and keeps the blocks' freed working sets there, where
-    no later allocation of this thread can reuse them: on the benchmark
-    corpora that raised the report's peak RSS by up to 7 MiB."""
+    arena of its own and kept the blocks' freed working sets there, where
+    no allocation of the calling thread can reuse them: on the benchmark's
+    crowd corpus that raised the report's peak RSS by up to 5 MiB."""
     import ctypes
 
     try:
