@@ -747,7 +747,7 @@ def test_the_worker_count_changes_no_byte(tmp_path, monkeypatch, block, workers)
     p = tmp_path / "cdr.csv"
     data = _threads_corpus()
     p.write_bytes(data)
-    want = ingest_file(p, REG)
+    want = ingest_file(p, REG)  # one block of 1 MiB: parsed in this thread
     assert "s" in want.removed_ids and want.table.ids and want.stats.rows_rejected
     threads = _force_workers(monkeypatch, workers)
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
