@@ -24,13 +24,14 @@ quote included, takes the row path, csv.reader and parse_event_fields,
 which defines what a row means. A row may not span lines, so every
 newline ends a row and blocks are cut at any of them.
 
-Blocks are parsed on one thread per CPU, as in the block-parallel bulk
-loading of Mühlbauer et al. ("Instant Loading for Main Memory
-Databases", PVLDB 6(14), 2013): the decoding is numpy kernels, which
-release the interpreter lock, and a block's result names its ids by
-indices of its own. The calling thread reads and hashes the file and
-takes the results in block order: it interns each block's ids, so an id
-gets the same code whatever the thread count, and runs the row path.
+Blocks are parsed on one thread per CPU, two at most, as in the
+block-parallel bulk loading of Mühlbauer et al. ("Instant Loading for
+Main Memory Databases", PVLDB 6(14), 2013): the decoding is numpy
+kernels, which release the interpreter lock, and a block's result names
+its ids by indices of its own. The calling thread reads and hashes the
+file and takes the results in block order: it interns each block's ids,
+so an id gets the same code whatever the thread count, and runs the row
+path.
 
 The kept events of every individual form one EventTable: parallel numpy
 columns sorted by (ego id, timestamp, tower id, kind, direction), with an
@@ -134,10 +135,18 @@ class IngestResult:
 # Bytes of CDR text that ingest_file parses at a time, each block cut at a
 # newline. Per-byte temporaries are uint8 or bool and per-line ones a few
 # words, so a block costs a small multiple of its size: about 4 MiB at its
-# peak for 1 MiB of the 1.06M-row benchmark file, and one thread per CPU
-# holds one each. On that file a serial ingest peaked at 96 MiB with 1 MiB
+# peak for 1 MiB of the 1.06M-row benchmark file, and each parsing thread
+# holds one. On that file a serial ingest peaked at 96 MiB with 1 MiB
 # blocks and 287 MiB with 16 MiB ones, in the same time.
 _BLOCK_BYTES = 1 << 20
+# Threads that parse blocks, at most, whatever the CPU count: the count
+# measured. Each thread keeps its blocks' freed working sets in a malloc
+# arena of its own until the pool is gone, so the peak grows with the
+# count, and the calling thread's interning, row path and assembly are
+# serial. On a 2-vCPU host, 2, 4, 8 and 16 forced threads read a megarow
+# report peak of 87.6-89.3, 90.3-92.8, 98.6-99.8 and 129.2-134.1 MiB (85.4-85.6
+# in one thread). Raise it once a host with more CPUs has been measured.
+_MAX_THREADS = 2
 # Longer ids (ego, peer or tower) take the row path; this bounds the
 # per-line gather arrays of the byte path.
 _MAX_ID_BYTES = 64
@@ -701,10 +710,10 @@ def _trim_heap() -> None:
 @contextmanager
 def _parsed(parse, blocks, n_blocks: int):
     """Yield an iterator over (block, parse(block)) for each block, in
-    order. The blocks are parsed on one thread per CPU, at most one per
-    block; with one thread, in this one. Every thread has exited when this
-    returns or raises."""
-    k = _workers(n_blocks)
+    order. The blocks are parsed on one thread per CPU, at most
+    _MAX_THREADS and at most one per block; with one thread, in this one.
+    Every thread has exited when this returns or raises."""
+    k = min(_MAX_THREADS, _workers(n_blocks))
     if k > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -729,7 +738,7 @@ def ingest_file(
 
     The file is read as bytes in blocks cut at a newline. Canonical lines
     (see _ByteParser) are decoded in vectorised form, on one thread per
-    CPU: numpy releases the interpreter lock in its kernels. This thread
+    CPU, two at most: numpy releases the interpreter lock in its kernels. This thread
     reads and hashes the blocks, and takes each block's result in file
     order: it interns the block's names, so every id gets the code a
     serial run gives it, and it runs the row path for the block's other

@@ -133,6 +133,7 @@ class Pipeline:
         # RSS of the process after each stage or write, in MiB, where
         # /proc/self/statm can be read
         self.rss_end_mib: dict[str, float] = {}
+        self._peak_mib = 0.0
         self._cache: dict[str, object] = {}
         # seconds spent in nested stages, one entry per stage or write being timed
         self._nested: list[float] = []
@@ -152,9 +153,13 @@ class Pipeline:
                 self._nested[-1] += total
         self.timings[name] = round(total - nested, 3)
         self.inclusive[name] = round(total, 3)
-        # read before the peak, which is never less than it
+        # The kernel keeps its high-water mark from approximate per-CPU
+        # counts, and statm can read above it (by 0.2 MiB on Linux 6.18,
+        # whose statm sums them), so the peak also takes each size read.
         end = _resident_mib()
-        self.rss_mib[name] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        self._peak_mib = max(self._peak_mib, peak, end or 0.0)
+        self.rss_mib[name] = round(self._peak_mib, 1)
         if end is not None:
             self.rss_end_mib[name] = end
         return result

@@ -921,10 +921,14 @@ def test_stage_timings_are_exclusive(small_corpus, tmp_path):
     # the peak RSS once each stage and write was done, which never falls
     rss = manifest["rss_mib"]
     assert rss.keys() == timings.keys()
-    # the resident size once each stage and write was done, at most the peak
+    # the resident size once each stage and write was done, at most the
+    # peak; left out where /proc/self/statm cannot be read
     end = manifest["rss_end_mib"]
-    assert end.keys() == timings.keys()
-    assert all(0 < end[k] <= rss[k] for k in timings)
+    if os.access("/proc/self/statm", os.R_OK):
+        assert end.keys() == timings.keys()
+    else:
+        assert not end
+    assert all(0 < end[k] <= rss[k] for k in end)
     # inclusive time adds the nested stages back, so it is never less
     inclusive = manifest["inclusive_s"]
     assert inclusive.keys() == timings.keys()

@@ -711,9 +711,11 @@ def test_link_keys_merge_as_np_unique():
 
 
 def _force_workers(monkeypatch, workers: int) -> set:
-    """Parse the blocks on `workers` threads, whatever the CPU count; one
-    means in the calling thread. Returns the set of threads that parse."""
+    """Parse the blocks on `workers` threads, whatever the CPU count and
+    the thread cap; one means in the calling thread. Returns the set of
+    threads that parse."""
     monkeypatch.setattr(ingest, "_workers", lambda n_blocks: min(workers, n_blocks))
+    monkeypatch.setattr(ingest, "_MAX_THREADS", workers)
     parse = ingest._ByteParser.parse
     threads = set()
 
@@ -759,6 +761,27 @@ def test_the_worker_count_changes_no_byte(tmp_path, monkeypatch, block, workers)
     # one block of 1 MiB is parsed in this thread
     parsed_here = threads == {threading.current_thread()}
     assert parsed_here == (workers == 1 or block == 1 << 20)
+
+
+def test_blocks_are_parsed_on_two_threads_at_most(tmp_path, monkeypatch):
+    # as if there were one CPU per block
+    monkeypatch.setattr(ingest, "_workers", lambda n_blocks: n_blocks)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+    import concurrent.futures
+
+    pools = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    p = tmp_path / "cdr.csv"
+    p.write_bytes(_threads_corpus())
+    running = threading.active_count()
+    assert ingest_file(p, REG).table.ids
+    assert pools == [2] and threading.active_count() == running
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
