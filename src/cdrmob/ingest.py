@@ -143,9 +143,9 @@ _BLOCK_BYTES = 1 << 20
 # measured. Each thread keeps its blocks' freed working sets in a malloc
 # arena of its own until the pool is gone, so the peak grows with the
 # count, and the calling thread's interning, row path and assembly are
-# serial. On a 2-vCPU host, 2, 4, 8 and 16 forced threads read a megarow
-# report peak of 87.6-89.3, 90.3-92.8, 98.6-99.8 and 129.2-134.1 MiB (85.4-85.6
-# in one thread). Raise it once a host with more CPUs has been measured.
+# serial. On a 2-vCPU host, 1, 2, 4, 8 and 16 forced threads read a
+# megarow report peak of 85.4-85.6, 87.6-89.3, 90.3-92.8, 98.6-99.8 and
+# 129.2-134.1 MiB. Raise it once a host with more CPUs has been measured.
 _MAX_THREADS = 2
 # Longer ids (ego, peer or tower) take the row path; this bounds the
 # per-line gather arrays of the byte path.
@@ -738,10 +738,10 @@ def ingest_file(
 
     The file is read as bytes in blocks cut at a newline. Canonical lines
     (see _ByteParser) are decoded in vectorised form, on one thread per
-    CPU, two at most: numpy releases the interpreter lock in its kernels. This thread
-    reads and hashes the blocks, and takes each block's result in file
-    order: it interns the block's names, so every id gets the code a
-    serial run gives it, and it runs the row path for the block's other
+    CPU, two at most: numpy releases the interpreter lock in its kernels.
+    This thread reads and hashes the blocks, and takes each block's result
+    in file order: it interns the block's names, so every id gets the code
+    a serial run gives it, and it runs the row path for the block's other
     lines. Those are decoded as UTF-8 (an invalid byte makes its row a
     bad_encoding reject) and go through csv_rows and parse_event_fields,
     exactly as ingest_rows would take them; a line that holds a NUL byte
