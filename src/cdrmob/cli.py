@@ -166,7 +166,7 @@ def _add_analysis_flags(p: _Parser):
     p.add_argument("--area-bounds", default="30,100,1000,10000", help="rank boundaries r1,r2,r3,r4")
     p.add_argument("--night-window", default=None, help="override detection, HH:MM-HH:MM")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="recorded in the manifest; analysis stages run single-threaded")
+                   help="accepted and ignored: ingest parses on up to two threads")
     p.add_argument("--year", type=_parse_year, default=2008, help="analysis year, 1-9998")
     p.add_argument("--divisor", choices=("events", "pairs"), default="events",
                    help="mobility normalization")

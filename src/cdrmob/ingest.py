@@ -50,8 +50,7 @@ import logging
 import os
 import zipfile
 from array import array
-from collections import deque
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -64,10 +63,10 @@ from .records import (
     TowerRegistry,
     csv_rows,
     month_starts,
+    ordered_map,
     parse_event_fields,
     parse_timestamp,
     read_json_object,
-    workers as _workers,
     write_json,
     year_bounds,
 )
@@ -130,6 +129,8 @@ class IngestResult:
     removed_ids: list[str] = field(default_factory=list)
     # sha256 of the CDR file; None for a spool
     sha256: str | None = None
+    # threads that parsed the CDR file: one for a spool
+    threads: int = 1
 
 
 # Bytes of CDR text that ingest_file parses at a time, each block cut at a
@@ -677,19 +678,6 @@ def _blocks(fh, digest):
         yield carry + b"\n" + _PAD
 
 
-def _in_order(pool, parse, blocks, k: int):
-    """(block, parse(block)) for each block, in order, parsed on the pool's
-    k threads with at most k + 1 blocks in flight."""
-    flight = deque()
-    for block in blocks:
-        flight.append((block, pool.submit(parse, block)))
-        if len(flight) > k:
-            block, parsed = flight.popleft()
-            yield block, parsed.result()
-    for block, parsed in flight:
-        yield block, parsed.result()
-
-
 def _trim_heap() -> None:
     """Give the C heap's free pages back to the system, where the C
     library is glibc. Each thread that parsed blocks allocated from a malloc
@@ -705,26 +693,6 @@ def _trim_heap() -> None:
     trim.argtypes = [ctypes.c_size_t]
     trim.restype = ctypes.c_int
     trim(0)
-
-
-@contextmanager
-def _parsed(parse, blocks, n_blocks: int):
-    """Yield an iterator over (block, parse(block)) for each block, in
-    order. The blocks are parsed on one thread per CPU, at most
-    _MAX_THREADS and at most one per block; with one thread, in this one.
-    Every thread has exited when this returns or raises."""
-    k = min(_MAX_THREADS, _workers(n_blocks))
-    if k > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(k)
-        try:
-            yield _in_order(pool, parse, blocks, k)
-        finally:
-            pool.shutdown(cancel_futures=True)
-            _trim_heap()
-        return
-    yield ((block, parse(block)) for block in blocks)
 
 
 def ingest_file(
@@ -800,11 +768,16 @@ def ingest_file(
         digest.update(mark[:head])
         fh.seek(head)
         line = 1  # the number of the next block's first line
-        with _parsed(parser.parse, _blocks(fh, digest), -(-size // _BLOCK_BYTES)) as parsed:
+        n_blocks = -(-size // _BLOCK_BYTES)
+        with ordered_map(lambda block: (block, parser.parse(block)), _blocks(fh, digest), n_blocks,
+                         ThreadPoolExecutor, _MAX_THREADS) as (threads, parsed):
             for block, result in parsed:
                 line += add_block(block, line, result)
+    if threads > 1:
+        _trim_heap()
     result = _assemble(cols, stats, analysis_year, reciprocity)
     result.sha256 = digest.hexdigest()
+    result.threads = threads
     return result
 
 

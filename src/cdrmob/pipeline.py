@@ -118,13 +118,12 @@ class Pipeline:
         towers_path,
         demographics_path,
         config: AnalysisConfig,
-        threads: int = 1,
+        threads: int = 1,  # accepted and ignored
     ):
         self.cdr_path = cdr_path
         self.towers_path = towers_path
         self.demographics_path = demographics_path
         self.config = config
-        self.threads = max(1, int(threads))
         self.timings: dict[str, float] = {}
         # seconds of each stage or write with the stages nested in it
         self.inclusive: dict[str, float] = {}
@@ -670,12 +669,12 @@ def save_manifest(out_dir, command: str, outputs: dict[str, str], **fields) -> N
 
 def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: str) -> None:
     """Manifest of an analysis run: inputs, config, output digests, the
-    exclusive and inclusive seconds of each stage, and the process's peak
-    and current RSS once each stage was done."""
+    exclusive and inclusive seconds of each stage, the process's peak and
+    current RSS once each stage was done, and the threads that parsed the
+    CDR file."""
     save_manifest(
         out_dir, command, outputs,
         config=asdict(pipe.config),
-        threads=pipe.threads,
         inputs=input_digests(
             # ingest hashes the CDR file as it reads it
             {"cdr": pipe.ingest.sha256} if "ingest" in pipe._cache else None,
@@ -686,4 +685,5 @@ def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: st
         rss_mib=pipe.rss_mib,
         rss_end_mib=pipe.rss_end_mib,
         ingest_stats=asdict(pipe.ingest.stats) if "ingest" in pipe._cache else None,
+        threads=pipe.ingest.threads if "ingest" in pipe._cache else None,
     )

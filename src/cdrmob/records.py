@@ -19,9 +19,11 @@ import hashlib
 import json
 import os
 import re
-from collections import Counter
+from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
+from itertools import islice
 
 import numpy as np
 
@@ -118,11 +120,40 @@ def year_bounds(year: int) -> tuple[int, int]:
     return starts[0], starts[12]
 
 
-def workers(tasks: int) -> int:
-    """How many workers share `tasks` tasks: one per CPU this process may
-    run on (one where the platform cannot say), at most one per task."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cpus, tasks)
+def cpus() -> int:
+    """The CPUs this process may run on; one where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextmanager
+def ordered_map(fn, items, n: int, pool=None, cap: int | None = None):
+    """Yield (k, an iterator over fn(item) for each item, in item order),
+    with fn run on the executor that pool(k) makes: k is one per CPU, at
+    most cap and at most n, the number of items or a bound on it. The pool
+    is made before any item is read: items read ahead of ingest's threads
+    left more of the C heap resident after it. The first k + 1 items are
+    submitted on entry, so a fork pool forks before the body runs; at most
+    k + 1 are submitted and not yet taken. An item's error is raised at its
+    place. When the body returns, raises or stops early, the pool is shut
+    down and what has not started is cancelled. With k = 1, or no pool, fn
+    runs in the calling thread as the iterator is read."""
+    k = min(cpus(), n, cap or n) if pool else 1
+    if k < 2:
+        yield 1, map(fn, items)
+        return
+    items = iter(items)
+
+    def taken():
+        while flight:
+            yield flight.popleft().result()
+            flight.extend(executor.submit(fn, item) for item in islice(items, 1))
+
+    executor = pool(k)
+    try:
+        flight = deque(executor.submit(fn, item) for item in islice(items, k + 1))
+        yield k, taken()
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 def write_json(path, doc) -> None:

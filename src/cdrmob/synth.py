@@ -33,8 +33,8 @@ import json
 import math
 import numbers
 import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -46,8 +46,8 @@ from .records import (
     age_group_of,
     format_timestamp,
     month_starts,
+    ordered_map,
     read_json_object,
-    workers as _workers,
     write_json,
 )
 
@@ -607,42 +607,14 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], dict]
 _CHUNK = 512
 
 
-_worker_world: _World | None = None  # set in each worker process, never in its parent
+# the world of the corpus that generate is writing, set for the length of
+# the call: forked workers inherit it, so only bounds go in and results
+# come out
+_world: _World | None = None
 
 
-def _adopt_world(world: _World) -> None:
-    global _worker_world
-    _worker_world = world
-
-
-def _worker_chunk(bounds: tuple[int, int]) -> tuple[bytes, list[str], dict]:
-    return _ego_chunk(_worker_world, *bounds)
-
-
-@contextmanager
-def _chunks(world: _World, bounds: list[tuple[int, int]]):
-    """Yield an iterator over _ego_chunk's result for each (lo, hi) of
-    bounds, in order. With more than one worker, forked processes build
-    the chunks: each inherits the world through fork, so only bounds go in
-    and results come out. Every worker has exited when this returns or
-    raises. A worker that exits without a result breaks the pool: the
-    iterator raises BrokenProcessPool, and the other workers are stopped."""
-    k = _workers(len(bounds))
-    if k > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            # with fork, the executor starts all k workers before its
-            # manager thread, at the first submit
-            pool = ProcessPoolExecutor(k, multiprocessing.get_context("fork"), _adopt_world,
-                                       (world,))
-            try:
-                yield pool.map(_worker_chunk, bounds)
-            finally:
-                pool.shutdown(cancel_futures=True)
-            return
-    yield (_ego_chunk(world, lo, hi) for lo, hi in bounds)
+def _world_chunk(bounds: tuple[int, int]) -> tuple[bytes, list[str], dict]:
+    return _ego_chunk(_world, *bounds)
 
 
 def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
@@ -652,6 +624,9 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
     writes them in order, so the bytes do not depend on the number of
     workers. Where there is one CPU or no fork, the chunks are built here.
     `threads` is accepted and ignored."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     os.makedirs(out_dir, exist_ok=True)
     world = _World(cfg)
 
@@ -662,16 +637,25 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
     n = cfg.n_individuals
     bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     egos_truth: dict[str, dict] = {}
-    # the workers fork before these files open, so they hold none of them
-    with _chunks(world, bounds) as chunks, open(
-        os.path.join(out_dir, CDR_FILE), "wb"
-    ) as cdr, open(os.path.join(out_dir, DEMOGRAPHICS_FILE), "w", encoding="utf-8") as dem:
-        cdr.write(b"ego_id,peer_id,timestamp,tower_id,kind,direction\n")
-        dem.write("ego_id,gender,birth_year\n")
-        for text, demo, truth in chunks:
-            cdr.write(text)
-            dem.writelines(demo)
-            egos_truth.update(truth)
+    # with fork, the executor starts all its workers before its manager
+    # thread, at the first submit: on entry, before these files open, so
+    # the workers hold none of them
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    pool = fork and partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    global _world
+    _world = world
+    try:
+        with ordered_map(_world_chunk, bounds, len(bounds), pool) as (_, chunks), open(
+            os.path.join(out_dir, CDR_FILE), "wb"
+        ) as cdr, open(os.path.join(out_dir, DEMOGRAPHICS_FILE), "w", encoding="utf-8") as dem:
+            cdr.write(b"ego_id,peer_id,timestamp,tower_id,kind,direction\n")
+            dem.write("ego_id,gender,birth_year\n")
+            for text, demo, truth in chunks:
+                cdr.write(text)
+                dem.writelines(demo)
+                egos_truth.update(truth)
+    finally:
+        _world = None
 
     settlements = [
         {

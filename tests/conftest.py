@@ -4,7 +4,8 @@ Corpora are generated once per session into the pytest tmp factory. Each
 fixture returns (directory, ground truth). Pipelines are cached so the
 expensive stages run once and are shared by every test that reads them.
 event_table and table_metrics build small event tables for unit tests,
-and traced_peak measures what a call allocates.
+traced_peak measures what a call allocates, and force_workers sets the
+CPU count that the ordered worker map sees.
 """
 
 import os
@@ -13,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cdrmob import records
 from cdrmob.ingest import ingest_rows
 from cdrmob.metrics import TableMetrics
 from cdrmob.records import format_timestamp
@@ -22,6 +24,16 @@ _THREADS = min(4, os.cpu_count() or 1)
 
 # month table with no August dip, for control corpora
 _FLAT_MONTHS = (1.02, 1.0, 1.0, 0.99, 1.0, 1.01, 1.0, 1.0, 1.0, 1.0, 0.99, 1.01)
+
+
+@pytest.fixture
+def force_workers(monkeypatch):
+    """force_workers(k): records.ordered_map sees k CPUs, whatever this
+    host has; k = 1 maps in the calling thread. A caller's cap still holds."""
+    def force(k: int) -> None:
+        monkeypatch.setattr(records, "cpus", lambda: k)
+
+    return force
 
 
 def _make_corpus(tmp_path_factory, name: str, cfg: GenConfig):

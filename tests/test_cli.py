@@ -645,7 +645,8 @@ def test_the_manifest_is_published_last(tmp_path, capsys):
     assert len(moved) == 6 and moved[-1] == "manifest.json"
 
 
-def test_a_chunk_that_fails_in_a_worker_publishes_nothing(tmp_path, capsys, monkeypatch):
+def test_a_chunk_that_fails_in_a_worker_publishes_nothing(tmp_path, capsys, monkeypatch,
+                                                          force_workers):
     def failing(world, lo, hi):
         if lo:
             raise CdrError(f"chunk at {lo} failed")
@@ -653,7 +654,7 @@ def test_a_chunk_that_fails_in_a_worker_publishes_nothing(tmp_path, capsys, monk
 
     ego_chunk = synth._ego_chunk
     monkeypatch.setattr(synth, "_ego_chunk", failing)
-    monkeypatch.setattr(synth, "_workers", lambda n_chunks: min(2, n_chunks))
+    force_workers(2)
     out = tmp_path / "corpus"
     assert main(["generate", "--out", str(out), "--n", "600", "--cells", "6"]) == 2  # 2 chunks
     assert "error: chunk at 512 failed" in capsys.readouterr().err
@@ -905,6 +906,22 @@ def test_the_manifest_takes_the_cdr_digest_from_ingest(tmp_path, capsys, form):
             assert json.load(fh)["inputs"]["cdr"]["sha256"] == digest
     reread = [c for c in hashed.call_args_list if c.args == (str(cdr),)]
     assert len(reread) == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_manifest_gives_the_threads_that_parsed(tmp_path, capsys, force_workers, workers):
+    # it gave --threads, which no stage read
+    cdr, towers = _write_minimal_corpus(tmp_path, hour="03:00:00")
+    force_workers(workers)
+    night = ("--night-window", "00:00-06:00", "--threads", "8")
+    with mock.patch.object(ingest, "_BLOCK_BYTES", 64):
+        assert main(["ingest", *_analysis_args(cdr, towers, tmp_path / "spool")]) == 0
+        for src in ("cdr", "spool"):
+            path = cdr if src == "cdr" else tmp_path / "spool"
+            assert main(["report", *_analysis_args(path, towers, tmp_path / src, *night)]) == 0
+            with open(tmp_path / src / "manifest.json", encoding="utf-8") as fh:
+                assert json.load(fh)["threads"] == (workers if src == "cdr" else 1)
+    capsys.readouterr()
 
 
 def test_stage_timings_are_exclusive(small_corpus, tmp_path):

@@ -710,12 +710,8 @@ def test_link_keys_merge_as_np_unique():
     assert len(ingest._unique_sorted(np.empty(0, dtype=np.int64))) == 0
 
 
-def _force_workers(monkeypatch, workers: int) -> set:
-    """Parse the blocks on `workers` threads, whatever the CPU count and
-    the thread cap; one means in the calling thread. Returns the set of
-    threads that parse."""
-    monkeypatch.setattr(ingest, "_workers", lambda n_blocks: min(workers, n_blocks))
-    monkeypatch.setattr(ingest, "_MAX_THREADS", workers)
+def _parse_threads(monkeypatch) -> set:
+    """The set of threads that parse blocks, filled as they do."""
     parse = ingest._ByteParser.parse
     threads = set()
 
@@ -745,13 +741,15 @@ def _threads_corpus() -> bytes:
 
 @pytest.mark.parametrize("block", [1, 64, 1 << 20])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_the_worker_count_changes_no_byte(tmp_path, monkeypatch, block, workers):
+def test_the_worker_count_changes_no_byte(tmp_path, monkeypatch, force_workers, block, workers):
     p = tmp_path / "cdr.csv"
     data = _threads_corpus()
     p.write_bytes(data)
     want = ingest_file(p, REG)  # one block of 1 MiB: parsed in this thread
     assert "s" in want.removed_ids and want.table.ids and want.stats.rows_rejected
-    threads = _force_workers(monkeypatch, workers)
+    force_workers(workers)
+    monkeypatch.setattr(ingest, "_MAX_THREADS", workers)
+    threads = _parse_threads(monkeypatch)
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
     running = threading.active_count()
     got = ingest_file(p, REG)
@@ -761,22 +759,20 @@ def test_the_worker_count_changes_no_byte(tmp_path, monkeypatch, block, workers)
     # one block of 1 MiB is parsed in this thread
     parsed_here = threads == {threading.current_thread()}
     assert parsed_here == (workers == 1 or block == 1 << 20)
+    assert got.threads == (1 if parsed_here else workers)
 
 
-def test_blocks_are_parsed_on_two_threads_at_most(tmp_path, monkeypatch):
-    # as if there were one CPU per block
-    monkeypatch.setattr(ingest, "_workers", lambda n_blocks: n_blocks)
+def test_blocks_are_parsed_on_two_threads_at_most(tmp_path, monkeypatch, force_workers):
+    force_workers(64)
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
-    import concurrent.futures
-
     pools = []
 
-    class Pool(concurrent.futures.ThreadPoolExecutor):
+    class Pool(ingest.ThreadPoolExecutor):
         def __init__(self, max_workers, *args, **kwargs):
             pools.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(ingest, "ThreadPoolExecutor", Pool)
     p = tmp_path / "cdr.csv"
     p.write_bytes(_threads_corpus())
     running = threading.active_count()
@@ -785,21 +781,47 @@ def test_blocks_are_parsed_on_two_threads_at_most(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_a_row_that_spans_lines_in_a_late_block_is_refused_alike(tmp_path, monkeypatch, workers):
+def test_a_row_that_spans_lines_in_a_late_block_is_refused_alike(tmp_path, monkeypatch,
+                                                                 force_workers, workers):
     # then a fork, which Python 3.12 on warns of while a thread runs
     rows = [f"a,b,2008-06-01T10:{m % 60:02d}:00,T1,call,out" for m in range(300)]
     rows[-20:-20] = ['a,"b', 'c",2008-06-01T10:00:00,T1,call,out']
     p = tmp_path / "cdr.csv"
     p.write_text("\n".join(rows) + "\n")
-    _force_workers(monkeypatch, workers)
+    force_workers(workers)
+    monkeypatch.setattr(ingest, "_MAX_THREADS", workers)
     running = threading.active_count()
     for block in (1, 64, 1 << 20):
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
         with pytest.raises(CdrError, match=re.escape(f"{p}:281: a row spans lines")):
             ingest_file(p, REG)
         assert threading.active_count() == running
-    monkeypatch.setattr(synth, "_workers", lambda n_chunks: min(2, n_chunks))
+    force_workers(2)
     monkeypatch.setattr(synth, "_CHUNK", 100)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         synth.generate(synth.GenConfig(n_individuals=300, n_cells=12, seed=13), tmp_path / "gen")
+
+
+def test_a_parse_that_fails_in_a_worker_thread_fails_ingest(tmp_path, monkeypatch, force_workers):
+    p = tmp_path / "cdr.csv"
+    p.write_bytes(_threads_corpus())
+    force_workers(2)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+    with open(p, "rb") as fh:
+        third = list(ingest._blocks(fh, hashlib.sha256()))[2]
+    parse = ingest._ByteParser.parse
+    threads = set()
+
+    def failing(parser, block):
+        threads.add(threading.current_thread())
+        if block == third:
+            raise ValueError("the third block failed")
+        return parse(parser, block)
+
+    monkeypatch.setattr(ingest._ByteParser, "parse", failing)
+    running = threading.active_count()
+    with pytest.raises(ValueError, match="the third block failed"):
+        ingest_file(p, REG)
+    assert threading.active_count() == running
+    assert threads and threading.current_thread() not in threads

@@ -1,6 +1,10 @@
 """Row parsing, registries, and demographics resolution."""
 
 import csv
+import functools
+import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from datetime import date
 
 import numpy as np
@@ -19,6 +23,7 @@ from cdrmob.records import (
     format_timestamp,
     load_demographics,
     load_towers,
+    ordered_map,
     parse_event_fields,
     parse_timestamp,
     year_bounds,
@@ -311,3 +316,63 @@ def test_age_groups_partition_the_range():
     for bad in (9, 111, [30, 9], np.array([111, 30])):
         with pytest.raises(ValueError):
             age_group_of(bad)
+
+
+def _counted(n: int, drawn: list):
+    """range(n), counting each item drawn into drawn[0]."""
+    for i in range(n):
+        drawn[0] += 1
+        yield i
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_ordered_map_keeps_order_and_at_most_k_plus_one_in_flight(force_workers, k):
+    force_workers(k)
+    drawn, ahead, got = [0], [], []
+    running = threading.active_count()
+    with ordered_map(lambda i: i * i, _counted(20, drawn), 20, ThreadPoolExecutor) as (used, results):
+        for r in results:
+            ahead.append(drawn[0] - len(got))  # drawn, so submitted, and not taken
+            got.append(r)
+    assert used == k and got == [i * i for i in range(20)]
+    assert max(ahead) == (k + 1 if k > 1 else 1)
+    assert threading.active_count() == running
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_ordered_map_raises_an_items_error_at_its_place(force_workers, k):
+    force_workers(k)
+
+    def fn(i):
+        if i == 5:
+            raise ValueError("item 5")
+        return i
+
+    got = []
+    running = threading.active_count()
+    with pytest.raises(ValueError, match="item 5"):
+        with ordered_map(fn, range(20), 20, ThreadPoolExecutor) as (_, results):
+            got.extend(results)
+    assert got == [0, 1, 2, 3, 4] and threading.active_count() == running
+
+
+_FORK = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+
+
+@pytest.mark.parametrize("pool", [ThreadPoolExecutor, _FORK], ids=["threads", "fork"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_ordered_map_leaves_no_worker_when_the_caller_stops_early(force_workers, k, pool):
+    force_workers(k)
+    running = threading.active_count()
+    with ordered_map(str, range(100), 100, pool) as (_, results):
+        assert next(results) == "0"
+    assert threading.active_count() == running and not multiprocessing.active_children()
+
+
+def test_the_ordered_map_takes_one_worker_per_item_and_the_cap(force_workers):
+    force_workers(8)
+    for n, cap, k in ((0, None, 1), (1, None, 1), (2, None, 2), (20, None, 8), (20, 2, 2)):
+        with ordered_map(str, range(n), n, ThreadPoolExecutor, cap) as (used, results):
+            assert used == k and list(results) == [str(i) for i in range(n)]
+    with ordered_map(str, range(20), 20) as (used, results):  # no pool
+        assert used == 1 and list(results) == [str(i) for i in range(20)]

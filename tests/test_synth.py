@@ -214,12 +214,9 @@ def test_generate_writes_the_bytes_of_the_per_row_oracle(cfg):
         assert got[name] == want[name], name
 
 
-def _force_workers(monkeypatch, workers: int) -> list:
-    """Build the chunks in `workers` processes, whatever the CPU count;
-    one means in this process. Returns the list of every pool made: while
-    the caller holds it, only generate's own cleanup, not garbage
-    collection, can stop the workers."""
-    monkeypatch.setattr(synth, "_workers", lambda n_chunks: min(workers, n_chunks))
+def _kept_pools(monkeypatch) -> list:
+    """The list of every process pool made: while the caller holds it, only
+    generate's own cleanup, not garbage collection, can stop the workers."""
     pools = []
     init = ProcessPoolExecutor.__init__
 
@@ -231,12 +228,13 @@ def _force_workers(monkeypatch, workers: int) -> list:
     return pools
 
 
-def test_chunk_size_does_not_change_the_bytes(tmp_path, monkeypatch):
+def test_chunk_size_does_not_change_the_bytes(tmp_path, monkeypatch, force_workers):
     # 135 genuine and 15 spam individuals: chunks of 7 straddle the boundary
     cfg = GenConfig(n_individuals=150, n_cells=12, spam_fraction=0.1, seed=13)
     want = _oracle_bytes(cfg, tmp_path / "oracle")
     for workers in (1, 2, 3):
-        pools = _force_workers(monkeypatch, workers)
+        force_workers(workers)
+        pools = _kept_pools(monkeypatch)
         for chunk in (1, 7, synth._CHUNK):
             monkeypatch.setattr(synth, "_CHUNK", chunk)
             with warnings.catch_warnings():
@@ -258,8 +256,10 @@ def _failing_chunk(world, lo, hi):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_chunk_that_fails_fails_generate_and_leaves_no_worker(tmp_path, monkeypatch, workers):
-    pools = _force_workers(monkeypatch, workers)
+def test_a_chunk_that_fails_fails_generate_and_leaves_no_worker(tmp_path, monkeypatch,
+                                                                force_workers, workers):
+    force_workers(workers)
+    pools = _kept_pools(monkeypatch)
     monkeypatch.setattr(synth, "_ego_chunk", _failing_chunk)
     monkeypatch.setattr(synth, "_CHUNK", 100)
     cfg = GenConfig(n_individuals=300, n_cells=12, seed=13)  # chunks at 0, 100 and 200
@@ -293,9 +293,11 @@ def _deadline(seconds: int):
         signal.signal(signal.SIGALRM, handler)
 
 
-def test_a_worker_that_dies_fails_generate_and_leaves_no_worker(tmp_path, monkeypatch):
+def test_a_worker_that_dies_fails_generate_and_leaves_no_worker(tmp_path, monkeypatch,
+                                                                force_workers):
     # a pool that replaced the dead worker waited for its chunk forever
-    pools = _force_workers(monkeypatch, 2)
+    force_workers(2)
+    pools = _kept_pools(monkeypatch)
     monkeypatch.setattr(synth, "_ego_chunk", _dying_chunk)
     cfg = GenConfig(n_individuals=1200, n_cells=12, seed=13)  # chunks at 0, 512 and 1024
     with _deadline(10), pytest.raises(BrokenProcessPool):
@@ -306,6 +308,31 @@ def test_a_worker_that_dies_fails_generate_and_leaves_no_worker(tmp_path, monkey
         main(["generate", "--out", str(out), "--n", "1200", "--cells", "12"])
     assert len(pools) == 2 and not multiprocessing.active_children()
     assert not out.exists() and not list(tmp_path.glob(".cdrmob-*"))
+
+
+def _fileless_chunk(world, lo, hi):
+    """_ego_chunk, in a process that holds neither cdr.csv nor
+    demographics.csv open."""
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed since
+            continue
+        if target.endswith((CDR_FILE, DEMOGRAPHICS_FILE)):
+            raise CdrError(f"process {os.getpid()} holds {target}")
+    return _ego_chunk(world, lo, hi)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_forked_workers_hold_none_of_the_output_files(tmp_path, monkeypatch, force_workers):
+    force_workers(2)
+    pools = _kept_pools(monkeypatch)
+    monkeypatch.setattr(synth, "_ego_chunk", _fileless_chunk)
+    monkeypatch.setattr(synth, "_CHUNK", 100)
+    cfg = GenConfig(n_individuals=600, n_cells=12, seed=13)  # six chunks
+    generate(cfg, tmp_path)
+    assert len(pools) == 1 and not multiprocessing.active_children()
+    assert (tmp_path / CDR_FILE).stat().st_size
 
 
 # sha256 of each file of a small corpus: spam, a planted flip and all five
