@@ -275,10 +275,10 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _generate(settings: dict, out_dir, threads: int) -> tuple:
-    """(GenConfig, GroundTruth) of the corpus of these settings, generated
-    into out_dir. Settings that GenConfig, or the generator's check of the
-    event rates they give, refuses are a usage error."""
+def _generate(settings: dict, out_dir):
+    """The GenConfig of these settings, its corpus generated into out_dir.
+    Settings that GenConfig, or the generator's check of the event rates
+    they give, refuses are a usage error."""
     # synth is imported by the commands that use it: a report does not
     from .synth import GenConfig, RateError, generate
 
@@ -287,9 +287,10 @@ def _generate(settings: dict, out_dir, threads: int) -> tuple:
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad generator config: {e}")
     try:
-        return cfg, generate(cfg, out_dir, threads=max(1, threads))
+        generate(cfg, out_dir)
     except RateError as e:
         raise UsageError(f"bad generator config: {e}")
+    return cfg
 
 
 def _cmd_generate(args) -> int:
@@ -301,8 +302,7 @@ def _cmd_generate(args) -> int:
             settings[key] = value
 
     def write(stage):
-        cfg, _ = _generate(settings, stage, args.threads)
-        return {"config": asdict(cfg)}
+        return {"config": asdict(_generate(settings, stage))}
 
     _write_files(args.out, [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE, TRUTH_FILE, CONFIG_FILE],
                  "generate", write)
@@ -313,8 +313,7 @@ def _cmd_validate(args) -> int:
     from .synth import validate_corpus
 
     with _published(args.out) if args.out else nullcontext() as stage:
-        card = validate_corpus(args.corpus, threads=max(1, args.threads),
-                               reciprocity=args.reciprocity)
+        card = validate_corpus(args.corpus, reciprocity=args.reciprocity)
         if stage:
             write_json(os.path.join(stage, "scorecard.json"), asdict(card))
     for line in card.lines():
@@ -335,9 +334,9 @@ def _cmd_demo(args) -> int:
     corpus = os.path.join(args.out, "corpus")
     report_dir = os.path.join(args.out, "report")
     with _published(corpus) as stage:
-        cfg, truth = _generate({"n_individuals": args.n, "seed": args.seed}, stage, args.threads)
+        cfg = _generate({"n_individuals": args.n, "seed": args.seed}, stage)
     print(f"corpus: {corpus} ({cfg.n_individuals} individuals, seed {cfg.seed})")
-    pipe = corpus_pipeline(corpus, truth, threads=max(1, args.threads))
+    pipe = corpus_pipeline(corpus, cfg)
     outputs = _write_report(pipe, report_dir, set(STAGE_OUTPUTS), True, "demo")
     w = pipe.night_window
     corr = pipe.correlations

@@ -718,8 +718,8 @@ def ingest_file(
     spans lines, as an unbalanced quote makes one, and a row that
     csv.reader refuses are a CdrError naming the line. The order in which
     rows are gathered does not show: the table is sorted on every column.
-    With one CPU, or a file of one block, every block is parsed in this
-    thread; no thread outlives the call.
+    With one CPU, or a file no larger than one block, every block is
+    parsed in this thread; no thread outlives the call.
 
     One leading UTF-8 byte order mark is skipped, and so is a leading
     header row, without being counted: one whose timestamp does not parse
@@ -768,16 +768,18 @@ def ingest_file(
         digest.update(mark[:head])
         fh.seek(head)
         line = 1  # the number of the next block's first line
-        n_blocks = -(-size // _BLOCK_BYTES)
+        n_blocks = -(-size // _BLOCK_BYTES)  # a bound: blocks are cut only at LF
+        read = 0
         with ordered_map(lambda block: (block, parser.parse(block)), _blocks(fh, digest), n_blocks,
                          ThreadPoolExecutor, _MAX_THREADS) as (threads, parsed):
             for block, result in parsed:
                 line += add_block(block, line, result)
+                read += 1
     if threads > 1:
         _trim_heap()
     result = _assemble(cols, stats, analysis_year, reciprocity)
     result.sha256 = digest.hexdigest()
-    result.threads = threads
+    result.threads = max(1, min(threads, read))  # no more threads parsed than blocks
     return result
 
 

@@ -234,24 +234,6 @@ class GroundTruth:
     egos: dict
     spam_ids: list
 
-    def to_json(self, path) -> None:
-        """Write the bytes of json.dump(vars(self), separators=(",", ":"),
-        sort_keys=True) and a newline, with the individuals encoded _CHUNK
-        at a time, so that no string holds them all."""
-        def dumps(doc) -> str:
-            # dumps runs the C encoder, where dump streams through Python
-            return json.dumps(doc, separators=(",", ":"), sort_keys=True)
-
-        # the fields as they are: asdict would deep-copy every individual's entry
-        head, tail = dumps(dict(vars(self), egos={})).split('"egos":{}')
-        ids = sorted(self.egos)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(head + '"egos":{')
-            for lo in range(0, len(ids), _CHUNK):
-                part = dumps({e: self.egos[e] for e in ids[lo: lo + _CHUNK]})
-                fh.write(("," if lo else "") + part[1:-1])
-            fh.write("}" + tail + "\n")
-
     @classmethod
     def from_json(cls, path) -> "GroundTruth":
         d = read_json_object(path, "ground truth", [f.name for f in fields(cls)])
@@ -500,10 +482,17 @@ def _join_fields(fields: list) -> bytes:
     return flat[flat != 0].tobytes()
 
 
-def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], dict]:
+def _dumps(doc) -> str:
+    """truth.json's encoding: compact, keys sorted. dumps runs the C
+    encoder, where dump streams through Python."""
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], str]:
     """Generate individuals [lo, hi): returns (csv_bytes, demo_rows,
-    truth_entries). All randomness comes from per-individual substreams,
-    drawn one individual at a time; the rest runs once over the chunk."""
+    truth_text), the last their truth.json entries without the enclosing
+    braces. All randomness comes from per-individual substreams, drawn one
+    individual at a time; the rest runs once over the chunk."""
     cfg = world.cfg
     n_real = cfg.n_real
     n_sat = len(SATELLITE_RINGS)
@@ -600,7 +589,7 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], dict]
             "rate": r,
             "spam": spam,
         }
-    return text, demo, truth
+    return text, demo, _dumps(truth)[1:-1]
 
 
 # individuals generated, and their text held, at a time
@@ -613,16 +602,18 @@ _CHUNK = 512
 _world: _World | None = None
 
 
-def _world_chunk(bounds: tuple[int, int]) -> tuple[bytes, list[str], dict]:
+def _world_chunk(bounds: tuple[int, int]) -> tuple[bytes, list[str], str]:
     return _ego_chunk(_world, *bounds)
 
 
-def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
+def generate(cfg: GenConfig, out_dir, threads: int = 1) -> None:
     """Write cdr.csv, towers.csv, demographics.csv, truth.json and
-    genconfig.json under out_dir. One worker process per CPU this process
-    may run on builds the chunks of _CHUNK individuals, and this process
-    writes them in order, so the bytes do not depend on the number of
-    workers. Where there is one CPU or no fork, the chunks are built here.
+    genconfig.json under out_dir; GroundTruth.from_json reads the truth
+    back. One worker process per CPU this process may run on builds the
+    chunks of _CHUNK individuals, their rows and their truth.json entries,
+    and this process writes them in order, so the bytes do not depend on
+    the number of workers and no more than a few chunks are held at once.
+    Where there is one CPU or no fork, the chunks are built here.
     `threads` is accepted and ignored."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -634,9 +625,10 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
         fh.write("tower_id,lat,lon\n")
         fh.writelines(world.tower_rows)
 
+    # ids have one width, so chunk order is the key order sort_keys gives
+    head, tail = _dumps(vars(_world_truth(world))).split('"egos":{}')
     n = cfg.n_individuals
     bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    egos_truth: dict[str, dict] = {}
     # with fork, the executor starts all its workers before its manager
     # thread, at the first submit: on entry, before these files open, so
     # the workers hold none of them
@@ -645,18 +637,28 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
     global _world
     _world = world
     try:
-        with ordered_map(_world_chunk, bounds, len(bounds), pool) as (_, chunks), open(
-            os.path.join(out_dir, CDR_FILE), "wb"
-        ) as cdr, open(os.path.join(out_dir, DEMOGRAPHICS_FILE), "w", encoding="utf-8") as dem:
+        with (
+            ordered_map(_world_chunk, bounds, len(bounds), pool) as (_, chunks),
+            open(os.path.join(out_dir, CDR_FILE), "wb") as cdr,
+            open(os.path.join(out_dir, DEMOGRAPHICS_FILE), "w", encoding="utf-8") as dem,
+            open(os.path.join(out_dir, TRUTH_FILE), "w", encoding="utf-8") as truth,
+        ):
             cdr.write(b"ego_id,peer_id,timestamp,tower_id,kind,direction\n")
             dem.write("ego_id,gender,birth_year\n")
-            for text, demo, truth in chunks:
+            truth.write(head + '"egos":{')
+            for i, (text, demo, entries) in enumerate(chunks):
                 cdr.write(text)
                 dem.writelines(demo)
-                egos_truth.update(truth)
+                truth.write(("," if i else "") + entries)
+            truth.write("}" + tail + "\n")
     finally:
         _world = None
+    write_json(os.path.join(out_dir, CONFIG_FILE), asdict(cfg))
 
+
+def _world_truth(world: _World) -> GroundTruth:
+    """The world's ground truth, with no individual in `egos`."""
+    cfg = world.cfg
     settlements = [
         {
             "k": k + 1,
@@ -672,7 +674,7 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
         }
         for k in range(cfg.n_cells)
     ]
-    truth = GroundTruth(
+    return GroundTruth(
         analysis_year=cfg.analysis_year,
         seed=cfg.seed,
         night_window=NIGHT_WINDOW_H,
@@ -699,12 +701,9 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> GroundTruth:
         area_boundaries=cfg.area_boundaries,
         grid_step=cfg.grid_step,
         settlements=settlements,
-        egos=egos_truth,
+        egos={},
         spam_ids=world.ego_ids[cfg.n_real :],
     )
-    truth.to_json(os.path.join(out_dir, TRUTH_FILE))
-    write_json(os.path.join(out_dir, CONFIG_FILE), asdict(cfg))
-    return truth
 
 
 # ----------------------------------------------------------- scorecard
@@ -753,36 +752,31 @@ def _strata_cell(rows, area: str, gender: str):
     return None
 
 
-def corpus_pipeline(corpus_dir, truth: GroundTruth, reciprocity: str = "pair",
-                    threads: int = 1):
+def corpus_pipeline(corpus_dir, settings: GenConfig | GroundTruth, reciprocity: str = "pair"):
     """The Pipeline of a generated corpus, set up with the year, grid step
-    and area boundaries it was generated with."""
+    and area boundaries it was generated with: those of its GenConfig or
+    its GroundTruth."""
     from .pipeline import AnalysisConfig, Pipeline
 
     cfg = AnalysisConfig(
-        analysis_year=truth.analysis_year,
-        grid_step=truth.grid_step,
-        area_boundaries=truth.area_boundaries,
+        analysis_year=settings.analysis_year,
+        grid_step=settings.grid_step,
+        area_boundaries=settings.area_boundaries,
         reciprocity=reciprocity,
     )
     paths = (os.path.join(corpus_dir, f) for f in (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE))
-    return Pipeline(*paths, cfg, threads=threads)
+    return Pipeline(*paths, cfg)
 
 
-def validate_corpus(
-    corpus_dir,
-    truth: GroundTruth | None = None,
-    threads: int = 1,
-    reciprocity: str = "pair",
-) -> Scorecard:
-    """Run the full pipeline on a generated corpus and score every planted
-    structure that the config actually planted. Checks that do not apply
-    to the given config (no spam, no flip, coupling zeroed) are either
-    skipped or replaced by their null counterparts. Passing a weaker
-    reciprocity rule is the hook for negative controls (spam kept in)."""
-    if truth is None:
-        truth = GroundTruth.from_json(os.path.join(corpus_dir, TRUTH_FILE))
-    pipe = corpus_pipeline(corpus_dir, truth, reciprocity, threads)
+def validate_corpus(corpus_dir, reciprocity: str = "pair") -> Scorecard:
+    """Run the full pipeline on a generated corpus and score, against its
+    truth.json, every planted structure that the config actually planted.
+    Checks that do not apply to the given config (no spam, no flip,
+    coupling zeroed) are either skipped or replaced by their null
+    counterparts. Passing a weaker reciprocity rule is the hook for
+    negative controls (spam kept in)."""
+    truth = GroundTruth.from_json(os.path.join(corpus_dir, TRUTH_FILE))
+    pipe = corpus_pipeline(corpus_dir, truth, reciprocity)
     checks: list[Check] = []
 
     # --- filtering: planted spam out, nothing genuine lost

@@ -8,7 +8,6 @@ traced_peak measures what a call allocates, and force_workers sets the
 CPU count that the ordered worker map sees.
 """
 
-import os
 import tracemalloc
 
 import numpy as np
@@ -18,9 +17,7 @@ from cdrmob import records
 from cdrmob.ingest import ingest_rows
 from cdrmob.metrics import TableMetrics
 from cdrmob.records import format_timestamp
-from cdrmob.synth import GenConfig, corpus_pipeline, generate
-
-_THREADS = min(4, os.cpu_count() or 1)
+from cdrmob.synth import TRUTH_FILE, GenConfig, GroundTruth, corpus_pipeline, generate
 
 # month table with no August dip, for control corpora
 _FLAT_MONTHS = (1.02, 1.0, 1.0, 0.99, 1.0, 1.01, 1.0, 1.0, 1.0, 1.0, 0.99, 1.01)
@@ -38,8 +35,8 @@ def force_workers(monkeypatch):
 
 def _make_corpus(tmp_path_factory, name: str, cfg: GenConfig):
     out = tmp_path_factory.mktemp(name)
-    truth = generate(cfg, out, threads=_THREADS)
-    return out, truth
+    generate(cfg, out)
+    return out, GroundTruth.from_json(out / TRUTH_FILE)
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +48,7 @@ def default_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def default_pipeline(default_corpus):
     corpus, truth = default_corpus
-    return corpus_pipeline(corpus, truth, threads=_THREADS), truth
+    return corpus_pipeline(corpus, truth), truth
 
 
 @pytest.fixture(scope="session")
@@ -83,7 +80,7 @@ def null_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def null_pipeline(null_corpus):
     corpus, truth = null_corpus
-    return corpus_pipeline(corpus, truth, threads=_THREADS), truth
+    return corpus_pipeline(corpus, truth), truth
 
 
 @pytest.fixture(scope="session")
@@ -111,7 +108,7 @@ def flip_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def flip_pipeline(flip_corpus):
     corpus, truth = flip_corpus
-    return corpus_pipeline(corpus, truth, threads=_THREADS), truth
+    return corpus_pipeline(corpus, truth), truth
 
 
 @pytest.fixture(scope="session")

@@ -172,8 +172,8 @@ def test_criterion_03_rank_correlation_oracle():
 
 def test_criterion_04_default_corpus_recovery(default_corpus):
     corpus, truth = default_corpus
-    # fresh single-thread pipeline so the timing covers ingest through homes
-    pipe = corpus_pipeline(corpus, truth, threads=1)
+    # fresh pipeline so the timing covers ingest through homes
+    pipe = corpus_pipeline(corpus, truth)
     start = time.perf_counter()
     window = pipe.night_window
     fit = pipe.circadian_fit

@@ -508,8 +508,8 @@ def test_a_byte_order_mark_on_each_input_changes_no_output(small_corpus, tmp_pat
 
 def test_outputs_do_not_depend_on_the_block_size(tmp_path, capsys):
     corpus = tmp_path / "corpus"
-    truth = generate(GenConfig(n_individuals=200, n_cells=40, base_daily_events=0.05, seed=42),
-                     corpus, threads=1)
+    generate(GenConfig(n_individuals=200, n_cells=40, base_daily_events=0.05, seed=42), corpus)
+    truth = GroundTruth.from_json(corpus / TRUTH_FILE)
     flags = ["--towers", str(corpus / TOWERS_FILE), "--demographics",
              str(corpus / DEMOGRAPHICS_FILE),
              "--area-bounds", ",".join(str(b) for b in truth.area_boundaries)]
@@ -1210,8 +1210,8 @@ def _edit(data: bytes, name: str, edit: str, line: int, at: int) -> bytes:
 def edit_corpus(tmp_path_factory):
     """The inputs of a small corpus, its area bounds and its report."""
     root = tmp_path_factory.mktemp("edit_corpus")
-    truth = generate(GenConfig(n_individuals=200, n_cells=40, base_daily_events=0.05, seed=42),
-                     root, threads=1)
+    generate(GenConfig(n_individuals=200, n_cells=40, base_daily_events=0.05, seed=42), root)
+    truth = GroundTruth.from_json(root / TRUTH_FILE)
     inputs = {name: (root / name).read_bytes() for name in _INPUTS}
     bounds = ",".join(str(b) for b in truth.area_boundaries)
     rc, err, report = _report_of(inputs, root / "edited", bounds)

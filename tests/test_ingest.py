@@ -780,6 +780,23 @@ def test_blocks_are_parsed_on_two_threads_at_most(tmp_path, monkeypatch, force_w
     assert pools == [2] and threading.active_count() == running
 
 
+def test_a_file_of_lone_crs_is_one_block_that_one_thread_parsed(tmp_path, monkeypatch,
+                                                                force_workers):
+    # blocks are cut only at LF: the pool is sized from the file's size,
+    # but one block was read, so one thread parsed it
+    rows = [f"{a},{b},{_T.format(h)},T1,call,{d}" for h in range(12)
+            for a, b, d in (("a", "b", "out"), ("b", "a", "out"), ("c", "s", "out"))]
+    lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+    lf.write_text("\n".join(rows) + "\n")
+    cr.write_text("\r".join(rows) + "\r")
+    force_workers(2)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+    want, got = ingest_file(lf, REG), ingest_file(cr, REG)
+    assert want.table.ids == ["a", "b"] and want.removed_ids == ["c"]
+    _assert_same_result(got, want)
+    assert (want.threads, got.threads) == (2, 1)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_row_that_spans_lines_in_a_late_block_is_refused_alike(tmp_path, monkeypatch,
                                                                  force_workers, workers):
