@@ -503,6 +503,16 @@ def test_genconfig_json_round_trip(tmp_path):
         assert GenConfig.from_dict(json.load(fh)) == cfg
 
 
+def test_ground_truth_json_round_trip(tmp_path):
+    # the truth read from generate's file, written again and read back,
+    # is the same truth
+    generate(GenConfig(n_individuals=60, n_cells=6, seed=21), tmp_path)
+    truth = GroundTruth.from_json(tmp_path / TRUTH_FILE)
+    assert len(truth.egos) == 60
+    write_json(tmp_path / "again.json", vars(truth))
+    assert GroundTruth.from_json(tmp_path / "again.json") == truth
+
+
 def test_scorecard_passes_on_a_small_default_style_corpus(small_corpus, tmp_path):
     corpus, _ = small_corpus
     card = validate_corpus(corpus)
