@@ -23,7 +23,7 @@ from numpy.linalg import norm
 
 from .geo import far_from_towers
 from .ingest import EventTable
-from .metrics import TableMetrics, rms, segment_rows
+from .metrics import TableMetrics, blocks, rms, segment_rows
 from .records import TowerRegistry
 
 
@@ -464,16 +464,20 @@ def compute_homes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean event position inside the night window and the number of night
     events, per individual in id order: (lat, lon, night events), with
-    NaN coordinates for an individual without night events."""
-    m = night_mask(table.ts, window)
-    counts = np.add.reduceat(m, table.offsets[:-1], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    tower = table.tower[m]
-    lat, lon = registry.lat[tower], registry.lon[tower]
+    NaN coordinates for an individual without night events. Computed one
+    block of individuals at a time (see metrics.blocks), so that no
+    temporary spans the table."""
     hlat, hlon = np.full((2, len(table)), np.nan)
-    for seg, rows in segment_rows(offsets):
-        hlat[seg] = lat[rows].mean(axis=1)
-        hlon[seg] = lon[rows].mean(axis=1)
+    counts = np.empty(len(table), dtype=np.int64)
+    for lo, hi in blocks(table.offsets):
+        r0, r1 = table.offsets[lo], table.offsets[hi]
+        m = night_mask(table.ts[r0:r1], window)
+        counts[lo:hi] = np.add.reduceat(m, table.offsets[lo:hi] - r0, dtype=np.int64)
+        tower = table.tower[r0:r1][m]
+        lat, lon = registry.lat[tower], registry.lon[tower]
+        for seg, rows in segment_rows(np.concatenate(([0], np.cumsum(counts[lo:hi])))):
+            hlat[lo + seg] = lat[rows].mean(axis=1)
+            hlon[lo + seg] = lon[rows].mean(axis=1)
     return hlat, hlon, counts
 
 

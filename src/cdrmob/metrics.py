@@ -39,7 +39,14 @@ import numpy as np
 
 from .geo import haversine_km
 from .ingest import EventTable
-from .records import EPOCH_WEEKDAY, TowerRegistry, format_timestamp, month_starts, year_bounds
+from .records import (
+    EPOCH_WEEKDAY,
+    TowerRegistry,
+    format_timestamp,
+    month_starts,
+    unique_sorted,
+    year_bounds,
+)
 
 WEEKDAY_IDS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 HOUR_IDS = tuple(f"h{h:02d}" for h in range(24))
@@ -110,7 +117,7 @@ def segment_cumsum(xs: list[np.ndarray], offsets: np.ndarray) -> list[np.ndarray
     outs = [np.empty_like(x) for x in xs]
     sizes = np.diff(offsets)
     width = np.frexp(np.maximum(sizes, 1) - 1)[1]  # log2 of each padded length
-    for w in np.unique(width[sizes > 0]):
+    for w in unique_sorted(width[sizes > 0]):
         seg = np.flatnonzero((width == w) & (sizes > 0))
         at = np.arange(1 << w)
         rows = offsets[seg][:, None] + np.minimum(at, sizes[seg][:, None] - 1)
@@ -125,15 +132,14 @@ def _segment_index(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
-def _squared_km(p, i, q, j) -> np.ndarray:
+def _squared_km(p, i, q, j, out) -> None:
     """Squared haversine distances from points p[i] to points q[j], where p
-    and q are (lat, lon) arrays; gathered and computed 64k at a time, so
-    that no temporary spans the table."""
-    out = np.empty(len(i))
-    for s in range(0, len(out), 1 << 16):
-        a, b = i[s:s + (1 << 16)], j[s:s + (1 << 16)]
+    and q are (lat, lon) arrays, written to out. They are gathered and
+    computed 16k at a time: the dozen temporaries of a step then hold
+    1.25 MiB, and 64k took the same time."""
+    for s in range(0, len(out), 1 << 14):
+        a, b = i[s:s + (1 << 14)], j[s:s + (1 << 14)]
         out[s:s + len(a)] = haversine_km(p[0][a], p[1][a], q[0][b], q[1][b]) ** 2
-    return out
 
 
 def _upto(cum, k, start):
@@ -143,11 +149,31 @@ def _upto(cum, k, start):
 
 # Every per-individual matrix is built for a block of consecutive
 # individuals at a time: a block holds at most this many events and result
-# cells (2 MiB per int64 or float64 column), or one individual.
-_BLOCK_CELLS = 1 << 18
+# cells (512 KiB per int64 or float64 column), or one individual. Every pass
+# after ingest takes blocks of this size. On the benchmark corpora 2^16 took
+# about the time 2^18 did, and the report's peak RSS read 80 MiB against 89
+# on megarow and 70 against 76 on crowd (medians of 3 runs).
+_BLOCK_CELLS = 1 << 16
 # Whole-table windows of at most this many spans (a year, its months) are
 # kept once built: year_rows, strata and metrics.csv share them.
 _KEPT_SPANS = 12
+
+
+def blocks(offsets: np.ndarray, width: int = 1):
+    """(lo, hi) blocks of consecutive segments of a table with these
+    offsets, in order, each with at most _BLOCK_CELLS rows and lo..hi-1 x
+    width result cells, or a single segment; one empty block for a table
+    without segments."""
+    n = len(offsets) - 1
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    if not n:
+        yield 0, 0
+    lo = 0
+    while lo < n:
+        fit = int(np.searchsorted(offsets, offsets[lo] + _BLOCK_CELLS, side="right")) - 1
+        hi = max(lo + 1, min(n, lo + step, fit))
+        yield lo, hi
+        lo = hi
 
 
 class TableMetrics:
@@ -172,7 +198,7 @@ class TableMetrics:
         towers = (registry.lat, registry.lon)
         if d2 is None:
             d2 = np.zeros(len(table.ts))
-            d2[:-1] = _squared_km(towers, table.tower[:-1], towers, table.tower[1:])
+            _squared_km(towers, table.tower[:-1], towers, table.tower[1:], out=d2[:-1])
             d2[table.offsets[1:] - 1] = 0.0  # no pair across individuals
         self.d2 = d2
         self.h2 = None
@@ -180,27 +206,14 @@ class TableMetrics:
             self.h2 = np.empty(len(table.ts))
             for lo, hi in self.blocks():
                 r0, r1, off = self._rows(lo, hi)
-                self.h2[r0:r1] = _squared_km(towers, table.tower[r0:r1], homes,
-                                             lo + _segment_index(off))
+                _squared_km(towers, table.tower[r0:r1], homes, lo + _segment_index(off),
+                            out=self.h2[r0:r1])
         self._memo: dict = {}
 
-    def blocks(self, width: int = 1, cells: int | None = None):
-        """(lo, hi) blocks of consecutive individuals, in id order, each with
-        at most _BLOCK_CELLS events and lo..hi-1 x width result cells (or
-        `cells` of each, when that is fewer), or a single individual; one
-        empty block for an empty table."""
-        off = self.table.offsets
-        n = len(self.table)
-        cells = _BLOCK_CELLS if cells is None else min(cells, _BLOCK_CELLS)
-        step = max(1, cells // max(width, 1))
-        if not n:
-            yield 0, 0
-        lo = 0
-        while lo < n:
-            fit = int(np.searchsorted(off, off[lo] + cells, side="right")) - 1
-            hi = max(lo + 1, min(n, lo + step, fit))
-            yield lo, hi
-            lo = hi
+    def blocks(self, width: int = 1):
+        """(lo, hi) blocks of consecutive individuals, in id order (see
+        blocks())."""
+        return blocks(self.table.offsets, width)
 
     def _rows(self, lo, hi):
         """First and past-last table row of individuals lo..hi-1, and their
@@ -208,11 +221,11 @@ class TableMetrics:
         off = self.table.offsets[lo:hi + 1]
         return int(off[0]), int(off[-1]), off - off[0]
 
-    def stack(self, fn, width: int, cells: int | None = None):
+    def stack(self, fn, width: int):
         """The arrays fn(lo, hi) returns for each block, laid end to end into
-        whole-table arrays; width and cells are those of blocks()."""
+        whole-table arrays; width is that of blocks()."""
         out = None
-        for lo, hi in self.blocks(width, cells):
+        for lo, hi in self.blocks(width):
             part = fn(lo, hi)
             if out is None:
                 out = [np.empty((len(self.table),) + p.shape[1:], p.dtype) for p in part]
@@ -240,10 +253,10 @@ class TableMetrics:
             self._memo[key] = whole
         return whole
 
-    def activity_mobility(self, bounds: np.ndarray, cells: int | None = None):
+    def activity_mobility(self, bounds: np.ndarray):
         """Whole-table activity, in the smallest unsigned type that holds
         it, and mobility for the spans between bounds, as windows() gives
-        them; built in blocks of at most `cells` (see blocks()) and kept."""
+        them; built block by block and kept."""
         key = ("activity_mobility", bounds.tobytes())
         if key not in self._memo:
             count = np.min_scalar_type(int(np.diff(self.table.offsets).max(initial=0)))
@@ -252,7 +265,7 @@ class TableMetrics:
                 a, m, _, _ = self._windows(bounds, lo, hi, rg=False)
                 return a.astype(count), m
 
-            self._memo[key] = self.stack(block, len(bounds) - 1, cells)
+            self._memo[key] = self.stack(block, len(bounds) - 1)
         return self._memo[key]
 
     def _windows(self, bounds, lo, hi, rg: bool = True):

@@ -39,6 +39,7 @@ from .records import (
     Demographics,
     age_group_of,
     month_starts,
+    unique_sorted,
     year_bounds,
 )
 
@@ -75,15 +76,22 @@ def _mean_se(x: np.ndarray) -> tuple[float, float | None]:
     return m, (float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else None)
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of a float array, to the last bit: the mean of its middle
+    one or two values after the partition np.median makes, or NaN if it
+    holds one. np.median itself imports numpy.ma, 13-26 ms, on its first
+    call."""
+    lo, hi = (len(x) - 1) // 2, len(x) // 2
+    part = np.partition(x, [lo, hi, len(x) - 1])
+    return float("nan") if np.isnan(part[-1]) else float(part[lo:hi + 1].mean())
+
+
 # numpy's add.reduce of a contiguous float64 run is a pairwise sum (Higham,
 # SIAM J. Sci. Comput. 14(4), 1993): a run of more than _LEAF values splits
 # at n // 2 rounded down to a multiple of 8, and each leaf of at most _LEAF
 # values is summed by add.reduce itself, as one row of a matrix is.
 # tests/test_patterns.py pins both facts to the numpy in use.
 _LEAF = 128
-# The patterns' passes take blocks of at most this many events and cells,
-# so that their per-event temporaries stay at a few MiB.
-_PASS_CELLS = 1 << 16
 
 
 def _tree(n: int):
@@ -147,7 +155,7 @@ class _PairwiseSums:
         row = (self.bounds[leaves] - base[seq] + at[seq]) // 8
         size = self.bounds[leaves + 1] - self.bounds[leaves]
         rows = buf.reshape(-1, 8)
-        for n in np.unique(size):
+        for n in unique_sorted(size.copy()):
             k = np.flatnonzero(size == n)
             values = rows.take(row[k, None] + np.arange(-(-n // 8)), axis=0).reshape(len(k), -1)
             self.sums[leaves[k]] = np.add.reduce(values[:, :n], axis=1)
@@ -184,7 +192,7 @@ def _streamed_mean_se(tm: TableMetrics, rows, bin_of, edges: np.ndarray):
         member[rows] = True
     off, ts = tm.table.offsets, tm.table.ts
     total = np.zeros(width, dtype=np.int64)
-    for lo, hi in tm.blocks(1, _PASS_CELLS):
+    for lo, hi in tm.blocks():
         col = bin_of(ts[off[lo]:off[hi]])
         keep = (col >= 0) & (col < width)
         if member is not None:
@@ -194,7 +202,7 @@ def _streamed_mean_se(tm: TableMetrics, rows, bin_of, edges: np.ndarray):
     mean = np.add.reduceat(total, edges[:-1]) / n
 
     squares, deviation_of = _PairwiseSums(n), np.repeat(mean, np.diff(edges))
-    for lo, hi in tm.blocks(width, _PASS_CELLS):
+    for lo, hi in tm.blocks(width):
         sel = slice(None) if member is None else member[lo:hi]
         x = np.subtract(tm.event_counts(bin_of, width, lo, hi)[sel], deviation_of, dtype=float)
         x *= x
@@ -247,7 +255,7 @@ def pattern(
     # month windows: each individual's activity and mobility are kept, and
     # each month's samples are a column of them
     ids = tuple(w for w, _, _ in WindowSpec("month").contiguous_windows(analysis_year))
-    a, m = tm.activity_mobility(np.array(month_starts(analysis_year)), _PASS_CELLS)
+    a, m = tm.activity_mobility(np.array(month_starts(analysis_year)))
     v = a if value == "activity" else m
     stat = np.empty(len(ids))
     n = np.empty(len(ids), dtype=np.int64)
@@ -260,7 +268,7 @@ def pattern(
             if e is not None:
                 se[b] = e
         else:
-            stat[b] = float(np.median(s))
+            stat[b] = _median(s)
     if statistic == "normalized_median":
         norm = float(np.mean(stat))
         if norm == 0:

@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import re
-from collections import Counter, deque
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -154,6 +154,18 @@ def ordered_map(fn, items, n: int, pool=None, cap: int | None = None):
         yield k, taken()
     finally:
         executor.shutdown(cancel_futures=True)
+
+
+def unique_sorted(keys: np.ndarray) -> np.ndarray:
+    """np.unique(keys), from a sort of keys in place and a neighbour
+    compare. numpy 2.4's np.unique takes a hash path for integers, which
+    took 1.5 s on 2M distinct random keys where this takes 0.02 s, and
+    it imports numpy.ma, 13-26 ms, on its first call."""
+    keys.sort()
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
 
 
 def write_json(path, doc) -> None:
@@ -354,40 +366,49 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
     Bad rows are rejected and counted per reason, never fatal. Ages outside
     [10, 110] after resolving birth years are rejected, and so is every row
     of an id that appears more than once (duplicate_id: which one is right?).
+    Rows are read one at a time: what is held is one entry or reject reason
+    per id, and a count per id on more than one row, resolved at the end.
     """
-    entries: dict[str, tuple[bool, int]] = {}  # id -> (female, age)
+    entries: dict[str, tuple[bool, int] | str] = {}  # id -> (female, age) or reject reason
+    repeats: dict[str, int] = {}  # id -> its rows, for an id on more than one row
+    shared: dict[tuple[bool, int], tuple[bool, int]] = {}  # one tuple per (female, age)
     rejected: dict[str, int] = {}
 
-    def reject(reason: str):
-        rejected[reason] = rejected.get(reason, 0) + 1
+    def reject(reason: str, n: int = 1):
+        rejected[reason] = rejected.get(reason, 0) + n
 
-    rows = [
-        row for k, (_, row) in enumerate(_read_rows(path))
-        if row and not (k == 0 and _looks_like_header(row, None))
-    ]
-    seen = Counter(row[0].strip() for row in rows if len(row) >= 3)
-    for row in rows:
-        if len(row) < 3 or not row[0].strip():
+    for k, (_, row) in enumerate(_read_rows(path)):
+        if not row or (k == 0 and _looks_like_header(row, None)):
+            continue
+        ego = row[0].strip() if len(row) >= 3 else ""
+        if not ego:
             reject("missing_column")
-            continue
-        if seen[row[0].strip()] > 1:
-            reject("duplicate_id")
-            continue
-        female = _GENDER_TOKENS.get(row[1].strip().lower())
-        if female is None:
-            reject("unknown_gender")
-            continue
-        try:
-            value = int(row[2])
-        except ValueError:
-            reject("bad_age")
-            continue
-        age = analysis_year - value if value >= _BIRTH_YEAR_THRESHOLD else value
-        if not (AGE_MIN <= age <= AGE_MAX):
-            reject("age_out_of_range")
-            continue
-        entries[row[0].strip()] = (female, age)
+        elif ego in entries:
+            repeats[ego] = repeats.get(ego, 1) + 1
+        else:
+            entry = _person(row, analysis_year)
+            entries[ego] = entry if isinstance(entry, str) else shared.setdefault(entry, entry)
+    for ego, n in repeats.items():
+        del entries[ego]
+        reject("duplicate_id", n)
+    for ego in [e for e, v in entries.items() if isinstance(v, str)]:
+        reject(entries.pop(ego))
     return Demographics(entries, rejected)
+
+
+def _person(row: list[str], analysis_year: int) -> tuple[bool, int] | str:
+    """(female, age) of a demographics row, or the reason it is rejected."""
+    female = _GENDER_TOKENS.get(row[1].strip().lower())
+    if female is None:
+        return "unknown_gender"
+    try:
+        value = int(row[2])
+    except ValueError:
+        return "bad_age"
+    age = analysis_year - value if value >= _BIRTH_YEAR_THRESHOLD else value
+    if not (AGE_MIN <= age <= AGE_MAX):
+        return "age_out_of_range"
+    return female, age
 
 
 def age_group_of(age):

@@ -314,6 +314,21 @@ def _byte_table(strings: list[str]) -> np.ndarray:
     return np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1)
 
 
+def _id_table(n: int) -> np.ndarray:
+    """The byte table of ids u1..un, zero-padded to one width, and of
+    OUTSIDER_ID after them: a few bytes per individual, where a Python
+    string of each took about 63."""
+    width = len(str(n))
+    out = np.zeros((n + 1, max(1 + width, len(OUTSIDER_ID))), dtype=np.uint8)
+    out[:n, 0] = ord("u")
+    number = np.arange(1, n + 1)
+    for k in range(width, 0, -1):  # the digits from the last
+        out[:n, k] = number % 10 + ord("0")
+        number //= 10
+    out[n, :len(OUTSIDER_ID)] = np.frombuffer(OUTSIDER_ID.encode(), np.uint8)
+    return out
+
+
 class _World:
     """Deterministic world shared by all per-individual workers."""
 
@@ -401,10 +416,8 @@ class _World:
         self.tower_rows = tower_rows
         self.tower_bytes = _byte_table(tower_ids)
 
-        # individual ids: genuine first, spam last; id_bytes adds the outsider
-        width = len(str(cfg.n_individuals))
-        self.ego_ids = [f"u{i + 1:0{width}d}" for i in range(cfg.n_individuals)]
-        self.id_bytes = _byte_table(self.ego_ids + [OUTSIDER_ID])
+        # individual ids, genuine first and spam last, then the outsider
+        self.id_bytes = _id_table(cfg.n_individuals)
         self.settlement_of = np.repeat(np.arange(n), pop)  # genuine egos only
 
         # the month, weekday and YYYY-MM-DDT text of each day of the year
@@ -441,6 +454,11 @@ class _World:
         self.age_group = age_group_of(np.arange(AGE_MIN, AGE_MAX + 1)).tolist()
 
         self.tod_cdf, self.tod_hours = _tod_quantiles(cfg)
+
+    def ego_ids(self, lo: int, hi: int) -> list[str]:
+        """The ids of individuals lo..hi-1, as text."""
+        rows = self.id_bytes[lo:hi]
+        return rows.view(f"S{rows.shape[1]}")[:, 0].astype(str).tolist()
 
 
 def _partner_ring(idx: np.ndarray, n_real: int, outsider: int) -> np.ndarray:
@@ -572,14 +590,15 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], str]:
         _byte_table(["in", "out"])[outgoing[o].astype(np.intp)], b"\n",
     ])
 
+    ids = world.ego_ids(lo, hi)
     demo = [
-        f"{world.ego_ids[i]},{'F' if fem else 'M'},{cfg.analysis_year - a}\n"
-        for i, fem, a in zip(range(lo, lo + g), female, age)
+        f"{ego},{'F' if fem else 'M'},{cfg.analysis_year - a}\n"
+        for ego, fem, a in zip(ids[:g], female, age)
     ]
     truth: dict[str, dict] = {}
-    for i, s, fem, a, r in zip(range(lo, hi), settle, female, age, rate):
+    for i, ego, s, fem, a, r in zip(range(lo, hi), ids, settle, female, age, rate):
         spam = i >= n_real
-        truth[world.ego_ids[i]] = {
+        truth[ego] = {
             "settlement": s + 1,
             "cell": list(world.cells[s]),
             "home_tower": None if spam else world.center_ids[s],
@@ -702,7 +721,7 @@ def _world_truth(world: _World) -> GroundTruth:
         grid_step=cfg.grid_step,
         settlements=settlements,
         egos={},
-        spam_ids=world.ego_ids[cfg.n_real :],
+        spam_ids=world.ego_ids(cfg.n_real, cfg.n_individuals),
     )
 
 

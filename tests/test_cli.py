@@ -310,6 +310,20 @@ def test_the_cli_loads_the_generator_only_to_generate():
     assert run.stdout == "[]\n"
 
 
+def test_a_report_never_imports_numpy_ma(small_corpus, tmp_path):
+    # a plain np.unique call imports numpy.ma, 13-26 ms, on its first call
+    corpus, truth = small_corpus
+    run = _python(
+        "-c", "import sys; from cdrmob.cli import main; "
+              "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)",
+        "report", "--cdr", str(corpus / "cdr.csv"), "--towers", str(corpus / "towers.csv"),
+        "--demographics", str(corpus / "demographics.csv"), "--plot-data",
+        "--area-bounds", ",".join(str(b) for b in truth.area_boundaries),
+        "--out", str(tmp_path / "report"))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
+
+
 @pytest.mark.parametrize("n", ["50", "0"])
 def test_demo_with_too_few_individuals_is_a_usage_error(tmp_path, capsys, n):
     # the demo's 400 settlements need more genuine individuals than 50

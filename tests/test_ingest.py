@@ -28,7 +28,7 @@ from cdrmob.ingest import (
     read_spool,
     write_spool,
 )
-from cdrmob.records import CdrError, TowerRegistry, csv_rows
+from cdrmob.records import CdrError, TowerRegistry, csv_rows, format_timestamp, unique_sorted
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1), "T3": (40.2, 20.2)})
 
@@ -586,6 +586,37 @@ def test_row_order_equals_lexsort():
     assert len(ingest._row_order(*(c[:0] for c in (ego, ts, tower, kind, direction)))) == 0
 
 
+def test_rows_in_order_give_the_table_of_the_same_rows_shuffled():
+    # rows in (ego, ts) order skip the whole-table sort, and only their
+    # runs of ties are put in order; the two adjacent runs of a below, at
+    # 01:00 and 02:00, hold rows whose (tower, kind, direction) sort below
+    # the earlier run's
+    rows = [_row("a", "b", 1, "T3", "sms", "in"), _row("a", "b", 1, "T2", "call", "out"),
+            _row("a", "b", 2, "T1", "sms", "out"), _row("a", "b", 2, "T1", "call", "in"),
+            _row("b", "a", 2, "T2", "call", "in"), _row("b", "a", 2, "T1", "sms", "in")]
+    rng = random.Random(7)
+    for _ in range(400):
+        ego, peer = rng.sample(("a", "b", "c"), 2)
+        rows.append(_row(ego, peer, rng.randrange(3), rng.choice(("T1", "T2", "T3")),
+                         rng.choice(("call", "sms")), rng.choice(("in", "out"))))
+    in_order = sorted(rows, key=lambda r: (r[0], r[2]))  # stable: ties keep their order
+    shuffled = rng.sample(rows, len(rows))
+    key = {"call": 0, "sms": 1, "in": 0, "out": 1}
+    want = sorted((r[0], r[2], r[3], key[r[4]], key[r[5]]) for r in rows)
+    tables = []
+    for given_rows, sorts in ((in_order, 0), (shuffled, 1)):
+        with mock.patch.object(ingest, "_row_order", wraps=ingest._row_order) as spy:
+            tab = ingest_rows(given_rows, REG, reciprocity="none").table
+        assert spy.call_count == sorts
+        ego = np.repeat(tab.ids, np.diff(tab.offsets))
+        got = list(zip(ego.tolist(), map(format_timestamp, tab.ts.tolist()),
+                       (REG.ids[t] for t in tab.tower.tolist()), tab.kind.tolist(),
+                       tab.direction.tolist()))
+        assert got == want
+        tables.append(tab)
+    _assert_same_table(*tables)
+
+
 # ------------------------------------------------------ decoder edge cases
 
 
@@ -705,9 +736,9 @@ def test_link_keys_merge_as_np_unique():
             parts.append(np.empty(0, dtype=np.int64))
         parts.append(parts[1][::-1].copy())
         want = np.unique(np.concatenate(parts))
-        got = ingest._unique_sorted(np.concatenate(parts))
+        got = unique_sorted(np.concatenate(parts))
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
-    assert len(ingest._unique_sorted(np.empty(0, dtype=np.int64))) == 0
+    assert len(unique_sorted(np.empty(0, dtype=np.int64))) == 0
 
 
 def _parse_threads(monkeypatch) -> set:

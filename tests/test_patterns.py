@@ -18,6 +18,7 @@ from cdrmob.patterns import (
     KINDS,
     PatternError,
     PatternSeries,
+    _median,
     _PairwiseSums,
     demographic_table,
     pattern,
@@ -131,6 +132,15 @@ def test_the_streamed_sum_is_numpys_pairwise_sum():
         assert [float(t) for t in sums.totals()] == [float(np.add.reduce(x)) for x in xs]
     # which a plain left-to-right sum would not give
     assert np.cumsum(xs[-1])[-1] != np.add.reduce(xs[-1])
+
+
+def test_the_median_is_numpys_median():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 4, 7, 8, 1000, 1001):
+        for x in (_spread(rng, n), rng.integers(0, 3, size=n).astype(float)):
+            assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
+            x[rng.integers(n)] = np.nan
+            assert math.isnan(_median(x)) and math.isnan(np.median(x))
 
 
 @pytest.mark.parametrize("block", [7, 1 << 12, None])

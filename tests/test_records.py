@@ -4,6 +4,7 @@ import csv
 import functools
 import multiprocessing
 import threading
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from datetime import date
 
@@ -299,6 +300,23 @@ def test_load_demographics_keeps_every_age_in_range(tmp_path):
     assert [age_group_of(d.by_id[e][1]) for e in ids] == [
         next(g for g, (_, upper) in enumerate(AGE_GROUPS) if a <= upper) for a in ages]
     assert d.rejected == {"age_out_of_range": 1, "unknown_gender": 1}
+
+
+def test_load_demographics_holds_about_what_it_returns(tmp_path):
+    # rows are read one at a time: every row's list of strings and a
+    # Counter of ids took 2.3 times what the loader returns
+    p = tmp_path / "demo.csv"
+    p.write_text("ego_id,gender,birth_year\n" + "".join(
+        f"u{k:06d},{'FM'[k % 2]},{1930 + k % 60}\n" for k in range(50_000)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = load_demographics(p)
+        held, peak = (x - before for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(d.by_id) == 50_000 and not d.rejected
+    assert peak <= 1.5 * held, f"peak {peak / held:.2f} times what is returned"
 
 
 def test_age_groups_partition_the_range():

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import signal
 import tempfile
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -43,6 +44,7 @@ from cdrmob.synth import (
     FEMALE_FRACTION,
     MAX_YEAR_EVENTS,
     MOBILITY_MONTH_MULT,
+    OUTSIDER_ID,
     SATELLITE_RINGS,
     SMS_FRACTION,
     SPAM_EVENTS_BASE,
@@ -64,6 +66,12 @@ def _clock_strings() -> list[str]:
     return [f"{s // 3600:02d}:{s % 3600 // 60:02d}:{s % 60:02d}" for s in range(86400)]
 
 
+def _ego_ids(cfg) -> list[str]:
+    """Every individual's id, u1..un zero-padded to one width."""
+    width = len(str(cfg.n_individuals))
+    return [f"u{i + 1:0{width}d}" for i in range(cfg.n_individuals)]
+
+
 def _reference_chunk(world, lo, hi):
     """The per-row writer the numpy chunk writer replaced, kept as its
     oracle: a generator, a dozen numpy calls and one f-string per event,
@@ -71,6 +79,7 @@ def _reference_chunk(world, lo, hi):
     cfg = world.cfg
     n = cfg.n_cells
     n_sat = len(SATELLITE_RINGS)
+    ego_ids = _ego_ids(cfg)
     tower_ids = [row.split(",", 1)[0] for row in world.tower_rows]
     sat_ids = [tower_ids[n + n_sat * k : n + n_sat * (k + 1)] for k in range(n)]
     d0 = date(cfg.analysis_year, 1, 1).toordinal()
@@ -90,7 +99,7 @@ def _reference_chunk(world, lo, hi):
     n_real = cfg.n_real
     for i in range(lo, hi):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1_000_000 + i)))
-        ego = world.ego_ids[i]
+        ego = ego_ids[i]
         spam = i >= n_real
         if spam:
             s = int(rng.integers(0, cfg.n_cells))
@@ -131,12 +140,12 @@ def _reference_chunk(world, lo, hi):
 
         if spam:
             victims = rng.integers(0, n_real, size=n_ev)
-            partners = [world.ego_ids[int(v)] for v in victims]
+            partners = [ego_ids[int(v)] for v in victims]
             outgoing = np.ones(n_ev, dtype=bool)
         else:
             if n_real >= 2:
                 ring = sorted({(i + d) % n_real for d in (-2, -1, 1, 2)} - {i})
-                plist = [world.ego_ids[j] for j in ring]
+                plist = [ego_ids[j] for j in ring]
             else:
                 plist = ["x0001"]
             pick = rng.integers(0, len(plist), size=n_ev)
@@ -364,6 +373,28 @@ _PINNED_SHA256 = {
     TRUTH_FILE: "633f2789964d01d51832834348085d7172d8a1210d090cd2777fe33bd488a56d",
     CONFIG_FILE: "8c85e5819030bc2c8229946fe531935c786833b7cf7b3aaef964b23bb971aee7",
 }
+
+
+def test_the_world_holds_a_few_bytes_per_individual():
+    # every individual's id is a row of id_bytes, not a Python string of
+    # about 63 B that the calling process and every forked worker hold
+    def held(n):
+        cfg = GenConfig(n_individuals=n, n_cells=40, base_daily_events=0.02, seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            world = synth._World(cfg)
+            return tracemalloc.get_traced_memory()[0] - before, world
+        finally:
+            tracemalloc.stop()
+
+    held(100)  # one-off allocations of a first call
+    small, _ = held(8192)
+    large, world = held(32768)
+    assert (large - small) / (32768 - 8192) <= 24
+    assert world.ego_ids(0, 2) == ["u00001", "u00002"]
+    assert world.ego_ids(32767, 32768) == ["u32768"]
+    assert world.id_bytes[-1].tobytes().rstrip(b"\0") == OUTSIDER_ID.encode()
 
 
 def test_generated_files_keep_their_bytes(tmp_path):

@@ -7,6 +7,7 @@ size the two must agree to the last bit: same rows, same floats, same
 homes.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -222,3 +223,38 @@ def test_block_memory_does_not_grow_with_individuals_times_bins(what, budget):
         else:
             peak = traced_peak(lambda: pattern(tm, None, what, "activity"))
     assert peak / n < budget, f"{what}: {peak / n:.0f} B per individual"
+
+
+def _beyond_result(fn):
+    """(fn(), the bytes fn allocated at its peak beyond what it returns)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return out, peak - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_whole_table_passes_hold_a_few_blocks_beyond_their_results():
+    # homes, the distances and the year windows of a million events are
+    # built block by block: no temporary spans the table
+    n_ind, per = 5000, 200
+    n = n_ind * per
+    rng = np.random.default_rng(5)
+    tab = EventTable(
+        ids=[f"u{k:05d}" for k in range(n_ind)], offsets=np.arange(0, n + 1, per),
+        ts=np.sort(rng.integers(YS, YE, size=(n_ind, per)), axis=1).ravel(),
+        tower=rng.integers(0, len(REG), size=n).astype(np.int32),
+        kind=np.zeros(n, dtype=np.int8), direction=np.zeros(n, dtype=np.int8),
+    )
+    # eight float64 columns of a block of 2^16 events: the table's own
+    # columns take 14 MiB
+    budget = 8 * 8 << 16
+    homes, extra = _beyond_result(lambda: compute_homes(tab, REG, (1.0, 7.0)))
+    assert extra <= budget, f"compute_homes: {extra / 2**20:.1f} MiB"
+    tm, extra = _beyond_result(lambda: TableMetrics(tab, REG, homes[:2]))
+    assert extra <= budget, f"TableMetrics: {extra / 2**20:.1f} MiB"
+    _, extra = _beyond_result(lambda: tm.windows(np.array([YS, YE])))
+    assert extra <= budget, f"year windows: {extra / 2**20:.1f} MiB"
