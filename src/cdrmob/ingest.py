@@ -21,17 +21,18 @@ and direction words are folded to lower case, so token case does not
 leave the byte path. A tower is looked up by one searchsorted among the
 registry's ids held as sorted keys. Every other line, one that holds a
 quote included, takes the row path, csv.reader and parse_event_fields,
-which defines what a row means. A row may not span lines, so every
-newline ends a row and blocks are cut at any of them.
+which holds every rule of what a row means. A row may not span lines, so
+every newline ends a row and blocks are cut at any of them.
 
 Blocks are parsed on one thread per CPU, two at most, as in the
 block-parallel bulk loading of Mühlbauer et al. ("Instant Loading for
 Main Memory Databases", PVLDB 6(14), 2013): the decoding is numpy
-kernels, which release the interpreter lock, and a block's result names
-its ids by indices of its own. The calling thread reads and hashes the
-file and takes the results in block order: it interns each block's ids,
-so an id gets the same code whatever the thread count, and runs the row
-path.
+kernels, which release the interpreter lock. Both paths give a block's
+valid rows in one shape, which names its ids by indices of its own, and
+the table takes every part through one entrance. The calling thread reads
+and hashes the file and takes the results in block order: it runs the
+row path for a block's other lines and interns the ids of each part, so
+an id gets the same code whatever the thread count.
 
 The kept events of every individual form one EventTable: parallel numpy
 columns sorted by (ego id, timestamp, tower id, kind, direction), with an
@@ -49,7 +50,6 @@ import io
 import logging
 import os
 import zipfile
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -288,10 +288,12 @@ def _link_keys(ego: np.ndarray, peer: np.ndarray, direction: np.ndarray) -> np.n
 
 
 class _Columns:
-    """Valid events, gathered part by part. Ego and peer names are
-    interned as they come: `code` numbers them in order of first sight.
-    The columns are allocated for `capacity` rows, and grow in
-    place (realloc) past it; pages never written cost no memory."""
+    """Valid events, gathered block by block. Each block comes as
+    _ByteParser.parse and _row_block give one, and append_block is the one
+    way in. Ego and peer names are interned as they come: `code` numbers
+    them in order of first sight. The columns are allocated for `capacity`
+    rows, and grow in place (realloc) past it; pages never written cost no
+    memory."""
 
     def __init__(self, capacity: int = 0):
         self.code: dict[str, int] = {}
@@ -301,67 +303,22 @@ class _Columns:
             np.empty(capacity, dtype=t) for t in (np.int32, np.int64, np.int32, np.int8, np.int8)
         ]
         self.n = 0
-        # the directed links a->b of each appended part, as int64 keys
+        # the directed links a->b of each appended block, as int64 keys
         # (a << 32) | b; empty to start with, for input without rows
         self.links = [np.empty(0, dtype=np.int64)]
 
-    def intern(self, names: list[str]) -> np.ndarray:
-        code = self.code
-        return np.array([code.setdefault(name, len(code)) for name in names], dtype=np.int32)
-
-    def parse_rows(self, rows, registry: TowerRegistry, year_start: int, year_end: int,
-                   stats: IngestStats, cols=None):
-        """The row path: validate already-split rows with
-        parse_event_fields, count each one and its reject reason, and
-        append the valid ones to cols (six arrays, made when None)."""
-        if cols is None:
-            cols = (array("i"), array("q"), array("i"), array("b"), array("b"), array("i"))
-        code = self.code
-        put_ego, put_ts, put_tower, put_kind, put_dir, put_peer = (c.append for c in cols)
-        index_of = registry.index_of
-        for row in rows:
-            stats.rows_read += 1
-            try:
-                rec = parse_event_fields(row, year_start, year_end)
-            except RowReject as rj:
-                stats.reject(rj.reason)
-                continue
-            ti = index_of(rec.tower_id)
-            if ti is None:
-                stats.reject("unknown_tower")
-                continue
-            e = code.setdefault(rec.ego_id, len(code))
-            p = code.setdefault(rec.peer_id, len(code))
-            put_ego(e)
-            put_ts(rec.timestamp)
-            put_tower(ti)
-            put_kind(rec.kind)
-            put_dir(rec.direction)
-            put_peer(p)
-        return cols
-
-    def append_rows(self, rows) -> None:
-        """Add the row path's six columns, the last one the peers."""
-        rows = [np.asarray(c) for c in rows]
-        self.append(rows[:5], _link_keys(rows[0], rows[5], rows[4]))
-
     def append_block(self, names: list[str], ego, ts, tower, kind, direction, links) -> None:
-        """Add a block's canonical rows, as _ByteParser.parse gives them:
-        its names are interned here, in their order, so codes do not
-        depend on which thread parsed the block."""
-        code = self.intern(names)
-        wide = code.astype(np.int64)
-        self.append((code[ego], ts, tower, kind, direction),
-                    wide[links >> 32] << 32 | wide[links & 0xFFFFFFFF])
-
-    def append(self, cols, links: np.ndarray) -> None:
-        """Add rows, given as five columns, and their link keys."""
-        self.links.append(links)
-        k = len(cols[0])
+        """Add a block's rows: its names are interned here, in their order,
+        so codes do not depend on which thread parsed the block."""
+        code = self.code
+        local = np.array([code.setdefault(name, len(code)) for name in names], dtype=np.int32)
+        wide = local.astype(np.int64)
+        self.links.append(wide[links >> 32] << 32 | wide[links & 0xFFFFFFFF])
+        k = len(ego)
         if self.n + k > len(self.cols[0]):
             for c in self.cols:
                 c.resize(max(2 * len(c), self.n + k), refcheck=False)
-        for c, new in zip(self.cols, cols):
+        for c, new in zip(self.cols, (local[ego], ts, tower, kind, direction)):
             c[self.n: self.n + k] = new
         self.n += k
 
@@ -382,7 +339,8 @@ class _ByteParser:
     date and time in the analysis year, its kind and direction are event
     tokens in any letter case, its tower is in the registry, and its ego is
     not its peer. parse_event_fields accepts every such row, with these
-    values.
+    values, and parse gives its rows in the shape that _row_block gives
+    the rows it accepts.
 
     Each line costs a few operations on whole 8-byte words. The timestamp
     is checked as three words against a template of the year (fixed bytes
@@ -527,6 +485,32 @@ class _ByteParser:
         return starts, stop, canonical, (
             names, ego, ts[good], self.tower_index[tower[good]], kind[good], direction, links,
         )
+
+
+def _row_block(rows, registry: TowerRegistry, year_start: int, year_end: int,
+               stats: IngestStats):
+    """The row path: each already-split row goes through parse_event_fields,
+    and is counted with its reject reason. The valid rows come as
+    _ByteParser.parse gives a block's canonical ones, (names, ego, ts,
+    tower, kind, direction, links), or None when no row is valid."""
+    valid = []
+    for row in rows:
+        stats.rows_read += 1
+        try:
+            valid.append(parse_event_fields(row, registry, year_start, year_end))
+        except RowReject as rj:
+            stats.reject(rj.reason)
+    if not valid:
+        return None
+    ego, peer, ts, tower, kind, direction = zip(*valid)
+    del valid
+    index: dict[str, int] = {}
+    ego, peer = (np.array([index.setdefault(name, len(index)) for name in ids], dtype=np.int32)
+                 for ids in (ego, peer))
+    direction = np.array(direction, dtype=np.int8)
+    return (list(index), ego, np.array(ts, dtype=np.int64), np.array(tower, dtype=np.int32),
+            np.array(kind, dtype=np.int8), direction,
+            unique_sorted(_link_keys(ego, peer, direction)))
 
 
 def _skip_header(rows):
@@ -690,7 +674,9 @@ def ingest_rows(
     _check_rule(reciprocity)
     stats = IngestStats()
     cols = _Columns()
-    cols.append_rows(cols.parse_rows(rows, registry, *year_bounds(analysis_year), stats))
+    block = _row_block(rows, registry, *year_bounds(analysis_year), stats)
+    if block is not None:
+        cols.append_block(*block)
     return _assemble(cols, stats, analysis_year, reciprocity)
 
 
@@ -742,12 +728,13 @@ def ingest_file(
     (see _ByteParser) are decoded in vectorised form, on one thread per
     CPU, two at most: numpy releases the interpreter lock in its kernels.
     This thread reads and hashes the blocks, and takes each block's result
-    in file order: it interns the block's names, so every id gets the code
-    a serial run gives it, and it runs the row path for the block's other
-    lines. Those are decoded as UTF-8 (an invalid byte makes its row a
-    bad_encoding reject) and go through csv_rows and parse_event_fields,
-    exactly as ingest_rows would take them; a line that holds a NUL byte
-    is counted as a bad_encoding reject before csv.reader sees it. A line
+    in file order. It passes the block's other lines, every run of them in
+    line order, to one _row_block call: they are decoded as UTF-8 (an
+    invalid byte makes its row a bad_encoding reject) and go through
+    csv_rows and parse_event_fields; a line that holds a NUL byte is
+    counted as a bad_encoding reject before csv.reader sees it. Both parts
+    of a block enter the table through append_block, which interns their
+    names, so every id gets the code a serial run gives it. A line
     that holds a double quote takes that row path on its own. A row that
     spans lines, as an unbalanced quote makes one, and a row that
     csv.reader refuses are a CdrError naming the line. The order in which
@@ -776,23 +763,26 @@ def ingest_file(
         stats.rows_read += 1
         stats.reject("bad_encoding")
 
+    def text_rows(block: bytes, line: int, starts, stop, slow):
+        """The rows of every run of the block's lines at `slow`, read as
+        text, in line order."""
+        for run in np.split(slow, np.flatnonzero(np.diff(slow) != 1) + 1):
+            text = block[starts[run[0]]: stop[run[-1]]].decode("utf-8", "surrogateescape")
+            reader = csv_rows(io.StringIO(text, newline=""), path, nul_line, line + run[0])
+            yield from _skip_header(reader) if line + run[0] == 1 else reader
+
     def add_block(block: bytes, line: int, parsed) -> int:
         """Rows of a block whose first line is line `line` of the file, in
         two parts: its canonical rows, as parser.parse decoded them, then
-        every run of other lines as text. Returns the number of lines."""
+        its other lines through _row_block. Returns the number of lines."""
         starts, stop, canonical, decoded = parsed
         if decoded is not None:
             stats.rows_read += len(decoded[1])
             cols.append_block(*decoded)
         slow = np.flatnonzero(~canonical)
-        rows = None
-        for run in np.split(slow, np.flatnonzero(np.diff(slow) != 1) + 1) if len(slow) else ():
-            text = block[starts[run[0]]: stop[run[-1]]].decode("utf-8", "surrogateescape")
-            reader = csv_rows(io.StringIO(text, newline=""), path, nul_line, line + run[0])
-            rows = cols.parse_rows(_skip_header(reader) if line + run[0] == 1 else reader,
-                                   registry, *bounds, stats, rows)
-        if rows is not None and len(rows[0]):
-            cols.append_rows(rows)
+        if len(slow) and (rows := _row_block(text_rows(block, line, starts, stop, slow),
+                                             registry, *bounds, stats)) is not None:
+            cols.append_block(*rows)
         return len(starts)
 
     digest = hashlib.sha256()
@@ -865,7 +855,10 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
     another year, reciprocity rule or tower table, is refused: its rows
     were cut to that year, filtered by that rule, and index those towers.
     The spool is machine-written, so a defect in any of its files is
-    fatal, a missing stats.json included."""
+    fatal, a missing stats.json included, and so is a table that breaks the
+    order and ranges an EventTable keeps: ids strictly ascending,
+    timestamps in the year and ascending in each segment, kind and
+    direction 0 or 1."""
     meta = read_json_object(os.path.join(path, SPOOL_META), "spool file")
     for key, want in (
         ("format", SPOOL_FORMAT),
@@ -903,6 +896,18 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
         and ((cols["tower"] >= 0) & (cols["tower"] < len(registry))).all()
     ):
         raise CdrError(f"{events}: malformed spool table")
+    ts, lo, hi = cols["ts"], *year_bounds(analysis_year)
+    back = ts[1:] < ts[:-1]
+    back[off[1:-1] - 1] = False  # a segment may start before the last one ends
+    for broken, what in (
+        (not all(map(str.__lt__, ids, ids[1:])), "ids are not strictly ascending"),
+        (((ts < lo) | (ts >= hi)).any(), f"a timestamp lies outside {analysis_year}"),
+        (back.any(), "timestamps decrease inside a segment"),
+        (any(((cols[c] != 0) & (cols[c] != 1)).any() for c in ("kind", "direction")),
+         "a kind or direction is not 0 or 1"),
+    ):
+        if broken:
+            raise CdrError(f"{events}: malformed spool table: {what}")
     if (stats.events_kept, stats.individuals_kept) != (n, len(ids)):
         raise CdrError(f"{stats_path}: events_kept {stats.events_kept} and individuals_kept "
                        f"{stats.individuals_kept} disagree with the {n} events of {len(ids)} "

@@ -127,6 +127,14 @@ def segment_cumsum(xs: list[np.ndarray], offsets: np.ndarray) -> list[np.ndarray
     return outs
 
 
+def tod_bins(ts: np.ndarray, nbins: int) -> np.ndarray:
+    """Time-of-day bin of each timestamp, for nbins that divide the day
+    evenly."""
+    b = ts // (86400 // nbins)
+    b -= b // nbins * nbins  # b % nbins: numpy's floor division by a scalar is the faster
+    return b
+
+
 def _segment_index(offsets: np.ndarray) -> np.ndarray:
     """Segment index of every row between offsets[0] and offsets[-1]."""
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
@@ -307,18 +315,11 @@ class TableMetrics:
         h2 = None if self.h2 is None else count(key, self.h2[r0:r1])
         return count(key), count(pk, self.d2[r0:r1][pm]), h2, count(pk)
 
-    def _tod_bins(self, nbins: int, lo: int, hi: int) -> np.ndarray:
-        """Time-of-day bin of each event of individuals lo..hi-1, for nbins
-        that divide the day evenly."""
-        r0, r1, _ = self._rows(lo, hi)
-        b = self.table.ts[r0:r1] // (86400 // nbins)
-        b -= b // nbins * nbins  # b % nbins: numpy's floor division by a scalar is the faster
-        return b
-
     def time_of_day(self, nbins: int, lo: int, hi: int):
         """Pooled sums per time-of-day bin of individuals lo..hi-1:
         (activity, d2sum, h2sum, pairs)."""
-        return self.pooled(self._tod_bins(nbins, lo, hi), nbins, lo, hi)
+        r0, r1, _ = self._rows(lo, hi)
+        return self.pooled(tod_bins(self.table.ts[r0:r1], nbins), nbins, lo, hi)
 
     def weekday(self, lo: int, hi: int):
         """Pooled sums per weekday (0=Mon) of individuals lo..hi-1,
@@ -327,7 +328,7 @@ class TableMetrics:
         days = self.table.ts[r0:r1] // 86400
         same_day = np.append(days[1:] == days[:-1], False)[: len(days)]
         days += EPOCH_WEEKDAY
-        days -= days // 7 * 7  # days % 7, as in _tod_bins
+        days -= days // 7 * 7  # days % 7, as in tod_bins
         return self.pooled(days, 7, lo, hi, pair_mask=same_day)
 
     def event_counts(self, bin_of, nbins: int, lo: int, hi: int) -> np.ndarray:

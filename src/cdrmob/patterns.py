@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import HOUR_IDS, WEEKDAY_IDS, TableMetrics, WindowSpec
+from .metrics import HOUR_IDS, WEEKDAY_IDS, TableMetrics, WindowSpec, tod_bins
 from .records import (
     AGE_GROUP_LABELS,
     EPOCH_WEEKDAY,
@@ -244,12 +244,7 @@ def pattern(
             tm, rows, lambda ts: column.take((ts - ys) // 86400 + 1, mode="clip"), edges)
         return PatternSeries(axis, value, statistic, WEEKDAY_IDS, stat, n, se)
     if axis == "hour":
-        def hour_of(ts):
-            h = ts // 3600
-            h -= h // 24 * 24  # h % 24: numpy's floor division by a scalar is the faster
-            return h
-
-        stat, n, se = _streamed_mean_se(tm, rows, hour_of, np.arange(25))
+        stat, n, se = _streamed_mean_se(tm, rows, lambda ts: tod_bins(ts, 24), np.arange(25))
         return PatternSeries(axis, value, statistic, HOUR_IDS, stat, n, se)
 
     # month windows: each individual's activity and mobility are kept, and

@@ -6,9 +6,10 @@ patterns downstream are in local clock time. Internally they are stored as
 integer seconds since the epoch of that civil time (i.e. the naive calendar
 mapped onto UTC).
 
-Parsing is total per line: every input row yields either a typed record or a
-`RowReject` carrying a machine-readable reason; a malformed row never aborts
-the stream, and neither does one whose bytes are not UTF-8 (`bad_encoding`).
+Parsing is total per line: every input row yields either the values the
+event table stores or a `RowReject` carrying a machine-readable reason; a
+malformed row never aborts the stream, and neither does one whose bytes are
+not UTF-8 (`bad_encoding`).
 Reject reasons are counted by the callers.
 """
 
@@ -59,18 +60,6 @@ class RowReject(CdrError):
     def __init__(self, reason: str, detail: str = ""):
         super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
-
-
-@dataclass(frozen=True, slots=True)
-class EventRecord:
-    """One call or SMS as seen from one participant (the ego)."""
-
-    ego_id: str
-    peer_id: str
-    timestamp: int  # seconds since epoch of local civil time
-    tower_id: str
-    kind: int  # 0 call, 1 sms
-    direction: int  # 0 incoming, 1 outgoing
 
 
 _EPOCH_DAY = date(1970, 1, 1).toordinal()
@@ -242,11 +231,15 @@ def _undecodable(row: list[str]) -> bool:
     return False
 
 
-def parse_event_fields(row: list[str], year_start: int, year_end: int) -> EventRecord:
-    """Validate one already-split CDR row (ego_id, peer_id, timestamp,
-    tower_id, kind, direction). Raises RowReject on any defect, the first
-    of: bad_encoding (bytes that are not UTF-8, or a NUL), missing_column,
-    self_call, bad_timestamp, outside_year, bad_kind, bad_direction."""
+def parse_event_fields(row: list[str], registry: TowerRegistry, year_start: int,
+                       year_end: int) -> tuple[str, str, int, int, int, int]:
+    """One already-split CDR row (ego_id, peer_id, timestamp, tower_id,
+    kind, direction) as the event table stores it: (ego, peer, epoch
+    seconds of its local civil time, registry index of its tower, kind
+    0=call 1=sms, direction 0=incoming 1=outgoing). Raises RowReject on any
+    defect, the first of: bad_encoding (bytes that are not UTF-8, or a
+    NUL), missing_column, self_call, bad_timestamp, outside_year, bad_kind,
+    bad_direction, unknown_tower."""
     if any("\0" in f for f in row) or (not all(map(str.isascii, row)) and _undecodable(row)):
         raise RowReject("bad_encoding", ascii(",".join(row)))
     if len(row) < 6:
@@ -267,7 +260,10 @@ def parse_event_fields(row: list[str], year_start: int, year_end: int) -> EventR
     direction = DIRECTION_TOKENS.get(row[5].strip().lower())
     if direction is None:
         raise RowReject("bad_direction", row[5])
-    return EventRecord(ego, peer, ts, tower, kind, direction)
+    index = registry.index_of(tower)
+    if index is None:
+        raise RowReject("unknown_tower", tower)
+    return ego, peer, ts, index, kind, direction
 
 
 class TowerRegistry:

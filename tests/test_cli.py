@@ -23,6 +23,7 @@ import time
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -861,8 +862,31 @@ def _edit_stats(**changes):
     return damage
 
 
+def _edit_events(column, change):
+    """A damage that rewrites events.npz with change(values) in place of
+    one column's values; the ids are given as a list of strings."""
+    def damage(spool):
+        with np.load(spool / "events.npz") as z:
+            arrays = dict(z)
+        if column == "ids":
+            ids = arrays["ids"].tobytes().decode().split("\0")
+            arrays["ids"] = np.frombuffer("\0".join(change(ids)).encode(), dtype=np.uint8)
+        else:
+            arrays[column] = change(arrays[column])
+        np.savez(spool / "events.npz", **arrays)
+    return damage
+
+
 # a damaged spool file -> (the file named in the error, how to damage it)
 _SPOOL_DAMAGE = {
+    "events_ids_descend": ("events.npz", _edit_events("ids", lambda ids: ids[::-1])),
+    # the first segment's events, of a and one per day, in reverse
+    "events_ts_descend": ("events.npz", _edit_events(
+        "ts", lambda ts: np.r_[ts[len(_DAYS) - 1::-1], ts[len(_DAYS):]])),
+    "events_ts_past_the_year": ("events.npz", _edit_events(
+        "ts", lambda ts: np.r_[ts[:-1], ts[-1] + 400 * 86400])),
+    "events_kind_9": ("events.npz", _edit_events("kind", lambda k: np.r_[k[:-1], 9])),
+    "events_direction_2": ("events.npz", _edit_events("direction", lambda d: np.r_[2, d[1:]])),
     "no_stats": ("stats.json", lambda spool: (spool / "stats.json").unlink()),
     "meta_not_json": ("meta.json", lambda spool: (spool / "meta.json").write_text("{format: 3")),
     "stats_unknown_key": ("stats.json", _edit_stats(rows_skipped=0)),

@@ -7,6 +7,7 @@ reciprocal only when both directions are claimed.
 """
 
 import hashlib
+import io
 import random
 import re
 import threading
@@ -28,7 +29,14 @@ from cdrmob.ingest import (
     read_spool,
     write_spool,
 )
-from cdrmob.records import CdrError, TowerRegistry, csv_rows, format_timestamp, unique_sorted
+from cdrmob.records import (
+    CdrError,
+    TowerRegistry,
+    csv_rows,
+    format_timestamp,
+    unique_sorted,
+    year_bounds,
+)
 
 REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.1, 20.1), "T3": (40.2, 20.2)})
 
@@ -456,16 +464,16 @@ def test_a_quoted_line_alone_takes_the_row_path(tmp_path, block):
     rows[1] = rows[1].replace("b,a,", '"b",a,')
     p = tmp_path / "cdr.csv"
     p.write_text("\n".join(rows) + "\n")
-    parse_rows = ingest._Columns.parse_rows
+    row_block = ingest._row_block
     seen = []
 
-    def counted(cols, rows, *args):
+    def counted(rows, *args):
         rows = list(rows)
         seen.extend(rows)
-        return parse_rows(cols, rows, *args)
+        return row_block(rows, *args)
 
     with mock.patch.object(ingest, "_BLOCK_BYTES", block), \
-            mock.patch.object(ingest._Columns, "parse_rows", counted):
+            mock.patch.object(ingest, "_row_block", counted):
         got = ingest_file(p, REG)
     assert seen == [["b", "a", "2008-06-01T01:00:00", "T1", "call", "out"]]
     assert got.stats.rows_read == got.stats.events_valid == 6
@@ -509,6 +517,39 @@ def test_canonical_lines_take_the_byte_path(tmp_path):
         res = ingest_file(p, REG)
     assert spy.call_count == 0
     assert res.stats.rows_read == 4 and res.stats.events_valid == 4
+
+
+def test_both_paths_give_append_block_the_same_block():
+    # ids of 1, 8, 9 and 64 bytes, tokens in mixed case, CRLF line ends
+    ids = ["a", "b" * 8, "c" * 9, "d" * 64]
+    kinds, directions = ("Call", "SMS", "call", "sMs"), ("Out", "INCOMING", "in", "outgoing")
+    lines = [f"{a},{b},2008-06-01T{h % 24:02d}:{h % 60:02d}:00,T{1 + h % 3},"
+             f"{kinds[h % 4]},{directions[h // 4 % 4]}\r\n"
+             for h, (a, b) in enumerate((x, y) for x in ids for y in ids if x != y)]
+    block = "".join(lines).encode() + ingest._PAD
+    starts, _, canonical, by_bytes = ingest._ByteParser(REG, 2008).parse(block)
+    assert canonical.all() and len(starts) == len(lines)
+    stats = ingest.IngestStats()
+    text = io.StringIO(block[: -len(ingest._PAD)].decode(), newline="")
+    by_rows = ingest._row_block(csv_rows(text, "block", None), REG, *year_bounds(2008), stats)
+    assert stats.rows_read == len(lines) and not stats.rows_rejected
+
+    def named(names, ego, ts, tower, kind, direction, links):
+        rows = list(zip([names[e] for e in ego.tolist()], ts.tolist(), tower.tolist(),
+                        kind.tolist(), direction.tolist()))
+        return rows, {(names[k >> 32], names[k & 0xFFFFFFFF]) for k in links.tolist()}
+
+    rows, links = named(*by_rows)
+    assert (rows, links) == named(*by_bytes)
+    assert len(rows) == len(lines)
+    # no valid row: None, and every row counted as a reject
+    bad = [_row("a", "a", 1), _row("a", "b", 1, tower="T9"), _row("a", "b", 1, kind="fax"),
+           ["a", "b"], _row("a", "b", 1, direction="up"), ["a", "b", "2009-01-01", "T1", "call", "in"]]
+    stats = ingest.IngestStats()
+    assert ingest._row_block(bad, REG, *year_bounds(2008), stats) is None
+    assert stats.rows_read == sum(stats.rows_rejected.values()) == len(bad)
+    assert stats.rows_rejected == {"self_call": 1, "unknown_tower": 1, "bad_kind": 1,
+                                   "missing_column": 1, "bad_direction": 1, "outside_year": 1}
 
 
 def test_a_tower_id_that_extends_a_known_one_is_unknown(tmp_path):

@@ -17,6 +17,7 @@ from cdrmob.metrics import (
     TableMetrics,
     WindowSpec,
     metrics_rows,
+    tod_bins,
 )
 from cdrmob.pipeline import WRITERS, _write_csv
 from cdrmob.records import EPOCH_WEEKDAY, TowerRegistry, parse_timestamp, year_bounds
@@ -238,7 +239,7 @@ def test_hour_and_weekday_bins_equal_the_remainder():
                      np.zeros(len(ts), dtype=np.int8), np.zeros(len(ts), dtype=np.int8))
     tm = TableMetrics(tab, REG)
     for nbins in (1, 24, 48, 96, 1440):
-        assert (tm._tod_bins(nbins, 0, 1) == (ts % 86400) // (86400 // nbins)).all(), nbins
+        assert (tod_bins(ts, nbins) == (ts % 86400) // (86400 // nbins)).all(), nbins
     bins = []
     tm.pooled = lambda b, *args, **kw: bins.append(b)
     tm.weekday(0, 1)

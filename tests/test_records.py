@@ -17,7 +17,6 @@ from cdrmob.records import (
     AGE_GROUP_LABELS,
     AGE_GROUPS,
     CdrError,
-    EventRecord,
     RowReject,
     TowerRegistry,
     age_group_of,
@@ -31,9 +30,13 @@ from cdrmob.records import (
 )
 
 
+# T5 has registry index 1
+_REG = TowerRegistry({"T1": (40.0, 20.0), "T5": (40.1, 20.1)})
+
+
 def _parse_line(line: str):
     ys, ye = year_bounds(2008)
-    return parse_event_fields(next(csv.reader([line])), ys, ye)
+    return parse_event_fields(next(csv.reader([line])), _REG, ys, ye)
 
 
 def test_parse_timestamp_fast_and_slow_paths_agree():
@@ -75,9 +78,9 @@ def test_bad_encoding_comes_first():
                 ["u1\udcff", "u1\udcff", "nonsense"],
                 ["u1", "u2\x00", "2008-06-01T12:00:00", "T5", "call", "in"]):
         with pytest.raises(RowReject) as e:
-            parse_event_fields(row, ys, ye)
+            parse_event_fields(row, _REG, ys, ye)
         assert e.value.reason == "bad_encoding"
-    assert parse_event_fields(["ü", "u2", "2008-06-01T12:00:00", "T5", "call", "in"], ys, ye)
+    assert parse_event_fields(["ü", "u2", "2008-06-01T12:00:00", "T5", "call", "in"], _REG, ys, ye)
 
 
 @given(st.integers(min_value=0, max_value=2_000_000_000))
@@ -145,8 +148,8 @@ def test_year_bounds_2008_is_leap():
 
 def test_parse_event_line_round_trip():
     # kind 1 is sms, direction 0 incoming
-    rec = EventRecord("u1", "u2", parse_timestamp("2008-06-01T12:00:00"), "T5", 1, 0)
-    line = f"u1,u2,{format_timestamp(rec.timestamp)},T5,sms,in"
+    rec = ("u1", "u2", parse_timestamp("2008-06-01T12:00:00"), 1, 1, 0)
+    line = f"u1,u2,{format_timestamp(rec[2])},T5,sms,in"
     assert _parse_line(line) == rec
     # tokens are case- and space-tolerant
     assert _parse_line(" u1 ,u2,2008-06-01T12:00:00, T5 ,SMS, Incoming ") == rec
@@ -154,7 +157,7 @@ def test_parse_event_line_round_trip():
 
 def test_parse_event_line_reject_reasons():
     ok = "u1,u2,2008-06-01T12:00:00,T5,call,in"
-    assert _parse_line(ok).kind == 0  # call
+    assert _parse_line(ok)[4] == 0  # call
     cases = {
         "u1,u2,2008-06-01T12:00:00,T5,call": "missing_column",
         "u1,,2008-06-01T12:00:00,T5,call,in": "missing_column",
@@ -163,6 +166,9 @@ def test_parse_event_line_reject_reasons():
         "u1,u2,2009-01-01T00:00:00,T5,call,in": "outside_year",
         "u1,u2,2008-06-01T12:00:00,T5,fax,in": "bad_kind",
         "u1,u2,2008-06-01T12:00:00,T5,call,sideways": "bad_direction",
+        "u1,u2,2008-06-01T12:00:00,T9,call,in": "unknown_tower",
+        # unknown_tower comes last
+        "u1,u2,2008-06-01T12:00:00,T9,call,sideways": "bad_direction",
     }
     for line, reason in cases.items():
         with pytest.raises(RowReject) as e:
