@@ -1,5 +1,5 @@
-"""Event stream ingestion: validation, reciprocity filtering, and
-assembly of one flat event table.
+"""Event stream ingestion through ingest_file, of a CDR file or a spool:
+validation, reciprocity filtering, and assembly of one flat event table.
 
 A directed link a->b exists when any row shows a calling or texting b,
 regardless of which side's record it appears on (an outgoing row of ego a
@@ -78,9 +78,10 @@ SPOOL_EVENTS = "events.npz"
 SPOOL_META = "meta.json"
 SPOOL_STATS = "stats.json"
 SPOOL_FORMAT = 4
-# EventTable columns saved in a spool, next to its ids
-_SPOOL_ARRAYS = ("offsets", "ts", "tower", "kind", "direction")
-# the rules an individual is kept by (see ingest_rows)
+# EventTable columns saved in a spool, next to its ids, and their dtypes
+_SPOOL_ARRAYS = {"offsets": np.int64, "ts": np.int64, "tower": np.int32, "kind": np.int8,
+                 "direction": np.int8}
+# the rules an individual is kept by (see ingest_file)
 RECIPROCITY_RULES = ("pair", "degree", "none")
 
 
@@ -295,7 +296,7 @@ class _Columns:
     rows, and grow in place (realloc) past it; pages never written cost no
     memory."""
 
-    def __init__(self, capacity: int = 0):
+    def __init__(self, capacity: int):
         self.code: dict[str, int] = {}
         # ego, ts, tower, kind, direction: the peer of a row only enters
         # its link key
@@ -652,34 +653,6 @@ def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int,
     return IngestResult(table, stats, analysis_year, reciprocity, removed)
 
 
-def _check_rule(reciprocity: str) -> None:
-    if reciprocity not in RECIPROCITY_RULES:
-        raise ValueError(f"unknown reciprocity rule: {reciprocity!r}")
-
-
-def ingest_rows(
-    rows,
-    registry: TowerRegistry,
-    *,
-    analysis_year: int = 2008,
-    reciprocity: str = "pair",
-) -> IngestResult:
-    """Filter and assemble an iterable of already-split CDR rows.
-
-    reciprocity="pair" keeps individuals with at least one reciprocal
-    pair; "degree" is the weaker variant keeping anyone who has both an
-    outgoing and an incoming link somewhere (not necessarily the same
-    peer); "none" keeps everyone.
-    """
-    _check_rule(reciprocity)
-    stats = IngestStats()
-    cols = _Columns()
-    block = _row_block(rows, registry, *year_bounds(analysis_year), stats)
-    if block is not None:
-        cols.append_block(*block)
-    return _assemble(cols, stats, analysis_year, reciprocity)
-
-
 def _blocks(fh, digest):
     """Each block of whole lines of a binary file from its position on,
     read _BLOCK_BYTES at a time and followed by _PAD; every line ends in
@@ -724,6 +697,11 @@ def ingest_file(
 ) -> IngestResult:
     """Ingest a CDR file, or a spool directory produced by write_spool.
 
+    reciprocity="pair" keeps individuals with at least one reciprocal
+    pair; "degree" is the weaker variant keeping anyone who has both an
+    outgoing and an incoming link somewhere (not necessarily the same
+    peer); "none" keeps everyone.
+
     The file is read as bytes in blocks cut at a newline. Canonical lines
     (see _ByteParser) are decoded in vectorised form, on one thread per
     CPU, two at most: numpy releases the interpreter lock in its kernels.
@@ -750,7 +728,8 @@ def ingest_file(
     """
     if is_spool(path):
         return read_spool(path, registry, analysis_year, reciprocity)
-    _check_rule(reciprocity)
+    if reciprocity not in RECIPROCITY_RULES:
+        raise ValueError(f"unknown reciprocity rule: {reciprocity!r}")
     stats = IngestStats()
     size = os.path.getsize(path)
     # a valid row has at least 14 bytes and a line end; past 16M rows the
@@ -856,9 +835,9 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
     were cut to that year, filtered by that rule, and index those towers.
     The spool is machine-written, so a defect in any of its files is
     fatal, a missing stats.json included, and so is a table that breaks the
-    order and ranges an EventTable keeps: ids strictly ascending,
-    timestamps in the year and ascending in each segment, kind and
-    direction 0 or 1."""
+    dtypes, order and ranges an EventTable keeps: the dtypes write_spool
+    writes, ids strictly ascending, timestamps in the year and ascending in
+    each segment, kind and direction 0 or 1."""
     meta = read_json_object(os.path.join(path, SPOOL_META), "spool file")
     for key, want in (
         ("format", SPOOL_FORMAT),
@@ -890,9 +869,10 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
     off, n = cols["offsets"], cols["ts"].size
     if not (
         text.dtype == np.uint8 and text.ndim == 1
+        and all(cols[c].dtype == t for c, t in _SPOOL_ARRAYS.items())
         and off.shape == (len(ids) + 1,) and off[0] == 0 and off[-1] == n
         and (np.diff(off) > 0).all()
-        and all(cols[c].shape == (n,) for c in _SPOOL_ARRAYS[1:])
+        and all(cols[c].shape == (n,) for c in list(_SPOOL_ARRAYS)[1:])
         and ((cols["tower"] >= 0) & (cols["tower"] < len(registry))).all()
     ):
         raise CdrError(f"{events}: malformed spool table")

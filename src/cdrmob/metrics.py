@@ -40,11 +40,11 @@ import numpy as np
 from .geo import haversine_km
 from .ingest import EventTable
 from .records import (
-    EPOCH_WEEKDAY,
     TowerRegistry,
     format_timestamp,
     month_starts,
     unique_sorted,
+    weekday_of,
     year_bounds,
 )
 
@@ -327,9 +327,7 @@ class TableMetrics:
         r0, r1, _ = self._rows(lo, hi)
         days = self.table.ts[r0:r1] // 86400
         same_day = np.append(days[1:] == days[:-1], False)[: len(days)]
-        days += EPOCH_WEEKDAY
-        days -= days // 7 * 7  # days % 7, as in tod_bins
-        return self.pooled(days, 7, lo, hi, pair_mask=same_day)
+        return self.pooled(weekday_of(days), 7, lo, hi, pair_mask=same_day)
 
     def event_counts(self, bin_of, nbins: int, lo: int, hi: int) -> np.ndarray:
         """Events of individuals lo..hi-1 per bin: bin_of maps an array of

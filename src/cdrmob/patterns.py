@@ -35,11 +35,11 @@ import numpy as np
 from .metrics import HOUR_IDS, WEEKDAY_IDS, TableMetrics, WindowSpec, tod_bins
 from .records import (
     AGE_GROUP_LABELS,
-    EPOCH_WEEKDAY,
     Demographics,
     age_group_of,
     month_starts,
     unique_sorted,
+    weekday_of,
     year_bounds,
 )
 
@@ -236,7 +236,7 @@ def pattern(
         # in date order; column holds -1 before and after them, where
         # take(mode="clip") sends the days outside the year
         ys, ye = year_bounds(analysis_year)
-        wd = (np.arange(ys, ye, 86400) // 86400 + EPOCH_WEEKDAY) % 7
+        wd = weekday_of(np.arange(ys, ye, 86400) // 86400)
         column = np.full(len(wd) + 2, -1)
         column[1 + np.argsort(wd, kind="stable")] = np.arange(len(wd))
         edges = np.concatenate(([0], np.cumsum(np.bincount(wd, minlength=7))))

@@ -109,6 +109,13 @@ def year_bounds(year: int) -> tuple[int, int]:
     return starts[0], starts[12]
 
 
+def weekday_of(days: np.ndarray) -> np.ndarray:
+    """Weekday (0=Monday) of each day, counted in days since the epoch."""
+    wd = days + EPOCH_WEEKDAY
+    wd -= wd // 7 * 7  # wd % 7: numpy's floor division by a scalar is the faster
+    return wd
+
+
 def cpus() -> int:
     """The CPUs this process may run on; one where the platform cannot say."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

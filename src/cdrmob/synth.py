@@ -41,13 +41,13 @@ import numpy as np
 from .density import DensityError, classify_areas, rank_desc, validate_boundaries
 from .geo import GridSpec, offset_km
 from .records import (
-    EPOCH_WEEKDAY,
     CdrError,
     age_group_of,
     format_timestamp,
     month_starts,
     ordered_map,
     read_json_object,
+    weekday_of,
     write_json,
 )
 
@@ -425,7 +425,7 @@ class _World:
         month_days = np.diff(starts) // 86400
         self.day_month = np.repeat(np.arange(12), month_days)
         days = starts[0] // 86400 + np.arange(month_days.sum())
-        self.day_wd = (days + EPOCH_WEEKDAY) % 7
+        self.day_wd = weekday_of(days)
         self.date_bytes = _byte_table([format_timestamp(d * 86400)[:11] for d in days.tolist()])
 
         # each day's weight under the sparse (row 0) and the dense (row 1)

@@ -3,18 +3,22 @@
 Corpora are generated once per session into the pytest tmp factory. Each
 fixture returns (directory, ground truth). Pipelines are cached so the
 expensive stages run once and are shared by every test that reads them.
-event_table and table_metrics build small event tables for unit tests,
+event_table and table_metrics build small event tables for unit tests:
+write_rows writes their rows as a CSV file, which ingest_file reads.
 traced_peak measures what a call allocates, and force_workers sets the
 CPU count that the ordered worker map sees.
 """
 
+import csv
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cdrmob import records
-from cdrmob.ingest import ingest_rows
+from cdrmob.ingest import ingest_file
 from cdrmob.metrics import TableMetrics
 from cdrmob.records import format_timestamp
 from cdrmob.synth import TRUTH_FILE, GenConfig, GroundTruth, corpus_pipeline, generate
@@ -124,16 +128,26 @@ def megarow_corpus(tmp_path_factory):
     return _make_corpus(tmp_path_factory, "megarow_corpus", cfg)
 
 
+def write_rows(path, rows):
+    """Write CDR rows to a CSV file at path, one line each; returns path."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
 def event_table(registry, events, year=2008):
-    """EventTable of {ego: (timestamps, tower indices)}, built by ingest
-    with no reciprocity filter; timestamps are epoch seconds or ISO text."""
+    """EventTable of {ego: (timestamps, tower indices)}, ingested from a
+    CSV file of their rows with no reciprocity filter; timestamps are epoch
+    seconds or ISO text."""
     rows = [
         [ego, "peer", t if isinstance(t, str) else format_timestamp(int(t)),
          registry.ids[int(w)], "call", "out"]
         for ego, (stamps, towers) in events.items()
         for t, w in zip(stamps, towers)
     ]
-    return ingest_rows(rows, registry, analysis_year=year, reciprocity="none").table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_rows(os.path.join(tmp, "cdr.csv"), rows)
+        return ingest_file(path, registry, analysis_year=year, reciprocity="none").table
 
 
 def table_metrics(registry, events, homes=None, divisor="events", year=2008):

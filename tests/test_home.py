@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import event_table
+
 from cdrmob.home import (
     BIN_CENTERS_H,
     UnimodalProfileError,
@@ -20,7 +22,6 @@ from cdrmob.home import (
     night_mask,
 )
 from cdrmob.geo import EARTH_RADIUS_KM, _unit_vectors, haversine_km
-from cdrmob.ingest import ingest_rows
 from cdrmob.metrics import TableMetrics
 from cdrmob.pipeline import WRITERS, _write_csv
 from cdrmob.records import TowerRegistry, parse_timestamp
@@ -30,12 +31,7 @@ REG = TowerRegistry({"T1": (40.0, 20.0), "T2": (40.4, 20.0), "T3": (40.0, 20.3)}
 
 def _table(events):
     """Event table of {ego: ([timestamps], [tower indices])}."""
-    rows = [
-        [ego, "peer", stamp, REG.ids[tower], "call", "out"]
-        for ego, (stamps, towers) in events.items()
-        for stamp, tower in zip(stamps, towers)
-    ]
-    return ingest_rows(rows, REG, reciprocity="none").table
+    return event_table(REG, events)
 
 
 def test_daily_profile_activity_means():

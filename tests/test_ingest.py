@@ -8,6 +8,7 @@ reciprocal only when both directions are claimed.
 
 import hashlib
 import io
+import os
 import random
 import re
 import threading
@@ -20,11 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_rows
+
 from cdrmob import ingest, synth
 from cdrmob.ingest import (
-    _is_header,
     ingest_file,
-    ingest_rows,
     is_spool,
     read_spool,
     write_spool,
@@ -47,7 +48,12 @@ def _row(ego, peer, hour, tower="T1", kind="call", direction="out"):
     return [ego, peer, _T.format(hour), tower, kind, direction]
 
 
-def test_pair_rule_keeps_reciprocal_pairs_only():
+def _ingest(tmp_path, rows, **kw):
+    """ingest_file of the rows, written to a CSV file under tmp_path."""
+    return ingest_file(write_rows(tmp_path / "rows.csv", rows), REG, **kw)
+
+
+def test_pair_rule_keeps_reciprocal_pairs_only(tmp_path):
     rows = [
         _row("a", "b", 1, direction="out"),
         _row("b", "a", 2, direction="out"),
@@ -55,7 +61,7 @@ def test_pair_rule_keeps_reciprocal_pairs_only():
         _row("s", "a", 3, direction="out"),
         _row("s", "b", 4, direction="out"),
     ]
-    res = ingest_rows(rows, REG)
+    res = _ingest(tmp_path, rows)
     assert res.table.ids == ["a", "b"]
     assert res.removed_ids == ["s"]
     # survivors keep all their events, including those with dropped peers
@@ -65,46 +71,46 @@ def test_pair_rule_keeps_reciprocal_pairs_only():
     assert res.stats.events_kept == 2
 
 
-def test_mirrored_rows_are_one_claim_not_a_pair():
+def test_mirrored_rows_are_one_claim_not_a_pair(tmp_path):
     # both rows describe the single link a->b, so nobody is reciprocal
     rows = [
         _row("a", "b", 1, direction="out"),
         _row("b", "a", 1, direction="in"),
     ]
-    res = ingest_rows(rows, REG)
+    res = _ingest(tmp_path, rows)
     assert res.table.ids == [] and len(res.table.ts) == 0
     assert res.removed_ids == ["a", "b"]
 
 
-def test_degree_rule_is_weaker_than_pair():
+def test_degree_rule_is_weaker_than_pair(tmp_path):
     # a has an outgoing link to b and an incoming one from c: in and out
     # degree without any reciprocal pair
     rows = [
         _row("a", "b", 1, direction="out"),
         _row("a", "c", 2, direction="in"),
     ]
-    assert ingest_rows(rows, REG).table.ids == []
-    res = ingest_rows(rows, REG, reciprocity="degree")
+    assert _ingest(tmp_path, rows).table.ids == []
+    res = _ingest(tmp_path, rows, reciprocity="degree")
     assert res.table.ids == ["a"]
-    res_none = ingest_rows(rows, REG, reciprocity="none")
+    res_none = _ingest(tmp_path, rows, reciprocity="none")
     assert res_none.table.ids == ["a"]
     with pytest.raises(ValueError):
-        ingest_rows(rows, REG, reciprocity="sometimes")
+        _ingest(tmp_path, rows, reciprocity="sometimes")
 
 
-def test_unknown_tower_counted_not_fatal():
+def test_unknown_tower_counted_not_fatal(tmp_path):
     rows = [
         _row("a", "b", 1),
         _row("b", "a", 2, tower="T9"),
         _row("b", "a", 3),
     ]
-    res = ingest_rows(rows, REG)
+    res = _ingest(tmp_path, rows)
     assert res.stats.rows_rejected == {"unknown_tower": 1}
     assert res.stats.events_valid == 2
     assert res.table.ids == ["a", "b"]
 
 
-def test_timeline_sorted_with_tie_breaks():
+def test_timeline_sorted_with_tie_breaks(tmp_path):
     # same timestamp everywhere: order must come from tower, kind, direction
     rows = [
         _row("a", "b", 1, tower="T2", kind="sms", direction="out"),
@@ -112,7 +118,7 @@ def test_timeline_sorted_with_tie_breaks():
         _row("a", "b", 1, tower="T1", kind="call", direction="out"),
         _row("b", "a", 2),
     ]
-    res = ingest_rows(rows, REG)
+    res = _ingest(tmp_path, rows)
     tab = res.table
     assert tab.ids == ["a", "b"] and tab.offsets.tolist() == [0, 3, 4]
     assert tab.tower[:3].tolist() == [0, 0, 1]
@@ -120,17 +126,17 @@ def test_timeline_sorted_with_tie_breaks():
     assert np.all(tab.ts[:2] <= tab.ts[1:3])
 
 
-def test_segments_follow_id_order_not_first_appearance():
+def test_segments_follow_id_order_not_first_appearance(tmp_path):
     # z is seen first, and b only as a peer before it is an ego
     rows = [_row("z", "b", 5), _row("b", "z", 6), _row("a", "b", 1), _row("b", "a", 2)]
-    tab = ingest_rows(rows, REG).table
+    tab = _ingest(tmp_path, rows).table
     assert tab.ids == ["a", "b", "z"]
     assert tab.offsets.tolist() == [0, 1, 3, 4]
     assert [(t - tab.ts[0]) // 3600 for t in tab.ts.tolist()] == [0, 1, 5, 4]
 
 
-def test_empty_input():
-    res = ingest_rows([], REG)
+def test_empty_input(tmp_path):
+    res = _ingest(tmp_path, [])
     assert res.table.ids == [] and res.table.offsets.tolist() == [0]
     assert res.stats.rows_read == 0
 
@@ -158,11 +164,12 @@ _IDS = ("a", "b", "c", "d", "e")
         max_size=40,
     )
 )
-def test_filter_is_idempotent(raw):
+def test_filter_is_idempotent(tmp_path_factory, raw):
     rows = [_row(e, p, h, t, k, d) for e, p, h, t, k, d in raw if e != p]
-    first = ingest_rows(rows, REG)
+    tmp = tmp_path_factory.mktemp("rows")
+    first = _ingest(tmp, rows)
     kept = set(first.table.ids)
-    again = ingest_rows([r for r in rows if r[0] in kept], REG)
+    again = _ingest(tmp, [r for r in rows if r[0] in kept])
     _assert_same_table(first.table, again.table)
 
 
@@ -210,7 +217,7 @@ def test_spool_round_trip(tmp_path):
         _row("a", "c", 3, direction="in"),
         _row("s", "a", 4),
     ]
-    first = ingest_rows(rows, REG)
+    first = _ingest(tmp_path, rows)
     spool = tmp_path / "spool"
     write_spool(first, REG, spool)
     assert is_spool(spool) and not is_spool(tmp_path / "nope")
@@ -261,7 +268,7 @@ def test_spool_does_not_depend_on_row_order(tmp_path):
 
 
 def test_spool_holds_exactly_the_arrays_it_reads(tmp_path):
-    res = ingest_rows([_row("a", "b", 1), _row("b", "a", 2)], REG)
+    res = _ingest(tmp_path, [_row("a", "b", 1), _row("b", "a", 2)])
     spool = tmp_path / "spool"
     write_spool(res, REG, spool)
     with np.load(spool / "events.npz") as z:
@@ -275,7 +282,7 @@ def test_spool_holds_exactly_the_arrays_it_reads(tmp_path):
 
 
 def test_spool_with_a_damaged_table_is_refused(tmp_path):
-    res = ingest_rows([_row("a", "b", 1), _row("b", "a", 2)], REG)
+    res = _ingest(tmp_path, [_row("a", "b", 1), _row("b", "a", 2)])
     spool = tmp_path / "spool"
     write_spool(res, REG, spool)
     with np.load(spool / "events.npz") as z:
@@ -297,14 +304,18 @@ def test_spool_with_a_damaged_table_is_refused(tmp_path):
 
 
 def _by_rows(path, registry=REG, **kw):
-    """ingest_rows over csv_rows of the file, with each line that holds
-    a NUL given as a row of its own: what ingest_file must equal."""
-    nul = []
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        rows = list(csv_rows(fh, path, nul.append))
-    if rows and _is_header(rows[0]):
-        rows = rows[1:]
-    return ingest_rows(rows + [["\0"]] * len(nul), registry, **kw)
+    """ingest_file with the byte path off: parse marks no line canonical,
+    so every line takes the row path, in blocks as large as the file. What
+    ingest_file must equal."""
+    parse = ingest._ByteParser.parse
+
+    def no_canonical(parser, block):
+        starts, stop, _, _ = parse(parser, block)
+        return starts, stop, np.zeros(len(starts), dtype=bool), None
+
+    with mock.patch.object(ingest._ByteParser, "parse", no_canonical), \
+            mock.patch.object(ingest, "_BLOCK_BYTES", max(os.path.getsize(path), 1)):
+        return ingest_file(path, registry, **kw)
 
 
 def _outcome(fn):
@@ -627,7 +638,7 @@ def test_row_order_equals_lexsort():
     assert len(ingest._row_order(*(c[:0] for c in (ego, ts, tower, kind, direction)))) == 0
 
 
-def test_rows_in_order_give_the_table_of_the_same_rows_shuffled():
+def test_rows_in_order_give_the_table_of_the_same_rows_shuffled(tmp_path):
     # rows in (ego, ts) order skip the whole-table sort, and only their
     # runs of ties are put in order; the two adjacent runs of a below, at
     # 01:00 and 02:00, hold rows whose (tower, kind, direction) sort below
@@ -647,7 +658,7 @@ def test_rows_in_order_give_the_table_of_the_same_rows_shuffled():
     tables = []
     for given_rows, sorts in ((in_order, 0), (shuffled, 1)):
         with mock.patch.object(ingest, "_row_order", wraps=ingest._row_order) as spy:
-            tab = ingest_rows(given_rows, REG, reciprocity="none").table
+            tab = _ingest(tmp_path, given_rows, reciprocity="none").table
         assert spy.call_count == sorts
         ego = np.repeat(tab.ids, np.diff(tab.offsets))
         got = list(zip(ego.tolist(), map(format_timestamp, tab.ts.tolist()),
