@@ -166,7 +166,7 @@ def _add_analysis_flags(p: _Parser):
     p.add_argument("--area-bounds", default="30,100,1000,10000", help="rank boundaries r1,r2,r3,r4")
     p.add_argument("--night-window", default=None, help="override detection, HH:MM-HH:MM")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="accepted and ignored: ingest parses on up to two threads")
+                   help="accepted and ignored (bench/run.py passes it): ingest uses 2 at most")
     p.add_argument("--year", type=_parse_year, default=2008, help="analysis year, 1-9998")
     p.add_argument("--divisor", choices=("events", "pairs"), default="events",
                    help="mobility normalization")
@@ -238,7 +238,7 @@ def _write_files(out_dir, names, command: str, write) -> None:
 def _cmd_stages(args) -> int:
     """An analysis subcommand: write the outputs of its stages."""
     cfg = _analysis_config(args)
-    pipe = Pipeline(args.cdr, args.towers, args.demographics, cfg, threads=max(1, args.threads))
+    pipe = Pipeline(args.cdr, args.towers, args.demographics, cfg)
     stages = _STAGE_COMMANDS[args.command][0]
     plot_data = getattr(args, "plot_data", False)
     outputs = _write_report(pipe, args.out, stages, plot_data, args.command)
@@ -364,7 +364,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=None, help="number of individuals")
     sp.add_argument("--cells", type=int, default=None, help="number of settlements")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sp.add_argument("--gen-config", default=None, help="JSON file of generator settings")
     sp.set_defaults(func=_cmd_generate)
 
@@ -387,7 +386,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("validate", help="score a generated corpus against its ground truth")
     sp.add_argument("--corpus", required=True, help="directory written by generate")
     sp.add_argument("--out", type=_out_dir, default=None, help="where to write scorecard.json")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sp.add_argument("--reciprocity", choices=RECIPROCITY_RULES, default="pair")
     sp.set_defaults(func=_cmd_validate)
 
@@ -395,7 +393,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", type=_out_dir, required=True)
     sp.add_argument("--n", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sp.set_defaults(func=_cmd_demo)
 
     for sp in sub.choices.values():

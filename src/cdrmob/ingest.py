@@ -56,16 +56,17 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .records import (
+    CDR_FIELDS,
     DIRECTION_TOKENS,
     KIND_TOKENS,
     CdrError,
     RowReject,
     TowerRegistry,
     csv_rows,
+    is_header,
     month_starts,
     ordered_map,
     parse_event_fields,
-    parse_timestamp,
     read_json_object,
     unique_sorted,
     write_json,
@@ -517,7 +518,7 @@ def _row_block(rows, registry: TowerRegistry, year_start: int, year_end: int,
 def _skip_header(rows):
     """The rows, without a leading header row (see ingest_file)."""
     first = next(rows, None)
-    if first is not None and not _is_header(first):
+    if first is not None and not is_header(first, CDR_FIELDS):
         yield first
     yield from rows
 
@@ -721,8 +722,9 @@ def ingest_file(
     parsed in this thread; no thread outlives the call.
 
     One leading UTF-8 byte order mark is skipped, and so is a leading
-    header row, without being counted: one whose timestamp does not parse
-    and whose kind and direction are not event tokens either. A first row
+    header row, without being counted: by records.is_header, one that
+    reaches the timestamp column, whose timestamp does not parse and whose
+    kind and direction are not event tokens either. A first row
     with only a bad timestamp is data, and is rejected as such. The
     result's sha256 is the file's, taken from the blocks as they are read.
     """
@@ -784,21 +786,6 @@ def ingest_file(
     result.sha256 = digest.hexdigest()
     result.threads = max(1, min(threads, read))  # no more threads parsed than blocks
     return result
-
-
-def _is_header(row: list[str]) -> bool:
-    if len(row) <= 2:
-        return False
-    try:
-        parse_timestamp(row[2])
-        return False
-    except RowReject:
-        pass
-    kind, direction = (row[4:6] + ["", ""])[:2]
-    return (
-        kind.strip().lower() not in KIND_TOKENS
-        and direction.strip().lower() not in DIRECTION_TOKENS
-    )
 
 
 def is_spool(path) -> bool:

@@ -270,14 +270,14 @@ class TableMetrics:
             count = np.min_scalar_type(int(np.diff(self.table.offsets).max(initial=0)))
 
             def block(lo, hi):
-                a, m, _, _ = self._windows(bounds, lo, hi, rg=False)
+                a, m, _, _ = self._windows(bounds, lo, hi)
                 return a.astype(count), m
 
             self._memo[key] = self.stack(block, len(bounds) - 1)
         return self._memo[key]
 
-    def _windows(self, bounds, lo, hi, rg: bool = True):
-        """windows() of individuals lo..hi-1; rg is left NaN unless asked for."""
+    def _windows(self, bounds, lo, hi):
+        """windows() of individuals lo..hi-1."""
         r0, r1, off = self._rows(lo, hi)
         ts = self.table.ts[r0:r1]
         # one sorted (individual, time) key; bounds are clipped to the data's
@@ -291,7 +291,7 @@ class TableMetrics:
         a = j - i
         pairs = np.maximum(a - 1, 0)
         cd, *ch = segment_cumsum(
-            [x[r0:r1] for x in (self.d2, self.h2 if rg else None) if x is not None], off)
+            [x[r0:r1] for x in (self.d2, self.h2) if x is not None], off)
         d2 = np.where(pairs > 0, _upto(cd, j - 1, start) - _upto(cd, i, start), 0.0)
         h2 = None if not ch else _upto(ch[0], j, start) - _upto(ch[0], i, start)
         return self.from_sums(a, d2, h2, pairs)

@@ -62,9 +62,6 @@ class PatternError(Exception):
 
 @dataclass
 class PatternSeries:
-    axis: str
-    value: str
-    statistic: str
     bins: tuple[str, ...]
     stat: np.ndarray
     n: np.ndarray
@@ -242,10 +239,10 @@ def pattern(
         edges = np.concatenate(([0], np.cumsum(np.bincount(wd, minlength=7))))
         stat, n, se = _streamed_mean_se(
             tm, rows, lambda ts: column.take((ts - ys) // 86400 + 1, mode="clip"), edges)
-        return PatternSeries(axis, value, statistic, WEEKDAY_IDS, stat, n, se)
+        return PatternSeries(WEEKDAY_IDS, stat, n, se)
     if axis == "hour":
         stat, n, se = _streamed_mean_se(tm, rows, lambda ts: tod_bins(ts, 24), np.arange(25))
-        return PatternSeries(axis, value, statistic, HOUR_IDS, stat, n, se)
+        return PatternSeries(HOUR_IDS, stat, n, se)
 
     # month windows: each individual's activity and mobility are kept, and
     # each month's samples are a column of them
@@ -269,7 +266,7 @@ def pattern(
         if norm == 0:
             raise PatternError("cannot normalize: median level is zero")
         stat = stat / norm
-    return PatternSeries(axis, value, statistic, ids, stat, n, se)
+    return PatternSeries(ids, stat, n, se)
 
 
 @dataclass
@@ -288,27 +285,28 @@ class StratumRow:
 
 
 def demographic_table(
-    tm: TableMetrics,
+    ids: list[str],
+    year_rows,
     demographics: Demographics,
-    areas: np.ndarray | None,
-    analysis_year: int = 2008,
+    areas: np.ndarray,
 ) -> tuple[list[StratumRow], int]:
     """Whole-year means stratified by density class, gender, and age group.
 
-    areas holds each individual's density class in id order (0 for none).
-    Returns the populated strata and the count of individuals skipped for
-    lacking demographics. Empty strata are omitted.
+    ids, year_rows (whole-year activity, mobility, rg and pairs) and areas
+    (density class, 0 for none) each hold one entry per individual, in id
+    order. Returns the populated strata and the count of individuals
+    skipped for lacking demographics. Empty strata are omitted.
     """
-    people = [demographics.by_id.get(e) for e in tm.table.ids]
+    people = [demographics.by_id.get(e) for e in ids]
     rows = np.flatnonzero([p is not None for p in people])
     skipped = len(people) - len(rows)
     if not len(rows):
         raise PatternError("no individuals with demographics")
     female, age = np.array([people[k] for k in rows], dtype=np.int64).T
     female, group = female == 1, age_group_of(age)
-    a, mob, rg, _ = (x[rows, 0] for x in tm.windows(np.array(year_bounds(analysis_year))))
+    a, mob, rg, _ = (x[rows] for x in year_rows)
     act = a.astype(float)
-    area = np.zeros(len(rows), dtype=np.int64) if areas is None else areas[rows]
+    area = areas[rows]
 
     out: list[StratumRow] = []
     area_keys = ["all"] + [str(a) for a in range(1, 6)]

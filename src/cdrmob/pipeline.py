@@ -118,7 +118,7 @@ class Pipeline:
         towers_path,
         demographics_path,
         config: AnalysisConfig,
-        threads: int = 1,  # accepted and ignored
+        threads: int = 1,  # accepted and ignored: bench/trace_report.py passes it
     ):
         self.cdr_path = cdr_path
         self.towers_path = towers_path
@@ -201,8 +201,10 @@ class Pipeline:
     # ------------------------------------------------- rhythm and window
     @property
     def steps(self) -> TableMetrics:
-        """Consecutive displacements over the event table, before homes."""
-        return self._stage("steps", lambda: TableMetrics(self.ingest.table, self.registry))
+        """Consecutive displacements over the event table, before homes:
+        the daily profile's and the patterns' metrics."""
+        return self._stage("steps", lambda: TableMetrics(
+            self.ingest.table, self.registry, divisor=self.config.divisor))
 
     @property
     def profiles(self):
@@ -371,7 +373,7 @@ class Pipeline:
             def add(cohort_name, cohort, axis, value, statistic):
                 try:
                     bundle[cohort_name, axis, value, statistic] = pattern(
-                        self.metrics, cohort, axis, value, statistic, self.config.analysis_year
+                        self.steps, cohort, axis, value, statistic, self.config.analysis_year
                     )
                 except PatternError:
                     # an empty cohort, or a normalized series whose level is
@@ -396,7 +398,7 @@ class Pipeline:
             if self.demographics is None:
                 return None
             rows, skipped = demographic_table(
-                self.metrics, self.demographics, self.ego_area, self.config.analysis_year
+                self.ingest.table.ids, self.year_rows, self.demographics, self.ego_area
             )
             if skipped:
                 log.info("strata: %d individuals lack demographics", skipped)

@@ -299,23 +299,58 @@ class TowerRegistry:
         return h.hexdigest()
 
 
-def _read_rows(path):
+def _reads(parse):
+    """A test of whether a text reads as a value of parse: parse(text)
+    raises no ValueError and no RowReject."""
+    def reads(text: str) -> bool:
+        try:
+            parse(text)
+        except (ValueError, RowReject):
+            return False
+        return True
+    return reads
+
+
+def _token(tokens):
+    """A test of whether a text, stripped and in lower case, is one of tokens."""
+    return lambda text: text.strip().lower() in tokens
+
+
+def is_header(row: list[str], fields) -> bool:
+    """Whether a file's first row is a header: it reaches its first value
+    column, and none of its value fields reads as a value. fields maps each
+    value column to a test of whether a text reads as its value; a field
+    the row lacks does not read. Any other first row is data."""
+    return len(row) > min(fields) and not any(
+        reads(row[col]) for col, reads in fields.items() if col < len(row))
+
+
+# the value fields of each input file (see is_header)
+CDR_FIELDS = {2: _reads(parse_timestamp), 4: _token(KIND_TOKENS), 5: _token(DIRECTION_TOKENS)}
+_TOWER_FIELDS = {1: _reads(float), 2: _reads(float)}
+_DEMOGRAPHICS_FIELDS = {1: _token(_GENDER_TOKENS), 2: _reads(float)}
+
+
+def _read_rows(path, fields):
     """(line, row) of each CSV row of a small input file, after one leading
-    UTF-8 byte order mark if it has one, numbered as csv_rows numbers them.
+    UTF-8 byte order mark if it has one, numbered as csv_rows numbers them,
+    without empty rows and a first row that is_header(row, fields) takes
+    for a header.
     A byte that is not UTF-8 is fatal, and so is a NUL or a row that
     csv_rows refuses, each named by file and line."""
     def nul(n):
         raise CdrError(f"{path}:{n}: holds a NUL byte")
 
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for line, row in csv_rows(fh, path, nul, numbered=True):
+        for k, (line, row) in enumerate(csv_rows(fh, path, nul, numbered=True)):
             if _undecodable(row):
                 raise CdrError(f"{path}:{line}: not valid UTF-8")
-            yield line, row
+            if row and (k or not is_header(row, fields)):
+                yield line, row
 
 
 def load_towers(path) -> TowerRegistry:
-    """Read a tower file (tower_id,lat,lon; optional header).
+    """Read a tower file (tower_id,lat,lon; optional header, see is_header).
 
     The registry is small and must be clean: duplicate ids and out-of-range
     coordinates are fatal, and so is a table spanning the antimeridian
@@ -323,9 +358,7 @@ def load_towers(path) -> TowerRegistry:
     average longitudes arithmetically.
     """
     entries: dict[str, tuple[float, float]] = {}
-    for k, (lineno, row) in enumerate(_read_rows(path)):
-        if not row or (k == 0 and _looks_like_header(row, 1)):
-            continue
+    for lineno, row in _read_rows(path, _TOWER_FIELDS):
         if len(row) < 3:
             raise CdrError(f"{path}:{lineno}: tower row needs tower_id,lat,lon")
         tid = row[0].strip()
@@ -364,7 +397,8 @@ _BIRTH_YEAR_THRESHOLD = 200
 
 
 def load_demographics(path, analysis_year: int = 2008) -> Demographics:
-    """Read a demographics file (ego_id,gender,age-or-birth_year).
+    """Read a demographics file (ego_id,gender,age-or-birth_year; optional
+    header, see is_header).
 
     Bad rows are rejected and counted per reason, never fatal. Ages outside
     [10, 110] after resolving birth years are rejected, and so is every row
@@ -380,9 +414,7 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
     def reject(reason: str, n: int = 1):
         rejected[reason] = rejected.get(reason, 0) + n
 
-    for k, (_, row) in enumerate(_read_rows(path)):
-        if not row or (k == 0 and _looks_like_header(row, None)):
-            continue
+    for _, row in _read_rows(path, _DEMOGRAPHICS_FIELDS):
         ego = row[0].strip() if len(row) >= 3 else ""
         if not ego:
             reject("missing_column")
@@ -422,20 +454,3 @@ def age_group_of(age):
         raise ValueError(f"age {age} outside [{AGE_MIN}, {AGE_MAX}]")
     return np.searchsorted([upper for _, upper in AGE_GROUPS], age)
 
-
-def _looks_like_header(row: list[str], numeric_col: int | None) -> bool:
-    """Heuristic header detection: the would-be numeric column is not a
-    number (tower files), or no column parses as a number at all."""
-    if numeric_col is not None:
-        try:
-            float(row[numeric_col])
-            return False
-        except (ValueError, IndexError):
-            return True
-    for cell in row[1:]:
-        try:
-            float(cell)
-            return False
-        except ValueError:
-            continue
-    return True

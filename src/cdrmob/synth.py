@@ -633,7 +633,7 @@ def generate(cfg: GenConfig, out_dir, threads: int = 1) -> None:
     and this process writes them in order, so the bytes do not depend on
     the number of workers and no more than a few chunks are held at once.
     Where there is one CPU or no fork, the chunks are built here.
-    `threads` is accepted and ignored."""
+    `threads` is accepted and ignored: bench/generate.py passes it."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

@@ -776,14 +776,14 @@ def test_ground_truth_settings_the_pipeline_refuses_exit_2(tiny_corpus, tmp_path
 
 def test_validate_flags_an_unfiltered_corpus(small_corpus, tmp_path, capsys):
     corpus, _ = small_corpus
-    assert main(["validate", "--corpus", str(corpus), "--threads", "2"]) == 0
+    assert main(["validate", "--corpus", str(corpus)]) == 0
     ok_out = capsys.readouterr().out
     assert "all checks passed" in ok_out and "FAIL" not in ok_out
 
     # a failed scorecard is a finished run: its directory stays
     card = tmp_path / "card"
-    rc = main(["validate", "--corpus", str(corpus), "--threads", "2",
-               "--reciprocity", "none", "--out", str(card)])
+    rc = main(["validate", "--corpus", str(corpus), "--reciprocity", "none",
+               "--out", str(card)])
     captured = capsys.readouterr()
     assert rc == 2
     assert (card / "scorecard.json").exists()
@@ -793,8 +793,7 @@ def test_validate_flags_an_unfiltered_corpus(small_corpus, tmp_path, capsys):
 
 
 def test_demo_end_to_end(tmp_path, capsys):
-    rc = main(["demo", "--out", str(tmp_path), "--n", "800", "--seed", "7",
-               "--threads", "2"])
+    rc = main(["demo", "--out", str(tmp_path), "--n", "800", "--seed", "7"])
     assert rc == 0
     text = capsys.readouterr().out
     assert "inactivity window:" in text
@@ -1151,7 +1150,7 @@ _GRAMMAR = {
     **{name: _ANALYSIS_FLAGS for name in cli._STAGE_COMMANDS},
     "ingest": {k: _ANALYSIS_FLAGS[k] for k in ("--cdr", "--towers", "--year", "--reciprocity")},
     "generate": {"--n": ["60", "50", "0", "-1", "", "2.5"], "--cells": ["5", "0", "-3", "", "x"],
-                 "--seed": ["1", "-1", "", "s"], "--threads": _ANALYSIS_FLAGS["--threads"],
+                 "--seed": ["1", "-1", "", "s"],
                  "--gen-config": ["@gen.json", "@big.json", "@missing", "@cdr.csv"]},
     "validate": {"--corpus": ["@", "@missing", "@cdr.csv"],
                  "--reciprocity": _ANALYSIS_FLAGS["--reciprocity"]},

@@ -46,6 +46,15 @@ def _metrics(events, homes=None, year=2008):
     return table_metrics(REG, events, homes or {}, year=year)
 
 
+def _strata(tm, demographics, areas=None):
+    """demographic_table of a table's individuals, from their year rows;
+    without areas, none has a density class."""
+    year = tuple(x[:, 0] for x in tm.windows(np.array(year_bounds(2008))))
+    if areas is None:
+        areas = np.zeros(len(tm.table), dtype=np.int64)
+    return demographic_table(tm.table.ids, year, demographics, areas)
+
+
 def _demographics(tmp_path, rows):
     """Demographics loaded from a file of (ego_id, gender, age) rows."""
     path = tmp_path / "demographics.csv"
@@ -223,8 +232,7 @@ def test_write_pattern_csv_handles_labels_and_gaps(tmp_path):
     # a series with empty bins and no standard error: blank cells
     stat = np.full(12, np.nan)
     stat[2] = 1.0
-    s2 = PatternSeries("month", "activity", "normalized_median", s1.bins, stat,
-                       (stat == 1.0).astype(np.int64), None)
+    s2 = PatternSeries(s1.bins, stat, (stat == 1.0).astype(np.int64), None)
     name, header, columns = WRITERS["patterns"]
     p = tmp_path / name
     bundle = {("all", "month", "activity", "mean"): s1,
@@ -247,8 +255,7 @@ def test_demographic_table_strata(tmp_path):
     }
     demo = _demographics(tmp_path, [("u3", "f", 25), ("u1", "f", 30), ("u2", "m", 40)])
     areas = np.array([1, 1, 2, 0])  # density class per individual, u1..u4
-    tm = _metrics(events)
-    rows, skipped = demographic_table(tm, demo, areas)
+    rows, skipped = _strata(_metrics(events), demo, areas)
     assert skipped == 1
     cell = {(r.area, r.gender, r.age_group): r for r in rows}
     assert cell[("all", "all", "all")].n == 3
@@ -272,7 +279,7 @@ def test_demographic_table_age_bands_at_their_bounds(tmp_path):
     ages = (10, 18, 19, 35, 36, 45, 46, 55, 56, 65, 66, 110)
     events = {f"u{k:02d}": _one_tower(["2008-01-01T10:00:00"]) for k in range(len(ages) + 1)}
     demo = _demographics(tmp_path, [(f"u{k:02d}", "m", a) for k, a in enumerate(ages)])
-    rows, skipped = demographic_table(_metrics(events), demo, None)
+    rows, skipped = _strata(_metrics(events), demo)
     assert skipped == 1
     got = {r.age_group: r.n for r in rows if r.area == "all" and r.gender == "all"}
     want = Counter(AGE_GROUP_LABELS[age_group_of(a)] for a in ages)
@@ -283,10 +290,10 @@ def test_demographic_table_requires_overlap(tmp_path):
     events = {"u1": _one_tower(["2008-01-01T10:00:00"])}
     tm = _metrics(events)
     with pytest.raises(PatternError):
-        demographic_table(tm, _demographics(tmp_path, []), None)
+        _strata(tm, _demographics(tmp_path, []))
     # demographics of other individuals only
     with pytest.raises(PatternError):
-        demographic_table(tm, _demographics(tmp_path, [("u2", "f", 30)]), None)
+        _strata(tm, _demographics(tmp_path, [("u2", "f", 30)]))
 
 
 def test_one_long_id_costs_its_own_bytes_only(tmp_path):
@@ -299,7 +306,7 @@ def test_one_long_id_costs_its_own_bytes_only(tmp_path):
     path.write_text("".join(f"{e},f,30\n" for e in ids))
     assert traced_peak(lambda: load_demographics(path)) < 1 << 20
     demo = load_demographics(path)
-    assert traced_peak(lambda: demographic_table(tm, demo, None)) < 1 << 20
+    assert traced_peak(lambda: _strata(tm, demo)) < 1 << 20
     result = IngestResult(tm.table, IngestStats(), 2008, "none")
     write_spool(result, REG, tmp_path / "spool")
     with zipfile.ZipFile(tmp_path / "spool" / "events.npz") as z:

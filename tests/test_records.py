@@ -197,20 +197,54 @@ def test_load_towers(tmp_path):
 
 
 def test_load_towers_fatal_defects(tmp_path):
-    # each defective row sits on line 2: a first row that fails to parse
-    # would be taken for a header and skipped instead of rejected
-    cases = [
-        "A,40.0,20.0\nA,41.0,21.0\n",   # duplicate id
-        "A,40.0,20.0\nB,95.0,21.0\n",   # latitude range
-        "A,40.0,20.0\nB,41.0,200.0\n",  # longitude range
-        "A,40.0,20.0\nB,forty,21.0\n",  # unparseable
-        "A,40.0,20.0\nB,41.0\n",        # short row
-    ]
-    for k, body in enumerate(cases):
-        p = tmp_path / f"t{k}.csv"
-        p.write_text(body)
-        with pytest.raises(CdrError):
-            load_towers(p)
+    # each defective row on line 2, after a good row, and on line 1, before it
+    good = "A,40.0,20.0"
+    cases = {
+        "A,41.0,21.0": "duplicate tower id",  # named on the id's second row
+        "B,95.0,21.0": "latitude out of range",
+        "B,41.0,200.0": "longitude out of range",
+        "B,forty,21.0": "unparseable coordinate",
+        "B,41.0": "tower row needs tower_id,lat,lon",
+    }
+    for k, (row, error) in enumerate(cases.items()):
+        for line, rows in ((2, (good, row)), (1, (row, good))):
+            p = tmp_path / f"t{k}.csv"
+            p.write_text("\n".join(rows) + "\n")
+            named = 2 if error.startswith("duplicate") else line
+            with pytest.raises(CdrError, match=rf"t{k}\.csv:{named}: {error}"):
+                load_towers(p)
+
+
+def test_a_first_row_is_a_header_only_when_no_value_field_reads(tmp_path):
+    # a headerless tower file whose first latitude has a letter in it: that
+    # tower was taken for a header and its rows for unknown_tower rejects
+    towers = tmp_path / "towers.csv"
+    towers.write_text("T1,4O.03,20.0\nT2,40.1,20.1\n")
+    with pytest.raises(CdrError, match=r"towers\.csv:1: unparseable coordinate"):
+        load_towers(towers)
+    # a first demographics row whose gender reads is data, whatever its age
+    demo = tmp_path / "demo.csv"
+    for first in ("u1,f,abc", "u1,f,", "ego_id,female,age"):
+        demo.write_text(first + "\nu2,m,40\n")
+        d = load_demographics(demo)
+        assert d.rejected == {"bad_age": 1} and d.by_id == {"u2": (False, 40)}, first
+    # headers whose value fields do not read are skipped
+    towers.write_text("tower_id,lat,lon\nT1,40.0,20.0\n")
+    assert load_towers(towers).ids == ["T1"]
+    demo.write_text("ego_id,gender,birth_year\nu1,f,1970\n")
+    d = load_demographics(demo)
+    assert d.by_id == {"u1": (True, 38)} and not d.rejected
+
+
+def test_a_first_row_too_short_to_reach_a_value_column_is_data(tmp_path):
+    towers = tmp_path / "towers.csv"
+    towers.write_text("T1\nT2,40.1,20.1\n")
+    with pytest.raises(CdrError, match=r"towers\.csv:1: tower row needs tower_id,lat,lon"):
+        load_towers(towers)
+    demo = tmp_path / "demo.csv"
+    demo.write_text("u1\nu2,m,40\n")
+    d = load_demographics(demo)
+    assert d.rejected == {"missing_column": 1} and d.by_id == {"u2": (False, 40)}
 
 
 def test_load_towers_refuses_the_antimeridian(tmp_path):
