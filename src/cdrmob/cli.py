@@ -21,6 +21,11 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 
+# An idle OpenBLAS worker, started by numpy's import, costs CPU time; a
+# report's only BLAS call is home.fit_bimodal's 7-parameter fit. A value the
+# caller set wins. Not in the package: a library import leaves os.environ be.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .density import DensityError
 from .home import UnimodalProfileError

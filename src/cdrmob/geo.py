@@ -1,9 +1,9 @@
-"""Geodesic distance, grid binning, and the test for points far from every tower.
+"""The earth's radius, grid binning, and the test for points far from every tower.
 
-Distances are great-circle (haversine) in kilometers; grids are plain
-lat/lon lattices with half-open cells. Homes average longitudes
-arithmetically, which is fine for a country-scale bounding box away from
-the antimeridian.
+Distances are great-circle in kilometers, computed in metrics with the
+trigonometry of each place done once; grids are plain lat/lon lattices
+with half-open cells. Homes average longitudes arithmetically, which is
+fine for a country-scale bounding box away from the antimeridian.
 """
 
 from __future__ import annotations
@@ -15,23 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0088
-
-
-def haversine_km(lat1, lon1, lat2, lon2):
-    """Great-circle distance in km between two points in decimal degrees.
-
-    Accepts scalars or numpy arrays (broadcasting as usual); symmetric and
-    non-negative.
-    """
-    lat1 = np.radians(lat1)
-    lon1 = np.radians(lon1)
-    lat2 = np.radians(lat2)
-    lon2 = np.radians(lon2)
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
-    # clip guards against rounding pushing a slightly above 1 for antipodes
-    return EARTH_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)

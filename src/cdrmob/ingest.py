@@ -15,10 +15,11 @@ are found and decoded in vectorised form: an index of newlines, commas
 and bytes outside printable ASCII comes first, then each field is read by
 offset as whole 8-byte words (the structural indexing of Langdale and
 Lemire, "Parsing gigabytes of JSON per second", VLDB J. 28, 2019, with
-numpy for SIMD). A timestamp is checked as three words against a byte
-template of the analysis year, and its fields come from those words. Kind
-and direction words are folded to lower case, so token case does not
-leave the byte path. A tower is looked up by one searchsorted among the
+numpy for SIMD); commas are read by layout when every line has five, else
+by a binary search of each line's end. A timestamp is checked as three
+words against a byte template of the analysis year, and its fields come
+from those words. Kind and direction words are folded to lower case, so
+token case does not leave the byte path. A tower is looked up by one searchsorted among the
 registry's ids held as sorted keys. Every other line, one that holds a
 quote included, takes the row path, csv.reader and parse_event_fields,
 which holds every rule of what a row means. A row may not span lines, so
@@ -344,13 +345,14 @@ class _ByteParser:
     values, and parse gives its rows in the shape that _row_block gives
     the rows it accepts.
 
-    Each line costs a few operations on whole 8-byte words. The timestamp
-    is checked as three words against a template of the year (fixed bytes
-    equal, digit bytes 0-9) and its fields are read from those words. The
-    kind and direction words are folded to lower case and looked up among
-    the tokens. Towers are found by one searchsorted among the registry's
-    ids held as sorted keys: one little-endian word each when every id fits
-    in 8 bytes, byte strings of whole words otherwise.
+    Commas are read by layout when every line has five (_five_a_line), else
+    by searchsorted. Each line costs a few operations on whole 8-byte words.
+    The timestamp is checked as three words against a template of the year
+    (fixed bytes equal, digit bytes 0-9) and its fields are read from those
+    words. The kind and direction words are folded to lower case and looked
+    up among the tokens. Towers are found by one searchsorted among the
+    registry's ids held as sorted keys: one little-endian word each when
+    every id fits in 8 bytes, byte strings of whole words otherwise.
     """
 
     def __init__(self, registry: TowerRegistry, analysis_year: int):
@@ -408,15 +410,17 @@ class _ByteParser:
         else:
             ok = np.diff(np.searchsorted(np.flatnonzero(odd), stop), prepend=0) == 1 + cr
         del odd
-        # the commas before each line's end: the index of its first comma,
-        # and how many it has
+        # the index of each line's first comma, by layout when every line
+        # has five, else from the count of commas before each line's end
         commas = np.flatnonzero(b == 44).astype(itype)
-        before = np.searchsorted(commas, stop).astype(itype)
-        first = np.empty_like(before)
-        first[0] = 0
-        first[1:] = before[:-1]
-        ok &= before - first == 5
-        del before
+        first = _five_a_line(commas, starts, stop)
+        if first is None:
+            before = np.searchsorted(commas, stop).astype(itype)
+            first = np.empty_like(before)
+            first[0] = 0
+            first[1:] = before[:-1]
+            ok &= before - first == 5
+            del before
         lines = np.flatnonzero(ok)
         canonical = np.zeros(len(starts), dtype=bool)
         if not len(lines):
@@ -487,6 +491,19 @@ class _ByteParser:
         return starts, stop, canonical, (
             names, ego, ts[good], self.tower_index[tower[good]], kind[good], direction, links,
         )
+
+
+def _five_a_line(commas: np.ndarray, starts: np.ndarray, stop: np.ndarray):
+    """The index in commas of each line's first comma when every line has
+    exactly five, else None: the block has five a line, and each group of
+    five starts at or after its line's start and ends before its end, so
+    the disjoint groups hold every comma and no line has more."""
+    if len(commas) != 5 * len(stop):
+        return None
+    five = commas.reshape(-1, 5)
+    if (five[:, 0] >= starts).all() and (five[:, 4] < stop).all():
+        return np.arange(0, len(commas), 5, dtype=commas.dtype)
+    return None
 
 
 def _row_block(rows, registry: TowerRegistry, year_start: int, year_end: int,

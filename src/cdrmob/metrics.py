@@ -20,7 +20,9 @@ counting only within-day displacement pairs. Pooled mobility divides the
 pooled squared displacement by the pooled event (or pair) count.
 
 Squared consecutive displacements and squared home distances are
-computed once over the flat EventTable (8 bytes per event each). Every
+computed once over the flat EventTable (8 bytes per event each), the
+radians and cos(lat) once per tower and home (_places) and the rest of the
+haversine per pair (_squared_km). Every
 per-individual matrix is then built for one block of consecutive
 individuals at a time, so what a pass holds beyond its result grows with
 the block, not with the table. Prefix sums restart at each individual
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import haversine_km
+from .geo import EARTH_RADIUS_KM
 from .ingest import EventTable
 from .records import (
     TowerRegistry,
@@ -140,14 +142,26 @@ def _segment_index(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
+def _places(lats, lons):
+    """(lat, lon) in radians and cos(lat): the haversine's trigonometry of
+    one place, computed once per tower or home instead of once per event."""
+    phi = np.radians(lats)
+    return phi, np.radians(lons), np.cos(phi)
+
+
 def _squared_km(p, i, q, j, out) -> None:
-    """Squared haversine distances from points p[i] to points q[j], where p
-    and q are (lat, lon) arrays, written to out. They are gathered and
-    computed 16k at a time: the dozen temporaries of a step then hold
-    1.25 MiB, and 64k took the same time."""
+    """Squared great-circle (haversine) distances from places p[i] to places
+    q[j], where p and q are _places triples, written to out. They are
+    gathered and computed 16k at a time: the dozen temporaries of a step
+    then hold 1.25 MiB, and 64k took the same time."""
     for s in range(0, len(out), 1 << 14):
         a, b = i[s:s + (1 << 14)], j[s:s + (1 << 14)]
-        out[s:s + len(a)] = haversine_km(p[0][a], p[1][a], q[0][b], q[1][b]) ** 2
+        lat1, lon1, cos1 = (x[a] for x in p)
+        lat2, lon2, cos2 = (x[b] for x in q)
+        h = np.sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * np.sin((lon2 - lon1) / 2.0) ** 2
+        # clip guards against rounding pushing h slightly above 1 for antipodes
+        km = EARTH_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+        out[s:s + len(a)] = km ** 2
 
 
 def _upto(cum, k, start):
@@ -203,7 +217,7 @@ class TableMetrics:
             raise ValueError(f"unknown mobility divisor {divisor!r}")
         self.table = table
         self.divisor = divisor
-        towers = (registry.lat, registry.lon)
+        towers = _places(registry.lat, registry.lon)
         if d2 is None:
             d2 = np.zeros(len(table.ts))
             _squared_km(towers, table.tower[:-1], towers, table.tower[1:], out=d2[:-1])
@@ -212,6 +226,7 @@ class TableMetrics:
         self.h2 = None
         if homes is not None:
             self.h2 = np.empty(len(table.ts))
+            homes = _places(*homes)
             for lo, hi in self.blocks():
                 r0, r1, off = self._rows(lo, hi)
                 _squared_km(towers, table.tower[r0:r1], homes, lo + _segment_index(off),

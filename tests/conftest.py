@@ -6,7 +6,8 @@ expensive stages run once and are shared by every test that reads them.
 event_table and table_metrics build small event tables for unit tests:
 write_rows writes their rows as a CSV file, which ingest_file reads.
 traced_peak measures what a call allocates, and force_workers sets the
-CPU count that the ordered worker map sees.
+CPU count that the ordered worker map sees. haversine_km is the textbook
+great-circle distance that the metrics' per-place kernel must equal.
 """
 
 import csv
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from cdrmob import records
+from cdrmob.geo import EARTH_RADIUS_KM
 from cdrmob.ingest import ingest_file
 from cdrmob.metrics import TableMetrics
 from cdrmob.records import format_timestamp
@@ -126,6 +128,23 @@ def megarow_corpus(tmp_path_factory):
     """Roughly a million rows for the throughput and determinism checks."""
     cfg = GenConfig(n_individuals=5_000, base_daily_events=0.45, seed=5)
     return _make_corpus(tmp_path_factory, "megarow_corpus", cfg)
+
+
+def haversine_km(lat1, lon1, lat2, lon2):
+    """Great-circle distance in km between two points in decimal degrees.
+
+    Accepts scalars or numpy arrays (broadcasting as usual); symmetric and
+    non-negative.
+    """
+    lat1 = np.radians(lat1)
+    lon1 = np.radians(lon1)
+    lat2 = np.radians(lat2)
+    lon2 = np.radians(lon2)
+    dlat = lat2 - lat1
+    dlon = lon2 - lon1
+    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    # clip guards against rounding pushing a slightly above 1 for antipodes
+    return EARTH_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
 def write_rows(path, rows):

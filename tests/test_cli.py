@@ -325,6 +325,34 @@ def test_a_report_never_imports_numpy_ma(small_corpus, tmp_path):
     assert run.stdout.splitlines()[-1] == "0 False"
 
 
+_OPENBLAS_AFTER = ("import importlib, os, sys; importlib.import_module(sys.argv[1]); "
+                   "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+
+
+@pytest.mark.parametrize("module, preset, want", [
+    ("cdrmob.cli", None, "1"),
+    ("cdrmob.cli", "2", "2"),
+    # a library import leaves the environment alone
+    ("cdrmob.pipeline", None, "None"),
+])
+def test_the_cli_holds_openblas_to_one_thread_unless_told(monkeypatch, module, preset, want):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    run = _python("-c", _OPENBLAS_AFTER, module)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == want + "\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_importing_the_cli_starts_no_thread(monkeypatch):
+    # numpy's import started an idle OpenBLAS worker, a second thread
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    run = _python("-c", "import os, cdrmob.cli; print(len(os.listdir('/proc/self/task')))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "1\n"
+
+
 @pytest.mark.parametrize("n", ["50", "0"])
 def test_demo_with_too_few_individuals_is_a_usage_error(tmp_path, capsys, n):
     # the demo's 400 settlements need more genuine individuals than 50

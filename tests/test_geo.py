@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import haversine_km
+
+from cdrmob import metrics
 from cdrmob.geo import (
     EARTH_RADIUS_KM,
     GridSpec,
     far_from_towers,
-    haversine_km,
     offset_km,
 )
 
@@ -69,6 +71,40 @@ def test_haversine_triangle_inequality(lat1, lon1, lat2, lon2, lat3, lon3):
     bc = float(haversine_km(lat2, lon2, lat3, lon3))
     ac = float(haversine_km(lat1, lon1, lat3, lon3))
     assert ac <= ab + bc + 1e-9
+
+
+# antipodal pairs whose haversine argument rounds to just past 1 (on at
+# least one of them), so that the clip acts
+ANTIPODES = [((lat, 20.0), (-lat, -160.0)) for lat in (2.5, 5.5, 8.0, 12.0, 15.25)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)), max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_per_place_kernel_is_the_squared_reference_bit_for_bit(drawn, seed):
+    # tower r and home r are antipodes for r < k, then the same place; the
+    # last home is NaN, as for an individual without one
+    k = len(ANTIPODES)
+    same = [(12.5, 44.25)] + drawn
+    towers = np.array([p for p, _ in ANTIPODES] + same)
+    homes = np.array([q for _, q in ANTIPODES] + same + [(np.nan, np.nan)])
+    n = len(towers)
+    # those pairs first, then random ones: more than one 16k step
+    rng = np.random.default_rng(seed)
+    i = np.concatenate([np.arange(n), [0], rng.integers(0, n, 40_000)])
+    j = np.concatenate([np.arange(n), [n], rng.integers(0, n + 1, 40_000)])
+    out = np.empty(len(i))
+    metrics._squared_km(metrics._places(*towers.T), i, metrics._places(*homes.T), j, out)
+    want = haversine_km(towers[i, 0], towers[i, 1], homes[j, 0], homes[j, 1]) ** 2
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+    assert np.array_equal(out[k:n], np.zeros(n - k))
+    assert np.isnan(out[n])
+    # unclipped, the argument of some antipodes is past 1
+    (lat1, lon1), (lat2, lon2) = np.radians(towers[:k].T), np.radians(homes[:k].T)
+    arg = (np.sin((lat2 - lat1) / 2.0) ** 2
+           + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2.0) ** 2)
+    assert (arg > 1.0).any()
+    assert (out[:k][arg > 1.0] == (math.pi * EARTH_RADIUS_KM) ** 2).all()
 
 
 def test_grid_cell_boundaries():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import event_table
+from conftest import event_table, haversine_km
 
 from cdrmob.home import (
     BIN_CENTERS_H,
@@ -21,7 +21,7 @@ from cdrmob.home import (
     flag_at_sea,
     night_mask,
 )
-from cdrmob.geo import EARTH_RADIUS_KM, _unit_vectors, haversine_km
+from cdrmob.geo import EARTH_RADIUS_KM, _unit_vectors
 from cdrmob.metrics import TableMetrics
 from cdrmob.pipeline import WRITERS, _write_csv
 from cdrmob.records import TowerRegistry, parse_timestamp

@@ -563,6 +563,52 @@ def test_both_paths_give_append_block_the_same_block():
                                    "missing_column": 1, "bad_direction": 1, "outside_year": 1}
 
 
+_LINE = "{},{},2008-06-01T{:02d}:00:00,T{},{},{}"
+
+
+@pytest.mark.parametrize("text, by_layout", [
+    # every line canonical
+    ("\n".join(_LINE.format("ab"[h % 2], "ba"[h % 2], h, 1 + h % 3, "call", "out")
+               for h in range(24)) + "\n", True),
+    # one line of 4 commas and one of 6: 5 a line in all, but a group of five
+    # runs past its line's end. Read by layout, the 6-comma line would be a
+    # row of ego "x,a"
+    (_LINE.format("a", "b", 1, 1, "call", "out") + "\n"
+     + _LINE.format("a", "b", 2, 2, "call", "out").rsplit(",", 1)[0] + "\n"
+     + "x," + _LINE.format("a", "b", 3, 3, "sms", "in") + "\n"
+     + _LINE.format("b", "a", 4, 1, "sms", "out") + "\n", False),
+    # a quoted field that holds a comma
+    (_LINE.format("a", "b", 1, 1, "call", "out") + "\n"
+     + _LINE.format('"a,c"', "b", 2, 2, "call", "out") + "\n"
+     + _LINE.format("b", "a", 3, 3, "sms", "in") + "\n", False),
+    # CRLF line ends
+    ("".join(_LINE.format("a", "b", h, 1 + h % 3, "SMS", "in") + "\r\n" for h in range(5)),
+     True),
+    # a last line without its LF
+    (_LINE.format("a", "b", 1, 1, "call", "out") + "\n"
+     + _LINE.format("b", "a", 2, 2, "call", "in"), True),
+], ids=["canonical", "4-and-6-commas", "quoted-comma", "crlf", "no-last-lf"])
+def test_commas_read_by_layout_equal_commas_searched(text, by_layout):
+    parser = ingest._ByteParser(REG, 2008)
+    five_a_line, found = ingest._five_a_line, []
+
+    def spy(*args):
+        found.append(five_a_line(*args))
+        return found[-1]
+
+    # a file whose last line has no LF ends in a block of that line alone
+    for block in ingest._blocks(io.BytesIO(text.encode()), hashlib.sha256()):
+        with mock.patch.object(ingest, "_five_a_line", spy):
+            laid = parser.parse(block)
+        assert (found[-1] is not None) == by_layout
+        with mock.patch.object(ingest, "_five_a_line", return_value=None):
+            searched = parser.parse(block)
+        assert laid[3] is not None and searched[3] is not None
+        for x, y in zip(laid[:3] + laid[3][1:], searched[:3] + searched[3][1:]):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert laid[3][0] == searched[3][0]
+
+
 def test_a_tower_id_that_extends_a_known_one_is_unknown(tmp_path):
     # the byte path compares towers by 8-byte words: an id one byte longer
     # than a known 8-byte id agrees with it on the first word

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import table_metrics
+from conftest import haversine_km, table_metrics
 
-from cdrmob.geo import haversine_km
 from cdrmob.ingest import EventTable
 from cdrmob.metrics import (
     TableMetrics,

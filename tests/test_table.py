@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import event_table, traced_peak
+from conftest import event_table, haversine_km, traced_peak
 
 from cdrmob import metrics
-from cdrmob.geo import haversine_km
 from cdrmob.home import compute_homes, daily_profile, night_mask
 from cdrmob.ingest import EventTable
 from cdrmob.metrics import (
