@@ -309,11 +309,6 @@ def _tod_quantiles(cfg: GenConfig, npts: int = 2881) -> tuple[np.ndarray, np.nda
     return cdf, t
 
 
-def _byte_table(strings: list[str]) -> np.ndarray:
-    """One row of ASCII bytes per string, NUL-padded to the longest."""
-    return np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1)
-
-
 def _id_table(n: int) -> np.ndarray:
     """The byte table of ids u1..un, zero-padded to one width, and of
     OUTSIDER_ID after them: a few bytes per individual, where a Python
@@ -329,8 +324,49 @@ def _id_table(n: int) -> np.ndarray:
     return out
 
 
+def _clock_text() -> np.ndarray:
+    """HH:MM:SS of each second of the day, as 8-byte strings."""
+    sec = np.arange(86400)
+    hms = np.stack([sec // 3600, sec // 60 % 60, sec % 60], axis=1)
+    out = np.empty((86400, 8), dtype=np.uint8)
+    out[:, 0::3] = hms // 10 + ord("0")
+    out[:, 1::3] = hms % 10 + ord("0")
+    out[:, 2::3] = ord(":")
+    return out.view("S8")[:, 0]
+
+
+# equal buckets of [0, 1) in a day lookup table
+_DAY_BUCKETS = 1 << 12
+
+
+def _day_buckets(cdf: np.ndarray) -> np.ndarray:
+    """For each row of cdf and each of _DAY_BUCKETS equal buckets of [0, 1),
+    the first day whose CDF value exceeds the bucket's low end, or the last
+    day where none does."""
+    low = np.arange(_DAY_BUCKETS) / _DAY_BUCKETS
+    return np.stack([np.minimum(c.searchsorted(low, side="right"), len(c) - 1) for c in cdf])
+
+
+def _bucketed_days(cdf: np.ndarray, buckets: np.ndarray, row: np.ndarray,
+                   u: np.ndarray) -> np.ndarray:
+    """cdf[row[i]].searchsorted(u[i], side="right") of each u in [0, 1), as
+    Generator.choice draws a day: the day of u's bucket, and where that
+    day's CDF value does not exceed u, a search of those entries alone."""
+    day = buckets[row, (u * _DAY_BUCKETS).astype(np.intp)]
+    late = np.flatnonzero(cdf[row, day] <= u)
+    for k, c in enumerate(cdf):
+        at = late[row[late] == k]
+        day[at] = c.searchsorted(u[at], side="right")
+    return day
+
+
 class _World:
-    """Deterministic world shared by all per-individual workers."""
+    """Deterministic world shared by all per-individual workers. Besides
+    the settlements, towers and rates, it holds the tables that a chunk's
+    rows are gathered from: the ids' byte table seen as text, and, of a
+    size that does not grow with the individuals, the bucketed day lookup
+    of each day CDF (64 KB) and the text of each day, second of the day
+    (691 KB), tower and (kind, direction) pair."""
 
     def __init__(self, cfg: GenConfig):
         self.cfg = cfg
@@ -414,19 +450,31 @@ class _World:
                 tower_ids.append(tid)
                 tower_rows.append(f"{tid},{lat!r},{lon!r}\n")
         self.tower_rows = tower_rows
-        self.tower_bytes = _byte_table(tower_ids)
+        self.tower_text = np.array([f",{t}" for t in tower_ids], dtype=bytes)
 
         # individual ids, genuine first and spam last, then the outsider
         self.id_bytes = _id_table(cfg.n_individuals)
+        self.id_text = self.id_bytes.view(f"S{self.id_bytes.shape[1]}")[:, 0]
         self.settlement_of = np.repeat(np.arange(n), pop)  # genuine egos only
 
-        # the month, weekday and YYYY-MM-DDT text of each day of the year
+        # the month, weekday and ,YYYY-MM-DDT text of each day of the year,
+        # the HH:MM:SS of each second of the day, and the ,kind,direction
+        # text of code 2 * sms + outgoing
         starts = month_starts(cfg.analysis_year)
         month_days = np.diff(starts) // 86400
         self.day_month = np.repeat(np.arange(12), month_days)
         days = starts[0] // 86400 + np.arange(month_days.sum())
         self.day_wd = weekday_of(days)
-        self.date_bytes = _byte_table([format_timestamp(d * 86400)[:11] for d in days.tolist()])
+        self.date_text = np.array([f",{format_timestamp(d * 86400)[:11]}" for d in days.tolist()],
+                                  dtype=bytes)
+        self.clock_text = _clock_text()
+        self.event_text = np.array([b",call,in\n", b",call,out\n", b",sms,in\n", b",sms,out\n"])
+        # one row of a chunk's CDR text; NUL padding is dropped
+        self.row_dtype = np.dtype([
+            ("ego", self.id_text.dtype), ("comma", "S1"), ("peer", self.id_text.dtype),
+            ("date", self.date_text.dtype), ("clock", self.clock_text.dtype),
+            ("tower", self.tower_text.dtype), ("event", self.event_text.dtype),
+        ])
 
         # each day's weight under the sparse (row 0) and the dense (row 1)
         # month table; settlement s follows row self.dense[s]
@@ -436,6 +484,7 @@ class _World:
         # the day CDF of each row, as Generator.choice builds it from p
         self.day_cdf = (day_weight / row_sum[:, None]).cumsum(axis=1)
         self.day_cdf /= self.day_cdf[:, -1:]
+        self.day_buckets = _day_buckets(self.day_cdf)
         year = row_sum[self.dense.astype(np.intp)]
 
         # expected events in the year of a genuine individual, by settlement,
@@ -457,8 +506,7 @@ class _World:
 
     def ego_ids(self, lo: int, hi: int) -> list[str]:
         """The ids of individuals lo..hi-1, as text."""
-        rows = self.id_bytes[lo:hi]
-        return rows.view(f"S{rows.shape[1]}")[:, 0].astype(str).tolist()
+        return self.id_text[lo:hi].astype(str).tolist()
 
 
 def _partner_ring(idx: np.ndarray, n_real: int, outsider: int) -> np.ndarray:
@@ -476,41 +524,40 @@ def _partner_ring(idx: np.ndarray, n_real: int, outsider: int) -> np.ndarray:
     return ring[:, : min(4, n_real - 1)]
 
 
-def _clock_bytes(sec: np.ndarray) -> np.ndarray:
-    """HH:MM:SS of each second of the day, one row of 8 bytes each."""
-    hms = np.stack([sec // 3600, sec // 60 % 60, sec % 60], axis=1)
-    out = np.empty((len(sec), 8), dtype=np.uint8)
-    out[:, 0::3] = hms // 10 + ord("0")
-    out[:, 1::3] = hms % 10 + ord("0")
-    out[:, 2::3] = ord(":")
-    return out
-
-
-def _join_fields(fields: list) -> bytes:
-    """Rows made of fields side by side: (n, width) byte tables, or byte
-    strings that every row shares. NUL padding is dropped."""
-    n = next(len(f) for f in fields if isinstance(f, np.ndarray))
-    widths = [len(f) if isinstance(f, bytes) else f.shape[1] for f in fields]
-    buf = np.empty((n, sum(widths)), dtype=np.uint8)
-    col = 0
-    for f, w in zip(fields, widths):
-        buf[:, col : col + w] = np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f
-        col += w
-    flat = buf.ravel()
-    return flat[flat != 0].tobytes()
-
-
 def _dumps(doc) -> str:
     """truth.json's encoding: compact, keys sorted. dumps runs the C
     encoder, where dump streams through Python."""
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
+# bits of a row's second of the year in _row_order's sort key: 366 days
+# are 31,622,400 s, below 2**25
+_SECOND_BITS = 25
+
+
+def _row_order(who: np.ndarray, second: np.ndarray, n_who: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order of rows by (who, second), ties in row order, and the seconds
+    in that order: one sort of the keys (who, second, row) packed in an int64.
+    The keys are distinct, so any sort algorithm gives this order."""
+    n = len(who)
+    row_bits = n.bit_length()
+    assert (n_who - 1).bit_length() + _SECOND_BITS + row_bits <= 63, \
+        f"{n_who} individuals and {n} rows overflow the 63-bit sort key"
+    key = who << (_SECOND_BITS + row_bits)
+    key |= second << row_bits
+    key |= np.arange(n)
+    key.sort()
+    return key & ((1 << row_bits) - 1), (key >> row_bits) & ((1 << _SECOND_BITS) - 1)
+
+
 def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], str]:
     """Generate individuals [lo, hi): returns (csv_bytes, demo_rows,
     truth_text), the last their truth.json entries without the enclosing
     braces. All randomness comes from per-individual substreams, drawn one
-    individual at a time; the rest runs once over the chunk."""
+    individual at a time; the rest runs once over the chunk. Rows are
+    ordered by one sort of a packed key (individual, second of the year,
+    draw index), so ties keep their draw order, and each row's text is one
+    record of fixed-width fields gathered from the world's tables."""
     cfg = world.cfg
     n_real = cfg.n_real
     n_sat = len(SATELLITE_RINGS)
@@ -551,20 +598,19 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], str]:
     first = np.cumsum(counts) - counts
     s_ev = np.array(settle)[who]
     u_day, u_tod, u_home = np.concatenate(u3, axis=1)
-    days = np.where(
-        world.dense[s_ev],
-        world.day_cdf[1].searchsorted(u_day, side="right"),
-        world.day_cdf[0].searchsorted(u_day, side="right"),
-    )
-    tod = np.minimum(
-        (np.interp(u_tod, world.tod_cdf, world.tod_hours) * 3600.0).astype(np.int64), 86399
-    )
+    days = _bucketed_days(world.day_cdf, world.day_buckets,
+                          world.dense.astype(np.intp)[s_ev], u_day)
+    # interp's table search is short where its inputs come in sorted order
+    up = u_tod.argsort()
+    hours = np.empty_like(u_tod)
+    hours[up] = np.interp(u_tod[up], world.tod_cdf, world.tod_hours)
+    tod = np.minimum((hours * 3600.0).astype(np.int64), 86399)
 
     night = (tod >= NIGHT_WINDOW_H[0] * 3600) & (tod < NIGHT_WINDOW_H[1] * 3600)
     p_away = cfg.p_away_day * np.asarray(MOBILITY_MONTH_MULT)[world.day_month[days]]
     p_away = p_away * np.where(np.array(female)[who], 1.0 + cfg.female_mobility_excess, 1.0)
     p_home = np.where(night, cfg.p_home_night, 1.0 - np.minimum(p_away, 0.95))
-    # row s of tower_bytes is settlement s's centre; its satellites follow all centres
+    # row s of tower_text is settlement s's centre; its satellites follow all centres
     tower = np.where(u_home < p_home, s_ev, cfg.n_cells + n_sat * s_ev + np.concatenate(sat))
 
     partner = np.concatenate(pick)
@@ -579,16 +625,20 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], str]:
         partner[head + 1] = ring[:, 0]
         outgoing[head] = True
         outgoing[head + 1] = False
-    sms = np.concatenate(u_sms) < SMS_FRACTION
+    event = 2 * (np.concatenate(u_sms) < SMS_FRACTION) + outgoing
 
-    o = np.lexsort((days * 86400 + tod, who))  # stable: ties keep draw order
-    text = _join_fields([
-        world.id_bytes[lo + who[o]], b",", world.id_bytes[partner[o]], b",",
-        world.date_bytes[days[o]], _clock_bytes(tod[o]), b",",
-        world.tower_bytes[tower[o]], b",",
-        _byte_table(["call", "sms"])[sms[o].astype(np.intp)], b",",
-        _byte_table(["in", "out"])[outgoing[o].astype(np.intp)], b"\n",
-    ])
+    # `who` is in order already, so the sorted rows keep it
+    o, second = _row_order(who, days * 86400 + tod, hi - lo)
+    rows = np.empty(len(o), dtype=world.row_dtype)
+    rows["ego"] = world.id_text[lo:hi].repeat(counts)
+    rows["comma"] = b","
+    rows["peer"] = world.id_text.take(partner.take(o))
+    rows["date"] = world.date_text.take(second // 86400)
+    rows["clock"] = world.clock_text.take(second % 86400)
+    rows["tower"] = world.tower_text.take(tower.take(o))
+    rows["event"] = world.event_text.take(event.take(o))
+    flat = rows.view(np.uint8)
+    text = flat[flat != 0].tobytes()
 
     ids = world.ego_ids(lo, hi)
     demo = [

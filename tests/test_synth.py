@@ -403,6 +403,81 @@ def test_generated_files_keep_their_bytes(tmp_path):
     assert got == _PINNED_SHA256
 
 
+# the same for a dense corpus of 483,582 rows, recorded before the chunk's
+# rows were ordered by one packed sort: some individual has two rows in one
+# second, which must stay in the order they were drawn in
+_DENSE_CONFIG = GenConfig(n_individuals=300, n_cells=30, base_daily_events=4.0, seed=3)
+_DENSE_SHA256 = {
+    CDR_FILE: "a156b3c9b48f5c81bdcd859ea541f8eb2cf036fdfd1a4f3d64270d5af4f482e0",
+    TOWERS_FILE: "8fe0066725aec18c3b54f4ef747fd83e216cf4a0310da72c1bab3702018af832",
+    DEMOGRAPHICS_FILE: "e37d9d3a6fdd740b4c0b8ae15c17967d44cf44457692e1131bb30825b75d9202",
+    TRUTH_FILE: "6e21094a0f27ada8e80fa4f2947175c8deedbbcc1c94d6d0f4b4195b9b82a90c",
+    CONFIG_FILE: "359c35d07318cb62444333aac56f10af97bf8ab6a063d79e6af34955dead28a0",
+}
+
+
+def test_a_corpus_with_rows_in_one_second_keeps_its_bytes(tmp_path):
+    generate(_DENSE_CONFIG, tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _FILES}
+    assert got == _DENSE_SHA256
+    lines = (tmp_path / CDR_FILE).read_bytes().splitlines()[1:]
+    ego_second = [line.split(b",", 3)[0:3:2] for line in lines]
+    assert any(a == b for a, b in zip(ego_second, ego_second[1:]))
+
+
+@st.composite
+def _day_cdfs(draw):
+    """One or two day CDFs, built as _World builds them from weights
+    between 1e-300 and 1: most days weigh too little to move the sum, so
+    neighbours are equal after rounding and many days share a bucket."""
+    days = draw(st.integers(1, 400))
+    weight = st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
+    w = np.array(draw(st.lists(st.lists(weight, min_size=days, max_size=days),
+                               min_size=1, max_size=2)))
+    cdf = (w / np.array([v.sum() for v in w])[:, None]).cumsum(axis=1)
+    return cdf / cdf[:, -1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_day_cdfs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=200),
+       st.integers(0, 2**32 - 1))
+def test_the_bucketed_day_lookup_is_generator_choices_search(cdf, drawn, seed):
+    # besides the drawn u: both ends of [0, 1), each bucket's low end, and
+    # every CDF value below 1 (a draw of Generator.random is below 1)
+    u = np.concatenate([drawn, [0.0, np.nextafter(1.0, 0.0)],
+                        np.arange(synth._DAY_BUCKETS) / synth._DAY_BUCKETS, cdf[cdf < 1]])
+    row = np.random.default_rng(seed).integers(0, len(cdf), size=len(u))
+    got = synth._bucketed_days(cdf, synth._day_buckets(cdf), row, u)
+    want = [cdf[r].searchsorted(x, side="right") for r, x in zip(row.tolist(), u.tolist())]
+    assert got.tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2000), st.integers(1, 512), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_the_packed_sort_orders_rows_as_lexsort(n, n_who, n_seconds, seed):
+    # a handful of seconds, at both ends of the year's range, so most rows
+    # tie on (who, second)
+    rng = np.random.default_rng(seed)
+    who = np.sort(rng.integers(0, n_who, size=n))
+    second = rng.choice([0, 1, 86399, (1 << synth._SECOND_BITS) - 1][:n_seconds], size=n)
+    o, sorted_second = synth._row_order(who, second, n_who)
+    want = np.lexsort((second, who))
+    assert o.tolist() == want.tolist()
+    assert sorted_second.tolist() == second[want].tolist()
+
+
+def test_the_sort_key_of_a_full_chunk_fits_in_63_bits():
+    # 9 bits of individual, 25 of second and 29 of row: a chunk of 512
+    # individuals at MAX_YEAR_EVENTS each has 512e6 rows, and 2**29 rows
+    # lie about 1,100 standard deviations of the sum of their Poisson
+    # draws above that
+    assert 366 * 86400 < 1 << synth._SECOND_BITS
+    rows = int(synth._CHUNK * MAX_YEAR_EVENTS)
+    assert (synth._CHUNK - 1).bit_length() + synth._SECOND_BITS + rows.bit_length() == 63
+    with pytest.raises(AssertionError, match="63-bit sort key"):
+        synth._row_order(np.zeros(4, np.int64), np.zeros(4, np.int64), 1 << 40)
+
+
 def test_each_drawn_rate_is_the_checked_table_entry(tmp_path):
     # the rate check multiplied in another order than the draws did, so
     # about 40% of the rates it checked differed from the drawn ones
