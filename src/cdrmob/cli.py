@@ -183,43 +183,35 @@ def _add_analysis_flags(p: _Parser):
 def _published(out_dir):
     """Yield a new staging directory in out_dir, or in its nearest existing
     ancestor, so each move is a rename in one file system. When the body
-    returns, and every destination is absent or of the staged kind (a
-    directory, or a regular file), make the directories in out_dir and move
-    every staged file there, manifest.json last. Either way remove the
-    staging directory: a failed run leaves out_dir as it was."""
+    returns, and no staged file's destination exists as anything but a
+    regular file, make out_dir and move every staged file there,
+    manifest.json last. Either way remove the staging directory: a failed
+    run leaves out_dir as it was."""
     base = out = os.path.abspath(out_dir)
     while not os.path.isdir(base):
         if os.path.lexists(base):
             raise UsageError(f"--out {out_dir}: {base} exists and is not a directory")
         base = os.path.dirname(base)
 
-    def clear(path, fits, kind):
-        if os.path.lexists(path) and not fits(path):
-            raise PipelineError(f"cannot publish {path}: it exists and is not a {kind}")
-
     stage = tempfile.mkdtemp(prefix=".cdrmob-", dir=base)
     try:
         yield stage
-        dirs, moves = [], []
-        for root, _, files in os.walk(stage):
-            dest = os.path.normpath(os.path.join(out, os.path.relpath(root, stage)))
-            clear(dest, os.path.isdir, "directory")
-            dirs.append(dest)
-            for name in files:
-                clear(os.path.join(dest, name), os.path.isfile, "regular file")
-                moves.append((os.path.join(root, name), os.path.join(dest, name)))
-        for d in dirs:
-            os.makedirs(d, exist_ok=True)
         # a directory whose manifest matches its files is complete
-        for src, dest in sorted(moves, key=lambda m: m[1] == os.path.join(out, "manifest.json")):
-            os.replace(src, dest)
+        names = sorted(os.listdir(stage), key=lambda name: name == "manifest.json")
+        for name in names:
+            dest = os.path.join(out, name)
+            if os.path.lexists(dest) and not os.path.isfile(dest):
+                raise PipelineError(f"cannot publish {dest}: it exists and is not a regular file")
+        os.makedirs(out, exist_ok=True)
+        for name in names:
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _write_report(pipe: Pipeline, out_dir, stages, plot_data: bool, command: str) -> dict:
+def _write_report(pipe: Pipeline, out_dir, stages, command: str) -> dict:
     with _published(out_dir) as stage:
-        outputs = write_outputs(pipe, stage, stages, plot_data=plot_data)
+        outputs = write_outputs(pipe, stage, stages)
         write_manifest(pipe, stage, outputs, command=command)
     return outputs
 
@@ -245,8 +237,7 @@ def _cmd_stages(args) -> int:
     cfg = _analysis_config(args)
     pipe = Pipeline(args.cdr, args.towers, args.demographics, cfg)
     stages = _STAGE_COMMANDS[args.command][0]
-    plot_data = getattr(args, "plot_data", False)
-    outputs = _write_report(pipe, args.out, stages, plot_data, args.command)
+    outputs = _write_report(pipe, args.out, stages, args.command)
     for rel in sorted(outputs):
         print(os.path.join(args.out, rel))
     return 0
@@ -342,7 +333,7 @@ def _cmd_demo(args) -> int:
         cfg = _generate({"n_individuals": args.n, "seed": args.seed}, stage)
     print(f"corpus: {corpus} ({cfg.n_individuals} individuals, seed {cfg.seed})")
     pipe = corpus_pipeline(corpus, cfg)
-    outputs = _write_report(pipe, report_dir, set(STAGE_OUTPUTS), True, "demo")
+    outputs = _write_report(pipe, report_dir, set(STAGE_OUTPUTS), "demo")
     w = pipe.night_window
     corr = pipe.correlations
     print(f"inactivity window: {window_label(w)}")
@@ -383,9 +374,6 @@ def _build_parser() -> _Parser:
     for name, (_, hlp) in _STAGE_COMMANDS.items():
         sp = sub.add_parser(name, help=hlp)
         _add_analysis_flags(sp)
-        if name == "report":
-            sp.add_argument("--plot-data", action="store_true",
-                            help="also write two-column series under plotdata/")
         sp.set_defaults(func=_cmd_stages)
 
     sp = sub.add_parser("validate", help="score a generated corpus against its ground truth")

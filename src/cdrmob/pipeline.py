@@ -571,32 +571,6 @@ def _pattern_columns(pipe: Pipeline):
         yield (*([x] * k for x in key), s.bins, s.stat, s.n, [None] * k if s.se is None else s.se)
 
 
-def _plot_tables(pipe: Pipeline):
-    """(file name, header, columns) of each two-column plot-data file."""
-    yield "daily_activity.csv", "hour,activity", (BIN_CENTERS_H, pipe.activity_profile)
-    d = np.sort(pipe.grid_density.density)[::-1]
-    yield "rank_size.csv", "log10_rank,log10_density", (
-        np.log10(np.arange(1, len(d) + 1)), np.log10(np.maximum(d, 1e-300))
-    )
-    for name in ("activity", "mobility"):
-        bands = [b for b in pipe.bands[name] if b.corr is not None]
-        yield f"bands_{name}.csv", "center_rank,corr", (
-            [b.center_rank for b in bands], [b.corr for b in bands]
-        )
-    for key, s in pipe.patterns_bundle.items():
-        yield f"pattern_{'_'.join(key)}.csv", "bin,stat", (s.bins, s.stat)
-
-
-def write_plot_data(pipe: Pipeline, out_dir) -> list[str]:
-    """Two-column files for external plotting, one per series."""
-    os.makedirs(os.path.join(out_dir, "plotdata"), exist_ok=True)
-    written = []
-    for name, header, cols in _plot_tables(pipe):
-        written.append(os.path.join("plotdata", name))
-        _write_csv(os.path.join(out_dir, written[-1]), header, [cols])
-    return written
-
-
 # stage -> (output file, CSV header or None for JSON, content(pipe): the
 # CSV's blocks of columns or the JSON document), in writing order
 WRITERS = {
@@ -619,16 +593,12 @@ WRITERS = {
 STAGE_OUTPUTS = {stage: name for stage, (name, _, _) in WRITERS.items()}
 
 
-def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> dict[str, str]:
-    """Write the requested stage outputs; returns {relative path: sha256}.
-    Each write, digest included, is timed as write_<stage> (plot data as
-    write_plotdata) and runs on every call. Strata need demographics."""
+def write_outputs(pipe: Pipeline, out_dir, stages) -> dict[str, str]:
+    """Write the requested stage outputs; returns {file name: sha256}.
+    Each write, digest included, is timed as write_<stage> and runs on
+    every call. Strata need demographics."""
     os.makedirs(out_dir, exist_ok=True)
     done: dict[str, str] = {}
-
-    def digests(rels):
-        return {rel: _sha256(os.path.join(out_dir, rel)) for rel in rels}
-
     for stage, (name, header, content) in WRITERS.items():
         if stage not in stages or (stage == "strata" and pipe.demographics_path is None):
             continue
@@ -639,11 +609,9 @@ def write_outputs(pipe: Pipeline, out_dir, stages, plot_data: bool = False) -> d
                 write_json(path, content(pipe))
             else:
                 _write_csv(path, header, content(pipe))
-            return digests([name])
+            return {name: _sha256(path)}
 
         done.update(pipe._timed(f"write_{stage}", run))
-    if plot_data:
-        done.update(pipe._timed("write_plotdata", lambda: digests(write_plot_data(pipe, out_dir))))
     return done
 
 

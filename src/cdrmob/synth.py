@@ -550,14 +550,99 @@ def _row_order(who: np.ndarray, second: np.ndarray, n_who: int) -> tuple[np.ndar
     return key & ((1 << row_bits) - 1), (key >> row_bits) & ((1 << _SECOND_BITS) - 1)
 
 
+# individual i draws from the substream SeedSequence((seed, _SUBSTREAM_BASE + i))
+_SUBSTREAM_BASE = 1_000_000
+# NumPy's SeedSequence (NEP 19, after M. E. O'Neill's seed_seq): its pool
+# of 32-bit words and the constants of its entropy hash, its mix and its
+# output hash; and the multiplier of PCG64's 128-bit LCG (O'Neill,
+# HMC-CS-2014-0905)
+_POOL_WORDS = 4
+_M32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _words32(n: int) -> list[int]:
+    """n's 32-bit words, least significant first, as SeedSequence splits a
+    non-negative integer: as many as n needs, and [0] for 0."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _pcg64_states(entropy: list[np.ndarray]) -> list[dict]:
+    """PCG64(SeedSequence(words)).state for each row of entropy, a list of
+    uint64 columns of 32-bit words, one column per entropy word. The 32-bit
+    arithmetic of SeedSequence runs on uint64 lanes over all rows at once,
+    masked to 32 bits after each product; the two 128-bit LCG steps that
+    seed PCG64 from generate_state(4, uint64) run on Python ints."""
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return value ^ value >> 16
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_WORDS, len(entropy)):  # entropy beyond the pool
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    # generate_state(4, uint64): 8 words hashed from the pool, in turn,
+    # paired little-end first
+    hash_const = _INIT_B
+    out = [hashmix(pool[k % _POOL_WORDS], _MULT_B) for k in range(8)]
+    words = [(out[2 * k] | out[2 * k + 1] << 32).tolist() for k in range(4)]
+
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*words):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _substream_states(seed: int, lo: int, hi: int) -> list[dict]:
+    """PCG64(SeedSequence((seed, _SUBSTREAM_BASE + i))).state for each
+    individual i in [lo, hi), i below 2**64 - _SUBSTREAM_BASE, worked out
+    for the whole range in one pass."""
+    seed_words = _words32(int(seed))
+    key = np.arange(lo, hi, dtype=np.uint64) + np.uint64(_SUBSTREAM_BASE)
+    states = []
+    # a key is one 32-bit word below 2**32 and two from there
+    for part, n_words in ((key[key <= _M32], 1), (key[key > _M32], 2)):
+        if len(part):
+            entropy = [np.full(len(part), w, dtype=np.uint64) for w in seed_words]
+            states += _pcg64_states(entropy + [part >> 32 * k & _M32 for k in range(n_words)])
+    return states
+
+
 def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], str]:
     """Generate individuals [lo, hi): returns (csv_bytes, demo_rows,
     truth_text), the last their truth.json entries without the enclosing
-    braces. All randomness comes from per-individual substreams, drawn one
-    individual at a time; the rest runs once over the chunk. Rows are
-    ordered by one sort of a packed key (individual, second of the year,
-    draw index), so ties keep their draw order, and each row's text is one
-    record of fixed-width fields gathered from the world's tables."""
+    braces. All randomness comes from per-individual substreams: the
+    chunk's states are worked out at once, and one generator, set to each
+    individual's state in turn, makes that individual's draws. The rest
+    runs once over the chunk. Rows are ordered by one sort of a packed key
+    (individual, second of the year, draw index), so ties keep their draw
+    order, and each row's text is one record of fixed-width fields
+    gathered from the world's tables."""
     cfg = world.cfg
     n_real = cfg.n_real
     n_sat = len(SATELLITE_RINGS)
@@ -567,8 +652,10 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], str]:
     areas = world.area.tolist()
     settle, n_ev, female, age, rate = [], [], [], [], []
     u3, sat, pick, u_out, u_sms = [], [], [], [], []
-    for i in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1_000_000 + i)))
+    bits = np.random.PCG64()  # its first state is replaced before any draw
+    rng = np.random.Generator(bits)
+    for i, state in zip(range(lo, hi), _substream_states(cfg.seed, lo, hi)):
+        bits.state = state
         if i >= n_real:
             s = int(rng.integers(0, cfg.n_cells))
             k = SPAM_EVENTS_BASE + int(rng.poisson(SPAM_EVENTS_POISSON))

@@ -367,7 +367,6 @@ def test_criterion_11_scale_determinism_and_budget(megarow_corpus, tmp_path):
                 "--out", str(rdir),
                 "--threads", str(threads),
                 "--area-bounds", ",".join(str(b) for b in truth.area_boundaries),
-                "--plot-data",
             ],
             capture_output=True,
             text=True,

@@ -81,6 +81,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["homes", *_analysis_args(cdr, towers, out, "--night-window", "05:00-05:00")],
         ["metrics", *_analysis_args(cdr, towers, out, "--area-bounds", "5,4,3,2")],
         ["metrics", *_analysis_args(cdr, towers, out, "--area-bounds", "1,2,3")],
+        # the plot-data series went: each repeats columns of another output
+        ["report", *_analysis_args(cdr, towers, out, "--plot-data")],
         ["generate", "--out", str(out), "--n", "10", "--cells", "50"],
     ]
     for argv in cases:
@@ -318,7 +320,7 @@ def test_a_report_never_imports_numpy_ma(small_corpus, tmp_path):
         "-c", "import sys; from cdrmob.cli import main; "
               "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)",
         "report", "--cdr", str(corpus / "cdr.csv"), "--towers", str(corpus / "towers.csv"),
-        "--demographics", str(corpus / "demographics.csv"), "--plot-data",
+        "--demographics", str(corpus / "demographics.csv"),
         "--area-bounds", ",".join(str(b) for b in truth.area_boundaries),
         "--out", str(tmp_path / "report"))
     assert run.returncode == 0, run.stderr
@@ -419,7 +421,7 @@ def test_spool_feeds_the_metrics_stage(small_corpus, tmp_path, capsys):
     towers = os.path.join(corpus, "towers.csv")
     common = ["--towers", towers, "--demographics", os.path.join(corpus, "demographics.csv"),
               "--area-bounds", ",".join(str(b) for b in truth.area_boundaries),
-              "--threads", "2", "--plot-data"]
+              "--threads", "2"]
     from_csv = tmp_path / "r_csv"
     from_spool = tmp_path / "r_spool"
     assert main(["report", "--cdr", os.path.join(corpus, "cdr.csv"),
@@ -637,12 +639,12 @@ def test_failed_rerun_leaves_an_earlier_report_as_it_was(small_corpus, tmp_path,
     inputs = ["--cdr", str(corpus / CDR_FILE), "--towers", str(corpus / TOWERS_FILE),
               "--demographics", str(corpus / DEMOGRAPHICS_FILE), "--area-bounds", "12,40,120,260"]
     out = tmp_path / "out"
-    assert main(["report", *inputs, "--plot-data", "--out", str(out)]) == 0
+    assert main(["report", *inputs, "--out", str(out)]) == 0
     before = _tree(out)
-    assert "plotdata" in before and "manifest.json" in before
+    assert "manifest.json" in before
     if command == "report":
         # no 2008 row falls in 2010: the rerun fails at ingest
-        rerun = ["report", *inputs, "--plot-data", "--year", "2010", "--out", str(out)]
+        rerun = ["report", *inputs, "--year", "2010", "--out", str(out)]
     else:
         # the single-spike profile is written, then its rhythm fit fails
         cdr, towers = _write_minimal_corpus(tmp_path)
@@ -653,24 +655,22 @@ def test_failed_rerun_leaves_an_earlier_report_as_it_was(small_corpus, tmp_path,
     assert _tree(out) == before
 
 
-@pytest.mark.parametrize("name, kind", [("summary.json", "directory"), ("plotdata", "file")])
+@pytest.mark.parametrize("name, kind", [("summary.json", "directory"),
+                                        ("manifest.json", "directory")])
 def test_a_destination_of_the_wrong_kind_publishes_nothing(small_corpus, tmp_path, capsys,
                                                             name, kind):
     # a directory named summary.json failed the report after areas.json had
-    # moved into --out; a file named plotdata, after all 11 top-level files
+    # moved into --out; manifest.json is the last file to move
     corpus, _ = small_corpus
     out = tmp_path / "out"
     out.mkdir()
     (out / "keep.txt").write_text("not ours\n")
-    if kind == "directory":
-        (out / name).mkdir()
-        (out / name / "inside.txt").write_text("not ours\n")
-    else:
-        (out / name).write_text("not ours\n")
+    (out / name).mkdir()
+    (out / name / "inside.txt").write_text("not ours\n")
     before = _tree(out)
     assert main(["report", "--cdr", str(corpus / CDR_FILE), "--towers", str(corpus / TOWERS_FILE),
                  "--demographics", str(corpus / DEMOGRAPHICS_FILE),
-                 "--area-bounds", "12,40,120,260", "--plot-data", "--out", str(out)]) == 2
+                 "--area-bounds", "12,40,120,260", "--out", str(out)]) == 2
     assert _tree(out) == before
     assert f"error: cannot publish {out / name}: it exists" in capsys.readouterr().err
 
@@ -828,7 +828,6 @@ def test_demo_end_to_end(tmp_path, capsys):
     assert "density-activity correlation:" in text
     assert (tmp_path / "corpus" / "cdr.csv").exists()
     assert (tmp_path / "report" / "summary.json").exists()
-    assert (tmp_path / "report" / "plotdata").is_dir()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -998,7 +997,7 @@ def test_stage_timings_are_exclusive(small_corpus, tmp_path):
     corpus, truth = small_corpus
     pipe = corpus_pipeline(corpus, truth)
     t0 = time.perf_counter()
-    outputs = write_outputs(pipe, tmp_path, set(STAGE_OUTPUTS), plot_data=True)
+    outputs = write_outputs(pipe, tmp_path, set(STAGE_OUTPUTS))
     write_manifest(pipe, tmp_path, outputs, command="report")
     wall = time.perf_counter() - t0
     with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
@@ -1024,10 +1023,9 @@ def test_stage_timings_are_exclusive(small_corpus, tmp_path):
     # value is rounded to the millisecond on its own
     nested = ("towers", "ingest", "steps", "profile", "write_profile")
     assert inclusive["write_profile"] >= sum(timings[k] for k in nested) - 0.0005 * len(nested)
-    assert 0 < rss["towers"] <= rss["ingest"] <= rss["write_summary"] <= rss["write_plotdata"]
-    # one timed write per output (plot data counts as one)
-    assert {k for k in timings if k.startswith("write_")} == {
-        f"write_{s}" for s in [*STAGE_OUTPUTS, "plotdata"]}
+    assert 0 < rss["towers"] <= rss["ingest"] <= rss["write_summary"]
+    # one timed write per output
+    assert {k for k in timings if k.startswith("write_")} == {f"write_{s}" for s in STAGE_OUTPUTS}
     # each stage is rounded to the millisecond; stages pulled in by a
     # write count once
     assert sum(timings.values()) <= wall + 0.001 * len(timings)
@@ -1076,8 +1074,7 @@ def test_report_is_invariant_under_row_order(small_corpus, tmp_path, capsys):
         header, *rows = fh.readlines()
     flags = ["--towers", os.path.join(corpus, "towers.csv"),
              "--demographics", os.path.join(corpus, "demographics.csv"),
-             "--area-bounds", ",".join(str(b) for b in truth.area_boundaries),
-             "--plot-data"]
+             "--area-bounds", ",".join(str(b) for b in truth.area_boundaries)]
     base = tmp_path / "base"
     assert main(["report", "--cdr", os.path.join(corpus, "cdr.csv"), *flags,
                  "--out", str(base)]) == 0

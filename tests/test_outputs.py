@@ -46,7 +46,7 @@ def _write_input(root):
 
 
 def _csv_outputs(root) -> str:
-    """Every CSV that a month-window report with plot data writes, each
+    """Every CSV that a month-window report writes, each
     under a `== name ==` line, in name order; the daily profile has
     four-hour bins."""
     _write_input(root)
@@ -61,7 +61,7 @@ def _csv_outputs(root) -> str:
     out = root / "out"
     four_hours = {"BIN_MINUTES": 240, "BIN_CENTERS_H": (np.arange(6) + 0.5) * 4.0}
     with mock.patch.multiple(home, **four_hours), mock.patch.multiple(pipeline, **four_hours):
-        written = write_outputs(pipe, out, set(STAGE_OUTPUTS), plot_data=True)
+        written = write_outputs(pipe, out, set(STAGE_OUTPUTS))
     return "".join(
         f"== {name} ==\n" + (out / name).read_text(encoding="utf-8")
         for name in sorted(written)

@@ -205,7 +205,7 @@ def _small_configs(draw):
         n_cells=cells,
         spam_fraction=spam,
         activity_flip=flip,
-        seed=draw(st.integers(0, 2**32 - 1)),
+        seed=draw(st.integers(0, 2**160)),
     )
 
 
@@ -217,12 +217,55 @@ def _small_configs(draw):
 @example(GenConfig(n_individuals=2, n_cells=2, spam_fraction=0.0, seed=4))
 @example(GenConfig(n_individuals=3, n_cells=1, spam_fraction=0.0, seed=5))
 @example(GenConfig(n_individuals=6, n_cells=2, spam_fraction=0.3, activity_flip=(0.4, -0.5, 1)))
+# seeds of two and three 32-bit words
+@example(GenConfig(n_individuals=8, n_cells=2, spam_fraction=0.3, seed=2**32))
+@example(GenConfig(n_individuals=8, n_cells=2, spam_fraction=0.3, seed=2**64 + 1))
+@example(GenConfig(n_individuals=8, n_cells=2, spam_fraction=0.3, seed=123456789012))
 def test_generate_writes_the_bytes_of_the_per_row_oracle(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         got = _corpus_bytes(cfg, Path(tmp) / "numpy")
         want = _oracle_bytes(cfg, Path(tmp) / "oracle")
     for name in _FILES:
         assert got[name] == want[name], name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**160), st.integers(0, 2**40), st.integers(0, 40))
+# seeds of one to five words, and so entropy from two words to one past
+# SeedSequence's pool of four (3 + 1 words fill it)
+@example(0, 0, 3)
+@example(2**32, 0, 3)
+@example(2**64 - 1, 0, 3)
+@example(2**64, 0, 3)
+@example(2**96, 0, 3)
+@example(2**128, 0, 3)
+@example(2**160 - 1, 0, 3)
+# indices whose key 1_000_000 + i goes from one word to two
+@example(7, 2**32 - 1_000_000 - 2, 4)
+@example(2**96, 2**32 - 1_000_000 - 2, 4)
+def test_each_substream_state_is_numpys(seed, lo, n):
+    want = [np.random.PCG64(np.random.SeedSequence((seed, 1_000_000 + i))).state
+            for i in range(lo, lo + n)]
+    assert synth._substream_states(seed, lo, lo + n) == want
+
+
+def test_generate_makes_no_seed_sequence_per_individual(tmp_path, monkeypatch, force_workers):
+    # each individual's SeedSequence, PCG64 and Generator took about 16.5 us
+    force_workers(1)
+    seed_sequence = np.random.SeedSequence
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    count = {}
+    for n in (60, 1200):  # one chunk and three
+        made.clear()
+        generate(GenConfig(n_individuals=n, n_cells=6, base_daily_events=0.02), tmp_path / str(n))
+        count[n] = len(made)
+    assert count[60] == count[1200], count
 
 
 def _kept_pools(monkeypatch) -> list:
