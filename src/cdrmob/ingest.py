@@ -59,6 +59,7 @@ import numpy as np
 from .records import (
     CDR_FIELDS,
     DIRECTION_TOKENS,
+    GENDER_TOKENS,
     KIND_TOKENS,
     CdrError,
     RowReject,
@@ -279,6 +280,52 @@ def _fits_a_line(text: str) -> bool:
             and " " not in text)
 
 
+def _lines(block: bytes):
+    """(bytes, starts, stop, cr, ok) of a block of whole lines followed by
+    _PAD: its bytes as uint8, without the pad; the offset of each line's
+    start and of its end past the LF; whether a CR comes before that LF;
+    and whether every other byte of the line is in 0x21-0x7E but the
+    double quote. Offsets are int32 where the block allows, as every
+    thread that parses holds a block's working set."""
+    size = len(block) - len(_PAD)
+    b = np.frombuffer(block, dtype=np.uint8, count=size)
+    itype = np.int32 if size < 1 << 31 else np.intp
+    stop = np.flatnonzero(b == 10).astype(itype)
+    stop += 1
+    starts = np.empty_like(stop)
+    starts[0] = 0
+    starts[1:] = stop[:-1]
+    cr = (stop - starts > 1) & (b[stop - 2] == 13)
+    # bytes outside 0x21-0x7E, and quotes: only the LF, and a CR before
+    # it. Every line has those, so a block that has no more has none
+    # elsewhere. A quote-free block pays one memchr for the quote.
+    odd = b - np.uint8(0x21)
+    odd = np.greater(odd, 0x5D, out=odd.view(bool))
+    if b'"' in block:
+        odd |= b == 0x22
+    if np.count_nonzero(odd) == len(stop) + np.count_nonzero(cr):
+        ok = np.ones(len(stop), dtype=bool)
+    else:
+        ok = np.diff(np.searchsorted(np.flatnonzero(odd), stop), prepend=0) == 1 + cr
+    return b, starts, stop, cr, ok
+
+
+def _u64(block: bytes) -> np.ndarray:
+    """The little-endian 8-byte word at each offset of the lines of a block
+    followed by _PAD."""
+    return np.ndarray(len(block) - 7, dtype="<u8", buffer=block, strides=(1,))
+
+
+def _runs(block: bytes, starts: np.ndarray, stop: np.ndarray, lines: np.ndarray):
+    """(first line, text) of each run of consecutive lines of a block among
+    `lines`, indices in ascending order: the run's bytes decoded as UTF-8,
+    a byte that is not UTF-8 as a lone surrogate."""
+    if not len(lines):
+        return
+    for run in np.split(lines, np.flatnonzero(np.diff(lines) != 1) + 1):
+        yield int(run[0]), block[starts[run[0]]: stop[run[-1]]].decode("utf-8", "surrogateescape")
+
+
 def _link_keys(ego: np.ndarray, peer: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """The directed link a->b of each row as an int64 key (a << 32) | b: on
     an outgoing row the ego calls or texts the peer, on an incoming one the
@@ -386,36 +433,13 @@ class _ByteParser:
         distinct directed links a->b of the rows as sorted keys (a << 32) | b
         of indices into names. Nothing is shared with another block, so
         blocks may be parsed on several threads at once."""
-        size = len(block) - len(_PAD)
-        arr = np.frombuffer(block, dtype=np.uint8)
-        b = arr[:size]
-        # positions are int32 and temporaries are dropped once used: every
-        # thread that parses holds a block's working set
-        itype = np.int32 if size < 1 << 31 else np.intp
-        stop = np.flatnonzero(b == 10).astype(itype)
-        stop += 1
-        starts = np.empty_like(stop)
-        starts[0] = 0
-        starts[1:] = stop[:-1]
-        cr = (stop - starts > 1) & (b[stop - 2] == 13)
-        # bytes outside 0x21-0x7E, and quotes: only the LF, and a CR before
-        # it. Every line has those, so a block that has no more has none
-        # elsewhere. A quote-free block pays one memchr for the quote.
-        odd = b - np.uint8(0x21)
-        odd = np.greater(odd, 0x5D, out=odd.view(bool))
-        if b'"' in block:
-            odd |= b == 0x22
-        if np.count_nonzero(odd) == len(stop) + np.count_nonzero(cr):
-            ok = np.ones(len(stop), dtype=bool)
-        else:
-            ok = np.diff(np.searchsorted(np.flatnonzero(odd), stop), prepend=0) == 1 + cr
-        del odd
+        b, starts, stop, cr, ok = _lines(block)
         # the index of each line's first comma, by layout when every line
         # has five, else from the count of commas before each line's end
-        commas = np.flatnonzero(b == 44).astype(itype)
+        commas = np.flatnonzero(b == 44).astype(stop.dtype)
         first = _five_a_line(commas, starts, stop)
         if first is None:
-            before = np.searchsorted(commas, stop).astype(itype)
+            before = np.searchsorted(commas, stop).astype(stop.dtype)
             first = np.empty_like(before)
             first[0] = 0
             first[1:] = before[:-1]
@@ -437,7 +461,7 @@ class _ByteParser:
         good = (ln[2] == 19) & (ln[4] <= 8) & (ln[5] <= 8)
         for k in (0, 1, 3):
             good &= (ln[k] >= 1) & (ln[k] <= _MAX_ID_BYTES)
-        u64 = np.ndarray(size + 57, dtype="<u8", buffer=arr, strides=(1,))
+        u64 = _u64(block)
         kind, found = _match(_KIND_KEYS, _lower(_word(u64, lo[4], ln[4])))
         good &= found
         direction, found = _match(_DIRECTION_KEYS, _lower(_word(u64, lo[5], ln[5])))
@@ -506,6 +530,52 @@ def _five_a_line(commas: np.ndarray, starts: np.ndarray, stop: np.ndarray):
     return None
 
 
+_GENDER_KEYS = _token_keys(GENDER_TOKENS)
+
+
+def demographic_lines(block: bytes):
+    """(line starts, line ends past the LF, canonical line mask, and the
+    canonical lines' (ids, female, number) or None) of a block of
+    demographics lines followed by _PAD.
+
+    A line is canonical when it is id,gender,number, with one CR before
+    the LF allowed: the id 1-64 bytes in 0x21-0x7E but the double quote,
+    the gender a gender token in any letter case, and the number 1-4 ASCII
+    digits. records.load_demographics reads every such row to this id,
+    gender and number. Commas are found by the count before each line's
+    end, the gender as one word folded to lower case, and the number from
+    one word whose bytes are checked as _ts_template checks digits."""
+    b, starts, stop, cr, ok = _lines(block)
+    commas = np.flatnonzero(b == 44).astype(stop.dtype)
+    before = np.searchsorted(commas, stop)
+    ok &= np.diff(before, prepend=0) == 2
+    lines = np.flatnonzero(ok)
+    canonical = np.zeros(len(starts), dtype=bool)
+    # the id, the gender and the number start at lo, at1 and at2
+    lo, c = starts[lines], before[lines]
+    at1, at2 = commas[c - 2] + 1, commas[c - 1] + 1
+    del b, commas, before, c
+    ln0, ln1, ln2 = at1 - 1 - lo, at2 - 1 - at1, stop[lines] - 1 - cr[lines] - at2
+    u64 = _u64(block)
+    female, good = _match(_GENDER_KEYS, _lower(_word(u64, at1, ln1)))
+    good &= (ln0 >= 1) & (ln0 <= _MAX_ID_BYTES) & (ln1 <= 8) & (ln2 >= 1) & (ln2 <= 4)
+    n2 = np.minimum(ln2, 4)
+    keep = _LOW[n2]
+    w = u64[at2] & keep
+    good &= (w & (_bytewise(0xF0) & keep)) == (_bytewise(0x30) & keep)
+    good &= ((w + (_bytewise(0x06) & keep)) & (_bytewise(0x40) & keep)) == 0
+    if not good.any():
+        return starts, stop, canonical, None
+    # the digits moved to bytes 0-3, most significant first, zeros before
+    w <<= np.uint64(32) - (n2.astype(np.uint64) << np.uint64(3))
+    pairs = _pairs(w)
+    number = (pairs & np.uint64(0xFF)) * np.uint64(100) + (pairs >> np.uint64(16) & np.uint64(0xFF))
+    canonical[lines[good]] = True
+    lo, ln0 = lo[good], ln0[good]
+    names = _text(_words(u64, lo, ln0, -(-int(ln0.max()) // 8)))
+    return starts, stop, canonical, (names, female[good] == 1, number[good].astype(np.int64))
+
+
 def _row_block(rows, registry: TowerRegistry, year_start: int, year_end: int,
                stats: IngestStats):
     """The row path: each already-split row goes through parse_event_fields,
@@ -545,7 +615,11 @@ def _linked(links: np.ndarray, rule: str) -> np.ndarray:
     sorted distinct link keys (a << 32) | b."""
     a, b = links >> 32, links & 0xFFFFFFFF
     if rule == "pair":
-        return a[np.isin((b << 32) | a, links, assume_unique=True)]
+        # a is kept when the link b->a is there too: the reversed keys,
+        # sorted, are looked up among the link keys by one searchsorted
+        back = (b << 32) | a
+        back.sort()
+        return back[_lookup(links, back)[1]] & 0xFFFFFFFF
     return np.intersect1d(a, b)
 
 
@@ -671,14 +745,15 @@ def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int,
     return IngestResult(table, stats, analysis_year, reciprocity, removed)
 
 
-def _blocks(fh, digest):
+def _blocks(fh, digest=None, size: int | None = None):
     """Each block of whole lines of a binary file from its position on,
-    read _BLOCK_BYTES at a time and followed by _PAD; every line ends in
-    an LF, one being added to a last line without it. Every byte read is
-    fed to digest."""
+    read `size` bytes at a time, _BLOCK_BYTES by default, and followed by
+    _PAD; every line ends in an LF, one being added to a last line without
+    it. Every byte read is fed to digest, when one is given."""
     carry = b""
-    while chunk := fh.read(_BLOCK_BYTES):
-        digest.update(chunk)
+    while chunk := fh.read(size or _BLOCK_BYTES):
+        if digest is not None:
+            digest.update(chunk)
         cut = chunk.rfind(b"\n") + 1
         if not cut:
             carry += chunk  # no whole line yet
@@ -764,10 +839,9 @@ def ingest_file(
     def text_rows(block: bytes, line: int, starts, stop, slow):
         """The rows of every run of the block's lines at `slow`, read as
         text, in line order."""
-        for run in np.split(slow, np.flatnonzero(np.diff(slow) != 1) + 1):
-            text = block[starts[run[0]]: stop[run[-1]]].decode("utf-8", "surrogateescape")
-            reader = csv_rows(io.StringIO(text, newline=""), path, nul_line, line + run[0])
-            yield from _skip_header(reader) if line + run[0] == 1 else reader
+        for at, text in _runs(block, starts, stop, slow):
+            reader = csv_rows(io.StringIO(text, newline=""), path, nul_line, line + at)
+            yield from _skip_header(reader) if line + at == 1 else reader
 
     def add_block(block: bytes, line: int, parsed) -> int:
         """Rows of a block whose first line is line `line` of the file, in

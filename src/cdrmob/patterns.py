@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -297,31 +298,38 @@ def demographic_table(
     order. Returns the populated strata and the count of individuals
     skipped for lacking demographics. Empty strata are omitted.
     """
-    people = [demographics.by_id.get(e) for e in ids]
-    rows = np.flatnonzero([p is not None for p in people])
-    skipped = len(people) - len(rows)
-    if not len(rows):
+    at = np.fromiter(map(demographics.index.get, ids, repeat(-1)), dtype=np.int16, count=len(ids))
+    known = at >= 0
+    skipped = len(ids) - int(np.count_nonzero(known))
+    if skipped == len(ids):
         raise PatternError("no individuals with demographics")
-    female, age = np.array([people[k] for k in rows], dtype=np.int64).T
-    female, group = female == 1, age_group_of(age)
-    a, mob, rg, _ = (x[rows] for x in year_rows)
-    act = a.astype(float)
-    area = areas[rows]
+    at[~known] = 0  # any row: every stratum leaves these individuals out
+    activity, mobility, rg, _ = year_rows
+    cols = (demographics.female[at], age_group_of(demographics.age).astype(np.int8)[at],
+            activity.astype(float), mobility, rg)
+    del at
 
+    def take(cols, mask):
+        """The rows of the columns where mask holds, in order: a stratum's
+        values sum in the order of the whole table's."""
+        rows = np.flatnonzero(mask)
+        return [c[rows] for c in cols]
+
+    # each level takes its rows from the level above, so that the masks of
+    # the 21 strata of an area span that area's individuals only
     out: list[StratumRow] = []
-    area_keys = ["all"] + [str(a) for a in range(1, 6)]
-    for ak in area_keys:
-        am = np.ones(len(rows), dtype=bool) if ak == "all" else area == int(ak)
+    for ak in ["all"] + [str(a) for a in range(1, 6)]:
+        in_area = take(cols, known if ak == "all" else known & (areas == int(ak)))
         for gk in ("all", "female", "male"):
-            gm = am if gk == "all" else am & (female == (gk == "female"))
+            in_gender = in_area if gk == "all" else take(in_area, in_area[0] == (gk == "female"))
             for g, grk in enumerate(("all",) + AGE_GROUP_LABELS, start=-1):
-                m = gm if grk == "all" else gm & (group == g)
-                nsel = int(m.sum())
+                _, _, act, mob, rsel = (
+                    in_gender if grk == "all" else take(in_gender, in_gender[1] == g))
+                nsel = len(act)
                 if nsel == 0:
                     continue
-                ma, sa = _mean_se(act[m])
-                mm, sm = _mean_se(mob[m])
-                rsel = rg[m]
+                ma, sa = _mean_se(act)
+                mm, sm = _mean_se(mob)
                 rsel = rsel[~np.isnan(rsel)]
                 if len(rsel):
                     mr, sr = _mean_se(rsel)

@@ -25,6 +25,7 @@ import os
 import resource
 import time
 from dataclasses import asdict, astuple, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .home import (
 from .ingest import ingest_file
 from .metrics import TableMetrics, WindowSpec, metrics_rows
 from .patterns import KINDS, PatternError, demographic_table, pattern
-from .records import load_demographics, load_towers, write_json, year_bounds
+from .records import load_demographics, load_towers, unique_sorted, write_json, year_bounds
 
 log = logging.getLogger(__name__)
 
@@ -418,23 +419,56 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+# CSV lines joined into one string at a time
+_WRITE_LINES = 1 << 16
+
+
 def _cells(column) -> list[str]:
     """The CSV text of each value of a column (a list or numpy array):
     empty for None and NaN, the round-trip repr of any other float, str of
-    everything else. This is the one cell format of every CSV output."""
+    everything else. This is the one cell format of every CSV output.
+
+    An integer array is formatted by map(str). A float array is formatted
+    once per distinct bit pattern, which keeps -0.0 apart from 0.0 and
+    comes from a sort and a neighbour compare (records.unique_sorted):
+    homes.csv's means of tower positions repeat, about 2,500 distinct
+    values in 304,000 at 320k individuals. A float array with more distinct
+    values than repeats is formatted value by value, and a column of text,
+    such as the ids, is its own cells."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iub":
+        return list(map(str, column.tolist()))
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        bits = column.view(f"i{column.itemsize}")
+        distinct = unique_sorted(bits.copy())
+        if 2 * len(distinct) > len(bits):
+            return _float_cells(column.tolist())
+        text = _float_cells(distinct.view(column.dtype).tolist())
+        return list(map(text.__getitem__, np.searchsorted(distinct, bits).tolist()))
     if isinstance(column, np.ndarray):
         column = column.tolist()
+    elif set(map(type, column)) <= {str}:
+        return list(column)
     return ["" if x is None or x != x else repr(float(x)) if isinstance(x, float) else str(x)
             for x in column]
 
 
+def _float_cells(values: list[float]) -> list[str]:
+    """The cells of floats: empty for NaN, else the round-trip repr."""
+    return [repr(x) if x == x else "" for x in values]
+
+
 def _write_csv(path, header: str, blocks) -> None:
     """Write a header line, then the rows of each block of equal-length
-    columns, formatted a whole column at a time."""
+    columns, formatted a whole column at a time and written _WRITE_LINES
+    lines at a time: one join of many lines costs less than a string per
+    line."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for cols in blocks:
-            fh.writelines(",".join(row) + "\n" for row in zip(*map(_cells, cols)))
+            lines = map(",".join, zip(*map(_cells, cols)))
+            while part := list(islice(lines, _WRITE_LINES)):
+                fh.write("\n".join(part))
+                fh.write("\n")
 
 
 def _fit_doc(pipe: Pipeline) -> dict | None:
@@ -548,7 +582,9 @@ def _homes_columns(pipe: Pipeline) -> list:
     """Blank coordinates and at_sea for an individual without a home (who
     has no night events either)."""
     lat, lon, night = pipe.home_points
-    sea = [None if math.isnan(a) else int(s) for a, s in zip(lat.tolist(), pipe.at_sea.tolist())]
+    # at_sea's cells, as _cells gives None, 0 and 1: blank without a home
+    sea = np.where(np.isnan(lat), 0, 1 + pipe.at_sea.astype(np.int64))
+    sea = list(map(("", "0", "1").__getitem__, sea.tolist()))
     return [(pipe.ingest.table.ids, lat, lon, night, sea)]
 
 

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
+import math
 import os
 import re
 from collections import deque
@@ -33,7 +36,7 @@ KIND_TOKENS = {"call": 0, "sms": 1}
 DIRECTION_TOKENS = {"in": 0, "incoming": 0, "out": 1, "outgoing": 1}
 
 # gender token -> whether it reads female
-_GENDER_TOKENS = {"f": True, "female": True, "m": False, "male": False}
+GENDER_TOKENS = {"f": True, "female": True, "m": False, "male": False}
 
 AGE_MIN = 10
 AGE_MAX = 110
@@ -299,6 +302,18 @@ class TowerRegistry:
         return h.hexdigest()
 
 
+def _plain(text: str, parse):
+    """parse(text) where text is a plain ASCII number, else a ValueError.
+    int() and float() also read "1_960" and digits and spaces of other
+    scripts, and float() reads "nan" and "inf" too: what is left once
+    those are refused is digits, a sign, ASCII spaces around and, for a
+    float, a point and an exponent."""
+    value = parse(text)
+    if not text.isascii() or "_" in text or not abs(value) < math.inf:
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return value
+
+
 def _reads(parse):
     """A test of whether a text reads as a value of parse: parse(text)
     raises no ValueError and no RowReject."""
@@ -328,25 +343,25 @@ def is_header(row: list[str], fields) -> bool:
 # the value fields of each input file (see is_header)
 CDR_FIELDS = {2: _reads(parse_timestamp), 4: _token(KIND_TOKENS), 5: _token(DIRECTION_TOKENS)}
 _TOWER_FIELDS = {1: _reads(float), 2: _reads(float)}
-_DEMOGRAPHICS_FIELDS = {1: _token(_GENDER_TOKENS), 2: _reads(float)}
+_DEMOGRAPHICS_FIELDS = {1: _token(GENDER_TOKENS), 2: _reads(float)}
 
 
-def _read_rows(path, fields):
-    """(line, row) of each CSV row of a small input file, after one leading
-    UTF-8 byte order mark if it has one, numbered as csv_rows numbers them,
-    without empty rows and a first row that is_header(row, fields) takes
-    for a header.
-    A byte that is not UTF-8 is fatal, and so is a NUL or a row that
-    csv_rows refuses, each named by file and line."""
+def _rows(lines, path, fields, first: int = 1):
+    """(line, row) of each CSV row of lines of a small input file, read
+    with newline="" and numbered from `first` as csv_rows numbers them,
+    without empty rows and, when `first` is 1, a first row that
+    is_header(row, fields) takes for a header.
+    A byte that is not UTF-8 (read with errors="surrogateescape") is fatal,
+    and so is a NUL or a row that csv_rows refuses, each named by file and
+    line."""
     def nul(n):
         raise CdrError(f"{path}:{n}: holds a NUL byte")
 
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for k, (line, row) in enumerate(csv_rows(fh, path, nul, numbered=True)):
-            if _undecodable(row):
-                raise CdrError(f"{path}:{line}: not valid UTF-8")
-            if row and (k or not is_header(row, fields)):
-                yield line, row
+    for k, (line, row) in enumerate(csv_rows(lines, path, nul, first, numbered=True)):
+        if _undecodable(row):
+            raise CdrError(f"{path}:{line}: not valid UTF-8")
+        if row and (k or first > 1 or not is_header(row, fields)):
+            yield line, row
 
 
 def load_towers(path) -> TowerRegistry:
@@ -358,21 +373,22 @@ def load_towers(path) -> TowerRegistry:
     average longitudes arithmetically.
     """
     entries: dict[str, tuple[float, float]] = {}
-    for lineno, row in _read_rows(path, _TOWER_FIELDS):
-        if len(row) < 3:
-            raise CdrError(f"{path}:{lineno}: tower row needs tower_id,lat,lon")
-        tid = row[0].strip()
-        try:
-            lat, lon = float(row[1]), float(row[2])
-        except ValueError:
-            raise CdrError(f"{path}:{lineno}: unparseable coordinate in {row!r}")
-        if not (-90.0 <= lat <= 90.0):
-            raise CdrError(f"{path}:{lineno}: latitude out of range: {lat}")
-        if not (-180.0 <= lon <= 180.0):
-            raise CdrError(f"{path}:{lineno}: longitude out of range: {lon}")
-        if tid in entries:
-            raise CdrError(f"{path}:{lineno}: duplicate tower id {tid!r}")
-        entries[tid] = (lat, lon)
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, row in _rows(fh, path, _TOWER_FIELDS):
+            if len(row) < 3:
+                raise CdrError(f"{path}:{lineno}: tower row needs tower_id,lat,lon")
+            tid = row[0].strip()
+            try:
+                lat, lon = _plain(row[1], float), _plain(row[2], float)
+            except ValueError:
+                raise CdrError(f"{path}:{lineno}: unparseable coordinate in {row!r}")
+            if not (-90.0 <= lat <= 90.0):
+                raise CdrError(f"{path}:{lineno}: latitude out of range: {lat}")
+            if not (-180.0 <= lon <= 180.0):
+                raise CdrError(f"{path}:{lineno}: longitude out of range: {lon}")
+            if tid in entries:
+                raise CdrError(f"{path}:{lineno}: duplicate tower id {tid!r}")
+            entries[tid] = (lat, lon)
     lons = [lon for _, lon in entries.values()]
     if lons and max(lons) - min(lons) > 180.0:
         raise CdrError(
@@ -382,11 +398,21 @@ def load_towers(path) -> TowerRegistry:
     return TowerRegistry(entries)
 
 
+# Ages a demographics row may have, and so the rows of Demographics.female
+# and .age: every (female, age) pair, the male ones first
+_AGES = AGE_MAX - AGE_MIN + 1
+
+
 @dataclass
 class Demographics:
-    """The accepted individuals by id, plus reject counts."""
+    """The accepted individuals as columns, plus reject counts: index maps
+    the id of each to its row of female and age. The rows are the 202
+    (female, age) pairs, so every value of index is a small int, which
+    Python holds once: a row per individual took 28 bytes more each."""
 
-    by_id: dict[str, tuple[bool, int]]  # id -> (female, age)
+    index: dict[str, int]
+    female: np.ndarray  # bool
+    age: np.ndarray  # int16
     rejected: dict[str, int]
 
 
@@ -394,6 +420,14 @@ class Demographics:
 # age; no plausible age reaches it and no birth year is under it for any
 # analysis year of interest.
 _BIRTH_YEAR_THRESHOLD = 200
+# The reasons a demographics row with an id is rejected, by their codes in
+# a reject column; code 0 keeps the row
+_REJECTS = ("", "unknown_gender", "bad_age", "age_out_of_range", "duplicate_id")
+_UNKNOWN_GENDER, _BAD_AGE, _AGE_OUT, _DUPLICATE = range(1, len(_REJECTS))
+# Bytes of a demographics file decoded at a time. A read allocates its full
+# size first, and the loader holds about what it returns, so the blocks are
+# smaller than ingest's.
+_DEMOGRAPHICS_BLOCK_BYTES = 1 << 16
 
 
 def load_demographics(path, analysis_year: int = 2008) -> Demographics:
@@ -403,47 +437,92 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
     Bad rows are rejected and counted per reason, never fatal. Ages outside
     [10, 110] after resolving birth years are rejected, and so is every row
     of an id that appears more than once (duplicate_id: which one is right?).
-    Rows are read one at a time: what is held is one entry or reject reason
-    per id, and a count per id on more than one row, resolved at the end.
+
+    The file is read as bytes in blocks. Its canonical lines (see
+    ingest.demographic_lines) are decoded in numpy; line 1, which may be a
+    header, and every other line take the row path, csv.reader and _person,
+    with the fatal errors of _rows. Each row with an id adds the id to a
+    list, its reject code to a column and the id's (female, age) row to the
+    dict. Fewer ids in the dict than rows means that an id repeats: a
+    second dict then maps each id to the first row that has it, and every
+    row of an id that another row maps to is a duplicate_id reject. The ids
+    of rejected rows leave the dict.
     """
-    entries: dict[str, tuple[bool, int] | str] = {}  # id -> (female, age) or reject reason
-    repeats: dict[str, int] = {}  # id -> its rows, for an id on more than one row
-    shared: dict[tuple[bool, int], tuple[bool, int]] = {}  # one tuple per (female, age)
+    # ingest imports this module, so its byte path is imported on first use
+    from .ingest import _BOM, _blocks, _runs, demographic_lines
+
+    ids: list[str] = []
+    index: dict[str, int] = {}
+    rejects = [np.empty(0, dtype=np.int8)]  # the reject code of each row of ids, part by part
     rejected: dict[str, int] = {}
 
-    def reject(reason: str, n: int = 1):
-        rejected[reason] = rejected.get(reason, 0) + n
+    def add(names: list[str], female: np.ndarray, age: np.ndarray, reject: np.ndarray) -> None:
+        """Add rows: each name maps to its (female, age) row."""
+        ids.extend(names)
+        index.update(zip(names, (age - AGE_MIN + female * _AGES).tolist()))
+        rejects.append(reject.astype(np.int8))
 
-    for _, row in _read_rows(path, _DEMOGRAPHICS_FIELDS):
-        ego = row[0].strip() if len(row) >= 3 else ""
-        if not ego:
-            reject("missing_column")
-        elif ego in entries:
-            repeats[ego] = repeats.get(ego, 1) + 1
-        else:
-            entry = _person(row, analysis_year)
-            entries[ego] = entry if isinstance(entry, str) else shared.setdefault(entry, entry)
-    for ego, n in repeats.items():
-        del entries[ego]
-        reject("duplicate_id", n)
-    for ego in [e for e, v in entries.items() if isinstance(v, str)]:
-        reject(entries.pop(ego))
-    return Demographics(entries, rejected)
+    def row_path(text: str, first: int) -> None:
+        """Add the rows of text, whose first line is line `first`."""
+        names, people = [], []
+        for _, row in _rows(io.StringIO(text, newline=""), path, _DEMOGRAPHICS_FIELDS, first):
+            ego = row[0].strip() if len(row) >= 3 else ""
+            if ego:
+                names.append(ego)
+                people.append(_person(row, analysis_year))
+            else:
+                rejected["missing_column"] = rejected.get("missing_column", 0) + 1
+        if names:
+            add(names, *map(np.array, zip(*people)))
+
+    with open(path, "rb") as fh:
+        row_path(fh.readline().removeprefix(_BOM).decode("utf-8", "surrogateescape"), 1)
+        line = 2  # the number of the next block's first line
+        for block in _blocks(fh, size=_DEMOGRAPHICS_BLOCK_BYTES):
+            starts, stop, canonical, decoded = demographic_lines(block)
+            if decoded is not None:
+                names, female, value = decoded
+                age = np.where(value >= _BIRTH_YEAR_THRESHOLD, analysis_year - value, value)
+                out = (age < AGE_MIN) | (age > AGE_MAX)
+                age[out] = AGE_MIN
+                add(names, female, age, out * _AGE_OUT)
+            for at, text in _runs(block, starts, stop, np.flatnonzero(~canonical)):
+                row_path(text, line + at)
+            line += len(starts)
+
+    reject = np.concatenate(rejects)
+    n = len(ids)
+    if len(index) < n:
+        rows: dict[str, int] = {}
+        first = np.fromiter(map(rows.setdefault, ids, itertools.count()), dtype=np.int64, count=n)
+        del rows
+        repeated = np.zeros(n, dtype=bool)
+        repeated[first[first != np.arange(n)]] = True
+        reject[repeated[first]] = _DUPLICATE
+    for code, count in enumerate(np.bincount(reject, minlength=len(_REJECTS)).tolist()):
+        if code and count:
+            rejected[_REJECTS[code]] = count
+    for r in np.flatnonzero(reject).tolist():
+        index.pop(ids[r], None)
+    pairs = np.arange(2 * _AGES)
+    return Demographics(index, pairs >= _AGES, (AGE_MIN + pairs % _AGES).astype(np.int16), rejected)
 
 
-def _person(row: list[str], analysis_year: int) -> tuple[bool, int] | str:
-    """(female, age) of a demographics row, or the reason it is rejected."""
-    female = _GENDER_TOKENS.get(row[1].strip().lower())
+def _person(row: list[str], analysis_year: int) -> tuple[bool, int, int]:
+    """(female, age, reject) of a demographics row: reject is the code in
+    _REJECTS of the reason it is rejected, or 0; a rejected row reads as
+    male and AGE_MIN."""
+    female = GENDER_TOKENS.get(row[1].strip().lower())
     if female is None:
-        return "unknown_gender"
+        return False, AGE_MIN, _UNKNOWN_GENDER
     try:
-        value = int(row[2])
+        value = _plain(row[2], int)
     except ValueError:
-        return "bad_age"
+        return False, AGE_MIN, _BAD_AGE
     age = analysis_year - value if value >= _BIRTH_YEAR_THRESHOLD else value
     if not (AGE_MIN <= age <= AGE_MAX):
-        return "age_out_of_range"
-    return female, age
+        return False, AGE_MIN, _AGE_OUT
+    return female, age, 0
 
 
 def age_group_of(age):

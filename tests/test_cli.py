@@ -157,6 +157,15 @@ def test_a_nul_byte_in_towers_or_demographics_exits_2(tmp_path, capsys):
     assert "nul.csv:3: holds a NUL byte" in capsys.readouterr().err
 
 
+def test_a_coordinate_that_is_not_a_plain_ascii_number_exits_2(tmp_path, capsys):
+    # float() read "4_0.1" as 40.1, and the report exited 0
+    cdr, _ = _write_minimal_corpus(tmp_path)
+    towers = tmp_path / "towers-bad.csv"
+    towers.write_text("tower_id,lat,lon\nt1,40.0,20.0\nt2,4_0.1,20.1\n")
+    assert main(["metrics", *_analysis_args(cdr, towers, tmp_path / "out")]) == 2
+    assert "towers-bad.csv:3: unparseable coordinate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("start", ["20080301T000000", "2008-W09-6T00:00", "2008-03-01T00:00:00.5"])
 def test_a_window_outside_the_timestamp_grammar_is_a_usage_error(tmp_path, capsys, start):
     cdr, towers = _write_minimal_corpus(tmp_path)
@@ -467,8 +476,9 @@ def test_crlf_copy_gives_the_same_report(small_corpus, tmp_path, capsys):
 @pytest.mark.parametrize("name", [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE])
 def test_an_unbalanced_quote_is_a_data_error(small_corpus, tmp_path, capsys, name):
     # csv.reader reads from the quote on as one field, and refused it with
-    # a traceback once it passed 131,072 characters. In cdr.csv the quote's
-    # line is read on its own, so the field ends with that line
+    # a traceback once it passed 131,072 characters. In cdr.csv and
+    # demographics.csv the quote's line is read on its own, so the field
+    # ends with that line
     corpus, truth = small_corpus
     paths = {n: os.path.join(corpus, n) for n in (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE)}
     with open(paths[name], encoding="utf-8") as fh:
@@ -480,7 +490,7 @@ def test_an_unbalanced_quote_is_a_data_error(small_corpus, tmp_path, capsys, nam
                  "--demographics", str(paths[DEMOGRAPHICS_FILE]), "--area-bounds",
                  ",".join(str(b) for b in truth.area_boundaries), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    if name == CDR_FILE:
+    if name in (CDR_FILE, DEMOGRAPHICS_FILE):
         assert f"{name}:2: a row spans lines" in err
     else:
         assert f"{name}:2: not readable as CSV" in err

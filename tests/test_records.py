@@ -8,11 +8,14 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from datetime import date
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdrmob import ingest, records
 from cdrmob.records import (
     AGE_GROUP_LABELS,
     AGE_GROUPS,
@@ -32,6 +35,11 @@ from cdrmob.records import (
 
 # T5 has registry index 1
 _REG = TowerRegistry({"T1": (40.0, 20.0), "T5": (40.1, 20.1)})
+
+
+def _people(d):
+    """{id: (female, age)} of the individuals that demographics accepted."""
+    return {e: (bool(d.female[r]), int(d.age[r])) for e, r in d.index.items()}
 
 
 def _parse_line(line: str):
@@ -227,13 +235,13 @@ def test_a_first_row_is_a_header_only_when_no_value_field_reads(tmp_path):
     for first in ("u1,f,abc", "u1,f,", "ego_id,female,age"):
         demo.write_text(first + "\nu2,m,40\n")
         d = load_demographics(demo)
-        assert d.rejected == {"bad_age": 1} and d.by_id == {"u2": (False, 40)}, first
+        assert d.rejected == {"bad_age": 1} and _people(d) == {"u2": (False, 40)}, first
     # headers whose value fields do not read are skipped
     towers.write_text("tower_id,lat,lon\nT1,40.0,20.0\n")
     assert load_towers(towers).ids == ["T1"]
     demo.write_text("ego_id,gender,birth_year\nu1,f,1970\n")
     d = load_demographics(demo)
-    assert d.by_id == {"u1": (True, 38)} and not d.rejected
+    assert _people(d) == {"u1": (True, 38)} and not d.rejected
 
 
 def test_a_first_row_too_short_to_reach_a_value_column_is_data(tmp_path):
@@ -244,7 +252,7 @@ def test_a_first_row_too_short_to_reach_a_value_column_is_data(tmp_path):
     demo = tmp_path / "demo.csv"
     demo.write_text("u1\nu2,m,40\n")
     d = load_demographics(demo)
-    assert d.rejected == {"missing_column": 1} and d.by_id == {"u2": (False, 40)}
+    assert d.rejected == {"missing_column": 1} and _people(d) == {"u2": (False, 40)}
 
 
 def test_load_towers_refuses_the_antimeridian(tmp_path):
@@ -270,7 +278,7 @@ def test_inputs_that_are_not_utf8_name_file_and_line(tmp_path):
         load_demographics(demo)
     # valid UTF-8 beyond ASCII is fine
     demo.write_text("u1,f,34\nü2,m,40\n", encoding="utf-8")
-    assert load_demographics(demo).by_id == {"u1": (True, 34), "ü2": (False, 40)}
+    assert _people(load_demographics(demo)) == {"u1": (True, 34), "ü2": (False, 40)}
 
 
 @pytest.mark.parametrize("name, body, load, error", [
@@ -311,8 +319,8 @@ def test_load_demographics_age_and_birth_year(tmp_path):
         "u6,m,2005\n"        # age 3 after resolution: rejected
     )
     d = load_demographics(p, analysis_year=2008)
-    assert d.by_id == {"u1": (True, 34), "u2": (False, 34)}
-    assert [AGE_GROUP_LABELS[age_group_of(a)] for _, a in d.by_id.values()] == [
+    assert _people(d) == {"u1": (True, 34), "u2": (False, 34)}
+    assert [AGE_GROUP_LABELS[age_group_of(a)] for _, a in _people(d).values()] == [
         "early_adult", "early_adult"]
     assert d.rejected == {"age_out_of_range": 2, "unknown_gender": 1, "bad_age": 1}
 
@@ -322,8 +330,8 @@ def test_load_demographics_rejects_every_row_of_a_duplicated_id(tmp_path):
     p = tmp_path / "demo.csv"
     p.write_text("u1,F,1970\nu2,M,40\nu1,M,1980\nu3,x,30\nu3,F,25\n")
     d = load_demographics(p, analysis_year=2008)
-    assert d.by_id == {"u2": (False, 40)}
-    assert AGE_GROUP_LABELS[age_group_of(d.by_id["u2"][1])] == "early_middle"
+    assert _people(d) == {"u2": (False, 40)}
+    assert AGE_GROUP_LABELS[age_group_of(_people(d)["u2"][1])] == "early_middle"
     assert d.rejected == {"duplicate_id": 4}
 
 
@@ -336,8 +344,8 @@ def test_load_demographics_keeps_every_age_in_range(tmp_path):
     p.write_text("".join(f"{e},{'fm'[a % 2]},{a}\n" for e, a in reversed(list(zip(ids, ages))))
                  + "u200,f,9\nu201,x,30\n")
     d = load_demographics(p)
-    assert d.by_id == {e: (a % 2 == 0, a) for e, a in zip(ids, ages)}
-    assert [age_group_of(d.by_id[e][1]) for e in ids] == [
+    assert _people(d) == {e: (a % 2 == 0, a) for e, a in zip(ids, ages)}
+    assert [age_group_of(_people(d)[e][1]) for e in ids] == [
         next(g for g, (_, upper) in enumerate(AGE_GROUPS) if a <= upper) for a in ages]
     assert d.rejected == {"age_out_of_range": 1, "unknown_gender": 1}
 
@@ -355,8 +363,105 @@ def test_load_demographics_holds_about_what_it_returns(tmp_path):
         held, peak = (x - before for x in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert len(d.by_id) == 50_000 and not d.rejected
+    assert len(d.index) == 50_000 and not d.rejected
     assert peak <= 1.5 * held, f"peak {peak / held:.2f} times what is returned"
+
+
+def test_numbers_in_towers_and_demographics_are_plain_ascii(tmp_path):
+    # int() and float() also read "1_960" as 1960 and Arabic-Indic digits
+    # as 40: such an age was kept and such a latitude was 40.0
+    demo = tmp_path / "demo.csv"
+    demo.write_text("u1,f,1_960\nu2,m,\u0664\u0660\nu3,f,4_0\nu4,f, +40 \nu5,m,-5\n"
+                    "u6,M,\t1960\nu7,F,40\u00a0\n", encoding="utf-8")
+    d = load_demographics(demo)
+    assert _people(d) == {"u4": (True, 40), "u6": (False, 48)}
+    assert d.rejected == {"bad_age": 4, "age_out_of_range": 1}
+    towers = tmp_path / "towers.csv"
+    for bad in ("4_0.0", "\u0664\u0660", "40.0\u00a0", "nan", "0x10"):
+        for line, rows in ((1, (f"T1,{bad},20.0", "T2,40.1,20.1")),
+                           (2, ("T1,40.0,20.0", f"T2,20.1,{bad}"))):
+            towers.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            with pytest.raises(CdrError, match=rf"towers\.csv:{line}: unparseable coordinate"):
+                load_towers(towers)
+    # the header rule reads as float() does, so this first row is data
+    towers.write_text("T1,4_0.0,2_0.0\nT2,40.1,20.1\n")
+    with pytest.raises(CdrError, match=r"towers\.csv:1: unparseable coordinate"):
+        load_towers(towers)
+    # a sign, spaces around and an exponent read as they did
+    towers.write_text("T1, -40.5 ,+20\nT2,1e-05,.5\n")
+    reg = load_towers(towers)
+    assert reg.lat.tolist() == [-40.5, 1e-05] and reg.lon.tolist() == [20.0, 0.5]
+
+
+_DEMOGRAPHIC_LINES = ingest.demographic_lines
+
+
+def _row_path_only(block):
+    """ingest.demographic_lines of a block with no line canonical."""
+    starts, stop, canonical, _ = _DEMOGRAPHIC_LINES(block)
+    return starts, stop, np.zeros_like(canonical), None
+
+
+def _loaded(path):
+    """(accepted individuals, reject counts) of a demographics file, or
+    its fatal error."""
+    try:
+        d = load_demographics(path, analysis_year=2008)
+    except CdrError as e:
+        return str(e)
+    return _people(d), d.rejected
+
+
+# edits of a line id,gender,number: those that take it off the byte path,
+# and a CRLF line end, which keeps it there
+_EDITS = {
+    "space": lambda e, g, n: f"{e}, {g},{n}",
+    "quote": lambda e, g, n: f'"{e}",{g},{n}',
+    "tab": lambda e, g, n: f"{e},{g},\t{n}",
+    "crlf": lambda e, g, n: f"{e},{g},{n}\r",
+    "lone_cr": lambda e, g, n: f"{e},{g}\r,{n}",
+    "long_id": lambda e, g, n: f"{e:x<65},{g},{n}",
+    "non_ascii": lambda e, g, n: f"{e}\u00fc,{g},{n}",
+    "extra_column": lambda e, g, n: f"{e},{g},{n},x",
+    "none": lambda e, g, n: f"{e},{g},{n}",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 9),
+                       st.sampled_from(["f", "M", "female", "MALE", "Female", "x", ""]),
+                       st.sampled_from(["34", "0034", "1960", "2005", "199", "9", "110", "10",
+                                        "1898", "", "abc", "12345", "+40", "3:", "1=9"]),
+                       st.sampled_from(list(_EDITS))),
+             min_size=1, max_size=30),
+    st.booleans(),
+    st.sampled_from([16, 64, 1 << 16]),
+)
+@example([(1, "f", "34", "none"), (1, "m", "40", "quote"), (2, "F", "1960", "none")], False, 16)
+def test_the_byte_path_reads_demographics_as_the_row_path(tmp_path_factory, lines, header,
+                                                           block):
+    # ids repeat, so duplicates fall on either path or across the two
+    path = tmp_path_factory.mktemp("demo") / "demo.csv"
+    text = "".join(_EDITS[edit](f"u{k}", g, n) + "\n" for k, g, n, edit in lines)
+    path.write_text(("ego_id,gender,birth_year\n" if header else "") + text, encoding="utf-8",
+                    newline="")
+    with mock.patch.object(records, "_DEMOGRAPHICS_BLOCK_BYTES", block):
+        got = _loaded(path)
+    with mock.patch.object(ingest, "demographic_lines", _row_path_only):
+        want = _loaded(path)
+    assert got == want
+
+
+def test_canonical_demographics_lines_take_the_byte_path(tmp_path):
+    # line 1 takes the row path, whether or not it is a header
+    path = tmp_path / "demo.csv"
+    body = "".join(f"u{k},{'fmFM'[k % 4]},{1930 + k}\r\n" for k in range(50))
+    for head, calls in (("ego_id,gender,birth_year\n", 0), ("", 1)):
+        path.write_text(head + body)
+        with mock.patch.object(records, "_person", wraps=records._person) as spy:
+            d = load_demographics(path)
+        assert spy.call_count == calls and len(d.index) == 50 and not d.rejected
 
 
 def test_age_groups_partition_the_range():

@@ -41,6 +41,46 @@ def _text(blocks) -> list[tuple[str, ...]]:
     return [row for cols in blocks for row in zip(*map(_cells, cols))]
 
 
+def _reference_cells(column) -> list[str]:
+    """The one cell rule, value by value: empty for None and NaN, the
+    round-trip repr of a float, str of anything else."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    return ["" if x is None or x != x else repr(float(x)) if isinstance(x, float) else str(x)
+            for x in column]
+
+
+# NaN with another payload, the smallest subnormal, and float extremes
+_ODD_NAN = np.array([np.nan]).view(np.int64) | 1
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, float(_ODD_NAN.view(np.float64)[0]),
+                     5e-324, -5e-324, 1.7976931348623157e308, 2.0 ** -1022]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=20),
+    st.lists(_FLOATS, max_size=20),
+    st.lists(_FLOATS, min_size=1, max_size=3, unique_by=lambda x: np.float64(x).tobytes()),
+    st.lists(st.integers(0, 2), min_size=7, max_size=40),
+    st.lists(st.one_of(st.none(), st.text(max_size=3), st.integers(), _FLOATS), max_size=10),
+)
+def test_cells_follow_the_one_cell_rule(ints, floats, pool, picks, mixed):
+    # ints take map(str); floats with more distinct values than repeats
+    # are formatted one by one; a column of at most three distinct floats
+    # and at least seven values is formatted once per distinct bit pattern,
+    # which keeps -0.0 apart from 0.0 and blanks every NaN
+    repeated = np.array([pool[k % len(pool)] for k in picks], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        narrow = repeated.astype(np.float32)
+    columns = [np.array(ints, dtype=np.int64), np.array(floats, dtype=np.float64), repeated,
+               repeated[::-2], narrow, mixed, [str(x) for x in mixed]]
+    for column in columns:
+        assert _cells(column) == _reference_cells(column)
+
+
 def _reference_rows(ego, ts, tower, home, spec, divisor):
     """One individual's metrics.csv cells, computed from its own events only."""
     lat, lon = REG.lat[tower], REG.lon[tower]
