@@ -19,11 +19,12 @@ numpy for SIMD); commas are read by layout when every line has five, else
 by a binary search of each line's end. A timestamp is checked as three
 words against a byte template of the analysis year, and its fields come
 from those words. Kind and direction words are folded to lower case, so
-token case does not leave the byte path. A tower is looked up by one searchsorted among the
-registry's ids held as sorted keys. Every other line, one that holds a
-quote included, takes the row path, csv.reader and parse_event_fields,
-which holds every rule of what a row means. A row may not span lines, so
-every newline ends a row and blocks are cut at any of them.
+token case does not leave the byte path. A tower is looked up by one
+searchsorted among the registry's ids held as sorted keys. Every other
+line, one that holds a quote included, takes the row path, csv.reader and
+parse_event_fields, which holds every rule of what a row means. A row may
+not span lines, so every newline ends a row and blocks are cut at any of
+them.
 
 Blocks are parsed on one thread per CPU, two at most, as in the
 block-parallel bulk loading of Mühlbauer et al. ("Instant Loading for
@@ -35,13 +36,15 @@ and hashes the file and takes the results in block order: it runs the
 row path for a block's other lines and interns the ids of each part, so
 an id gets the same code whatever the thread count.
 
-The kept events of every individual form one EventTable: parallel numpy
-columns sorted by (ego id, timestamp, tower id, kind, direction), with an
-offsets array marking where each individual's segment starts. Every
-downstream stage is a vectorised pass over this table, and the sort makes
-each pass order-deterministic even with duplicate timestamps. Ego order is
-id-string order; tower order uses the registry index, which is
-constructed to match tower-id string order.
+The kept events of every individual form one EventTable: a timestamp and
+a tower column sorted by (ego id, timestamp, tower id), with an offsets
+array marking where each individual's segment starts. Every downstream
+stage is a vectorised pass over this table, and the sort makes each pass
+order-deterministic even with duplicate timestamps. Ego order is id-string
+order; tower order uses the registry index, which is constructed to match
+tower-id string order. A row's kind and direction are checked, and its
+direction and peer give its link for the reciprocity filter, but no stage
+reads them after it, so the table holds neither.
 """
 
 from __future__ import annotations
@@ -80,10 +83,9 @@ log = logging.getLogger(__name__)
 SPOOL_EVENTS = "events.npz"
 SPOOL_META = "meta.json"
 SPOOL_STATS = "stats.json"
-SPOOL_FORMAT = 4
+SPOOL_FORMAT = 5
 # EventTable columns saved in a spool, next to its ids, and their dtypes
-_SPOOL_ARRAYS = {"offsets": np.int64, "ts": np.int64, "tower": np.int32, "kind": np.int8,
-                 "direction": np.int8}
+_SPOOL_ARRAYS = {"offsets": np.int64, "ts": np.int64, "tower": np.int32}
 # the rules an individual is kept by (see ingest_file)
 RECIPROCITY_RULES = ("pair", "degree", "none")
 
@@ -91,20 +93,18 @@ RECIPROCITY_RULES = ("pair", "degree", "none")
 @dataclass
 class EventTable:
     """Kept events of every individual in one flat table, sorted by
-    (ego id, timestamp, tower, kind, direction).
+    (ego id, timestamp, tower).
 
     Segment k, rows offsets[k]:offsets[k+1], holds the events of ids[k];
-    ids are sorted. `tower` holds registry indices (int32), `kind`
-    0=call 1=sms, and `direction` 0=incoming 1=outgoing. Peers are only
-    read by the reciprocity filter, so the table has no peer column.
+    ids are sorted. `ts` holds epoch seconds (int64) and `tower` registry
+    indices (int32). Peers, kinds and directions are only read while
+    ingesting, so the table has no column for them.
     """
 
     ids: list[str]
     offsets: np.ndarray
     ts: np.ndarray
     tower: np.ndarray
-    kind: np.ndarray
-    direction: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -247,7 +247,7 @@ def _token_keys(codes: dict[str, int]) -> list[tuple[np.uint64, np.int8]]:
             for t, c in codes.items()]
 
 
-_KIND_KEYS = _token_keys(KIND_TOKENS)
+_KIND_KEYS = _token_keys(dict.fromkeys(KIND_TOKENS, 0))
 _DIRECTION_KEYS = _token_keys(DIRECTION_TOKENS)
 
 
@@ -347,17 +347,15 @@ class _Columns:
 
     def __init__(self, capacity: int):
         self.code: dict[str, int] = {}
-        # ego, ts, tower, kind, direction: the peer of a row only enters
-        # its link key
-        self.cols = [
-            np.empty(capacity, dtype=t) for t in (np.int32, np.int64, np.int32, np.int8, np.int8)
-        ]
+        # ego, ts, tower: the peer and direction of a row only enter its
+        # link key
+        self.cols = [np.empty(capacity, dtype=t) for t in (np.int32, np.int64, np.int32)]
         self.n = 0
         # the directed links a->b of each appended block, as int64 keys
         # (a << 32) | b; empty to start with, for input without rows
         self.links = [np.empty(0, dtype=np.int64)]
 
-    def append_block(self, names: list[str], ego, ts, tower, kind, direction, links) -> None:
+    def append_block(self, names: list[str], ego, ts, tower, links) -> None:
         """Add a block's rows: its names are interned here, in their order,
         so codes do not depend on which thread parsed the block."""
         code = self.code
@@ -368,12 +366,12 @@ class _Columns:
         if self.n + k > len(self.cols[0]):
             for c in self.cols:
                 c.resize(max(2 * len(c), self.n + k), refcheck=False)
-        for c, new in zip(self.cols, (local[ego], ts, tower, kind, direction)):
+        for c, new in zip(self.cols, (local[ego], ts, tower)):
             c[self.n: self.n + k] = new
         self.n += k
 
     def columns(self) -> list[np.ndarray]:
-        """The five columns as gathered, trimmed to the rows gathered."""
+        """The three columns as gathered, trimmed to the rows gathered."""
         for c in self.cols:
             c.resize(self.n, refcheck=False)
         return self.cols
@@ -397,9 +395,10 @@ class _ByteParser:
     The timestamp is checked as three words against a template of the year
     (fixed bytes equal, digit bytes 0-9) and its fields are read from those
     words. The kind and direction words are folded to lower case and looked
-    up among the tokens. Towers are found by one searchsorted among the
-    registry's ids held as sorted keys: one little-endian word each when
-    every id fits in 8 bytes, byte strings of whole words otherwise.
+    up among the tokens; only the direction is kept, for the link. Towers
+    are found by one searchsorted among the registry's ids held as sorted
+    keys: one little-endian word each when every id fits in 8 bytes, byte
+    strings of whole words otherwise.
     """
 
     def __init__(self, registry: TowerRegistry, analysis_year: int):
@@ -427,8 +426,7 @@ class _ByteParser:
     def parse(self, block: bytes):
         """(line starts, line ends past the LF, canonical line mask, and the
         canonical rows or None) of a block of whole lines followed by _PAD.
-        The rows are
-        (names, ego, ts, tower, kind, direction, links): names holds each
+        The rows are (names, ego, ts, tower, links): names holds each
         distinct id the rows use once, ego indexes it, and links holds the
         distinct directed links a->b of the rows as sorted keys (a << 32) | b
         of indices into names. Nothing is shared with another block, so
@@ -462,8 +460,7 @@ class _ByteParser:
         for k in (0, 1, 3):
             good &= (ln[k] >= 1) & (ln[k] <= _MAX_ID_BYTES)
         u64 = _u64(block)
-        kind, found = _match(_KIND_KEYS, _lower(_word(u64, lo[4], ln[4])))
-        good &= found
+        good &= _match(_KIND_KEYS, _lower(_word(u64, lo[4], ln[4])))[1]
         direction, found = _match(_DIRECTION_KEYS, _lower(_word(u64, lo[5], ln[5])))
         good &= found
 
@@ -509,12 +506,9 @@ class _ByteParser:
         names = _text(words[once[used]])
         del words, once, used
         ego, peer = index[ego], index[peer]
-        direction = direction[good]
-        links = unique_sorted(_link_keys(ego, peer, direction))
+        links = unique_sorted(_link_keys(ego, peer, direction[good]))
         canonical[lines[good]] = True
-        return starts, stop, canonical, (
-            names, ego, ts[good], self.tower_index[tower[good]], kind[good], direction, links,
-        )
+        return starts, stop, canonical, (names, ego, ts[good], self.tower_index[tower[good]], links)
 
 
 def _five_a_line(commas: np.ndarray, starts: np.ndarray, stop: np.ndarray):
@@ -581,7 +575,7 @@ def _row_block(rows, registry: TowerRegistry, year_start: int, year_end: int,
     """The row path: each already-split row goes through parse_event_fields,
     and is counted with its reject reason. The valid rows come as
     _ByteParser.parse gives a block's canonical ones, (names, ego, ts,
-    tower, kind, direction, links), or None when no row is valid."""
+    tower, links), or None when no row is valid."""
     valid = []
     for row in rows:
         stats.rows_read += 1
@@ -591,15 +585,13 @@ def _row_block(rows, registry: TowerRegistry, year_start: int, year_end: int,
             stats.reject(rj.reason)
     if not valid:
         return None
-    ego, peer, ts, tower, kind, direction = zip(*valid)
+    ego, peer, ts, tower, direction = zip(*valid)
     del valid
     index: dict[str, int] = {}
     ego, peer = (np.array([index.setdefault(name, len(index)) for name in ids], dtype=np.int32)
                  for ids in (ego, peer))
-    direction = np.array(direction, dtype=np.int8)
     return (list(index), ego, np.array(ts, dtype=np.int64), np.array(tower, dtype=np.int32),
-            np.array(kind, dtype=np.int8), direction,
-            unique_sorted(_link_keys(ego, peer, direction)))
+            unique_sorted(_link_keys(ego, peer, np.array(direction, dtype=np.int8))))
 
 
 def _skip_header(rows):
@@ -637,21 +629,22 @@ def _ties(same: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.cumsum(~after[rows])
 
 
-def _tie_order(rows, run, tower, kind, direction) -> np.ndarray:
-    """The rows of each run of ties in order by (tower, kind, direction,
-    row), one run after another."""
-    return rows[np.lexsort((rows, direction[rows], kind[rows], tower[rows], run))]
+def _tie_order(rows, run, tower) -> np.ndarray:
+    """The rows of each run of ties in order by (tower, row), one run after
+    another. Rows that tie on the tower too are equal in every column the
+    table keeps, so the row only makes the order one permutation."""
+    return rows[np.lexsort((rows, tower[rows], run))]
 
 
-def _row_order(ego, ts, tower, kind, direction) -> np.ndarray:
-    """The stable order by (ego, ts, tower, kind, direction): one argsort
-    of (ego, ts) packed into int64, which int32 egos and timestamps of one
-    year (under 2**25 s apart) fit in 56 bits; then each run of rows equal
-    in (ego, ts), which are few, is put in order by the rest and by row.
-    The argsort need not be stable, so it is numpy's quicksort, which
-    takes no buffer: on a million keys nearly in order it took 22 ms where
-    the stable sort took 57. The sorted keys come from a second, in-place
-    sort, not a copy of the key in that order."""
+def _row_order(ego, ts, tower) -> np.ndarray:
+    """The stable order by (ego, ts, tower): one argsort of (ego, ts)
+    packed into int64, which int32 egos and timestamps of one year (under
+    2**25 s apart) fit in 56 bits; then each run of rows equal in (ego,
+    ts), which are few, is put in order by tower and by row. The argsort
+    need not be stable, so it is numpy's quicksort, which takes no buffer:
+    on a million keys nearly in order it took 22 ms where the stable sort
+    took 57. The sorted keys come from a second, in-place sort, not a copy
+    of the key in that order."""
     t0 = int(ts.min()) if len(ts) else 0
     # in-place steps, so that no temporary is the size of the key
     key = ego.astype(np.int64)
@@ -663,7 +656,7 @@ def _row_order(ego, ts, tower, kind, direction) -> np.ndarray:
     at, run = _ties(key[1:] == key[:-1])
     del key
     rows = order[at]
-    order[at] = _tie_order(rows, run, tower, kind, direction)
+    order[at] = _tie_order(rows, run, tower)
     return order
 
 
@@ -677,20 +670,17 @@ def _in_order(ego: np.ndarray, ts: np.ndarray) -> bool:
     return not step.any()
 
 
-def _sort_rows(ego, ts, tower, kind, direction) -> None:
-    """Put the columns of a table in (ego, ts, tower, kind, direction, row)
-    order in place. Rows that arrive in (ego, ts) order stay where they
-    are, and only the runs of ties among them are put in order: no
-    whole-table key, sort or gather is made. Rows in any other order are
-    gathered by _row_order."""
+def _sort_rows(ego, ts, tower) -> None:
+    """Put the columns of a table in (ego, ts, tower, row) order in place.
+    Rows that arrive in (ego, ts) order stay where they are, and only the
+    runs of ties among them are put in order: no whole-table key, sort or
+    gather is made. Rows in any other order are gathered by _row_order."""
     if _in_order(ego, ts):
         at, run = _ties((ego[1:] == ego[:-1]) & (ts[1:] == ts[:-1]))
-        rows = _tie_order(at, run, tower, kind, direction)
-        for c in (tower, kind, direction):  # ego and ts are equal within a run
-            c[at] = c[rows]
+        tower[at] = tower[_tie_order(at, run, tower)]  # ego and ts are equal within a run
         return
-    order = _row_order(ego, ts, tower, kind, direction)
-    for c in (ego, ts, tower, kind, direction):
+    order = _row_order(ego, ts, tower)
+    for c in (ego, ts, tower):
         c[:] = c[order]
 
 
@@ -743,6 +733,16 @@ def _assemble(cols: _Columns, stats: IngestStats, analysis_year: int,
         stats.individuals_kept, stats.individuals_removed,
     )
     return IngestResult(table, stats, analysis_year, reciprocity, removed)
+
+
+def _past_bom(fh) -> bytes:
+    """Seek a binary file past one leading UTF-8 byte order mark, and
+    return the mark, or nothing when the file does not start with one."""
+    mark = fh.read(len(_BOM))
+    if mark != _BOM:
+        mark = b""
+    fh.seek(len(mark))
+    return mark
 
 
 def _blocks(fh, digest=None, size: int | None = None):
@@ -859,10 +859,7 @@ def ingest_file(
 
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        mark = fh.read(len(_BOM))
-        head = len(_BOM) if mark == _BOM else 0
-        digest.update(mark[:head])
-        fh.seek(head)
+        digest.update(_past_bom(fh))
         line = 1  # the number of the next block's first line
         n_blocks = -(-size // _BLOCK_BYTES)  # a bound: blocks are cut only at LF
         read = 0
@@ -914,8 +911,8 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
     The spool is machine-written, so a defect in any of its files is
     fatal, a missing stats.json included, and so is a table that breaks the
     dtypes, order and ranges an EventTable keeps: the dtypes write_spool
-    writes, ids strictly ascending, timestamps in the year and ascending in
-    each segment, kind and direction 0 or 1."""
+    writes, ids strictly ascending, and timestamps in the year and
+    ascending in each segment."""
     meta = read_json_object(os.path.join(path, SPOOL_META), "spool file")
     for key, want in (
         ("format", SPOOL_FORMAT),
@@ -961,8 +958,6 @@ def read_spool(path, registry: TowerRegistry, analysis_year: int, reciprocity: s
         (not all(map(str.__lt__, ids, ids[1:])), "ids are not strictly ascending"),
         (((ts < lo) | (ts >= hi)).any(), f"a timestamp lies outside {analysis_year}"),
         (back.any(), "timestamps decrease inside a segment"),
-        (any(((cols[c] != 0) & (cols[c] != 1)).any() for c in ("kind", "direction")),
-         "a kind or direction is not 0 or 1"),
     ):
         if broken:
             raise CdrError(f"{events}: malformed spool table: {what}")

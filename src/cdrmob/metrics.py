@@ -176,9 +176,6 @@ def _upto(cum, k, start):
 # about the time 2^18 did, and the report's peak RSS read 80 MiB against 89
 # on megarow and 70 against 76 on crowd (medians of 3 runs).
 _BLOCK_CELLS = 1 << 16
-# Whole-table windows of at most this many spans (a year, its months) are
-# kept once built: year_rows, strata and metrics.csv share them.
-_KEPT_SPANS = 12
 
 
 def blocks(offsets: np.ndarray, width: int = 1):
@@ -206,8 +203,8 @@ class TableMetrics:
     individual's last event; h2[r] the squared distance of row r to its
     individual's home, NaN without one (None when no homes are given).
     Results are n x k matrices, one row per individual in id order; rg is NaN
-    for empty windows and individuals without a home. Whole-table year and
-    month windows are kept, and so are the month patterns' activity and
+    for empty windows and individuals without a home. A whole-table window
+    of one span is kept, and so are the month patterns' activity and
     mobility.
     """
 
@@ -265,14 +262,15 @@ class TableMetrics:
     def windows(self, bounds: np.ndarray, lo: int = 0, hi: int | None = None):
         """Metrics of individuals lo..hi-1 (everyone when hi is None) for the
         half-open spans between consecutive bounds. A whole-table result is
-        built block by block, and kept when it has at most _KEPT_SPANS spans."""
+        built block by block, and kept when it has one span: metrics.csv's
+        year windows and year_rows share it."""
         key = bounds.tobytes()
         if key in self._memo:
             return tuple(x[lo:hi] for x in self._memo[key])
         if hi is not None:
             return self._windows(bounds, lo, hi)
         whole = self.stack(lambda a, b: self._windows(bounds, a, b), len(bounds) - 1)
-        if len(bounds) - 1 <= _KEPT_SPANS:
+        if len(bounds) == 2:
             self._memo[key] = whole
         return whole
 
@@ -376,8 +374,8 @@ def metrics_rows(tm: TableMetrics, spec: WindowSpec, analysis_year: int):
     else:
         wids = [wid for wid, _, _ in spans]
         bounds = np.array([spans[0][1]] + [t1 for _, _, t1 in spans], dtype=np.int64)
-        if len(wids) <= _KEPT_SPANS:
-            tm.windows(bounds)  # kept, and shared with the other stages
+        if len(wids) == 1:
+            tm.windows(bounds)  # kept, and shared with year_rows
         blocks = ((lo, tm.windows(bounds, lo, hi)) for lo, hi in tm.blocks(len(wids)))
     rows = max(1, _ROW_CELLS // len(wids))
     for lo, block in blocks:

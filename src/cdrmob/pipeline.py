@@ -5,10 +5,10 @@ A Pipeline lazily computes each stage the first time something needs it
 metrics -> grid density -> correlations -> patterns -> strata), so every
 CLI subcommand runs exactly the stages it needs and `report` runs them
 all. Every per-individual stage is a vectorised pass over the one event
-table that ingest builds, and each window matrix (whole year, months,
-time of day) is computed once and shared. Stage results are
-deterministic functions of the input files and the config. Stages run
-single-threaded; the thread count is only recorded in the manifest.
+table that ingest builds, and the whole-year window matrix is computed
+once and shared. Stage results are deterministic functions of the input
+files and the config. Only ingest runs threads, to parse the CDR file's
+blocks, and the manifest records how many.
 
 Reference values quoted in reports (correlation magnitudes, per-class
 densities) come from a large-scale reference dataset and are printed for

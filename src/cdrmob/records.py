@@ -31,8 +31,8 @@ from itertools import islice
 
 import numpy as np
 
-# event tokens -> the codes of the event table's kind and direction columns
-KIND_TOKENS = {"call": 0, "sms": 1}
+# event kinds, and direction token -> whether the ego called or texted
+KIND_TOKENS = ("call", "sms")
 DIRECTION_TOKENS = {"in": 0, "incoming": 0, "out": 1, "outgoing": 1}
 
 # gender token -> whether it reads female
@@ -242,11 +242,11 @@ def _undecodable(row: list[str]) -> bool:
 
 
 def parse_event_fields(row: list[str], registry: TowerRegistry, year_start: int,
-                       year_end: int) -> tuple[str, str, int, int, int, int]:
+                       year_end: int) -> tuple[str, str, int, int, int]:
     """One already-split CDR row (ego_id, peer_id, timestamp, tower_id,
-    kind, direction) as the event table stores it: (ego, peer, epoch
-    seconds of its local civil time, registry index of its tower, kind
-    0=call 1=sms, direction 0=incoming 1=outgoing). Raises RowReject on any
+    kind, direction) as ingest reads it: (ego, peer, epoch seconds of its
+    local civil time, registry index of its tower, direction 0=incoming
+    1=outgoing). The kind is checked and dropped. Raises RowReject on any
     defect, the first of: bad_encoding (bytes that are not UTF-8, or a
     NUL), missing_column, self_call, bad_timestamp, outside_year, bad_kind,
     bad_direction, unknown_tower."""
@@ -264,8 +264,7 @@ def parse_event_fields(row: list[str], registry: TowerRegistry, year_start: int,
     ts = parse_timestamp(row[2])
     if not (year_start <= ts < year_end):
         raise RowReject("outside_year", row[2])
-    kind = KIND_TOKENS.get(row[4].strip().lower())
-    if kind is None:
+    if row[4].strip().lower() not in KIND_TOKENS:
         raise RowReject("bad_kind", row[4])
     direction = DIRECTION_TOKENS.get(row[5].strip().lower())
     if direction is None:
@@ -273,7 +272,7 @@ def parse_event_fields(row: list[str], registry: TowerRegistry, year_start: int,
     index = registry.index_of(tower)
     if index is None:
         raise RowReject("unknown_tower", tower)
-    return ego, peer, ts, index, kind, direction
+    return ego, peer, ts, index, direction
 
 
 class TowerRegistry:
@@ -438,18 +437,18 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
     [10, 110] after resolving birth years are rejected, and so is every row
     of an id that appears more than once (duplicate_id: which one is right?).
 
-    The file is read as bytes in blocks. Its canonical lines (see
-    ingest.demographic_lines) are decoded in numpy; line 1, which may be a
-    header, and every other line take the row path, csv.reader and _person,
-    with the fatal errors of _rows. Each row with an id adds the id to a
-    list, its reject code to a column and the id's (female, age) row to the
-    dict. Fewer ids in the dict than rows means that an id repeats: a
-    second dict then maps each id to the first row that has it, and every
-    row of an id that another row maps to is a duplicate_id reject. The ids
-    of rejected rows leave the dict.
+    The file is read as bytes in blocks, past one leading UTF-8 byte order
+    mark. Its canonical lines (see ingest.demographic_lines) are decoded in
+    numpy; every other line, a header included, takes the row path,
+    csv.reader and _person, with the fatal errors of _rows. Each row with
+    an id adds the id to a list, its reject code to a column and the id's
+    (female, age) row to the dict. Fewer ids in the dict than rows means
+    that an id repeats: a second dict then maps each id to the first row
+    that has it, and every row of an id that another row maps to is a
+    duplicate_id reject. The ids of rejected rows leave the dict.
     """
     # ingest imports this module, so its byte path is imported on first use
-    from .ingest import _BOM, _blocks, _runs, demographic_lines
+    from .ingest import _blocks, _past_bom, _runs, demographic_lines
 
     ids: list[str] = []
     index: dict[str, int] = {}
@@ -476,8 +475,8 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
             add(names, *map(np.array, zip(*people)))
 
     with open(path, "rb") as fh:
-        row_path(fh.readline().removeprefix(_BOM).decode("utf-8", "surrogateescape"), 1)
-        line = 2  # the number of the next block's first line
+        _past_bom(fh)
+        line = 1  # the number of the next block's first line
         for block in _blocks(fh, size=_DEMOGRAPHICS_BLOCK_BYTES):
             starts, stop, canonical, decoded = demographic_lines(block)
             if decoded is not None:

@@ -75,10 +75,8 @@ def _random_table(rng, registry, sizes):
         np.sort(rng.integers(1_199_145_600, 1_230_768_000, size=k)) for k in sizes
     ]).astype(np.int64)
     tower = rng.integers(0, len(registry), size=n).astype(np.int32)
-    kind = rng.integers(0, 2, size=n).astype(np.int8)
-    direction = rng.integers(0, 2, size=n).astype(np.int8)
     ids = [f"e{k:05d}" for k in range(len(sizes))]
-    return EventTable(ids, offsets, ts, tower, kind, direction)
+    return EventTable(ids, offsets, ts, tower)
 
 
 def _window(tm, k, t0, t1, home_lat=math.nan):
@@ -329,8 +327,8 @@ def test_criterion_11_scale_determinism_and_budget(megarow_corpus, tmp_path):
         rows = sum(1 for _ in fh) - 1
     assert rows >= 1_000_000
 
-    # single-thread ingest + metrics budget, measured in a fresh process
-    # so the memory peak is this workload's own
+    # ingest + metrics budget, measured in a fresh process so the memory
+    # peak is this workload's own
     script = (
         "import json,resource,sys,time\n"
         "import numpy as np\n"
@@ -354,10 +352,13 @@ def test_criterion_11_scale_determinism_and_budget(megarow_corpus, tmp_path):
     assert stats["maxrss_kb"] * 1024 < 2 * 1024**3
     assert stats["n"] > 0
 
-    # byte-identical report across thread counts
+    # byte-identical report from ingest's parse threads and from one CPU,
+    # on which every block is parsed in the calling thread, as CI's
+    # `taskset -c 0` step runs it
+    cpu = min(os.sched_getaffinity(0))
     dirs = {}
-    for threads in (1, 8):
-        rdir = tmp_path / f"rep{threads}"
+    for name, pin in (("threads", None), ("one_cpu", lambda: os.sched_setaffinity(0, {cpu}))):
+        rdir = tmp_path / f"rep-{name}"
         rc = subprocess.run(
             [
                 sys.executable, "-m", "cdrmob.cli", "report",
@@ -365,34 +366,35 @@ def test_criterion_11_scale_determinism_and_budget(megarow_corpus, tmp_path):
                 "--towers", os.path.join(corpus, "towers.csv"),
                 "--demographics", os.path.join(corpus, "demographics.csv"),
                 "--out", str(rdir),
-                "--threads", str(threads),
                 "--area-bounds", ",".join(str(b) for b in truth.area_boundaries),
             ],
             capture_output=True,
             text=True,
+            preexec_fn=pin,
         )
         assert rc.returncode == 0, rc.stderr
-        dirs[threads] = rdir
-    names1 = sorted(
-        os.path.join(r, f)
-        for r, _, fs in os.walk(dirs[1])
-        for f in fs
-        if f != "manifest.json"
-    )
-    names8 = sorted(
-        os.path.join(r, f)
-        for r, _, fs in os.walk(dirs[8])
-        for f in fs
-        if f != "manifest.json"
-    )
-    rel1 = [os.path.relpath(p, dirs[1]) for p in names1]
-    rel8 = [os.path.relpath(p, dirs[8]) for p in names8]
-    assert rel1 == rel8
-    for rel in rel1:
-        with open(dirs[1] / rel, "rb") as fa, open(dirs[8] / rel, "rb") as fb:
-            assert fa.read() == fb.read(), f"thread count changed {rel}"
+        dirs[name] = rdir
+    threads = {name: json.loads((d / "manifest.json").read_text())["threads"]
+               for name, d in dirs.items()}
+    assert threads["one_cpu"] == 1
+    if len(os.sched_getaffinity(0)) > 1:
+        assert threads["threads"] > 1, threads
+    rel = {
+        name: sorted(
+            os.path.relpath(os.path.join(r, f), d)
+            for r, _, fs in os.walk(d)
+            for f in fs
+            if f != "manifest.json"
+        )
+        for name, d in dirs.items()
+    }
+    assert rel["threads"] == rel["one_cpu"]
+    for f in rel["threads"]:
+        with open(dirs["threads"] / f, "rb") as fa, open(dirs["one_cpu"] / f, "rb") as fb:
+            assert fa.read() == fb.read(), f"the thread count changed {f}"
     print(
-        f"criterion 11: {rows} rows; single-thread ingest+metrics "
+        f"criterion 11: {rows} rows; ingest+metrics "
         f"{stats['elapsed']:.1f}s, peak rss {stats['maxrss_kb'] / 1024:.0f} MiB; "
-        f"{len(rel1)} report files byte-identical for 1 vs 8 threads"
+        f"{len(rel['threads'])} report files byte-identical for {threads['threads']} "
+        f"parse threads and one CPU"
     )

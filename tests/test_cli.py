@@ -921,13 +921,10 @@ _SPOOL_DAMAGE = {
         "ts", lambda ts: np.r_[ts[len(_DAYS) - 1::-1], ts[len(_DAYS):]])),
     "events_ts_past_the_year": ("events.npz", _edit_events(
         "ts", lambda ts: np.r_[ts[:-1], ts[-1] + 400 * 86400])),
-    "events_kind_9": ("events.npz", _edit_events("kind", lambda k: np.r_[k[:-1], 9])),
-    "events_direction_2": ("events.npz", _edit_events("direction", lambda d: np.r_[2, d[1:]])),
     # a column of another dtype than write_spool writes
     "events_ts_float": ("events.npz", _edit_events("ts", lambda ts: ts.astype(float) + 0.5)),
     "events_tower_float": ("events.npz", _edit_events("tower", lambda t: t.astype(float))),
     "events_offsets_float": ("events.npz", _edit_events("offsets", lambda o: o.astype(float))),
-    "events_kind_float": ("events.npz", _edit_events("kind", lambda k: k.astype(float))),
     "no_stats": ("stats.json", lambda spool: (spool / "stats.json").unlink()),
     "meta_not_json": ("meta.json", lambda spool: (spool / "meta.json").write_text("{format: 3")),
     "stats_unknown_key": ("stats.json", _edit_stats(rows_skipped=0)),

@@ -13,7 +13,7 @@ import random
 import re
 import threading
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from unittest import mock
 
 import numpy as np
@@ -111,7 +111,7 @@ def test_unknown_tower_counted_not_fatal(tmp_path):
 
 
 def test_timeline_sorted_with_tie_breaks(tmp_path):
-    # same timestamp everywhere: order must come from tower, kind, direction
+    # same timestamp everywhere: order must come from tower
     rows = [
         _row("a", "b", 1, tower="T2", kind="sms", direction="out"),
         _row("a", "b", 1, tower="T1", kind="sms", direction="out"),
@@ -122,7 +122,8 @@ def test_timeline_sorted_with_tie_breaks(tmp_path):
     tab = res.table
     assert tab.ids == ["a", "b"] and tab.offsets.tolist() == [0, 3, 4]
     assert tab.tower[:3].tolist() == [0, 0, 1]
-    assert tab.kind[:3].tolist() == [0, 1, 1]
+    # kind and direction are read while ingesting, and kept nowhere
+    assert [f.name for f in fields(tab)] == ["ids", "offsets", "ts", "tower"]
     assert np.all(tab.ts[:2] <= tab.ts[1:3])
 
 
@@ -143,7 +144,7 @@ def test_empty_input(tmp_path):
 
 def _assert_same_table(t1, t2):
     assert t1.ids == t2.ids
-    for col in ("offsets", "ts", "tower", "kind", "direction"):
+    for col in ("offsets", "ts", "tower"):
         assert np.array_equal(getattr(t1, col), getattr(t2, col)), col
 
 
@@ -225,7 +226,7 @@ def test_spool_round_trip(tmp_path):
     assert back.analysis_year == first.analysis_year
     assert back.stats.events_kept == first.stats.events_kept
     _assert_same_table(first.table, back.table)
-    for col in ("offsets", "ts", "tower", "kind", "direction"):
+    for col in ("offsets", "ts", "tower"):
         assert getattr(back.table, col).dtype == getattr(first.table, col).dtype, col
     # writing the same table twice gives the same bytes
     write_spool(first, REG, tmp_path / "again")
@@ -238,8 +239,8 @@ def test_spool_round_trip(tmp_path):
         with pytest.raises(CdrError, match="re-run ingest"):
             read_spool(spool, reg, year, rule)
     # so is a spool of an older format: 1 held CSV rows, 2 a peer column,
-    # 3 its ids as fixed-width text
-    for fmt in (1, 2, 3):
+    # 3 its ids as fixed-width text, 4 a kind and a direction column
+    for fmt in (1, 2, 3, 4):
         (spool / "meta.json").write_text(
             f'{{"analysis_year": 2008, "reciprocity": "pair", "format": {fmt}}}\n')
         with pytest.raises(CdrError, match="re-run ingest"):
@@ -247,8 +248,9 @@ def test_spool_round_trip(tmp_path):
 
 
 def test_spool_does_not_depend_on_row_order(tmp_path):
-    # rows of u1 that tie on every sort key but the peer; the upper-case
-    # ones take the row path, and small blocks mix the two paths
+    # rows of u1 that tie on (ego, ts, tower) and differ in peer and kind;
+    # the upper-case ones take the row path, and small blocks mix the two
+    # paths
     rows = [f"u1,{peer},2008-06-01T10:00:00,T1,{kind},out\n"
             for peer in ("u2", "u3", "u4") for kind in ("call", "CALL")]
     rows += [f"{a},{b},2008-06-0{d}T0{d}:00:00,T{d},sms,in\n"
@@ -273,7 +275,7 @@ def test_spool_holds_exactly_the_arrays_it_reads(tmp_path):
     write_spool(res, REG, spool)
     with np.load(spool / "events.npz") as z:
         cols = dict(z)
-    assert sorted(cols) == ["direction", "ids", "kind", "offsets", "tower", "ts"]
+    assert sorted(cols) == ["ids", "offsets", "tower", "ts"]
     # and read_spool needs every one of them
     for name in cols:
         np.savez(spool / "events.npz", **{k: v for k, v in cols.items() if k != name})
@@ -545,9 +547,8 @@ def test_both_paths_give_append_block_the_same_block():
     by_rows = ingest._row_block(csv_rows(text, "block", None), REG, *year_bounds(2008), stats)
     assert stats.rows_read == len(lines) and not stats.rows_rejected
 
-    def named(names, ego, ts, tower, kind, direction, links):
-        rows = list(zip([names[e] for e in ego.tolist()], ts.tolist(), tower.tolist(),
-                        kind.tolist(), direction.tolist()))
+    def named(names, ego, ts, tower, links):
+        rows = list(zip([names[e] for e in ego.tolist()], ts.tolist(), tower.tolist()))
         return rows, {(names[k >> 32], names[k & 0xFFFFFFFF]) for k in links.tolist()}
 
     rows, links = named(*by_rows)
@@ -677,18 +678,15 @@ def test_row_order_equals_lexsort():
     ego = rng.choice(np.array([0, 7, 2**31 - 1], dtype=np.int32), n)
     ts = 1_199_145_600 + rng.choice(np.array([0, 1, 366 * 86400 - 1]), n)
     tower = rng.choice(np.array([0, 5, 2**31 - 1], dtype=np.int32), n)
-    kind = rng.integers(0, 2, n, dtype=np.int8)
-    direction = rng.integers(0, 2, n, dtype=np.int8)
-    got = ingest._row_order(ego, ts, tower, kind, direction)
-    assert (got == np.lexsort((direction, kind, tower, ts, ego))).all()
-    assert len(ingest._row_order(*(c[:0] for c in (ego, ts, tower, kind, direction)))) == 0
+    got = ingest._row_order(ego, ts, tower)
+    assert (got == np.lexsort((tower, ts, ego))).all()
+    assert len(ingest._row_order(*(c[:0] for c in (ego, ts, tower)))) == 0
 
 
 def test_rows_in_order_give_the_table_of_the_same_rows_shuffled(tmp_path):
     # rows in (ego, ts) order skip the whole-table sort, and only their
     # runs of ties are put in order; the two adjacent runs of a below, at
-    # 01:00 and 02:00, hold rows whose (tower, kind, direction) sort below
-    # the earlier run's
+    # 01:00 and 02:00, hold rows whose tower sorts below the earlier run's
     rows = [_row("a", "b", 1, "T3", "sms", "in"), _row("a", "b", 1, "T2", "call", "out"),
             _row("a", "b", 2, "T1", "sms", "out"), _row("a", "b", 2, "T1", "call", "in"),
             _row("b", "a", 2, "T2", "call", "in"), _row("b", "a", 2, "T1", "sms", "in")]
@@ -699,8 +697,7 @@ def test_rows_in_order_give_the_table_of_the_same_rows_shuffled(tmp_path):
                          rng.choice(("call", "sms")), rng.choice(("in", "out"))))
     in_order = sorted(rows, key=lambda r: (r[0], r[2]))  # stable: ties keep their order
     shuffled = rng.sample(rows, len(rows))
-    key = {"call": 0, "sms": 1, "in": 0, "out": 1}
-    want = sorted((r[0], r[2], r[3], key[r[4]], key[r[5]]) for r in rows)
+    want = sorted((r[0], r[2], r[3]) for r in rows)
     tables = []
     for given_rows, sorts in ((in_order, 0), (shuffled, 1)):
         with mock.patch.object(ingest, "_row_order", wraps=ingest._row_order) as spy:
@@ -708,8 +705,7 @@ def test_rows_in_order_give_the_table_of_the_same_rows_shuffled(tmp_path):
         assert spy.call_count == sorts
         ego = np.repeat(tab.ids, np.diff(tab.offsets))
         got = list(zip(ego.tolist(), map(format_timestamp, tab.ts.tolist()),
-                       (REG.ids[t] for t in tab.tower.tolist()), tab.kind.tolist(),
-                       tab.direction.tolist()))
+                       (REG.ids[t] for t in tab.tower.tolist())))
         assert got == want
         tables.append(tab)
     _assert_same_table(*tables)

@@ -234,8 +234,7 @@ def test_hour_and_weekday_bins_equal_the_remainder():
         edges, -edges, edges - 1, edges + parse_timestamp("2008-03-03T00:00:00"),
         rng.integers(-2**40, 2**40, 2000), rng.integers(-2**62, 2**62, 200),
     ]))
-    tab = EventTable(["e"], np.array([0, len(ts)]), ts, np.zeros(len(ts), dtype=np.int32),
-                     np.zeros(len(ts), dtype=np.int8), np.zeros(len(ts), dtype=np.int8))
+    tab = EventTable(["e"], np.array([0, len(ts)]), ts, np.zeros(len(ts), dtype=np.int32))
     tm = TableMetrics(tab, REG)
     for nbins in (1, 24, 48, 96, 1440):
         assert (tod_bins(ts, nbins) == (ts % 86400) // (86400 // nbins)).all(), nbins

@@ -171,7 +171,6 @@ def test_pattern_series_are_numpys_statistics_of_their_samples(block):
     tab = EventTable(
         ids=[f"u{k:03d}" for k in range(n)], offsets=np.concatenate(([0], np.cumsum(sizes))), ts=ts,
         tower=rng.integers(0, len(reg), size=len(ts)).astype(np.int32),
-        kind=np.zeros(len(ts), dtype=np.int8), direction=np.zeros(len(ts), dtype=np.int8),
     )
     tm = TableMetrics(tab, reg)
     seg = np.repeat(np.arange(n), sizes)

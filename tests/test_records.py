@@ -155,8 +155,8 @@ def test_year_bounds_2008_is_leap():
 
 
 def test_parse_event_line_round_trip():
-    # kind 1 is sms, direction 0 incoming
-    rec = ("u1", "u2", parse_timestamp("2008-06-01T12:00:00"), 1, 1, 0)
+    # tower T5 is index 1, direction 0 incoming
+    rec = ("u1", "u2", parse_timestamp("2008-06-01T12:00:00"), 1, 0)
     line = f"u1,u2,{format_timestamp(rec[2])},T5,sms,in"
     assert _parse_line(line) == rec
     # tokens are case- and space-tolerant
@@ -165,7 +165,8 @@ def test_parse_event_line_round_trip():
 
 def test_parse_event_line_reject_reasons():
     ok = "u1,u2,2008-06-01T12:00:00,T5,call,in"
-    assert _parse_line(ok)[4] == 0  # call
+    # the kind is checked, not kept
+    assert _parse_line(ok) == _parse_line(ok.replace("call", "sms"))
     cases = {
         "u1,u2,2008-06-01T12:00:00,T5,call": "missing_column",
         "u1,,2008-06-01T12:00:00,T5,call,in": "missing_column",
@@ -454,14 +455,15 @@ def test_the_byte_path_reads_demographics_as_the_row_path(tmp_path_factory, line
 
 
 def test_canonical_demographics_lines_take_the_byte_path(tmp_path):
-    # line 1 takes the row path, whether or not it is a header
+    # line 1 takes the byte path when it is canonical, after a byte order
+    # mark too; a header takes the row path, which skips it
     path = tmp_path / "demo.csv"
     body = "".join(f"u{k},{'fmFM'[k % 4]},{1930 + k}\r\n" for k in range(50))
-    for head, calls in (("ego_id,gender,birth_year\n", 0), ("", 1)):
+    for head in ("ego_id,gender,birth_year\n", "", "\ufeff"):
         path.write_text(head + body)
         with mock.patch.object(records, "_person", wraps=records._person) as spy:
             d = load_demographics(path)
-        assert spy.call_count == calls and len(d.index) == 50 and not d.rejected
+        assert spy.call_count == 0 and len(d.index) == 50 and not d.rejected
 
 
 def test_age_groups_partition_the_range():

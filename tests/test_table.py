@@ -253,7 +253,6 @@ def test_block_memory_does_not_grow_with_individuals_times_bins(what, budget):
     tab = EventTable(
         ids=[f"u{k:05d}" for k in range(n)], offsets=np.arange(0, 2 * n + 1, 2), ts=ts,
         tower=rng.integers(0, len(REG), size=2 * n).astype(np.int32),
-        kind=np.zeros(2 * n, dtype=np.int8), direction=np.zeros(2 * n, dtype=np.int8),
     )
     with mock.patch.object(metrics, "_BLOCK_CELLS", 4096):
         tm = TableMetrics(tab, REG)
@@ -286,7 +285,6 @@ def test_whole_table_passes_hold_a_few_blocks_beyond_their_results():
         ids=[f"u{k:05d}" for k in range(n_ind)], offsets=np.arange(0, n + 1, per),
         ts=np.sort(rng.integers(YS, YE, size=(n_ind, per)), axis=1).ravel(),
         tower=rng.integers(0, len(REG), size=n).astype(np.int32),
-        kind=np.zeros(n, dtype=np.int8), direction=np.zeros(n, dtype=np.int8),
     )
     # eight float64 columns of a block of 2^16 events: the table's own
     # columns take 14 MiB
@@ -297,3 +295,30 @@ def test_whole_table_passes_hold_a_few_blocks_beyond_their_results():
     assert extra <= budget, f"TableMetrics: {extra / 2**20:.1f} MiB"
     _, extra = _beyond_result(lambda: tm.windows(np.array([YS, YE])))
     assert extra <= budget, f"year windows: {extra / 2**20:.1f} MiB"
+
+
+def test_metrics_rows_keeps_only_a_window_of_one_span():
+    # metrics.csv's month windows are built block by block and dropped
+    # once written; the year window is kept, and the whole-table call that
+    # year_rows makes shares it
+    n_ind, per = 5000, 12
+    n = n_ind * per
+    rng = np.random.default_rng(8)
+    tab = EventTable(
+        ids=[f"u{k:05d}" for k in range(n_ind)], offsets=np.arange(0, n + 1, per),
+        ts=np.sort(rng.integers(YS, YE, size=(n_ind, per)), axis=1).ravel(),
+        tower=rng.integers(0, len(REG), size=n).astype(np.int32),
+    )
+    tm = TableMetrics(tab, REG)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert sum(1 for _ in metrics_rows(tm, WindowSpec("month"), 2008))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the four month matrices of everyone take 5000 x 12 x 4 x 8 bytes
+    assert held < 4 * 8 * n_ind, f"month windows: {held / 2**20:.2f} MiB held"
+    assert sum(1 for _ in metrics_rows(tm, WindowSpec("year"), 2008))
+    year = np.array([YS, YE])
+    assert all(map(np.shares_memory, tm.windows(year), tm.windows(year)))
