@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -28,6 +29,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .density import DensityError
+from .geo import GridSpec
 from .home import UnimodalProfileError
 from .ingest import (
     RECIPROCITY_RULES,
@@ -53,6 +55,7 @@ from .pipeline import (
 )
 from .records import (
     CdrError,
+    _plain,
     load_towers,
     parse_timestamp,
     read_json_object,
@@ -95,9 +98,7 @@ def _parse_window(text: str) -> WindowSpec:
             t1 = parse_timestamp(hi)
         except CdrError as e:
             raise UsageError(f"bad --window range: {e}")
-        if t1 <= t0:
-            raise UsageError("--window range end must be after start")
-        return WindowSpec("range", t0, t1)
+        return WindowSpec("range", t0, t1)  # refuses an end that is not after the start
     raise UsageError(
         f"--window must be one of {', '.join(g for g in GRANULARITIES if g != 'range')} "
         "or an ISO range START/END"
@@ -105,37 +106,37 @@ def _parse_window(text: str) -> WindowSpec:
 
 
 def _parse_night_window(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = text.split("-", 1)
-        h0, m0 = lo.split(":")
-        h1, m1 = hi.split(":")
-        start = int(h0) + int(m0) / 60.0
-        end = int(h1) + int(m1) / 60.0
-    except ValueError:
-        raise UsageError("--night-window must look like HH:MM-HH:MM")
+    hhmm = re.fullmatch(r"([0-9]{2}):([0-9]{2})-([0-9]{2}):([0-9]{2})", text)
+    if not hhmm:
+        raise UsageError("--night-window must look like HH:MM-HH:MM, in ASCII digits")
+    h0, m0, h1, m1 = map(int, hhmm.groups())
+    start, end = h0 + m0 / 60.0, h1 + m1 / 60.0
     if not (0 <= start < 24 and 0 < end <= 24):
         raise UsageError("--night-window hours out of range")
-    if not (0 <= int(m0) < 60 and 0 <= int(m1) < 60):
+    if not (m0 < 60 and m1 < 60):
         raise UsageError("--night-window minutes must be 00-59")
     if start == end:
         raise UsageError("--night-window must not start where it ends")
     return (start, end)
 
 
-def _parse_year(text: str) -> int:
-    """An analysis year that year_bounds can handle (1-9998)."""
-    try:
-        year = int(text)
-        year_bounds(year)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"bad year {text!r}: {e}")
-    return year
+def _number(parse, check=lambda value: None):
+    """An argparse type: a plain ASCII number (records._plain) that parse
+    reads and check, which raises a ValueError for a value out of range,
+    takes. check runs first, so a NaN grid step is refused by its range."""
+    def read(text: str):
+        try:
+            check(parse(text))
+            return _plain(text, parse)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e))
+    return read
 
 
 def _parse_bounds(text: str) -> tuple[int, ...]:
     """Comma-separated integers; AnalysisConfig checks that they are ranks."""
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(_plain(p, int) for p in text.split(","))
     except ValueError:
         raise UsageError("--area-bounds must be four comma-separated integers")
 
@@ -166,13 +167,15 @@ def _add_analysis_flags(p: _Parser):
     p.add_argument("--towers", required=True, help="tower csv (tower_id,lat,lon)")
     p.add_argument("--demographics", default=None, help="csv (ego_id,gender,age or birth year)")
     p.add_argument("--out", type=_out_dir, required=True, help="output directory")
-    p.add_argument("--grid-step", type=float, default=0.05, help="grid cell size, degrees")
+    p.add_argument("--grid-step", type=_number(float, GridSpec), default=0.05,
+                   help="grid cell size, degrees")
     p.add_argument("--window", default="year", help="metrics windows: granularity or ISO range START/END")
     p.add_argument("--area-bounds", default="30,100,1000,10000", help="rank boundaries r1,r2,r3,r4")
     p.add_argument("--night-window", default=None, help="override detection, HH:MM-HH:MM")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="accepted and ignored (bench/run.py passes it): ingest uses 2 at most")
-    p.add_argument("--year", type=_parse_year, default=2008, help="analysis year, 1-9998")
+    p.add_argument("--year", type=_number(int, year_bounds), default=2008,
+                   help="analysis year, 1-9998")
     p.add_argument("--divisor", choices=("events", "pairs"), default="events",
                    help="mobility normalization")
     p.add_argument("--reciprocity", choices=RECIPROCITY_RULES, default="pair",
@@ -357,9 +360,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("generate", help="write a synthetic corpus with ground truth")
     sp.add_argument("--out", type=_out_dir, required=True)
-    sp.add_argument("--n", type=int, default=None, help="number of individuals")
-    sp.add_argument("--cells", type=int, default=None, help="number of settlements")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--n", type=_number(int), default=None, help="number of individuals")
+    sp.add_argument("--cells", type=_number(int), default=None, help="number of settlements")
+    sp.add_argument("--seed", type=_number(int), default=None)
     sp.add_argument("--gen-config", default=None, help="JSON file of generator settings")
     sp.set_defaults(func=_cmd_generate)
 
@@ -367,7 +370,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--cdr", required=True)
     sp.add_argument("--towers", required=True)
     sp.add_argument("--out", type=_out_dir, required=True)
-    sp.add_argument("--year", type=_parse_year, default=2008, help="analysis year, 1-9998")
+    sp.add_argument("--year", type=_number(int, year_bounds), default=2008,
+                    help="analysis year, 1-9998")
     sp.add_argument("--reciprocity", choices=RECIPROCITY_RULES, default="pair")
     sp.set_defaults(func=_cmd_ingest)
 
@@ -384,8 +388,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("demo", help="generate a small corpus and run the full report")
     sp.add_argument("--out", type=_out_dir, required=True)
-    sp.add_argument("--n", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--n", type=_number(int), default=2000)
+    sp.add_argument("--seed", type=_number(int), default=7)
     sp.set_defaults(func=_cmd_demo)
 
     for sp in sub.choices.values():

@@ -344,15 +344,10 @@ class TableMetrics:
 
     def event_counts(self, bin_of, nbins: int, lo: int, hi: int) -> np.ndarray:
         """Events of individuals lo..hi-1 per bin: bin_of maps an array of
-        timestamps to bins, and an event it maps outside 0..nbins-1 is not
-        counted."""
+        the table's timestamps to bins 0..nbins-1."""
         r0, r1, off = self._rows(lo, hi)
-        b = bin_of(self.table.ts[r0:r1])
         key = _segment_index(off) * nbins
-        key += b
-        inside = (b >= 0) & (b < nbins)
-        if not inside.all():
-            key = key[inside]
+        key += bin_of(self.table.ts[r0:r1])
         return np.bincount(key, minlength=(hi - lo) * nbins).reshape(hi - lo, nbins)
 
 

@@ -11,8 +11,10 @@ pools one sample per (individual, matching window) over a cohort:
   * hour pools the 24 time-of-day bins, each individual contributing one
     pooled value per bin.
 
-Only the kinds in KINDS are computed. Every bin of such a series has a
-sample of every individual of the cohort.
+Only the kinds in KINDS are computed, and dow and hour only for the
+whole population, whose every event lies in the analysis year and so in
+a bin. Every bin of a series has a sample of every individual of its
+cohort.
 
 The statistics are numpy's mean, std(ddof=1) and median of a bin's
 samples pooled in one array, to the last bit, but no such array is
@@ -175,34 +177,24 @@ class _PairwiseSums:
         return out
 
 
-def _streamed_mean_se(tm: TableMetrics, rows, bin_of, edges: np.ndarray):
-    """(mean, n, se) of each bin of an activity series, in two passes over
-    blocks of individuals. bin_of maps timestamps to columns, and bin b
-    pools the cohort's event counts in columns edges[b]..edges[b+1]-1: each
-    individual's in column order, individuals in row order. The values are
-    numpy's mean and std(ddof=1) / sqrt(n) of those samples: a mean is an
-    exact integer total over n, and the squared deviations are added in
-    numpy's order."""
-    width, nrows = int(edges[-1]), len(tm.table) if rows is None else len(rows)
-    member = None
-    if rows is not None:
-        member = np.zeros(len(tm.table), dtype=bool)
-        member[rows] = True
-    off, ts = tm.table.offsets, tm.table.ts
+def _streamed_mean_se(tm: TableMetrics, bin_of, edges: np.ndarray):
+    """(mean, n, se) of each bin of a whole-population activity series, in
+    two passes over blocks of individuals. bin_of maps the table's
+    timestamps to columns 0..edges[-1]-1, and bin b pools every event
+    count in columns edges[b]..edges[b+1]-1: each individual's in column
+    order, individuals in row order. The values are numpy's mean and
+    std(ddof=1) / sqrt(n) of those samples: a mean is an exact integer
+    total over n, and the squared deviations are added in numpy's order."""
+    width, off, ts = int(edges[-1]), tm.table.offsets, tm.table.ts
     total = np.zeros(width, dtype=np.int64)
     for lo, hi in tm.blocks():
-        col = bin_of(ts[off[lo]:off[hi]])
-        keep = (col >= 0) & (col < width)
-        if member is not None:
-            keep &= np.repeat(member[lo:hi], np.diff(off[lo:hi + 1]))
-        total += np.bincount(col if keep.all() else col[keep], minlength=width)
-    n = np.diff(edges) * nrows
+        total += np.bincount(bin_of(ts[off[lo]:off[hi]]), minlength=width)
+    n = np.diff(edges) * len(tm.table)
     mean = np.add.reduceat(total, edges[:-1]) / n
 
     squares, deviation_of = _PairwiseSums(n), np.repeat(mean, np.diff(edges))
     for lo, hi in tm.blocks(width):
-        sel = slice(None) if member is None else member[lo:hi]
-        x = np.subtract(tm.event_counts(bin_of, width, lo, hi)[sel], deviation_of, dtype=float)
+        x = np.subtract(tm.event_counts(bin_of, width, lo, hi), deviation_of, dtype=float)
         x *= x
         squares.add([x[:, a:b] for a, b in zip(edges[:-1], edges[1:])])
     se = np.array([np.sqrt(s / (k - 1)) / math.sqrt(k) if k > 1 else np.nan
@@ -219,30 +211,31 @@ def pattern(
     analysis_year: int = 2008,
 ) -> PatternSeries:
     """Pattern series of one of the KINDS for a cohort: rows of the table
-    (individuals in id order, ascending), None for everyone."""
+    (individuals in id order, ascending) of a month series, else None for
+    everyone."""
     if (axis, value, statistic) not in KINDS:
         raise ValueError(f"unknown pattern kind {axis}/{value}/{statistic}")
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
         if (np.diff(rows) <= 0).any():
             raise ValueError("cohort rows must ascend")
+        if axis != "month":
+            raise ValueError(f"a {axis} pattern is for the whole population, not a cohort")
     if not len(tm.table) if rows is None else not len(rows):
         raise PatternError(f"no usable individuals for {value} pattern")
 
     if axis == "dow":
         # the year's days are laid out weekday by weekday, each weekday's
-        # in date order; column holds -1 before and after them, where
-        # take(mode="clip") sends the days outside the year
+        # in date order
         ys, ye = year_bounds(analysis_year)
         wd = weekday_of(np.arange(ys, ye, 86400) // 86400)
-        column = np.full(len(wd) + 2, -1)
-        column[1 + np.argsort(wd, kind="stable")] = np.arange(len(wd))
+        column = np.empty(len(wd), dtype=np.int64)
+        column[np.argsort(wd, kind="stable")] = np.arange(len(wd))
         edges = np.concatenate(([0], np.cumsum(np.bincount(wd, minlength=7))))
-        stat, n, se = _streamed_mean_se(
-            tm, rows, lambda ts: column.take((ts - ys) // 86400 + 1, mode="clip"), edges)
+        stat, n, se = _streamed_mean_se(tm, lambda ts: column[(ts - ys) // 86400], edges)
         return PatternSeries(WEEKDAY_IDS, stat, n, se)
     if axis == "hour":
-        stat, n, se = _streamed_mean_se(tm, rows, lambda ts: tod_bins(ts, 24), np.arange(25))
+        stat, n, se = _streamed_mean_se(tm, lambda ts: tod_bins(ts, 24), np.arange(25))
         return PatternSeries(HOUR_IDS, stat, n, se)
 
     # month windows: each individual's activity and mobility are kept, and

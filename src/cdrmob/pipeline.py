@@ -90,6 +90,9 @@ class AnalysisConfig:
     def __post_init__(self):
         validate_boundaries(self.area_boundaries)
         GridSpec(self.grid_step)  # refuses a step outside 1e-6 to 90 degrees
+        w, (ys, ye) = self.window, year_bounds(self.analysis_year)
+        if w.granularity == "range" and not (w.start < ye and w.end > ys):
+            raise ValueError(f"window range lies outside the analysis year {self.analysis_year}")
 
 
 def _hhmm(h: float) -> str:
@@ -360,10 +363,6 @@ class Pipeline:
         )
 
     # ------------------------------------------------------------ patterns
-    def area_cohort(self, area: int) -> np.ndarray:
-        """Rows of the individuals whose home lies in density class `area`."""
-        return np.flatnonzero(self.ego_area == area)
-
     @property
     def patterns_bundle(self) -> dict:
         """{(cohort, axis, value, statistic): PatternSeries}, in the order
@@ -384,9 +383,7 @@ class Pipeline:
             for kind in KINDS:
                 add("all", None, *kind)
             for a in range(1, 6):
-                cohort = self.area_cohort(a)
-                if not len(cohort):
-                    continue
+                cohort = np.flatnonzero(self.ego_area == a)
                 add(f"area{a}", cohort, "month", "activity", "mean")
                 add(f"area{a}", cohort, "month", "activity", "normalized_median")
             return bundle

@@ -175,6 +175,49 @@ def test_a_window_outside_the_timestamp_grammar_is_a_usage_error(tmp_path, capsy
     assert "bad --window range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window, rc", [
+    ("2009-01-01/2009-02-01", 1),
+    ("2007-06-01/2008-01-01", 1),  # ends where the year starts
+    ("2007-12-01/2008-03-05", 0),  # partly inside the year: it runs
+])
+def test_a_window_range_outside_the_analysis_year_is_a_usage_error(tmp_path, capsys, window, rc):
+    # a range that missed the year wrote a window of activity 0 for everyone
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    out = tmp_path / "out"
+    argv = ["metrics", *_analysis_args(cdr, towers, out, "--window", window,
+                                       "--night-window", "11:00-13:00")]
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    assert ("outside the analysis year 2008" in err) == (rc == 1), err
+    assert out.exists() == (rc == 0)
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("metrics", "--year", "2_008", "argument --year: not a plain ASCII number"),
+    ("ingest", "--year", "\u0662\u0660\u0660\u0668", "argument --year: not a plain ASCII number"),
+    ("metrics", "--area-bounds", "1_2,40,120,260", "--area-bounds must be"),
+    ("metrics", "--night-window", "\uff101:00-07:00", "--night-window must look like"),
+    ("metrics", "--night-window", "1:00-07:00", "--night-window must look like"),
+    ("metrics", "--grid-step", "0.0_5", "argument --grid-step: not a plain ASCII number"),
+    ("generate", "--n", "6_0", "argument --n: not a plain ASCII number"),
+    ("generate", "--cells", "\uff15", "argument --cells: not a plain ASCII number"),
+    ("generate", "--seed", "1_0", "argument --seed: not a plain ASCII number"),
+    ("demo", "--n", "4_50", "argument --n: not a plain ASCII number"),
+    ("demo", "--seed", "\u0667", "argument --seed: not a plain ASCII number"),
+])
+def test_a_number_that_is_not_plain_ascii_is_a_usage_error(tmp_path, capsys, command, flag,
+                                                           value, message):
+    # int() and float() read digits of other scripts and "_" between
+    # digits, and each run went on with the number they gave
+    cdr, towers = _write_minimal_corpus(tmp_path)
+    out = tmp_path / "out"
+    argv = {"generate": ["--out", str(out), "--n", "60", "--cells", "5"],
+            "demo": ["--out", str(out)]}.get(command, _analysis_args(cdr, towers, out))
+    assert main([command, *argv, flag, value]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_writes_corpus_and_manifest(tmp_path, capsys):
     out = tmp_path / "corpus"
     rc = main(["generate", "--out", str(out), "--n", "60", "--cells", "6", "--seed", "4"])
@@ -1168,12 +1211,14 @@ _ANALYSIS_FLAGS = {
     "--cdr": ["@cdr.csv", "@towers.csv", "@", "@missing"],
     "--towers": ["@towers.csv", "@cdr.csv", "@", "@missing"],
     "--demographics": ["@missing", "@cdr.csv", "@"],
-    "--year": ["2008", "2010", "0", "-5", "9999", "", "abc"],
-    "--grid-step": ["0.05", "1", "0", "-1", "nan", "1e300", "", "x"],
+    "--year": ["2008", "2010", "0", "-5", "9999", "", "abc", "2_008", "\u0662\u0660\u0660\u0668"],
+    "--grid-step": ["0.05", "1", "0", "-1", "nan", "1e300", "", "x", "0.0_5"],
     "--window": ["year", "month", "day", "decade", "", "2008-03-01/2008-02-01",
-                 "2008-01-01/2008-12-31"],
-    "--night-window": ["01:00-07:00", "23:30-05:00", "25:00-07:00", "01:00-01:00", "", "1-7"],
-    "--area-bounds": ["1,2,3,4", "30,100,1000,10000", "5,4,3,2", "1,2", "", "a,b,c,d", "-1,0,1,2"],
+                 "2008-01-01/2008-12-31", "2009-01-01/2009-02-01"],
+    "--night-window": ["01:00-07:00", "23:30-05:00", "25:00-07:00", "01:00-01:00", "", "1-7",
+                       "\uff101:00-07:00", "1:00-07:00"],
+    "--area-bounds": ["1,2,3,4", "30,100,1000,10000", "5,4,3,2", "1,2", "", "a,b,c,d", "-1,0,1,2",
+                      "1_2,40,120,260"],
     "--divisor": ["events", "pairs", "", "rows"],
     "--reciprocity": ["pair", "degree", "none", "", "all"],
     "--threads": ["1", "0", "-2", "", "two"],
@@ -1181,12 +1226,14 @@ _ANALYSIS_FLAGS = {
 _GRAMMAR = {
     **{name: _ANALYSIS_FLAGS for name in cli._STAGE_COMMANDS},
     "ingest": {k: _ANALYSIS_FLAGS[k] for k in ("--cdr", "--towers", "--year", "--reciprocity")},
-    "generate": {"--n": ["60", "50", "0", "-1", "", "2.5"], "--cells": ["5", "0", "-3", "", "x"],
-                 "--seed": ["1", "-1", "", "s"],
+    "generate": {"--n": ["60", "50", "0", "-1", "", "2.5", "6_0"],
+                 "--cells": ["5", "0", "-3", "", "x", "\uff15"],
+                 "--seed": ["1", "-1", "", "s", "1_0"],
                  "--gen-config": ["@gen.json", "@big.json", "@missing", "@cdr.csv"]},
     "validate": {"--corpus": ["@", "@missing", "@cdr.csv"],
                  "--reciprocity": _ANALYSIS_FLAGS["--reciprocity"]},
-    "demo": {"--n": ["450", "50", "0", "-1", "", "many"], "--seed": ["7", "-1", "", "s"]},
+    "demo": {"--n": ["450", "50", "0", "-1", "", "many", "4_50"],
+             "--seed": ["7", "-1", "", "s", "\u0667"]},
 }
 # flags that are always given: each input, --out, and --n, whose default
 # would make a corpus of thousands

@@ -116,6 +116,17 @@ def test_cohort_selection_and_validation():
             pattern(tm, None, *kind)
 
 
+def test_weekday_and_hour_series_take_no_cohort():
+    """The weekday and hour series are the whole population's rhythms."""
+    events = {"a": _one_tower(["2008-03-05T12:00:00"]), "b": _one_tower(["2008-04-05T12:00:00"])}
+    tm = _metrics(events)
+    for axis in ("dow", "hour"):
+        assert pattern(tm, None, axis, "activity").n[0] >= 2
+        for rows in ([1], [0, 1], []):
+            with pytest.raises(ValueError, match="whole population"):
+                pattern(tm, rows, axis, "activity")
+
+
 def _spread(rng, n):
     """n floats of magnitudes from 1e-8 to 1e8, so that the order in which
     they are added shows in their sum."""
@@ -154,7 +165,8 @@ def test_the_median_is_numpys_median():
 
 @pytest.mark.parametrize("block", [7, 1 << 12, None])
 def test_pattern_series_are_numpys_statistics_of_their_samples(block):
-    """Every series, for everyone and for a cohort, against numpy's mean,
+    """Every series, for everyone and each month series for a cohort,
+    against numpy's mean,
     std(ddof=1) / sqrt(n) and median of its samples pooled in one array,
     to the last bit; the blocks are as small as 7 cells."""
     rng = np.random.default_rng(11)
@@ -187,7 +199,9 @@ def test_pattern_series_are_numpys_statistics_of_their_samples(block):
             return [hour[rows][:, b] for b in range(24)]
         return [(act if value == "activity" else mob)[rows][:, b].astype(float) for b in range(12)]
 
-    cases = [(rows, kind) for rows in (None, np.arange(0, n, 3)) for kind in KINDS]
+    # a cohort has month series only: weekday and hour series are everyone's
+    cases = [(rows, kind) for rows in (None, np.arange(0, n, 3)) for kind in KINDS
+             if rows is None or kind[0] == "month"]
     with mock.patch.object(metrics, "_BLOCK_CELLS", block or metrics._BLOCK_CELLS):
         got = [pattern(tm, rows, *kind) for rows, kind in cases]
     for s, (rows, (axis, value, statistic)) in zip(got, cases):
