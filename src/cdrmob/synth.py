@@ -35,6 +35,7 @@ import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -633,16 +634,187 @@ def _substream_states(seed: int, lo: int, hi: int) -> list[dict]:
     return states
 
 
+# numpy's Generator.random: the top 53 bits of a raw word, scaled to [0, 1)
+_UNIT = 2.0**-53
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Generator.random's double of each raw PCG64 word. The top 53 bits
+    fit an int64, which numpy turns into a double about twice as fast as a
+    uint64."""
+    unit = (words >> 11).view(np.int64).astype(float)
+    unit *= _UNIT
+    return unit
+
+
+def _lemire(half, n):
+    """Generator.integers(0, n)'s draw from each 32-bit half, for 2 <= n <=
+    2**32, and whether numpy rejects that half and draws again: Lemire's
+    multiply-shift (ACM TOMACS 29(1), 2019), whose product's low word must
+    not fall below 2**32 % n. Takes Python ints or uint64 arrays."""
+    m = half * n
+    return m >> 32, (m & _M32) < (1 << 32) % n
+
+
+def _halves(words: np.ndarray, first: np.ndarray, buffered: np.ndarray) -> np.ndarray:
+    """The 32-bit halves, as uint64, that numpy's bounded draws take, two
+    per word of each individual's block of words (`first`: where each
+    block starts, none empty), in PCG64's order: the half that an earlier
+    draw left buffered, then each word's halves, low first, so each block's
+    last half stays buffered."""
+    h = words.astype("<u8", copy=False).view("<u4")
+    out = np.empty(len(h), np.uint64)
+    out[1:] = h[:-1]
+    out[2 * first] = buffered
+    return out
+
+
+class _Draws(NamedTuple):
+    """A chunk's draws: those of each individual, then those of each
+    event, individuals in order. u_out holds the events of the genuine
+    individuals alone, which lead the chunk."""
+
+    settle: list
+    female: list
+    age: list
+    rate: list
+    counts: np.ndarray
+    u_day: np.ndarray
+    u_tod: np.ndarray
+    u_home: np.ndarray
+    sat: np.ndarray
+    pick: np.ndarray
+    u_out: np.ndarray
+    u_sms: np.ndarray
+
+
+def _replayed(rng: np.random.Generator, state: dict, world: _World, i: int, width: int):
+    """Individual i's draws, made by numpy's own calls from its substream
+    state: (settlement, female, age, rate, [u_day, u_tod, u_home, sat, pick,
+    u_out, u_sms]), u_out None for spam. This is the path of an individual
+    whose raw words _chunk_draws does not convert: one with a bounded draw
+    that numpy rejects and draws again, or a range of one value, of which
+    numpy draws nothing."""
+    cfg = world.cfg
+    rng.bit_generator.state = state
+    spam = i >= cfg.n_real
+    if spam:
+        s = int(rng.integers(0, cfg.n_cells))
+        k = SPAM_EVENTS_BASE + int(rng.poisson(SPAM_EVENTS_POISSON))
+        fem, a, r = False, None, float(k)
+    else:
+        s = int(world.settlement_of[i])
+        fem = bool(rng.random() < FEMALE_FRACTION)
+        a = int(rng.integers(AGE_MIN, AGE_MAX + 1))
+        r = world.rate[s][fem][world.age_group[a - AGE_MIN]]
+        k = max(int(rng.poisson(r)), 2)
+    # day (Generator.choice's draw), time of day, at home; the satellite;
+    # the partner, a place on the ring or the spam's victim
+    draws = [*rng.random((3, k)), rng.integers(0, len(SATELLITE_RINGS), size=k),
+             rng.integers(0, cfg.n_real if spam else width, size=k)]
+    draws += [None if spam else rng.random(k), rng.random(k)]
+    return s, fem, a, r, draws
+
+
+def _chunk_draws(world: _World, lo: int, hi: int, width: int) -> _Draws:
+    """The draws of individuals [lo, hi), `width` the partners of each
+    genuine one. Each individual's loop sets one generator to its substream
+    state, reads two raw words for its sex and age (a spam id one, for its
+    settlement), draws its event count with numpy's Poisson and then reads
+    6 raw words per event, which cover every later draw: numpy makes them in
+    this order from these words. The words become draws once for the whole
+    chunk: a double is a word's top 53 bits; the satellite and the partner
+    are Lemire draws from the halves of the fourth row, starting with the
+    half the age (or settlement) draw left buffered. An individual whose
+    words do not give numpy's draws, where a draw is rejected or a range has
+    one value, is made again by _replayed."""
+    cfg = world.cfg
+    n_real = cfg.n_real
+    n_age = AGE_MAX + 1 - AGE_MIN
+    # numpy draws nothing from a range of one value
+    replay_genuine = width == 1
+    replay_spam = cfg.n_cells == 1
+    settle, n_ev, female, age, rate, buffered, raws = [], [], [], [], [], [], []
+    replays = {}
+    bits = np.random.PCG64()  # its first state is replaced before any draw
+    rng = np.random.Generator(bits)
+    states = _substream_states(cfg.seed, lo, hi)
+    settlement = world.settlement_of[lo:hi].tolist()
+    for i, state in zip(range(lo, hi), states):
+        bits.state = state
+        if i < n_real:
+            w_fem, w_age = bits.random_raw(2).tolist()
+            s = settlement[i - lo]
+            fem = (w_fem >> 11) * _UNIT < FEMALE_FRACTION
+            years, redraw = _lemire(w_age & _M32, n_age)
+            a = AGE_MIN + years
+            replay = replay_genuine or redraw
+            if not replay:
+                r = world.rate[s][fem][world.age_group[years]]
+                k = max(int(rng.poisson(r)), 2)
+            half = w_age >> 32
+        else:
+            w_cell = bits.random_raw()
+            s, redraw = _lemire(w_cell & _M32, cfg.n_cells)
+            replay = replay_spam or redraw
+            if not replay:
+                k = SPAM_EVENTS_BASE + int(rng.poisson(SPAM_EVENTS_POISSON))
+                fem, a, r = False, None, float(k)
+            half = w_cell >> 32
+        if replay:
+            s, fem, a, r, replays[i - lo] = _replayed(rng, state, world, i, width)
+            k = len(replays[i - lo][0])
+            raws.append(np.zeros((6, k), np.uint64))
+        else:
+            raws.append(bits.random_raw((6, k)))
+        settle.append(s)
+        n_ev.append(k)
+        female.append(fem)
+        age.append(a)
+        rate.append(r)
+        buffered.append(half)
+
+    counts = np.array(n_ev)
+    who = np.repeat(np.arange(hi - lo), counts)
+    first = np.cumsum(counts) - counts
+    words = np.concatenate(raws, axis=1)
+    g = max(min(hi, n_real) - lo, 0)
+    n_g = int(counts[:g].sum())
+    # one pass over all six rows is quicker than a gather of the five that
+    # hold doubles; a spam id draws u_sms from its fifth row and nothing
+    # from its sixth
+    u_day, u_tod, u_home, _, u_out, u_sms = _unit(words)
+    u_sms[n_g:] = u_out[n_g:]
+    halves = _halves(words[3], first, np.array(buffered, np.uint64))
+    at = np.arange(len(who)) + first[who]
+    sat, rejected = _lemire(halves[at], len(SATELLITE_RINGS))
+    n_pick = np.full(len(who), width, np.uint64)
+    n_pick[n_g:] = n_real
+    pick, rejected_pick = _lemire(halves[at + counts[who]], n_pick)
+    # the draws are below 2**32, so their bits read as int64 unchanged
+    draws = [u_day, u_tod, u_home, sat.view(np.int64), pick.view(np.int64), u_out[:n_g], u_sms]
+
+    for c in np.unique(who[rejected | rejected_pick]).tolist():
+        if c not in replays:
+            *_, replays[c] = _replayed(rng, states[c], world, lo + c, width)
+    for c, replay in replays.items():
+        span = slice(first[c], first[c] + counts[c])
+        for column, values in zip(draws, replay):
+            if values is not None:
+                column[span] = values
+    return _Draws(settle, female, age, rate, counts, *draws)
+
+
 def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], str]:
     """Generate individuals [lo, hi): returns (csv_bytes, demo_rows,
     truth_text), the last their truth.json entries without the enclosing
-    braces. All randomness comes from per-individual substreams: the
-    chunk's states are worked out at once, and one generator, set to each
-    individual's state in turn, makes that individual's draws. The rest
-    runs once over the chunk. Rows are ordered by one sort of a packed key
-    (individual, second of the year, draw index), so ties keep their draw
-    order, and each row's text is one record of fixed-width fields
-    gathered from the world's tables."""
+    braces. All randomness comes from per-individual substreams, whose
+    states are worked out for the chunk at once and whose draws
+    _chunk_draws makes: per individual, only a state set, raw word reads
+    and one Poisson draw. The rest runs once over the chunk. Rows are
+    ordered by one sort of a packed key (individual, second of the year,
+    draw index), so ties keep their draw order, and each row's text is one
+    record of fixed-width fields gathered from the world's tables."""
     cfg = world.cfg
     n_real = cfg.n_real
     n_sat = len(SATELLITE_RINGS)
@@ -650,47 +822,17 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], str]:
     ring = _partner_ring(np.arange(lo, min(hi, n_real)), n_real, cfg.n_individuals)
     g = len(ring)
     areas = world.area.tolist()
-    settle, n_ev, female, age, rate = [], [], [], [], []
-    u3, sat, pick, u_out, u_sms = [], [], [], [], []
-    bits = np.random.PCG64()  # its first state is replaced before any draw
-    rng = np.random.Generator(bits)
-    for i, state in zip(range(lo, hi), _substream_states(cfg.seed, lo, hi)):
-        bits.state = state
-        if i >= n_real:
-            s = int(rng.integers(0, cfg.n_cells))
-            k = SPAM_EVENTS_BASE + int(rng.poisson(SPAM_EVENTS_POISSON))
-            fem, a, r = False, None, float(k)
-        else:
-            s = int(world.settlement_of[i])
-            fem = bool(rng.random() < FEMALE_FRACTION)
-            a = int(rng.integers(AGE_MIN, AGE_MAX + 1))
-            r = world.rate[s][fem][world.age_group[a - AGE_MIN]]
-            k = max(int(rng.poisson(r)), 2)
-        settle.append(s)
-        n_ev.append(k)
-        female.append(fem)
-        age.append(a)
-        rate.append(r)
-        u3.append(rng.random((3, k)))  # day (Generator.choice's draw), time of day, at home
-        sat.append(rng.integers(0, n_sat, size=k))
-        if i >= n_real:
-            pick.append(rng.integers(0, n_real, size=k))  # the spam's victims
-        else:
-            pick.append(rng.integers(0, ring.shape[1], size=k))
-            u_out.append(rng.random(k))
-        u_sms.append(rng.random(k))
-
-    counts = np.array(n_ev)
+    d = _chunk_draws(world, lo, hi, ring.shape[1])
+    settle, female, age, rate, counts = d.settle, d.female, d.age, d.rate, d.counts
     who = np.repeat(np.arange(hi - lo), counts)
     first = np.cumsum(counts) - counts
     s_ev = np.array(settle)[who]
-    u_day, u_tod, u_home = np.concatenate(u3, axis=1)
     days = _bucketed_days(world.day_cdf, world.day_buckets,
-                          world.dense.astype(np.intp)[s_ev], u_day)
+                          world.dense.astype(np.intp)[s_ev], d.u_day)
     # interp's table search is short where its inputs come in sorted order
-    up = u_tod.argsort()
-    hours = np.empty_like(u_tod)
-    hours[up] = np.interp(u_tod[up], world.tod_cdf, world.tod_hours)
+    up = d.u_tod.argsort()
+    hours = np.empty_like(d.u_tod)
+    hours[up] = np.interp(d.u_tod[up], world.tod_cdf, world.tod_hours)
     tod = np.minimum((hours * 3600.0).astype(np.int64), 86399)
 
     night = (tod >= NIGHT_WINDOW_H[0] * 3600) & (tod < NIGHT_WINDOW_H[1] * 3600)
@@ -698,21 +840,21 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], str]:
     p_away = p_away * np.where(np.array(female)[who], 1.0 + cfg.female_mobility_excess, 1.0)
     p_home = np.where(night, cfg.p_home_night, 1.0 - np.minimum(p_away, 0.95))
     # row s of tower_text is settlement s's centre; its satellites follow all centres
-    tower = np.where(u_home < p_home, s_ev, cfg.n_cells + n_sat * s_ev + np.concatenate(sat))
+    tower = np.where(d.u_home < p_home, s_ev, cfg.n_cells + n_sat * s_ev + d.sat)
 
-    partner = np.concatenate(pick)
+    partner = d.pick
     outgoing = np.ones(len(partner), dtype=bool)  # spam only ever calls out
     if g:
         n_g = int(counts[:g].sum())
         partner[:n_g] = ring[who[:n_g], partner[:n_g]]
-        outgoing[:n_g] = np.concatenate(u_out) < 0.5
+        outgoing[:n_g] = d.u_out < 0.5
         # first two raw events: a guaranteed reciprocal pair
         head = first[:g]
         partner[head] = ring[:, 0]
         partner[head + 1] = ring[:, 0]
         outgoing[head] = True
         outgoing[head + 1] = False
-    event = 2 * (np.concatenate(u_sms) < SMS_FRACTION) + outgoing
+    event = 2 * (d.u_sms < SMS_FRACTION) + outgoing
 
     # `who` is in order already, so the sorted rows keep it
     o, second = _row_order(who, days * 86400 + tod, hi - lo)
@@ -724,8 +866,8 @@ def _ego_chunk(world: _World, lo: int, hi: int) -> tuple[bytes, list[str], str]:
     rows["clock"] = world.clock_text.take(second % 86400)
     rows["tower"] = world.tower_text.take(tower.take(o))
     rows["event"] = world.event_text.take(event.take(o))
-    flat = rows.view(np.uint8)
-    text = flat[flat != 0].tobytes()
+    # bytes.replace drops the NUL padding about a quarter faster than a mask
+    text = rows.tobytes().replace(b"\0", b"")
 
     ids = world.ego_ids(lo, hi)
     demo = [

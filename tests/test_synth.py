@@ -183,6 +183,46 @@ def _reference_chunk(world, lo, hi):
             json.dumps(truth, separators=(",", ":"), sort_keys=True)[1:-1])
 
 
+def _reference_draws(world, lo, hi, width):
+    """The draw loop that synth._chunk_draws replaced, kept as its oracle:
+    one generator set to each individual's state in turn, and numpy's own
+    calls for every draw. Same contract as synth._chunk_draws."""
+    cfg = world.cfg
+    n_real = cfg.n_real
+    settle, n_ev, female, age, rate = [], [], [], [], []
+    u3, sat, pick, u_out, u_sms = [], [], [], [], []
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
+    for i, state in zip(range(lo, hi), synth._substream_states(cfg.seed, lo, hi)):
+        bits.state = state
+        if i >= n_real:
+            s = int(rng.integers(0, cfg.n_cells))
+            k = SPAM_EVENTS_BASE + int(rng.poisson(SPAM_EVENTS_POISSON))
+            fem, a, r = False, None, float(k)
+        else:
+            s = int(world.settlement_of[i])
+            fem = bool(rng.random() < FEMALE_FRACTION)
+            a = int(rng.integers(AGE_MIN, AGE_MAX + 1))
+            r = world.rate[s][fem][world.age_group[a - AGE_MIN]]
+            k = max(int(rng.poisson(r)), 2)
+        settle.append(s)
+        n_ev.append(k)
+        female.append(fem)
+        age.append(a)
+        rate.append(r)
+        u3.append(rng.random((3, k)))
+        sat.append(rng.integers(0, len(SATELLITE_RINGS), size=k))
+        if i >= n_real:
+            pick.append(rng.integers(0, n_real, size=k))
+        else:
+            pick.append(rng.integers(0, width, size=k))
+            u_out.append(rng.random(k))
+        u_sms.append(rng.random(k))
+    return synth._Draws(settle, female, age, rate, np.array(n_ev), *np.concatenate(u3, axis=1),
+                        np.concatenate(sat), np.concatenate(pick),
+                        np.concatenate(u_out) if u_out else np.empty(0), np.concatenate(u_sms))
+
+
 def _corpus_bytes(cfg: GenConfig, out) -> dict[str, bytes]:
     generate(cfg, out)
     return {name: (Path(out) / name).read_bytes() for name in _FILES}
@@ -266,6 +306,137 @@ def test_generate_makes_no_seed_sequence_per_individual(tmp_path, monkeypatch, f
         generate(GenConfig(n_individuals=n, n_cells=6, base_daily_events=0.02), tmp_path / str(n))
         count[n] = len(made)
     assert count[60] == count[1200], count
+
+
+# numpy's bounded draws over these ranges: the satellite and ring places
+# (2, 3, 4), the age (73), the spam victims of megarow and crowd (4,750,
+# 19,000) and a range whose every other half numpy rejects (2**31 + 1)
+_RANGES = (2, 3, 4, 73, 4750, 19000, 2**31 + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**128 - 1), st.integers(0, 2**127 - 1), st.sampled_from((0, 1)),
+       st.integers(0, 2**32 - 1), st.integers(0, 300), st.sampled_from(_RANGES),
+       st.sampled_from(_RANGES))
+@example(0, 0, 1, 0, 5, 3, 4)  # numpy rejects a buffered half of 0 with n = 3
+def test_the_chunk_conversion_is_numpys_draws(state, inc, has_uint32, uinteger, k, n_sat, n_pick):
+    # one individual's draws after its Poisson one, made by numpy from a
+    # state, against the conversion of 6k raw words read from that state
+    # (five rows of doubles and the halves of the fourth): equal up to the
+    # first half the conversion flags, where numpy rejects and draws again
+    state = {"bit_generator": "PCG64", "state": {"state": state, "inc": 2 * inc + 1},
+             "has_uint32": has_uint32, "uinteger": uinteger}
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    want_unit = [*rng.random((3, k))]
+    want_int = [rng.integers(0, n_sat, size=k), rng.integers(0, n_pick, size=k)]
+    want_unit += [rng.random(k), rng.random(k)]
+    after = rng.bit_generator.state["state"]
+
+    bits = np.random.PCG64()
+    bits.state = state
+    words = bits.random_raw((6, k))
+    unit = [synth._unit(words[r]).tolist() for r in (0, 1, 2, 4, 5)]
+    assert unit[:3] == [u.tolist() for u in want_unit[:3]]
+    if not k:  # numpy draws nothing, and the conversion reads no word
+        assert not words.size and after == state["state"]
+        return
+    if has_uint32:
+        halves = synth._halves(words[3], np.array([0]), np.array([uinteger], np.uint64))
+    else:  # nothing buffered: each word's halves, low first
+        halves = words[3].astype("<u8").view("<u4").astype(np.uint64)
+    got = [synth._lemire(halves[:k], n_sat), synth._lemire(halves[k:], n_pick)]
+    value = np.concatenate([v for v, _ in got]).view(np.int64)
+    rejected = np.concatenate([r for _, r in got])
+    want = np.concatenate(want_int)
+    if not rejected.any():
+        assert value.tolist() == want.tolist()
+        assert unit[3:] == [u.tolist() for u in want_unit[3:]]
+        assert bits.state["state"] == after  # numpy read 6k words too
+    else:  # numpy rejects the first flagged half and draws from the next
+        cut = int(np.argmax(rejected))
+        assert value[:cut].tolist() == want[:cut].tolist()
+        if cut + 1 < 2 * k:
+            redrawn, again = synth._lemire(halves[cut + 1], n_sat if cut < k else n_pick)
+            assert again or redrawn == want[cut]
+
+
+def test_numpy_rejects_the_halves_that_lemire_flags():
+    # 2**32 % 3 is 1, so a half of 0 is the one numpy rejects with n = 3
+    assert synth._lemire(0, 3) == (0, True) and synth._lemire(1, 3) == (0, False)
+    value, rejected = synth._lemire(np.array([0, 1, 2**32 - 1], np.uint64), 3)
+    assert value.tolist() == [0, 0, 2] and rejected.tolist() == [True, False, False]
+    bits = np.random.PCG64(7)
+    bits.state = {**bits.state, "has_uint32": 1, "uinteger": 0}
+    start = bits.state
+    drawn = np.random.Generator(bits).integers(0, 3)
+    after = bits.state
+    bits.state = start
+    word = bits.random_raw()
+    # numpy drew again from the next word's low half and buffered its high one
+    assert drawn == synth._lemire(word & 0xFFFF_FFFF, 3)[0]
+    assert after["state"] == bits.state["state"] and after["uinteger"] == word >> 32
+
+
+# the chunks of the benchmark corpora (megarow seed 5, crowd seeds 5 and 6)
+# that hold a rejected victim draw, and the individual that draws it
+@pytest.mark.parametrize("gen, lo, hi, victim", [
+    (dict(n_individuals=5000, base_daily_events=0.45, seed=5), 4608, 5000, 4809),
+    (dict(n_individuals=20000, base_daily_events=0.05, seed=5), 19456, 19968, 19582),
+    (dict(n_individuals=20000, base_daily_events=0.05, seed=6), 18944, 19456, 19196),
+])
+def test_a_chunk_with_a_rejected_draw_keeps_numpys_draws(monkeypatch, gen, lo, hi, victim):
+    world = synth._World(GenConfig(**gen))
+    replayed = []
+    replay = synth._replayed
+
+    def recorded(rng, state, world, i, width):
+        replayed.append(i)
+        return replay(rng, state, world, i, width)
+
+    monkeypatch.setattr(synth, "_replayed", recorded)
+    got = synth._chunk_draws(world, lo, hi, 4)
+    assert replayed == [victim]
+    want = _reference_draws(world, lo, hi, 4)
+    for name, a, b in zip(synth._Draws._fields, got, want):
+        assert np.asarray(a).tolist() == np.asarray(b).tolist(), name
+        assert np.asarray(a).dtype == np.asarray(b).dtype, name
+
+
+def test_a_chunk_makes_no_array_draw_per_individual(tmp_path, monkeypatch, force_workers):
+    # numpy's random and integers took about 0.9 and 4.6 us a call, five
+    # calls an individual; a replayed individual still makes them
+    force_workers(1)
+    calls, replaying = [], []
+
+    class Counted(np.random.Generator):
+        def random(self, size=None, *args, **kwargs):
+            if size is not None and not replaying:
+                calls.append("random")
+            return super().random(size, *args, **kwargs)
+
+        def integers(self, low, high=None, size=None, *args, **kwargs):
+            if size is not None and not replaying:
+                calls.append("integers")
+            return super().integers(low, high, size, *args, **kwargs)
+
+    replay = synth._replayed
+
+    def marked(*args):
+        replaying.append(True)
+        try:
+            return replay(*args)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    monkeypatch.setattr(synth, "_replayed", marked)
+    count = {}
+    for n in (60, 1200):  # one chunk and three
+        calls.clear()
+        generate(GenConfig(n_individuals=n, n_cells=6, base_daily_events=0.02), tmp_path / str(n))
+        count[n] = len(calls)
+    assert count[60] == count[1200] == 0, count
 
 
 def _kept_pools(monkeypatch) -> list:
