@@ -47,6 +47,7 @@ from .pipeline import (
     Pipeline,
     PipelineError,
     _sha256,
+    check_ingest,
     input_digests,
     save_manifest,
     window_label,
@@ -264,8 +265,7 @@ def _cmd_ingest(args) -> int:
         registry = load_towers(args.towers)
         result = ingest_file(args.cdr, registry, analysis_year=args.year,
                              reciprocity=args.reciprocity)
-        if not len(result.table):
-            raise PipelineError("no surviving individuals after filtering")
+        check_ingest(result)
         write_spool(result, registry, stage)
         return {"inputs": input_digests({"cdr": result.sha256}, cdr=args.cdr, towers=args.towers),
                 "ingest_stats": asdict(result.stats)}

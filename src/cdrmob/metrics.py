@@ -204,8 +204,7 @@ class TableMetrics:
     individual's home, NaN without one (None when no homes are given).
     Results are n x k matrices, one row per individual in id order; rg is NaN
     for empty windows and individuals without a home. A whole-table window
-    of one span is kept, and so are the month patterns' activity and
-    mobility.
+    of one span is kept.
     """
 
     def __init__(self, table: EventTable, registry: TowerRegistry, homes=None,
@@ -277,17 +276,14 @@ class TableMetrics:
     def activity_mobility(self, bounds: np.ndarray):
         """Whole-table activity, in the smallest unsigned type that holds
         it, and mobility for the spans between bounds, as windows() gives
-        them; built block by block and kept."""
-        key = ("activity_mobility", bounds.tobytes())
-        if key not in self._memo:
-            count = np.min_scalar_type(int(np.diff(self.table.offsets).max(initial=0)))
+        them; built block by block."""
+        count = np.min_scalar_type(int(np.diff(self.table.offsets).max(initial=0)))
 
-            def block(lo, hi):
-                a, m, _, _ = self._windows(bounds, lo, hi)
-                return a.astype(count), m
+        def block(lo, hi):
+            a, m, _, _ = self._windows(bounds, lo, hi)
+            return a.astype(count), m
 
-            self._memo[key] = self.stack(block, len(bounds) - 1)
-        return self._memo[key]
+        return self.stack(block, len(bounds) - 1)
 
     def _windows(self, bounds, lo, hi):
         """windows() of individuals lo..hi-1."""

@@ -11,17 +11,19 @@ pools one sample per (individual, matching window) over a cohort:
   * hour pools the 24 time-of-day bins, each individual contributing one
     pooled value per bin.
 
-Only the kinds in KINDS are computed, and dow and hour only for the
-whole population, whose every event lies in the analysis year and so in
-a bin. Every bin of a series has a sample of every individual of its
-cohort.
+series() computes the kinds the report writes: dow and hour activity
+means for the whole population only, whose every event lies in the
+analysis year and so in a bin, and month series for the whole population
+and each density class. Every bin of a series has a sample of every
+individual of its cohort.
 
 The statistics are numpy's mean, std(ddof=1) and median of a bin's
 samples pooled in one array, to the last bit, but no such array is
 built: weekday and hour counts are made for one block of individuals at
 a time, in one pass for the means and one for the squared deviations,
 which are added in numpy's own summation order. Month samples are
-columns of each individual's kept month activity and mobility.
+columns of one table of every individual's month activity and mobility,
+built once for all the month series.
 
 normalized_median rescales the per-bin medians so their mean is 1, which
 makes shapes comparable across cohorts of very different overall levels.
@@ -46,21 +48,9 @@ from .records import (
     year_bounds,
 )
 
-# The (axis, value, statistic) kinds of pattern series, in the order the
-# report writes them for the whole population.
-KINDS = (
-    ("dow", "activity", "mean"),
-    ("hour", "activity", "mean"),
-    ("month", "activity", "mean"),
-    ("month", "mobility", "mean"),
-    ("month", "activity", "normalized_median"),
-    ("month", "mobility", "normalized_median"),
-)
-
 
 class PatternError(Exception):
-    """A series or table cannot be formed: an empty cohort, or a
-    normalized series whose level is zero."""
+    """The strata table cannot be formed: no individual has demographics."""
 
 
 @dataclass
@@ -202,47 +192,28 @@ def _streamed_mean_se(tm: TableMetrics, bin_of, edges: np.ndarray):
     return mean, n, se
 
 
-def pattern(
-    tm: TableMetrics,
-    rows,
-    axis: str,
-    value: str,
-    statistic: str = "mean",
-    analysis_year: int = 2008,
-) -> PatternSeries:
-    """Pattern series of one of the KINDS for a cohort: rows of the table
-    (individuals in id order, ascending) of a month series, else None for
-    everyone."""
-    if (axis, value, statistic) not in KINDS:
-        raise ValueError(f"unknown pattern kind {axis}/{value}/{statistic}")
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        if (np.diff(rows) <= 0).any():
-            raise ValueError("cohort rows must ascend")
-        if axis != "month":
-            raise ValueError(f"a {axis} pattern is for the whole population, not a cohort")
-    if not len(tm.table) if rows is None else not len(rows):
-        raise PatternError(f"no usable individuals for {value} pattern")
+def _weekdays(tm: TableMetrics, analysis_year: int) -> PatternSeries:
+    """The whole population's weekday activity means: the year's days are
+    laid out weekday by weekday, each weekday's in date order."""
+    ys, ye = year_bounds(analysis_year)
+    wd = weekday_of(np.arange(ys, ye, 86400) // 86400)
+    column = np.empty(len(wd), dtype=np.int64)
+    column[np.argsort(wd, kind="stable")] = np.arange(len(wd))
+    edges = np.concatenate(([0], np.cumsum(np.bincount(wd, minlength=7))))
+    stat, n, se = _streamed_mean_se(tm, lambda ts: column[(ts - ys) // 86400], edges)
+    return PatternSeries(WEEKDAY_IDS, stat, n, se)
 
-    if axis == "dow":
-        # the year's days are laid out weekday by weekday, each weekday's
-        # in date order
-        ys, ye = year_bounds(analysis_year)
-        wd = weekday_of(np.arange(ys, ye, 86400) // 86400)
-        column = np.empty(len(wd), dtype=np.int64)
-        column[np.argsort(wd, kind="stable")] = np.arange(len(wd))
-        edges = np.concatenate(([0], np.cumsum(np.bincount(wd, minlength=7))))
-        stat, n, se = _streamed_mean_se(tm, lambda ts: column[(ts - ys) // 86400], edges)
-        return PatternSeries(WEEKDAY_IDS, stat, n, se)
-    if axis == "hour":
-        stat, n, se = _streamed_mean_se(tm, lambda ts: tod_bins(ts, 24), np.arange(25))
-        return PatternSeries(HOUR_IDS, stat, n, se)
 
-    # month windows: each individual's activity and mobility are kept, and
-    # each month's samples are a column of them
-    ids = tuple(w for w, _, _ in WindowSpec("month").contiguous_windows(analysis_year))
-    a, m = tm.activity_mobility(np.array(month_starts(analysis_year)))
-    v = a if value == "activity" else m
+def _hours(tm: TableMetrics) -> PatternSeries:
+    """The whole population's hour-of-day activity means."""
+    stat, n, se = _streamed_mean_se(tm, lambda ts: tod_bins(ts, 24), np.arange(25))
+    return PatternSeries(HOUR_IDS, stat, n, se)
+
+
+def _month(ids, v: np.ndarray, rows, statistic: str) -> PatternSeries | None:
+    """The month series of one statistic of v (individuals x months) over
+    a cohort's rows, None for everyone; None for a normalized median whose
+    level is zero."""
     stat = np.empty(len(ids))
     n = np.empty(len(ids), dtype=np.int64)
     se = np.full(len(ids), np.nan) if statistic == "mean" else None
@@ -258,9 +229,44 @@ def pattern(
     if statistic == "normalized_median":
         norm = float(np.mean(stat))
         if norm == 0:
-            raise PatternError("cannot normalize: median level is zero")
+            return None
         stat = stat / norm
     return PatternSeries(ids, stat, n, se)
+
+
+def _months(tm: TableMetrics, areas: np.ndarray, analysis_year: int) -> dict:
+    """The month series of series(): one activity and mobility table of
+    every individual serves them all, and each month's samples are a
+    column of it."""
+    ids = tuple(w for w, _, _ in WindowSpec("month").contiguous_windows(analysis_year))
+    activity, mobility = tm.activity_mobility(np.array(month_starts(analysis_year)))
+    cohorts = [("all", None, {"activity": activity, "mobility": mobility})]
+    cohorts += [(f"area{a}", a, {"activity": activity}) for a in range(1, 6)]
+    out = {}
+    for cohort, area, values in cohorts:
+        rows = None if area is None else np.flatnonzero(areas == area)
+        if rows is not None and not len(rows):
+            continue
+        for statistic in ("mean", "normalized_median"):
+            for value, v in values.items():
+                s = _month(ids, v, rows, statistic)
+                if s is not None:
+                    out[cohort, "month", value, statistic] = s
+    return out
+
+
+def series(tm: TableMetrics, areas: np.ndarray, analysis_year: int) -> dict:
+    """Every pattern series of the report, {(cohort, axis, value,
+    statistic): PatternSeries} in the order it writes them: the whole
+    population's ("all") weekday and hour activity means and month
+    activity and mobility means and normalized medians, then the month
+    activity mean and normalized median of each density class ("area1"
+    .."area5"). areas holds each individual's class, 0 for none, in id
+    order. An empty cohort, or a normalized median whose level is zero,
+    is left out."""
+    return {("all", "dow", "activity", "mean"): _weekdays(tm, analysis_year),
+            ("all", "hour", "activity", "mean"): _hours(tm),
+            **_months(tm, areas, analysis_year)}
 
 
 @dataclass

@@ -52,9 +52,9 @@ from .home import (
     fit_bimodal,
     flag_at_sea,
 )
-from .ingest import ingest_file
+from .ingest import IngestResult, ingest_file
 from .metrics import TableMetrics, WindowSpec, metrics_rows
-from .patterns import KINDS, PatternError, demographic_table, pattern
+from .patterns import demographic_table, series
 from .records import load_demographics, load_towers, unique_sorted, write_json, year_bounds
 
 log = logging.getLogger(__name__)
@@ -72,6 +72,38 @@ AT_SEA_KM = 10.0
 
 class PipelineError(Exception):
     """A stage cannot proceed on this input (maps to the data exit code)."""
+
+
+# The likely cause of each reason for rejecting a CDR row, named when the
+# reason rejects most of a file's rows
+_REJECT_CAUSES = {
+    "bad_encoding": "is the CDR file UTF-8 text?",
+    "missing_column": "does each row hold ego_id,peer_id,timestamp,tower_id,kind,direction?",
+    "self_call": "do the ego and peer columns hold the same ids?",
+    "bad_timestamp": "are the timestamps YYYY-MM-DD[T ]HH:MM[:SS]?",
+    "bad_kind": "is the fifth column call or sms?",
+    "bad_direction": "is the sixth column in or out?",
+    "unknown_tower": "is --towers the tower file of this CDR?",
+}
+
+
+def check_ingest(result: IngestResult) -> None:
+    """Refuse an ingest that rejected more than half of the rows read for
+    one reason, or that kept no individual: its outputs would look
+    plausible and describe the wrong input. A file that holds several
+    years is valid input for one of them, so outside_year alone does not
+    refuse it. A reason that rejected more than 1% of the rows is logged
+    as a warning."""
+    st = result.stats
+    for reason, count in sorted(st.rows_rejected.items()):
+        if 2 * count > st.rows_read and reason != "outside_year":
+            raise PipelineError(
+                f"{reason}: {count} of {st.rows_read} rows rejected; "
+                f"{_REJECT_CAUSES.get(reason, 'is this a CDR file?')}")
+        if 100 * count > st.rows_read:
+            log.warning("ingest: %s rejected %d of %d rows", reason, count, st.rows_read)
+    if not len(result.table):
+        raise PipelineError("no surviving individuals after filtering")
 
 
 @dataclass
@@ -196,8 +228,7 @@ class Pipeline:
                 analysis_year=self.config.analysis_year,
                 reciprocity=self.config.reciprocity,
             )
-            if not len(res.table):
-                raise PipelineError("no surviving individuals after filtering")
+            check_ingest(res)
             return res
 
         return self._stage("ingest", run)
@@ -367,28 +398,8 @@ class Pipeline:
     def patterns_bundle(self) -> dict:
         """{(cohort, axis, value, statistic): PatternSeries}, in the order
         the report writes them; cohort is "all" or "area1".."area5"."""
-        def run():
-            bundle = {}
-
-            def add(cohort_name, cohort, axis, value, statistic):
-                try:
-                    bundle[cohort_name, axis, value, statistic] = pattern(
-                        self.steps, cohort, axis, value, statistic, self.config.analysis_year
-                    )
-                except PatternError:
-                    # an empty cohort, or a normalized series whose level is
-                    # zero (sparse data): that series alone is left out
-                    pass
-
-            for kind in KINDS:
-                add("all", None, *kind)
-            for a in range(1, 6):
-                cohort = np.flatnonzero(self.ego_area == a)
-                add(f"area{a}", cohort, "month", "activity", "mean")
-                add(f"area{a}", cohort, "month", "activity", "normalized_median")
-            return bundle
-
-        return self._stage("patterns", run)
+        return self._stage("patterns", lambda: series(
+            self.steps, self.ego_area, self.config.analysis_year))
 
     @property
     def strata(self):
@@ -557,6 +568,9 @@ def build_summary(pipe: Pipeline) -> dict:
             "gridded": residents,
             "residents_by_class": {a: areas[a]["residents"] for a in areas},
             "demographics_rejected": None if demo is None else demo.rejected,
+            # the first stratum, all/all/all, counts the individuals with
+            # demographics
+            "individuals_without_demographics": None if demo is None else n - pipe.strata[0].n,
         },
         "correlations": {
             "activity": {**corr["activity"], "reference": REFERENCE_CORR_ACTIVITY},

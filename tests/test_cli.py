@@ -30,7 +30,14 @@ from hypothesis import strategies as st
 
 from cdrmob import cli, ingest, pipeline, synth
 from cdrmob.cli import main
-from cdrmob.pipeline import STAGE_OUTPUTS, write_manifest, write_outputs
+from cdrmob.pipeline import (
+    STAGE_OUTPUTS,
+    AnalysisConfig,
+    Pipeline,
+    PipelineError,
+    write_manifest,
+    write_outputs,
+)
 from cdrmob.records import CdrError
 from cdrmob.synth import (
     CDR_FILE,
@@ -141,6 +148,48 @@ def test_data_errors_exit_2(tmp_path, capsys):
     rc = main(["metrics", *_analysis_args(cdr, latin1, out)])
     assert rc == 2
     assert "latin1.csv:3: not valid UTF-8" in capsys.readouterr().err
+
+
+# a row that ingest keeps, and one of each reject reason: an unknown tower
+# on a line of the byte path's layout, a timestamp outside that layout, and
+# a row of another year
+_KEPT = "a{k},b{k},2008-03-01T10:00:00,t1,call,out\n"
+_REJECTED = {
+    "unknown_tower": "x{k},y{k},2008-03-01T10:00:00,t9,call,out\n",
+    "bad_timestamp": "x{k},y{k},03/01/2008 10:00,t1,call,out\n",
+    "outside_year": "x{k},y{k},2009-03-01T10:00:00,t1,call,out\n",
+}
+
+
+@pytest.mark.parametrize("reason", list(_REJECTED))
+@pytest.mark.parametrize("rejected, fails, warns", [
+    (1, False, False),  # 1 of 101 rows: no more than 1%
+    (2, False, True),
+    (100, False, True),  # exactly half
+    (101, True, True),  # just over half
+])
+def test_a_reason_that_rejects_most_rows_exits_2(tmp_path, capsys, reason, rejected, fails,
+                                                 warns):
+    _, towers = _write_minimal_corpus(tmp_path)
+    cdr = tmp_path / "mixed.csv"
+    cdr.write_text("".join(_KEPT.format(k=k) for k in range(100))
+                   + "".join(_REJECTED[reason].format(k=k) for k in range(rejected)))
+    fails &= reason != "outside_year"  # a file of several years is valid input
+    pipe = Pipeline(cdr, towers, None, AnalysisConfig(reciprocity="none"))
+    out = tmp_path / "spool"
+    rc = main(["ingest", *_analysis_args(cdr, towers, out, "--reciprocity", "none")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if fails:
+        with pytest.raises(PipelineError, match=f"^{reason}: {rejected} of {rejected + 100} rows"):
+            pipe.ingest
+        assert rc == 2 and not out.exists()
+        assert f"error: {reason}: {rejected} of {rejected + 100} rows rejected; " in err
+    else:
+        assert pipe.ingest.stats.rows_rejected == {reason: rejected}
+        assert rc == 0 and out.is_dir()
+        warning = f"WARNING cdrmob.pipeline: ingest: {reason} rejected {rejected} of"
+        assert (warning in err) == warns
 
 
 def test_a_nul_byte_in_towers_or_demographics_exits_2(tmp_path, capsys):
@@ -1161,10 +1210,15 @@ def test_summary_funnel_adds_up(small_corpus, tmp_path, capsys):
             + "x1,x2,2008-05-01T10:00:00,nowhere,call,out\n",
             encoding="utf-8",
         )
+    # and demographics without the first five individuals
+    demographics = tmp_path / "demographics.csv"
+    with open(os.path.join(corpus, "demographics.csv"), encoding="utf-8") as fh:
+        header, *lines = fh.readlines()
+    demographics.write_text(header + "".join(lines[5:]), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["report", "--cdr", str(cdr),
                  "--towers", os.path.join(corpus, "towers.csv"),
-                 "--demographics", os.path.join(corpus, "demographics.csv"),
+                 "--demographics", str(demographics),
                  "--area-bounds", ",".join(str(b) for b in truth.area_boundaries),
                  "--out", str(out)]) == 0
     capsys.readouterr()
@@ -1183,6 +1237,10 @@ def test_summary_funnel_adds_up(small_corpus, tmp_path, capsys):
     assert f["gridded"] == summary["grid"]["residents"] <= f["homed"]
     assert f["residents_by_class"] == {a: summary["areas"][a]["residents"] for a in "12345"}
     assert f["demographics_rejected"] == {}
+    with open(out / "homes.csv", encoding="utf-8") as fh:
+        kept = {line.split(",")[0] for line in fh}
+    missing = len(kept & {line.split(",")[0] for line in lines[:5]})
+    assert f["individuals_without_demographics"] == missing > 0
 
 
 def test_log_level_writes_progress_to_stderr_only(small_corpus, tmp_path, capsys):

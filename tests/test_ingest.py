@@ -564,6 +564,28 @@ def test_both_paths_give_append_block_the_same_block():
                                    "missing_column": 1, "bad_direction": 1, "outside_year": 1}
 
 
+def test_columns_grow_past_their_first_capacity():
+    # ingest_file sizes the columns from the file's bytes, at most 2^24
+    # rows; the blocks of a larger file grow them in place
+    rng = np.random.default_rng(2)
+    cols = ingest._Columns(3)
+    rows, links = [], []
+    for size in (2, 4, 0, 5, 9):
+        names = [f"n{k}" for k in rng.permutation(6)[:3]]  # the block's own codes
+        ego, peer = rng.integers(0, 3, size=(2, size)).astype(np.int32)
+        ts = rng.integers(0, 1000, size=size)
+        tower = rng.integers(0, 5, size=size).astype(np.int32)
+        cols.append_block(names, ego, ts, tower, ego.astype(np.int64) << 32 | peer)
+        rows += zip([names[e] for e in ego.tolist()], ts.tolist(), tower.tolist())
+        links += [(names[a], names[b]) for a, b in zip(ego.tolist(), peer.tolist())]
+    assert len(cols.cols[0]) == 24 > cols.n == len(rows) == 20
+    ego, ts, tower = cols.columns()
+    name_of = {c: n for n, c in cols.code.items()}
+    assert list(zip([name_of[e] for e in ego.tolist()], ts.tolist(), tower.tolist())) == rows
+    assert [(name_of[k >> 32], name_of[k & 0xFFFFFFFF])
+            for k in np.concatenate(cols.links).tolist()] == links
+
+
 _LINE = "{},{},2008-06-01T{:02d}:00:00,T{},{},{}"
 
 

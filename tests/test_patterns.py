@@ -15,13 +15,12 @@ from cdrmob import metrics
 from cdrmob.ingest import EventTable, IngestResult, IngestStats, write_spool
 from cdrmob.metrics import TableMetrics
 from cdrmob.patterns import (
-    KINDS,
     PatternError,
     PatternSeries,
     _median,
     _PairwiseSums,
     demographic_table,
-    pattern,
+    series,
 )
 from cdrmob.pipeline import WRITERS, _write_csv
 from cdrmob.records import (
@@ -46,6 +45,19 @@ def _metrics(events, homes=None, year=2008):
     return table_metrics(REG, events, homes or {}, year=year)
 
 
+def _series(tm, areas=None):
+    """series() of a table's individuals in 2008; without areas, none has
+    a density class."""
+    if areas is None:
+        areas = np.zeros(len(tm.table), dtype=np.int64)
+    return series(tm, np.asarray(areas), 2008)
+
+
+def _whole(events, axis, statistic="mean"):
+    """The whole population's activity series of one axis and statistic."""
+    return _series(_metrics(events))["all", axis, "activity", statistic]
+
+
 def _strata(tm, demographics, areas=None):
     """demographic_table of a table's individuals, from their year rows;
     without areas, none has a density class."""
@@ -68,7 +80,7 @@ def test_dow_pattern_pools_calendar_days():
     events = {
         "a": _one_tower(["2008-01-04T10:00:00", "2008-01-04T11:00:00", "2008-01-06T10:00:00"])
     }
-    s = pattern(_metrics(events), None, "dow", "activity")
+    s = _whole(events, "dow")
     assert s.bins == ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
     by = dict(zip(s.bins, s.stat))
     n_by = dict(zip(s.bins, s.n))
@@ -83,7 +95,7 @@ def test_hour_pattern_one_pooled_sample_per_individual():
         "a": _one_tower(["2008-01-01T10:05:00", "2008-02-01T10:10:00", "2008-03-01T10:15:00"]),
         "b": _one_tower(["2008-01-01T10:30:00"]),
     }
-    s = pattern(_metrics(events), None, "hour", "activity")
+    s = _whole(events, "hour")
     assert s.bins[10] == "h10"
     assert s.n[10] == 2  # both individuals contribute one pooled sample
     assert s.stat[10] == pytest.approx((3 + 1) / 2)
@@ -92,7 +104,7 @@ def test_hour_pattern_one_pooled_sample_per_individual():
 
 def test_month_pattern_counts_quiet_months_as_zero():
     events = {"a": _one_tower(["2008-03-05T12:00:00", "2008-03-20T12:00:00"])}
-    s = pattern(_metrics(events), None, "month", "activity")
+    s = _whole(events, "month")
     assert len(s.bins) == 12 and s.bins[2] == "2008-03"
     assert np.all(s.n == 1)
     assert s.stat[2] == 2.0 and s.stat[0] == 0.0
@@ -100,31 +112,22 @@ def test_month_pattern_counts_quiet_months_as_zero():
 
 def test_cohort_selection_and_validation():
     events = {"a": _one_tower(["2008-03-05T12:00:00"]), "b": _one_tower(["2008-04-05T12:00:00"])}
-    tm = _metrics(events)
-    only_b = pattern(tm, [1], "month", "activity")  # rows follow id order: a, b
-    assert only_b.stat[3] == 1.0 and only_b.stat[2] == 0.0
-    with pytest.raises(PatternError):
-        pattern(tm, [], "month", "activity")
-    with pytest.raises(ValueError, match="ascend"):
-        pattern(tm, [1, 0], "dow", "activity")
-    # only the kinds the report writes: no rg, no year axis, no plain
-    # median, and no weekday or hour mobility
-    for kind in (("decade", "activity"), ("month", "happiness"), ("month", "activity", "mode"),
-                 ("month", "rg"), ("year", "activity"), ("month", "activity", "median"),
-                 ("dow", "mobility"), ("hour", "mobility")):
-        with pytest.raises(ValueError):
-            pattern(tm, None, *kind)
-
-
-def test_weekday_and_hour_series_take_no_cohort():
-    """The weekday and hour series are the whole population's rhythms."""
-    events = {"a": _one_tower(["2008-03-05T12:00:00"]), "b": _one_tower(["2008-04-05T12:00:00"])}
-    tm = _metrics(events)
-    for axis in ("dow", "hour"):
-        assert pattern(tm, None, axis, "activity").n[0] >= 2
-        for rows in ([1], [0, 1], []):
-            with pytest.raises(ValueError, match="whole population"):
-                pattern(tm, rows, axis, "activity")
+    got = _series(_metrics(events), [0, 3])  # classes follow id order: a, b
+    only_b = got["area3", "month", "activity", "mean"]
+    assert only_b.stat[3] == 1.0 and only_b.stat[2] == 0.0 and only_b.n.tolist() == [1] * 12
+    # an empty cohort is left out, and so is the median of a mobility that
+    # is zero; a cohort has month activity series only, and weekday and
+    # hour series are the whole population's
+    assert list(got) == [
+        ("all", "dow", "activity", "mean"),
+        ("all", "hour", "activity", "mean"),
+        ("all", "month", "activity", "mean"),
+        ("all", "month", "mobility", "mean"),
+        ("all", "month", "activity", "normalized_median"),
+        ("area3", "month", "activity", "mean"),
+        ("area3", "month", "activity", "normalized_median"),
+    ]
+    assert got["all", "hour", "activity", "mean"].n.tolist() == [2] * 24
 
 
 def _spread(rng, n):
@@ -165,10 +168,9 @@ def test_the_median_is_numpys_median():
 
 @pytest.mark.parametrize("block", [7, 1 << 12, None])
 def test_pattern_series_are_numpys_statistics_of_their_samples(block):
-    """Every series, for everyone and each month series for a cohort,
-    against numpy's mean,
-    std(ddof=1) / sqrt(n) and median of its samples pooled in one array,
-    to the last bit; the blocks are as small as 7 cells."""
+    """Every series, for everyone and for each density class, against
+    numpy's mean, std(ddof=1) / sqrt(n) and median of its samples pooled
+    in one array, to the last bit; the blocks are as small as 7 cells."""
     rng = np.random.default_rng(11)
     ys, ye = year_bounds(2008)
     n = 400
@@ -199,12 +201,14 @@ def test_pattern_series_are_numpys_statistics_of_their_samples(block):
             return [hour[rows][:, b] for b in range(24)]
         return [(act if value == "activity" else mob)[rows][:, b].astype(float) for b in range(12)]
 
-    # a cohort has month series only: weekday and hour series are everyone's
-    cases = [(rows, kind) for rows in (None, np.arange(0, n, 3)) for kind in KINDS
-             if rows is None or kind[0] == "month"]
+    areas = rng.integers(0, 6, size=n)
     with mock.patch.object(metrics, "_BLOCK_CELLS", block or metrics._BLOCK_CELLS):
-        got = [pattern(tm, rows, *kind) for rows, kind in cases]
-    for s, (rows, (axis, value, statistic)) in zip(got, cases):
+        got = _series(tm, areas)
+    # six series of everyone, and two month series of each density class
+    assert len(got) == 16
+    cases = [(None if c == "all" else np.flatnonzero(areas == int(c[4:])), (axis, value, statistic))
+             for c, axis, value, statistic in got]
+    for s, (rows, (axis, value, statistic)) in zip(got.values(), cases):
         xs = samples(axis, value, slice(None) if rows is None else rows)
         assert s.n.tolist() == [len(x) for x in xs]
         if statistic == "mean":
@@ -226,22 +230,23 @@ def test_normalized_median_mean_is_one():
             for d, h in zip(rng.integers(1, 28, size=k + 1), rng.integers(0, 24, size=k + 1))
         ]
         events[f"u{k}"] = _one_tower(stamps)
-    s = pattern(_metrics(events), None, "month", "activity", "normalized_median")
+    s = _whole(events, "month", "normalized_median")
     assert s.se is None
     assert float(np.mean(s.stat[s.n > 0])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalized_median_rejects_zero_level():
-    # the only individual has no events inside the analysis year
-    events = {"a": _one_tower(["2009-03-05T12:00:00"])}
-    tm = _metrics(events, year=2009)
-    with pytest.raises(PatternError):
-        pattern(tm, None, "month", "activity", "normalized_median", 2008)
+    # each month's median over three individuals, two of them quiet, is 0
+    events = {e: _one_tower([f"2008-{m:02d}-05T12:00:00"])
+              for e, m in (("a", 3), ("b", 4), ("c", 5))}
+    got = _series(_metrics(events), [1, 1, 1])
+    assert {("all", "month", "activity", "mean"), ("area1", "month", "activity", "mean")} <= set(got)
+    assert not [k for k in got if k[3] == "normalized_median"]
 
 
 def test_write_pattern_csv_handles_labels_and_gaps(tmp_path):
     events = {"a": _one_tower(["2008-03-05T12:00:00"])}
-    s1 = pattern(_metrics(events), None, "month", "activity")
+    s1 = _whole(events, "month")
     # a series with empty bins and no standard error: blank cells
     stat = np.full(12, np.nan)
     stat[2] = 1.0

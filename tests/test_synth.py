@@ -847,3 +847,33 @@ def test_scorecard_passes_on_a_small_default_style_corpus(small_corpus, tmp_path
     with open(tmp_path / "card.json", encoding="utf-8") as fh:
         doc = json.load(fh)
     assert doc["passed"] is True and len(doc["checks"]) == len(card.checks)
+
+
+@pytest.mark.parametrize("corpus, names", [
+    ("null_corpus", {"null_mobility", "null_activity", "gender_null"}),
+    ("flip_corpus", {"flip_bands", "gender_null"}),
+])
+def test_the_null_and_flip_checks_pass_on_their_corpora(request, corpus, names):
+    # only a corpus with the couplings zeroed, or with a planted flip, runs
+    # these checks
+    card = validate_corpus(request.getfixturevalue(corpus)[0])
+    got = {c.name: c for c in card.checks if c.name in names}
+    assert set(got) == names
+    for check in got.values():
+        assert check.passed, f"{check.name}: {check.value} (target {check.target})"
+
+
+def test_a_flip_at_the_wrong_rank_fails_its_check(flip_corpus, tmp_path):
+    # the flip corpus's truth with the pivot moved from rank 100 to 300:
+    # the bands between them are positive where the check wants negative
+    corpus, _ = flip_corpus
+    for name in (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE):
+        os.symlink(os.path.join(corpus, name), tmp_path / name)
+    with open(os.path.join(corpus, TRUTH_FILE), encoding="utf-8") as fh:
+        truth = json.load(fh)
+    assert truth["activity_flip"][2] == 100
+    truth["activity_flip"][2] = 300
+    write_json(tmp_path / TRUTH_FILE, truth)
+    (check,) = [c for c in validate_corpus(tmp_path).checks if c.name == "flip_bands"]
+    assert not check.passed
+    assert [band for band, _ in check.value["wrong_sign"]] == [13, 14]

@@ -28,7 +28,7 @@ from cdrmob.metrics import (
     metrics_rows,
     rms,
 )
-from cdrmob.patterns import KINDS, PatternError, pattern
+from cdrmob.patterns import _hours, _months, _weekdays, series
 from cdrmob.pipeline import _cells
 from cdrmob.records import EPOCH_WEEKDAY, TowerRegistry, year_bounds
 
@@ -161,13 +161,12 @@ def _reference_profile(own, nbins):
     return a / max(len(own), 1), rms(d2sum, pairs)
 
 
-def _series(tm, axis, value, statistic):
-    """A pattern's (stat, n, se) bytes, or its error."""
-    try:
-        s = pattern(tm, None, axis, value, statistic, 2008)
-    except PatternError as e:
-        return repr(e)
-    return s.stat.tobytes(), s.n.tobytes(), None if s.se is None else s.se.tobytes()
+def _series(tm):
+    """Every pattern series' key and (stat, n, se) bytes, with individuals
+    in density classes 0..5 in turn."""
+    areas = np.arange(len(tm.table)) % 6
+    return [(key, s.stat.tobytes(), s.n.tobytes(), None if s.se is None else s.se.tobytes())
+            for key, s in series(tm, areas, 2008).items()]
 
 
 _DEFAULT_BLOCK = metrics._BLOCK_CELLS
@@ -199,12 +198,12 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
     whole = TableMetrics(tab, REG, homes_arg, divisor)
     with mock.patch.object(metrics, "_BLOCK_CELLS", block):
         act, mob = daily_profile(tm)
-        got_series = [_series(tm, *x) for x in KINDS]
+        got_series = _series(tm)
     want_act, want_mob = _reference_profile(own, 48)
     assert act.tobytes() == want_act.tobytes()
     assert mob.tobytes() == want_mob.tobytes()
     with mock.patch.object(metrics, "_BLOCK_CELLS", 1 << 40):
-        assert got_series == [_series(whole, *x) for x in KINDS]
+        assert got_series == _series(whole)
 
     for spec in _SPECS:
         with mock.patch.object(metrics, "_BLOCK_CELLS", block), \
@@ -238,8 +237,8 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
 @pytest.mark.parametrize("what, budget", [
     # a pattern holds one float and one bound per leaf of its summation
     # tree, about 4 per individual for the weekdays, and no sample outlives
-    # its block; the month pattern keeps each individual's activity and
-    # mobility (9-16 B per month)
+    # its block; the month series share one table of each individual's
+    # activity and mobility (9-16 B per month)
     ("dow", 256),
     ("hour", 256),
     ("month", 256),
@@ -259,7 +258,9 @@ def test_block_memory_does_not_grow_with_individuals_times_bins(what, budget):
         if what == "profile":
             peak = traced_peak(lambda: daily_profile(tm))
         else:
-            peak = traced_peak(lambda: pattern(tm, None, what, "activity"))
+            areas = rng.integers(0, 6, size=n)
+            peak = traced_peak({"dow": lambda: _weekdays(tm, 2008), "hour": lambda: _hours(tm),
+                                "month": lambda: _months(tm, areas, 2008)}[what])
     assert peak / n < budget, f"{what}: {peak / n:.0f} B per individual"
 
 
