@@ -5,7 +5,8 @@ A pattern series fixes an axis (month, dow, hour), a per-window value
 pools one sample per (individual, matching window) over a cohort:
 
   * month windows exist for every individual, so quiet months enter as
-    zero activity / zero mobility samples;
+    zero activity / zero mobility samples, but a month in which nobody
+    has an event is unobserved and its bins are blank;
   * dow pools every calendar day of the year by weekday, again keeping
     quiet days as zeros;
   * hour pools the 24 time-of-day bins, each individual contributing one
@@ -14,8 +15,8 @@ pools one sample per (individual, matching window) over a cohort:
 series() computes the kinds the report writes: dow and hour activity
 means for the whole population only, whose every event lies in the
 analysis year and so in a bin, and month series for the whole population
-and each density class. Every bin of a series has a sample of every
-individual of its cohort.
+and each density class. Every bin of a series but an unobserved month
+has a sample of every individual of its cohort.
 
 The statistics are numpy's mean, std(ddof=1) and median of a bin's
 samples pooled in one array, to the last bit, but no such array is
@@ -25,8 +26,9 @@ which are added in numpy's own summation order. Month samples are
 columns of one table of every individual's month activity and mobility,
 built once for all the month series.
 
-normalized_median rescales the per-bin medians so their mean is 1, which
-makes shapes comparable across cohorts of very different overall levels.
+normalized_median rescales the per-bin medians so their mean over the
+observed bins is 1, which makes shapes comparable across cohorts of very
+different overall levels.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .records import (
     Demographics,
     age_group_of,
     month_starts,
-    unique_sorted,
     weekday_of,
     year_bounds,
 )
@@ -77,21 +78,23 @@ def _median(x: np.ndarray) -> float:
 
 
 # numpy's add.reduce of a contiguous float64 run is a pairwise sum (Higham,
-# SIAM J. Sci. Comput. 14(4), 1993): a run of more than _LEAF values splits
-# at n // 2 rounded down to a multiple of 8, and each leaf of at most _LEAF
-# values is summed by add.reduce itself, as one row of a matrix is.
-# tests/test_patterns.py pins both facts to the numpy in use.
-_LEAF = 128
+# SIAM J. Sci. Comput. 14(4), 1993): a run of more than 128 values splits
+# at n // 2 rounded down to a multiple of 8. The split depends on a run's
+# length alone, so every node of the tree is add.reduce of its own values,
+# and a node of at most _NODE values, numpy's buffer size, is summed by one
+# add.reduce. tests/test_patterns.py pins both facts to the numpy in use.
+_NODE = 8192
 
 
 def _tree(n: int):
-    """numpy's summation tree over n values: which nodes of each level split,
-    from the root down (a node that does not is carried to the next level
-    as it is), and the bounds of the leaves, from 0 to n."""
+    """numpy's summation tree over n values, down to nodes of at most
+    _NODE: which nodes of each level split, from the root down (a node that
+    does not is carried to the next level as it is), and the bounds of the
+    nodes at the bottom, from 0 to n."""
     splits, bounds = [], np.array([0, n])
     while True:
         sizes = np.diff(bounds)
-        split = sizes > _LEAF
+        split = sizes > _NODE
         if not split.any():
             return splits, bounds
         half = sizes[split] // 2
@@ -103,62 +106,34 @@ def _tree(n: int):
 class _PairwiseSums:
     """np.add.reduce of each of several float64 sequences, of lengths ns,
     whose values arrive in order: each add() passes the next chunk of every
-    sequence. A leaf of numpy's tree is summed once its values are in, and
-    the inner nodes are added level by level at the end, so what is held is
-    a bound and a sum per leaf and less than a leaf of each sequence."""
+    sequence. A bottom node of numpy's tree is summed once its values are
+    in, and the nodes above are added level by level at the end, so what is
+    held is a sum per node and less than a node of each sequence."""
 
     def __init__(self, ns):
-        self.ns = list(ns)
-        # the sequences are laid end to end, and so are their leaves:
-        # leaf k holds positions bounds[k] .. bounds[k + 1] - 1
-        pos = np.concatenate(([0], np.cumsum(self.ns)))
-        leaves = {n: _tree(n)[1][:-1] for n in set(self.ns)}
-        self.bounds = np.concatenate([p + leaves[n] for p, n in zip(pos, self.ns)] + [pos[-1:]])
-        self.first = np.concatenate(([0], np.cumsum([len(leaves[n]) for n in self.ns])))
-        self.sums = np.empty(len(self.bounds) - 1)
-        self.start = pos[:-1]  # each sequence's first position
-        self.done = self.first[:-1]  # its next leaf to sum
-        self.seen = self.start  # and its values fed, as a position
-        self.carry = [np.empty(0)] * len(self.ns)  # its values past the leaves summed
+        trees = {n: _tree(n) for n in set(ns)}
+        self.trees = [trees[n] for n in ns]
+        self.sums = [[] for _ in self.trees]
+        self.carry = [np.empty(0)] * len(self.trees)  # values fed past the nodes summed
 
     def add(self, chunks) -> None:
         """Feed the next values of every sequence: chunks[s] holds those of
         sequence s, as an array of any shape read in row-major order."""
-        held = np.array([len(x) for x in self.carry])
-        fed = np.array([x.size for x in chunks])
-        base = self.seen - held  # the position of each sequence's first value in buf
-        # every leaf but a sequence's last holds a multiple of 8 values, so
-        # each starts a row of 8 in buf when a sequence's values lie where
-        # their position does, modulo 8; leaves are then gathered row-wise
-        lead = (base - self.start) % 8
-        room = (lead + held + fed + 7) // 8 * 8
-        at = np.cumsum(room) - room + lead  # where each sequence goes in buf
-        buf = np.empty(int(room.sum()))
-        for a, h, x, y in zip(at, held, self.carry, chunks):
-            buf[a:a + h] = x
-            buf[a + h:a + h + y.size].reshape(y.shape)[...] = y
-        self.seen = self.seen + fed
-        k1 = np.searchsorted(self.bounds, self.seen, side="right") - 1
-        count = k1 - self.done
-        seq = np.repeat(np.arange(len(fed)), count)
-        leaves = np.arange(count.sum()) + np.repeat(self.done - np.cumsum(count) + count, count)
-        row = (self.bounds[leaves] - base[seq] + at[seq]) // 8
-        size = self.bounds[leaves + 1] - self.bounds[leaves]
-        rows = buf.reshape(-1, 8)
-        for n in unique_sorted(size.copy()):
-            k = np.flatnonzero(size == n)
-            values = rows.take(row[k, None] + np.arange(-(-n // 8)), axis=0).reshape(len(k), -1)
-            self.sums[leaves[k]] = np.add.reduce(values[:, :n], axis=1)
-        self.done = k1
-        self.carry = [buf[a:b].copy() for a, b in zip(self.bounds[k1] - base + at, at + held + fed)]
+        for s, ((_, bounds), sums, x) in enumerate(zip(self.trees, self.sums, chunks)):
+            v = np.concatenate((self.carry[s], x), axis=None)
+            at = bounds[len(sums)]  # the position of v[0]
+            end = np.searchsorted(bounds, at + len(v), side="right") - 1
+            for a, b in zip(bounds[len(sums):end], bounds[len(sums) + 1:end + 1]):
+                sums.append(np.add.reduce(v[a - at:b - at]))
+            # a copy, so that no view keeps the whole chunk alive
+            self.carry[s] = v[bounds[end] - at:].copy()
 
     def totals(self) -> list[np.float64]:
-        assert (self.done == self.first[1:]).all(), "values missing"
-        splits = {n: _tree(n)[0] for n in set(self.ns)}
         out = []
-        for n, lo, hi in zip(self.ns, self.first[:-1], self.first[1:]):
-            node = self.sums[lo:hi]
-            for split in reversed(splits[n]):
+        for (splits, bounds), sums in zip(self.trees, self.sums):
+            assert len(sums) == len(bounds) - 1, "values missing"
+            node = np.array(sums)
+            for split in reversed(splits):
                 # the first child of each node on the level below
                 child = np.cumsum(split + 1) - 1 - split
                 node, below = node[child], node
@@ -210,14 +185,16 @@ def _hours(tm: TableMetrics) -> PatternSeries:
     return PatternSeries(HOUR_IDS, stat, n, se)
 
 
-def _month(ids, v: np.ndarray, rows, statistic: str) -> PatternSeries | None:
+def _month(ids, v: np.ndarray, rows, statistic: str,
+           observed: np.ndarray) -> PatternSeries | None:
     """The month series of one statistic of v (individuals x months) over
     a cohort's rows, None for everyone; None for a normalized median whose
-    level is zero."""
-    stat = np.empty(len(ids))
-    n = np.empty(len(ids), dtype=np.int64)
+    level, the mean over the observed months, is zero. A month that is
+    not observed is blank: NaN stat and se, and n 0."""
+    stat = np.full(len(ids), np.nan)
+    n = np.zeros(len(ids), dtype=np.int64)
     se = np.full(len(ids), np.nan) if statistic == "mean" else None
-    for b in range(len(ids)):
+    for b in np.flatnonzero(observed):
         s = (v[:, b] if rows is None else v[rows, b]).astype(float)
         n[b] = len(s)
         if statistic == "mean":
@@ -227,7 +204,7 @@ def _month(ids, v: np.ndarray, rows, statistic: str) -> PatternSeries | None:
         else:
             stat[b] = _median(s)
     if statistic == "normalized_median":
-        norm = float(np.mean(stat))
+        norm = float(np.mean(stat[observed]))
         if norm == 0:
             return None
         stat = stat / norm
@@ -237,9 +214,12 @@ def _month(ids, v: np.ndarray, rows, statistic: str) -> PatternSeries | None:
 def _months(tm: TableMetrics, areas: np.ndarray, analysis_year: int) -> dict:
     """The month series of series(): one activity and mobility table of
     every individual serves them all, and each month's samples are a
-    column of it."""
+    column of it. A month in which no individual has an event is not
+    observed: the input holds none of it, so it has no samples, where a
+    month that is quiet for some individuals has a zero sample of each."""
     ids = tuple(w for w, _, _ in WindowSpec("month").contiguous_windows(analysis_year))
     activity, mobility = tm.activity_mobility(np.array(month_starts(analysis_year)))
+    observed = activity.any(axis=0)
     cohorts = [("all", None, {"activity": activity, "mobility": mobility})]
     cohorts += [(f"area{a}", a, {"activity": activity}) for a in range(1, 6)]
     out = {}
@@ -249,7 +229,7 @@ def _months(tm: TableMetrics, areas: np.ndarray, analysis_year: int) -> dict:
             continue
         for statistic in ("mean", "normalized_median"):
             for value, v in values.items():
-                s = _month(ids, v, rows, statistic)
+                s = _month(ids, v, rows, statistic, observed)
                 if s is not None:
                     out[cohort, "month", value, statistic] = s
     return out

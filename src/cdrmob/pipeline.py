@@ -52,10 +52,18 @@ from .home import (
     fit_bimodal,
     flag_at_sea,
 )
-from .ingest import IngestResult, ingest_file
-from .metrics import TableMetrics, WindowSpec, metrics_rows
+from .ingest import EventTable, IngestResult, ingest_file
+from .metrics import TableMetrics, WindowSpec, blocks, metrics_rows
 from .patterns import demographic_table, series
-from .records import load_demographics, load_towers, unique_sorted, write_json, year_bounds
+from .records import (
+    format_timestamp,
+    load_demographics,
+    load_towers,
+    month_starts,
+    unique_sorted,
+    write_json,
+    year_bounds,
+)
 
 log = logging.getLogger(__name__)
 
@@ -104,6 +112,44 @@ def check_ingest(result: IngestResult) -> None:
             log.warning("ingest: %s rejected %d of %d rows", reason, count, st.rows_read)
     if not len(result.table):
         raise PipelineError("no surviving individuals after filtering")
+
+
+def check_calendar(table: EventTable, analysis_year: int) -> dict:
+    """The funnel's account of when the kept events fall and how many
+    repeat: the first and last event, the days of the year with an event,
+    the months without one, and the events equal to the previous event of
+    their individual in timestamp and tower, which the table's sort makes
+    neighbours. A file cut short, or joined to a copy of itself, still
+    gives plausible outputs, so an unobserved month, and repeats above 1%
+    of the kept events, are logged as warnings. One pass over blocks of
+    individuals flags the days with an event, in half the time a
+    bincount of them took, and counts the repeats."""
+    ys, _ = year_bounds(analysis_year)
+    first_day = (np.array(month_starts(analysis_year)) - ys) // 86400
+    seen = np.zeros(first_day[-1], dtype=bool)
+    repeats = 0
+    off, ts, tower = table.offsets, table.ts, table.tower
+    for lo, hi in blocks(off):
+        t, w = ts[off[lo]:off[hi]], tower[off[lo]:off[hi]]
+        seen[(t - ys) // 86400] = True
+        same = (t[1:] == t[:-1]) & (w[1:] == w[:-1])
+        same[off[lo + 1:hi] - off[lo] - 1] = False  # an individual's first event
+        repeats += int(np.count_nonzero(same))
+    unobserved = [f"{analysis_year}-{m + 1:02d}"
+                  for m in np.flatnonzero(~np.logical_or.reduceat(seen, first_day[:-1]))]
+    if unobserved:
+        log.warning("calendar: no kept event in %d of 12 months: %s",
+                    len(unobserved), " ".join(unobserved))
+    if 100 * repeats > len(ts):
+        log.warning("calendar: %d of %d kept events repeat the previous event of their "
+                    "individual; is some input in the CDR file twice?", repeats, len(ts))
+    return {
+        "events_duplicated": repeats,
+        "first_event": format_timestamp(int(ts[off[:-1]].min())),
+        "last_event": format_timestamp(int(ts[off[1:] - 1].max())),
+        "days_with_events": int(np.count_nonzero(seen)),
+        "months_unobserved": unobserved,
+    }
 
 
 @dataclass
@@ -232,6 +278,12 @@ class Pipeline:
             return res
 
         return self._stage("ingest", run)
+
+    @property
+    def calendar(self) -> dict:
+        """check_calendar of the event table: the funnel's dates and repeats."""
+        return self._stage("calendar", lambda: check_calendar(
+            self.ingest.table, self.config.analysis_year))
 
     # ------------------------------------------------- rhythm and window
     @property
@@ -561,6 +613,7 @@ def build_summary(pipe: Pipeline) -> dict:
             "rows_rejected": st.rows_rejected,
             "events_filtered": st.events_valid - st.events_kept,
             "events_kept": st.events_kept,
+            **pipe.calendar,
             "individuals_kept": st.individuals_kept,
             "individuals_removed": st.individuals_removed,
             "homed": with_home,

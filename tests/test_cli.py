@@ -11,6 +11,7 @@ import filecmp
 import hashlib
 import io
 import json
+import logging
 import multiprocessing
 import os
 import pathlib
@@ -1237,10 +1238,38 @@ def test_summary_funnel_adds_up(small_corpus, tmp_path, capsys):
     assert f["gridded"] == summary["grid"]["residents"] <= f["homed"]
     assert f["residents_by_class"] == {a: summary["areas"][a]["residents"] for a in "12345"}
     assert f["demographics_rejected"] == {}
+    assert f["events_duplicated"] == 0
+    assert f["first_event"] == "2008-01-01T00:03:23" and f["last_event"] == "2008-12-31T23:48:23"
+    assert f["days_with_events"] == 366 and f["months_unobserved"] == []
     with open(out / "homes.csv", encoding="utf-8") as fh:
         kept = {line.split(",")[0] for line in fh}
     missing = len(kept & {line.split(",")[0] for line in lines[:5]})
     assert f["individuals_without_demographics"] == missing > 0
+
+
+@pytest.mark.parametrize("repeats, warns", [(1, False), (2, True)])
+def test_the_funnel_dates_the_events_and_counts_repeats(tmp_path, caplog, repeats, warns):
+    _, towers = _write_minimal_corpus(tmp_path)
+    # a's 100 events on March 1st and 2nd, the first of them given again;
+    # b's first event equals a's last, which is no repeat
+    rows = [f"a,x,2008-03-0{1 + k // 50}T10:{k % 50:02d}:00,t1,call,out\n" for k in range(100)]
+    rows += rows[:repeats] + ["b,x,2008-03-02T10:49:00,t1,call,out\n",
+                              "b,x,2008-05-31T23:59:59,t2,call,out\n"]
+    cdr = tmp_path / "cdr.csv"
+    cdr.write_text("".join(rows))
+    pipe = Pipeline(cdr, towers, None, AnalysisConfig(reciprocity="none"))
+    with caplog.at_level(logging.WARNING, logger="cdrmob"):
+        got = pipe.calendar
+    unobserved = [f"2008-{m:02d}" for m in (1, 2, 4, 6, 7, 8, 9, 10, 11, 12)]
+    assert got == {"events_duplicated": repeats, "first_event": "2008-03-01T10:00:00",
+                   "last_event": "2008-05-31T23:59:59", "days_with_events": 3,
+                   "months_unobserved": unobserved}
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[0] == f"calendar: no kept event in 10 of 12 months: {' '.join(unobserved)}"
+    # more than 1% of the kept events: 2 of 104, not 1 of 103
+    assert messages[1:] == ([f"calendar: {repeats} of {102 + repeats} kept events repeat the "
+                             "previous event of their individual; is some input in the CDR "
+                             "file twice?"] if warns else [])
 
 
 def test_log_level_writes_progress_to_stderr_only(small_corpus, tmp_path, capsys):

@@ -15,6 +15,7 @@ from cdrmob import metrics
 from cdrmob.ingest import EventTable, IngestResult, IngestStats, write_spool
 from cdrmob.metrics import TableMetrics
 from cdrmob.patterns import (
+    _NODE,
     PatternError,
     PatternSeries,
     _median,
@@ -103,18 +104,47 @@ def test_hour_pattern_one_pooled_sample_per_individual():
 
 
 def test_month_pattern_counts_quiet_months_as_zero():
-    events = {"a": _one_tower(["2008-03-05T12:00:00", "2008-03-20T12:00:00"])}
+    # a is quiet in January, a month that b's events make observed
+    events = {"a": _one_tower(["2008-03-05T12:00:00", "2008-03-20T12:00:00"]),
+              "b": _one_tower(["2008-01-10T12:00:00", "2008-03-11T12:00:00"])}
     s = _whole(events, "month")
     assert len(s.bins) == 12 and s.bins[2] == "2008-03"
-    assert np.all(s.n == 1)
-    assert s.stat[2] == 2.0 and s.stat[0] == 0.0
+    assert s.n[0] == s.n[2] == 2
+    assert s.stat[2] == 1.5 and s.stat[0] == 0.5
+
+
+def test_a_month_without_any_event_is_unobserved():
+    # events from March to May only: the other nine months are blank in
+    # every series, and the median's level is the mean of the observed ones
+    events = {f"u{k}": _one_tower([f"2008-{m:02d}-{d:02d}T12:00:00"
+                                   for m in (3, 4, 5) for d in range(1, 2 + (k + m) % 4)])
+              for k in range(5)}
+    got = _series(_metrics(events), [2] * 5)
+    observed = np.isin(np.arange(12), [2, 3, 4])
+    for key, s in got.items():
+        if key[1] != "month":
+            continue
+        assert s.n.tolist() == [5 * k for k in observed], key
+        assert np.isnan(s.stat[~observed]).all() and not np.isnan(s.stat[observed]).any()
+        if key[3] == "mean":
+            assert np.isnan(s.se[~observed]).all() and not np.isnan(s.se[observed]).any()
+        else:
+            assert float(np.mean(s.stat[observed])) == pytest.approx(1.0, abs=1e-12)
+    counts = [[1 + (k + m) % 4 for k in range(5)] for m in (3, 4, 5)]
+    assert got["area2", "month", "activity", "mean"].stat[2:5].tolist() == np.mean(
+        counts, axis=1).tolist()
+    # the weekday and hour series are not month series, and keep every bin
+    assert got["all", "hour", "activity", "mean"].n.tolist() == [5] * 24
 
 
 def test_cohort_selection_and_validation():
     events = {"a": _one_tower(["2008-03-05T12:00:00"]), "b": _one_tower(["2008-04-05T12:00:00"])}
     got = _series(_metrics(events), [0, 3])  # classes follow id order: a, b
     only_b = got["area3", "month", "activity", "mean"]
-    assert only_b.stat[3] == 1.0 and only_b.stat[2] == 0.0 and only_b.n.tolist() == [1] * 12
+    # b is quiet in March, when a has an event; no one has one in the
+    # months but March and April, which are unobserved
+    assert only_b.stat[3] == 1.0 and only_b.stat[2] == 0.0
+    assert only_b.n.tolist() == [0, 0, 1, 1] + [0] * 8
     # an empty cohort is left out, and so is the median of a mobility that
     # is zero; a cohort has month activity series only, and weekday and
     # hour series are the whole population's
@@ -138,18 +168,26 @@ def _spread(rng, n):
 
 def test_the_streamed_sum_is_numpys_pairwise_sum():
     rng = np.random.default_rng(3)
-    # a leaf of numpy's tree is summed as one row of a matrix is
-    for n in range(1, 129):
-        x = _spread(rng, 5 * n).reshape(5, n)
-        rows = np.array([np.add.reduce(r) for r in x])
-        assert np.add.reduce(x, axis=1).tobytes() == rows.tobytes()
-    # every length to 300, then long ones, each fed in random chunks
-    for lengths, most in ((range(1, 301), 40), ([1023, 4097, 65537, 999_983, 2_000_003], 300_000)):
+    # numpy splits a run of more than 128 values at half its length, rounded
+    # down to a multiple of 8, and sums each half as a run of its own
+    for n in (129, 200, 1000, 4097, _NODE + 1, 3 * _NODE + 5, 100_003):
+        x = _spread(rng, n)
+        m = n // 2 - n // 2 % 8
+        assert np.add.reduce(x) == np.add.reduce(x[:m]) + np.add.reduce(x[m:])
+    # every length to 300, then long ones, each fed in random chunks, and
+    # lengths about a node fed in one chunk too
+    for lengths, most in (
+        (range(1, 301), 40),
+        ([1023, 4097, 65537, 999_983, 2_000_003], 300_000),
+        ([_NODE, _NODE + 1, 2 * _NODE + 8], 3000),
+        ([_NODE, _NODE + 1, 2 * _NODE + 8], None),
+    ):
         xs = [_spread(rng, n) for n in lengths]
         sums = _PairwiseSums([len(x) for x in xs])
         fed = np.zeros(len(xs), dtype=np.int64)
         while (fed < lengths).any():
-            step = np.minimum(rng.integers(0, most, size=len(xs)), np.array(lengths) - fed)
+            left = np.array(lengths) - fed
+            step = left if most is None else np.minimum(rng.integers(0, most, size=len(xs)), left)
             sums.add([x[f:f + k] for x, f, k in zip(xs, fed, step)])
             fed += step
         assert [float(t) for t in sums.totals()] == [float(np.add.reduce(x)) for x in xs]
