@@ -7,8 +7,8 @@ pools one sample per (individual, matching window) over a cohort:
   * month windows exist for every individual, so quiet months enter as
     zero activity / zero mobility samples, but a month in which nobody
     has an event is unobserved and its bins are blank;
-  * dow pools every calendar day of the year by weekday, again keeping
-    quiet days as zeros;
+  * dow pools every calendar day of the observed months by weekday,
+    again keeping quiet days as zeros;
   * hour pools the 24 time-of-day bins, each individual contributing one
     pooled value per bin.
 
@@ -33,6 +33,7 @@ different overall levels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -86,60 +87,47 @@ def _median(x: np.ndarray) -> float:
 _NODE = 8192
 
 
-def _tree(n: int):
-    """numpy's summation tree over n values, down to nodes of at most
-    _NODE: which nodes of each level split, from the root down (a node that
-    does not is carried to the next level as it is), and the bounds of the
-    nodes at the bottom, from 0 to n."""
-    splits, bounds = [], np.array([0, n])
-    while True:
-        sizes = np.diff(bounds)
-        split = sizes > _NODE
-        if not split.any():
-            return splits, bounds
-        half = sizes[split] // 2
-        half -= half % 8
-        splits.append(split)
-        bounds = np.sort(np.concatenate((bounds, bounds[:-1][split] + half)))
+@functools.cache
+def _nodes(n: int) -> tuple[int, ...]:
+    """The lengths of the nodes of numpy's summation tree over n values
+    that hold at most _NODE values, in order."""
+    if n <= _NODE:
+        return (n,)
+    half = n // 2 - n // 2 % 8
+    return _nodes(half) + _nodes(n - half)
 
 
-class _PairwiseSums:
-    """np.add.reduce of each of several float64 sequences, of lengths ns,
-    whose values arrive in order: each add() passes the next chunk of every
-    sequence. A bottom node of numpy's tree is summed once its values are
-    in, and the nodes above are added level by level at the end, so what is
-    held is a sum per node and less than a node of each sequence."""
+def _join(n: int, sums) -> np.float64:
+    """The sum of n values from an iterator over the sums of their _nodes(n),
+    added up the tree as numpy adds them."""
+    if n <= _NODE:
+        return next(sums)
+    half = n // 2 - n // 2 % 8
+    return _join(half, sums) + _join(n - half, sums)
 
-    def __init__(self, ns):
-        trees = {n: _tree(n) for n in set(ns)}
-        self.trees = [trees[n] for n in ns]
-        self.sums = [[] for _ in self.trees]
-        self.carry = [np.empty(0)] * len(self.trees)  # values fed past the nodes summed
 
-    def add(self, chunks) -> None:
-        """Feed the next values of every sequence: chunks[s] holds those of
-        sequence s, as an array of any shape read in row-major order."""
-        for s, ((_, bounds), sums, x) in enumerate(zip(self.trees, self.sums, chunks)):
-            v = np.concatenate((self.carry[s], x), axis=None)
-            at = bounds[len(sums)]  # the position of v[0]
-            end = np.searchsorted(bounds, at + len(v), side="right") - 1
-            for a, b in zip(bounds[len(sums):end], bounds[len(sums) + 1:end + 1]):
-                sums.append(np.add.reduce(v[a - at:b - at]))
-            # a copy, so that no view keeps the whole chunk alive
-            self.carry[s] = v[bounds[end] - at:].copy()
+class _PairwiseSum:
+    """np.add.reduce of n float64 values that arrive in chunks, in order. A
+    node of _nodes(n) is summed once its values are in, so what is held is
+    a sum per node and fewer values than a node holds."""
 
-    def totals(self) -> list[np.float64]:
-        out = []
-        for (splits, bounds), sums in zip(self.trees, self.sums):
-            assert len(sums) == len(bounds) - 1, "values missing"
-            node = np.array(sums)
-            for split in reversed(splits):
-                # the first child of each node on the level below
-                child = np.cumsum(split + 1) - 1 - split
-                node, below = node[child], node
-                node[split] += below[child[split] + 1]
-            out.append(node[0])
-        return out
+    def __init__(self, n: int):
+        self.n, self.nodes, self.sums = n, _nodes(n), []
+        self.carry = np.empty(0)  # values fed past the nodes summed
+
+    def add(self, x: np.ndarray) -> None:
+        """Feed the next values: x, of any shape, read in row-major order."""
+        v = np.concatenate((self.carry, x), axis=None)
+        at, k = 0, len(self.sums)
+        while k < len(self.nodes) and at + self.nodes[k] <= len(v):
+            self.sums.append(np.add.reduce(v[at:at + self.nodes[k]]))
+            at, k = at + self.nodes[k], k + 1
+        # a copy, so that no view keeps the whole chunk alive
+        self.carry = v[at:].copy()
+
+    def total(self) -> np.float64:
+        assert len(self.sums) == len(self.nodes), "values missing"
+        return _join(self.n, iter(self.sums))
 
 
 def _streamed_mean_se(tm: TableMetrics, bin_of, edges: np.ndarray):
@@ -157,23 +145,28 @@ def _streamed_mean_se(tm: TableMetrics, bin_of, edges: np.ndarray):
     n = np.diff(edges) * len(tm.table)
     mean = np.add.reduceat(total, edges[:-1]) / n
 
-    squares, deviation_of = _PairwiseSums(n), np.repeat(mean, np.diff(edges))
+    squares, deviation_of = [_PairwiseSum(k) for k in n], np.repeat(mean, np.diff(edges))
     for lo, hi in tm.blocks(width):
         x = np.subtract(tm.event_counts(bin_of, width, lo, hi), deviation_of, dtype=float)
         x *= x
-        squares.add([x[:, a:b] for a, b in zip(edges[:-1], edges[1:])])
-    se = np.array([np.sqrt(s / (k - 1)) / math.sqrt(k) if k > 1 else np.nan
-                   for s, k in zip(squares.totals(), n)])
+        for s, a, b in zip(squares, edges[:-1], edges[1:]):
+            s.add(x[:, a:b])
+    se = np.array([np.sqrt(s.total() / (k - 1)) / math.sqrt(k) if k > 1 else np.nan
+                   for s, k in zip(squares, n)])
     return mean, n, se
 
 
-def _weekdays(tm: TableMetrics, analysis_year: int) -> PatternSeries:
-    """The whole population's weekday activity means: the year's days are
-    laid out weekday by weekday, each weekday's in date order."""
+def _weekdays(tm: TableMetrics, analysis_year: int, observed: np.ndarray) -> PatternSeries:
+    """The whole population's weekday activity means over the days of the
+    observed months: those days are laid out weekday by weekday, each
+    weekday's in date order. No event falls on a day of another month."""
     ys, ye = year_bounds(analysis_year)
-    wd = weekday_of(np.arange(ys, ye, 86400) // 86400)
-    column = np.empty(len(wd), dtype=np.int64)
-    column[np.argsort(wd, kind="stable")] = np.arange(len(wd))
+    starts = np.arange(ys, ye, 86400)
+    month = np.searchsorted(month_starts(analysis_year), starts, side="right") - 1
+    days = np.flatnonzero(observed[month])
+    wd = weekday_of(starts[days] // 86400)
+    column = np.zeros(len(starts), dtype=np.int64)
+    column[days[np.argsort(wd, kind="stable")]] = np.arange(len(days))
     edges = np.concatenate(([0], np.cumsum(np.bincount(wd, minlength=7))))
     stat, n, se = _streamed_mean_se(tm, lambda ts: column[(ts - ys) // 86400], edges)
     return PatternSeries(WEEKDAY_IDS, stat, n, se)
@@ -211,12 +204,13 @@ def _month(ids, v: np.ndarray, rows, statistic: str,
     return PatternSeries(ids, stat, n, se)
 
 
-def _months(tm: TableMetrics, areas: np.ndarray, analysis_year: int) -> dict:
-    """The month series of series(): one activity and mobility table of
-    every individual serves them all, and each month's samples are a
-    column of it. A month in which no individual has an event is not
-    observed: the input holds none of it, so it has no samples, where a
-    month that is quiet for some individuals has a zero sample of each."""
+def _months(tm: TableMetrics, areas: np.ndarray, analysis_year: int):
+    """The month series of series() and which months are observed: one
+    activity and mobility table of every individual serves them all, and
+    each month's samples are a column of it. A month in which no individual
+    has an event is not observed: the input holds none of it, so it has no
+    samples, where a month that is quiet for some individuals has a zero
+    sample of each."""
     ids = tuple(w for w, _, _ in WindowSpec("month").contiguous_windows(analysis_year))
     activity, mobility = tm.activity_mobility(np.array(month_starts(analysis_year)))
     observed = activity.any(axis=0)
@@ -232,7 +226,7 @@ def _months(tm: TableMetrics, areas: np.ndarray, analysis_year: int) -> dict:
                 s = _month(ids, v, rows, statistic, observed)
                 if s is not None:
                     out[cohort, "month", value, statistic] = s
-    return out
+    return out, observed
 
 
 def series(tm: TableMetrics, areas: np.ndarray, analysis_year: int) -> dict:
@@ -244,9 +238,10 @@ def series(tm: TableMetrics, areas: np.ndarray, analysis_year: int) -> dict:
     .."area5"). areas holds each individual's class, 0 for none, in id
     order. An empty cohort, or a normalized median whose level is zero,
     is left out."""
-    return {("all", "dow", "activity", "mean"): _weekdays(tm, analysis_year),
-            ("all", "hour", "activity", "mean"): _hours(tm),
-            **_months(tm, areas, analysis_year)}
+    # the month table is freed before the weekday and hour passes
+    months, observed = _months(tm, areas, analysis_year)
+    return {("all", "dow", "activity", "mean"): _weekdays(tm, analysis_year, observed),
+            ("all", "hour", "activity", "mean"): _hours(tm), **months}
 
 
 @dataclass

@@ -209,6 +209,9 @@ class Pipeline:
         self.timings: dict[str, float] = {}
         # seconds of each stage or write with the stages nested in it
         self.inclusive: dict[str, float] = {}
+        # CPU seconds of each stage or write, of every thread, exclusive as
+        # timings are
+        self.cpu: dict[str, float] = {}
         # peak RSS of the process after each stage or write, in MiB
         self.rss_mib: dict[str, float] = {}
         # RSS of the process after each stage or write, in MiB, where
@@ -216,23 +219,27 @@ class Pipeline:
         self.rss_end_mib: dict[str, float] = {}
         self._peak_mib = 0.0
         self._cache: dict[str, object] = {}
-        # seconds spent in nested stages, one entry per stage or write being timed
-        self._nested: list[float] = []
+        # seconds and CPU seconds spent in nested stages, one entry per stage
+        # or write being timed
+        self._nested: list[list[float]] = []
 
     def _timed(self, name: str, fn):
         """Run fn and record its own seconds under name. Stages pull their
         inputs in lazily, so one may run inside another (or inside a
-        write); each timing excludes the stages nested in it."""
-        self._nested.append(0.0)
-        t0 = time.perf_counter()
+        write); each timing excludes the stages nested in it, and so does
+        its CPU time."""
+        self._nested.append([0.0, 0.0])
+        t0, c0 = time.perf_counter(), time.process_time()
         try:
             result = fn()
         finally:
-            total = time.perf_counter() - t0
-            nested = self._nested.pop()
+            total, cpu = time.perf_counter() - t0, time.process_time() - c0
+            nested, nested_cpu = self._nested.pop()
             if self._nested:
-                self._nested[-1] += total
+                self._nested[-1][0] += total
+                self._nested[-1][1] += cpu
         self.timings[name] = round(total - nested, 3)
+        self.cpu[name] = round(cpu - nested_cpu, 3)
         self.inclusive[name] = round(total, 3)
         # The kernel keeps its high-water mark from approximate per-CPU
         # counts, and statm can read above it (by 0.2 MiB on Linux 6.18,
@@ -739,9 +746,9 @@ def save_manifest(out_dir, command: str, outputs: dict[str, str], **fields) -> N
 
 def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: str) -> None:
     """Manifest of an analysis run: inputs, config, output digests, the
-    exclusive and inclusive seconds of each stage, the process's peak and
-    current RSS once each stage was done, and the threads that parsed the
-    CDR file."""
+    exclusive and inclusive seconds and exclusive CPU seconds of each
+    stage, the process's peak and current RSS once each stage was done, and
+    the threads that parsed the CDR file."""
     save_manifest(
         out_dir, command, outputs,
         config=asdict(pipe.config),
@@ -752,6 +759,7 @@ def write_manifest(pipe: Pipeline, out_dir, outputs: dict[str, str], command: st
         ),
         timings_s=pipe.timings,
         inclusive_s=pipe.inclusive,
+        cpu_s=pipe.cpu,
         rss_mib=pipe.rss_mib,
         rss_end_mib=pipe.rss_end_mib,
         ingest_stats=asdict(pipe.ingest.stats) if "ingest" in pipe._cache else None,

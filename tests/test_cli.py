@@ -1119,6 +1119,10 @@ def test_stage_timings_are_exclusive(small_corpus, tmp_path):
     inclusive = manifest["inclusive_s"]
     assert inclusive.keys() == timings.keys()
     assert all(inclusive[k] >= timings[k] for k in timings)
+    # CPU seconds of every thread, exclusive of nested stages as timings are
+    cpu = manifest["cpu_s"]
+    assert cpu.keys() == timings.keys()
+    assert all(v >= 0 for v in cpu.values())
     # the first write pulls in towers, ingest, steps and profile; each
     # value is rounded to the millisecond on its own
     nested = ("towers", "ingest", "steps", "profile", "write_profile")

@@ -19,7 +19,7 @@ from cdrmob.patterns import (
     PatternError,
     PatternSeries,
     _median,
-    _PairwiseSums,
+    _PairwiseSum,
     demographic_table,
     series,
 )
@@ -77,18 +77,43 @@ def _demographics(tmp_path, rows):
 
 def test_dow_pattern_pools_calendar_days():
     # 2008-01-01 was a Tuesday; 2008 has 53 Tuesdays and Wednesdays and
-    # 52 of every other weekday
+    # 52 of every other weekday; b's events, one on a Wednesday of each
+    # month, make every month observed
     events = {
-        "a": _one_tower(["2008-01-04T10:00:00", "2008-01-04T11:00:00", "2008-01-06T10:00:00"])
+        "a": _one_tower(["2008-01-04T10:00:00", "2008-01-04T11:00:00", "2008-01-06T10:00:00"]),
+        "b": _one_tower([f"2008-{m:02d}-{d:02d}T10:00:00" for m, d in enumerate(
+            (2, 6, 5, 2, 7, 4, 2, 6, 3, 1, 5, 3), start=1)]),
     }
     s = _whole(events, "dow")
     assert s.bins == ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
     by = dict(zip(s.bins, s.stat))
     n_by = dict(zip(s.bins, s.n))
-    assert n_by == {"Mon": 52, "Tue": 53, "Wed": 53, "Thu": 52, "Fri": 52, "Sat": 52, "Sun": 52}
-    assert by["Fri"] == pytest.approx(2 / 52)  # one Friday with 2 events
-    assert by["Sun"] == pytest.approx(1 / 52)
+    assert n_by == {"Mon": 104, "Tue": 106, "Wed": 106, "Thu": 104, "Fri": 104, "Sat": 104,
+                    "Sun": 104}
+    assert by["Fri"] == pytest.approx(2 / 104)  # one Friday with 2 events
+    assert by["Sun"] == pytest.approx(1 / 104)
+    assert by["Wed"] == pytest.approx(12 / 106)
     assert by["Mon"] == 0.0
+
+
+def test_the_weekday_series_pools_the_observed_months_only():
+    # events from January to June only: the other months are not in the
+    # input, so their days are no samples; 2008-01-01..06-30 is 26 weeks
+    rng = np.random.default_rng(6)
+    ys, _ = year_bounds(2008)
+    june_end = month_starts(2008)[6]
+    ts = [np.sort(rng.integers(ys, june_end, size=k)) for k in (1, 5, 40)]
+    events = {f"u{k}": _one_tower([np.datetime_as_string(np.datetime64(int(t), "s")) for t in x])
+              for k, x in enumerate(ts)}
+    s = _whole(events, "dow")
+    assert s.n.tolist() == [26 * 3] * 7
+    day = np.zeros((3, (june_end - ys) // 86400))
+    for k, x in enumerate(ts):
+        np.add.at(day[k], (x - ys) // 86400, 1)
+    weekday = (np.arange(ys, june_end, 86400) // 86400 + EPOCH_WEEKDAY) % 7
+    xs = [day[:, weekday == w].ravel() for w in range(7)]
+    assert s.stat.tobytes() == np.array([np.mean(x) for x in xs]).tobytes()
+    assert s.se.tobytes() == np.array([x.std(ddof=1) / math.sqrt(len(x)) for x in xs]).tobytes()
 
 
 def test_hour_pattern_one_pooled_sample_per_individual():
@@ -183,14 +208,13 @@ def test_the_streamed_sum_is_numpys_pairwise_sum():
         ([_NODE, _NODE + 1, 2 * _NODE + 8], None),
     ):
         xs = [_spread(rng, n) for n in lengths]
-        sums = _PairwiseSums([len(x) for x in xs])
-        fed = np.zeros(len(xs), dtype=np.int64)
-        while (fed < lengths).any():
-            left = np.array(lengths) - fed
-            step = left if most is None else np.minimum(rng.integers(0, most, size=len(xs)), left)
-            sums.add([x[f:f + k] for x, f, k in zip(xs, fed, step)])
-            fed += step
-        assert [float(t) for t in sums.totals()] == [float(np.add.reduce(x)) for x in xs]
+        for x in xs:
+            s, fed = _PairwiseSum(len(x)), 0
+            while fed < len(x):
+                k = len(x) - fed if most is None else min(int(rng.integers(0, most)), len(x) - fed)
+                s.add(x[fed:fed + k])
+                fed += k
+            assert float(s.total()) == float(np.add.reduce(x)), len(x)
     # which a plain left-to-right sum would not give
     assert np.cumsum(xs[-1])[-1] != np.add.reduce(xs[-1])
 

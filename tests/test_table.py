@@ -235,10 +235,10 @@ def test_table_matches_per_individual_computation(events, data, divisor, block):
 
 
 @pytest.mark.parametrize("what, budget", [
-    # a pattern holds one float and one bound per leaf of its summation
-    # tree, about 4 per individual for the weekdays, and no sample outlives
-    # its block; the month series share one table of each individual's
-    # activity and mobility (9-16 B per month)
+    # a pattern holds one sum per node of 8,192 samples of its summation
+    # tree and fewer than a node's samples per bin, and no other sample
+    # outlives its block; the month series share one table of each
+    # individual's activity and mobility (9-16 B per month)
     ("dow", 256),
     ("hour", 256),
     ("month", 256),
@@ -259,7 +259,8 @@ def test_block_memory_does_not_grow_with_individuals_times_bins(what, budget):
             peak = traced_peak(lambda: daily_profile(tm))
         else:
             areas = rng.integers(0, 6, size=n)
-            peak = traced_peak({"dow": lambda: _weekdays(tm, 2008), "hour": lambda: _hours(tm),
+            peak = traced_peak({"dow": lambda: _weekdays(tm, 2008, np.ones(12, bool)),
+                                "hour": lambda: _hours(tm),
                                 "month": lambda: _months(tm, areas, 2008)}[what])
     assert peak / n < budget, f"{what}: {peak / n:.0f} B per individual"
 
