@@ -62,7 +62,6 @@ import numpy as np
 from .records import (
     CDR_FIELDS,
     DIRECTION_TOKENS,
-    GENDER_TOKENS,
     KIND_TOKENS,
     CdrError,
     RowReject,
@@ -522,52 +521,6 @@ def _five_a_line(commas: np.ndarray, starts: np.ndarray, stop: np.ndarray):
     if (five[:, 0] >= starts).all() and (five[:, 4] < stop).all():
         return np.arange(0, len(commas), 5, dtype=commas.dtype)
     return None
-
-
-_GENDER_KEYS = _token_keys(GENDER_TOKENS)
-
-
-def demographic_lines(block: bytes):
-    """(line starts, line ends past the LF, canonical line mask, and the
-    canonical lines' (ids, female, number) or None) of a block of
-    demographics lines followed by _PAD.
-
-    A line is canonical when it is id,gender,number, with one CR before
-    the LF allowed: the id 1-64 bytes in 0x21-0x7E but the double quote,
-    the gender a gender token in any letter case, and the number 1-4 ASCII
-    digits. records.load_demographics reads every such row to this id,
-    gender and number. Commas are found by the count before each line's
-    end, the gender as one word folded to lower case, and the number from
-    one word whose bytes are checked as _ts_template checks digits."""
-    b, starts, stop, cr, ok = _lines(block)
-    commas = np.flatnonzero(b == 44).astype(stop.dtype)
-    before = np.searchsorted(commas, stop)
-    ok &= np.diff(before, prepend=0) == 2
-    lines = np.flatnonzero(ok)
-    canonical = np.zeros(len(starts), dtype=bool)
-    # the id, the gender and the number start at lo, at1 and at2
-    lo, c = starts[lines], before[lines]
-    at1, at2 = commas[c - 2] + 1, commas[c - 1] + 1
-    del b, commas, before, c
-    ln0, ln1, ln2 = at1 - 1 - lo, at2 - 1 - at1, stop[lines] - 1 - cr[lines] - at2
-    u64 = _u64(block)
-    female, good = _match(_GENDER_KEYS, _lower(_word(u64, at1, ln1)))
-    good &= (ln0 >= 1) & (ln0 <= _MAX_ID_BYTES) & (ln1 <= 8) & (ln2 >= 1) & (ln2 <= 4)
-    n2 = np.minimum(ln2, 4)
-    keep = _LOW[n2]
-    w = u64[at2] & keep
-    good &= (w & (_bytewise(0xF0) & keep)) == (_bytewise(0x30) & keep)
-    good &= ((w + (_bytewise(0x06) & keep)) & (_bytewise(0x40) & keep)) == 0
-    if not good.any():
-        return starts, stop, canonical, None
-    # the digits moved to bytes 0-3, most significant first, zeros before
-    w <<= np.uint64(32) - (n2.astype(np.uint64) << np.uint64(3))
-    pairs = _pairs(w)
-    number = (pairs & np.uint64(0xFF)) * np.uint64(100) + (pairs >> np.uint64(16) & np.uint64(0xFF))
-    canonical[lines[good]] = True
-    lo, ln0 = lo[good], ln0[good]
-    names = _text(_words(u64, lo, ln0, -(-int(ln0.max()) // 8)))
-    return starts, stop, canonical, (names, female[good] == 1, number[good].astype(np.int64))
 
 
 def _row_block(rows, registry: TowerRegistry, year_start: int, year_end: int,

@@ -117,11 +117,14 @@ def check_ingest(result: IngestResult) -> None:
 def check_calendar(table: EventTable, analysis_year: int) -> dict:
     """The funnel's account of when the kept events fall and how many
     repeat: the first and last event, the days of the year with an event,
-    the months without one, and the events equal to the previous event of
-    their individual in timestamp and tower, which the table's sort makes
-    neighbours. A file cut short, or joined to a copy of itself, still
-    gives plausible outputs, so an unobserved month, and repeats above 1%
-    of the kept events, are logged as warnings. One pass over blocks of
+    the months without one, the partial months, and the events equal to
+    the previous event of their individual in timestamp and tower, which
+    the table's sort makes neighbours. The month of the first event is
+    partial when that day is not its first, and the month of the last
+    event when that day is not its last. A file cut short, or joined to a
+    copy of itself, still gives plausible outputs, so an unobserved month,
+    a partial month, and repeats above 1% of the kept events, are logged
+    as warnings. One pass over blocks of
     individuals flags the days with an event, in half the time a
     bincount of them took, and counts the repeats."""
     ys, _ = year_bounds(analysis_year)
@@ -140,14 +143,27 @@ def check_calendar(table: EventTable, analysis_year: int) -> dict:
     if unobserved:
         log.warning("calendar: no kept event in %d of 12 months: %s",
                     len(unobserved), " ".join(unobserved))
+    first, last = int(ts[off[:-1]].min()), int(ts[off[1:] - 1].max())
+    day0, day1 = (first - ys) // 86400, (last - ys) // 86400
+    m0, m1 = (np.searchsorted(first_day, [day0, day1], side="right") - 1).tolist()
+    cut: dict[str, list[str]] = {}  # partial month -> where the data starts or stops in it
+    if day0 != first_day[m0]:
+        cut[f"{analysis_year}-{m0 + 1:02d}"] = [f"starts on {format_timestamp(first)[:10]}"]
+    if day1 != first_day[m1 + 1] - 1:
+        cut.setdefault(f"{analysis_year}-{m1 + 1:02d}", []).append(
+            f"stops on {format_timestamp(last)[:10]}")
+    for month, where in cut.items():
+        log.warning("calendar: %s is partial: the data %s; its missing days count as quiet",
+                    month, " and ".join(where))
     if 100 * repeats > len(ts):
         log.warning("calendar: %d of %d kept events repeat the previous event of their "
                     "individual; is some input in the CDR file twice?", repeats, len(ts))
     return {
         "events_duplicated": repeats,
-        "first_event": format_timestamp(int(ts[off[:-1]].min())),
-        "last_event": format_timestamp(int(ts[off[1:] - 1].max())),
+        "first_event": format_timestamp(first),
+        "last_event": format_timestamp(last),
         "days_with_events": int(np.count_nonzero(seen)),
+        "months_partial": list(cut),
         "months_unobserved": unobserved,
     }
 

@@ -363,6 +363,26 @@ def _rows(lines, path, fields, first: int = 1):
             yield line, row
 
 
+def _file_rows(path, fields):
+    """(line, row) of each CSV row of a small input file, as _rows reads
+    them, past one leading UTF-8 byte order mark. The file is read as
+    bytes in blocks of whole lines, 64 KiB at a time, and each block is
+    read on its own, its lines numbered on from the LFs before it. Unless
+    one line is longer, a block holds fewer characters than csv.reader's
+    field limit (131,072), so a quote left open ends with its block and
+    reads as a row that spans lines, not as a field over the limit."""
+    # ingest imports this module, so its block reader is imported on first use
+    from .ingest import _PAD, _blocks, _past_bom
+
+    with open(path, "rb") as fh:
+        _past_bom(fh)
+        line = 1  # the number of the next block's first line
+        for block in _blocks(fh, size=1 << 16):
+            text = block[:-len(_PAD)].decode("utf-8", "surrogateescape")
+            yield from _rows(io.StringIO(text, newline=""), path, fields, line)
+            line += block.count(b"\n")
+
+
 def load_towers(path) -> TowerRegistry:
     """Read a tower file (tower_id,lat,lon; optional header, see is_header).
 
@@ -372,22 +392,21 @@ def load_towers(path) -> TowerRegistry:
     average longitudes arithmetically.
     """
     entries: dict[str, tuple[float, float]] = {}
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for lineno, row in _rows(fh, path, _TOWER_FIELDS):
-            if len(row) < 3:
-                raise CdrError(f"{path}:{lineno}: tower row needs tower_id,lat,lon")
-            tid = row[0].strip()
-            try:
-                lat, lon = _plain(row[1], float), _plain(row[2], float)
-            except ValueError:
-                raise CdrError(f"{path}:{lineno}: unparseable coordinate in {row!r}")
-            if not (-90.0 <= lat <= 90.0):
-                raise CdrError(f"{path}:{lineno}: latitude out of range: {lat}")
-            if not (-180.0 <= lon <= 180.0):
-                raise CdrError(f"{path}:{lineno}: longitude out of range: {lon}")
-            if tid in entries:
-                raise CdrError(f"{path}:{lineno}: duplicate tower id {tid!r}")
-            entries[tid] = (lat, lon)
+    for lineno, row in _file_rows(path, _TOWER_FIELDS):
+        if len(row) < 3:
+            raise CdrError(f"{path}:{lineno}: tower row needs tower_id,lat,lon")
+        tid = row[0].strip()
+        try:
+            lat, lon = _plain(row[1], float), _plain(row[2], float)
+        except ValueError:
+            raise CdrError(f"{path}:{lineno}: unparseable coordinate in {row!r}")
+        if not (-90.0 <= lat <= 90.0):
+            raise CdrError(f"{path}:{lineno}: latitude out of range: {lat}")
+        if not (-180.0 <= lon <= 180.0):
+            raise CdrError(f"{path}:{lineno}: longitude out of range: {lon}")
+        if tid in entries:
+            raise CdrError(f"{path}:{lineno}: duplicate tower id {tid!r}")
+        entries[tid] = (lat, lon)
     lons = [lon for _, lon in entries.values()]
     if lons and max(lons) - min(lons) > 180.0:
         raise CdrError(
@@ -423,10 +442,6 @@ _BIRTH_YEAR_THRESHOLD = 200
 # a reject column; code 0 keeps the row
 _REJECTS = ("", "unknown_gender", "bad_age", "age_out_of_range", "duplicate_id")
 _UNKNOWN_GENDER, _BAD_AGE, _AGE_OUT, _DUPLICATE = range(1, len(_REJECTS))
-# Bytes of a demographics file decoded at a time. A read allocates its full
-# size first, and the loader holds about what it returns, so the blocks are
-# smaller than ingest's.
-_DEMOGRAPHICS_BLOCK_BYTES = 1 << 16
 
 
 def load_demographics(path, analysis_year: int = 2008) -> Demographics:
@@ -437,59 +452,27 @@ def load_demographics(path, analysis_year: int = 2008) -> Demographics:
     [10, 110] after resolving birth years are rejected, and so is every row
     of an id that appears more than once (duplicate_id: which one is right?).
 
-    The file is read as bytes in blocks, past one leading UTF-8 byte order
-    mark. Its canonical lines (see ingest.demographic_lines) are decoded in
-    numpy; every other line, a header included, takes the row path,
-    csv.reader and _person, with the fatal errors of _rows. Each row with
-    an id adds the id to a list, its reject code to a column and the id's
-    (female, age) row to the dict. Fewer ids in the dict than rows means
-    that an id repeats: a second dict then maps each id to the first row
-    that has it, and every row of an id that another row maps to is a
-    duplicate_id reject. The ids of rejected rows leave the dict.
+    Each row with an id adds the id to a list, its reject code to a column
+    and the id's (female, age) row to the dict. Fewer ids in the dict than
+    rows means that an id repeats: a second dict then maps each id to the
+    first row that has it, and every row of an id that another row maps to
+    is a duplicate_id reject. The ids of rejected rows leave the dict.
     """
-    # ingest imports this module, so its byte path is imported on first use
-    from .ingest import _blocks, _past_bom, _runs, demographic_lines
-
     ids: list[str] = []
     index: dict[str, int] = {}
-    rejects = [np.empty(0, dtype=np.int8)]  # the reject code of each row of ids, part by part
+    codes = bytearray()  # the reject code of each row of ids
     rejected: dict[str, int] = {}
+    for _, row in _file_rows(path, _DEMOGRAPHICS_FIELDS):
+        ego = row[0].strip() if len(row) >= 3 else ""
+        if not ego:
+            rejected["missing_column"] = rejected.get("missing_column", 0) + 1
+            continue
+        female, age, code = _person(row, analysis_year)
+        ids.append(ego)
+        index[ego] = age - AGE_MIN + female * _AGES
+        codes.append(code)
 
-    def add(names: list[str], female: np.ndarray, age: np.ndarray, reject: np.ndarray) -> None:
-        """Add rows: each name maps to its (female, age) row."""
-        ids.extend(names)
-        index.update(zip(names, (age - AGE_MIN + female * _AGES).tolist()))
-        rejects.append(reject.astype(np.int8))
-
-    def row_path(text: str, first: int) -> None:
-        """Add the rows of text, whose first line is line `first`."""
-        names, people = [], []
-        for _, row in _rows(io.StringIO(text, newline=""), path, _DEMOGRAPHICS_FIELDS, first):
-            ego = row[0].strip() if len(row) >= 3 else ""
-            if ego:
-                names.append(ego)
-                people.append(_person(row, analysis_year))
-            else:
-                rejected["missing_column"] = rejected.get("missing_column", 0) + 1
-        if names:
-            add(names, *map(np.array, zip(*people)))
-
-    with open(path, "rb") as fh:
-        _past_bom(fh)
-        line = 1  # the number of the next block's first line
-        for block in _blocks(fh, size=_DEMOGRAPHICS_BLOCK_BYTES):
-            starts, stop, canonical, decoded = demographic_lines(block)
-            if decoded is not None:
-                names, female, value = decoded
-                age = np.where(value >= _BIRTH_YEAR_THRESHOLD, analysis_year - value, value)
-                out = (age < AGE_MIN) | (age > AGE_MAX)
-                age[out] = AGE_MIN
-                add(names, female, age, out * _AGE_OUT)
-            for at, text in _runs(block, starts, stop, np.flatnonzero(~canonical)):
-                row_path(text, line + at)
-            line += len(starts)
-
-    reject = np.concatenate(rejects)
+    reject = np.frombuffer(codes, dtype=np.uint8)
     n = len(ids)
     if len(index) < n:
         rows: dict[str, int] = {}

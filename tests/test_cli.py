@@ -569,9 +569,8 @@ def test_crlf_copy_gives_the_same_report(small_corpus, tmp_path, capsys):
 @pytest.mark.parametrize("name", [CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE])
 def test_an_unbalanced_quote_is_a_data_error(small_corpus, tmp_path, capsys, name):
     # csv.reader reads from the quote on as one field, and refused it with
-    # a traceback once it passed 131,072 characters. In cdr.csv and
-    # demographics.csv the quote's line is read on its own, so the field
-    # ends with that line
+    # a traceback once it passed 131,072 characters. Each file is read in
+    # blocks of lines smaller than that, so the field ends with its block
     corpus, truth = small_corpus
     paths = {n: os.path.join(corpus, n) for n in (CDR_FILE, TOWERS_FILE, DEMOGRAPHICS_FILE)}
     with open(paths[name], encoding="utf-8") as fh:
@@ -583,10 +582,7 @@ def test_an_unbalanced_quote_is_a_data_error(small_corpus, tmp_path, capsys, nam
                  "--demographics", str(paths[DEMOGRAPHICS_FILE]), "--area-bounds",
                  ",".join(str(b) for b in truth.area_boundaries), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    if name in (CDR_FILE, DEMOGRAPHICS_FILE):
-        assert f"{name}:2: a row spans lines" in err
-    else:
-        assert f"{name}:2: not readable as CSV" in err
+    assert f"{name}:2: a row spans lines" in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -1267,13 +1263,36 @@ def test_the_funnel_dates_the_events_and_counts_repeats(tmp_path, caplog, repeat
     unobserved = [f"2008-{m:02d}" for m in (1, 2, 4, 6, 7, 8, 9, 10, 11, 12)]
     assert got == {"events_duplicated": repeats, "first_event": "2008-03-01T10:00:00",
                    "last_event": "2008-05-31T23:59:59", "days_with_events": 3,
-                   "months_unobserved": unobserved}
+                   "months_partial": [], "months_unobserved": unobserved}
     messages = [r.getMessage() for r in caplog.records]
     assert messages[0] == f"calendar: no kept event in 10 of 12 months: {' '.join(unobserved)}"
     # more than 1% of the kept events: 2 of 104, not 1 of 103
     assert messages[1:] == ([f"calendar: {repeats} of {102 + repeats} kept events repeat the "
                              "previous event of their individual; is some input in the CDR "
                              "file twice?"] if warns else [])
+
+
+@pytest.mark.parametrize("days, partial", [
+    (("2008-01-01", "2008-12-31"), {}),
+    (("2008-03-05", "2008-05-20"), {"2008-03": "starts on 2008-03-05",
+                                    "2008-05": "stops on 2008-05-20"}),
+    (("2008-04-10", "2008-04-20"), {"2008-04": "starts on 2008-04-10 and stops on 2008-04-20"}),
+    (("2008-02-01", "2008-02-29"), {}),
+])
+def test_a_table_cut_inside_a_month_names_the_month(tmp_path, caplog, days, partial):
+    # a corpus cut on 2008-06-16 read June as a month whose missing days
+    # were quiet, and no output said so
+    _, towers = _write_minimal_corpus(tmp_path)
+    cdr = tmp_path / "cdr.csv"
+    cdr.write_text("".join(f"a,x,{day}T{hour},t1,call,out\n"
+                           for day in days for hour in ("00:00:00", "23:59:59")))
+    pipe = Pipeline(cdr, towers, None, AnalysisConfig(reciprocity="none"))
+    with caplog.at_level(logging.WARNING, logger="cdrmob"):
+        got = pipe.calendar
+    assert got["months_partial"] == list(partial)
+    messages = [r.getMessage() for r in caplog.records if "partial" in r.getMessage()]
+    assert messages == [f"calendar: {month} is partial: the data {where}; its missing days "
+                        "count as quiet" for month, where in partial.items()]
 
 
 def test_log_level_writes_progress_to_stderr_only(small_corpus, tmp_path, capsys):
